@@ -13,7 +13,7 @@ from .common import (InconsistentRigidity, NotATensorSubcategory, OracleMismatch
                      UnknownCommand, UnknownLabel, UnknownName, UpsilonMismatch,
                      ValidationError, ValidationReport)
 from .scalarfield import (DimensionMismatch, DivisionByZero, FieldElement,
-                          FieldSpec, Matrix, ZeroDivisorDetected, field_arith,
+                          FieldSpec, Matrix, ZeroDivisorDetected,
                           span_contains, subspace_equal)
 from .fusioncat import (DualityData, FusionCategorySpec, compute_duality,
                         hom_dim, tensor_decompose, validate_fusion)
@@ -26,12 +26,32 @@ from .endengine import (Condition, DinaturalSystem, EndResult,
                         build_character_probe_system, build_hom_coend_system,
                         build_nat_system, build_serre_probe_system,
                         build_upsilon_probe_system, composite_nat_conditions,
-                        nat_oracle_system, object_valued_end, parameterized_end,
-                        restrict_conditions, solve_coend, solve_end)
+                        nat_oracle_system, restrict_carrier, restrict_conditions,
+                        solve_coend, solve_end)
 from .theorems import (AdjointShiftResult, NatResult, SerreResult,
                        adjoint_shift_check, hom_lemma_suite, internal_character,
                        nat_m_dim, serre_functor, upsilon_regular)
 from .cli import InstanceBundle, Report, load, run
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "InconsistentRigidity", "NotATensorSubcategory", "OracleMismatch", "ParseError",
+    "SerreCertificateFailure", "SourceTargetMismatch", "UnknownCommand", "UnknownLabel",
+    "UnknownName", "UpsilonMismatch", "ValidationError", "ValidationReport",
+    "DimensionMismatch", "DivisionByZero", "FieldElement", "FieldSpec", "Matrix",
+    "ZeroDivisorDetected", "span_contains", "subspace_equal",
+    "DualityData", "FusionCategorySpec", "compute_duality", "hom_dim", "tensor_decompose",
+    "validate_fusion",
+    "InternalHomTable", "ModuleCategorySpec", "internal_hom", "opposite_module",
+    "regular_module", "restrict_module", "validate_module",
+    "ModuleFunctorSpec", "act_right_functor", "compose_functors", "identity_functor",
+    "validate_functor",
+    "Condition", "DinaturalSystem", "EndResult", "build_character_probe_system",
+    "build_hom_coend_system", "build_nat_system", "build_serre_probe_system",
+    "build_upsilon_probe_system", "composite_nat_conditions", "nat_oracle_system",
+    "restrict_carrier", "restrict_conditions", "solve_coend", "solve_end",
+    "AdjointShiftResult", "NatResult", "SerreResult", "adjoint_shift_check",
+    "hom_lemma_suite", "internal_character", "nat_m_dim", "serre_functor",
+    "upsilon_regular",
+    "InstanceBundle", "Report", "load", "run",
+]
 __version__ = "0.1.0"

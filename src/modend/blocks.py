@@ -288,10 +288,6 @@ def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
-def act1(tables: ModuleTables, X: str, N: Obj) -> Obj:
-    return act_c(tables, simple_obj(X), N)
-
-
 def ract_c(tables: RightTables, N: Obj, A: Obj) -> Obj:
     labels, keys = [], []
     for ip, p in enumerate(N.labels):
@@ -758,15 +754,6 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
     return out
 
 
-def c_mor_inv(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
-    key = ("c_mor_inv", A, N)
-    cached = ft._cache.get(key)
-    if cached is None:
-        cached = c_mor(ft, A, N).inverse()
-        ft._cache[key] = cached
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # internal hom of a left module
 
@@ -855,13 +842,6 @@ def uhom_left_tensor_iso(tables: ModuleTables, X: str, A: Obj, B: Obj) -> Mor:
     h = whisker_c(tables, simple_obj(X), evh_mor(tables, A, B)) \
         * assoc(tables, simple_obj(X), uh, A)
     return psi_reshuffle(tables, W, A, xb, h)
-
-
-def mor_from_blocks(field: FieldSpec, src: Obj, dst: Obj, entries: dict) -> Mor:
-    mat = Matrix.zeros(field, len(dst), len(src))
-    for (kd, ks), val in entries.items():
-        mat[dst.index[kd], src.index[ks]] = val
-    return Mor(src, dst, mat)
 
 
 # ---------------------------------------------------------------------------

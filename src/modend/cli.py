@@ -173,16 +173,35 @@ def load(paths) -> InstanceBundle:
             docs.append(json.loads(raw))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        if not isinstance(docs[-1], dict):
+            raise ParseError(f"{path}: top level must be a JSON object")
     for doc in docs:
-        for name, data in doc.get("categories", {}).items():
-            bundle.categories[name] = _load_category(name, data)
+        for name, data in _section(doc, "categories").items():
+            bundle.categories[name] = _parse_entity("category", name, _load_category, data)
     for doc in docs:
-        for name, data in doc.get("modules", {}).items():
-            bundle.modules[name] = _load_module(name, data, bundle)
+        for name, data in _section(doc, "modules").items():
+            bundle.modules[name] = _parse_entity("module", name, _load_module, data, bundle)
     for doc in docs:
-        for name, data in doc.get("functors", {}).items():
-            bundle.functors[name] = _load_functor(name, data, bundle)
+        for name, data in _section(doc, "functors").items():
+            bundle.functors[name] = _parse_entity("functor", name, _load_functor, data, bundle)
     return bundle
+
+
+def _section(doc: dict, key: str) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ParseError(f"{key!r} must be a JSON object")
+    return section
+
+
+def _parse_entity(kind: str, name: str, load_one, *args):
+    """Load one named entity; malformed data becomes a ParseError naming it."""
+    try:
+        return load_one(name, *args)
+    except (ParseError, UnknownName):
+        raise
+    except (ArithmeticError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{kind} {name!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def bundled_instance_paths() -> list:

@@ -16,8 +16,11 @@ expected to be redundant and a dedicated builder exposes it so the property
 suite can verify that it never shrinks the solution space.
 
 Object-valued ends and coends (internal characters, the Serre-functor coend,
-the double-dual end) are recovered through Hom-probes: for each probe simple
-the probed system is an ordinary vect-valued module end.
+the double-dual end) are built once, over a carrier that keeps every summand
+of each diagonal object tagged with its label.  Restricting that system to
+the coordinates of one label (``restrict_carrier``) gives the Hom-probe
+``Hom(label, -)`` of the (co)end, an ordinary vect-valued module end whose
+dimension is that label's multiplicity.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Mapping, Sequence
 
 from . import blocks
 from .blocks import Mor, Obj, simple_obj
-from .common import NotATensorSubcategory, SourceTargetMismatch, UnknownLabel
+from .common import NotATensorSubcategory, SourceTargetMismatch
 from .modcat import ModuleCategorySpec
 from .modfunct import ModuleFunctorSpec
 from .scalarfield import FieldSpec, Matrix
@@ -143,12 +146,35 @@ def _check_subcategory(base, subset):
                     raise NotATensorSubcategory(f"not fusion-closed at ({a},{b})")
 
 
-def parameterized_end(family: Mapping) -> dict:
-    """Pointwise solve of a family of systems (parameter theorem)."""
-    out = {}
-    for key, sys in family.items():
-        out[key] = solve_end(sys) if sys.kind == "end" else solve_coend(sys)
-    return out
+def restrict_carrier(sys: DinaturalSystem, label: str) -> DinaturalSystem:
+    """Keep only the carrier coordinates tagged ``label``: the Hom-probe at ``label``.
+
+    On the labelled carrier of an object-valued (co)end the restricted
+    system's dimension is the multiplicity of ``label`` in the object.
+    """
+    keep, kept_blocks = [], []
+    for block in sys.blocks:
+        coords = [k for k, b in enumerate(block.basis) if b[0] == label]
+        kept_blocks.append(CarrierBlock(simple=block.simple, offset=len(keep),
+                                        basis=tuple(block.basis[k] for k in coords)))
+        keep.extend(block.offset + k for k in coords)
+    conditions = [Condition(generator=c.generator, matrix=_column_matrix(
+                      sys.field, [c.matrix.entries[k::c.matrix.cols] for k in keep], c.matrix.rows))
+                  for c in sys.conditions]
+    return DinaturalSystem(field=sys.field, blocks=kept_blocks, conditions=conditions,
+                           kind=sys.kind, recipe=sys.recipe, meta=dict(sys.meta))
+
+
+def _column_matrix(field, columns, rows=None) -> Matrix:
+    """The matrix whose ``c``-th column is the flat sequence ``columns[c]``."""
+    if rows is None:
+        rows = len(columns[0]) if columns else 0
+    mat = Matrix.zeros(field, rows, len(columns))
+    for c, col in enumerate(columns):
+        for r, val in enumerate(col):
+            if val:
+                mat[r, c] = val
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +223,6 @@ def _theta_ext_mor(f, g, i: str, k: str, a: int, b: int, N: Obj) -> Mor:
     return Mor(src, dst, mat)
 
 
-def _flatten_columns(field, carrier, per_basis_mors):
-    """Stack a Mor-valued linear map on the carrier into a condition matrix."""
-    rows = None
-    cols = []
-    for mor in per_basis_mors:
-        flat = mor.mat.entries
-        if rows is None:
-            rows = len(flat)
-        cols.append(flat)
-    dim = len(cols)
-    mat = Matrix.zeros(field, rows or 0, dim)
-    for c, col in enumerate(cols):
-        for r, val in enumerate(col):
-            if val:
-                mat[r, c] = val
-    return mat
-
-
 def _nat_condition(f: ModuleFunctorSpec, g: ModuleFunctorSpec, carrier,
                    X: str, i: str) -> Matrix:
     """Balancing condition of the Hom system at generator ``(X, m_i)``."""
@@ -237,7 +245,7 @@ def _nat_condition(f: ModuleFunctorSpec, g: ModuleFunctorSpec, carrier,
             lhs = theta_i * f_eps
             rhs = eps_dst * blocks.whisker_c(dst_t, sxd, d * theta_A) * c1
             per_basis.append(lhs - rhs)
-    return _flatten_columns(f.field, carrier, per_basis)
+    return _column_matrix(f.field, [m.mat.entries for m in per_basis])
 
 
 def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
@@ -281,7 +289,8 @@ def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSy
                     rhs = blocks.whisker_c(dst_t, sx, theta_i) * c
                     per_basis.append(lhs - rhs)
             conditions.append(Condition(generator=(X, i),
-                                        matrix=_flatten_columns(f.field, carrier, per_basis)))
+                                        matrix=_column_matrix(
+                                            f.field, [m.mat.entries for m in per_basis])))
     return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="module-naturality-oracle",
                            meta={"base": f.src.base, "f": f, "g": g})
@@ -332,7 +341,7 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
                 rhs = eps_dst * blocks.whisker_c(dst_t, Wd, dW * theta_W) * cW
                 per_basis.append(lhs - rhs)
         out.append(Condition(generator=(f"{X}*{Y}", i),
-                             matrix=_flatten_columns(f.field, carrier, per_basis)))
+                             matrix=_column_matrix(f.field, [m.mat.entries for m in per_basis])))
     return out
 
 
@@ -346,7 +355,7 @@ def plain_dinaturality_condition(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
             theta_B = _theta_ext_mor(f, g, block.simple, k, a, b, h.dst)
             per_basis.append(blocks.f_mor(g.tables, h) * theta_A
                              - theta_B * blocks.f_mor(f.tables, h))
-    return _flatten_columns(f.field, carrier, per_basis)
+    return _column_matrix(f.field, [m.mat.entries for m in per_basis])
 
 
 def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
@@ -393,68 +402,74 @@ def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> Dinatu
                             pos = blk_j.offset + blk_j.basis.index((k2, a2, b2))
                             vec[pos] = vec[pos] - val
                 rel_cols.append(vec)
-            mat = Matrix.zeros(f.field, total, len(rel_cols))
-            for c, vec in enumerate(rel_cols):
-                for r, val in enumerate(vec):
-                    if val:
-                        mat[r, c] = val
-            conditions.append(Condition(generator=(X, i), matrix=mat))
+            conditions.append(Condition(generator=(X, i),
+                                        matrix=_column_matrix(f.field, rel_cols, total)))
     return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
                            kind="coend", recipe="hom-coend",
                            meta={"base": base, "f": f, "g": g})
 
 
 # ---------------------------------------------------------------------------
-# object-valued ends and coends through Hom-probes
+# object-valued ends and coends, read off label by label through Hom-probes
 
 
-def _probe_carrier(objects: Mapping[str, Obj], order: Sequence[str], probe: str):
+def _labelled_carrier(objects: Mapping[str, Obj], order: Sequence[str]):
+    """One block per diagonal object, one coordinate per summand, tagged by its label."""
     out = []
     offset = 0
     for key in order:
-        basis = tuple(("pos", p) for p in objects[key].positions(probe))
+        basis = tuple((lab, pos) for pos, lab in enumerate(objects[key].labels))
         out.append(CarrierBlock(simple=key, basis=basis, offset=offset))
         offset += len(basis)
     return out
 
 
-def _probe_condition(field: FieldSpec, carrier, probe: str, target: Obj,
-                     lhs_block: str, lhs_mor: Mor, rhs_terms: Mapping[str, Mor]) -> Matrix:
-    """Condition matrix for one probed balancing equation.
+def _unit_matrix(field, rows, cols, r, c):
+    m = Matrix.zeros(field, rows, cols)
+    m[r, c] = field.one
+    return m
 
-    ``lhs_mor`` maps block ``lhs_block``'s object into ``target``;
-    ``rhs_terms[q]`` maps block ``q``'s object into ``target``.  The condition
-    per carrier basis element is the flattened column of (lhs - rhs) applied
-    to the probe component.
+
+def _decomposition_sum(field: FieldSpec, A: Obj, term) -> dict:
+    """``sum term(q, p_q, i_q).mat`` over the summands of ``A``, grouped by label ``q``.
+
+    ``p_q: A -> q`` and ``i_q: q -> A`` are the projection onto and the
+    inclusion of one summand, so the sum extends a morphism on simples to ``A``.
     """
-    rows = len(target)
-    total = sum(b.dim for b in carrier)
-    mat = Matrix.zeros(field, rows, total)
-    col = 0
+    out = {}
+    for qp, q in enumerate(A.labels):
+        sq = simple_obj(q)
+        p_q = Mor(A, sq, _unit_matrix(field, 1, len(A), 0, qp))
+        i_q = Mor(sq, A, _unit_matrix(field, len(A), 1, qp, 0))
+        mat = term(q, p_q, i_q).mat
+        out[q] = out[q] + mat if q in out else mat
+    return out
+
+
+def _balancing_matrix(field: FieldSpec, carrier, lhs_block: str, lhs: Matrix,
+                      rhs: Mapping[str, Matrix]) -> Matrix:
+    """Condition matrix of one balancing equation on a labelled carrier.
+
+    ``lhs`` acts on block ``lhs_block`` and ``rhs[q]`` on block ``q``; the
+    condition on the coordinate at position ``pos`` of block ``q`` is column
+    ``pos`` of ``[q == lhs_block] lhs - rhs[q]``.
+    """
+    columns = []
     for block in carrier:
-        for (_, pos) in block.basis:
-            if block.simple == lhs_block:
-                for r in range(rows):
-                    val = lhs_mor.mat[r, pos]
-                    if val:
-                        mat[r, col] = mat[r, col] + val
-            term = rhs_terms.get(block.simple)
-            if term is not None:
-                for r in range(rows):
-                    val = term.mat[r, pos]
-                    if val:
-                        mat[r, col] = mat[r, col] - val
-            col += 1
-    return mat
+        diff = lhs if block.simple == lhs_block else Matrix.zeros(field, lhs.rows, block.dim)
+        if block.simple in rhs:
+            diff = diff - rhs[block.simple]
+        columns.extend(diff.entries[pos::block.dim] for pos in range(block.dim))
+    return _column_matrix(field, columns, lhs.rows)
 
 
-def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
-                                 probe: str) -> DinaturalSystem:
-    """Probed module end of ``ldual(F(-)) x G(-)`` over the source module.
+def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
+    """Module end of ``ldual(F(-)) x G(-)`` over the source module.
 
-    ``f`` and ``g`` must land in the regular module of the base; the system
-    computes ``dim Hom(probe, end object)`` of the internal-character end with
-    the pre-balancing assembled from the functor coherences, the left-dual
+    ``f`` and ``g`` must land in the regular module of the base; restricted to
+    the label ``p`` (``restrict_carrier``) the system computes
+    ``dim Hom(p, end object)`` of the internal-character end.  The
+    pre-balancing is assembled from the functor coherences, the left-dual
     coherence iso of the base, and the dual transpose of ``c``.
     """
     if f.src is not g.src:
@@ -476,7 +491,7 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
         return blocks.ctensor(bt, blocks.ldual_flat(bt, fobj(A)), gobj(B))
 
     s_diag = {i: s_obj(simple_obj(i), simple_obj(i)) for i in f.src.simples}
-    carrier = _probe_carrier(s_diag, f.src.simples, probe)
+    carrier = _labelled_carrier(s_diag, f.src.simples)
     conditions = []
     for X in base.simples:
         sx = simple_obj(X)
@@ -496,77 +511,29 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
             # RHS: the pre-balancing (a fixed post-composition) after extension
             d = blocks.c_mor(gtab, sx, mi)                 # G(A) -> X x G(m_i)
             st1 = blocks.ctensor_mor(bt, Mor.identity(f.field, lfa), d)
-            regroup = c_assoc_inv(bt, lfa, sx, gmi)
+            regroup = blocks.c_assoc(bt, lfa, sx, gmi).inverse()
             tau = blocks.phi_l(bt, sxd, fa).inverse() \
                 * blocks.ctensor_mor(bt, Mor.identity(f.field, lfa), blocks.nu_left(bt, X))
             cf = blocks.c_mor(ftab, sxd, A)                # F(X* act A) -> X* x F(A)
             st4 = blocks.ctensor_mor(bt, blocks.ldual_mor(bt, cf), Mor.identity(f.field, gmi))
             beta_chain = st4 * blocks.ctensor_mor(bt, tau, Mor.identity(f.field, gmi)) \
                 * regroup * st1
-            rhs_terms = {}
-            for qp, q in enumerate(A.labels):
-                p_q = Mor(A, simple_obj(q),
-                          _unit_matrix(f.field, 1, len(A), 0, qp))
-                i_q = Mor(simple_obj(q), A,
-                          _unit_matrix(f.field, len(A), 1, qp, 0))
-                ext = blocks.ctensor_mor(
-                    bt, blocks.ldual_mor(bt, blocks.f_mor(ftab, p_q)),
-                    blocks.f_mor(gtab, i_q))
-                term = beta_chain * ext
-                rhs_terms[q] = rhs_terms[q] + term if q in rhs_terms else term
-            target = beta_chain.dst
-            cond = _probe_condition(f.field, carrier, probe, target, i, l1, rhs_terms)
+            rhs = _decomposition_sum(f.field, A, lambda q, p_q, i_q: beta_chain
+                                     * blocks.ctensor_mor(bt, blocks.ldual_mor(
+                                         bt, blocks.f_mor(ftab, p_q)), blocks.f_mor(gtab, i_q)))
+            cond = _balancing_matrix(f.field, carrier, i, l1.mat, rhs)
             conditions.append(Condition(generator=(X, i), matrix=cond))
     return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
-                           kind="end", recipe="character-probe",
-                           meta={"base": base, "probe": probe})
+                           kind="end", recipe="character-probe", meta={"base": base})
 
 
-def c_assoc_inv(bt, A, B, C):
-    return blocks.c_assoc(bt, A, B, C).inverse()
-
-
-def _unit_matrix(field, rows, cols, r, c):
-    m = Matrix.zeros(field, rows, cols)
-    m[r, c] = field.one
-    return m
-
-
-def _functional_condition(field: FieldSpec, carrier, src_len: int,
-                          lhs_block: str, lhs_mor: Mor, rhs_by_block: Mapping) -> Matrix:
-    """Condition matrix for a probed-coend balancing, on functional carriers.
-
-    Carrier entries are coordinate functionals on the diagonal blocks; the
-    condition per functional is the row it induces on the common source
-    object (lhs rows minus the extension rows).
-    """
-    total = sum(b.dim for b in carrier)
-    mat = Matrix.zeros(field, src_len, total)
-    col = 0
-    for block in carrier:
-        for (_, pos) in block.basis:
-            if block.simple == lhs_block:
-                for s in range(src_len):
-                    val = lhs_mor.mat[pos, s]
-                    if val:
-                        mat[s, col] = mat[s, col] + val
-            term = rhs_by_block.get(block.simple)
-            if term is not None:
-                for s in range(src_len):
-                    val = term.mat[pos, s]
-                    if val:
-                        mat[s, col] = mat[s, col] - val
-            col += 1
-    return mat
-
-
-def build_serre_probe_system(m: ModuleCategorySpec, i: str, probe: str) -> DinaturalSystem:
-    """Probed coend over the opposite module computing the Serre image of ``m_i``.
+def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
+    """Coend over the opposite module computing the Serre image of ``m_i``.
 
     The coend of ``uhom(m_i, -)* act -`` over the opposite (right) module is
-    probed with ``Hom(-, m_probe)``, which turns its relations into an
-    end-type system on coordinate functionals; the nullspace dimension is the
-    multiplicity of ``m_probe`` in the coend object.
+    probed with ``Hom(-, m_p)``, which turns its relations into an end-type
+    system on coordinate functionals; restricted to the label ``p``, the
+    nullspace dimension is the multiplicity of ``m_p`` in the coend object.
     """
     base = m.base
     base.duality()
@@ -582,13 +549,11 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str, probe: str) -> Dinat
     for u in m.simples:
         su = simple_obj(u)
         t_diag[u] = blocks.act_c(mt, blocks.rdual_flat(bt, uh(su)), su)
-    carrier = _probe_carrier(t_diag, m.simples, probe)
+    carrier = _labelled_carrier(t_diag, m.simples)
     conditions = []
-    one = simple_obj(base.unit)
     for X in base.simples:
         sx = simple_obj(X)
-        Xd = base.dual[X]
-        sxd = simple_obj(Xd)
+        sxd = simple_obj(base.dual[X])
         for u in m.simples:
             su = simple_obj(u)
             rd_uh_u = blocks.rdual_flat(bt, uh(su))
@@ -609,26 +574,20 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str, probe: str) -> Dinat
                 * blocks.phi_r(bt, sx, uh(su)).inverse()
             gamma = blocks.act_mor(mt, gb, U0) * blocks.assoc_inv(mt, rd_uh_u, sxd, U0)
             rd_uh_U0 = blocks.rdual_flat(bt, uh(U0))
-            rhs_by_block = {}
-            for qp, q in enumerate(U0.labels):
-                p_q = Mor(U0, simple_obj(q), _unit_matrix(field, 1, len(U0), 0, qp))
-                i_q = Mor(simple_obj(q), U0, _unit_matrix(field, len(U0), 1, qp, 0))
-                w1 = blocks.whisker_c(mt, rd_uh_U0, p_q)
-                w2 = blocks.act_mor(
-                    mt, blocks.rdual_mor(bt, blocks.uhom_mor_second(mt, mi, i_q)),
-                    simple_obj(q))
-                term = w2 * w1 * gamma * s1
-                rhs_by_block[q] = rhs_by_block[q] + term if q in rhs_by_block else term
-            cond = _functional_condition(field, carrier, len(TW), u, gamma1, rhs_by_block)
+            rhs = _decomposition_sum(field, U0, lambda q, p_q, i_q: blocks.act_mor(
+                mt, blocks.rdual_mor(bt, blocks.uhom_mor_second(mt, mi, i_q)), simple_obj(q))
+                * blocks.whisker_c(mt, rd_uh_U0, p_q) * gamma * s1)
+            # probed with Hom(-, m_p), the coend's coordinates are functionals: transpose
+            cond = _balancing_matrix(field, carrier, u, gamma1.mat.transpose(),
+                                     {q: t.transpose() for q, t in rhs.items()})
             conditions.append(Condition(generator=(X, u), matrix=cond))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="serre-coend-probe",
-                           meta={"base": base, "probe": probe, "input": i})
+                           meta={"base": base, "input": i})
 
 
-def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str,
-                               probe: str) -> DinaturalSystem:
-    """Probed double-dual end over the regular module.
+def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> DinaturalSystem:
+    """Double-dual end over the regular module, read label by label.
 
     The end runs over the dual category realized by right multiplications:
     one condition per (simple Y, module simple m), with the pre-balancing
@@ -656,7 +615,7 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str,
 
     s_diag = {mm: blocks.uhom_obj(rt, simple_obj(mm), g_of(simple_obj(mm)))
               for mm in reg_module.simples}
-    carrier = _probe_carrier(s_diag, reg_module.simples, probe)
+    carrier = _labelled_carrier(s_diag, reg_module.simples)
     conditions = []
     for Y in base.simples:
         sy, syd = simple_obj(Y), simple_obj(base.dual[Y])
@@ -677,37 +636,12 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str,
             omega = counit(Gm, Y) * blocks.act_mor(rt, h1, syd)
             xi = blocks.psi_reshuffle(rt, Z, FlaM, Gm, omega * b.inverse())
             gamma = xi * ud
-            rhs_terms = {}
-            for qp, q in enumerate(Fm.labels):
-                p_q = Mor(Fm, simple_obj(q), _unit_matrix(field, 1, len(Fm), 0, qp))
-                i_q = Mor(simple_obj(q), Fm, _unit_matrix(field, len(Fm), 1, qp, 0))
-                ext = blocks.uhom_mor_first(rt, p_q, GFm) \
-                    * blocks.uhom_mor_second(rt, simple_obj(q),
-                                             blocks.whisker_c(rt, sx, i_q))
-                term = gamma * ext
-                rhs_terms[q] = rhs_terms[q] + term if q in rhs_terms else term
-            cond = _probe_condition(field, carrier, probe, gamma.dst, mm, lhs, rhs_terms)
+            rhs = _decomposition_sum(field, Fm, lambda q, p_q, i_q: gamma
+                                     * (blocks.uhom_mor_first(rt, p_q, GFm)
+                                        * blocks.uhom_mor_second(rt, simple_obj(q),
+                                                                 blocks.whisker_c(rt, sx, i_q))))
+            cond = _balancing_matrix(field, carrier, mm, lhs.mat, rhs)
             conditions.append(Condition(generator=(Y, mm), matrix=cond))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="upsilon-probe",
-                           meta={"base": base, "probe": probe, "x": x})
-
-
-def object_valued_end(recipe: tuple, probe: str) -> int:
-    """Multiplicity of ``probe`` in an object-valued (co)end.
-
-    ``("character", F, G)`` probes the end of ``ldual(F(-)) x G(-)``;
-    ``("serre_target", module, i)`` probes the Serre coend of ``m_i``.
-    """
-    kind = recipe[0]
-    if kind == "character":
-        _, f, g = recipe
-        if probe not in f.src.base.simples:
-            raise UnknownLabel(probe)
-        return solve_end(build_character_probe_system(f, g, probe)).dim
-    if kind == "serre_target":
-        _, module, i = recipe
-        if probe not in module.simples:
-            raise UnknownLabel(probe)
-        return solve_end(build_serre_probe_system(module, i, probe)).dim
-    raise ValueError(f"unknown recipe {kind!r}")
+                           meta={"base": base, "x": x})

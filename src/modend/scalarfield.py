@@ -247,19 +247,6 @@ def _poly_sub(a: list, b: list) -> list:
     return _trim(out)
 
 
-def field_arith(op: str, a: FieldElement, b: FieldElement) -> FieldElement:
-    """Dispatch one of add|sub|mul|div on two elements of the same field."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 class Matrix:
     """Dense row-major matrix over a fixed FieldSpec."""
 

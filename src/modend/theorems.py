@@ -71,21 +71,24 @@ class SerreResult:
         return out
 
 
+def _multiplicities(sys: endengine.DinaturalSystem, labels) -> tuple:
+    """Multiplicity of each label in an object-valued (co)end, one Hom-probe each."""
+    return tuple(endengine.solve_end(endengine.restrict_carrier(sys, p)).dim for p in labels)
+
+
 def serre_functor(m: ModuleCategorySpec) -> SerreResult:
     """Relative Serre functor on simples via the twisted-hom coend.
 
-    Each image multiplicity vector is computed probe-by-probe, then every
-    dimension certificate ``dim Hom(X, uhom(m_i, m_j)*) =
-    dim Hom(X, uhom(m_j, S(m_i)))`` is checked exactly.
+    The coend of each simple is built once and its image multiplicity vector
+    read off label by label, then every dimension certificate
+    ``dim Hom(X, uhom(m_i, m_j)*) = dim Hom(X, uhom(m_j, S(m_i)))`` is
+    checked exactly.
     """
     base = m.base
     on_simples = {}
     for i in m.simples:
-        vec = {}
-        for p in m.simples:
-            sys = endengine.build_serre_probe_system(m, i, p)
-            vec[p] = endengine.solve_end(sys).dim
-        on_simples[i] = vec
+        sys = endengine.build_serre_probe_system(m, i)
+        on_simples[i] = dict(zip(m.simples, _multiplicities(sys, m.simples)))
     certificates = []
     for i in m.simples:
         for j in m.simples:
@@ -105,10 +108,7 @@ def internal_character(m: ModuleCategorySpec, u: ModuleFunctorSpec) -> tuple:
     """Multiplicity vector of the end of ``ldual(u(-)) x u(-)`` over ``m``."""
     if u.src is not m:
         raise ValueError("functor source must be the given module")
-    base = m.base
-    return tuple(
-        endengine.solve_end(endengine.build_character_probe_system(u, u, p)).dim
-        for p in base.simples)
+    return _multiplicities(endengine.build_character_probe_system(u, u), m.base.simples)
 
 
 def upsilon_regular(c: FusionCategorySpec, x: str,
@@ -116,9 +116,7 @@ def upsilon_regular(c: FusionCategorySpec, x: str,
     """Multiplicity vector of the double-dual end at ``can(x)``; must be delta_x."""
     if reg is None:
         reg = regular_module(c)
-    vec = tuple(
-        endengine.solve_end(endengine.build_upsilon_probe_system(reg, x, p)).dim
-        for p in c.simples)
+    vec = _multiplicities(endengine.build_upsilon_probe_system(reg, x), c.simples)
     expected = tuple(1 if p == x else 0 for p in c.simples)
     if vec != expected:
         raise UpsilonMismatch(f"upsilon({x}) = {vec}, expected {expected}")
@@ -141,19 +139,15 @@ def adjoint_shift_check(c: FusionCategorySpec, y: str,
 
     Both sides are solved independently: the end of ``ldual(F^{ra}(-)) x -``
     and the end of ``ldual(-) x F(-)`` for ``F = - x y`` on the regular
-    module, probe by probe.
+    module, each built once and read off label by label.
     """
     if reg is None:
         reg = regular_module(c)
     f = act_right_functor(c, y, reg)
     fra = act_right_functor(c, c.dual[y], reg)
     idf = identity_functor(reg)
-    lhs = tuple(
-        endengine.solve_end(endengine.build_character_probe_system(fra, idf, p)).dim
-        for p in c.simples)
-    rhs = tuple(
-        endengine.solve_end(endengine.build_character_probe_system(idf, f, p)).dim
-        for p in c.simples)
+    lhs = _multiplicities(endengine.build_character_probe_system(fra, idf), c.simples)
+    rhs = _multiplicities(endengine.build_character_probe_system(idf, f), c.simples)
     return AdjointShiftResult(ok=lhs == rhs, lhs=lhs, rhs=rhs)
 
 

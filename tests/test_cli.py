@@ -28,13 +28,38 @@ def test_dangling_reference_fails(tmp_path):
         cli.load([str(path)])
 
 
-def test_parse_error(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ParseError):
-        cli.load([str(path)])
+def _mutated_fib(mutate):
+    with open(next(p for p in cli.bundled_instance_paths() if p.endswith("fib.json"))) as fh:
+        doc = json.load(fh)
+    mutate(doc["categories"]["fib"])
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "not-json": "{not json",
+    "top-level-not-an-object": "[]",
+    "section-not-an-object": '{"categories": []}',
+    "non-monic-min-poly": _mutated_fib(lambda c: c["field"].update(min_poly=["-1", "1", "2"])),
+    "missing-unit": _mutated_fib(lambda c: c.pop("unit")),
+    "f-symbol-1/0": _mutated_fib(lambda c: c["f_symbols"][0].update(value="1/0")),
+    "two-element-fusion-triple": _mutated_fib(lambda c: c["fusion"].__setitem__(
+        0, c["fusion"][0][:2])),
+}
+
+
+def test_parse_error(tmp_path, capsys):
     with pytest.raises(ParseError):
         cli.load([str(tmp_path / "missing.json")])
+    for case, text in MALFORMED.items():
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            cli.load([str(path)])
+        capsys.readouterr()
+        assert cli.main(["-i", str(path), "validate"]) == 1, case
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, case
+        assert json.loads(lines[0])["status"] == "validation-failed", case
 
 
 def test_nat_both_report(bundle):

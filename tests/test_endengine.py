@@ -248,33 +248,26 @@ def test_equivalence_invariance_by_invertible_relabeling():
                 assert d0 == d1, (spec.name, y, z)
 
 
-def test_parameterized_end():
-    spec = ising()
-    reg = regular_module(spec)
-    family = {i: ee.build_serre_probe_system(reg, i, i) for i in spec.simples}
-    results = ee.parameterized_end(family)
-    assert set(results) == set(spec.simples)
-    assert all(r.dim == 1 for r in results.values())
-    assert ee.parameterized_end({}) == {}
-    const = {k: family["1"] for k in ("a", "b")}
-    out = ee.parameterized_end(const)
-    assert out["a"].dim == out["b"].dim
-
-
-def test_object_valued_end_dispatcher():
+def test_object_valued_end_by_label_restriction():
     spec = vec_z2_triv()
     reg = regular_module(spec)
     idf = identity_functor(reg)
-    assert ee.object_valued_end(("character", idf, idf), "e") == 1
-    assert ee.object_valued_end(("character", idf, idf), "s") == 0
-    assert ee.object_valued_end(("serre_target", reg, "s"), "s") == 1
-    assert ee.object_valued_end(("serre_target", reg, "s"), "e") == 0
+
+    def mult(sys, label):
+        return ee.solve_end(ee.restrict_carrier(sys, label)).dim
+
+    character = ee.build_character_probe_system(idf, idf)
+    assert (mult(character, "e"), mult(character, "s")) == (1, 0)
+    serre = ee.build_serre_probe_system(reg, "s")
+    assert (mult(serre, "s"), mult(serre, "e")) == (1, 0)
     regf = regular_module(fib())
-    assert ee.object_valued_end(("serre_target", regf, "tau"), "tau") == 1
-    assert ee.object_valued_end(("serre_target", regf, "tau"), "1") == 0
-    from modend.common import UnknownLabel
-    with pytest.raises(UnknownLabel):
-        ee.object_valued_end(("character", idf, idf), "nope")
+    serre_f = ee.build_serre_probe_system(regf, "tau")
+    assert (mult(serre_f, "tau"), mult(serre_f, "1")) == (1, 0)
+    # the restriction keeps the label's coordinates and every condition
+    sub = ee.restrict_carrier(character, "e")
+    assert sub.dim == sum(1 for b in character.blocks for t in b.basis if t[0] == "e")
+    assert [c.generator for c in sub.conditions] == [c.generator for c in character.conditions]
+    assert all(c.matrix.cols == sub.dim for c in sub.conditions)
 
 
 def random_vec_module_and_functors(rng):
@@ -346,11 +339,8 @@ def test_ordinary_character_probe_counts_summands():
     spec = vec_z2_triv()
     reg = regular_module(spec)
     idf = identity_functor(reg)
-    sys = ee.build_character_probe_system(idf, idf, "e")
+    sys = ee.build_character_probe_system(idf, idf)
     bare = ee.DinaturalSystem(field=sys.field, blocks=sys.blocks, conditions=[],
                               kind="end", recipe="ordinary", meta=sys.meta)
-    assert ee.solve_end(bare).dim == 2
-    sys_s = ee.build_character_probe_system(idf, idf, "s")
-    bare_s = ee.DinaturalSystem(field=sys_s.field, blocks=sys_s.blocks, conditions=[],
-                                kind="end", recipe="ordinary", meta=sys_s.meta)
-    assert ee.solve_end(bare_s).dim == 0
+    assert ee.solve_end(ee.restrict_carrier(bare, "e")).dim == 2
+    assert ee.solve_end(ee.restrict_carrier(bare, "s")).dim == 0

@@ -93,6 +93,30 @@ def test_adjoint_shift(name):
             assert res.lhs == res.rhs
 
 
+def test_object_valued_ends_build_once_per_object(monkeypatch):
+    """Each object-valued (co)end is assembled once and read off per label."""
+    from modend import endengine
+    calls = []
+    for attr in ("build_character_probe_system", "build_serre_probe_system",
+                 "build_upsilon_probe_system"):
+        original = getattr(endengine, attr)
+        monkeypatch.setattr(endengine, attr,
+                            lambda *args, _f=original: calls.append(args) or _f(*args))
+    spec = CATS["vec_z4"]
+    reg = regular_module(spec)
+    n = len(reg.simples)
+
+    def built(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert built(lambda: serre_functor(reg)) == n
+    assert built(lambda: internal_character(reg, identity_functor(reg))) == 1
+    assert built(lambda: upsilon_regular(spec, "1", reg)) == 1
+    assert built(lambda: adjoint_shift_check(spec, "1", reg)) == 2
+
+
 @pytest.mark.parametrize("name", sorted(CATS))
 def test_hom_lemma_suite_clean(name):
     reg = regular_module(CATS[name])
