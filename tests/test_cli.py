@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,20 @@ def test_coend_report(bundle):
     rep = cli.run(["coend", "--hom", "id_vec_z2_omega_regular",
                    "id_vec_z2_omega_regular"], bundle)
     assert rep.payload["result"]["dim"] == 1
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+
+
+def test_golden_reports(bundle):
+    """Status and result of fixed commands match the recorded reports.
+
+    ``inputs`` is not compared: it holds the absolute paths of the corpus.
+    """
+    for entry in GOLDEN:
+        payload = json.loads(cli.run(entry["command"], bundle).dumps())
+        assert (payload["status"], payload["result"]) == (entry["status"], entry["result"]), \
+            entry["command"]
 
 
 def test_report_determinism(bundle):
