@@ -537,7 +537,6 @@ def lcoev_flat(base: BaseTables, A: Obj) -> Mor:
 def eps_flat(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
     """``A* act (A act N) -> N``: right-dual evaluation acting on a module."""
     da = rdual_flat(tables.base, A)
-    inner = act_c(tables, A, N)
     step1 = assoc_inv(tables, da, A, N)        # A* act (A act N) -> (A* x A) act N
     step2 = act_mor(tables, ev_flat(tables.base, A), N)
     step3 = unit_l(tables, N)

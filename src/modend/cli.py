@@ -18,7 +18,6 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from . import endengine, theorems
@@ -26,21 +25,10 @@ from .common import (NotATensorSubcategory, OracleMismatch, ParseError,
                      SerreCertificateFailure, UnknownCommand, UnknownName,
                      UpsilonMismatch, ValidationError)
 from .fusioncat import FusionCategorySpec, validate_fusion
-from .modcat import (ModuleCategorySpec, internal_hom, regular_module,
-                     restrict_module, validate_module)
+from .modcat import ModuleCategorySpec, internal_hom, regular_module, validate_module
 from .modfunct import (ModuleFunctorSpec, act_right_functor, identity_functor,
                        validate_functor)
 from .scalarfield import FieldElement, FieldSpec, Matrix, as_fraction
-
-
-def _fmt_rational(q: Fraction) -> str:
-    return str(q)
-
-
-def _fmt_element(e: FieldElement):
-    if e.field.degree == 1 or not any(e.coeffs[1:]):
-        return _fmt_rational(e.coeffs[0])
-    return [_fmt_rational(c) for c in e.coeffs]
 
 
 def _parse_element(field: FieldSpec, value) -> FieldElement:
@@ -341,7 +329,6 @@ def run_suite(bundle: InstanceBundle):
     from . import blocks as blk
     for cname, cat in bundle.categories.items():
         bt = cat.tables
-        reg_tab = bt.regular()
         for a in cat.simples:
             for b in cat.simples:
                 lhs = blk.lev_flat(bt, blk.ctensor(bt, blk.simple_obj(a), blk.simple_obj(b)))

@@ -15,6 +15,13 @@ only; the condition generated by a decomposed tensor product ``X x Y`` is
 expected to be redundant and a dedicated builder exposes it so the property
 suite can verify that it never shrinks the solution space.
 
+The ``Hom(F(-), G(-))`` family (the end, the naturality oracle, the coend
+relations and the composite and plain-dinaturality property conditions) is
+assembled through one theta extension, which extends a carrier basis
+element to any object, and one condition helper, which evaluates a
+generator's equation on each extended basis element; the coend reads its
+relations back through ``_carrier_coords``, the adjoint of the extension.
+
 Object-valued ends and coends (internal characters, the Serre-functor coend,
 the double-dual end) are built once, over a carrier that keeps every summand
 of each diagonal object tagged with its label.  Restricting that system to
@@ -26,11 +33,13 @@ dimension is that label's multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Mapping, Sequence
 
 from . import blocks
 from .blocks import Mor, Obj, simple_obj
-from .common import NotATensorSubcategory, SourceTargetMismatch
+from .common import SourceTargetMismatch
+from .fusioncat import tensor_subcategory
 from .modcat import ModuleCategorySpec
 from .modfunct import ModuleFunctorSpec
 from .scalarfield import FieldSpec, Matrix
@@ -68,12 +77,6 @@ class DinaturalSystem:
     def dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
-    def block_for(self, simple: str) -> CarrierBlock:
-        for b in self.blocks:
-            if b.simple == simple:
-                return b
-        raise KeyError(simple)
-
 
 @dataclass
 class EndResult:
@@ -106,44 +109,24 @@ def solve_coend(sys: DinaturalSystem) -> EndResult:
     """Corank of the stacked relation vectors; relations echelonized as rows."""
     if sys.kind != "coend":
         raise ValueError("solve_coend expects a coend-kind system")
-    rows = []
-    for cond in sys.conditions:
-        m = cond.matrix
-        for j in range(m.cols):
-            rows.append([m[i, j] for i in range(m.rows)])
-    if rows:
-        red, pivots = Matrix.from_rows(sys.field, rows).rref()
-        rank = len(pivots)
-        relations = [Matrix(sys.field, 1, sys.dim, red.entries[r * sys.dim:(r + 1) * sys.dim])
-                     for r in range(rank)]
-    else:
-        rank, relations = 0, []
+    stacked = Matrix.vstack(sys.field, [c.matrix.transpose() for c in sys.conditions],
+                            cols=sys.dim)
+    red, pivots = stacked.rref()
+    rank = len(pivots)
+    relations = [Matrix(sys.field, 1, sys.dim, red.entries[r * sys.dim:(r + 1) * sys.dim])
+                 for r in range(rank)]
     return EndResult(dim=sys.dim - rank, basis=[], kind="coend", relations=relations)
 
 
 def restrict_conditions(sys: DinaturalSystem, sub: Sequence[str]) -> DinaturalSystem:
     """Keep only the conditions whose generator lies in the label subset."""
-    subset = set(sub)
     base = sys.meta.get("base")
     if base is not None:
-        _check_subcategory(base, subset)
+        tensor_subcategory(base, sub)
+    subset = set(sub)
     kept = [c for c in sys.conditions if c.generator[0] in subset]
     return DinaturalSystem(field=sys.field, blocks=sys.blocks, conditions=kept,
                            kind=sys.kind, recipe=sys.recipe, meta=dict(sys.meta))
-
-
-def _check_subcategory(base, subset):
-    if base.unit not in subset:
-        raise NotATensorSubcategory("unit missing")
-    for a in subset:
-        if a not in base.simples:
-            raise NotATensorSubcategory(f"unknown label {a}")
-        if base.dual[a] not in subset:
-            raise NotATensorSubcategory(f"not dual-closed at {a}")
-        for b in subset:
-            for c in base.fuse(a, b):
-                if c not in subset:
-                    raise NotATensorSubcategory(f"not fusion-closed at ({a},{b})")
 
 
 def restrict_carrier(sys: DinaturalSystem, label: str) -> DinaturalSystem:
@@ -194,26 +177,12 @@ def _nat_carrier(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
         offset += len(basis)
     return out
 
-def _theta_block_mor(f, g, i: str, k: str, a: int, b: int) -> Mor:
-    """The carrier basis element as a morphism F(m_i) -> G(m_i)."""
-    mi = simple_obj(i)
-    src = blocks.f_obj(f.tables, mi)
-    dst = blocks.f_obj(g.tables, mi)
-    mat = Matrix.zeros(f.field, len(dst), len(src))
-    mat[dst.index[(0, k, b)], src.index[(0, k, a)]] = f.field.one
-    return Mor(src, dst, mat)
-
-
-def _theta_component(f, g, q: str, k: str, a: int, b: int, i: str) -> Mor:
-    """Component at ``m_i`` of the basis element living in block ``q``."""
-    if q == i:
-        return _theta_block_mor(f, g, i, k, a, b)
-    mi = simple_obj(i)
-    return Mor.zero(f.field, blocks.f_obj(f.tables, mi), blocks.f_obj(g.tables, mi))
-
 
 def _theta_ext_mor(f, g, i: str, k: str, a: int, b: int, N: Obj) -> Mor:
-    """Canonical extension of a carrier basis element to the object ``N``."""
+    """Canonical extension of the basis element ``(k, a, b)`` of block ``i`` to ``N``.
+
+    It is zero on every summand of ``N`` other than ``m_i``.
+    """
     src = blocks.f_obj(f.tables, N)
     dst = blocks.f_obj(g.tables, N)
     mat = Matrix.zeros(f.field, len(dst), len(src))
@@ -223,77 +192,83 @@ def _theta_ext_mor(f, g, i: str, k: str, a: int, b: int, N: Obj) -> Mor:
     return Mor(src, dst, mat)
 
 
-def _nat_condition(f: ModuleFunctorSpec, g: ModuleFunctorSpec, carrier,
-                   X: str, i: str) -> Matrix:
-    """Balancing condition of the Hom system at generator ``(X, m_i)``."""
-    ft, gt = f.tables, g.tables
-    src_t, dst_t = f.src.tables, f.dst.tables
-    mi = simple_obj(i)
-    sx, sxd = simple_obj(X), simple_obj(f.src.base.dual[X])
-    A = blocks.act_c(src_t, sx, mi)                     # X act m_i
-    eps_src = blocks.eps_flat(src_t, sx, mi)            # X* act (X act m_i) -> m_i
-    f_eps = blocks.f_mor(ft, eps_src)
-    c1 = blocks.c_mor(ft, sxd, A)                       # F(X* act A) -> X* act F(A)
-    d = blocks.c_mor(gt, sx, mi)                        # G(A) -> X act G(m_i)
-    gmi = blocks.f_obj(gt, mi)
-    eps_dst = blocks.eps_flat(dst_t, sx, gmi)
-    per_basis = []
+def _carrier_coords(f, g, carrier, N: Obj, beta: Mor) -> list:
+    """Carrier coordinates of the diagonal part of ``beta: F(N) -> G(N)``.
+
+    The adjoint of theta extension: coordinate ``(k, a, b)`` of block ``i``
+    sums the entries of ``beta`` from copy ``a`` to copy ``b`` of ``k`` over
+    the summands ``m_i`` of ``N``.
+    """
+    src = blocks.f_obj(f.tables, N)
+    dst = blocks.f_obj(g.tables, N)
+    coords = []
     for block in carrier:
+        summands = [ip for ip, lab in enumerate(N.labels) if lab == block.simple]
         for (k, a, b) in block.basis:
-            theta_i = _theta_component(f, g, block.simple, k, a, b, i)
-            theta_A = _theta_ext_mor(f, g, block.simple, k, a, b, A)
-            lhs = theta_i * f_eps
-            rhs = eps_dst * blocks.whisker_c(dst_t, sxd, d * theta_A) * c1
-            per_basis.append(lhs - rhs)
-    return _column_matrix(f.field, [m.mat.entries for m in per_basis])
+            coords.append(sum((beta.mat[dst.index[(ip, k, b)], src.index[(ip, k, a)]]
+                               for ip in summands), f.field.zero))
+    return coords
+
+
+def _theta_condition(f, g, carrier, equation) -> Matrix:
+    """One column per carrier basis element: ``equation(theta).mat``.
+
+    ``theta(N)`` is that basis element extended to the object ``N``.
+    """
+    return _column_matrix(f.field, [
+        equation(partial(_theta_ext_mor, f, g, block.simple, k, a, b)).mat.entries
+        for block in carrier for (k, a, b) in block.basis])
+
+
+def _hom_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec, kind: str, recipe: str,
+                condition) -> DinaturalSystem:
+    """The system on ``Hom(F(-), G(-))`` with one condition per generator ``(X, m_i)``.
+
+    ``condition(carrier, X, block)`` returns the condition matrix of the
+    generator ``(X, block.simple)``.
+    """
+    if f.src is not g.src or f.dst is not g.dst:
+        raise SourceTargetMismatch("functors must share source and target")
+    base = f.src.base
+    base.duality()
+    carrier = _nat_carrier(f, g)
+    conditions = [Condition(generator=(X, block.simple), matrix=condition(carrier, X, block))
+                  for X in base.simples for block in carrier]
+    return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
+                           kind=kind, recipe=recipe, meta={"base": base, "f": f, "g": g})
 
 
 def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
     """Module-end system for ``Hom(F(-), G(-))`` with its canonical pre-balancing."""
-    if f.src is not g.src or f.dst is not g.dst:
-        raise SourceTargetMismatch("functors must share source and target")
-    f.src.base.duality()
-    carrier = _nat_carrier(f, g)
-    conditions = []
-    for X in f.src.base.simples:
-        for i in f.src.simples:
-            mat = _nat_condition(f, g, carrier, X, i)
-            conditions.append(Condition(generator=(X, i), matrix=mat))
-    return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
-                           kind="end", recipe="hom-end",
-                           meta={"base": f.src.base, "f": f, "g": g})
+    src_t, dst_t = f.src.tables, f.dst.tables
+
+    def balancing(carrier, X, block):
+        mi = simple_obj(block.simple)
+        sx, sxd = simple_obj(X), simple_obj(f.src.base.dual[X])
+        A = blocks.act_c(src_t, sx, mi)                         # X act m_i
+        f_eps = blocks.f_mor(f.tables, blocks.eps_flat(src_t, sx, mi))
+        c1 = blocks.c_mor(f.tables, sxd, A)                     # F(X* act A) -> X* act F(A)
+        d = blocks.c_mor(g.tables, sx, mi)                      # G(A) -> X act G(m_i)
+        eps_dst = blocks.eps_flat(dst_t, sx, blocks.f_obj(g.tables, mi))
+        return _theta_condition(f, g, carrier, lambda theta: theta(mi) * f_eps
+                                - eps_dst * blocks.whisker_c(dst_t, sxd, d * theta(A)) * c1)
+
+    return _hom_system(f, g, "end", "hom-end", balancing)
 
 
 def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
     """Direct module-naturality system: d theta_{X act m} = (id_X act theta_m) c."""
-    if f.src is not g.src or f.dst is not g.dst:
-        raise SourceTargetMismatch("functors must share source and target")
-    f.src.base.duality()
-    carrier = _nat_carrier(f, g)
-    ft, gt = f.tables, g.tables
     dst_t = f.dst.tables
-    conditions = []
-    for X in f.src.base.simples:
-        sx = simple_obj(X)
-        for i in f.src.simples:
-            mi = simple_obj(i)
-            A = blocks.act_c(f.src.tables, sx, mi)
-            c = blocks.c_mor(ft, sx, mi)
-            d = blocks.c_mor(gt, sx, mi)
-            per_basis = []
-            for block in carrier:
-                for (k, a, b) in block.basis:
-                    theta_A = _theta_ext_mor(f, g, block.simple, k, a, b, A)
-                    theta_i = _theta_component(f, g, block.simple, k, a, b, i)
-                    lhs = d * theta_A
-                    rhs = blocks.whisker_c(dst_t, sx, theta_i) * c
-                    per_basis.append(lhs - rhs)
-            conditions.append(Condition(generator=(X, i),
-                                        matrix=_column_matrix(
-                                            f.field, [m.mat.entries for m in per_basis])))
-    return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
-                           kind="end", recipe="module-naturality-oracle",
-                           meta={"base": f.src.base, "f": f, "g": g})
+
+    def naturality(carrier, X, block):
+        sx, mi = simple_obj(X), simple_obj(block.simple)
+        A = blocks.act_c(f.src.tables, sx, mi)
+        c = blocks.c_mor(f.tables, sx, mi)
+        d = blocks.c_mor(g.tables, sx, mi)
+        return _theta_condition(f, g, carrier, lambda theta: d * theta(A)
+                                - blocks.whisker_c(dst_t, sx, theta(mi)) * c)
+
+    return _hom_system(f, g, "end", "module-naturality-oracle", naturality)
 
 
 def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
@@ -330,83 +305,47 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
         f_eps = blocks.f_mor(ft, nested_eps(src_t, mi))
         cW = blocks.c_mor(ft, Wd, WM)
         dW = blocks.c_mor(gt, W, mi)
-        gmi = blocks.f_obj(gt, mi)
-        eps_dst = nested_eps(dst_t, gmi)
-        per_basis = []
-        for block in carrier:
-            for (k, a, b) in block.basis:
-                theta_i = _theta_component(f, g, block.simple, k, a, b, i)
-                theta_W = _theta_ext_mor(f, g, block.simple, k, a, b, WM)
-                lhs = theta_i * f_eps
-                rhs = eps_dst * blocks.whisker_c(dst_t, Wd, dW * theta_W) * cW
-                per_basis.append(lhs - rhs)
-        out.append(Condition(generator=(f"{X}*{Y}", i),
-                             matrix=_column_matrix(f.field, [m.mat.entries for m in per_basis])))
+        eps_dst = nested_eps(dst_t, blocks.f_obj(gt, mi))
+        mat = _theta_condition(f, g, carrier, lambda theta: theta(mi) * f_eps
+                               - eps_dst * blocks.whisker_c(dst_t, Wd, dW * theta(WM)) * cW)
+        out.append(Condition(generator=(f"{X}*{Y}", i), matrix=mat))
     return out
 
 
 def plain_dinaturality_condition(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
                                  carrier, h: Mor) -> Matrix:
     """Ordinary dinaturality along ``h: A -> B``: G(h) theta_A = theta_B F(h)."""
-    per_basis = []
-    for block in carrier:
-        for (k, a, b) in block.basis:
-            theta_A = _theta_ext_mor(f, g, block.simple, k, a, b, h.src)
-            theta_B = _theta_ext_mor(f, g, block.simple, k, a, b, h.dst)
-            per_basis.append(blocks.f_mor(g.tables, h) * theta_A
-                             - theta_B * blocks.f_mor(f.tables, h))
-    return _column_matrix(f.field, [m.mat.entries for m in per_basis])
+    fh, gh = blocks.f_mor(f.tables, h), blocks.f_mor(g.tables, h)
+    return _theta_condition(f, g, carrier, lambda theta: gh * theta(h.src) - theta(h.dst) * fh)
 
 
 def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
     """Module-coend relations for ``Hom(F(-), G(-))``."""
-    if f.src is not g.src or f.dst is not g.dst:
-        raise SourceTargetMismatch("functors must share source and target")
-    f.src.base.duality()
     base = f.src.base
-    carrier = _nat_carrier(f, g)
-    total = sum(b.dim for b in carrier)
-    ft, gt = f.tables, g.tables
     src_t, dst_t = f.src.tables, f.dst.tables
-    conditions = []
-    for X in base.simples:
+
+    def relations(carrier, X, block):
         sx, sxd = simple_obj(X), simple_obj(base.dual[X])
-        for i in f.src.simples:
-            mi = simple_obj(i)
-            A = blocks.act_c(src_t, sxd, mi)             # X* act m_i
-            # g0 = m_{X,X*,m_i} (coev_X act id) ell^{-1}: m_i -> X act (X* act m_i)
-            g0 = blocks.assoc(src_t, sx, sxd, mi) \
-                * blocks.act_mor(src_t, blocks.coev_flat(base.tables, sx), mi) \
-                * blocks.unit_l_inv(src_t, mi)
-            g_g0 = blocks.f_mor(gt, g0)
-            cA = blocks.c_mor(ft, sxd, mi)               # F(X* act m_i) -> X* act F(m_i)
-            dXA = blocks.c_mor(gt, sx, A)                # G(X act A) -> X act G(A)
-            gA = blocks.f_obj(gt, A)
-            eps_dst = blocks.eps_flat(dst_t, sx, gA)
-            rel_cols = []
-            blk_i = next(bb for bb in carrier if bb.simple == i)
-            fA = blocks.f_obj(ft, A)
-            for (k, a, b) in blk_i.basis:
-                # the relation: e_i(v) - sum_j e_j(S(iota_j, p_j) beta(...))
-                theta_i = _theta_block_mor(f, g, i, k, a, b)
-                alpha = g_g0 * theta_i               # F(m_i) -> G(X act A)
-                beta = eps_dst * blocks.whisker_c(dst_t, sxd, dXA * alpha) * cA
-                # beta: F(X* act m_i) -> G(X* act m_i); decompose over A
-                vec = [f.field.zero] * total
-                vec[blk_i.offset + blk_i.basis.index((k, a, b))] = f.field.one
-                for jp, j in enumerate(A.labels):
-                    blk_j = next(bb for bb in carrier if bb.simple == j)
-                    for (k2, a2, b2) in blk_j.basis:
-                        val = beta.mat[gA.index[(jp, k2, b2)], fA.index[(jp, k2, a2)]]
-                        if val:
-                            pos = blk_j.offset + blk_j.basis.index((k2, a2, b2))
-                            vec[pos] = vec[pos] - val
-                rel_cols.append(vec)
-            conditions.append(Condition(generator=(X, i),
-                                        matrix=_column_matrix(f.field, rel_cols, total)))
-    return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
-                           kind="coend", recipe="hom-coend",
-                           meta={"base": base, "f": f, "g": g})
+        mi = simple_obj(block.simple)
+        A = blocks.act_c(src_t, sxd, mi)                        # X* act m_i
+        # g0 = m_{X,X*,m_i} (coev_X act id) ell^{-1}: m_i -> X act (X* act m_i)
+        g0 = blocks.assoc(src_t, sx, sxd, mi) \
+            * blocks.act_mor(src_t, blocks.coev_flat(base.tables, sx), mi) \
+            * blocks.unit_l_inv(src_t, mi)
+        d_g0 = blocks.c_mor(g.tables, sx, A) * blocks.f_mor(g.tables, g0)  # G(m_i) -> X act G(A)
+        cA = blocks.c_mor(f.tables, sxd, mi)                    # F(X* act m_i) -> X* act F(m_i)
+        eps_dst = blocks.eps_flat(dst_t, sx, blocks.f_obj(g.tables, A))
+        cols = []
+        for (k, a, b) in block.basis:
+            # the relation e_i(v) - sum_j e_j(S(iota_j, p_j) beta), beta: F(A) -> G(A);
+            # e_i(v) is the carrier coordinate vector of theta_i itself
+            theta_i = _theta_ext_mor(f, g, block.simple, k, a, b, mi)
+            beta = eps_dst * blocks.whisker_c(dst_t, sxd, d_g0 * theta_i) * cA
+            cols.append([u - v for u, v in zip(_carrier_coords(f, g, carrier, mi, theta_i),
+                                                _carrier_coords(f, g, carrier, A, beta))])
+        return _column_matrix(f.field, cols, sum(bb.dim for bb in carrier))
+
+    return _hom_system(f, g, "coend", "hom-coend", relations)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +416,6 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     base = f.src.base
     base.duality()
     bt = base.tables
-    reg = bt.regular()
     mt = f.src.tables
     ftab, gtab = f.tables, g.tables
 
@@ -557,9 +495,6 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
         for u in m.simples:
             su = simple_obj(u)
             rd_uh_u = blocks.rdual_flat(bt, uh(su))
-            RD = blocks.rdual_flat(bt, blocks.ctensor(bt, sxd, sx))
-            W = blocks.act_c(mt, RD, su)
-            TW = blocks.act_c(mt, rd_uh_u, W)
             # Gamma1: the first-slot move along the transposed left coevaluation
             ghat = blocks.unit_l(mt, su) \
                 * blocks.act_mor(mt, blocks.rdual_mor(bt, blocks.lcoev_flat(bt, sx)), su)

@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import blocks
 from .blocks import BaseTables, Mor, simple_obj
-from .common import InconsistentRigidity, UnknownLabel, ValidationReport
+from .common import (InconsistentRigidity, NotATensorSubcategory, UnknownLabel,
+                     ValidationReport)
 from .scalarfield import DimensionMismatch, FieldSpec, FieldElement
 
 
@@ -37,11 +38,14 @@ class FusionCategorySpec:
             raise ValueError("duplicate simple labels")
         self.unit = unit
         self.dual = dict(dual)
-        self.fusion = frozenset(tuple(t) for t in fusion)
-        for triple in self.fusion:
+        triples = [tuple(t) for t in fusion]
+        for triple in triples:
+            if len(triple) != 3:
+                raise ValueError(f"fusion triple {list(triple)} does not have 3 labels")
             for lab in triple:
                 if lab not in self.simples:
                     raise UnknownLabel(lab)
+        self.fusion = frozenset(triples)
         fuse_map = {}
         for a in self.simples:
             for b in self.simples:
@@ -251,6 +255,25 @@ def compute_duality(spec: FusionCategorySpec) -> DualityData:
         ev_scalar=dict(ev), coev_scalar={a: one for a in spec.simples},
         left_ev_scalar=dict(lev), left_coev_scalar={a: one for a in spec.simples},
     )
+
+
+def tensor_subcategory(spec: FusionCategorySpec, labels: Sequence[str]) -> tuple:
+    """The labels in ``spec.simples`` order, checked to span a tensor subcategory."""
+    subset = set(labels)
+    if spec.unit not in subset:
+        raise NotATensorSubcategory("unit missing")
+    for a in labels:
+        if a not in spec.simples:
+            raise NotATensorSubcategory(f"unknown label {a}")
+    sub = tuple(a for a in spec.simples if a in subset)
+    for a in sub:
+        if spec.dual[a] not in subset:
+            raise NotATensorSubcategory(f"not dual-closed at {a}")
+        for b in sub:
+            for c in spec.fuse(a, b):
+                if c not in subset:
+                    raise NotATensorSubcategory(f"not fusion-closed at ({a},{b})")
+    return sub
 
 
 def tensor_decompose(spec: FusionCategorySpec, a: str, b: str) -> tuple:

@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import blocks
 from .blocks import ModuleTables, RightTables, simple_obj
-from .common import NotATensorSubcategory, UnknownLabel, ValidationReport
-from .fusioncat import FusionCategorySpec
+from .common import UnknownLabel, ValidationReport
+from .fusioncat import FusionCategorySpec, tensor_subcategory
 from .scalarfield import FieldElement, Matrix
 
 
@@ -303,17 +303,8 @@ def internal_hom(m: ModuleCategorySpec) -> InternalHomTable:
 def restrict_module(m: ModuleCategorySpec, sub: Sequence[str]) -> ModuleCategorySpec:
     """Restrict the base to a tensor subcategory, keeping the module simples."""
     base = m.base
-    sub = tuple(s for s in base.simples if s in set(sub))
+    sub = tensor_subcategory(base, sub)
     subset = set(sub)
-    if base.unit not in subset:
-        raise NotATensorSubcategory("unit missing")
-    for a in sub:
-        if base.dual[a] not in subset:
-            raise NotATensorSubcategory(f"not closed under duals at {a}")
-        for b in sub:
-            for c in base.fuse(a, b):
-                if c not in subset:
-                    raise NotATensorSubcategory(f"not closed under fusion at ({a},{b})")
     sub_fusion = [t for t in base.fusion if all(x in subset for x in t)]
     sub_f = {k: v for k, v in base._f.items() if all(x in subset for x in k)}
     sub_base = FusionCategorySpec(

@@ -1,10 +1,13 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from modend import cli
+from modend import catalog, cli
 from modend.common import ParseError, UnknownName
 
 
@@ -29,10 +32,12 @@ def test_dangling_reference_fails(tmp_path):
         cli.load([str(path)])
 
 
-def _mutated_fib(mutate):
+def _mutated_fib(mutate, category_only=False):
     with open(next(p for p in cli.bundled_instance_paths() if p.endswith("fib.json"))) as fh:
         doc = json.load(fh)
     mutate(doc["categories"]["fib"])
+    if category_only:
+        doc = {"categories": doc["categories"]}
     return json.dumps(doc)
 
 
@@ -45,6 +50,8 @@ MALFORMED = {
     "f-symbol-1/0": _mutated_fib(lambda c: c["f_symbols"][0].update(value="1/0")),
     "two-element-fusion-triple": _mutated_fib(lambda c: c["fusion"].__setitem__(
         0, c["fusion"][0][:2])),
+    "four-element-fusion-triple": _mutated_fib(lambda c: c["fusion"].append(
+        ["tau", "tau", "tau", "1"]), category_only=True),
 }
 
 
@@ -60,7 +67,10 @@ def test_parse_error(tmp_path, capsys):
         assert cli.main(["-i", str(path), "validate"]) == 1, case
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1, case
-        assert json.loads(lines[0])["status"] == "validation-failed", case
+        report = json.loads(lines[0])
+        assert report["status"] == "validation-failed", case
+        if case.endswith("fusion-triple"):
+            assert report["error"].startswith("category 'fib': ValueError"), report
 
 
 def test_nat_both_report(bundle):
@@ -122,6 +132,33 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["end", "--hom", "id_vec_z4_regular", "id_vec_z4_regular",
                      "--restrict", "0,1"]) == 1
     capsys.readouterr()
+
+
+def test_restrict_error_is_deterministic():
+    """The subcategory check reports the same violation under every hash seed."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-m", "modend", "end", "--hom", "id_vec_z4_regular",
+           "id_vec_z4_regular", "--restrict", "0,1,3"]
+    outs = {subprocess.run(cmd, capture_output=True, text=True, check=False,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+                           ).stdout for seed in range(4)}
+    assert outs == {'{"error":"not fusion-closed at (1,1)","status":"validation-failed"}\n'}
+
+
+def test_catalog_matches_bundled_corpus(bundle):
+    """The hand-built catalog carries the same data as the JSON corpus."""
+    for name, spec in catalog.all_categories().items():
+        loaded = bundle.category(name)
+        for attr in ("simples", "unit", "dual", "fusion", "_f"):
+            assert getattr(spec, attr) == getattr(loaded, attr), (name, attr)
+        assert spec.field.min_poly == loaded.field.min_poly, name
+    module, _, forgetful = catalog.vec_over_vec_z2(catalog.vec_z2_triv())
+    loaded = bundle.module("vec_over_vec_z2")
+    for attr in ("simples", "action", "_l", "unit_scalars"):
+        assert getattr(module, attr) == getattr(loaded, attr), attr
+    loaded = bundle.functor("forgetful")
+    assert forgetful.on_simples == loaded.on_simples
+    assert forgetful.c_symbols == loaded.c_symbols
 
 
 def test_suite_pristine_exit_zero(bundle):

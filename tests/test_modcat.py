@@ -143,6 +143,8 @@ def test_restrict_module():
         restrict_module(reg, ["0", "1"])
     with pytest.raises(NotATensorSubcategory):
         restrict_module(reg, ["2"])
+    with pytest.raises(NotATensorSubcategory, match="unknown label 7"):
+        restrict_module(reg, ["0", "2", "7"])
 
 
 def test_restrict_ising_to_pointed_part():
