@@ -26,10 +26,15 @@ Conventions
   coevaluation ``coev(a): 1 -> a x a*``; left duals pair as
   ``lev(a): a x *a -> 1`` and ``lcoev(a): 1 -> *a x a``.  Flat duals of sums
   dualize labels summand-wise and pair diagonally.
+* Object constructors and the structure morphisms that depend on objects
+  alone are cached on the tables object they take, for the life of that
+  object; callers share the returned :class:`Obj` and :class:`Mor` values and
+  must not write into them.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 from .scalarfield import DimensionMismatch, FieldSpec, Matrix
@@ -52,8 +57,8 @@ class Obj:
         return len(self.labels)
 
     def __eq__(self, other):
-        return (isinstance(other, Obj) and self.labels == other.labels
-                and self.keys == other.keys)
+        return self is other or (isinstance(other, Obj) and self.labels == other.labels
+                                 and self.keys == other.keys)
 
     def __hash__(self):
         if self._hash is None:
@@ -77,7 +82,7 @@ class Mor:
     __slots__ = ("src", "dst", "mat")
 
     def __init__(self, src: Obj, dst: Obj, mat: Matrix):
-        if mat.rows != len(dst) or mat.cols != len(src):
+        if mat.rows != len(dst.labels) or mat.cols != len(src.labels):
             raise DimensionMismatch("matrix shape does not match objects")
         self.src = src
         self.dst = dst
@@ -93,7 +98,7 @@ class Mor:
 
     def __mul__(self, other: "Mor") -> "Mor":
         """Composition ``self after other``."""
-        if other.dst != self.src:
+        if other.dst is not self.src and other.dst != self.src:
             raise DimensionMismatch("composition mismatch")
         return Mor(other.src, self.dst, self.mat * other.mat)
 
@@ -140,6 +145,7 @@ class BaseTables:
         self.lev = {}
         self.lcoev = {}
         self._fblock_cache = {}
+        self._memo = {}
         self._reg = None
 
     def fuse(self, a: str, b: str) -> tuple:
@@ -188,6 +194,7 @@ class ModuleTables:
         self._units = unit_scalars
         self._lblock_cache = {}
         self._cache = {}
+        self._memo = {}
 
     def act_set(self, X: str, i: str) -> tuple:
         return self._act.get((X, i), ())
@@ -230,6 +237,7 @@ class RightTables:
         self._rl_entry = rl_entry
         self._units = runit_scalars
         self._block_cache = {}
+        self._memo = {}
 
     def ract_set(self, i: str, X: str) -> tuple:
         return self._ract.get((i, X), ())
@@ -264,10 +272,44 @@ class RightTables:
 # object constructors
 
 
+def _memoized(scalars: str | None = None):
+    """Cache ``fn(tables, *args)`` in ``tables._memo`` under ``(fn name, args)``.
+
+    Object constructors are hash-consed this way: equal arguments on one
+    tables object give the same :class:`Obj`.  A duality pairing also reads
+    the scalars ``getattr(tables, scalars)`` of its object's labels, and
+    duality solving rewrites those, so they join the key.
+    """
+    def decorate(fn):
+        name = fn.__name__
+
+        @functools.wraps(fn)
+        def cached(tables, *args):
+            if scalars is None:
+                key = (name, args)
+            else:
+                table = getattr(tables, scalars)
+                key = (name, args, tuple(table[a] for a in args[0].labels))
+            memo = tables._memo
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = fn(tables, *args)
+            return out
+        return cached
+    return decorate
+
+
+@_memoized()
+def _simple(base: BaseTables, label: str) -> Obj:
+    """``simple_obj(label)``, one shared object per base category."""
+    return simple_obj(label)
+
+
 def cunit(base: BaseTables) -> Obj:
-    return simple_obj(base.unit)
+    return _simple(base, base.unit)
 
 
+@_memoized()
 def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
     labels, keys = [], []
     for ia, a in enumerate(A.labels):
@@ -278,6 +320,7 @@ def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
+@_memoized()
 def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
     labels, keys = [], []
     for ia, a in enumerate(A.labels):
@@ -288,6 +331,7 @@ def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
+@_memoized()
 def ract_c(tables: RightTables, N: Obj, A: Obj) -> Obj:
     labels, keys = [], []
     for ip, p in enumerate(N.labels):
@@ -384,6 +428,7 @@ def assoc_inv(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
     return cached
 
 
+@_memoized()
 def unit_l(tables: ModuleTables, N: Obj) -> Mor:
     """``1 act N -> N`` carrying the module's unit scalars."""
     src = act_c(tables, simple_obj(tables.base.unit), N)
@@ -393,6 +438,7 @@ def unit_l(tables: ModuleTables, N: Obj) -> Mor:
     return Mor(src, N, mat)
 
 
+@_memoized()
 def unit_l_inv(tables: ModuleTables, N: Obj) -> Mor:
     src = act_c(tables, simple_obj(tables.base.unit), N)
     mat = Matrix.zeros(tables.field, len(src), len(N))
@@ -401,6 +447,7 @@ def unit_l_inv(tables: ModuleTables, N: Obj) -> Mor:
     return Mor(N, src, mat)
 
 
+@_memoized()
 def runit_reg(base: BaseTables, A: Obj) -> Mor:
     """``A x 1 -> A`` in the regular module (canonical projections)."""
     reg = base.regular()
@@ -411,6 +458,7 @@ def runit_reg(base: BaseTables, A: Obj) -> Mor:
     return Mor(src, A, mat)
 
 
+@_memoized()
 def runit_reg_inv(base: BaseTables, A: Obj) -> Mor:
     reg = base.regular()
     src = act_c(reg, A, simple_obj(base.unit))
@@ -497,6 +545,7 @@ def runit_r(tables: RightTables, N: Obj) -> Mor:
 # duality on the base category
 
 
+@_memoized(scalars="ev")
 def ev_flat(base: BaseTables, A: Obj) -> Mor:
     """``A* x A -> 1`` pairing matching summands with the right-dual scalars."""
     src = ctensor(base, rdual_flat(base, A), A)
@@ -507,6 +556,7 @@ def ev_flat(base: BaseTables, A: Obj) -> Mor:
     return Mor(src, dst, mat)
 
 
+@_memoized(scalars="coev")
 def coev_flat(base: BaseTables, A: Obj) -> Mor:
     """``1 -> A x A*``."""
     dst = ctensor(base, A, rdual_flat(base, A))
@@ -516,6 +566,7 @@ def coev_flat(base: BaseTables, A: Obj) -> Mor:
     return Mor(cunit(base), dst, mat)
 
 
+@_memoized(scalars="lev")
 def lev_flat(base: BaseTables, A: Obj) -> Mor:
     """``A x *A -> 1``."""
     src = ctensor(base, A, ldual_flat(base, A))
@@ -525,6 +576,7 @@ def lev_flat(base: BaseTables, A: Obj) -> Mor:
     return Mor(src, cunit(base), mat)
 
 
+@_memoized(scalars="lcoev")
 def lcoev_flat(base: BaseTables, A: Obj) -> Mor:
     """``1 -> *A x A``."""
     dst = ctensor(base, ldual_flat(base, A), A)
@@ -663,6 +715,7 @@ class FunctorTables:
         self._mult = mult
         self._c_block_fn = c_block_fn
         self._cache = {}
+        self._memo = {}
 
     def mult(self, i: str, k: str) -> int:
         return self._mult.get((i, k), 0)
@@ -697,6 +750,7 @@ def c_cols(ft: FunctorTables, X: str, i: str) -> list:
     return cols
 
 
+@_memoized()
 def f_obj(ft: FunctorTables, N: Obj) -> Obj:
     labels, keys = [], []
     for ip, p in enumerate(N.labels):
@@ -761,6 +815,7 @@ def uhom_set(tables: ModuleTables, i: str, j: str) -> tuple:
     return tuple(X for X in tables.base.simples if tables.n(X, i, j))
 
 
+@_memoized()
 def uhom_obj(tables: ModuleTables, A: Obj, B: Obj) -> Obj:
     """Representing object of ``Hom(- act A, B)`` for sums of simples."""
     labels, keys = [], []
@@ -869,6 +924,7 @@ def ctensor_mor(base: BaseTables, g: Mor, h: Mor) -> Mor:
     return Mor(src, dst, mat)
 
 
+@_memoized()
 def c_assoc(base: BaseTables, A: Obj, B: Obj, C: Obj) -> Mor:
     """``(A x B) x C -> A x (B x C)`` from F-blocks."""
     ab = ctensor(base, A, B)
@@ -919,8 +975,9 @@ def c_runit(base: BaseTables, A: Obj) -> Mor:
 
 def left_pentagon_defect(tables: ModuleTables, X: str, Y: str, Z: str, i: str) -> Mor:
     """Difference of the two sides of the mixed pentagon at ``(X, Y, Z, m_i)``."""
-    sx, sy, sz = simple_obj(X), simple_obj(Y), simple_obj(Z)
-    M = simple_obj(i)
+    base = tables.base
+    sx, sy, sz = _simple(base, X), _simple(base, Y), _simple(base, Z)
+    M = _simple(base, i)
     lhs = assoc(tables, sx, sy, act_c(tables, sz, M)) \
         * assoc(tables, ctensor(tables.base, sx, sy), sz, M)
     rhs = whisker_c(tables, sx, assoc(tables, sy, sz, M)) \
@@ -931,17 +988,17 @@ def left_pentagon_defect(tables: ModuleTables, X: str, Y: str, Z: str, i: str) -
 
 def left_unit_defect(tables: ModuleTables, X: str, i: str) -> Mor:
     """Difference of the two sides of the unit coherence at ``(X, m_i)``."""
-    sx = simple_obj(X)
-    M = simple_obj(i)
+    sx, M = _simple(tables.base, X), _simple(tables.base, i)
     lhs = whisker_c(tables, sx, unit_l(tables, M)) \
-        * assoc(tables, sx, simple_obj(tables.base.unit), M)
+        * assoc(tables, sx, cunit(tables.base), M)
     rhs = act_mor(tables, c_runit(tables.base, sx), M)
     return lhs - rhs
 
 
 def right_pentagon_defect(tables: RightTables, i: str, X: str, Y: str, Z: str) -> Mor:
-    sx, sy, sz = simple_obj(X), simple_obj(Y), simple_obj(Z)
-    M = simple_obj(i)
+    base = tables.base
+    sx, sy, sz = _simple(base, X), _simple(base, Y), _simple(base, Z)
+    M = _simple(base, i)
     lhs = rassoc(tables, ract_c(tables, M, sx), sy, sz) \
         * rassoc(tables, M, sx, ctensor(tables.base, sy, sz)) \
         * ract_mor(tables, M, c_assoc(tables.base, sx, sy, sz))
@@ -951,9 +1008,8 @@ def right_pentagon_defect(tables: RightTables, i: str, X: str, Y: str, Z: str) -
 
 
 def right_unit_defect(tables: RightTables, i: str, X: str) -> Mor:
-    sx = simple_obj(X)
-    M = simple_obj(i)
+    sx, M = _simple(tables.base, X), _simple(tables.base, i)
     lhs = rwhisker(tables, runit_r(tables, M), sx) \
-        * rassoc(tables, M, simple_obj(tables.base.unit), sx)
+        * rassoc(tables, M, cunit(tables.base), sx)
     rhs = ract_mor(tables, M, c_lunit(tables.base, sx))
     return lhs - rhs

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from importlib import resources
 
 from . import endengine, theorems
 from .common import (NotATensorSubcategory, OracleMismatch, ParseError,
-                     SerreCertificateFailure, UnknownCommand, UnknownName,
-                     UpsilonMismatch, ValidationError)
+                     SerreCertificateFailure, SourceTargetMismatch, UnknownCommand,
+                     UnknownName, UpsilonMismatch, ValidationError)
 from .fusioncat import FusionCategorySpec, validate_fusion
 from .modcat import ModuleCategorySpec, internal_hom, regular_module, validate_module
 from .modfunct import (ModuleFunctorSpec, act_right_functor, identity_functor,
@@ -156,7 +157,9 @@ def load(paths) -> InstanceBundle:
                 raw = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {path}: {exc}") from exc
-        bundle.digests[str(path)] = hashlib.sha256(raw).hexdigest()
+        name, digest = os.path.basename(path), hashlib.sha256(raw).hexdigest()
+        if bundle.digests.setdefault(name, digest) != digest:
+            raise ParseError(f"two different input files are named {name}")
         try:
             docs.append(json.loads(raw))
         except json.JSONDecodeError as exc:
@@ -458,7 +461,8 @@ def main(argv=None) -> int:
         return 1
     try:
         report = run(ns.command, bundle)
-    except (ParseError, ValidationError, UnknownName, NotATensorSubcategory) as exc:
+    except (ParseError, ValidationError, UnknownName, NotATensorSubcategory,
+            SourceTargetMismatch) as exc:
         print(json.dumps({"status": "validation-failed", "error": str(exc)},
                          sort_keys=True, separators=(",", ":")))
         return 1

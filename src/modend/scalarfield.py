@@ -76,7 +76,7 @@ class FieldSpec:
         self._rat_cache = {}
 
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.min_poly == other.min_poly
+        return self is other or (isinstance(other, FieldSpec) and self.min_poly == other.min_poly)
 
     def __hash__(self):
         return hash(self.min_poly)
@@ -133,7 +133,7 @@ class FieldElement:
         self._hash = None
 
     def _check(self, other: "FieldElement"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise DimensionMismatch("elements of different fields")
 
     def __bool__(self):
@@ -151,10 +151,14 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
+        if self.field.degree == 1:
+            return FieldElement(self.field, (self.coeffs[0] + other.coeffs[0],))
         return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
+        if self.field.degree == 1:
+            return FieldElement(self.field, (self.coeffs[0] - other.coeffs[0],))
         return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
@@ -162,6 +166,11 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
+        one = self.field.one
+        if self is one:
+            return other
+        if other is one:
+            return self
         a, b = self.coeffs, other.coeffs
         d = self.field.degree
         if d == 1:
@@ -330,20 +339,27 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        rows, inner, cols = self.rows, self.cols, other.cols
+        lhs, rhs = self.entries, other.entries
         zero = self.field.zero
-        out = [zero] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a:
-                    obase = k * other.cols
-                    rbase = i * other.cols
-                    for j in range(other.cols):
-                        b = other.entries[obase + j]
-                        if b:
-                            out[rbase + j] = out[rbase + j] + a * b
-        return Matrix(self.field, self.rows, other.cols, out)
+        out = [zero] * (rows * cols)
+        for i in range(rows):
+            base = i * inner
+            rbase = i * cols
+            for k in range(inner):
+                a = lhs[base + k]
+                if a is zero or not a:
+                    continue
+                obase = k * cols
+                for j in range(cols):
+                    b = rhs[obase + j]
+                    if b is zero or not b:
+                        continue
+                    slot = rbase + j
+                    acc = out[slot]
+                    # a slot still holding the initial zero takes the product as is
+                    out[slot] = a * b if acc is zero else acc + a * b
+        return Matrix(self.field, rows, cols, out)
 
     def transpose(self) -> "Matrix":
         out = [self.field.zero] * (self.rows * self.cols)

@@ -107,7 +107,8 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
 def test_golden_reports(bundle):
     """Status and result of fixed commands match the recorded reports.
 
-    ``inputs`` is not compared: it holds the absolute paths of the corpus.
+    ``inputs`` (basename to sha256 of each corpus file) is not recorded here;
+    ``test_reports_do_not_depend_on_the_input_directory`` covers it.
     """
     for entry in GOLDEN:
         payload = json.loads(cli.run(entry["command"], bundle).dumps())
@@ -123,6 +124,31 @@ def test_report_determinism(bundle):
     assert out1 == out2
 
 
+def test_reports_do_not_depend_on_the_input_directory(tmp_path, capsys):
+    """A copy of the corpus elsewhere gives the same stdout, ``inputs`` included."""
+    copies = []
+    for path in cli.bundled_instance_paths():
+        copies.append(tmp_path / Path(path).name)
+        copies[-1].write_bytes(Path(path).read_bytes())
+    cmd = ["serre", "vec_z2_omega_regular"]
+    assert cli.main(cmd) == 0
+    bundled = capsys.readouterr().out
+    assert cli.main([arg for p in copies for arg in ("-i", str(p))] + cmd) == 0
+    assert capsys.readouterr().out == bundled
+    assert sorted(json.loads(bundled)["inputs"]) == sorted(p.name for p in copies)
+
+
+def test_same_basename_different_contents_is_a_parse_error(tmp_path, capsys):
+    fib = next(p for p in cli.bundled_instance_paths() if p.endswith("fib.json"))
+    (tmp_path / "other").mkdir()
+    clash = tmp_path / "other" / "fib.json"
+    clash.write_text(_mutated_fib(lambda c: c["f_symbols"][0].update(value="2")))
+    with pytest.raises(ParseError):
+        cli.load([fib, str(clash)])
+    assert cli.main(["-i", fib, "-i", str(clash), "validate"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "validation-failed"
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["character", "vec_z2_triv_regular",
                      "id_vec_z2_triv_regular"]) == 0
@@ -132,6 +158,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["end", "--hom", "id_vec_z4_regular", "id_vec_z4_regular",
                      "--restrict", "0,1"]) == 1
     capsys.readouterr()
+    # functors over different modules: one JSON line, not a traceback
+    assert cli.main(["coend", "--hom", "id_vec_z4_regular", "rmul_fib_1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "validation-failed"
 
 
 def test_restrict_error_is_deterministic():

@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -148,7 +149,7 @@ def test_composite_condition_redundancy(name):
     """Conditions generated by decomposed X x Y never shrink the solution."""
     spec = CATS[name]
     reg = regular_module(spec)
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(zlib.crc32(name.encode()))
     funs = nat_pairs(spec, reg)
     f = rng.choice(funs)
     g = rng.choice(funs)
@@ -169,7 +170,7 @@ def test_plain_dinaturality_never_shrinks(name):
     """Ordinary dinaturality along non-simple objects adds nothing."""
     spec = CATS[name]
     reg = regular_module(spec)
-    rng = random.Random(hash(name) & 0xFFF)
+    rng = random.Random(zlib.crc32(name.encode()))
     idf = identity_functor(reg)
     g = act_right_functor(spec, spec.simples[-1], reg)
     for f1, f2 in ((idf, idf), (g, g)):

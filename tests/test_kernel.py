@@ -1,0 +1,118 @@
+"""The shared block-calculus kernel: identity fast paths and per-tables caches."""
+
+import random
+
+import pytest
+
+from modend import blocks, cli
+from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
+
+Q = FieldSpec([0, 1])          # Q[x]/(x): plain rationals
+SQRT2 = FieldSpec([-2, 0, 1])  # Q[x]/(x^2 - 2)
+
+
+def test_one_shortcut_keeps_the_field_check():
+    x = SQRT2.element([1, 1])
+    for op in (lambda: Q.one * x, lambda: x * Q.one, lambda: Q.one + x,
+               lambda: x - Q.one):
+        with pytest.raises(DimensionMismatch):
+            op()
+    assert SQRT2.one * x is x and x * SQRT2.one is x
+    # an equal field built separately is the same field
+    assert FieldSpec([-2, 0, 1]).one * x == x
+
+
+def test_degree_one_add_and_sub():
+    a, b = Q.rational("3/4"), Q.rational(-2)
+    assert a + b == Q.rational("-5/4")
+    assert a - b == Q.rational("11/4")
+    assert a - a == Q.zero and not (a - a)
+
+
+def _naive_product(a: Matrix, b: Matrix) -> Matrix:
+    """Reference triple loop: every entry is the full sum over the inner index."""
+    out = Matrix.zeros(a.field, a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = a.field.zero
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            out[i, j] = acc
+    return out
+
+
+def _sparse(field, rows, cols, rng):
+    pool = [field.zero, field.one, field.rational(-1), field.rational("2/3"),
+            field.gen(), field.gen() * field.rational(-3)]
+    weights = [6, 3, 1, 1, 1, 1]
+    return Matrix(field, rows, cols, rng.choices(pool, weights, k=rows * cols))
+
+
+@pytest.mark.parametrize("field", [Q, SQRT2], ids=["Q", "Q(sqrt2)"])
+def test_matrix_product_matches_naive_reference(field):
+    rng = random.Random(20261018)
+    for _ in range(60):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = _sparse(field, n, k, rng), _sparse(field, k, m, rng)
+        assert a * b == _naive_product(a, b)
+    with pytest.raises(DimensionMismatch):
+        Matrix.zeros(field, 2, 3) * Matrix.zeros(field, 2, 3)
+
+
+def _tables(bundle):
+    cat = bundle.category("fib")
+    return cat.tables, bundle.module("fib_regular").tables, bundle.functor("rmul_fib_tau").tables
+
+
+def test_object_constructors_are_hash_consed():
+    base, mod, fun = _tables(cli.load(cli.bundled_instance_paths()))
+    one, tau = blocks.simple_obj("1"), blocks.simple_obj("tau")
+    tt = blocks.ctensor(base, tau, tau)
+    assert blocks.ctensor(base, blocks.simple_obj("tau"), tau) is tt
+    assert blocks.act_c(mod, tt, tau) is blocks.act_c(mod, tt, blocks.simple_obj("tau"))
+    assert blocks.uhom_obj(mod, tau, tt) is blocks.uhom_obj(mod, tau, tt)
+    assert blocks.f_obj(fun, tt) is blocks.f_obj(fun, tt)
+    assert blocks.c_assoc(base, tau, tau, tau) is blocks.c_assoc(base, tau, tau, tau)
+    assert blocks.unit_l(mod, tt) is blocks.unit_l(mod, tt)
+    assert blocks.runit_reg(base, tt) is blocks.runit_reg(base, tt)
+    # equal objects built apart still compare and hash equal
+    fresh = blocks.Obj(tt.labels, tt.keys)
+    assert fresh == tt and hash(fresh) == hash(tt) and fresh is not tt
+    assert blocks.act_c(mod, one, fresh) is blocks.act_c(mod, one, tt)
+
+
+def test_duality_pairings_follow_rewritten_scalars():
+    base = cli.load(cli.bundled_instance_paths()).category("fib").tables
+    tau = blocks.simple_obj("tau")
+    base.ev["tau"] = base.field.one
+    first = blocks.ev_flat(base, tau)
+    base.ev["tau"] = base.field.rational(3)
+    second = blocks.ev_flat(base, tau)
+    pos = first.src.index[(0, 0, base.unit)]
+    assert first.mat[0, pos] == base.field.one
+    assert second.mat[0, pos] == base.field.rational(3)
+
+
+CACHES = {blocks.BaseTables: ("_fblock_cache", "_memo"),
+          blocks.ModuleTables: ("_lblock_cache", "_cache", "_memo"),
+          blocks.FunctorTables: ("_cache", "_memo")}
+
+
+def _cached_values(bundle):
+    ids = set()
+    for tables in _tables(bundle):
+        for attr in CACHES[type(tables)]:
+            cache = getattr(tables, attr)
+            assert cache, (type(tables).__name__, attr)
+            ids.update(id(v) for v in cache.values())
+    return ids
+
+
+def test_caches_live_with_the_loaded_bundle():
+    cmd = ["nat", "rmul_fib_tau", "rmul_fib_tau", "--both"]
+    first, second = (cli.load(cli.bundled_instance_paths()) for _ in range(2))
+    for bundle in (first, second):
+        assert cli.run(cmd, bundle).payload["result"]["dim"] == 1
+        blocks.uhom_obj(bundle.module("fib_regular").tables,
+                        blocks.simple_obj("tau"), blocks.simple_obj("tau"))
+    assert not _cached_values(first) & _cached_values(second)
