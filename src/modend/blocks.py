@@ -1,9 +1,10 @@
 """Block-matrix calculus for skeletal semisimple module categories.
 
-Everything downstream (validators, duality, internal homs, the end engine)
-reduces to finite compositions of structure morphisms between direct sums of
-simple objects.  This module fixes one concrete additive skeleton and provides
-those compositions as exact matrices.
+Duality, internal homs and the end engine reduce to finite compositions of
+structure morphisms between direct sums of simple objects.  This module fixes
+one concrete additive skeleton and provides those compositions as exact
+matrices.  The validators do not compose morphisms: the coherence predicates
+at the end of this module evaluate each axiom on the symbol tables.
 
 Conventions
 -----------
@@ -301,7 +302,11 @@ def _memoized(scalars: str | None = None):
 
 @_memoized()
 def _simple(base: BaseTables, label: str) -> Obj:
-    """``simple_obj(label)``, one shared object per base category."""
+    """``simple_obj(label)``, one shared object per base category.
+
+    Callers that hold the base tables take their simple objects from here, so
+    the memo lookups keyed by them hit by identity.
+    """
     return simple_obj(label)
 
 
@@ -342,6 +347,7 @@ def ract_c(tables: RightTables, N: Obj, A: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
+@_memoized()
 def rdual_flat(base: BaseTables, A: Obj) -> Obj:
     return Obj(tuple(base.dual[a] for a in A.labels), A.keys)
 
@@ -431,7 +437,7 @@ def assoc_inv(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
 @_memoized()
 def unit_l(tables: ModuleTables, N: Obj) -> Mor:
     """``1 act N -> N`` carrying the module's unit scalars."""
-    src = act_c(tables, simple_obj(tables.base.unit), N)
+    src = act_c(tables, cunit(tables.base), N)
     mat = Matrix.zeros(tables.field, len(N), len(src))
     for ip, p in enumerate(N.labels):
         mat[ip, src.index[(0, ip, p)]] = tables.unit_scalar(p)
@@ -440,7 +446,7 @@ def unit_l(tables: ModuleTables, N: Obj) -> Mor:
 
 @_memoized()
 def unit_l_inv(tables: ModuleTables, N: Obj) -> Mor:
-    src = act_c(tables, simple_obj(tables.base.unit), N)
+    src = act_c(tables, cunit(tables.base), N)
     mat = Matrix.zeros(tables.field, len(src), len(N))
     for ip, p in enumerate(N.labels):
         mat[src.index[(0, ip, p)], ip] = tables.unit_scalar(p).inverse()
@@ -451,7 +457,7 @@ def unit_l_inv(tables: ModuleTables, N: Obj) -> Mor:
 def runit_reg(base: BaseTables, A: Obj) -> Mor:
     """``A x 1 -> A`` in the regular module (canonical projections)."""
     reg = base.regular()
-    src = act_c(reg, A, simple_obj(base.unit))
+    src = act_c(reg, A, cunit(base))
     mat = Matrix.zeros(base.field, len(A), len(src))
     for ia, a in enumerate(A.labels):
         mat[ia, src.index[(ia, 0, a)]] = base.field.one
@@ -461,7 +467,7 @@ def runit_reg(base: BaseTables, A: Obj) -> Mor:
 @_memoized()
 def runit_reg_inv(base: BaseTables, A: Obj) -> Mor:
     reg = base.regular()
-    src = act_c(reg, A, simple_obj(base.unit))
+    src = act_c(reg, A, cunit(base))
     mat = Matrix.zeros(base.field, len(src), len(A))
     for ia, a in enumerate(A.labels):
         mat[src.index[(ia, 0, a)], ia] = base.field.one
@@ -470,23 +476,6 @@ def runit_reg_inv(base: BaseTables, A: Obj) -> Mor:
 
 # ---------------------------------------------------------------------------
 # structural morphisms of a right module
-
-
-def rwhisker(tables: RightTables, f: Mor, A: Obj) -> Mor:
-    """``f ract id_A``."""
-    src = ract_c(tables, f.src, A)
-    dst = ract_c(tables, f.dst, A)
-    mat = Matrix.zeros(tables.field, len(dst), len(src))
-    for iq in range(len(f.dst)):
-        for ip in range(len(f.src)):
-            val = f.mat[iq, ip]
-            if not val:
-                continue
-            s = f.src.labels[ip]
-            for ia, a in enumerate(A.labels):
-                for t in tables.ract_set(s, a):
-                    mat[dst.index[(iq, ia, t)], src.index[(ip, ia, t)]] = val
-    return Mor(src, dst, mat)
 
 
 def ract_mor(tables: RightTables, N: Obj, g: Mor) -> Mor:
@@ -530,15 +519,6 @@ def rassoc(tables: RightTables, N: Obj, A: Obj, B: Obj) -> Mor:
                             dp = dst.index[(inner.index[(ip, ia, j)], ib, t)]
                             mat[dp, sp] = val
     return Mor(src, dst, mat)
-
-
-def runit_r(tables: RightTables, N: Obj) -> Mor:
-    """``N ract 1 -> N``."""
-    src = ract_c(tables, N, simple_obj(tables.base.unit))
-    mat = Matrix.zeros(tables.field, len(N), len(src))
-    for ip, p in enumerate(N.labels):
-        mat[ip, src.index[(ip, 0, p)]] = tables.runit_scalar(p)
-    return Mor(src, N, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +607,9 @@ def rdual_mor(base: BaseTables, g: Mor) -> Mor:
     reg = base.regular()
     A, B = g.src, g.dst
     da, db = rdual_flat(base, A), rdual_flat(base, B)
-    n0 = act_c(reg, da, simple_obj(base.unit))
+    n0 = act_c(reg, da, cunit(base))
     chain = runit_reg_inv(base, db)                           # B* -> B* act 1
-    chain = whisker_c(reg, db, coev_insert(reg, A, simple_obj(base.unit))) * chain
+    chain = whisker_c(reg, db, coev_insert(reg, A, cunit(base))) * chain
     chain = whisker_c(reg, db, act_mor(reg, g, n0)) * chain   # -> B* act (B act (A* act 1))
     chain = eps_flat(reg, B, n0) * chain                      # -> A* act 1
     return runit_reg(base, da) * chain
@@ -644,7 +624,7 @@ def ldual_mor(base: BaseTables, g: Mor) -> Mor:
     chain = lcoev_insert(reg, A, db_obj)                      # *B -> *A act (A act *B)
     chain = whisker_c(reg, da, act_mor(reg, g, db_obj)) * chain
     inner = whisker_c(reg, B, runit_reg_inv(base, db))        # B act *B -> B act (*B act 1)
-    inner = zeta_flat(reg, B, simple_obj(base.unit)) * inner  # -> 1
+    inner = zeta_flat(reg, B, cunit(base)) * inner            # -> 1
     chain = whisker_c(reg, da, inner) * chain                 # -> *A act 1
     return runit_reg(base, da) * chain
 
@@ -656,7 +636,7 @@ def phi_r(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
     d1, d2 = rdual_flat(base, A1), rdual_flat(base, A2)
     Da = rdual_flat(base, V)
     Db = ctensor(base, d2, d1)
-    one = simple_obj(base.unit)
+    one = cunit(base)
     # nested coevaluation of (Db, V): 1 -> A1 act (A2 act (A2* act (A1* act 1)))
     co = coev_insert(reg, A1, one)
     co = whisker_c(reg, A1, coev_insert(reg, A2, act_c(reg, d1, one))) * co
@@ -673,9 +653,9 @@ def phi_r(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
 def nu_left(base: BaseTables, X: str) -> Mor:
     """Canonical scalar iso from ``X`` (paired with X* by ev/coev) to ``*(X*)``."""
     reg = base.regular()
-    sx = simple_obj(X)
-    sxd = simple_obj(base.dual[X])
-    one = simple_obj(base.unit)
+    sx = _simple(base, X)
+    sxd = _simple(base, base.dual[X])
+    one = cunit(base)
     pair1 = eps_flat(reg, sx, one) * whisker_c(reg, sxd, runit_reg_inv(base, sx))
     return runit_reg(base, sx) * whisker_c(reg, sx, pair1) * lcoev_insert(reg, sxd, sx)
 
@@ -687,7 +667,7 @@ def phi_l(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
     d1, d2 = ldual_flat(base, A1), ldual_flat(base, A2)
     La = ldual_flat(base, V)
     Lb = ctensor(base, d2, d1)
-    one = simple_obj(base.unit)
+    one = cunit(base)
     # insert the nested left coevaluations of (Lb, V) around La:
     # La -> *A2 act (A2 act La) -> *A2 act (*A1 act (A1 act (A2 act La)))
     chain = lcoev_insert(reg, A2, La)
@@ -891,10 +871,10 @@ def psi_reshuffle(tables: ModuleTables, W: Obj, A: Obj, B: Obj, h: Mor) -> Mor:
 def uhom_left_tensor_iso(tables: ModuleTables, X: str, A: Obj, B: Obj) -> Mor:
     """Action iso ``X x uhom(A, B) -> uhom(A, X act B)`` on chosen bases."""
     uh = uhom_obj(tables, A, B)
-    W = ctensor(tables.base, simple_obj(X), uh)
-    xb = act_c(tables, simple_obj(X), B)
-    h = whisker_c(tables, simple_obj(X), evh_mor(tables, A, B)) \
-        * assoc(tables, simple_obj(X), uh, A)
+    sx = _simple(tables.base, X)
+    W = ctensor(tables.base, sx, uh)
+    xb = act_c(tables, sx, B)
+    h = whisker_c(tables, sx, evh_mor(tables, A, B)) * assoc(tables, sx, uh, A)
     return psi_reshuffle(tables, W, A, xb, h)
 
 
@@ -951,65 +931,157 @@ def c_assoc(base: BaseTables, A: Obj, B: Obj, C: Obj) -> Mor:
     return Mor(src, dst, mat)
 
 
-def c_lunit(base: BaseTables, A: Obj) -> Mor:
-    """``1 x A -> A`` (scalar 1, skeleton convention)."""
-    src = ctensor(base, simple_obj(base.unit), A)
-    mat = Matrix.zeros(base.field, len(A), len(src))
-    for ia, a in enumerate(A.labels):
-        mat[ia, src.index[(0, ia, a)]] = base.field.one
-    return Mor(src, A, mat)
-
-
-def c_runit(base: BaseTables, A: Obj) -> Mor:
-    """``A x 1 -> A`` (scalar 1, skeleton convention)."""
-    src = ctensor(base, A, simple_obj(base.unit))
-    mat = Matrix.zeros(base.field, len(A), len(src))
-    for ia, a in enumerate(A.labels):
-        mat[ia, src.index[(ia, 0, a)]] = base.field.one
-    return Mor(src, A, mat)
-
-
 # ---------------------------------------------------------------------------
-# coherence-axiom checkers (used by the validators)
+# coherence axioms on symbols (used by the validators)
+#
+# Each predicate checks one axiom at one tuple of simples entry by entry: for
+# every total and every pair of source and target paths, both sides are sums
+# over intermediate labels of products of F-, L- and c-symbols.  Symbols of
+# inadmissible label tuples read 0, so the sums may run over whole fusion
+# sets.  ``L(X,Y,i; j,z,t)`` is the entry of ``l_block(X, Y, i, t)`` at row
+# ``j``, column ``z``; ``F(a,b,c; d; e,f)`` that of ``f_block(a, b, c, d)``
+# at row ``f``, column ``e``.
 
 
-def left_pentagon_defect(tables: ModuleTables, X: str, Y: str, Z: str, i: str) -> Mor:
-    """Difference of the two sides of the mixed pentagon at ``(X, Y, Z, m_i)``."""
+def left_pentagon_holds(tables: ModuleTables, X: str, Y: str, Z: str, i: str) -> bool:
+    """Mixed pentagon at ``(X, Y, Z, m_i)``.
+
+    Source paths ``u in X x Y, w in u x Z`` and target paths ``k in Z act m_i,
+    l in Y act m_k`` meet at totals ``t``, where
+    ``L(X,Y,k; l,u,t) L(u,Z,i; k,w,t) = sum_v L(Y,Z,i; k,v,l) L(X,v,i; l,w,t) F(X,Y,Z; w; u,v)``.
+    """
     base = tables.base
-    sx, sy, sz = _simple(base, X), _simple(base, Y), _simple(base, Z)
-    M = _simple(base, i)
-    lhs = assoc(tables, sx, sy, act_c(tables, sz, M)) \
-        * assoc(tables, ctensor(tables.base, sx, sy), sz, M)
-    rhs = whisker_c(tables, sx, assoc(tables, sy, sz, M)) \
-        * assoc(tables, sx, ctensor(tables.base, sy, sz), M) \
-        * act_mor(tables, c_assoc(tables.base, sx, sy, sz), M)
-    return lhs - rhs
+    L, F, zero = tables._l_entry, base._f_entry, tables.field.zero
+    yz = base.fuse(Y, Z)
+    for u in base.fuse(X, Y):
+        for w in base.fuse(u, Z):
+            for k in tables.act_set(Z, i):
+                for l in tables.act_set(Y, k):
+                    for t in tables.act_set(w, i):
+                        if not tables.n(X, l, t):
+                            continue
+                        rhs = zero
+                        for v in yz:
+                            a = L(Y, Z, i, k, v, l)
+                            if a:
+                                rhs = rhs + a * L(X, v, i, l, w, t) * F(X, Y, Z, w, u, v)
+                        if L(X, Y, k, l, u, t) * L(u, Z, i, k, w, t) != rhs:
+                            return False
+    return True
 
 
-def left_unit_defect(tables: ModuleTables, X: str, i: str) -> Mor:
-    """Difference of the two sides of the unit coherence at ``(X, m_i)``."""
-    sx, M = _simple(tables.base, X), _simple(tables.base, i)
-    lhs = whisker_c(tables, sx, unit_l(tables, M)) \
-        * assoc(tables, sx, cunit(tables.base), M)
-    rhs = act_mor(tables, c_runit(tables.base, sx), M)
-    return lhs - rhs
+def left_unit_holds(tables: ModuleTables, X: str, i: str) -> bool:
+    """Unit coherence at ``(X, m_i)``: ``L(X,1,i; i,X,t) * lambda_i = 1``."""
+    unit, one = tables.base.unit, tables.field.one
+    scalar = tables.unit_scalar(i)
+    return all(tables._l_entry(X, unit, i, i, X, t) * scalar == one
+               for t in tables.act_set(X, i))
 
 
-def right_pentagon_defect(tables: RightTables, i: str, X: str, Y: str, Z: str) -> Mor:
+def right_pentagon_holds(tables: RightTables, i: str, X: str, Y: str, Z: str) -> bool:
+    """Mixed pentagon of a right module at ``(m_i, X, Y, Z)``.
+
+    With ``R(i,X,Y; j,z,t)`` the entry of ``rl_block(i, X, Y, t)``, source
+    paths ``u in X x Y, w in u x Z`` and target paths ``j in m_i ract X,
+    k in m_j ract Y`` meet at totals ``t``, where
+    ``R(i,X,Y; j,u,k) R(i,u,Z; k,w,t) = sum_v R(j,Y,Z; k,v,t) R(i,X,v; j,w,t) F(X,Y,Z; w; u,v)``.
+    """
     base = tables.base
-    sx, sy, sz = _simple(base, X), _simple(base, Y), _simple(base, Z)
-    M = _simple(base, i)
-    lhs = rassoc(tables, ract_c(tables, M, sx), sy, sz) \
-        * rassoc(tables, M, sx, ctensor(tables.base, sy, sz)) \
-        * ract_mor(tables, M, c_assoc(tables.base, sx, sy, sz))
-    rhs = rwhisker(tables, rassoc(tables, M, sx, sy), sz) \
-        * rassoc(tables, M, ctensor(tables.base, sx, sy), sz)
-    return lhs - rhs
+    R, F, zero = tables._rl_entry, base._f_entry, tables.field.zero
+    yz = base.fuse(Y, Z)
+    for u in base.fuse(X, Y):
+        for w in base.fuse(u, Z):
+            for j in tables.ract_set(i, X):
+                for k in tables.ract_set(j, Y):
+                    for t in tables.ract_set(k, Z):
+                        if not tables.n(i, w, t):
+                            continue
+                        rhs = zero
+                        for v in yz:
+                            a = R(j, Y, Z, k, v, t)
+                            if a:
+                                rhs = rhs + a * R(i, X, v, j, w, t) * F(X, Y, Z, w, u, v)
+                        if R(i, X, Y, j, u, k) * R(i, u, Z, k, w, t) != rhs:
+                            return False
+    return True
 
 
-def right_unit_defect(tables: RightTables, i: str, X: str) -> Mor:
-    sx, M = _simple(tables.base, X), _simple(tables.base, i)
-    lhs = rwhisker(tables, runit_r(tables, M), sx) \
-        * rassoc(tables, M, cunit(tables.base), sx)
-    rhs = ract_mor(tables, M, c_lunit(tables.base, sx))
-    return lhs - rhs
+def right_unit_holds(tables: RightTables, i: str, X: str) -> bool:
+    """Unit coherence at ``(m_i, X)``: ``R(i,1,X; i,X,t) * lambda_i = 1``."""
+    unit, one = tables.base.unit, tables.field.one
+    scalar = tables.runit_scalar(i)
+    return all(tables._rl_entry(i, unit, X, i, X, t) * scalar == one
+               for t in tables.ract_set(i, X))
+
+
+@_memoized()
+def _c_positions(ft: FunctorTables, X: str, i: str) -> tuple:
+    """Row and column positions in ``c_block(X, i)`` of each basis triple."""
+    return ({key: r for r, key in enumerate(c_rows(ft, X, i))},
+            {key: c for c, key in enumerate(c_cols(ft, X, i))})
+
+
+def _c_symbol(ft: FunctorTables, X: str, i: str, row: tuple, col: tuple):
+    """Entry of ``c_{X, m_i}`` at row ``(k, copy, t)`` and column ``(t_src, k, copy)``."""
+    rows, cols = _c_positions(ft, X, i)
+    return ft.c_block(X, i)[rows[row], cols[col]]
+
+
+def functor_unit_holds(ft: FunctorTables, i: str) -> bool:
+    """Unit coherence of a module functor at ``m_i``.
+
+    For copies ``a, b`` of ``m_k`` in ``F(m_i)``:
+    ``lambda'_k c(1,i)[(k,a,k), (i,k,b)] = lambda_i`` if ``a == b``, else 0.
+    """
+    unit, zero = ft.src.base.unit, ft.field.zero
+    scalar = ft.src.unit_scalar(i)
+    for k in ft.dst.simples:
+        n = ft.mult(i, k)
+        lam = ft.dst.unit_scalar(k)
+        for a in range(n):
+            for b in range(n):
+                lhs = lam * _c_symbol(ft, unit, i, (k, a, k), (i, k, b))
+                if lhs != (scalar if a == b else zero):
+                    return False
+    return True
+
+
+def functor_coherence_holds(ft: FunctorTables, X: str, Y: str, i: str) -> bool:
+    """Coherence of ``c`` at ``(X, Y, m_i)``, for c-blocks that obey Schur.
+
+    Source paths ``z in X x Y, s in z act m_i`` with copy ``b`` of ``m_t`` in
+    ``F(m_s)`` and target paths copy ``a`` of ``m_k`` in ``F(m_i)``,
+    ``l in Y act m_k``, ``t in X act m_l`` meet at each total ``t``, where
+    ``sum_{j, e} c(Y,i)[(k,a,l), (j,l,e)] c(X,j)[(l,e,t), (s,t,b)] L(X,Y,i; j,z,s)
+    = L'(X,Y,k; l,z,t) c(z,i)[(k,a,t), (s,t,b)]``, the sum over ``j in Y act m_i``
+    and copies ``e`` of ``m_l`` in ``F(m_j)``; ``L`` and ``L'`` are the source
+    and target L-symbols.
+    """
+    src, dst = ft.src, ft.dst
+    Ls, Ld, zero = src._l_entry, dst._l_entry, ft.field.zero
+    xy = src.base.fuse(X, Y)
+    y_i = src.act_set(Y, i)
+    for t in dst.simples:
+        cols = [(z, s, b) for z in xy for s in src.act_set(z, i)
+                for b in range(ft.mult(s, t))]
+        if not cols:
+            continue
+        for k in dst.simples:
+            for a in range(ft.mult(i, k)):
+                for l in dst.act_set(Y, k):
+                    if not dst.n(X, l, t):
+                        continue
+                    for z, s, b in cols:
+                        lhs = zero
+                        for j in y_i:
+                            lval = Ls(X, Y, i, j, z, s)
+                            if not lval:
+                                continue
+                            for e in range(ft.mult(j, l)):
+                                lhs = lhs + _c_symbol(ft, Y, i, (k, a, l), (j, l, e)) \
+                                    * _c_symbol(ft, X, j, (l, e, t), (s, t, b)) * lval
+                        lval = Ld(X, Y, k, l, z, t)
+                        rhs = lval * _c_symbol(ft, z, i, (k, a, t), (s, t, b)) if lval else zero
+                        if lhs != rhs:
+                            return False
+    return True

@@ -334,7 +334,7 @@ def run_suite(bundle: InstanceBundle):
         bt = cat.tables
         for a in cat.simples:
             for b in cat.simples:
-                lhs = blk.lev_flat(bt, blk.ctensor(bt, blk.simple_obj(a), blk.simple_obj(b)))
+                lhs = blk.lev_flat(bt, blk.ctensor(bt, blk._simple(bt, a), blk._simple(bt, b)))
                 rhs = _nested_lev(bt, a, b)
                 record(f"ev-tensor-prod::{cname}::({a},{b})", lhs == rhs)
     for name, mod in bundle.modules.items():
@@ -419,11 +419,11 @@ def _nested_lev(bt, a, b):
     from . import blocks as blk
     from .blocks import Mor
     reg = bt.regular()
-    sa, sb = blk.simple_obj(a), blk.simple_obj(b)
+    sa, sb = blk._simple(bt, a), blk._simple(bt, b)
     V = blk.ctensor(bt, sa, sb)
     Lb = blk.ctensor(bt, blk.ldual_flat(bt, sb), blk.ldual_flat(bt, sa))
     W = blk.ctensor(bt, V, Lb)
-    one = blk.simple_obj(bt.unit)
+    one = blk.cunit(bt)
     da, db = blk.ldual_flat(bt, sa), blk.ldual_flat(bt, sb)
     tail = blk.act_c(reg, db, blk.act_c(reg, da, one))
     chain = blk.runit_reg_inv(bt, W)

@@ -37,7 +37,7 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from . import blocks
-from .blocks import Mor, Obj, simple_obj
+from .blocks import Mor, Obj, _simple
 from .common import SourceTargetMismatch
 from .fusioncat import tensor_subcategory
 from .modcat import ModuleCategorySpec
@@ -240,11 +240,12 @@ def _hom_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec, kind: str, recipe: s
 
 def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
     """Module-end system for ``Hom(F(-), G(-))`` with its canonical pre-balancing."""
-    src_t, dst_t = f.src.tables, f.dst.tables
+    base = f.src.base
+    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
 
     def balancing(carrier, X, block):
-        mi = simple_obj(block.simple)
-        sx, sxd = simple_obj(X), simple_obj(f.src.base.dual[X])
+        mi = _simple(bt, block.simple)
+        sx, sxd = _simple(bt, X), _simple(bt, base.dual[X])
         A = blocks.act_c(src_t, sx, mi)                         # X act m_i
         f_eps = blocks.f_mor(f.tables, blocks.eps_flat(src_t, sx, mi))
         c1 = blocks.c_mor(f.tables, sxd, A)                     # F(X* act A) -> X* act F(A)
@@ -258,10 +259,10 @@ def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSys
 
 def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
     """Direct module-naturality system: d theta_{X act m} = (id_X act theta_m) c."""
-    dst_t = f.dst.tables
+    bt, dst_t = f.src.base.tables, f.dst.tables
 
     def naturality(carrier, X, block):
-        sx, mi = simple_obj(X), simple_obj(block.simple)
+        sx, mi = _simple(bt, X), _simple(bt, block.simple)
         A = blocks.act_c(f.src.tables, sx, mi)
         c = blocks.c_mor(f.tables, sx, mi)
         d = blocks.c_mor(g.tables, sx, mi)
@@ -282,11 +283,11 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     """
     base = f.src.base
     ft, gt = f.tables, g.tables
-    src_t, dst_t = f.src.tables, f.dst.tables
-    sx, sy = simple_obj(X), simple_obj(Y)
-    sxd, syd = simple_obj(base.dual[X]), simple_obj(base.dual[Y])
-    W = blocks.ctensor(base.tables, sx, sy)
-    Wd = blocks.ctensor(base.tables, syd, sxd)
+    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+    sx, sy = _simple(bt, X), _simple(bt, Y)
+    sxd, syd = _simple(bt, base.dual[X]), _simple(bt, base.dual[Y])
+    W = blocks.ctensor(bt, sx, sy)
+    Wd = blocks.ctensor(bt, syd, sxd)
 
     def nested_eps(tables, N):
         """W* act (W act N) -> N via nested right evaluations."""
@@ -300,7 +301,7 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
 
     out = []
     for i in f.src.simples:
-        mi = simple_obj(i)
+        mi = _simple(bt, i)
         WM = blocks.act_c(src_t, W, mi)
         f_eps = blocks.f_mor(ft, nested_eps(src_t, mi))
         cW = blocks.c_mor(ft, Wd, WM)
@@ -322,15 +323,15 @@ def plain_dinaturality_condition(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
 def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
     """Module-coend relations for ``Hom(F(-), G(-))``."""
     base = f.src.base
-    src_t, dst_t = f.src.tables, f.dst.tables
+    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
 
     def relations(carrier, X, block):
-        sx, sxd = simple_obj(X), simple_obj(base.dual[X])
-        mi = simple_obj(block.simple)
+        sx, sxd = _simple(bt, X), _simple(bt, base.dual[X])
+        mi = _simple(bt, block.simple)
         A = blocks.act_c(src_t, sxd, mi)                        # X* act m_i
         # g0 = m_{X,X*,m_i} (coev_X act id) ell^{-1}: m_i -> X act (X* act m_i)
         g0 = blocks.assoc(src_t, sx, sxd, mi) \
-            * blocks.act_mor(src_t, blocks.coev_flat(base.tables, sx), mi) \
+            * blocks.act_mor(src_t, blocks.coev_flat(bt, sx), mi) \
             * blocks.unit_l_inv(src_t, mi)
         d_g0 = blocks.c_mor(g.tables, sx, A) * blocks.f_mor(g.tables, g0)  # G(m_i) -> X act G(A)
         cA = blocks.c_mor(f.tables, sxd, mi)                    # F(X* act m_i) -> X* act F(m_i)
@@ -369,7 +370,7 @@ def _unit_matrix(field, rows, cols, r, c):
     return m
 
 
-def _decomposition_sum(field: FieldSpec, A: Obj, term) -> dict:
+def _decomposition_sum(bt: blocks.BaseTables, A: Obj, term) -> dict:
     """``sum term(q, p_q, i_q).mat`` over the summands of ``A``, grouped by label ``q``.
 
     ``p_q: A -> q`` and ``i_q: q -> A`` are the projection onto and the
@@ -377,9 +378,9 @@ def _decomposition_sum(field: FieldSpec, A: Obj, term) -> dict:
     """
     out = {}
     for qp, q in enumerate(A.labels):
-        sq = simple_obj(q)
-        p_q = Mor(A, sq, _unit_matrix(field, 1, len(A), 0, qp))
-        i_q = Mor(sq, A, _unit_matrix(field, len(A), 1, qp, 0))
+        sq = _simple(bt, q)
+        p_q = Mor(A, sq, _unit_matrix(bt.field, 1, len(A), 0, qp))
+        i_q = Mor(sq, A, _unit_matrix(bt.field, len(A), 1, qp, 0))
         mat = term(q, p_q, i_q).mat
         out[q] = out[q] + mat if q in out else mat
     return out
@@ -428,15 +429,15 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     def s_obj(A: Obj, B: Obj) -> Obj:
         return blocks.ctensor(bt, blocks.ldual_flat(bt, fobj(A)), gobj(B))
 
-    s_diag = {i: s_obj(simple_obj(i), simple_obj(i)) for i in f.src.simples}
+    s_diag = {i: s_obj(_simple(bt, i), _simple(bt, i)) for i in f.src.simples}
     carrier = _labelled_carrier(s_diag, f.src.simples)
     conditions = []
     for X in base.simples:
-        sx = simple_obj(X)
+        sx = _simple(bt, X)
         Xd = base.dual[X]
-        sxd = simple_obj(Xd)
+        sxd = _simple(bt, Xd)
         for i in f.src.simples:
-            mi = simple_obj(i)
+            mi = _simple(bt, i)
             A = blocks.act_c(mt, sx, mi)
             fa = fobj(A)
             gmi = gobj(mi)
@@ -456,7 +457,7 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
             st4 = blocks.ctensor_mor(bt, blocks.ldual_mor(bt, cf), Mor.identity(f.field, gmi))
             beta_chain = st4 * blocks.ctensor_mor(bt, tau, Mor.identity(f.field, gmi)) \
                 * regroup * st1
-            rhs = _decomposition_sum(f.field, A, lambda q, p_q, i_q: beta_chain
+            rhs = _decomposition_sum(bt, A, lambda q, p_q, i_q: beta_chain
                                      * blocks.ctensor_mor(bt, blocks.ldual_mor(
                                          bt, blocks.f_mor(ftab, p_q)), blocks.f_mor(gtab, i_q)))
             cond = _balancing_matrix(f.field, carrier, i, l1.mat, rhs)
@@ -478,22 +479,22 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     bt = base.tables
     mt = m.tables
     field = m.field
-    mi = simple_obj(i)
+    mi = _simple(bt, i)
 
     def uh(v_obj: Obj) -> Obj:
         return blocks.uhom_obj(mt, mi, v_obj)
 
     t_diag = {}
     for u in m.simples:
-        su = simple_obj(u)
+        su = _simple(bt, u)
         t_diag[u] = blocks.act_c(mt, blocks.rdual_flat(bt, uh(su)), su)
     carrier = _labelled_carrier(t_diag, m.simples)
     conditions = []
     for X in base.simples:
-        sx = simple_obj(X)
-        sxd = simple_obj(base.dual[X])
+        sx = _simple(bt, X)
+        sxd = _simple(bt, base.dual[X])
         for u in m.simples:
-            su = simple_obj(u)
+            su = _simple(bt, u)
             rd_uh_u = blocks.rdual_flat(bt, uh(su))
             # Gamma1: the first-slot move along the transposed left coevaluation
             ghat = blocks.unit_l(mt, su) \
@@ -509,8 +510,8 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
                 * blocks.phi_r(bt, sx, uh(su)).inverse()
             gamma = blocks.act_mor(mt, gb, U0) * blocks.assoc_inv(mt, rd_uh_u, sxd, U0)
             rd_uh_U0 = blocks.rdual_flat(bt, uh(U0))
-            rhs = _decomposition_sum(field, U0, lambda q, p_q, i_q: blocks.act_mor(
-                mt, blocks.rdual_mor(bt, blocks.uhom_mor_second(mt, mi, i_q)), simple_obj(q))
+            rhs = _decomposition_sum(bt, U0, lambda q, p_q, i_q: blocks.act_mor(
+                mt, blocks.rdual_mor(bt, blocks.uhom_mor_second(mt, mi, i_q)), _simple(bt, q))
                 * blocks.whisker_c(mt, rd_uh_U0, p_q) * gamma * s1)
             # probed with Hom(-, m_p), the coend's coordinates are functionals: transpose
             cond = _balancing_matrix(field, carrier, u, gamma1.mat.transpose(),
@@ -533,29 +534,29 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
     bt = base.tables
     rt = reg_module.tables
     field = reg_module.field
-    sx = simple_obj(x)
-    one = simple_obj(base.unit)
+    sx = _simple(bt, x)
+    one = _simple(bt, base.unit)
 
     def g_of(N: Obj) -> Obj:
         return blocks.act_c(rt, sx, N)
 
     def counit(N: Obj, Y: str) -> Mor:
         """(N x Y) x *Y -> N via the left-dual evaluation of Y."""
-        sy, syd = simple_obj(Y), simple_obj(base.dual[Y])
+        sy, syd = _simple(bt, Y), _simple(bt, base.dual[Y])
         e1 = blocks.assoc(rt, N, sy, syd)
         inner = blocks.zeta_flat(rt, sy, one) \
             * blocks.whisker_c(rt, sy, blocks.runit_reg_inv(bt, syd))
         e2 = blocks.whisker_c(rt, N, inner)
         return blocks.runit_reg(bt, N) * e2 * e1
 
-    s_diag = {mm: blocks.uhom_obj(rt, simple_obj(mm), g_of(simple_obj(mm)))
+    s_diag = {mm: blocks.uhom_obj(rt, _simple(bt, mm), g_of(_simple(bt, mm)))
               for mm in reg_module.simples}
     carrier = _labelled_carrier(s_diag, reg_module.simples)
     conditions = []
     for Y in base.simples:
-        sy, syd = simple_obj(Y), simple_obj(base.dual[Y])
+        sy, syd = _simple(bt, Y), _simple(bt, base.dual[Y])
         for mm in reg_module.simples:
-            sm = simple_obj(mm)
+            sm = _simple(bt, mm)
             Fm = blocks.act_c(rt, sm, sy)                 # m x Y
             Gm = g_of(sm)
             GFm = g_of(Fm)
@@ -571,9 +572,9 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
             omega = counit(Gm, Y) * blocks.act_mor(rt, h1, syd)
             xi = blocks.psi_reshuffle(rt, Z, FlaM, Gm, omega * b.inverse())
             gamma = xi * ud
-            rhs = _decomposition_sum(field, Fm, lambda q, p_q, i_q: gamma
+            rhs = _decomposition_sum(bt, Fm, lambda q, p_q, i_q: gamma
                                      * (blocks.uhom_mor_first(rt, p_q, GFm)
-                                        * blocks.uhom_mor_second(rt, simple_obj(q),
+                                        * blocks.uhom_mor_second(rt, _simple(bt, q),
                                                                  blocks.whisker_c(rt, sx, i_q))))
             cond = _balancing_matrix(field, carrier, mm, lhs.mat, rhs)
             conditions.append(Condition(generator=(Y, mm), matrix=cond))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import blocks
-from .blocks import BaseTables, Mor, simple_obj
+from .blocks import BaseTables, Mor, _simple, cunit
 from .common import (InconsistentRigidity, NotATensorSubcategory, UnknownLabel,
                      ValidationReport)
 from .scalarfield import DimensionMismatch, FieldSpec, FieldElement
@@ -179,8 +179,7 @@ def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
         for b in simples:
             for c in simples:
                 for m in simples:
-                    defect = blocks.left_pentagon_defect(reg, a, b, c, m)
-                    if not defect.is_zero():
+                    if not blocks.left_pentagon_holds(reg, a, b, c, m):
                         report.add("pentagon", (a, b, c, m))
     return report
 
@@ -189,10 +188,10 @@ def _solve_zigzag_scalars(spec: FusionCategorySpec, left: bool) -> dict:
     """Solve the first zig-zag for the evaluation scalars with coev = 1."""
     base = spec.tables
     reg = base.regular()
-    one_obj = simple_obj(spec.unit)
+    one_obj = cunit(base)
     out = {}
     for a in spec.simples:
-        sa = simple_obj(a)
+        sa = _simple(base, a)
         da = blocks.rdual_flat(base, sa)
         # with placeholder ev = 1: composite equals s * id, set ev = 1/s
         base_ev = base.lev if left else base.ev
@@ -225,9 +224,9 @@ def compute_duality(spec: FusionCategorySpec) -> DualityData:
         base.lcoev[a] = one
     ev = _solve_zigzag_scalars(spec, left=False)
     lev = _solve_zigzag_scalars(spec, left=True)
-    one_obj = simple_obj(spec.unit)
+    one_obj = cunit(base)
     for a in spec.simples:
-        sa = simple_obj(a)
+        sa = _simple(base, a)
         da = blocks.rdual_flat(base, sa)
         ident_a = Mor.identity(spec.field, sa)
         ident_d = Mor.identity(spec.field, da)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import blocks
-from .blocks import ModuleTables, RightTables, simple_obj
+from .blocks import ModuleTables, RightTables, _simple
 from .common import UnknownLabel, ValidationReport
 from .fusioncat import FusionCategorySpec, tensor_subcategory
 from .scalarfield import FieldElement, Matrix
@@ -153,11 +153,11 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
             for Y in base.simples:
                 for Z in base.simples:
                     for i in spec.simples:
-                        if not blocks.left_pentagon_defect(tables, X, Y, Z, i).is_zero():
+                        if not blocks.left_pentagon_holds(tables, X, Y, Z, i):
                             report.add("mixed-pentagon", (X, Y, Z, i))
         for X in base.simples:
             for i in spec.simples:
-                if not blocks.left_unit_defect(tables, X, i).is_zero():
+                if not blocks.left_unit_holds(tables, X, i):
                     report.add("unit-coherence", (X, i))
     else:
         for X in base.simples:
@@ -175,11 +175,11 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
             for Y in base.simples:
                 for Z in base.simples:
                     for i in spec.simples:
-                        if not blocks.right_pentagon_defect(tables, i, X, Y, Z).is_zero():
+                        if not blocks.right_pentagon_holds(tables, i, X, Y, Z):
                             report.add("mixed-pentagon", (i, X, Y, Z))
         for X in base.simples:
             for i in spec.simples:
-                if not blocks.right_unit_defect(tables, i, X).is_zero():
+                if not blocks.right_unit_holds(tables, i, X):
                     report.add("unit-coherence", (i, X))
     return report
 
@@ -207,12 +207,12 @@ def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
         l_symbols = {}
         for X in base.simples:
             for Y in base.simples:
-                sxd = simple_obj(dual[X])
-                syd = simple_obj(dual[Y])
-                ct = blocks.ctensor(btab, simple_obj(X), simple_obj(Y))
-                phir_inv = blocks.phi_r(btab, simple_obj(X), simple_obj(Y)).inverse()
+                sxd = _simple(btab, dual[X])
+                syd = _simple(btab, dual[Y])
+                ct = blocks.ctensor(btab, _simple(btab, X), _simple(btab, Y))
+                phir_inv = blocks.phi_r(btab, _simple(btab, X), _simple(btab, Y)).inverse()
                 for i in m.simples:
-                    mi = simple_obj(i)
+                    mi = _simple(btab, i)
                     mu = blocks.act_mor(tables, phir_inv, mi) \
                         * blocks.assoc_inv(tables, syd, sxd, mi)
                     src_o = mu.src    # Y* act (X* act m_i)
@@ -237,12 +237,12 @@ def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
     l_symbols = {}
     for X in base.simples:
         for Y in base.simples:
-            sxd = simple_obj(dual[X])
-            syd = simple_obj(dual[Y])
-            ct = blocks.ctensor(btab, simple_obj(X), simple_obj(Y))
-            phir_inv = blocks.phi_r(btab, simple_obj(X), simple_obj(Y)).inverse()
+            sxd = _simple(btab, dual[X])
+            syd = _simple(btab, dual[Y])
+            ct = blocks.ctensor(btab, _simple(btab, X), _simple(btab, Y))
+            phir_inv = blocks.phi_r(btab, _simple(btab, X), _simple(btab, Y)).inverse()
             for i in m.simples:
-                mi = simple_obj(i)
+                mi = _simple(btab, i)
                 nu = blocks.ract_mor(tables, mi, phir_inv) \
                     * rassoc_inv(tables, mi, syd, sxd)
                 src_o = nu.src    # (m_i ract Y*) ract X*

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import blocks
-from .blocks import FunctorTables, simple_obj
+from .blocks import FunctorTables, _simple
 from .common import SourceTargetMismatch, ValidationReport
 from .fusioncat import FusionCategorySpec
 from .modcat import ModuleCategorySpec, regular_module
@@ -75,31 +75,23 @@ def validate_functor(f: ModuleFunctorSpec) -> ValidationReport:
                 report.add("c-block-shape", (X, i),
                            f"expected {len(rows)}x{len(cols)}, got {blk.rows}x{blk.cols}")
                 continue
+            if any(blk[r, c] for r, (_, _, t) in enumerate(rows)
+                   for c, (_, k, _) in enumerate(cols) if t != k):
+                report.add("c-block-schur", (X, i),
+                           "entries between different simples must be 0")
             if blk.rows != blk.cols:
                 report.add("c-block-not-square", (X, i))
             elif blk.rows and blk.rank() < blk.rows:
                 report.add("c-block-singular", (X, i))
     if not report.ok:
         return report
-    src_t, dst_t = f.src.tables, f.dst.tables
     for i in f.src.simples:
-        mi = simple_obj(i)
-        lhs = blocks.unit_l(dst_t, blocks.f_obj(ft, mi)) \
-            * blocks.c_mor(ft, simple_obj(base.unit), mi)
-        rhs = blocks.f_mor(ft, blocks.unit_l(src_t, mi))
-        if lhs != rhs:
+        if not blocks.functor_unit_holds(ft, i):
             report.add("unit-coherence", (i,))
     for X in base.simples:
         for Y in base.simples:
-            sx, sy = simple_obj(X), simple_obj(Y)
             for i in f.src.simples:
-                mi = simple_obj(i)
-                lhs = blocks.whisker_c(dst_t, sx, blocks.c_mor(ft, sy, mi)) \
-                    * blocks.c_mor(ft, sx, blocks.act_c(src_t, sy, mi)) \
-                    * blocks.f_mor(ft, blocks.assoc(src_t, sx, sy, mi))
-                rhs = blocks.assoc(dst_t, sx, sy, blocks.f_obj(ft, mi)) \
-                    * blocks.c_mor(ft, blocks.ctensor(base.tables, sx, sy), mi)
-                if lhs != rhs:
+                if not blocks.functor_coherence_holds(ft, X, Y, i):
                     report.add("coherence", (X, Y, i))
     return report
 
@@ -122,11 +114,12 @@ def act_right_functor(c: FusionCategorySpec, y: str,
     if reg is None:
         reg = regular_module(c)
     tables = reg.tables
+    bt = tables.base
     on_simples = {(i, k): 1 for i in c.simples for k in c.fuse(i, y)}
     c_symbols = {}
     for X in c.simples:
         for i in c.simples:
-            iso = blocks.assoc(tables, simple_obj(X), simple_obj(i), simple_obj(y))
+            iso = blocks.assoc(tables, _simple(bt, X), _simple(bt, i), _simple(bt, y))
             c_symbols[(X, i)] = iso.mat
     return ModuleFunctorSpec(reg, reg, on_simples, c_symbols, name=f"rmul_{c.name}_{y}")
 
@@ -155,10 +148,11 @@ def compose_functors(g: ModuleFunctorSpec, f: ModuleFunctorSpec) -> ModuleFuncto
 
     c_symbols = {}
     base = f.src.base
+    bt = base.tables
     for X in base.simples:
-        sx = simple_obj(X)
+        sx = _simple(bt, X)
         for i in f.src.simples:
-            mi = simple_obj(i)
+            mi = _simple(bt, i)
             fmi = blocks.f_obj(ftab, mi)
             e = blocks.c_mor(gtab, sx, fmi) \
                 * blocks.f_mor(gtab, blocks.c_mor(ftab, sx, mi))

@@ -162,6 +162,22 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["coend", "--hom", "id_vec_z4_regular", "rmul_fib_1"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "validation-failed"
+    # a c-block entry between different simples: one JSON line, not a traceback
+    paths = {Path(p).name: p for p in cli.bundled_instance_paths()}
+    with open(paths["vec_over_vec_z2.json"]) as fh:
+        doc = json.load(fh)
+    for entry in doc["functors"]["forgetful"]["c_symbols"]:
+        if entry["key"] == ["e", "m"]:
+            entry["entries"] = [["1", "1"], ["0", "1"]]
+    off_schur = tmp_path / "vec_over_vec_z2.json"
+    off_schur.write_text(json.dumps(doc))
+    assert cli.main(["-i", paths["vec_z2_triv.json"], "-i", str(off_schur), "validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["status"] == "validation-failed"
+    assert report["result"]["functor forgetful"] == [
+        "c-block-schur at (e, m): entries between different simples must be 0"]
 
 
 def test_restrict_error_is_deterministic():

@@ -69,6 +69,19 @@ def test_broken_c_entry_located():
     assert any(e.check == "coherence" for e in rep.entries)
 
 
+def test_off_schur_c_entry_reported():
+    """A c-block entry between different simples is a report entry, not a crash."""
+    _, _, forg = vec_over_vec_z2(vec_z2_triv())
+    bad = dict(forg.c_symbols)
+    blk = bad[("e", "m")].copy()
+    blk[0, 1] = forg.field.one       # row (e, 0, e), column (m, s, 0)
+    bad[("e", "m")] = blk
+    broken = ModuleFunctorSpec(forg.src, forg.dst, dict(forg.on_simples), bad,
+                               name="forgetful_bad")
+    rep = validate_functor(broken)
+    assert [(e.check, e.location) for e in rep.entries] == [("c-block-schur", ("e", "m"))]
+
+
 def test_compose_squares_fusion_matrix():
     spec = fib()
     reg = regular_module(spec)
