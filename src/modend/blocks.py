@@ -36,6 +36,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 from .scalarfield import DimensionMismatch, FieldSpec, Matrix
@@ -141,10 +142,8 @@ class BaseTables:
         self.dual = dict(dual)
         self._fuse = fuse_map
         self._f_entry = f_entry
-        self.ev = {}
-        self.coev = {}
-        self.lev = {}
-        self.lcoev = {}
+        # duality scalars, installed once by ``fusioncat.compute_duality``
+        self.ev = self.coev = self.lev = self.lcoev = MappingProxyType({})
         self._fblock_cache = {}
         self._memo = {}
         self._reg = None
@@ -273,34 +272,28 @@ class RightTables:
 # object constructors
 
 
-def _memoized(scalars: str | None = None):
+def _memoized(fn):
     """Cache ``fn(tables, *args)`` in ``tables._memo`` under ``(fn name, args)``.
 
     Object constructors are hash-consed this way: equal arguments on one
-    tables object give the same :class:`Obj`.  A duality pairing also reads
-    the scalars ``getattr(tables, scalars)`` of its object's labels, and
-    duality solving rewrites those, so they join the key.
+    tables object give the same :class:`Obj`.  The duality scalars a pairing
+    reads are installed once, before any pairing is built, so they need no
+    place in the key.
     """
-    def decorate(fn):
-        name = fn.__name__
+    name = fn.__name__
 
-        @functools.wraps(fn)
-        def cached(tables, *args):
-            if scalars is None:
-                key = (name, args)
-            else:
-                table = getattr(tables, scalars)
-                key = (name, args, tuple(table[a] for a in args[0].labels))
-            memo = tables._memo
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = fn(tables, *args)
-            return out
-        return cached
-    return decorate
+    @functools.wraps(fn)
+    def cached(tables, *args):
+        key = (name, args)
+        memo = tables._memo
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = fn(tables, *args)
+        return out
+    return cached
 
 
-@_memoized()
+@_memoized
 def _simple(base: BaseTables, label: str) -> Obj:
     """``simple_obj(label)``, one shared object per base category.
 
@@ -314,7 +307,7 @@ def cunit(base: BaseTables) -> Obj:
     return _simple(base, base.unit)
 
 
-@_memoized()
+@_memoized
 def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
     labels, keys = [], []
     for ia, a in enumerate(A.labels):
@@ -325,7 +318,7 @@ def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
-@_memoized()
+@_memoized
 def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
     labels, keys = [], []
     for ia, a in enumerate(A.labels):
@@ -336,7 +329,7 @@ def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
-@_memoized()
+@_memoized
 def ract_c(tables: RightTables, N: Obj, A: Obj) -> Obj:
     labels, keys = [], []
     for ip, p in enumerate(N.labels):
@@ -347,7 +340,7 @@ def ract_c(tables: RightTables, N: Obj, A: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
-@_memoized()
+@_memoized
 def rdual_flat(base: BaseTables, A: Obj) -> Obj:
     return Obj(tuple(base.dual[a] for a in A.labels), A.keys)
 
@@ -434,7 +427,7 @@ def assoc_inv(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
     return cached
 
 
-@_memoized()
+@_memoized
 def unit_l(tables: ModuleTables, N: Obj) -> Mor:
     """``1 act N -> N`` carrying the module's unit scalars."""
     src = act_c(tables, cunit(tables.base), N)
@@ -444,7 +437,7 @@ def unit_l(tables: ModuleTables, N: Obj) -> Mor:
     return Mor(src, N, mat)
 
 
-@_memoized()
+@_memoized
 def unit_l_inv(tables: ModuleTables, N: Obj) -> Mor:
     src = act_c(tables, cunit(tables.base), N)
     mat = Matrix.zeros(tables.field, len(src), len(N))
@@ -453,7 +446,7 @@ def unit_l_inv(tables: ModuleTables, N: Obj) -> Mor:
     return Mor(N, src, mat)
 
 
-@_memoized()
+@_memoized
 def runit_reg(base: BaseTables, A: Obj) -> Mor:
     """``A x 1 -> A`` in the regular module (canonical projections)."""
     reg = base.regular()
@@ -464,7 +457,7 @@ def runit_reg(base: BaseTables, A: Obj) -> Mor:
     return Mor(src, A, mat)
 
 
-@_memoized()
+@_memoized
 def runit_reg_inv(base: BaseTables, A: Obj) -> Mor:
     reg = base.regular()
     src = act_c(reg, A, cunit(base))
@@ -525,7 +518,7 @@ def rassoc(tables: RightTables, N: Obj, A: Obj, B: Obj) -> Mor:
 # duality on the base category
 
 
-@_memoized(scalars="ev")
+@_memoized
 def ev_flat(base: BaseTables, A: Obj) -> Mor:
     """``A* x A -> 1`` pairing matching summands with the right-dual scalars."""
     src = ctensor(base, rdual_flat(base, A), A)
@@ -536,7 +529,7 @@ def ev_flat(base: BaseTables, A: Obj) -> Mor:
     return Mor(src, dst, mat)
 
 
-@_memoized(scalars="coev")
+@_memoized
 def coev_flat(base: BaseTables, A: Obj) -> Mor:
     """``1 -> A x A*``."""
     dst = ctensor(base, A, rdual_flat(base, A))
@@ -546,7 +539,7 @@ def coev_flat(base: BaseTables, A: Obj) -> Mor:
     return Mor(cunit(base), dst, mat)
 
 
-@_memoized(scalars="lev")
+@_memoized
 def lev_flat(base: BaseTables, A: Obj) -> Mor:
     """``A x *A -> 1``."""
     src = ctensor(base, A, ldual_flat(base, A))
@@ -556,7 +549,7 @@ def lev_flat(base: BaseTables, A: Obj) -> Mor:
     return Mor(src, cunit(base), mat)
 
 
-@_memoized(scalars="lcoev")
+@_memoized
 def lcoev_flat(base: BaseTables, A: Obj) -> Mor:
     """``1 -> *A x A``."""
     dst = ctensor(base, ldual_flat(base, A), A)
@@ -730,7 +723,7 @@ def c_cols(ft: FunctorTables, X: str, i: str) -> list:
     return cols
 
 
-@_memoized()
+@_memoized
 def f_obj(ft: FunctorTables, N: Obj) -> Obj:
     labels, keys = [], []
     for ip, p in enumerate(N.labels):
@@ -795,7 +788,7 @@ def uhom_set(tables: ModuleTables, i: str, j: str) -> tuple:
     return tuple(X for X in tables.base.simples if tables.n(X, i, j))
 
 
-@_memoized()
+@_memoized
 def uhom_obj(tables: ModuleTables, A: Obj, B: Obj) -> Obj:
     """Representing object of ``Hom(- act A, B)`` for sums of simples."""
     labels, keys = [], []
@@ -904,7 +897,7 @@ def ctensor_mor(base: BaseTables, g: Mor, h: Mor) -> Mor:
     return Mor(src, dst, mat)
 
 
-@_memoized()
+@_memoized
 def c_assoc(base: BaseTables, A: Obj, B: Obj, C: Obj) -> Mor:
     """``(A x B) x C -> A x (B x C)`` from F-blocks."""
     ab = ctensor(base, A, B)
@@ -1014,7 +1007,7 @@ def right_unit_holds(tables: RightTables, i: str, X: str) -> bool:
                for t in tables.ract_set(i, X))
 
 
-@_memoized()
+@_memoized
 def _c_positions(ft: FunctorTables, X: str, i: str) -> tuple:
     """Row and column positions in ``c_block(X, i)`` of each basis triple."""
     return ({key: r for r, key in enumerate(c_rows(ft, X, i))},

@@ -224,12 +224,31 @@ def _validate_gate(bundle: InstanceBundle):
             raise ValidationError(f"{rep.subject}: {rep.entries[0]}")
 
 
+# names each command takes and arguments each flag takes (usage line of ``main``)
+ARGUMENTS = {"nat": ("F", "G"), "serre": ("M",), "character": ("M", "U"),
+             "upsilon": ("C", "X"), "adjshift": ("C", "Y"), "homsuite": ("M",)}
+FLAG_ARGUMENTS = {"--hom": ("F", "G"), "--restrict": ("LABELS",)}
+
+
+def _check_arguments(op: str, args: list):
+    """Raise ParseError naming the first argument the command is missing."""
+    wanted = ARGUMENTS.get(op, ())
+    names = [a for a in args if not a.startswith("--")]
+    if len(names) < len(wanted):
+        raise ParseError(f"{op}: missing argument {wanted[len(names)]}")
+    for idx, flag in enumerate(args):
+        for offset, name in enumerate(FLAG_ARGUMENTS.get(flag, ()), 1):
+            if idx + offset == len(args) or args[idx + offset].startswith("--"):
+                raise ParseError(f"{op}: {flag} is missing argument {name}")
+
+
 def run(command, bundle: InstanceBundle) -> Report:
     """Dispatch a single command against a loaded bundle."""
     argv = list(command)
     if not argv:
         raise UnknownCommand("empty command")
     op, args = argv[0], argv[1:]
+    _check_arguments(op, args)
     digests = bundle.digests
     if op == "validate":
         reports = bundle.validate_all()

@@ -10,7 +10,7 @@ class UnknownLabel(KeyError):
 
 
 class UnknownName(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
 
 
 class UnknownCommand(ValueError):
@@ -74,10 +74,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.entries
-
-    def raise_if_failed(self):
-        if self.entries:
-            raise ValidationError(f"{self.subject}: {self.entries[0]}")
 
     def __str__(self):
         if self.ok:

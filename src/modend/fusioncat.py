@@ -8,13 +8,17 @@ target path through ``f in b x c``.  Admissible F-entries default to 1, unit
 legs must stay at 1, and the pentagon is checked exhaustively and exactly.
 
 Duality scalars are normalized by ``coev = 1`` (both chiralities); evaluation
-scalars are then forced by the zig-zag identities, e.g. the right evaluation
-at ``a`` is the inverse of ``F[a, a*, a; a; 1, 1]``.
+scalars are then forced by the zig-zag identities and read off the F-block
+``F[a, a*, a; a]`` (rows over f, columns over e): the right evaluation at
+``a`` is the inverse of its entry ``F[a, a*, a; a; 1, 1]`` (e = f = 1), the
+left evaluation the inverse of the entry at row e = 1, column f = 1 of the
+block's inverse.  Both zig-zags are then verified exactly for each chirality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import blocks
@@ -97,12 +101,12 @@ class FusionCategorySpec:
 
 @dataclass
 class DualityData:
-    """Zig-zag-normalized duality scalars for each simple."""
+    """Zig-zag-normalized duality scalars: the base tables' read-only maps."""
 
-    ev_scalar: dict
-    coev_scalar: dict
-    left_ev_scalar: dict
-    left_coev_scalar: dict
+    ev_scalar: Mapping
+    coev_scalar: Mapping
+    left_ev_scalar: Mapping
+    left_coev_scalar: Mapping
 
 
 def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
@@ -184,46 +188,26 @@ def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
     return report
 
 
-def _solve_zigzag_scalars(spec: FusionCategorySpec, left: bool) -> dict:
-    """Solve the first zig-zag for the evaluation scalars with coev = 1."""
-    base = spec.tables
-    reg = base.regular()
-    one_obj = cunit(base)
-    out = {}
-    for a in spec.simples:
-        sa = _simple(base, a)
-        da = blocks.rdual_flat(base, sa)
-        # with placeholder ev = 1: composite equals s * id, set ev = 1/s
-        base_ev = base.lev if left else base.ev
-        base_ev[a] = spec.field.one
-        if left:
-            zig = blocks.runit_reg(base, sa) \
-                * blocks.zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
-                * blocks.whisker_c(reg, sa, blocks.lcoev_insert(reg, sa, one_obj)) \
-                * blocks.runit_reg_inv(base, sa)
-        else:
-            zig = blocks.runit_reg(base, sa) \
-                * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
-                * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, blocks.runit_reg_inv(base, sa))) \
-                * blocks.coev_insert(reg, sa, sa)
-        scalar = zig.mat[0, 0]
-        if not scalar:
-            raise InconsistentRigidity(f"degenerate zig-zag at {a}")
-        out[a] = scalar.inverse()
-        base_ev[a] = out[a]
-    return out
+def _inverse_at(mat, row: int, col: int, a: str):
+    """Inverse of one matrix entry; a zero entry leaves ``a`` without a zig-zag."""
+    val = mat[row, col]
+    if not val:
+        raise InconsistentRigidity(f"degenerate zig-zag at {a}")
+    return val.inverse()
 
 
 def compute_duality(spec: FusionCategorySpec) -> DualityData:
-    """Fix coev scalars to 1, solve ev scalars, verify both zig-zags."""
+    """Install the scalars (coev = 1, ev read off F) read-only; verify both zig-zags."""
     base = spec.tables
     reg = base.regular()
-    one = spec.field.one
-    for a in spec.simples:
-        base.coev[a] = one
-        base.lcoev[a] = one
-    ev = _solve_zigzag_scalars(spec, left=False)
-    lev = _solve_zigzag_scalars(spec, left=True)
+    unit = spec.unit
+    dual_blocks = [base.f_block(a, spec.dual[a], a, a) for a in spec.simples]
+    ev = {a: _inverse_at(mat, f_list.index(unit), e_list.index(unit), a)
+          for a, (f_list, e_list, mat) in zip(spec.simples, dual_blocks)}
+    lev = {a: _inverse_at(mat.inverse(), e_list.index(unit), f_list.index(unit), a)
+           for a, (f_list, e_list, mat) in zip(spec.simples, dual_blocks)}
+    base.ev, base.lev = MappingProxyType(ev), MappingProxyType(lev)
+    base.coev = base.lcoev = MappingProxyType({a: spec.field.one for a in spec.simples})
     one_obj = cunit(base)
     for a in spec.simples:
         sa = _simple(base, a)
@@ -250,10 +234,8 @@ def compute_duality(spec: FusionCategorySpec) -> DualityData:
             * blocks.lcoev_insert(reg, sa, da)
         if lzig1 != ident_a or lzig2 != ident_d:
             raise InconsistentRigidity(f"left zig-zags disagree at {a}")
-    return DualityData(
-        ev_scalar=dict(ev), coev_scalar={a: one for a in spec.simples},
-        left_ev_scalar=dict(lev), left_coev_scalar={a: one for a in spec.simples},
-    )
+    return DualityData(ev_scalar=base.ev, coev_scalar=base.coev,
+                       left_ev_scalar=base.lev, left_coev_scalar=base.lcoev)
 
 
 def tensor_subcategory(spec: FusionCategorySpec, labels: Sequence[str]) -> tuple:

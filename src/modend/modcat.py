@@ -185,14 +185,16 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
 
 
 def regular_module(c: FusionCategorySpec) -> ModuleCategorySpec:
-    """The category acting on itself; L-symbols are the F-symbols reindexed."""
+    """The category acting on itself through ``c.tables.regular()``; L = F reindexed."""
     l_symbols = {}
     for (a, b, i, t, Z, j), val in c._f.items():
         l_symbols[(a, b, i, j, Z, t)] = val
-    return ModuleCategorySpec(
+    mod = ModuleCategorySpec(
         base=c, simples=c.simples, action=c.fusion, l_symbols=l_symbols,
         unit_scalars={i: c.field.one for i in c.simples},
         orientation="left", name=f"{c.name}_regular" if c.name else "regular")
+    mod._tables = c.tables.regular()
+    return mod
 
 
 def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:

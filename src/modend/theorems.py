@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import endengine
-from .common import (OracleMismatch, SerreCertificateFailure, UpsilonMismatch,
-                     ValidationReport)
+from .common import (OracleMismatch, SerreCertificateFailure, SourceTargetMismatch,
+                     UpsilonMismatch, ValidationReport)
 from .fusioncat import FusionCategorySpec
 from .modcat import ModuleCategorySpec, opposite_module, regular_module
 from .modfunct import ModuleFunctorSpec, act_right_functor, identity_functor
@@ -107,13 +107,15 @@ def serre_functor(m: ModuleCategorySpec) -> SerreResult:
 def internal_character(m: ModuleCategorySpec, u: ModuleFunctorSpec) -> tuple:
     """Multiplicity vector of the end of ``ldual(u(-)) x u(-)`` over ``m``."""
     if u.src is not m:
-        raise ValueError("functor source must be the given module")
+        raise SourceTargetMismatch("functor source must be the given module")
     return _multiplicities(endengine.build_character_probe_system(u, u), m.base.simples)
 
 
 def upsilon_regular(c: FusionCategorySpec, x: str,
                     reg: ModuleCategorySpec | None = None) -> tuple:
     """Multiplicity vector of the double-dual end at ``can(x)``; must be delta_x."""
+    if x not in c.simples:
+        raise SourceTargetMismatch(f"{x!r} is not a simple of the base")
     if reg is None:
         reg = regular_module(c)
     vec = _multiplicities(endengine.build_upsilon_probe_system(reg, x), c.simples)

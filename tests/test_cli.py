@@ -162,6 +162,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["coend", "--hom", "id_vec_z4_regular", "rmul_fib_1"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "validation-failed"
+    # a functor on another module has no internal character here
+    assert cli.main(["character", "vec_over_vec_z2", "id_fib_regular"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "validation-failed"
+    # a label that is not a simple of the base is not an upsilon probe
+    assert cli.main(["upsilon", "fib", "nope"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "'nope' is not a simple of the base", "status": "validation-failed"}
     # a c-block entry between different simples: one JSON line, not a traceback
     paths = {Path(p).name: p for p in cli.bundled_instance_paths()}
     with open(paths["vec_over_vec_z2.json"]) as fh:
@@ -189,6 +196,32 @@ def test_restrict_error_is_deterministic():
                            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
                            ).stdout for seed in range(4)}
     assert outs == {'{"error":"not fusion-closed at (1,1)","status":"validation-failed"}\n'}
+
+
+BAD_COMMAND_LINES = {
+    "serre": "serre: missing argument M",
+    "homsuite": "homsuite: missing argument M",
+    "character fib_regular": "character: missing argument U",
+    "upsilon fib": "upsilon: missing argument X",
+    "nat id_fib_regular": "nat: missing argument G",
+    "end --hom id_fib_regular": "end: --hom is missing argument G",
+    "end --hom F G --restrict": "end: --restrict is missing argument LABELS",
+    "character id_fib_regular id_fib_regular": "module 'id_fib_regular'",
+}
+
+
+def test_bad_command_lines_give_one_json_line():
+    """A missing argument or a name of the wrong kind is a validation failure,
+    never a traceback."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for command, error in BAD_COMMAND_LINES.items():
+        proc = subprocess.run([sys.executable, "-m", "modend", *command.split()],
+                              capture_output=True, text=True, check=False,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (1, ""), command
+        assert proc.stdout.count("\n") == 1, command
+        assert json.loads(proc.stdout) == {"error": error,
+                                           "status": "validation-failed"}, command
 
 
 def test_catalog_matches_bundled_corpus(bundle):

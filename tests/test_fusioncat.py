@@ -1,7 +1,14 @@
+import importlib.util
+import json
 import random
+import zlib
+from pathlib import Path
 
 import pytest
 
+from helpers import gauge_category
+from modend import blocks, cli
+from modend.blocks import BaseTables
 from modend.catalog import all_categories, fib, ising, vec_z2_omega, vec_z2_triv, vec_z4
 from modend.common import InconsistentRigidity, UnknownLabel
 from modend.fusioncat import (FusionCategorySpec, compute_duality, hom_dim,
@@ -179,3 +186,141 @@ def test_coev_tensor_prod_identity():
                 moved2 = blocks.assoc(reg, lb, V, one) \
                     * blocks.runit_reg_inv(bt, blocks.ctensor(bt, lb, V)) * moved
                 assert nested == moved2, (spec.name, a, b)
+
+
+def _load_bench_gen():
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def solve_zigzag_scalars(spec: FusionCategorySpec, left: bool) -> dict:
+    """Reference oracle: solve the first zig-zag for the evaluation scalars.
+
+    With coev = 1 and a placeholder ev = 1 the zig-zag composite at ``a`` is
+    ``s * id``, so ``ev[a] = 1/s``.  The scalars live in plain dicts of a
+    scratch copy of the base tables.  Only the composite at ``a`` reads the
+    scalar of ``a``, so the placeholder pairing it memoizes is never read
+    again.
+    """
+    base = BaseTables(field=spec.field, simples=spec.simples, unit=spec.unit,
+                      dual=spec.dual, fuse_map=spec._fuse_map, f_entry=spec.f_symbol)
+    one = spec.field.one
+    base.ev, base.lev = {}, {}
+    base.coev = base.lcoev = {a: one for a in spec.simples}
+    reg = base.regular()
+    one_obj = blocks.cunit(base)
+    out = {}
+    for a in spec.simples:
+        sa = blocks._simple(base, a)
+        da = blocks.rdual_flat(base, sa)
+        base_ev = base.lev if left else base.ev
+        base_ev[a] = one
+        if left:
+            zig = blocks.runit_reg(base, sa) \
+                * blocks.zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
+                * blocks.whisker_c(reg, sa, blocks.lcoev_insert(reg, sa, one_obj)) \
+                * blocks.runit_reg_inv(base, sa)
+        else:
+            zig = blocks.runit_reg(base, sa) \
+                * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
+                * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, blocks.runit_reg_inv(base, sa))) \
+                * blocks.coev_insert(reg, sa, sa)
+        scalar = zig.mat[0, 0]
+        if not scalar:
+            raise InconsistentRigidity(f"degenerate zig-zag at {a}")
+        out[a] = scalar.inverse()
+        base_ev[a] = out[a]
+    return out
+
+
+def _oracle_scalars(spec):
+    try:
+        return solve_zigzag_scalars(spec, left=False), solve_zigzag_scalars(spec, left=True)
+    except InconsistentRigidity as exc:
+        return str(exc)
+
+
+def _closed_form_scalars(spec):
+    """The scalars ``compute_duality`` installs, or its degenerate-zig-zag error.
+
+    The zig-zag check that follows the install may fail on a mutated
+    category; the installed scalars are compared all the same.
+    """
+    try:
+        compute_duality(spec)
+    except InconsistentRigidity as exc:
+        if "degenerate" in str(exc):
+            return str(exc)
+    return dict(spec.tables.ev), dict(spec.tables.lev)
+
+
+def _with_f(spec, f_symbols, name):
+    return FusionCategorySpec(field=spec.field, simples=spec.simples, unit=spec.unit,
+                              dual=spec.dual, fusion=spec.fusion, f_symbols=f_symbols,
+                              name=name)
+
+
+def _oracle_subjects(tmp_path):
+    subjects = dict(CATS)
+    for name, spec in CATS.items():
+        subjects[f"{name}~gauged"] = gauge_category(
+            spec, random.Random(zlib.crc32(name.encode())))[0]
+    gen = _load_bench_gen()
+    for n in (4, 6):
+        path = tmp_path / f"zn{n}.json"
+        path.write_text(json.dumps(gen.instance(n, 1)))
+        subjects[f"zn{n}"] = cli.load([str(path)]).category(f"zn{n}")
+    return subjects
+
+
+def test_closed_form_duality_matches_zigzag_oracle(tmp_path):
+    for name, spec in _oracle_subjects(tmp_path).items():
+        assert validate_fusion(spec).ok, name
+        dd = compute_duality(spec)  # both zig-zags hold on valid data
+        assert (dict(dd.ev_scalar), dict(dd.left_ev_scalar)) == _oracle_scalars(spec), name
+
+
+FACTORS = ("2", "-3", "1/5")
+
+
+def test_closed_form_duality_matches_oracle_on_mutations(tmp_path):
+    """Seeded single-entry mutations of the F-symbols.
+
+    Off the unit legs the closed form must agree with the solved zig-zag,
+    whether or not the mutated category is still valid.  Mutating a unit
+    leg breaks the skeleton convention the closed form relies on; the gate
+    rejects such data before duality is ever computed.
+    """
+    compared = 0
+    for name, spec in _oracle_subjects(tmp_path).items():
+        rng = random.Random(zlib.crc32(name.encode()))
+        keys = sorted(k for k, v in spec._f.items() if v)
+        unit_leg = [k for k in keys if spec.unit in k[:3]]
+        inner = [k for k in keys if spec.unit not in k[:3]]
+        picks = [(k, False) for k in rng.sample(unit_leg, min(2, len(unit_leg)))]
+        picks += [(k, True) for k in rng.sample(inner, min(4, len(inner)))]
+        for key, off_unit in picks:
+            for factor in FACTORS:
+                f_new = dict(spec._f)
+                f_new[key] = f_new[key] * spec.field.rational(factor)
+                mutant = _with_f(spec, f_new, f"{name}@{key}x{factor}")
+                if not off_unit:
+                    checks = {e.check for e in validate_fusion(mutant).entries}
+                    assert "unit-leg-f" in checks, mutant.name
+                    continue
+                assert _closed_form_scalars(mutant) == _oracle_scalars(mutant), mutant.name
+                compared += 1
+    assert compared >= 100
+
+
+def test_zero_evaluation_entry_with_invertible_block_is_degenerate():
+    base = fib()
+    key = ("tau", "tau", "tau", "tau", "1", "1")
+    spec = _with_f(base, {**base._f, key: base.field.zero}, "fib_zero_entry")
+    spec.tables.f_block("tau", "tau", "tau", "tau")[2].inverse()  # still invertible
+    with pytest.raises(InconsistentRigidity, match="degenerate zig-zag at tau"):
+        compute_duality(spec)
+    assert _oracle_scalars(spec) == "degenerate zig-zag at tau"

@@ -81,16 +81,25 @@ def test_object_constructors_are_hash_consed():
     assert blocks.act_c(mod, one, fresh) is blocks.act_c(mod, one, tt)
 
 
-def test_duality_pairings_follow_rewritten_scalars():
-    base = cli.load(cli.bundled_instance_paths()).category("fib").tables
-    tau = blocks.simple_obj("tau")
-    base.ev["tau"] = base.field.one
-    first = blocks.ev_flat(base, tau)
-    base.ev["tau"] = base.field.rational(3)
-    second = blocks.ev_flat(base, tau)
-    pos = first.src.index[(0, 0, base.unit)]
-    assert first.mat[0, pos] == base.field.one
-    assert second.mat[0, pos] == base.field.rational(3)
+def test_duality_scalars_are_installed_read_only():
+    cat = cli.load(cli.bundled_instance_paths()).category("fib")
+    base = cat.tables
+    dd = cat.duality()
+    assert dd.ev_scalar is base.ev and dd.left_ev_scalar is base.lev
+    for table in (base.ev, base.coev, base.lev, base.lcoev):
+        with pytest.raises(TypeError):
+            table["tau"] = base.field.one
+    tau = blocks._simple(base, "tau")
+    pairing = blocks.ev_flat(base, tau)
+    entry = cat.f_symbol("tau", "tau", "tau", "tau", "1", "1")
+    assert pairing.mat[0, pairing.src.index[(0, 0, base.unit)]] == entry.inverse()
+    assert blocks.ev_flat(base, tau) is pairing
+
+
+def test_regular_module_shares_the_base_regular_tables():
+    bundle = cli.load(cli.bundled_instance_paths())
+    for name, cat in bundle.categories.items():
+        assert bundle.module(f"{name}_regular").tables is cat.tables.regular()
 
 
 CACHES = {blocks.BaseTables: ("_fblock_cache", "_memo"),
