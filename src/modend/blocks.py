@@ -21,6 +21,9 @@ Conventions
 * ``assoc(A, B, N)`` realizes ``(A x B) act N -> A act (B act N)``; its block
   at simple slots ``(a, b, p)`` with target ``t`` is the L-matrix
   ``rows j in b act p, cols z in a x b``.
+* The base acting on itself is the regular module (``BaseTables.regular``),
+  whose L-symbols are the F-symbols: ``ctensor``, ``ctensor_mor`` and
+  ``c_assoc`` are its ``act_c``, ``act_mor``/``whisker_c`` and ``assoc``.
 * The unit constraints of the base are the canonical projections (scalar 1);
   module unit maps carry the module's unit scalars.
 * Right duals pair as ``ev(a): a* x a -> 1`` with scalar ``ev[a]``, right
@@ -91,10 +94,6 @@ class Mor:
         self.mat = mat
 
     @classmethod
-    def zero(cls, field: FieldSpec, src: Obj, dst: Obj) -> "Mor":
-        return cls(src, dst, Matrix.zeros(field, len(dst), len(src)))
-
-    @classmethod
     def identity(cls, field: FieldSpec, obj: Obj) -> "Mor":
         return cls(obj, obj, Matrix.identity(field, len(obj)))
 
@@ -114,14 +113,8 @@ class Mor:
             raise DimensionMismatch("difference of morphisms with different ends")
         return Mor(self.src, self.dst, self.mat - other.mat)
 
-    def scale(self, scalar) -> "Mor":
-        return Mor(self.src, self.dst, self.mat.scale(scalar))
-
     def inverse(self) -> "Mor":
         return Mor(self.dst, self.src, self.mat.inverse())
-
-    def is_zero(self) -> bool:
-        return self.mat.is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, Mor) and self.src == other.src
@@ -308,17 +301,6 @@ def cunit(base: BaseTables) -> Obj:
 
 
 @_memoized
-def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
-    labels, keys = [], []
-    for ia, a in enumerate(A.labels):
-        for ib, b in enumerate(B.labels):
-            for z in base.fuse(a, b):
-                labels.append(z)
-                keys.append((ia, ib, z))
-    return Obj(tuple(labels), tuple(keys))
-
-
-@_memoized
 def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
     labels, keys = [], []
     for ia, a in enumerate(A.labels):
@@ -327,6 +309,12 @@ def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
                 labels.append(t)
                 keys.append((ia, ip, t))
     return Obj(tuple(labels), tuple(keys))
+
+
+@_memoized
+def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
+    """``A x B``: the regular module's action of ``A`` on ``B``."""
+    return act_c(base.regular(), A, B)
 
 
 @_memoized
@@ -876,52 +864,15 @@ def uhom_left_tensor_iso(tables: ModuleTables, X: str, A: Obj, B: Obj) -> Mor:
 
 
 def ctensor_mor(base: BaseTables, g: Mor, h: Mor) -> Mor:
-    """``g x h`` on the canonical decompositions (diagonal in the fusion slot)."""
-    src = ctensor(base, g.src, h.src)
-    dst = ctensor(base, g.dst, h.dst)
-    mat = Matrix.zeros(base.field, len(dst), len(src))
-    for ia2 in range(len(g.dst)):
-        for ia in range(len(g.src)):
-            gv = g.mat[ia2, ia]
-            if not gv:
-                continue
-            a = g.src.labels[ia]
-            for ib2 in range(len(h.dst)):
-                for ib in range(len(h.src)):
-                    hv = h.mat[ib2, ib]
-                    if not hv:
-                        continue
-                    b = h.src.labels[ib]
-                    for z in base.fuse(a, b):
-                        mat[dst.index[(ia2, ib2, z)], src.index[(ia, ib, z)]] = gv * hv
-    return Mor(src, dst, mat)
+    """``g x h``, that is ``(g act id) after (id act h)`` in the regular module."""
+    reg = base.regular()
+    return act_mor(reg, g, h.dst) * whisker_c(reg, g.src, h)
 
 
 @_memoized
 def c_assoc(base: BaseTables, A: Obj, B: Obj, C: Obj) -> Mor:
-    """``(A x B) x C -> A x (B x C)`` from F-blocks."""
-    ab = ctensor(base, A, B)
-    bc = ctensor(base, B, C)
-    src = ctensor(base, ab, C)
-    dst = ctensor(base, A, bc)
-    mat = Matrix.zeros(base.field, len(dst), len(src))
-    for ia, a in enumerate(A.labels):
-        for ib, b in enumerate(B.labels):
-            for ic, c in enumerate(C.labels):
-                totals = set()
-                for e in base.fuse(a, b):
-                    totals.update(base.fuse(e, c))
-                for t in totals:
-                    f_list, e_list, blk = base.f_block(a, b, c, t)
-                    for r, f in enumerate(f_list):
-                        for s, e in enumerate(e_list):
-                            val = blk[r, s]
-                            if not val:
-                                continue
-                            spos = src.index[(ab.index[(ia, ib, e)], ic, t)]
-                            dpos = dst.index[(ia, bc.index[(ib, ic, f)], t)]
-                            mat[dpos, spos] = val
-    return Mor(src, dst, mat)
+    """``(A x B) x C -> A x (B x C)``: the regular module's associator."""
+    return assoc(base.regular(), A, B, C)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from importlib import resources
 from . import endengine, theorems
 from .common import (NotATensorSubcategory, OracleMismatch, ParseError,
                      SerreCertificateFailure, SourceTargetMismatch, UnknownCommand,
-                     UnknownName, UpsilonMismatch, ValidationError)
+                     UnknownName, UpsilonMismatch, ValidationError, ValidationReport)
 from .fusioncat import FusionCategorySpec, validate_fusion
 from .modcat import ModuleCategorySpec, internal_hom, regular_module, validate_module
 from .modfunct import (ModuleFunctorSpec, act_right_functor, identity_functor,
@@ -65,25 +65,42 @@ class InstanceBundle:
         return self.functors[name]
 
     def validate_all(self) -> list:
-        """All validation reports plus duality construction, in bundle order."""
+        """All validation reports plus duality construction, in bundle order.
+
+        A module over an invalid category, or a functor from or to an invalid
+        module, is not checked: its report holds one ``invalid-dependency``
+        entry at the name of the invalid subject.
+        """
         reports = []
+        invalid = {}        # id of each spec whose report failed -> (kind, name)
+
+        def record(kind, name, spec, rep):
+            rep.subject = f"{kind} {name}"
+            reports.append(rep)
+            if not rep.ok:
+                invalid[id(spec)] = (kind, name)
+
+        def gated(validate, spec, *needs):
+            broken = [invalid[id(d)] for d in needs if id(d) in invalid]
+            if not broken:
+                return validate(spec)
+            kind, name = broken[0]
+            rep = ValidationReport()
+            rep.add("invalid-dependency", (name,), f"invalid {kind}")
+            return rep
+
         for name, cat in self.categories.items():
             rep = validate_fusion(cat)
-            rep.subject = f"category {name}"
-            reports.append(rep)
             if rep.ok:
                 try:
                     cat.duality()
                 except ArithmeticError as exc:
                     rep.add("duality", (name,), str(exc))
+            record("category", name, cat, rep)
         for name, mod in self.modules.items():
-            rep = validate_module(mod)
-            rep.subject = f"module {name}"
-            reports.append(rep)
+            record("module", name, mod, gated(validate_module, mod, mod.base))
         for name, fun in self.functors.items():
-            rep = validate_functor(fun)
-            rep.subject = f"functor {name}"
-            reports.append(rep)
+            record("functor", name, fun, gated(validate_functor, fun, fun.src, fun.dst))
         return reports
 
 
@@ -224,22 +241,62 @@ def _validate_gate(bundle: InstanceBundle):
             raise ValidationError(f"{rep.subject}: {rep.entries[0]}")
 
 
-# names each command takes and arguments each flag takes (usage line of ``main``)
-ARGUMENTS = {"nat": ("F", "G"), "serre": ("M",), "character": ("M", "U"),
-             "upsilon": ("C", "X"), "adjshift": ("C", "Y"), "homsuite": ("M",)}
-FLAG_ARGUMENTS = {"--hom": ("F", "G"), "--restrict": ("LABELS",)}
+# usage line of ``main``: the names each command takes, then the flags it
+# accepts with the arguments each flag takes
+USAGE = {"validate": ((), {}), "suite": ((), {}),
+         "nat": (("F", "G"), {"--oracle": (), "--both": ()}),
+         "end": ((), {"--hom": ("F", "G"), "--restrict": ("LABELS",), "--ordinary": ()}),
+         "coend": ((), {"--hom": ("F", "G")}),
+         "serre": (("M",), {}), "character": (("M", "U"), {}), "upsilon": (("C", "X"), {}),
+         "adjshift": (("C", "Y"), {}), "homsuite": (("M",), {})}
+# flags of one ``[a|b]`` group share a slot: at most one of them is given
+FLAG_SLOT = {"--both": "--oracle", "--ordinary": "--restrict"}
+ARGUMENT_KINDS = {"F": "functor", "G": "functor", "U": "functor", "M": "module",
+                  "C": "category"}
 
 
-def _check_arguments(op: str, args: list):
-    """Raise ParseError naming the first argument the command is missing."""
-    wanted = ARGUMENTS.get(op, ())
-    names = [a for a in args if not a.startswith("--")]
-    if len(names) < len(wanted):
-        raise ParseError(f"{op}: missing argument {wanted[len(names)]}")
-    for idx, flag in enumerate(args):
-        for offset, name in enumerate(FLAG_ARGUMENTS.get(flag, ()), 1):
-            if idx + offset == len(args) or args[idx + offset].startswith("--"):
-                raise ParseError(f"{op}: {flag} is missing argument {name}")
+def _check_arguments(op: str, args: list) -> tuple:
+    """Split ``args`` by the usage line of ``op`` into named arguments and flags.
+
+    Raises ParseError naming the first token that does not fit the usage
+    line, or else the first argument that is missing.
+    """
+    wanted, flags = USAGE[op]
+    tokens, positional = iter(args), iter(wanted)
+    values, seen = {}, {}
+    for token in tokens:
+        if not token.startswith("--"):
+            name = next(positional, None)
+            if name is None:
+                raise ParseError(f"{op}: unexpected argument {token!r}")
+            values[name] = token
+            continue
+        if token not in flags:
+            raise ParseError(f"{op}: unknown option {token}")
+        slot = FLAG_SLOT.get(token, token)
+        if slot in seen:
+            earlier = seen[slot]
+            raise ParseError(f"{op}: {token} given twice" if earlier == token
+                             else f"{op}: {token} conflicts with {earlier}")
+        seen[slot] = token
+        for name in flags[token]:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ParseError(f"{op}: {token} is missing argument {name}")
+            values[name] = value
+    missing = next(positional, None)
+    if missing is not None:
+        raise ParseError(f"{op}: missing argument {missing}")
+    return values, set(seen.values())
+
+
+def _argument(bundle: InstanceBundle, op: str, values: dict, arg: str):
+    """The bundle entry argument ``arg`` names; an unknown name says which argument."""
+    kind = ARGUMENT_KINDS[arg]
+    try:
+        return getattr(bundle, kind)(values[arg])
+    except UnknownName:
+        raise UnknownName(f"{op}: argument {arg}: no {kind} {values[arg]!r}") from None
 
 
 def run(command, bundle: InstanceBundle) -> Report:
@@ -247,8 +304,8 @@ def run(command, bundle: InstanceBundle) -> Report:
     argv = list(command)
     if not argv:
         raise UnknownCommand("empty command")
-    op, args = argv[0], argv[1:]
-    _check_arguments(op, args)
+    op = argv[0]
+    values, flags = _check_arguments(op, argv[1:]) if op in USAGE else ({}, set())
     digests = bundle.digests
     if op == "validate":
         reports = bundle.validate_all()
@@ -261,8 +318,7 @@ def run(command, bundle: InstanceBundle) -> Report:
         return Report(command, digests, "ok" if ok else "certificate-failed", result)
     _validate_gate(bundle)
     if op == "nat":
-        names, flags = _split_flags(args)
-        f, g = (bundle.functor(n) for n in names)
+        f, g = (_argument(bundle, op, values, arg) for arg in ("F", "G"))
         mode = "both" if "--both" in flags else "oracle" if "--oracle" in flags else "end"
         res = theorems.nat_m_dim(f, g, mode)
         payload = {"dim": res.dim, "mode": mode}
@@ -270,67 +326,54 @@ def run(command, bundle: InstanceBundle) -> Report:
             payload["oracle_agrees"] = bool(res.oracle_agrees)
         return Report(command, digests, "ok", payload)
     if op in ("end", "coend"):
-        if "--hom" in args:
-            idx = args.index("--hom")
-            fname, gname = args[idx + 1], args[idx + 2]
-        else:
+        if "--hom" not in flags:
             raise UnknownCommand(f"{op} requires --hom F G")
-        f, g = bundle.functor(fname), bundle.functor(gname)
+        f, g = (_argument(bundle, op, values, arg) for arg in ("F", "G"))
         if op == "coend":
             sys_ = endengine.build_hom_coend_system(f, g)
             res = endengine.solve_coend(sys_)
             return Report(command, digests, "ok",
                           {"dim": res.dim, "relations": len(res.relations)})
         sys_ = endengine.build_nat_system(f, g)
-        if "--ordinary" in args:
+        if "--ordinary" in flags:
             sys_ = endengine.DinaturalSystem(field=sys_.field, blocks=sys_.blocks,
                                              conditions=[], kind="end",
                                              recipe="ordinary", meta=sys_.meta)
-        if "--restrict" in args:
-            subset = args[args.index("--restrict") + 1].split(",")
-            sys_ = endengine.restrict_conditions(sys_, subset)
+        if "--restrict" in flags:
+            sys_ = endengine.restrict_conditions(sys_, values["LABELS"].split(","))
         res = endengine.solve_end(sys_)
         return Report(command, digests, "ok", {"dim": res.dim})
     if op == "serre":
-        mod = bundle.module(args[0])
-        res = theorems.serre_functor(mod)
+        res = theorems.serre_functor(_argument(bundle, op, values, "M"))
         return Report(command, digests, "ok",
                       {"on_simples": {i: dict(v) for i, v in res.on_simples.items()},
                        "certificates": len(res.certificates)})
     if op == "character":
-        mod = bundle.module(args[0])
-        fun = bundle.functor(args[1])
+        mod, fun = (_argument(bundle, op, values, arg) for arg in ("M", "U"))
         vec = theorems.internal_character(mod, fun)
         return Report(command, digests, "ok",
                       {"object": dict(zip(mod.base.simples, vec))})
     if op == "upsilon":
-        cat = bundle.category(args[0])
-        reg = bundle.module(f"{args[0]}_regular")
-        vec = theorems.upsilon_regular(cat, args[1], reg)
+        cat = _argument(bundle, op, values, "C")
+        reg = bundle.module(f"{values['C']}_regular")
+        vec = theorems.upsilon_regular(cat, values["X"], reg)
         return Report(command, digests, "ok",
                       {"object": dict(zip(cat.simples, vec))})
     if op == "adjshift":
-        cat = bundle.category(args[0])
-        reg = bundle.module(f"{args[0]}_regular")
-        res = theorems.adjoint_shift_check(cat, args[1], reg)
+        cat = _argument(bundle, op, values, "C")
+        reg = bundle.module(f"{values['C']}_regular")
+        res = theorems.adjoint_shift_check(cat, values["Y"], reg)
         status = "ok" if res.ok else "certificate-failed"
         return Report(command, digests, status,
                       {"equal": res.ok,
                        "lhs": dict(zip(cat.simples, res.lhs)),
                        "rhs": dict(zip(cat.simples, res.rhs))})
     if op == "homsuite":
-        mod = bundle.module(args[0])
-        rep = theorems.hom_lemma_suite(mod)
+        rep = theorems.hom_lemma_suite(_argument(bundle, op, values, "M"))
         status = "ok" if rep.ok else "certificate-failed"
         return Report(command, digests, status,
                       {"violations": [str(e) for e in rep.entries]})
     raise UnknownCommand(op)
-
-
-def _split_flags(args):
-    names = [a for a in args if not a.startswith("--")]
-    flags = [a for a in args if a.startswith("--")]
-    return names, flags
 
 
 def run_suite(bundle: InstanceBundle):
@@ -436,7 +479,6 @@ def run_suite(bundle: InstanceBundle):
 def _nested_lev(bt, a, b):
     """Right-hand side of the composite-evaluation identity for (a, b)."""
     from . import blocks as blk
-    from .blocks import Mor
     reg = bt.regular()
     sa, sb = blk._simple(bt, a), blk._simple(bt, b)
     V = blk.ctensor(bt, sa, sb)
@@ -452,8 +494,7 @@ def _nested_lev(bt, a, b):
     chain = blk.whisker_c(reg, sa, blk.zeta_flat(reg, sb, blk.act_c(reg, da, one))) * chain
     chain = blk.zeta_flat(reg, sa, one) * chain
     phi = blk.phi_l(bt, sa, sb)
-    twist = blk.ctensor_mor(bt, Mor.identity(bt.field, V), phi)
-    return chain * twist
+    return chain * blk.whisker_c(reg, V, phi)
 
 
 def main(argv=None) -> int:

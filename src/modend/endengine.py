@@ -417,6 +417,7 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     base = f.src.base
     base.duality()
     bt = base.tables
+    reg = bt.regular()
     mt = f.src.tables
     ftab, gtab = f.tables, g.tables
 
@@ -444,19 +445,16 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
             lfa = blocks.ldual_flat(bt, fa)
             # LHS: S(eps, id) on the diagonal block at i
             eps = blocks.eps_flat(mt, sx, mi)
-            l1 = blocks.ctensor_mor(
-                bt, blocks.ldual_mor(bt, blocks.f_mor(ftab, eps)),
-                Mor.identity(f.field, gmi))
+            l1 = blocks.act_mor(reg, blocks.ldual_mor(bt, blocks.f_mor(ftab, eps)), gmi)
             # RHS: the pre-balancing (a fixed post-composition) after extension
             d = blocks.c_mor(gtab, sx, mi)                 # G(A) -> X x G(m_i)
-            st1 = blocks.ctensor_mor(bt, Mor.identity(f.field, lfa), d)
-            regroup = blocks.c_assoc(bt, lfa, sx, gmi).inverse()
+            st1 = blocks.whisker_c(reg, lfa, d)
+            regroup = blocks.assoc_inv(reg, lfa, sx, gmi)
             tau = blocks.phi_l(bt, sxd, fa).inverse() \
-                * blocks.ctensor_mor(bt, Mor.identity(f.field, lfa), blocks.nu_left(bt, X))
+                * blocks.whisker_c(reg, lfa, blocks.nu_left(bt, X))
             cf = blocks.c_mor(ftab, sxd, A)                # F(X* act A) -> X* x F(A)
-            st4 = blocks.ctensor_mor(bt, blocks.ldual_mor(bt, cf), Mor.identity(f.field, gmi))
-            beta_chain = st4 * blocks.ctensor_mor(bt, tau, Mor.identity(f.field, gmi)) \
-                * regroup * st1
+            st4 = blocks.act_mor(reg, blocks.ldual_mor(bt, cf), gmi)
+            beta_chain = st4 * blocks.act_mor(reg, tau, gmi) * regroup * st1
             rhs = _decomposition_sum(bt, A, lambda q, p_q, i_q: beta_chain
                                      * blocks.ctensor_mor(bt, blocks.ldual_mor(
                                          bt, blocks.f_mor(ftab, p_q)), blocks.f_mor(gtab, i_q)))

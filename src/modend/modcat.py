@@ -246,7 +246,7 @@ def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
             for i in m.simples:
                 mi = _simple(btab, i)
                 nu = blocks.ract_mor(tables, mi, phir_inv) \
-                    * rassoc_inv(tables, mi, syd, sxd)
+                    * blocks.rassoc(tables, mi, syd, sxd).inverse()
                 src_o = nu.src    # (m_i ract Y*) ract X*
                 dst_o = nu.dst    # m_i ract (X x Y)*-flat
                 inner = blocks.ract_c(tables, mi, syd)
@@ -264,10 +264,6 @@ def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
     return ModuleCategorySpec(base=base, simples=m.simples, action=action,
                               l_symbols=l_symbols, unit_scalars=units,
                               orientation="left", name=f"{m.name}_op")
-
-
-def rassoc_inv(tables: RightTables, N, A, B):
-    return blocks.rassoc(tables, N, A, B).inverse()
 
 
 @dataclass

@@ -333,9 +333,6 @@ class Matrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    def scale(self, scalar: FieldElement) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, [scalar * e for e in self.entries])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")

@@ -1,4 +1,7 @@
-"""Shared fixtures: sampled randomness and gauge transformations.
+"""Shared fixtures: the bundled corpus, sampled randomness and gauge transformations.
+
+The corpus categories are read from the JSON files shipped with the package,
+a fresh load per call, so tests and the command line see the same data.
 
 Gauge transformations re-randomize the basis scalars of every 1-dimensional
 Hom space (and the copy bases of functor images): unit-leg scalars stay 1 so
@@ -8,12 +11,77 @@ and all reported dimensions must be invariant.
 
 from __future__ import annotations
 
+import json
+import os
 import random
 
+from modend import cli
 from modend.fusioncat import FusionCategorySpec
-from modend.modcat import ModuleCategorySpec
+from modend.modcat import ModuleCategorySpec, regular_module
 from modend.modfunct import ModuleFunctorSpec
-from modend.scalarfield import Matrix
+from modend.scalarfield import FieldSpec, Matrix
+
+# bundled categories in the order seeded samplers draw them
+CORPUS = ("vec_z2_triv", "vec_z2_omega", "vec_z4", "fib", "ising")
+
+
+def _instance_path(name: str) -> str:
+    return next(p for p in cli.bundled_instance_paths()
+                if os.path.basename(p) == f"{name}.json")
+
+
+def _bundled_category(name: str) -> FusionCategorySpec:
+    return cli.load([_instance_path(name)]).category(name)
+
+
+def vec_z2_triv() -> FusionCategorySpec:
+    return _bundled_category("vec_z2_triv")
+
+
+def vec_z2_omega() -> FusionCategorySpec:
+    return _bundled_category("vec_z2_omega")
+
+
+def vec_z4() -> FusionCategorySpec:
+    return _bundled_category("vec_z4")
+
+
+def fib() -> FusionCategorySpec:
+    return _bundled_category("fib")
+
+
+def ising() -> FusionCategorySpec:
+    return _bundled_category("ising")
+
+
+def all_categories() -> dict:
+    return {name: _bundled_category(name) for name in CORPUS}
+
+
+def vec_over_vec_z2(base: FusionCategorySpec) -> tuple:
+    """The bundled one-simple module and its forgetful functor, over ``base``.
+
+    ``base`` is trivial vec_z2 or a gauge of it.  Returns
+    ``(module, regular, forgetful)``; the forgetful functor sends the unique
+    simple to the regular algebra object ``e + s``.
+    """
+    with open(_instance_path("vec_over_vec_z2")) as fh:
+        doc = json.load(fh)
+    data = doc["modules"]["vec_over_vec_z2"]
+    bundle = cli.InstanceBundle()
+    bundle.categories[data["category"]] = base
+    reg = bundle.modules[f"{data['category']}_regular"] = regular_module(base)
+    module = bundle.modules["vec_over_vec_z2"] = cli._load_module(
+        "vec_over_vec_z2", data, bundle)
+    forgetful = cli._load_functor("forgetful", doc["functors"]["forgetful"], bundle)
+    return module, reg, forgetful
+
+
+def one_simple_category(name: str = "vec") -> FusionCategorySpec:
+    """The trivial base with a single simple (plain finite-dimensional spaces)."""
+    return FusionCategorySpec(
+        field=FieldSpec([0, 1]), simples=["1"], unit="1", dual={"1": "1"},
+        fusion=[("1", "1", "1")], f_symbols={}, name=name)
 
 
 def rand_nonzero(field, rng):

@@ -14,7 +14,7 @@ from helpers import gauge_category, gauge_functor, gauge_module, sample_pairs
 
 from modend import cli
 from modend import endengine as ee
-from modend.catalog import all_categories, one_simple_category, vec_z2_triv, vec_over_vec_z2
+from helpers import all_categories, one_simple_category, vec_z2_triv, vec_over_vec_z2
 from modend.fusioncat import validate_fusion
 from modend.modcat import internal_hom, regular_module, validate_module
 from modend.modfunct import act_right_functor, identity_functor, validate_functor

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from modend import catalog, cli
+from modend import cli
 from modend.common import ParseError, UnknownName
 
 
@@ -71,6 +71,66 @@ def test_parse_error(tmp_path, capsys):
         assert report["status"] == "validation-failed", case
         if case.endswith("fusion-triple"):
             assert report["error"].startswith("category 'fib': ValueError"), report
+
+
+def _bundled_path(basename):
+    return next(p for p in cli.bundled_instance_paths() if Path(p).name == basename)
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of the scalar leaves of a JSON document, in document order."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+LEAF_VALUES = (0, -1, "1/0", "x", None, [], {}, "s", "e")
+
+# file to mutate, files loaded beside it, command run on the mutated bundle
+BOUNDARY_SWEEPS = [("vec_z2_omega.json", (), ["validate"]),
+                   ("vec_over_vec_z2.json", ("vec_z2_triv.json",),
+                    ["character", "vec_over_vec_z2", "forgetful"])]
+
+
+@pytest.mark.parametrize("filename,beside,command", BOUNDARY_SWEEPS,
+                         ids=[sweep[0] for sweep in BOUNDARY_SWEEPS])
+def test_single_leaf_mutations_never_escape(tmp_path, capsys, filename, beside, command):
+    """Every single-leaf mutation ends in one JSON line and a documented exit code."""
+    doc = json.loads(Path(_bundled_path(filename)).read_text())
+    flags = [arg for name in beside for arg in ("-i", _bundled_path(name))]
+    path = tmp_path / filename
+    for leaf in _leaf_paths(doc):
+        for value in LEAF_VALUES:
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for key in leaf[:-1]:
+                parent = parent[key]
+            parent[leaf[-1]] = value
+            path.write_text(json.dumps(mutated))
+            case = (leaf, value)
+            code = cli.main([*flags, "-i", str(path), *command])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2) and err == "", case
+            assert out.count("\n") == 1 and out.endswith("\n"), case
+            json.loads(out)
+
+
+def test_subjects_over_an_invalid_subject_are_not_checked(tmp_path):
+    """A module over an invalid category, and a functor over that module, each
+    report one invalid-dependency entry instead of a crash in their checks."""
+    doc = json.loads(Path(_bundled_path("vec_z2_omega.json")).read_text())
+    doc["categories"]["vec_z2_omega"]["unit"] = "tau"
+    path = tmp_path / "vec_z2_omega.json"
+    path.write_text(json.dumps(doc))
+    result = cli.run(["validate"], cli.load([str(path)])).payload["result"]
+    assert result["module vec_z2_omega_regular"] == [
+        "invalid-dependency at (vec_z2_omega): invalid category"]
+    for name in ("id_vec_z2_omega_regular", "rmul_vec_z2_omega_e", "rmul_vec_z2_omega_s"):
+        assert result[f"functor {name}"] == [
+            "invalid-dependency at (vec_z2_omega_regular): invalid module"]
 
 
 def test_nat_both_report(bundle):
@@ -206,7 +266,14 @@ BAD_COMMAND_LINES = {
     "nat id_fib_regular": "nat: missing argument G",
     "end --hom id_fib_regular": "end: --hom is missing argument G",
     "end --hom F G --restrict": "end: --restrict is missing argument LABELS",
-    "character id_fib_regular id_fib_regular": "module 'id_fib_regular'",
+    "character id_fib_regular id_fib_regular":
+        "character: argument M: no module 'id_fib_regular'",
+    "nat id_fib_regular id_fib_regular rmul_fib_tau": "nat: unexpected argument 'rmul_fib_tau'",
+    "nat id_fib_regular id_fib_regular --bogus": "nat: unknown option --bogus",
+    "nat id_fib_regular id_fib_regular --both --oracle": "nat: --oracle conflicts with --both",
+    "coend --hom id_fib_regular id_fib_regular --restrict 1": "coend: unknown option --restrict",
+    "serre fib_regular extra": "serre: unexpected argument 'extra'",
+    "upsilon fib tau extra": "upsilon: unexpected argument 'extra'",
 }
 
 
@@ -222,22 +289,6 @@ def test_bad_command_lines_give_one_json_line():
         assert proc.stdout.count("\n") == 1, command
         assert json.loads(proc.stdout) == {"error": error,
                                            "status": "validation-failed"}, command
-
-
-def test_catalog_matches_bundled_corpus(bundle):
-    """The hand-built catalog carries the same data as the JSON corpus."""
-    for name, spec in catalog.all_categories().items():
-        loaded = bundle.category(name)
-        for attr in ("simples", "unit", "dual", "fusion", "_f"):
-            assert getattr(spec, attr) == getattr(loaded, attr), (name, attr)
-        assert spec.field.min_poly == loaded.field.min_poly, name
-    module, _, forgetful = catalog.vec_over_vec_z2(catalog.vec_z2_triv())
-    loaded = bundle.module("vec_over_vec_z2")
-    for attr in ("simples", "action", "_l", "unit_scalars"):
-        assert getattr(module, attr) == getattr(loaded, attr), attr
-    loaded = bundle.functor("forgetful")
-    assert forgetful.on_simples == loaded.on_simples
-    assert forgetful.c_symbols == loaded.c_symbols
 
 
 def test_suite_pristine_exit_zero(bundle):
@@ -340,7 +391,7 @@ def test_main_suite_exit_codes(tmp_path, capsys):
 def test_right_orientation_module_round_trip(tmp_path):
     """Opposite-module data survives a JSON round trip and revalidates."""
     from fractions import Fraction
-    from modend.catalog import fib
+    from helpers import fib
     from modend.modcat import opposite_module, regular_module, validate_module
 
     spec = fib()

@@ -3,11 +3,10 @@ import zlib
 
 import pytest
 
-from helpers import sample_pairs
+from helpers import (all_categories, fib, ising, one_simple_category, sample_pairs,
+                     vec_z2_omega, vec_z2_triv, vec_z4)
 
 from modend import endengine as ee
-from modend.catalog import (all_categories, fib, ising, one_simple_category,
-                            vec_z2_omega, vec_z2_triv, vec_z4)
 from modend.common import NotATensorSubcategory
 from modend.modcat import ModuleCategorySpec, regular_module, validate_module
 from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,

@@ -6,10 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import gauge_category
+from helpers import all_categories, fib, gauge_category, ising, vec_z2_omega, vec_z2_triv, vec_z4
 from modend import blocks, cli
 from modend.blocks import BaseTables
-from modend.catalog import all_categories, fib, ising, vec_z2_omega, vec_z2_triv, vec_z4
 from modend.common import InconsistentRigidity, UnknownLabel
 from modend.fusioncat import (FusionCategorySpec, compute_duality, hom_dim,
                               tensor_decompose, validate_fusion)

@@ -1,6 +1,7 @@
 import pytest
 
-from modend.catalog import all_categories, fib, ising, vec_z2_triv, vec_z4, vec_over_vec_z2
+from helpers import all_categories, fib, ising, vec_z2_triv, vec_z4, vec_over_vec_z2
+
 from modend.common import NotATensorSubcategory
 from modend.modcat import (ModuleCategorySpec, internal_hom, opposite_module,
                            regular_module, restrict_module, validate_module)

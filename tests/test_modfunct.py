@@ -1,6 +1,7 @@
 import pytest
 
-from modend.catalog import all_categories, fib, vec_z2_omega, vec_z2_triv, vec_over_vec_z2
+from helpers import all_categories, fib, vec_z2_omega, vec_z2_triv, vec_over_vec_z2
+
 from modend.common import SourceTargetMismatch
 from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,
                              identity_functor, validate_functor)
@@ -122,7 +123,7 @@ def test_source_target_mismatch():
 
 
 def test_composition_associative_up_to_invertible_natural_element():
-    from modend.catalog import ising
+    from helpers import ising
     from modend.theorems import nat_m_dim
     spec = ising()
     reg = regular_module(spec)

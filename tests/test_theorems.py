@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from helpers import gauge_category, gauge_functor, gauge_module
+from helpers import (all_categories, fib, gauge_category, gauge_functor, gauge_module, ising,
+                     vec_z2_omega, vec_z2_triv, vec_over_vec_z2)
 
-from modend.catalog import all_categories, fib, ising, vec_z2_omega, vec_z2_triv, vec_over_vec_z2
 from modend.common import OracleMismatch, SerreCertificateFailure, UpsilonMismatch
 from modend.fusioncat import validate_fusion
 from modend.modcat import internal_hom, regular_module, validate_module
@@ -242,7 +242,7 @@ def test_functoriality_basis_images_under_gauge():
 
 def coset_module_over_z4():
     """Group-theoretical module for the subgroup {0, 2} of Z/4."""
-    from modend.catalog import vec_z4
+    from helpers import vec_z4
     from modend.modcat import ModuleCategorySpec
     c = vec_z4()
     add = lambda g, cc: "c0" if (int(g) + int(cc[1])) % 2 == 0 else "c1"
@@ -292,7 +292,7 @@ def test_coset_module_theorems():
 
 def test_twisted_one_simple_module_theorems():
     """The cochain-twisted one-simple module still satisfies every theorem."""
-    from modend.catalog import vec_z2_triv, vec_over_vec_z2
+    from helpers import vec_z2_triv, vec_over_vec_z2
     from modend.modcat import ModuleCategorySpec
     from modend.modfunct import ModuleFunctorSpec
     from modend.scalarfield import Matrix
@@ -320,7 +320,7 @@ def test_twisted_one_simple_module_theorems():
 
 def test_restricted_ising_module_theorems():
     """Restriction to the pointed part decomposes the regular module."""
-    from modend.catalog import ising
+    from helpers import ising
     from modend.modcat import restrict_module
 
     spec = ising()
@@ -334,7 +334,7 @@ def test_restricted_ising_module_theorems():
 
 
 def test_multiplicity_two_carrier_nat():
-    from modend.catalog import ising
+    from helpers import ising
     from modend.modfunct import compose_functors
     spec = ising()
     reg = regular_module(spec)
