@@ -241,27 +241,43 @@ def _validate_gate(bundle: InstanceBundle):
             raise ValidationError(f"{rep.subject}: {rep.entries[0]}")
 
 
-# usage line of ``main``: the names each command takes, then the flags it
-# accepts with the arguments each flag takes
-USAGE = {"validate": ((), {}), "suite": ((), {}),
-         "nat": (("F", "G"), {"--oracle": (), "--both": ()}),
-         "end": ((), {"--hom": ("F", "G"), "--restrict": ("LABELS",), "--ordinary": ()}),
-         "coend": ((), {"--hom": ("F", "G")}),
-         "serre": (("M",), {}), "character": (("M", "U"), {}), "upsilon": (("C", "X"), {}),
-         "adjshift": (("C", "Y"), {}), "homsuite": (("M",), {})}
+# usage line of each command: the names it takes, the flags it accepts with the
+# arguments each flag takes, and the flags it requires
+USAGE = {"validate": ((), {}, ()),
+         "nat": (("F", "G"), {"--oracle": (), "--both": ()}, ()),
+         "end": ((), {"--hom": ("F", "G"), "--restrict": ("LABELS",), "--ordinary": ()},
+                 ("--hom",)),
+         "coend": ((), {"--hom": ("F", "G")}, ("--hom",)),
+         "serre": (("M",), {}, ()), "character": (("M", "U"), {}, ()),
+         "upsilon": (("C", "X"), {}, ()), "adjshift": (("C", "Y"), {}, ()),
+         "homsuite": (("M",), {}, ()), "suite": ((), {}, ())}
 # flags of one ``[a|b]`` group share a slot: at most one of them is given
 FLAG_SLOT = {"--both": "--oracle", "--ordinary": "--restrict"}
 ARGUMENT_KINDS = {"F": "functor", "G": "functor", "U": "functor", "M": "module",
                   "C": "category"}
 
 
+def usage_line(op: str) -> str:
+    """``op``'s usage line: names, required flags, then one ``[a|b]`` per optional slot."""
+    names, flags, required = USAGE[op]
+    words, groups = [op, *names], {}
+    for flag, args in flags.items():
+        form = " ".join((flag, *args))
+        if flag in required:
+            words.append(form)
+        else:
+            groups.setdefault(FLAG_SLOT.get(flag, flag), []).append(form)
+    return " ".join(words + [f"[{'|'.join(forms)}]" for forms in groups.values()])
+
+
 def _check_arguments(op: str, args: list) -> tuple:
     """Split ``args`` by the usage line of ``op`` into named arguments and flags.
 
     Raises ParseError naming the first token that does not fit the usage
-    line, or else the first argument that is missing.
+    line, or else the first argument that is missing, or else the first
+    required flag that is missing.
     """
-    wanted, flags = USAGE[op]
+    wanted, flags, required = USAGE[op]
     tokens, positional = iter(args), iter(wanted)
     values, seen = {}, {}
     for token in tokens:
@@ -287,7 +303,11 @@ def _check_arguments(op: str, args: list) -> tuple:
     missing = next(positional, None)
     if missing is not None:
         raise ParseError(f"{op}: missing argument {missing}")
-    return values, set(seen.values())
+    given = set(seen.values())
+    for flag in required:
+        if flag not in given:
+            raise ParseError(f"{op}: missing option {flag}")
+    return values, given
 
 
 def _argument(bundle: InstanceBundle, op: str, values: dict, arg: str):
@@ -326,8 +346,6 @@ def run(command, bundle: InstanceBundle) -> Report:
             payload["oracle_agrees"] = bool(res.oracle_agrees)
         return Report(command, digests, "ok", payload)
     if op in ("end", "coend"):
-        if "--hom" not in flags:
-            raise UnknownCommand(f"{op} requires --hom F G")
         f, g = (_argument(bundle, op, values, arg) for arg in ("F", "G"))
         if op == "coend":
             sys_ = endengine.build_hom_coend_system(f, g)
@@ -355,14 +373,12 @@ def run(command, bundle: InstanceBundle) -> Report:
                       {"object": dict(zip(mod.base.simples, vec))})
     if op == "upsilon":
         cat = _argument(bundle, op, values, "C")
-        reg = bundle.module(f"{values['C']}_regular")
-        vec = theorems.upsilon_regular(cat, values["X"], reg)
+        vec = theorems.upsilon_regular(cat, values["X"])
         return Report(command, digests, "ok",
                       {"object": dict(zip(cat.simples, vec))})
     if op == "adjshift":
         cat = _argument(bundle, op, values, "C")
-        reg = bundle.module(f"{values['C']}_regular")
-        res = theorems.adjoint_shift_check(cat, values["Y"], reg)
+        res = theorems.adjoint_shift_check(cat, values["Y"])
         status = "ok" if res.ok else "certificate-failed"
         return Report(command, digests, status,
                       {"equal": res.ok,
@@ -504,10 +520,7 @@ def main(argv=None) -> int:
     parser.add_argument("--instances", "-i", action="append", metavar="FILE",
                         help="instance file, repeatable (default: the bundled corpus)")
     parser.add_argument("command", nargs=argparse.REMAINDER,
-                        help="validate | nat F G [--oracle|--both] | "
-                             "end --hom F G [--restrict LABELS|--ordinary] | "
-                             "coend --hom F G | serre M | character M U | "
-                             "upsilon C X | adjshift C Y | homsuite M | suite")
+                        help=" | ".join(usage_line(op) for op in USAGE))
     ns = parser.parse_args(argv)
     paths = ns.instances if ns.instances else bundled_instance_paths()
     if not ns.command:

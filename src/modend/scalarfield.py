@@ -1,22 +1,36 @@
 """Exact arithmetic in a number field Q[x]/(p(x)) and exact linear algebra over it.
 
-Scalars are represented by their coefficient vectors in the power basis
-``1, theta, ..., theta^(d-1)`` of ``Q[x]/(p(x))``, with ``p`` monic of degree
-``d``.  Irreducibility of ``p`` is a trust assumption on instance files: it is
-never verified up front, and a reducible modulus surfaces lazily as
-:class:`ZeroDivisorDetected` when an inversion hits a nontrivial gcd.
+A scalar is stored as integer coefficients over one positive common
+denominator, ``(n_0 + n_1 theta + ... + n_(d-1) theta^(d-1)) / den``, in the
+power basis of ``Q[x]/(p(x))`` with ``p`` monic of degree ``d`` (the
+``nf_elem`` layout; Cohen, *A Course in Computational Algebraic Number
+Theory*, GTM 138).  The form is canonical: ``gcd(den, n_0, ..., n_(d-1)) = 1``
+and zero is ``(0, ..., 0) / 1``, so equality, hashing and truth compare
+integers only.  A product accumulates the integer product polynomial and folds
+``theta^d .. theta^(2d-2)`` back with the field's reduction rows, which are
+integers over one denominator ``R`` (``R = 1`` whenever ``p`` has integer
+coefficients); one gcd then normalises the result.  Irreducibility of ``p`` is
+a trust assumption on instance files: it is never verified up front, and a
+reducible modulus surfaces lazily as :class:`ZeroDivisorDetected` when an
+inversion hits a nontrivial gcd.
 
-All linear algebra is dense and fraction-exact.  Echelon pivoting is
-deterministic (leftmost nonzero column, first nonzero row from the top), so
-every reported basis is reproducible across runs.  Nullspace vectors follow the
-standard free-variable convention: the free coordinate is set to 1 and pivot
+Matrices are stored dense.  Elimination works on row lists and touches only
+the pivot row's nonzero columns, both when it scales the pivot row and when it
+clears the pivot column from the other rows.  Echelon pivoting is
+deterministic (leftmost nonzero column, first nonzero row from the top), and
+the reduced row echelon form is unique, so every reported basis is
+reproducible across runs.  Nullspace vectors follow the standard
+free-variable convention: the free coordinate is set to 1 and pivot
 coordinates are solved, e.g. ``[[1, 1], [2, 2]]`` yields the basis vector
-``(-1, 1)``.
+``(-1, 1)``.  A monomial matrix (exactly one nonzero entry in every row and
+every column: 1x1 blocks, permutations, diagonals) is inverted entry by entry;
+any other square matrix is inverted by eliminating ``[A | I]``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -50,7 +64,7 @@ def as_fraction(value) -> Fraction:
 class FieldSpec:
     """The number field Q[x]/(p(x)) with ``p`` given constant-first."""
 
-    __slots__ = ("min_poly", "degree", "_reductions", "zero", "one", "_rat_cache")
+    __slots__ = ("min_poly", "degree", "_red_rows", "_red_den", "zero", "one", "_rat_cache")
 
     def __init__(self, min_poly: Sequence):
         coeffs = tuple(as_fraction(c) for c in min_poly)
@@ -62,17 +76,20 @@ class FieldSpec:
         d = len(coeffs) - 1
         self.degree = d
         # theta^k for k = d .. 2d-2, reduced to the power basis
-        reductions = []
         head = tuple(-c for c in coeffs[:-1])  # theta^d
-        reductions.append(head)
+        reductions = [head]
         for _ in range(d - 2):
             prev = reductions[-1]
             shifted = (Fraction(0),) + prev[:-1]
             top = prev[-1]
             reductions.append(tuple(s + top * h for s, h in zip(shifted, head)))
-        self._reductions = tuple(reductions)
-        self.zero = FieldElement(self, (Fraction(0),) * d)
-        self.one = FieldElement(self, (Fraction(1),) + (Fraction(0),) * (d - 1))
+        # the same rows as integers over one denominator, nonzero entries only
+        den = lcm(*(c.denominator for row in reductions for c in row))
+        self._red_den = den
+        self._red_rows = tuple(tuple((i, (c * den).numerator) for i, c in enumerate(row) if c)
+                               for row in reductions)
+        self.zero = FieldElement(self, (0,) * d, 1)
+        self.one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
         self._rat_cache = {}
 
     def __eq__(self, other):
@@ -85,16 +102,16 @@ class FieldSpec:
         return f"FieldSpec({[str(c) for c in self.min_poly]})"
 
     def element(self, coeffs: Iterable) -> FieldElement:
-        vec = tuple(as_fraction(c) for c in coeffs)
+        vec = [as_fraction(c) for c in coeffs]
         if len(vec) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients, got {len(vec)}")
-        return FieldElement(self, vec)
+        return _from_fractions(self, vec)
 
     def rational(self, value) -> FieldElement:
         q = as_fraction(value)
         cached = self._rat_cache.get(q)
         if cached is None:
-            cached = FieldElement(self, (q,) + (Fraction(0),) * (self.degree - 1))
+            cached = FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
             self._rat_cache[q] = cached
         return cached
 
@@ -102,93 +119,114 @@ class FieldSpec:
         """The class of x, i.e. the generator theta."""
         if self.degree == 1:
             return self.rational(-self.min_poly[0])
-        vec = [Fraction(0)] * self.degree
-        vec[1] = Fraction(1)
-        return FieldElement(self, tuple(vec))
-
-    def _reduce(self, coeffs: list) -> tuple:
-        """Reduce a coefficient list of length <= 2d-1 modulo p."""
-        d = self.degree
-        for k in range(len(coeffs) - 1, d - 1, -1):
-            top = coeffs[k]
-            if top:
-                red = self._reductions[k - d]
-                for i, r in enumerate(red):
-                    if r:
-                        coeffs[i] += top * r
-            coeffs.pop()
-        while len(coeffs) < d:
-            coeffs.append(Fraction(0))
-        return tuple(coeffs)
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
 
 class FieldElement:
-    """An element of a :class:`FieldSpec`, fully reduced modulo p."""
+    """An element of a :class:`FieldSpec`: the integers ``num`` over ``den``.
 
-    __slots__ = ("field", "coeffs", "_hash")
+    Built only inside this module, always in canonical form (``den > 0`` and
+    ``gcd(den, *num) == 1``).
+    """
 
-    def __init__(self, field: FieldSpec, coeffs: tuple):
+    __slots__ = ("field", "num", "den", "_hash")
+
+    def __init__(self, field: FieldSpec, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as exact rationals."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     def _check(self, other: "FieldElement"):
         if self.field is not other.field and self.field != other.field:
             raise DimensionMismatch("elements of different fields")
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den and self.field == other.field
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.coeffs)
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     def __add__(self, other):
         self._check(other)
-        if self.field.degree == 1:
-            return FieldElement(self.field, (self.coeffs[0] + other.coeffs[0],))
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if len(a) == 1:
+            if da == db:
+                n, d = a[0] + b[0], da
+            else:
+                n, d = a[0] * db + b[0] * da, da * db
+            g = gcd(n, d)
+            return FieldElement(self.field, (n // g,), d // g)
+        if da == db:
+            return _normalized(self.field, [x + y for x, y in zip(a, b)], da)
+        return _normalized(self.field, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     def __sub__(self, other):
         self._check(other)
-        if self.field.degree == 1:
-            return FieldElement(self.field, (self.coeffs[0] - other.coeffs[0],))
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, da, b, db = self.num, self.den, other.num, other.den
+        if len(a) == 1:
+            if da == db:
+                n, d = a[0] - b[0], da
+            else:
+                n, d = a[0] * db - b[0] * da, da * db
+            g = gcd(n, d)
+            return FieldElement(self.field, (n // g,), d // g)
+        if da == db:
+            return _normalized(self.field, [x - y for x, y in zip(a, b)], da)
+        return _normalized(self.field, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other):
         self._check(other)
-        one = self.field.one
+        field = self.field
+        one = field.one
         if self is one:
             return other
         if other is one:
             return self
-        a, b = self.coeffs, other.coeffs
-        d = self.field.degree
+        a, b = self.num, other.num
+        d = len(a)
         if d == 1:
-            return FieldElement(self.field, (a[0] * b[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
+            n, den = a[0] * b[0], self.den * other.den
+            g = gcd(n, den)
+            return FieldElement(field, (n // g,), den // g)
+        prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        return FieldElement(self.field, self.field._reduce(prod))
+        # fold theta^d .. theta^(2d-2) back: R * P_i + sum_k P_(d+k) * r_(k,i), over R
+        red = field._red_den
+        low = prod[:d] if red == 1 else [red * p for p in prod[:d]]
+        for top, row in zip(prod[d:], field._red_rows):
+            if top:
+                for i, r in row:
+                    low[i] += top * r
+        return _normalized(field, low, self.den * other.den * red)
 
     def inverse(self) -> "FieldElement":
         if not self:
             raise DivisionByZero("inverse of zero")
-        d = self.field.degree
-        if d == 1:
-            return FieldElement(self.field, (1 / self.coeffs[0],))
+        num, den = self.num, self.den
+        if not any(num[1:]):
+            sign = 1 if num[0] > 0 else -1
+            return FieldElement(self.field, (sign * den,) + num[1:], sign * num[0])
         # extended Euclid for gcd(b, p) = s*b + t*p in Q[x]
         r0 = list(self.field.min_poly)
         r1 = _trim(list(self.coeffs))
@@ -201,8 +239,9 @@ class FieldElement:
             # gcd(b, p) = r0 has positive degree: p is reducible
             raise ZeroDivisorDetected("reducible min_poly detected")
         const = r1[0]
+        # deg s1 < deg p, so s1 / const is already reduced
         inv = [c / const for c in s1]
-        return FieldElement(self.field, self.field._reduce(inv + [Fraction(0)] * max(0, d - len(inv))))
+        return _from_fractions(self.field, inv + [Fraction(0)] * (len(num) - len(inv)))
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -215,6 +254,21 @@ class FieldElement:
                 suffix = names.get(i, f"*t^{i}")
                 terms.append(f"{c}{suffix}")
         return " + ".join(terms) if terms else "0"
+
+
+def _normalized(field: FieldSpec, num: list, den: int) -> FieldElement:
+    """The element ``num / den`` (``den > 0``) with the common gcd divided out."""
+    g = gcd(den, *num)
+    if g == 1:
+        return FieldElement(field, tuple(num), den)
+    return FieldElement(field, tuple(n // g for n in num), den // g)
+
+
+def _from_fractions(field: FieldSpec, coeffs: list) -> FieldElement:
+    """The element with rational power-basis coefficients ``coeffs``."""
+    den = lcm(*(c.denominator for c in coeffs))
+    # over the lcm of reduced denominators no prime divides den and every numerator
+    return FieldElement(field, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 def _trim(poly: list) -> list:
@@ -400,33 +454,34 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns ``(matrix, pivot_columns)``."""
-        m = self.copy()
+        field, nrows, ncols = self.field, self.rows, self.cols
+        flat = self.entries
+        rows = [flat[i * ncols:(i + 1) * ncols] for i in range(nrows)]
         pivots = []
         row = 0
-        for col in range(m.cols):
-            if row >= m.rows:
+        for col in range(ncols):
+            if row >= nrows:
                 break
-            sel = None
-            for r in range(row, m.rows):
-                if m[r, col]:
-                    sel = r
-                    break
+            sel = next((r for r in range(row, nrows) if rows[r][col]), None)
             if sel is None:
                 continue
-            if sel != row:
-                for j in range(m.cols):
-                    m[row, j], m[sel, j] = m[sel, j], m[row, j]
-            inv = m[row, col].inverse()
-            for j in range(col, m.cols):
-                m[row, j] = inv * m[row, j]
-            for r in range(m.rows):
-                if r != row and m[r, col]:
-                    factor = m[r, col]
-                    for j in range(col, m.cols):
-                        m[r, j] = m[r, j] - factor * m[row, j]
+            rows[row], rows[sel] = rows[sel], rows[row]
+            prow = rows[row]
+            inv = prow[col].inverse()
+            # the pivot row is zero left of col, so it acts on its support only
+            support = [j for j in range(col + 1, ncols) if prow[j]]
+            prow[col] = field.one
+            for j in support:
+                prow[j] = inv * prow[j]
+            for r, other in enumerate(rows):
+                factor = other[col]
+                if r != row and factor:
+                    other[col] = field.zero
+                    for j in support:
+                        other[j] = other[j] - factor * prow[j]
             pivots.append(col)
             row += 1
-        return m, pivots
+        return Matrix(field, nrows, ncols, [e for r in rows for e in r]), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -434,15 +489,26 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square matrix")
-        aug = Matrix.hstack(self.field, [self, Matrix.identity(self.field, self.rows)])
-        red, pivots = aug.rref()
-        if pivots != list(range(self.rows)):
+        field, n, flat = self.field, self.rows, self.entries
+        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+        # monomial: the one nonzero of row i sits in column cols[i], all distinct
+        cols = []
+        for r in rows:
+            support = [j for j, e in enumerate(r) if e]
+            if len(support) != 1:
+                break
+            cols.append(support[0])
+        if len(cols) == n and len(set(cols)) == n:
+            out = [field.zero] * (n * n)
+            for i, j in enumerate(cols):
+                out[j * n + i] = rows[i][j].inverse()
+            return Matrix(field, n, n, out)
+        zero, one = field.zero, field.one
+        aug = [e for i, r in enumerate(rows) for e in r + [one if j == i else zero for j in range(n)]]
+        red, pivots = Matrix(field, n, 2 * n, aug).rref()
+        if pivots != list(range(n)):
             raise DivisionByZero("singular matrix")
-        out = Matrix.zeros(self.field, self.rows, self.rows)
-        for i in range(self.rows):
-            for j in range(self.rows):
-                out[i, j] = red[i, self.rows + j]
-        return out
+        return Matrix(field, n, n, [red[i, n + j] for i in range(n) for j in range(n)])
 
     def nullspace(self) -> list:
         """Basis of the right kernel as column vectors, echelon-canonical."""

@@ -274,6 +274,9 @@ BAD_COMMAND_LINES = {
     "coend --hom id_fib_regular id_fib_regular --restrict 1": "coend: unknown option --restrict",
     "serre fib_regular extra": "serre: unexpected argument 'extra'",
     "upsilon fib tau extra": "upsilon: unexpected argument 'extra'",
+    "end": "end: missing option --hom",
+    "end --ordinary": "end: missing option --hom",
+    "coend": "coend: missing option --hom",
 }
 
 
@@ -289,6 +292,28 @@ def test_bad_command_lines_give_one_json_line():
         assert proc.stdout.count("\n") == 1, command
         assert json.loads(proc.stdout) == {"error": error,
                                            "status": "validation-failed"}, command
+
+
+def test_command_table_of_the_docs_is_the_usage(capsys):
+    """docs/format.md lists exactly the usage lines the parser checks and ``--help`` prints."""
+    lines = [cli.usage_line(op) for op in cli.USAGE]
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
+    table = doc.split("| command | result |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    assert [row.split("`")[1].replace("\\|", "|") for row in table.splitlines()] == lines
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert " | ".join(lines) in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", [["upsilon", "fib", "tau"], ["adjshift", "fib", "tau"]])
+def test_regular_module_probes_need_only_the_category(tmp_path, command):
+    """upsilon and adjshift build the regular module from the category alone."""
+    category_only = tmp_path / "fib.json"
+    category_only.write_text(_mutated_fib(lambda c: None, category_only=True))
+    full = cli.load([_bundled_path("fib.json")])
+    alone = cli.load([str(category_only)])
+    assert not alone.modules
+    assert cli.run(command, alone).payload["result"] == cli.run(command, full).payload["result"]
 
 
 def test_suite_pristine_exit_zero(bundle):
