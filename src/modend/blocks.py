@@ -29,7 +29,10 @@ Conventions
 * Right duals pair as ``ev(a): a* x a -> 1`` with scalar ``ev[a]``, right
   coevaluation ``coev(a): 1 -> a x a*``; left duals pair as
   ``lev(a): a x *a -> 1`` and ``lcoev(a): 1 -> *a x a``.  Flat duals of sums
-  dualize labels summand-wise and pair diagonally.
+  dualize labels summand-wise and pair diagonally.  Because both zig-zags of
+  each chirality are verified, the dual of a morphism is its matrix transpose
+  and ``(A x B)* -> B* x A*`` is monomial, with one closed-form scalar in F,
+  ``ev`` and ``lev`` per summand (``phi_r``, ``phi_l``).
 * Object constructors and the structure morphisms that depend on objects
   alone are cached on the tables object they take, for the life of that
   object; callers share the returned :class:`Obj` and :class:`Mor` values and
@@ -506,45 +509,40 @@ def rassoc(tables: RightTables, N: Obj, A: Obj, B: Obj) -> Mor:
 # duality on the base category
 
 
+def _diagonal(base: BaseTables, pairs: Obj, A: Obj, scalars) -> Matrix:
+    """Column over ``pairs`` with ``scalars[a]`` at each diagonal summand ``(ia, ia, 1)``."""
+    mat = Matrix.zeros(base.field, len(pairs), 1)
+    for ia, a in enumerate(A.labels):
+        mat[pairs.index[(ia, ia, base.unit)], 0] = scalars[a]
+    return mat
+
+
 @_memoized
 def ev_flat(base: BaseTables, A: Obj) -> Mor:
     """``A* x A -> 1`` pairing matching summands with the right-dual scalars."""
     src = ctensor(base, rdual_flat(base, A), A)
-    dst = cunit(base)
-    mat = Matrix.zeros(base.field, 1, len(src))
-    for ia, a in enumerate(A.labels):
-        mat[0, src.index[(ia, ia, base.unit)]] = base.ev[a]
-    return Mor(src, dst, mat)
+    return Mor(src, cunit(base), _diagonal(base, src, A, base.ev).transpose())
 
 
 @_memoized
 def coev_flat(base: BaseTables, A: Obj) -> Mor:
     """``1 -> A x A*``."""
     dst = ctensor(base, A, rdual_flat(base, A))
-    mat = Matrix.zeros(base.field, len(dst), 1)
-    for ia, a in enumerate(A.labels):
-        mat[dst.index[(ia, ia, base.unit)], 0] = base.coev[a]
-    return Mor(cunit(base), dst, mat)
+    return Mor(cunit(base), dst, _diagonal(base, dst, A, base.coev))
 
 
 @_memoized
 def lev_flat(base: BaseTables, A: Obj) -> Mor:
     """``A x *A -> 1``."""
     src = ctensor(base, A, ldual_flat(base, A))
-    mat = Matrix.zeros(base.field, 1, len(src))
-    for ia, a in enumerate(A.labels):
-        mat[0, src.index[(ia, ia, base.unit)]] = base.lev[a]
-    return Mor(src, cunit(base), mat)
+    return Mor(src, cunit(base), _diagonal(base, src, A, base.lev).transpose())
 
 
 @_memoized
 def lcoev_flat(base: BaseTables, A: Obj) -> Mor:
     """``1 -> *A x A``."""
     dst = ctensor(base, ldual_flat(base, A), A)
-    mat = Matrix.zeros(base.field, len(dst), 1)
-    for ia, a in enumerate(A.labels):
-        mat[dst.index[(ia, ia, base.unit)], 0] = base.lcoev[a]
-    return Mor(cunit(base), dst, mat)
+    return Mor(cunit(base), dst, _diagonal(base, dst, A, base.lcoev))
 
 
 def eps_flat(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
@@ -584,81 +582,45 @@ def lcoev_insert(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
 
 
 def rdual_mor(base: BaseTables, g: Mor) -> Mor:
-    """Right-dual transpose ``g*: B* -> A*`` of ``g: A -> B``."""
-    reg = base.regular()
-    A, B = g.src, g.dst
-    da, db = rdual_flat(base, A), rdual_flat(base, B)
-    n0 = act_c(reg, da, cunit(base))
-    chain = runit_reg_inv(base, db)                           # B* -> B* act 1
-    chain = whisker_c(reg, db, coev_insert(reg, A, cunit(base))) * chain
-    chain = whisker_c(reg, db, act_mor(reg, g, n0)) * chain   # -> B* act (B act (A* act 1))
-    chain = eps_flat(reg, B, n0) * chain                      # -> A* act 1
-    return runit_reg(base, da) * chain
+    """Right-dual transpose ``g*: B* -> A*`` of ``g: A -> B``: the matrix transpose."""
+    return Mor(rdual_flat(base, g.dst), rdual_flat(base, g.src), g.mat.transpose())
 
 
-def ldual_mor(base: BaseTables, g: Mor) -> Mor:
-    """Left-dual transpose ``*g: *B -> *A`` of ``g: A -> B``."""
-    reg = base.regular()
-    A, B = g.src, g.dst
-    da, db = ldual_flat(base, A), ldual_flat(base, B)
-    db_obj = db
-    chain = lcoev_insert(reg, A, db_obj)                      # *B -> *A act (A act *B)
-    chain = whisker_c(reg, da, act_mor(reg, g, db_obj)) * chain
-    inner = whisker_c(reg, B, runit_reg_inv(base, db))        # B act *B -> B act (*B act 1)
-    inner = zeta_flat(reg, B, cunit(base)) * inner            # -> 1
-    chain = whisker_c(reg, da, inner) * chain                 # -> *A act 1
-    return runit_reg(base, da) * chain
+ldual_mor = rdual_mor  # the left zig-zags are the identity as well
+
+
+def _dual_tensor_iso(base: BaseTables, A1: Obj, A2: Obj, scalar: Callable) -> Mor:
+    """Monomial iso ``(A1 x A2)* -> A2* x A1*``: summand ``(ia, ib, z)`` goes to
+    ``(ib, ia, z*)`` times ``scalar(a, b, z)``, where ``a, b`` label ``A1[ia], A2[ib]``."""
+    V = ctensor(base, A1, A2)
+    src = rdual_flat(base, V)
+    dst = ctensor(base, rdual_flat(base, A2), rdual_flat(base, A1))
+    mat = Matrix.zeros(base.field, len(dst), len(src))
+    for col, (ia, ib, z) in enumerate(V.keys):
+        mat[dst.index[(ib, ia, base.dual[z])], col] = scalar(A1.labels[ia], A2.labels[ib], z)
+    return Mor(src, dst, mat)
 
 
 def phi_r(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
-    """Canonical iso ``(A1 x A2)* -> A2* x A1*`` between two right duals."""
-    reg = base.regular()
-    V = ctensor(base, A1, A2)
-    d1, d2 = rdual_flat(base, A1), rdual_flat(base, A2)
-    Da = rdual_flat(base, V)
-    Db = ctensor(base, d2, d1)
-    one = cunit(base)
-    # nested coevaluation of (Db, V): 1 -> A1 act (A2 act (A2* act (A1* act 1)))
-    co = coev_insert(reg, A1, one)
-    co = whisker_c(reg, A1, coev_insert(reg, A2, act_c(reg, d1, one))) * co
-    chain = runit_reg_inv(base, Da)
-    chain = whisker_c(reg, Da, co) * chain
-    # evaluate Da against A1 x A2 after reassociating the bracketing
-    n_tail = act_c(reg, d2, act_c(reg, d1, one))
-    refuse = whisker_c(reg, Da, assoc_inv(reg, A1, A2, n_tail))
-    chain = eps_flat(reg, V, n_tail) * (refuse * chain)
-    chain = assoc_inv(reg, d2, d1, one) * chain
-    return runit_reg(base, Db) * chain
+    """Canonical iso ``(A1 x A2)* -> A2* x A1*`` between two right duals.
 
-
-def nu_left(base: BaseTables, X: str) -> Mor:
-    """Canonical scalar iso from ``X`` (paired with X* by ev/coev) to ``*(X*)``."""
-    reg = base.regular()
-    sx = _simple(base, X)
-    sxd = _simple(base, base.dual[X])
-    one = cunit(base)
-    pair1 = eps_flat(reg, sx, one) * whisker_c(reg, sxd, runit_reg_inv(base, sx))
-    return runit_reg(base, sx) * whisker_c(reg, sx, pair1) * lcoev_insert(reg, sxd, sx)
+    At ``z in a x b``: ``F(b,b*,a*; a*; 1,z*) ev[z] / (F(a,b,z*; 1; z,a*) lev[z*])``.
+    """
+    F, d, one = base._f_entry, base.dual, base.unit
+    return _dual_tensor_iso(base, A1, A2, lambda a, b, z: (
+        F(b, d[b], d[a], d[a], one, d[z]) * base.ev[z]
+        / (F(a, b, d[z], one, z, d[a]) * base.lev[d[z]])))
 
 
 def phi_l(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
-    """Canonical iso ``*(A1 x A2) -> *A2 x *A1`` between two left duals."""
-    reg = base.regular()
-    V = ctensor(base, A1, A2)
-    d1, d2 = ldual_flat(base, A1), ldual_flat(base, A2)
-    La = ldual_flat(base, V)
-    Lb = ctensor(base, d2, d1)
-    one = cunit(base)
-    # insert the nested left coevaluations of (Lb, V) around La:
-    # La -> *A2 act (A2 act La) -> *A2 act (*A1 act (A1 act (A2 act La)))
-    chain = lcoev_insert(reg, A2, La)
-    chain = whisker_c(reg, d2, lcoev_insert(reg, A1, act_c(reg, A2, La))) * chain
-    # pair V off against La with the flat left evaluation
-    f3 = zeta_flat(reg, V, one) * whisker_c(reg, V, runit_reg_inv(base, La)) \
-        * assoc_inv(reg, A1, A2, La)
-    chain = whisker_c(reg, d2, whisker_c(reg, d1, f3)) * chain
-    chain = assoc_inv(reg, d2, d1, one) * chain
-    return runit_reg(base, Lb) * chain
+    """Canonical iso ``*(A1 x A2) -> *A2 x *A1`` between two left duals.
+
+    At ``z in a x b``: ``F(b*,b,z*; z*; 1,a*) F(a*,a,a*; a*; 1,1) lev[z] / F(a,b,z*; 1; z,a*)``.
+    """
+    F, d, one = base._f_entry, base.dual, base.unit
+    return _dual_tensor_iso(base, A1, A2, lambda a, b, z: (
+        F(d[b], b, d[z], d[z], one, d[a]) * F(d[a], a, d[a], d[a], one, one) * base.lev[z]
+        / F(a, b, d[z], one, z, d[a])))
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,10 @@ def _load_functor(name: str, data: dict, bundle: InstanceBundle) -> ModuleFuncto
         return fun
     if kind == "act_right":
         cat = bundle.category(data["category"])
-        reg = bundle.module(f"{data['category']}_regular")
+        reg = bundle.modules.get(f"{data['category']}_regular")
+        if reg is None:
+            raise ParseError(f"functor {name!r}: act_right needs the module "
+                             f"'{data['category']}_regular'")
         fun = act_right_functor(cat, data["label"], reg)
         fun.name = name
         return fun
@@ -418,9 +421,11 @@ def run_suite(bundle: InstanceBundle):
     for name, mod in bundle.modules.items():
         rep = theorems.hom_lemma_suite(mod)
         record(f"homsuite::{name}", rep.ok)
+    identities = {}
     for cname, cat in bundle.categories.items():
-        reg = bundle.module(f"{cname}_regular")
-        idf = bundle.functor(f"id_{cname}_regular")
+        reg = regular_module(cat)
+        idf = identities[cname] = identity_functor(reg)
+        rmul = {y: act_right_functor(cat, y, reg) for y in cat.simples}
         try:
             res = theorems.nat_m_dim(idf, idf, "both")
             record(f"nat-both::{cname}::id,id", res.dim == 1)
@@ -428,8 +433,7 @@ def run_suite(bundle: InstanceBundle):
             record(f"nat-both::{cname}::id,id", False, str(exc))
         for y in cat.simples:
             for z in cat.simples:
-                fy = bundle.functor(f"rmul_{cname}_{y}")
-                fz = bundle.functor(f"rmul_{cname}_{z}")
+                fy, fz = rmul[y], rmul[z]
                 try:
                     res = theorems.nat_m_dim(fy, fz, "both")
                     record(f"nat-both::{cname}::{y},{z}",
@@ -469,7 +473,7 @@ def run_suite(bundle: InstanceBundle):
         except SerreCertificateFailure as exc:
             record("serre::vec_over_vec_z2", False, str(exc))
     if "vec_z4" in bundle.categories:
-        idf = bundle.functor("id_vec_z4_regular")
+        idf = identities["vec_z4"]
         sys_full = endengine.build_nat_system(idf, idf)
         d_c = endengine.solve_end(sys_full).dim
         d_d = endengine.solve_end(endengine.restrict_conditions(sys_full, ["0", "2"])).dim
@@ -483,7 +487,7 @@ def run_suite(bundle: InstanceBundle):
         record("restriction-monotone-coend::vec_z4", c_c <= c_d <= c_v,
                f"{c_c} <= {c_d} <= {c_v}")
     if "vec_z2_triv" in bundle.categories:
-        idf = bundle.functor("id_vec_z2_triv_regular")
+        idf = identities["vec_z2_triv"]
         sys_full = endengine.build_nat_system(idf, idf)
         full = endengine.solve_end(sys_full).dim
         vec_only = endengine.solve_end(

@@ -409,15 +409,19 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     ``f`` and ``g`` must land in the regular module of the base; restricted to
     the label ``p`` (``restrict_carrier``) the system computes
     ``dim Hom(p, end object)`` of the internal-character end.  The
-    pre-balancing is assembled from the functor coherences, the left-dual
-    coherence iso of the base, and the dual transpose of ``c``.
+    pre-balancing is assembled from the functor coherences, ``phi_l`` and the
+    dual transpose of ``c``.
     """
     if f.src is not g.src:
         raise SourceTargetMismatch("functors must share their source")
     base = f.src.base
-    base.duality()
     bt = base.tables
     reg = bt.regular()
+    for h in (f, g):
+        if h.dst.tables is not reg:
+            raise SourceTargetMismatch(
+                f"functor {h.name!r} must land in the regular module of the base")
+    base.duality()
     mt = f.src.tables
     ftab, gtab = f.tables, g.tables
 
@@ -450,11 +454,10 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
             d = blocks.c_mor(gtab, sx, mi)                 # G(A) -> X x G(m_i)
             st1 = blocks.whisker_c(reg, lfa, d)
             regroup = blocks.assoc_inv(reg, lfa, sx, gmi)
-            tau = blocks.phi_l(bt, sxd, fa).inverse() \
-                * blocks.whisker_c(reg, lfa, blocks.nu_left(bt, X))
+            tau = blocks.act_mor(reg, blocks.phi_l(bt, sxd, fa).inverse(), gmi)
             cf = blocks.c_mor(ftab, sxd, A)                # F(X* act A) -> X* x F(A)
             st4 = blocks.act_mor(reg, blocks.ldual_mor(bt, cf), gmi)
-            beta_chain = st4 * blocks.act_mor(reg, tau, gmi) * regroup * st1
+            beta_chain = st4 * tau * regroup * st1
             rhs = _decomposition_sum(bt, A, lambda q, p_q, i_q: beta_chain
                                      * blocks.ctensor_mor(bt, blocks.ldual_mor(
                                          bt, blocks.f_mor(ftab, p_q)), blocks.f_mor(gtab, i_q)))
@@ -498,10 +501,9 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
             ghat = blocks.unit_l(mt, su) \
                 * blocks.act_mor(mt, blocks.rdual_mor(bt, blocks.lcoev_flat(bt, sx)), su)
             gamma1 = blocks.whisker_c(mt, rd_uh_u, ghat)
-            # opposite-module associativity, underlying morphism
-            mu = blocks.act_mor(mt, blocks.phi_r(bt, sxd, sx).inverse(), su) \
-                * blocks.assoc_inv(mt, sxd, sx, su)
-            s1 = blocks.whisker_c(mt, rd_uh_u, mu.inverse())
+            # inverse of the opposite-module associativity, underlying morphism
+            s1 = blocks.whisker_c(mt, rd_uh_u, blocks.assoc(mt, sxd, sx, su)
+                                  * blocks.act_mor(mt, blocks.phi_r(bt, sxd, sx), su))
             # the pre-balancing of the Serre coend
             U0 = blocks.act_c(mt, sx, su)
             gb = blocks.rdual_mor(bt, blocks.uhom_left_tensor_iso(mt, X, mi, su)).inverse() \

@@ -52,6 +52,10 @@ MALFORMED = {
         0, c["fusion"][0][:2])),
     "four-element-fusion-triple": _mutated_fib(lambda c: c["fusion"].append(
         ["tau", "tau", "tau", "1"]), category_only=True),
+    "act-right-without-regular": json.dumps({
+        "categories": json.loads(_mutated_fib(lambda c: None))["categories"],
+        "functors": {"rmul_fib_tau": {"type": "act_right", "category": "fib",
+                                      "label": "tau"}}}),
 }
 
 
@@ -71,6 +75,9 @@ def test_parse_error(tmp_path, capsys):
         assert report["status"] == "validation-failed", case
         if case.endswith("fusion-triple"):
             assert report["error"].startswith("category 'fib': ValueError"), report
+        if case == "act-right-without-regular":
+            assert report["error"] == ("functor 'rmul_fib_tau': act_right needs the "
+                                       "module 'fib_regular'"), report
 
 
 def _bundled_path(basename):
@@ -314,6 +321,34 @@ def test_regular_module_probes_need_only_the_category(tmp_path, command):
     alone = cli.load([str(category_only)])
     assert not alone.modules
     assert cli.run(command, alone).payload["result"] == cli.run(command, full).payload["result"]
+
+
+def test_suite_needs_only_the_categories(tmp_path, capsys):
+    """suite builds each category's regular module, identity and right multiplications."""
+    category_only = tmp_path / "fib.json"
+    category_only.write_text(_mutated_fib(lambda c: None, category_only=True))
+    assert cli.main(["-i", str(category_only), "suite"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    full = cli.run(["suite"], cli.load([_bundled_path("fib.json")])).payload["result"]
+    assert report["result"] == {k: v for k, v in full.items()
+                                if not k.startswith(("validate::module", "validate::functor", "homsuite::"))}
+
+
+def test_character_of_a_functor_off_the_regular_module(tmp_path, capsys):
+    """A character functor that does not land in the base's regular module is refused."""
+    ident = tmp_path / "ident.json"
+    ident.write_text(json.dumps({"functors": {"id_m": {"type": "identity",
+                                                       "module": "vec_over_vec_z2"}}}))
+    files = [_bundled_path("vec_z2_triv.json"), _bundled_path("vec_over_vec_z2.json"),
+             str(ident)]
+    code = cli.main([arg for path in files for arg in ("-i", path)]
+                    + ["character", "vec_over_vec_z2", "id_m"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "status": "validation-failed",
+        "error": "functor 'id_m' must land in the regular module of the base"}
 
 
 def test_suite_pristine_exit_zero(bundle):
