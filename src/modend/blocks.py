@@ -191,6 +191,7 @@ class ModuleTables:
         self._lblock_cache = {}
         self._cache = {}
         self._memo = {}
+        self._axioms = {}
 
     def act_set(self, X: str, i: str) -> tuple:
         return self._act.get((X, i), ())
@@ -639,6 +640,10 @@ class FunctorTables:
         self._c_block_fn = c_block_fn
         self._cache = {}
         self._memo = {}
+        self._c_entries = {}
+        # source simple -> ((target simple, multiplicity), ...) in dst.simples order
+        self.images = {i: tuple((k, mult[(i, k)]) for k in dst.simples if mult.get((i, k)))
+                       for i in src.simples}
 
     def mult(self, i: str, k: str) -> int:
         return self._mult.get((i, k), 0)
@@ -847,6 +852,58 @@ def c_assoc(base: BaseTables, A: Obj, B: Obj, C: Obj) -> Mor:
 # sets.  ``L(X,Y,i; j,z,t)`` is the entry of ``l_block(X, Y, i, t)`` at row
 # ``j``, column ``z``; ``F(a,b,c; d; e,f)`` that of ``f_block(a, b, c, d)``
 # at row ``f``, column ``e``.
+#
+# Each axiom is swept once per tables object: ``l_block_failures`` and
+# ``left_pentagon_failures`` run it over every tuple of simples and keep the
+# failures in ``tables._axioms``, apart from ``_memo``, whose values are
+# objects owned by one loaded bundle (an empty tuple is shared by all).  The
+# regular module's L-blocks are the F-blocks, so a regular module shares its
+# category's sweeps: the validator of either reads what the other computed.
+
+
+def l_block_failures(tables: ModuleTables) -> tuple:
+    """Every ``(kind, (X, Y, i, t))`` whose L-block is not invertible, in ``simples`` order.
+
+    ``kind`` is ``not-square`` or ``singular``.  For the regular module these
+    are the F-blocks ``f_block(X, Y, i, t)``.
+    """
+    out = tables._axioms.get("l-blocks")
+    if out is None:
+        out = []
+        for X in tables.base.simples:
+            for Y in tables.base.simples:
+                for i in tables.simples:
+                    # totals of a row or a column path; any other block is 0 x 0
+                    totals = {t for z in tables.base.fuse(X, Y) for t in tables.act_set(z, i)}
+                    totals.update(t for j in tables.act_set(Y, i) for t in tables.act_set(X, j))
+                    for t in (t for t in tables.simples if t in totals):
+                        _, _, blk = tables.l_block(X, Y, i, t)
+                        if blk.rows != blk.cols:
+                            out.append(("not-square", (X, Y, i, t)))
+                        elif blk.rows:
+                            try:
+                                blk.inverse()
+                            except ArithmeticError:
+                                out.append(("singular", (X, Y, i, t)))
+        out = tables._axioms["l-blocks"] = tuple(out)
+    return out
+
+
+def left_pentagon_failures(tables: ModuleTables) -> tuple:
+    """Every ``(X, Y, Z, i)`` where ``left_pentagon_holds`` fails, in ``simples`` order.
+
+    The entry is keyed by the predicate this module holds at call time, so a
+    replacement predicate is evaluated afresh rather than read from the cache.
+    """
+    holds = left_pentagon_holds
+    key = ("pentagon", holds)
+    out = tables._axioms.get(key)
+    if out is None:
+        simples = tables.base.simples
+        out = tables._axioms[key] = tuple(
+            (X, Y, Z, i) for X in simples for Y in simples for Z in simples
+            for i in tables.simples if not holds(tables, X, Y, Z, i))
+    return out
 
 
 def left_pentagon_holds(tables: ModuleTables, X: str, Y: str, Z: str, i: str) -> bool:
@@ -920,17 +977,23 @@ def right_unit_holds(tables: RightTables, i: str, X: str) -> bool:
                for t in tables.ract_set(i, X))
 
 
-@_memoized
-def _c_positions(ft: FunctorTables, X: str, i: str) -> tuple:
-    """Row and column positions in ``c_block(X, i)`` of each basis triple."""
-    return ({key: r for r, key in enumerate(c_rows(ft, X, i))},
-            {key: c for c, key in enumerate(c_cols(ft, X, i))})
+def _c_entries(ft: FunctorTables, X: str, i: str) -> dict:
+    """Nonzero entries of ``c_{X, m_i}``, keyed by row + column triple.
 
-
-def _c_symbol(ft: FunctorTables, X: str, i: str, row: tuple, col: tuple):
-    """Entry of ``c_{X, m_i}`` at row ``(k, copy, t)`` and column ``(t_src, k, copy)``."""
-    rows, cols = _c_positions(ft, X, i)
-    return ft.c_block(X, i)[rows[row], cols[col]]
+    A row is ``(k, copy, t)`` and a column ``(t_src, k, copy)``, as in
+    :func:`c_rows` and :func:`c_cols`.
+    """
+    key = (X, i)
+    out = ft._c_entries.get(key)
+    if out is None:
+        blk, cols = ft.c_block(X, i), c_cols(ft, X, i)
+        out = ft._c_entries[key] = {}
+        for r, row in enumerate(c_rows(ft, X, i)):
+            for c, col in enumerate(cols):
+                val = blk[r, c]
+                if val:
+                    out[row + col] = val
+    return out
 
 
 def functor_unit_holds(ft: FunctorTables, i: str) -> bool:
@@ -939,15 +1002,14 @@ def functor_unit_holds(ft: FunctorTables, i: str) -> bool:
     For copies ``a, b`` of ``m_k`` in ``F(m_i)``:
     ``lambda'_k c(1,i)[(k,a,k), (i,k,b)] = lambda_i`` if ``a == b``, else 0.
     """
-    unit, zero = ft.src.base.unit, ft.field.zero
+    zero = ft.field.zero
     scalar = ft.src.unit_scalar(i)
-    for k in ft.dst.simples:
-        n = ft.mult(i, k)
+    c_1i = _c_entries(ft, ft.src.base.unit, i)
+    for k, n in ft.images[i]:
         lam = ft.dst.unit_scalar(k)
         for a in range(n):
             for b in range(n):
-                lhs = lam * _c_symbol(ft, unit, i, (k, a, k), (i, k, b))
-                if lhs != (scalar if a == b else zero):
+                if lam * c_1i.get((k, a, k, i, k, b), zero) != (scalar if a == b else zero):
                     return False
     return True
 
@@ -961,33 +1023,38 @@ def functor_coherence_holds(ft: FunctorTables, X: str, Y: str, i: str) -> bool:
     ``sum_{j, e} c(Y,i)[(k,a,l), (j,l,e)] c(X,j)[(l,e,t), (s,t,b)] L(X,Y,i; j,z,s)
     = L'(X,Y,k; l,z,t) c(z,i)[(k,a,t), (s,t,b)]``, the sum over ``j in Y act m_i``
     and copies ``e`` of ``m_l`` in ``F(m_j)``; ``L`` and ``L'`` are the source
-    and target L-symbols.
+    and target L-symbols.  Only admissible paths are walked.
     """
-    src, dst = ft.src, ft.dst
+    src, dst, mult = ft.src, ft.dst, ft._mult
     Ls, Ld, zero = src._l_entry, dst._l_entry, ft.field.zero
-    xy = src.base.fuse(X, Y)
+    targets = [(k, a, l) for k, n in ft.images[i] for a in range(n)
+               for l in dst.act_set(Y, k)]
+    if not targets:
+        return True
     y_i = src.act_set(Y, i)
-    for t in dst.simples:
-        cols = [(z, s, b) for z in xy for s in src.act_set(z, i)
-                for b in range(ft.mult(s, t))]
-        if not cols:
-            continue
-        for k in dst.simples:
-            for a in range(ft.mult(i, k)):
-                for l in dst.act_set(Y, k):
+    c_yi = _c_entries(ft, Y, i)
+    for z in src.base.fuse(X, Y):
+        c_zi = _c_entries(ft, z, i)
+        for s in src.act_set(z, i):
+            steps = []      # (j, L(X,Y,i; j,z,s), c(X,j)) with a nonzero L-symbol
+            for j in y_i:
+                sval = Ls(X, Y, i, j, z, s)
+                if sval:
+                    steps.append((j, sval, _c_entries(ft, X, j)))
+            for t, n in ft.images[s]:
+                for k, a, l in targets:
                     if not dst.n(X, l, t):
                         continue
-                    for z, s, b in cols:
+                    lval = Ld(X, Y, k, l, z, t)
+                    for b in range(n):
                         lhs = zero
-                        for j in y_i:
-                            lval = Ls(X, Y, i, j, z, s)
-                            if not lval:
-                                continue
-                            for e in range(ft.mult(j, l)):
-                                lhs = lhs + _c_symbol(ft, Y, i, (k, a, l), (j, l, e)) \
-                                    * _c_symbol(ft, X, j, (l, e, t), (s, t, b)) * lval
-                        lval = Ld(X, Y, k, l, z, t)
-                        rhs = lval * _c_symbol(ft, z, i, (k, a, t), (s, t, b)) if lval else zero
+                        for j, sval, c_xj in steps:
+                            for e in range(mult.get((j, l), 0)):
+                                cy = c_yi.get((k, a, l, j, l, e))
+                                cx = c_xj.get((l, e, t, s, t, b)) if cy else None
+                                if cx:
+                                    lhs = lhs + cy * cx * sval
+                        rhs = lval * c_zi.get((k, a, t, s, t, b), zero) if lval else zero
                         if lhs != rhs:
                             return False
     return True

@@ -159,32 +159,15 @@ def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
         a, b, c, d, e, f = key
         if spec.unit in (a, b, c) and val != spec.field.one:
             report.add("unit-leg-f", key, "unit-leg F-symbols must be 1")
-    tables = spec.tables
-    for a in simples:
-        for b in simples:
-            for c in simples:
-                totals = set()
-                for e in spec._fuse_map[(a, b)]:
-                    totals.update(spec._fuse_map[(e, c)])
-                for t in totals:
-                    f_list, e_list, mat = tables.f_block(a, b, c, t)
-                    if len(f_list) != len(e_list):
-                        report.add("f-block-not-square", (a, b, c, t))
-                        continue
-                    try:
-                        mat.inverse()
-                    except ArithmeticError:
-                        report.add("f-block-singular", (a, b, c, t))
+    # F-blocks and pentagon, via the regular module, whose sweeps a regular
+    # module of this category shares
+    reg = spec.tables.regular()
+    for kind, loc in blocks.l_block_failures(reg):
+        report.add(f"f-block-{kind}", loc)
     if not report.ok:
         return report
-    # pentagon, via the regular module
-    reg = tables.regular()
-    for a in simples:
-        for b in simples:
-            for c in simples:
-                for m in simples:
-                    if not blocks.left_pentagon_holds(reg, a, b, c, m):
-                        report.add("pentagon", (a, b, c, m))
+    for loc in blocks.left_pentagon_failures(reg):
+        report.add("pentagon", loc)
     return report
 
 

@@ -138,23 +138,12 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
         return report
     tables = spec.tables
     if spec.orientation == "left":
-        for X in base.simples:
-            for Y in base.simples:
-                for i in spec.simples:
-                    for t in spec.simples:
-                        _, _, blk = tables.l_block(X, Y, i, t)
-                        if blk.rows != blk.cols:
-                            report.add("l-block-not-square", (X, Y, i, t))
-                        elif blk.rows and blk.rank() < blk.rows:
-                            report.add("l-block-singular", (X, Y, i, t))
+        for kind, loc in blocks.l_block_failures(tables):
+            report.add(f"l-block-{kind}", loc)
         if not report.ok:
             return report
-        for X in base.simples:
-            for Y in base.simples:
-                for Z in base.simples:
-                    for i in spec.simples:
-                        if not blocks.left_pentagon_holds(tables, X, Y, Z, i):
-                            report.add("mixed-pentagon", (X, Y, Z, i))
+        for loc in blocks.left_pentagon_failures(tables):
+            report.add("mixed-pentagon", loc)
         for X in base.simples:
             for i in spec.simples:
                 if not blocks.left_unit_holds(tables, X, i):

@@ -11,9 +11,11 @@ and all reported dimensions must be invariant.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import random
+from pathlib import Path
 
 from modend import cli
 from modend.fusioncat import FusionCategorySpec
@@ -23,6 +25,15 @@ from modend.scalarfield import FieldSpec, Matrix
 
 # bundled categories in the order seeded samplers draw them
 CORPUS = ("vec_z2_triv", "vec_z2_omega", "vec_z4", "fib", "ising")
+
+
+def bench_gen():
+    """The benchmark's generator of gauged Vec_{Z/n}^omega instances, ``bench/gen.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _instance_path(name: str) -> str:

@@ -12,14 +12,12 @@ opposite modules built on either must agree matrix for matrix.
 
 from __future__ import annotations
 
-import importlib.util
 import random
 import zlib
-from pathlib import Path
 
 import pytest
 
-from helpers import CORPUS, all_categories, gauge_category, vec_over_vec_z2
+from helpers import CORPUS, all_categories, bench_gen, gauge_category, vec_over_vec_z2
 from modend import blocks, cli, endengine
 from modend.blocks import Mor, Obj, _simple, cunit
 from modend.modcat import opposite_module, regular_module
@@ -111,21 +109,13 @@ REFERENCE = {"rdual_mor": ref_rdual_mor, "ldual_mor": ref_ldual_mor,
 # subjects: the corpus, two gauged copies of each category, generated Z/n
 
 
-def _bench_gen():
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _categories() -> dict:
     out = all_categories()
     for name in CORPUS:
         rng = random.Random(zlib.crc32(name.encode()))
         for copy in (1, 2):
             out[f"{name}~gauged{copy}"] = gauge_category(out[name], rng)[0]
-    gen = _bench_gen()
+    gen = bench_gen()
     for n in (4, 6):
         name = f"zn{n}"
         out[name] = cli._load_category(name, gen.instance(n, 1)["categories"][name])

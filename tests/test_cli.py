@@ -265,6 +265,32 @@ def test_restrict_error_is_deterministic():
     assert outs == {'{"error":"not fusion-closed at (1,1)","status":"validation-failed"}\n'}
 
 
+def _singular_fib_blocks(cat):
+    """Zero every ``F[tau,tau,tau; tau]`` entry and ``F[tau,tau,tau; 1; tau,tau]``."""
+    cat["f_symbols"] = [e for e in cat["f_symbols"] if e["key"][:4] != ["tau"] * 4]
+    cat["f_symbols"] += [{"key": ["tau"] * 4 + [e, f], "value": "0"}
+                         for e in ("1", "tau") for f in ("1", "tau")]
+    cat["f_symbols"].append({"key": ["tau", "tau", "tau", "1", "tau", "tau"], "value": "0"})
+
+
+def test_validation_entries_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two singular F-blocks of one triple are reported in ``simples`` order
+    under every hash seed, by ``validate`` and by the gate of other commands."""
+    path = tmp_path / "fib.json"
+    path.write_text(_mutated_fib(_singular_fib_blocks, category_only=True))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for command in (["validate"], ["upsilon", "fib", "tau"]):
+        cmd = [sys.executable, "-m", "modend", "-i", str(path), *command]
+        outs = {subprocess.run(cmd, capture_output=True, text=True, check=False,
+                               env={**os.environ, "PYTHONPATH": src,
+                                    "PYTHONHASHSEED": str(seed)}).stdout
+                for seed in (1, 2)}
+        assert len(outs) == 1, command
+        out = outs.pop()
+        first = out.index("f-block-singular at")
+        assert out.startswith("f-block-singular at (tau, tau, tau, 1)", first), out
+
+
 BAD_COMMAND_LINES = {
     "serre": "serre: missing argument M",
     "homsuite": "homsuite: missing argument M",

@@ -1,12 +1,11 @@
-import importlib.util
 import json
 import random
 import zlib
-from pathlib import Path
 
 import pytest
 
-from helpers import all_categories, fib, gauge_category, ising, vec_z2_omega, vec_z2_triv, vec_z4
+from helpers import (all_categories, bench_gen, fib, gauge_category, ising, vec_z2_omega,
+                     vec_z2_triv, vec_z4)
 from modend import blocks, cli
 from modend.blocks import BaseTables
 from modend.common import InconsistentRigidity, UnknownLabel
@@ -187,14 +186,6 @@ def test_coev_tensor_prod_identity():
                 assert nested == moved2, (spec.name, a, b)
 
 
-def _load_bench_gen():
-    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def solve_zigzag_scalars(spec: FusionCategorySpec, left: bool) -> dict:
     """Reference oracle: solve the first zig-zag for the evaluation scalars.
 
@@ -267,7 +258,7 @@ def _oracle_subjects(tmp_path):
     for name, spec in CATS.items():
         subjects[f"{name}~gauged"] = gauge_category(
             spec, random.Random(zlib.crc32(name.encode())))[0]
-    gen = _load_bench_gen()
+    gen = bench_gen()
     for n in (4, 6):
         path = tmp_path / f"zn{n}.json"
         path.write_text(json.dumps(gen.instance(n, 1)))

@@ -8,8 +8,10 @@ place of the symbol-level predicates, and requires the same
 ``(check, location)`` entries in the same order.
 """
 
+import functools
 import random
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -145,7 +147,9 @@ def _validate_both_ways(validate, subject, monkeypatch):
     got = _entries(validate(subject))
     with monkeypatch.context() as patch:
         for name, checker in REFERENCE.items():
-            patch.setattr(blocks, name, checker)
+            # a new function object per call: the sweeps cached on the tables
+            # are keyed by the predicate, so every reference run evaluates
+            patch.setattr(blocks, name, functools.partial(checker))
         want = _entries(validate(subject))
     assert got == want, subject
     return got
@@ -204,6 +208,27 @@ SUBJECTS = _subjects()
 def test_valid_subject_matches_reference(name, monkeypatch):
     validate, subject = SUBJECTS[name]
     assert _validate_both_ways(validate, subject, monkeypatch) == []
+
+
+def test_pentagon_sweep_is_shared_by_a_category_and_its_regular_module(monkeypatch):
+    """Each pentagon tuple is evaluated once per predicate and tables object:
+    the regular module reads the sweep its category made, and a replacement
+    predicate gets a sweep of its own instead of the cached one."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    cat, reg = bundle.category("fib"), bundle.module("fib_regular")
+    reports = (_entries(validate_fusion(cat)), _entries(validate_module(reg)))
+    calls = Counter()
+    holds = blocks.left_pentagon_holds
+
+    def counting(tables, *labels):
+        calls[id(tables), labels] += 1
+        return holds(tables, *labels)
+
+    monkeypatch.setattr(blocks, "left_pentagon_holds", counting)
+    assert (_entries(validate_fusion(cat)), _entries(validate_module(reg))) == reports
+    simples = cat.simples
+    assert calls == Counter({(id(reg.tables), (X, Y, Z, i)): 1 for X in simples
+                             for Y in simples for Z in simples for i in simples})
 
 
 def test_composite_functor_has_multiplicity_two():

@@ -1,10 +1,13 @@
 """The shared block-calculus kernel: identity fast paths and per-tables caches."""
 
+import json
 import random
 
 import pytest
 
+from helpers import bench_gen
 from modend import blocks, cli
+from modend.modcat import ModuleCategorySpec, validate_module
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
 Q = FieldSpec([0, 1])          # Q[x]/(x): plain rationals
@@ -125,3 +128,38 @@ def test_caches_live_with_the_loaded_bundle():
         blocks.uhom_obj(bundle.module("fib_regular").tables,
                         blocks.simple_obj("tau"), blocks.simple_obj("tau"))
     assert not _cached_values(first) & _cached_values(second)
+
+
+def _zn4(tmp_path):
+    path = tmp_path / "zn4.json"
+    path.write_text(json.dumps(bench_gen().instance(4, 1)))
+    return cli.load([str(path)])
+
+
+def test_gate_sweeps_each_pentagon_once(tmp_path, monkeypatch):
+    """The category and its regular module share one pentagon sweep: 4**4 calls, not twice that."""
+    bundle = _zn4(tmp_path)
+    holds, calls = blocks.left_pentagon_holds, []
+
+    def counting(*args):
+        calls.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(blocks, "left_pentagon_holds", counting)
+    assert all(rep.ok for rep in bundle.validate_all())
+    assert len(calls) == 4 ** 4
+
+
+def test_sweeps_stay_with_their_tables(tmp_path):
+    """A mutated copy of a validated regular module is swept on its own tables."""
+    reg = _zn4(tmp_path).module("zn4_regular")
+    assert validate_module(reg).ok
+    unit = reg.base.unit
+    key = next(k for k in sorted(reg._l) if unit not in (k[0], k[1]))
+    l_symbols = dict(reg._l)
+    l_symbols[key] = l_symbols[key] * reg.field.rational(2)
+    mutant = ModuleCategorySpec(base=reg.base, simples=reg.simples, action=reg.action,
+                                l_symbols=l_symbols, unit_scalars=reg.unit_scalars,
+                                name=reg.name)
+    assert "mixed-pentagon" in {e.check for e in validate_module(mutant).entries}
+    assert validate_module(reg).ok
