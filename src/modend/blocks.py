@@ -1,10 +1,12 @@
 """Block-matrix calculus for skeletal semisimple module categories.
 
-Duality, internal homs and the end engine reduce to finite compositions of
-structure morphisms between direct sums of simple objects.  This module fixes
-one concrete additive skeleton and provides those compositions as exact
-matrices.  The validators do not compose morphisms: the coherence predicates
-at the end of this module evaluate each axiom on the symbol tables.
+The end engine's probe builders reduce to finite compositions of structure
+morphisms between direct sums of simple objects.  This module fixes one
+concrete additive skeleton and provides those compositions as exact
+matrices; the builders and ``modfunct.act_right_functor`` are their only
+callers.  Everything else reads symbols: the validators (the predicates at
+the end of this module), the duality checks, opposite modules and
+composite functors are products of F-, L- and c-symbols and duality scalars.
 
 Conventions
 -----------
@@ -22,8 +24,9 @@ Conventions
   at simple slots ``(a, b, p)`` with target ``t`` is the L-matrix
   ``rows j in b act p, cols z in a x b``.
 * The base acting on itself is the regular module (``BaseTables.regular``),
-  whose L-symbols are the F-symbols: ``ctensor``, ``ctensor_mor`` and
-  ``c_assoc`` are its ``act_c``, ``act_mor``/``whisker_c`` and ``assoc``.
+  whose L-symbols are the F-symbols: ``ctensor`` and ``ctensor_mor`` are its
+  ``act_c`` and ``act_mor``/``whisker_c``, and its ``assoc`` is the base's
+  associator.
 * The unit constraints of the base are the canonical projections (scalar 1);
   module unit maps carry the module's unit scalars.
 * Right duals pair as ``ev(a): a* x a -> 1`` with scalar ``ev[a]``, right
@@ -45,7 +48,7 @@ import functools
 from types import MappingProxyType
 from typing import Callable, Sequence
 
-from .scalarfield import DimensionMismatch, FieldSpec, Matrix
+from .scalarfield import DimensionMismatch, FieldSpec, Matrix, ZeroDivisorDetected
 
 
 class Obj:
@@ -96,20 +99,11 @@ class Mor:
         self.dst = dst
         self.mat = mat
 
-    @classmethod
-    def identity(cls, field: FieldSpec, obj: Obj) -> "Mor":
-        return cls(obj, obj, Matrix.identity(field, len(obj)))
-
     def __mul__(self, other: "Mor") -> "Mor":
         """Composition ``self after other``."""
         if other.dst is not self.src and other.dst != self.src:
             raise DimensionMismatch("composition mismatch")
         return Mor(other.src, self.dst, self.mat * other.mat)
-
-    def __add__(self, other: "Mor") -> "Mor":
-        if self.src != other.src or self.dst != other.dst:
-            raise DimensionMismatch("sum of morphisms with different ends")
-        return Mor(self.src, self.dst, self.mat + other.mat)
 
     def __sub__(self, other: "Mor") -> "Mor":
         if self.src != other.src or self.dst != other.dst:
@@ -322,17 +316,6 @@ def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
 
 
 @_memoized
-def ract_c(tables: RightTables, N: Obj, A: Obj) -> Obj:
-    labels, keys = [], []
-    for ip, p in enumerate(N.labels):
-        for ia, a in enumerate(A.labels):
-            for t in tables.ract_set(p, a):
-                labels.append(t)
-                keys.append((ip, ia, t))
-    return Obj(tuple(labels), tuple(keys))
-
-
-@_memoized
 def rdual_flat(base: BaseTables, A: Obj) -> Obj:
     return Obj(tuple(base.dual[a] for a in A.labels), A.keys)
 
@@ -460,53 +443,6 @@ def runit_reg_inv(base: BaseTables, A: Obj) -> Mor:
 
 
 # ---------------------------------------------------------------------------
-# structural morphisms of a right module
-
-
-def ract_mor(tables: RightTables, N: Obj, g: Mor) -> Mor:
-    """``id_N ract g``."""
-    src = ract_c(tables, N, g.src)
-    dst = ract_c(tables, N, g.dst)
-    mat = Matrix.zeros(tables.field, len(dst), len(src))
-    for ib in range(len(g.dst)):
-        for ia in range(len(g.src)):
-            val = g.mat[ib, ia]
-            if not val:
-                continue
-            a = g.src.labels[ia]
-            for ip, p in enumerate(N.labels):
-                for t in tables.ract_set(p, a):
-                    mat[dst.index[(ip, ib, t)], src.index[(ip, ia, t)]] = val
-    return Mor(src, dst, mat)
-
-
-def rassoc(tables: RightTables, N: Obj, A: Obj, B: Obj) -> Mor:
-    """``N ract (A x B) -> (N ract A) ract B``."""
-    ab = ctensor(tables.base, A, B)
-    src = ract_c(tables, N, ab)
-    inner = ract_c(tables, N, A)
-    dst = ract_c(tables, inner, B)
-    mat = Matrix.zeros(tables.field, len(dst), len(src))
-    for ip, p in enumerate(N.labels):
-        for ia, a in enumerate(A.labels):
-            for ib, b in enumerate(B.labels):
-                targets = set()
-                for z in tables.base.fuse(a, b):
-                    targets.update(tables.ract_set(p, z))
-                for t in targets:
-                    j_list, z_list, blk = tables.rl_block(p, a, b, t)
-                    for r, j in enumerate(j_list):
-                        for c, z in enumerate(z_list):
-                            val = blk[r, c]
-                            if not val:
-                                continue
-                            sp = src.index[(ip, ab.index[(ia, ib, z)], t)]
-                            dp = dst.index[(inner.index[(ip, ia, j)], ib, t)]
-                            mat[dp, sp] = val
-    return Mor(src, dst, mat)
-
-
-# ---------------------------------------------------------------------------
 # duality on the base category
 
 
@@ -564,24 +500,6 @@ def zeta_flat(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
     return step3 * step2 * step1
 
 
-def coev_insert(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
-    """``N -> A act (A* act N)`` via the right coevaluation."""
-    da = rdual_flat(tables.base, A)
-    step1 = unit_l_inv(tables, N)
-    step2 = act_mor(tables, coev_flat(tables.base, A), N)
-    step3 = assoc(tables, A, da, N)
-    return step3 * step2 * step1
-
-
-def lcoev_insert(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
-    """``N -> *A act (A act N)`` via the left coevaluation."""
-    da = ldual_flat(tables.base, A)
-    step1 = unit_l_inv(tables, N)
-    step2 = act_mor(tables, lcoev_flat(tables.base, A), N)
-    step3 = assoc(tables, da, A, N)
-    return step3 * step2 * step1
-
-
 def rdual_mor(base: BaseTables, g: Mor) -> Mor:
     """Right-dual transpose ``g*: B* -> A*`` of ``g: A -> B``: the matrix transpose."""
     return Mor(rdual_flat(base, g.dst), rdual_flat(base, g.src), g.mat.transpose())
@@ -602,26 +520,55 @@ def _dual_tensor_iso(base: BaseTables, A1: Obj, A2: Obj, scalar: Callable) -> Mo
     return Mor(src, dst, mat)
 
 
-def phi_r(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
-    """Canonical iso ``(A1 x A2)* -> A2* x A1*`` between two right duals.
+def phi_r_scalar(base: BaseTables, a: str, b: str, z: str):
+    """Scalar of ``phi_r`` at ``z in a x b``.
 
-    At ``z in a x b``: ``F(b,b*,a*; a*; 1,z*) ev[z] / (F(a,b,z*; 1; z,a*) lev[z*])``.
+    ``F(b,b*,a*; a*; 1,z*) ev[z] / (F(a,b,z*; 1; z,a*) lev[z*])``.
     """
     F, d, one = base._f_entry, base.dual, base.unit
-    return _dual_tensor_iso(base, A1, A2, lambda a, b, z: (
-        F(b, d[b], d[a], d[a], one, d[z]) * base.ev[z]
-        / (F(a, b, d[z], one, z, d[a]) * base.lev[d[z]])))
+    return (F(b, d[b], d[a], d[a], one, d[z]) * base.ev[z]
+            / (F(a, b, d[z], one, z, d[a]) * base.lev[d[z]]))
+
+
+def phi_l_scalar(base: BaseTables, a: str, b: str, z: str):
+    """Scalar of ``phi_l`` at ``z in a x b``.
+
+    ``F(b*,b,z*; z*; 1,a*) F(a*,a,a*; a*; 1,1) lev[z] / F(a,b,z*; 1; z,a*)``.
+    """
+    F, d, one = base._f_entry, base.dual, base.unit
+    return (F(d[b], b, d[z], d[z], one, d[a]) * F(d[a], a, d[a], d[a], one, one) * base.lev[z]
+            / F(a, b, d[z], one, z, d[a]))
+
+
+def phi_r(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
+    """Canonical iso ``(A1 x A2)* -> A2* x A1*`` between two right duals (``phi_r_scalar``)."""
+    return _dual_tensor_iso(base, A1, A2, functools.partial(phi_r_scalar, base))
 
 
 def phi_l(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
-    """Canonical iso ``*(A1 x A2) -> *A2 x *A1`` between two left duals.
+    """Canonical iso ``*(A1 x A2) -> *A2 x *A1`` between two left duals (``phi_l_scalar``)."""
+    return _dual_tensor_iso(base, A1, A2, functools.partial(phi_l_scalar, base))
 
-    At ``z in a x b``: ``F(b*,b,z*; z*; 1,a*) F(a*,a,a*; a*; 1,1) lev[z] / F(a,b,z*; 1; z,a*)``.
-    """
-    F, d, one = base._f_entry, base.dual, base.unit
-    return _dual_tensor_iso(base, A1, A2, lambda a, b, z: (
-        F(d[b], b, d[z], d[z], one, d[a]) * F(d[a], a, d[a], d[a], one, one) * base.lev[z]
-        / F(a, b, d[z], one, z, d[a])))
+
+def f_inverse_entry(base: BaseTables, a: str, b: str, c: str, t: str, e: str, f: str):
+    """``Finv(a,b,c; t; e,f)``: the inverse of ``f_block(a, b, c, t)`` at row
+    ``e in a x b``, column ``f in b x c``."""
+    f_list, e_list, mat = base.f_block(a, b, c, t)
+    return mat.inverse()[e_list.index(e), f_list.index(f)]
+
+
+def nested_lev_scalar(base: BaseTables, a: str, b: str, z: str):
+    """Entry at ``z in a x b`` of the left evaluation of ``a x b`` nested from
+    those of ``a`` and ``b`` through ``phi_l``:
+    ``phi_l(a,b; z) F(a,b,z*; 1; z,a*) lev[a] lev[b] Finv(b,b*,a*; a*; 1,z*)``."""
+    d, one = base.dual, base.unit
+    return (phi_l_scalar(base, a, b, z) * base._f_entry(a, b, d[z], one, z, d[a])
+            * base.lev[a] * base.lev[b] * f_inverse_entry(base, b, d[b], d[a], d[a], one, d[z]))
+
+
+def lev_tensor_holds(base: BaseTables, a: str, b: str) -> bool:
+    """``lev[z]`` is the nested left evaluation at every ``z in a x b``."""
+    return all(base.lev[z] == nested_lev_scalar(base, a, b, z) for z in base.fuse(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -836,12 +783,6 @@ def ctensor_mor(base: BaseTables, g: Mor, h: Mor) -> Mor:
     return act_mor(reg, g, h.dst) * whisker_c(reg, g.src, h)
 
 
-@_memoized
-def c_assoc(base: BaseTables, A: Obj, B: Obj, C: Obj) -> Mor:
-    """``(A x B) x C -> A x (B x C)``: the regular module's associator."""
-    return assoc(base.regular(), A, B, C)
-
-
 # ---------------------------------------------------------------------------
 # coherence axioms on symbols (used by the validators)
 #
@@ -861,11 +802,26 @@ def c_assoc(base: BaseTables, A: Obj, B: Obj, C: Obj) -> Mor:
 # category's sweeps: the validator of either reads what the other computed.
 
 
+def block_failure(blk: Matrix):
+    """Why an L-block is not invertible (``not-square``, ``singular``, or
+    ``zero-divisor``: only a reducible ``min_poly`` has one), else None."""
+    if blk.rows != blk.cols:
+        return "not-square"
+    if blk.rows:
+        try:
+            blk.inverse()
+        except ZeroDivisorDetected:
+            return "zero-divisor"
+        except ArithmeticError:
+            return "singular"
+    return None
+
+
 def l_block_failures(tables: ModuleTables) -> tuple:
     """Every ``(kind, (X, Y, i, t))`` whose L-block is not invertible, in ``simples`` order.
 
-    ``kind`` is ``not-square`` or ``singular``.  For the regular module these
-    are the F-blocks ``f_block(X, Y, i, t)``.
+    ``kind`` is a ``block_failure``.  For the regular module these are the
+    F-blocks ``f_block(X, Y, i, t)``.
     """
     out = tables._axioms.get("l-blocks")
     if out is None:
@@ -877,14 +833,9 @@ def l_block_failures(tables: ModuleTables) -> tuple:
                     totals = {t for z in tables.base.fuse(X, Y) for t in tables.act_set(z, i)}
                     totals.update(t for j in tables.act_set(Y, i) for t in tables.act_set(X, j))
                     for t in (t for t in tables.simples if t in totals):
-                        _, _, blk = tables.l_block(X, Y, i, t)
-                        if blk.rows != blk.cols:
-                            out.append(("not-square", (X, Y, i, t)))
-                        elif blk.rows:
-                            try:
-                                blk.inverse()
-                            except ArithmeticError:
-                                out.append(("singular", (X, Y, i, t)))
+                        kind = block_failure(tables.l_block(X, Y, i, t)[2])
+                        if kind:
+                            out.append((kind, (X, Y, i, t)))
         out = tables._axioms["l-blocks"] = tuple(out)
     return out
 

@@ -16,7 +16,7 @@ expected to be redundant and a dedicated builder exposes it so the property
 suite can verify that it never shrinks the solution space.
 
 The ``Hom(F(-), G(-))`` family (the end, the naturality oracle, the coend
-relations and the composite and plain-dinaturality property conditions) is
+relations, the composite and the tests' plain-dinaturality conditions) is
 assembled through one theta extension, which extends a carrier basis
 element to any object, and one condition helper, which evaluates a
 generator's equation on each extended basis element; the coend reads its
@@ -311,13 +311,6 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
                                - eps_dst * blocks.whisker_c(dst_t, Wd, dW * theta(WM)) * cW)
         out.append(Condition(generator=(f"{X}*{Y}", i), matrix=mat))
     return out
-
-
-def plain_dinaturality_condition(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
-                                 carrier, h: Mor) -> Matrix:
-    """Ordinary dinaturality along ``h: A -> B``: G(h) theta_A = theta_B F(h)."""
-    fh, gh = blocks.f_mor(f.tables, h), blocks.f_mor(g.tables, h)
-    return _theta_condition(f, g, carrier, lambda theta: gh * theta(h.src) - theta(h.dst) * fh)
 
 
 def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:

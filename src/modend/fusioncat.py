@@ -17,12 +17,13 @@ block's inverse.  Both zig-zags are then verified exactly for each chirality.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import blocks
-from .blocks import BaseTables, Mor, _simple, cunit
+from .blocks import BaseTables
 from .common import (InconsistentRigidity, NotATensorSubcategory, UnknownLabel,
                      ValidationReport)
 from .scalarfield import DimensionMismatch, FieldSpec, FieldElement
@@ -171,51 +172,32 @@ def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
     return report
 
 
-def _inverse_at(mat, row: int, col: int, a: str):
-    """Inverse of one matrix entry; a zero entry leaves ``a`` without a zig-zag."""
-    val = mat[row, col]
+def _inverse_at(val, a: str):
+    """Inverse of one F-symbol entry; a zero entry leaves ``a`` without a zig-zag."""
     if not val:
         raise InconsistentRigidity(f"degenerate zig-zag at {a}")
     return val.inverse()
 
 
 def compute_duality(spec: FusionCategorySpec) -> DualityData:
-    """Install the scalars (coev = 1, ev read off F) read-only; verify both zig-zags."""
-    base = spec.tables
-    reg = base.regular()
-    unit = spec.unit
-    dual_blocks = [base.f_block(a, spec.dual[a], a, a) for a in spec.simples]
-    ev = {a: _inverse_at(mat, f_list.index(unit), e_list.index(unit), a)
-          for a, (f_list, e_list, mat) in zip(spec.simples, dual_blocks)}
-    lev = {a: _inverse_at(mat.inverse(), e_list.index(unit), f_list.index(unit), a)
-           for a, (f_list, e_list, mat) in zip(spec.simples, dual_blocks)}
+    """Install the scalars (coev = 1, ev read off F) read-only; verify both zig-zags.
+
+    At a simple each zig-zag is one scalar equation in an F-symbol or an
+    entry of an inverse F-block (``blocks.f_inverse_entry``).
+    """
+    base, unit, dual, one = spec.tables, spec.unit, spec.dual, spec.field.one
+    F, Finv = base._f_entry, functools.partial(blocks.f_inverse_entry, base)
+    ev = {a: _inverse_at(F(a, dual[a], a, a, unit, unit), a) for a in spec.simples}
+    lev = {a: _inverse_at(Finv(a, dual[a], a, a, unit, unit), a) for a in spec.simples}
     base.ev, base.lev = MappingProxyType(ev), MappingProxyType(lev)
-    base.coev = base.lcoev = MappingProxyType({a: spec.field.one for a in spec.simples})
-    one_obj = cunit(base)
+    base.coev = base.lcoev = MappingProxyType(dict.fromkeys(spec.simples, one))
     for a in spec.simples:
-        sa = _simple(base, a)
-        da = blocks.rdual_flat(base, sa)
-        ident_a = Mor.identity(spec.field, sa)
-        ident_d = Mor.identity(spec.field, da)
-        zig1 = blocks.runit_reg(base, sa) \
-            * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
-            * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, blocks.runit_reg_inv(base, sa))) \
-            * blocks.coev_insert(reg, sa, sa)
-        zig2 = blocks.runit_reg(base, da) \
-            * blocks.eps_flat(reg, sa, blocks.act_c(reg, da, one_obj)) \
-            * blocks.whisker_c(reg, da, blocks.coev_insert(reg, sa, one_obj)) \
-            * blocks.runit_reg_inv(base, da)
-        if zig1 != ident_a or zig2 != ident_d:
+        d = dual[a]
+        if (base.coev[a] * F(a, d, a, a, unit, unit) * ev[a] != one
+                or base.coev[a] * Finv(d, a, d, d, unit, unit) * ev[a] != one):
             raise InconsistentRigidity(f"right zig-zags disagree at {a}")
-        lzig1 = blocks.runit_reg(base, sa) \
-            * blocks.zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
-            * blocks.whisker_c(reg, sa, blocks.lcoev_insert(reg, sa, one_obj)) \
-            * blocks.runit_reg_inv(base, sa)
-        lzig2 = blocks.runit_reg(base, da) \
-            * blocks.whisker_c(reg, da, blocks.zeta_flat(reg, sa, one_obj)
-                               * blocks.whisker_c(reg, sa, blocks.runit_reg_inv(base, da))) \
-            * blocks.lcoev_insert(reg, sa, da)
-        if lzig1 != ident_a or lzig2 != ident_d:
+        if (base.lcoev[a] * Finv(a, d, a, a, unit, unit) * lev[a] != one
+                or base.lcoev[a] * F(d, a, d, d, unit, unit) * lev[a] != one):
             raise InconsistentRigidity(f"left zig-zags disagree at {a}")
     return DualityData(ev_scalar=base.ev, coev_scalar=base.coev,
                        left_ev_scalar=base.lev, left_coev_scalar=base.lcoev)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import blocks
-from .blocks import ModuleTables, RightTables, _simple
+from .blocks import ModuleTables, RightTables
 from .common import UnknownLabel, ValidationReport
 from .fusioncat import FusionCategorySpec, tensor_subcategory
 from .scalarfield import FieldElement, Matrix
@@ -153,11 +153,9 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
             for Y in base.simples:
                 for i in spec.simples:
                     for t in spec.simples:
-                        _, _, blk = tables.rl_block(i, X, Y, t)
-                        if blk.rows != blk.cols:
-                            report.add("l-block-not-square", (X, Y, i, t))
-                        elif blk.rows and blk.rank() < blk.rows:
-                            report.add("l-block-singular", (X, Y, i, t))
+                        kind = blocks.block_failure(tables.rl_block(i, X, Y, t)[2])
+                        if kind:
+                            report.add(f"l-block-{kind}", (X, Y, i, t))
         if not report.ok:
             return report
         for X in base.simples:
@@ -187,72 +185,43 @@ def regular_module(c: FusionCategorySpec) -> ModuleCategorySpec:
 
 
 def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
-    """Opposite module category (left <-> right), dual-twisted action."""
+    """Opposite module category (left <-> right), dual-twisted action.
+
+    ``L_op(X,Y,i; j,Z,t) = Binv[Z*, j] / phi_r(X,Y; Z)``, where ``Binv`` is
+    the inverse of ``l_block(Y*, X*, i, t)`` of a left module, or of
+    ``rl_block(i, Y*, X*, t)`` of a right one.  Only nonzero values are
+    stored; the unit scalars are inverted.
+    """
     base = m.base
-    m.base.duality()  # ensure duality scalars are available
-    dual = base.dual
-    tables = m.tables
-    btab = base.tables
-    if m.orientation == "left":
-        action = [(X, i, j) for (Xd, i, j) in m.action for X in [dual[Xd]]]
-        l_symbols = {}
-        for X in base.simples:
-            for Y in base.simples:
-                sxd = _simple(btab, dual[X])
-                syd = _simple(btab, dual[Y])
-                ct = blocks.ctensor(btab, _simple(btab, X), _simple(btab, Y))
-                phir_inv = blocks.phi_r(btab, _simple(btab, X), _simple(btab, Y)).inverse()
-                for i in m.simples:
-                    mi = _simple(btab, i)
-                    mu = blocks.act_mor(tables, phir_inv, mi) \
-                        * blocks.assoc_inv(tables, syd, sxd, mi)
-                    src_o = mu.src    # Y* act (X* act m_i)
-                    dst_o = mu.dst    # (X x Y)*-flat act m_i
-                    inner = blocks.act_c(tables, sxd, mi)
-                    for jdx, Z in enumerate(ct.labels):
-                        for j in m.act_set(dual[X], i):
-                            for t in m.act_set(dual[Y], j):
-                                dpos = dst_o.index.get((jdx, 0, t))
-                                spos = src_o.index.get((0, inner.index[(0, 0, j)], t))
-                                if dpos is None or spos is None:
-                                    continue
-                                val = mu.mat[dpos, spos]
-                                if val:
-                                    l_symbols[(X, Y, i, j, Z, t)] = val
-        units = {i: m.unit_scalars[i].inverse() for i in m.simples}
-        return ModuleCategorySpec(base=base, simples=m.simples, action=action,
-                                  l_symbols=l_symbols, unit_scalars=units,
-                                  orientation="right", name=f"{m.name}_op")
-    # right -> left
-    action = [(dual[X], i, j) for (X, i, j) in m.action]
+    base.duality()  # the duality scalars phi_r reads
+    dual, tables, btab = base.dual, m.tables, base.tables
+    left = m.orientation == "left"
     l_symbols = {}
     for X in base.simples:
         for Y in base.simples:
-            sxd = _simple(btab, dual[X])
-            syd = _simple(btab, dual[Y])
-            ct = blocks.ctensor(btab, _simple(btab, X), _simple(btab, Y))
-            phir_inv = blocks.phi_r(btab, _simple(btab, X), _simple(btab, Y)).inverse()
+            # j in X* act m_i, t in Y* act m_j (left); j in m_i ract Y*, t in m_j ract X* (right)
+            first, second = (dual[X], dual[Y]) if left else (dual[Y], dual[X])
+            phi_inv = {Z: blocks.phi_r_scalar(btab, X, Y, Z).inverse() for Z in base.fuse(X, Y)}
             for i in m.simples:
-                mi = _simple(btab, i)
-                nu = blocks.ract_mor(tables, mi, phir_inv) \
-                    * blocks.rassoc(tables, mi, syd, sxd).inverse()
-                src_o = nu.src    # (m_i ract Y*) ract X*
-                dst_o = nu.dst    # m_i ract (X x Y)*-flat
-                inner = blocks.ract_c(tables, mi, syd)
-                for jdx, Z in enumerate(ct.labels):
-                    for j in m.act_set(dual[Y], i):
-                        for t in m.act_set(dual[X], j):
-                            dpos = dst_o.index.get((0, jdx, t))
-                            spos = src_o.index.get((inner.index[(0, 0, j)], 0, t))
-                            if dpos is None or spos is None:
-                                continue
-                            val = nu.mat[dpos, spos]
+                inverses = {}
+                for j in m.act_set(first, i):
+                    for t in m.act_set(second, j):
+                        if t not in inverses:
+                            j_list, z_list, blk = (tables.l_block(dual[Y], dual[X], i, t) if left
+                                                   else tables.rl_block(i, dual[Y], dual[X], t))
+                            inverses[t] = (j_list, z_list, blk.inverse())
+                        j_list, z_list, inv = inverses[t]
+                        for Z, phi_z in phi_inv.items():
+                            val = (inv[z_list.index(dual[Z]), j_list.index(j)]
+                                   if dual[Z] in z_list else None)
                             if val:
-                                l_symbols[(X, Y, i, j, Z, t)] = val
+                                l_symbols[(X, Y, i, j, Z, t)] = val * phi_z
+    action = [(dual[X], i, j) for (X, i, j) in m.action]
     units = {i: m.unit_scalars[i].inverse() for i in m.simples}
     return ModuleCategorySpec(base=base, simples=m.simples, action=action,
                               l_symbols=l_symbols, unit_scalars=units,
-                              orientation="left", name=f"{m.name}_op")
+                              orientation="right" if left else "left",
+                              name=f"{m.name}_op")
 
 
 @dataclass

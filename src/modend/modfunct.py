@@ -125,65 +125,36 @@ def act_right_functor(c: FusionCategorySpec, y: str,
 
 
 def compose_functors(g: ModuleFunctorSpec, f: ModuleFunctorSpec) -> ModuleFunctorSpec:
-    """``g after f`` with flattened multiplicity bookkeeping."""
+    """``g after f``; copy ``(k, a, b)`` of ``m_k2`` in ``G(F(m_i))`` is copy
+    ``b`` of ``m_k2`` in ``G(m_k)`` for copy ``a`` of ``m_k`` in ``F(m_i)``, so
+    ``c^GF_{X,i}[(k2,(k,a,b),t), (s,k2',(k',a',b'))]
+    = c^F_{X,i}[(k,a,k'), (s,k',a')] c^G_{X,k}[(k2,b,t), (k',k2',b')]``."""
     if f.dst is not g.src:
         raise SourceTargetMismatch("composition needs f.dst == g.src")
-    mid = f.dst
-    on_simples = {}
-    for i in f.src.simples:
-        for k2 in g.dst.simples:
-            total = sum(f.mult(i, k) * g.mult(k, k2) for k in mid.simples)
-            if total:
-                on_simples[(i, k2)] = total
+    mid, dst = f.dst, g.dst
+
+    def copies(i: str, k2: str) -> list:
+        return [(k, a, b) for k in mid.simples for a in range(f.mult(i, k))
+                for b in range(g.mult(k, k2))]
+
+    on_simples = {(i, k2): n for i in f.src.simples for k2 in dst.simples
+                  if (n := len(copies(i, k2)))}
     ftab, gtab = f.tables, g.tables
-
-    def copy_order(i: str, k2: str) -> list:
-        """Canonical flattening of the copies of ``k2`` in ``G(F(m_i))``."""
-        out = []
-        for k in mid.simples:
-            for alpha in range(f.mult(i, k)):
-                for beta in range(g.mult(k, k2)):
-                    out.append((k, alpha, beta))
-        return out
-
     c_symbols = {}
-    base = f.src.base
-    bt = base.tables
-    for X in base.simples:
-        sx = _simple(bt, X)
+    for X in f.src.base.simples:
         for i in f.src.simples:
-            mi = _simple(bt, i)
-            fmi = blocks.f_obj(ftab, mi)
-            e = blocks.c_mor(gtab, sx, fmi) \
-                * blocks.f_mor(gtab, blocks.c_mor(ftab, sx, mi))
-            # reindex the nested bases into the flattened canonical ones
-            src_inner = blocks.act_c(f.src.tables, sx, mi)      # X act m_i
-            f_of_src = blocks.f_obj(ftab, src_inner)
-            nested_src = blocks.f_obj(gtab, f_of_src)           # e.src
-            nested_dst = blocks.act_c(g.dst.tables, sx, blocks.f_obj(gtab, fmi))
-            # canonical column order: (t_src, k2, copy)
-            col_map = []
-            for ip, t_src in enumerate(src_inner.labels):
-                for k2 in g.dst.simples:
-                    for (k, alpha, beta) in copy_order(t_src, k2):
-                        apos = f_of_src.index[(ip, k, alpha)]
-                        col_map.append(nested_src.index[(apos, k2, beta)])
-            # canonical row order: (k2, copy, t)
-            gf_mi_keys = []
-            for k2 in g.dst.simples:
-                for (k, alpha, beta) in copy_order(i, k2):
-                    gf_mi_keys.append((k2, k, alpha, beta))
-            row_map = []
-            gfm = blocks.f_obj(gtab, fmi)
-            for (k2, k, alpha, beta) in gf_mi_keys:
-                inner_pos = fmi.index[(0, k, alpha)]
-                gpos = gfm.index[(inner_pos, k2, beta)]
-                for t in g.dst.act_set(X, k2):
-                    row_map.append(nested_dst.index[(0, gpos, t)])
-            mat = Matrix.zeros(f.field, len(row_map), len(col_map))
-            for r, rp in enumerate(row_map):
-                for ccol, cp in enumerate(col_map):
-                    mat[r, ccol] = e.mat[rp, cp]
+            rows = [(k2, kab, t) for k2 in dst.simples for kab in copies(i, k2)
+                    for t in dst.act_set(X, k2)]
+            cols = [(s, k2, kab) for s in f.src.act_set(X, i) for k2 in dst.simples
+                    for kab in copies(s, k2)]
+            c_f = blocks._c_entries(ftab, X, i)
+            mat = Matrix.zeros(f.field, len(rows), len(cols))
+            for r, (k2, (k, a, b), t) in enumerate(rows):
+                c_g = blocks._c_entries(gtab, X, k)
+                for c, (s, k2_, (k_, a_, b_)) in enumerate(cols):
+                    vf = c_f.get((k, a, k_, s, k_, a_))
+                    vg = c_g.get((k2, b, t, k_, k2_, b_)) if vf else None
+                    if vg:
+                        mat[r, c] = vf * vg
             c_symbols[(X, i)] = mat
-    return ModuleFunctorSpec(f.src, g.dst, on_simples, c_symbols,
-                             name=f"{g.name}*{f.name}")
+    return ModuleFunctorSpec(f.src, dst, on_simples, c_symbols, name=f"{g.name}*{f.name}")

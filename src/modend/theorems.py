@@ -84,6 +84,8 @@ def serre_functor(m: ModuleCategorySpec) -> SerreResult:
     ``dim Hom(X, uhom(m_i, m_j)*) = dim Hom(X, uhom(m_j, S(m_i)))`` is
     checked exactly.
     """
+    if m.orientation != "left":
+        raise SourceTargetMismatch(f"the Serre coend needs a left module; {m.name!r} is right")
     base = m.base
     on_simples = {}
     for i in m.simples:

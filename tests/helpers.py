@@ -1,4 +1,5 @@
-"""Shared fixtures: the bundled corpus, sampled randomness and gauge transformations.
+"""Shared fixtures: the bundled corpus, sampled randomness, gauge transformations
+and block-calculus references.
 
 The corpus categories are read from the JSON files shipped with the package,
 a fresh load per call, so tests and the command line see the same data.
@@ -17,7 +18,8 @@ import os
 import random
 from pathlib import Path
 
-from modend import cli
+from modend import blocks, cli, endengine
+from modend.blocks import Mor, Obj
 from modend.fusioncat import FusionCategorySpec
 from modend.modcat import ModuleCategorySpec, regular_module
 from modend.modfunct import ModuleFunctorSpec
@@ -209,3 +211,181 @@ def _c_cols(f, X, i):
 def sample_pairs(items, count, rng):
     """Sample ``count`` ordered pairs with replacement, deterministically."""
     return [(rng.choice(items), rng.choice(items)) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# block-calculus references: structure morphisms and composites that no
+# longer have a caller in the package, kept as oracles for the closed forms
+# that replaced them
+
+
+def identity_mor(field, obj: Obj) -> Mor:
+    return Mor(obj, obj, Matrix.identity(field, len(obj)))
+
+
+def coev_insert(tables, A: Obj, N: Obj) -> Mor:
+    """``N -> A act (A* act N)`` via the right coevaluation."""
+    da = blocks.rdual_flat(tables.base, A)
+    step1 = blocks.unit_l_inv(tables, N)
+    step2 = blocks.act_mor(tables, blocks.coev_flat(tables.base, A), N)
+    step3 = blocks.assoc(tables, A, da, N)
+    return step3 * step2 * step1
+
+
+def lcoev_insert(tables, A: Obj, N: Obj) -> Mor:
+    """``N -> *A act (A act N)`` via the left coevaluation."""
+    da = blocks.ldual_flat(tables.base, A)
+    step1 = blocks.unit_l_inv(tables, N)
+    step2 = blocks.act_mor(tables, blocks.lcoev_flat(tables.base, A), N)
+    step3 = blocks.assoc(tables, da, A, N)
+    return step3 * step2 * step1
+
+
+@blocks._memoized
+def ract_c(tables, N: Obj, A: Obj) -> Obj:
+    """``N ract A`` for a right module's tables."""
+    labels, keys = [], []
+    for ip, p in enumerate(N.labels):
+        for ia, a in enumerate(A.labels):
+            for t in tables.ract_set(p, a):
+                labels.append(t)
+                keys.append((ip, ia, t))
+    return Obj(tuple(labels), tuple(keys))
+
+
+def ract_mor(tables, N: Obj, g: Mor) -> Mor:
+    """``id_N ract g``."""
+    src = ract_c(tables, N, g.src)
+    dst = ract_c(tables, N, g.dst)
+    mat = Matrix.zeros(tables.field, len(dst), len(src))
+    for ib in range(len(g.dst)):
+        for ia in range(len(g.src)):
+            val = g.mat[ib, ia]
+            if not val:
+                continue
+            a = g.src.labels[ia]
+            for ip, p in enumerate(N.labels):
+                for t in tables.ract_set(p, a):
+                    mat[dst.index[(ip, ib, t)], src.index[(ip, ia, t)]] = val
+    return Mor(src, dst, mat)
+
+
+def rassoc(tables, N: Obj, A: Obj, B: Obj) -> Mor:
+    """``N ract (A x B) -> (N ract A) ract B``."""
+    ab = blocks.ctensor(tables.base, A, B)
+    src = ract_c(tables, N, ab)
+    inner = ract_c(tables, N, A)
+    dst = ract_c(tables, inner, B)
+    mat = Matrix.zeros(tables.field, len(dst), len(src))
+    for ip, p in enumerate(N.labels):
+        for ia, a in enumerate(A.labels):
+            for ib, b in enumerate(B.labels):
+                targets = set()
+                for z in tables.base.fuse(a, b):
+                    targets.update(tables.ract_set(p, z))
+                for t in targets:
+                    j_list, z_list, blk = tables.rl_block(p, a, b, t)
+                    for r, j in enumerate(j_list):
+                        for c, z in enumerate(z_list):
+                            val = blk[r, c]
+                            if not val:
+                                continue
+                            sp = src.index[(ip, ab.index[(ia, ib, z)], t)]
+                            dp = dst.index[(inner.index[(ip, ia, j)], ib, t)]
+                            mat[dp, sp] = val
+    return Mor(src, dst, mat)
+
+
+@blocks._memoized
+def c_assoc(base, A: Obj, B: Obj, C: Obj) -> Mor:
+    """``(A x B) x C -> A x (B x C)``: the regular module's associator."""
+    return blocks.assoc(base.regular(), A, B, C)
+
+
+def plain_dinaturality_condition(f, g, carrier, h: Mor) -> Matrix:
+    """Ordinary dinaturality along ``h: A -> B``: G(h) theta_A = theta_B F(h)."""
+    fh, gh = blocks.f_mor(f.tables, h), blocks.f_mor(g.tables, h)
+    return endengine._theta_condition(
+        f, g, carrier, lambda theta: gh * theta(h.src) - theta(h.dst) * fh)
+
+
+def nested_lev(bt, a: str, b: str) -> Mor:
+    """``a x b x *b x *a -> 1`` through the nested left evaluations and ``phi_l``.
+
+    Its one nonzero entry per ``z in a x b`` is the closed form
+    ``blocks.nested_lev_scalar``.
+    """
+    reg = bt.regular()
+    sa, sb = blocks._simple(bt, a), blocks._simple(bt, b)
+    V = blocks.ctensor(bt, sa, sb)
+    Lb = blocks.ctensor(bt, blocks.ldual_flat(bt, sb), blocks.ldual_flat(bt, sa))
+    W = blocks.ctensor(bt, V, Lb)
+    one = blocks.cunit(bt)
+    da, db = blocks.ldual_flat(bt, sa), blocks.ldual_flat(bt, sb)
+    tail = blocks.act_c(reg, db, blocks.act_c(reg, da, one))
+    chain = blocks.runit_reg_inv(bt, W)
+    chain = blocks.assoc(reg, V, Lb, one) * chain
+    chain = blocks.whisker_c(reg, V, blocks.assoc(reg, db, da, one)) * chain
+    chain = blocks.assoc(reg, sa, sb, tail) * chain
+    chain = blocks.whisker_c(reg, sa, blocks.zeta_flat(reg, sb, blocks.act_c(reg, da, one))) \
+        * chain
+    chain = blocks.zeta_flat(reg, sa, one) * chain
+    return chain * blocks.whisker_c(reg, V, blocks.phi_l(bt, sa, sb))
+
+
+def nested_lev_entries(bt, a: str, b: str) -> list:
+    """``nested_lev``'s entry at each diagonal summand ``(z, *z, 1)``, checking
+    that every other entry is 0."""
+    lev = nested_lev(bt, a, b)
+    diagonal = [lev.src.index[(iz, iz, bt.unit)] for iz in range(len(bt.fuse(a, b)))]
+    assert not any(lev.mat[0, c] for c in range(lev.mat.cols) if c not in diagonal)
+    return [lev.mat[0, c] for c in diagonal]
+
+
+def opposite_module_composite(m: ModuleCategorySpec) -> ModuleCategorySpec:
+    """``modcat.opposite_module`` as whole-object composites through ``phi_r``.
+
+    Each opposite L-symbol is read off ``(phi_r^-1 act id) m^-1`` for a left
+    module, or ``(id ract phi_r^-1) rassoc^-1`` for a right one.
+    """
+    base, btab, tables = m.base, m.base.tables, m.tables
+    base.duality()
+    dual = base.dual
+    left = m.orientation == "left"
+    l_symbols = {}
+    for X in base.simples:
+        for Y in base.simples:
+            sxd, syd = blocks._simple(btab, dual[X]), blocks._simple(btab, dual[Y])
+            ct = blocks.ctensor(btab, blocks._simple(btab, X), blocks._simple(btab, Y))
+            phir_inv = blocks.phi_r(btab, blocks._simple(btab, X),
+                                    blocks._simple(btab, Y)).inverse()
+            for i in m.simples:
+                mi = blocks._simple(btab, i)
+                if left:
+                    mu = blocks.act_mor(tables, phir_inv, mi) \
+                        * blocks.assoc_inv(tables, syd, sxd, mi)
+                    inner = blocks.act_c(tables, sxd, mi)
+                    first, second = dual[X], dual[Y]
+                else:
+                    mu = ract_mor(tables, mi, phir_inv) * rassoc(tables, mi, syd, sxd).inverse()
+                    inner = ract_c(tables, mi, syd)
+                    first, second = dual[Y], dual[X]
+                for jdx, Z in enumerate(ct.labels):
+                    for j in m.act_set(first, i):
+                        for t in m.act_set(second, j):
+                            if left:
+                                dpos = mu.dst.index.get((jdx, 0, t))
+                                spos = mu.src.index.get((0, inner.index[(0, 0, j)], t))
+                            else:
+                                dpos = mu.dst.index.get((0, jdx, t))
+                                spos = mu.src.index.get((inner.index[(0, 0, j)], 0, t))
+                            if dpos is None or spos is None:
+                                continue
+                            val = mu.mat[dpos, spos]
+                            if val:
+                                l_symbols[(X, Y, i, j, Z, t)] = val
+    action = [(dual[X], i, j) for (X, i, j) in m.action]
+    units = {i: m.unit_scalars[i].inverse() for i in m.simples}
+    return ModuleCategorySpec(base=base, simples=m.simples, action=action,
+                              l_symbols=l_symbols, unit_scalars=units,
+                              orientation="right" if left else "left", name=f"{m.name}_op")

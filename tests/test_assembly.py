@@ -6,8 +6,11 @@ only because ``compute_duality`` verifies the zig-zags, so this module keeps
 the zig-zag composites they replace as the reference: the dual transposes
 built from (co)evaluations, the tensor-product isos built from nested
 (co)evaluations, and the scalar iso ``nu_left: X -> *(X*)``.  Each closed
-form must equal its composite entry for entry, and the probe systems and
-opposite modules built on either must agree matrix for matrix.
+form must equal its composite entry for entry, and the probe systems built
+on either must agree matrix for matrix.  The nested left evaluation and the
+opposite modules are read off symbols (``blocks.nested_lev_scalar``,
+``modcat.opposite_module``); their composites in ``helpers`` are built on
+the composite duality maps and must agree entry for entry.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import zlib
 
 import pytest
 
-from helpers import CORPUS, all_categories, bench_gen, gauge_category, vec_over_vec_z2
+from helpers import (CORPUS, all_categories, bench_gen, coev_insert, gauge_category,
+                     lcoev_insert, nested_lev_entries, opposite_module_composite,
+                     vec_over_vec_z2)
 from modend import blocks, cli, endengine
 from modend.blocks import Mor, Obj, _simple, cunit
 from modend.modcat import opposite_module, regular_module
@@ -36,7 +41,7 @@ def ref_rdual_mor(base, g: Mor) -> Mor:
     da, db = blocks.rdual_flat(base, A), blocks.rdual_flat(base, B)
     n0 = blocks.act_c(reg, da, cunit(base))
     chain = blocks.runit_reg_inv(base, db)
-    chain = blocks.whisker_c(reg, db, blocks.coev_insert(reg, A, cunit(base))) * chain
+    chain = blocks.whisker_c(reg, db, coev_insert(reg, A, cunit(base))) * chain
     chain = blocks.whisker_c(reg, db, blocks.act_mor(reg, g, n0)) * chain
     chain = blocks.eps_flat(reg, B, n0) * chain
     return blocks.runit_reg(base, da) * chain
@@ -47,7 +52,7 @@ def ref_ldual_mor(base, g: Mor) -> Mor:
     reg = base.regular()
     A, B = g.src, g.dst
     da, db = blocks.ldual_flat(base, A), blocks.ldual_flat(base, B)
-    chain = blocks.lcoev_insert(reg, A, db)
+    chain = lcoev_insert(reg, A, db)
     chain = blocks.whisker_c(reg, da, blocks.act_mor(reg, g, db)) * chain
     inner = blocks.whisker_c(reg, B, blocks.runit_reg_inv(base, db))
     inner = blocks.zeta_flat(reg, B, cunit(base)) * inner
@@ -63,8 +68,8 @@ def ref_phi_r(base, A1: Obj, A2: Obj) -> Mor:
     Da = blocks.rdual_flat(base, V)
     Db = blocks.ctensor(base, d2, d1)
     one = cunit(base)
-    co = blocks.coev_insert(reg, A1, one)
-    co = blocks.whisker_c(reg, A1, blocks.coev_insert(reg, A2, blocks.act_c(reg, d1, one))) * co
+    co = coev_insert(reg, A1, one)
+    co = blocks.whisker_c(reg, A1, coev_insert(reg, A2, blocks.act_c(reg, d1, one))) * co
     chain = blocks.whisker_c(reg, Da, co) * blocks.runit_reg_inv(base, Da)
     n_tail = blocks.act_c(reg, d2, blocks.act_c(reg, d1, one))
     refuse = blocks.whisker_c(reg, Da, blocks.assoc_inv(reg, A1, A2, n_tail))
@@ -81,8 +86,8 @@ def ref_phi_l(base, A1: Obj, A2: Obj) -> Mor:
     La = blocks.ldual_flat(base, V)
     Lb = blocks.ctensor(base, d2, d1)
     one = cunit(base)
-    chain = blocks.lcoev_insert(reg, A2, La)
-    chain = blocks.whisker_c(reg, d2, blocks.lcoev_insert(reg, A1, blocks.act_c(reg, A2, La))) \
+    chain = lcoev_insert(reg, A2, La)
+    chain = blocks.whisker_c(reg, d2, lcoev_insert(reg, A1, blocks.act_c(reg, A2, La))) \
         * chain
     f3 = blocks.zeta_flat(reg, V, one) * blocks.whisker_c(reg, V, blocks.runit_reg_inv(base, La)) \
         * blocks.assoc_inv(reg, A1, A2, La)
@@ -98,7 +103,7 @@ def ref_nu_left(base, X: str) -> Mor:
     one = cunit(base)
     pair1 = blocks.eps_flat(reg, sx, one) * blocks.whisker_c(reg, sxd, blocks.runit_reg_inv(base, sx))
     return blocks.runit_reg(base, sx) * blocks.whisker_c(reg, sx, pair1) \
-        * blocks.lcoev_insert(reg, sxd, sx)
+        * lcoev_insert(reg, sxd, sx)
 
 
 REFERENCE = {"rdual_mor": ref_rdual_mor, "ldual_mor": ref_ldual_mor,
@@ -210,7 +215,11 @@ def _system(sys_) -> tuple:
             [(c.generator, c.matrix) for c in sys_.conditions])
 
 
-def _assembled(module, functor) -> dict:
+def _nested_lev_closed(bt, a, b) -> list:
+    return [blocks.nested_lev_scalar(bt, a, b, z) for z in bt.fuse(a, b)]
+
+
+def _assembled(module, functor, opposite, lev_entries) -> dict:
     base = module.base
     bt = base.tables
     out = {f"serre {i}": _system(endengine.build_serre_probe_system(module, i))
@@ -219,21 +228,22 @@ def _assembled(module, functor) -> dict:
     if module.tables is bt.regular():
         for x in base.simples:
             out[f"upsilon {x}"] = _system(endengine.build_upsilon_probe_system(module, x))
-        out["nested lev"] = [cli._nested_lev(bt, a, b).mat
-                             for a in base.simples for b in base.simples]
-    op = opposite_module(module)
-    for tag, mod in (("op", op), ("op op", opposite_module(op))):
+        out["nested lev"] = [lev_entries(bt, a, b) for a in base.simples for b in base.simples]
+    op = opposite(module)
+    for tag, mod in (("op", op), ("op op", opposite(op))):
         out[tag] = (mod.orientation, mod.action, mod.l_raw, mod.unit_scalars)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_probe_systems_match_the_composites(name, monkeypatch):
+    """The probe systems, the nested left evaluation and the opposite modules,
+    each built from its closed form and from its composite."""
     module, functor = MODULES[name]
-    closed = _assembled(module, functor)
+    closed = _assembled(module, functor, opposite_module, _nested_lev_closed)
     for attr, ref in REFERENCE.items():
         monkeypatch.setattr(blocks, attr, ref)
-    composite = _assembled(module, functor)
+    composite = _assembled(module, functor, opposite_module_composite, nested_lev_entries)
     assert closed.keys() == composite.keys()
     for key in closed:
         assert closed[key] == composite[key], key

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fib
 from modend import cli
 from modend.common import ParseError, UnknownName
+from modend.modcat import opposite_module, regular_module, validate_module
 
 
 @pytest.fixture(scope="module")
@@ -94,19 +96,47 @@ def _leaf_paths(node, path=()):
         yield path
 
 
+def _scalar_json(e):
+    """A field element as the instance format writes it."""
+    if not any(e.coeffs[1:]):
+        return str(e.coeffs[0])
+    return [str(c) for c in e.coeffs]
+
+
+def _module_entry(module, category: str) -> dict:
+    """The explicit instance-file entry of a module over the named category."""
+    return {"type": "explicit", "category": category, "orientation": module.orientation,
+            "simples": list(module.simples),
+            "action": [list(t) for t in sorted(module.action)],
+            "l_symbols": [{"key": list(k), "value": _scalar_json(v)}
+                          for k, v in sorted(module._l.items())],
+            "unit_scalars": {i: _scalar_json(module.unit_scalars[i]) for i in module.simples}}
+
+
+def _opposite_vov_doc() -> dict:
+    """A file holding the right module opposite to vec_over_vec_z2."""
+    vov = cli.load([_bundled_path("vec_z2_triv.json"), _bundled_path("vec_over_vec_z2.json")])
+    op = opposite_module(vov.module("vec_over_vec_z2"))
+    return {"modules": {op.name: _module_entry(op, "vec_z2_triv")}}
+
+
 LEAF_VALUES = (0, -1, "1/0", "x", None, [], {}, "s", "e")
 
 # file to mutate, files loaded beside it, command run on the mutated bundle
-BOUNDARY_SWEEPS = [("vec_z2_omega.json", (), ["validate"]),
-                   ("vec_over_vec_z2.json", ("vec_z2_triv.json",),
-                    ["character", "vec_over_vec_z2", "forgetful"])]
+OPPOSITE_VOV = "vec_over_vec_z2_op.json"
+BOUNDARY_SWEEPS = [
+    pytest.param("vec_z2_omega.json", (), ["validate"], id="vec_z2_omega.json"),
+    pytest.param("vec_over_vec_z2.json", ("vec_z2_triv.json",),
+                 ["character", "vec_over_vec_z2", "forgetful"], id="vec_over_vec_z2.json"),
+    *(pytest.param(OPPOSITE_VOV, ("vec_z2_triv.json",), [cmd, "vec_over_vec_z2_op"],
+                   id=f"{OPPOSITE_VOV}-{cmd}") for cmd in ("homsuite", "serre"))]
 
 
-@pytest.mark.parametrize("filename,beside,command", BOUNDARY_SWEEPS,
-                         ids=[sweep[0] for sweep in BOUNDARY_SWEEPS])
+@pytest.mark.parametrize("filename,beside,command", BOUNDARY_SWEEPS)
 def test_single_leaf_mutations_never_escape(tmp_path, capsys, filename, beside, command):
     """Every single-leaf mutation ends in one JSON line and a documented exit code."""
-    doc = json.loads(Path(_bundled_path(filename)).read_text())
+    doc = (_opposite_vov_doc() if filename == OPPOSITE_VOV
+           else json.loads(Path(_bundled_path(filename)).read_text()))
     flags = [arg for name in beside for arg in ("-i", _bundled_path(name))]
     path = tmp_path / filename
     for leaf in _leaf_paths(doc):
@@ -474,38 +504,56 @@ def test_main_suite_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_right_orientation_module_round_trip(tmp_path):
-    """Opposite-module data survives a JSON round trip and revalidates."""
-    from fractions import Fraction
-    from helpers import fib
-    from modend.modcat import opposite_module, regular_module, validate_module
-
-    spec = fib()
-    op = opposite_module(regular_module(spec))
-
-    def fmt(e):
-        if not any(e.coeffs[1:]):
-            return str(e.coeffs[0])
-        return [str(c) for c in e.coeffs]
-
-    doc = {
-        "categories": {"fib": json.loads(open(
-            [p for p in cli.bundled_instance_paths() if p.endswith("fib.json")][0]
-        ).read())["categories"]["fib"]},
-        "modules": {"fib_op": {
-            "type": "explicit", "category": "fib", "orientation": "right",
-            "simples": list(op.simples),
-            "action": [list(t) for t in sorted(op.action)],
-            "l_symbols": [{"key": list(k), "value": fmt(v)}
-                          for k, v in sorted(op._l.items())],
-            "unit_scalars": {i: fmt(op.unit_scalars[i]) for i in op.simples},
-        }},
-    }
+def _fib_op_file(tmp_path) -> Path:
+    """fib with the right module opposite to its regular module, ``fib_op``."""
+    op = opposite_module(regular_module(fib()))
+    doc = {"categories": json.loads(Path(_bundled_path("fib.json")).read_text())["categories"],
+           "modules": {"fib_op": _module_entry(op, "fib")}}
     path = tmp_path / "fib_op.json"
     path.write_text(json.dumps(doc))
-    bundle = cli.load([str(path)])
-    loaded = bundle.module("fib_op")
+    return path
+
+
+def test_right_orientation_module_round_trip(tmp_path):
+    """Opposite-module data survives a JSON round trip and revalidates."""
+    op = opposite_module(regular_module(fib()))
+    loaded = cli.load([str(_fib_op_file(tmp_path))]).module("fib_op")
     assert loaded.orientation == "right"
     assert validate_module(loaded).ok
     assert loaded.action == op.action
     assert loaded._l == op._l
+
+
+def test_serre_of_a_right_module_is_a_validation_failure(tmp_path, capsys):
+    """The Serre coend is built on a left action: one JSON line, exit code 1."""
+    assert cli.main(["-i", str(_fib_op_file(tmp_path)), "serre", "fib_op"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    assert json.loads(out) == {"status": "validation-failed",
+                               "error": "the Serre coend needs a left module; 'fib_op' is right"}
+
+
+@pytest.mark.parametrize("min_poly", [["-1", "0", "0", "0", "1"], ["0", "0", "1", "0", "1"],
+                                      ["1", "0", "2", "0", "1"]],
+                         ids=["x^4-1", "x^4+x^2", "(x^2+1)^2"])
+def test_reducible_min_poly_is_reported_as_a_zero_divisor(tmp_path, min_poly):
+    """A reducible field is blamed on the field, not on the F-symbols."""
+    path = tmp_path / "fib.json"
+    path.write_text(_mutated_fib(lambda c: c["field"].update(min_poly=min_poly)))
+    result = cli.run(["validate"], cli.load([str(path)])).payload["result"]
+    assert result["category fib"] == ["f-block-zero-divisor at (tau, tau, tau, tau)"]
+
+
+def test_zero_divisor_in_a_right_module_is_reported(tmp_path):
+    """A right module's L-block that meets a zero divisor is reported, not raised."""
+    cat = json.loads(Path(_bundled_path("vec_z2_triv.json")).read_text())["categories"]
+    cat["vec_z2_triv"]["field"]["min_poly"] = ["-1", "0", "1"]
+    doc = _opposite_vov_doc()
+    doc["categories"] = cat
+    doc["modules"]["vec_over_vec_z2_op"]["l_symbols"] = [
+        {"key": ["s", "s", "m", "m", "e", "m"], "value": ["1", "1"]}]   # 1 + x
+    path = tmp_path / "vec_over_vec_z2_op.json"
+    path.write_text(json.dumps(doc))
+    result = cli.run(["validate"], cli.load([str(path)])).payload["result"]
+    assert result["category vec_z2_triv"] == "valid"
+    assert result["module vec_over_vec_z2_op"] == ["l-block-zero-divisor at (s, s, m, m)"]

@@ -3,8 +3,9 @@ import zlib
 
 import pytest
 
-from helpers import (all_categories, fib, ising, one_simple_category, sample_pairs,
-                     vec_z2_omega, vec_z2_triv, vec_z4)
+from helpers import (all_categories, fib, ising, one_simple_category,
+                     plain_dinaturality_condition, sample_pairs, vec_z2_omega, vec_z2_triv,
+                     vec_z4)
 
 from modend import endengine as ee
 from modend.common import NotATensorSubcategory
@@ -189,7 +190,7 @@ def test_plain_dinaturality_never_shrinks(name):
                     if lab_r == lab_c:
                         mat[r, c] = spec.field.rational(rng.randint(-2, 2))
             h = blocks.Mor(A, B, mat)
-            cond = ee.plain_dinaturality_condition(f1, f2, sys.blocks, h)
+            cond = plain_dinaturality_condition(f1, f2, sys.blocks, h)
             enlarged = ee.DinaturalSystem(
                 field=sys.field, blocks=sys.blocks,
                 conditions=sys.conditions + [ee.Condition(("plain", X, i), cond)],

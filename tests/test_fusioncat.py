@@ -4,8 +4,9 @@ import zlib
 
 import pytest
 
-from helpers import (all_categories, bench_gen, fib, gauge_category, ising, vec_z2_omega,
-                     vec_z2_triv, vec_z4)
+from helpers import (all_categories, bench_gen, coev_insert, fib, gauge_category,
+                     identity_mor, ising, lcoev_insert, nested_lev, nested_lev_entries,
+                     vec_z2_omega, vec_z2_triv, vec_z4)
 from modend import blocks, cli
 from modend.blocks import BaseTables
 from modend.common import InconsistentRigidity, UnknownLabel
@@ -138,20 +139,6 @@ def test_dual_involution_everywhere():
             assert spec.dual[spec.dual[a]] == a
 
 
-def test_ev_tensor_prod_identity():
-    """Composite evaluation of a x b equals the summand-normalized one."""
-    from modend import blocks
-    from modend.cli import _nested_lev
-    for spec in CATS.values():
-        spec.duality()
-        bt = spec.tables
-        for a in spec.simples:
-            for b in spec.simples:
-                V = blocks.ctensor(bt, blocks.simple_obj(a), blocks.simple_obj(b))
-                lhs = blocks.lev_flat(bt, V)
-                assert lhs == _nested_lev(bt, a, b), (spec.name, a, b)
-
-
 def test_coev_tensor_prod_identity():
     """The coevaluation side of the composite-duality identity."""
     from modend import blocks
@@ -169,11 +156,11 @@ def test_coev_tensor_prod_identity():
                 phi = blocks.phi_l(bt, sa, sb)
                 # flat: 1 -> *V x V, then push the dual through phi^l
                 flat = blocks.lcoev_flat(bt, V)
-                moved = blocks.ctensor_mor(bt, phi, blocks.Mor.identity(spec.field, V)) * flat
+                moved = blocks.ctensor_mor(bt, phi, identity_mor(spec.field, V)) * flat
                 # nested: 1 -> *B x (A* ... ) x (A x B) built from the simples
                 da, db = blocks.ldual_flat(bt, sa), blocks.ldual_flat(bt, sb)
-                chain = blocks.lcoev_insert(reg, sb, one)
-                chain = blocks.whisker_c(reg, db, blocks.lcoev_insert(reg, sa, blocks.act_c(reg, sb, one))) * chain
+                chain = lcoev_insert(reg, sb, one)
+                chain = blocks.whisker_c(reg, db, lcoev_insert(reg, sa, blocks.act_c(reg, sb, one))) * chain
                 chain = blocks.whisker_c(reg, db, blocks.whisker_c(reg, da, blocks.assoc_inv(reg, sa, sb, one))) * chain
                 chain = blocks.assoc_inv(reg, db, da, blocks.act_c(reg, V, one)) * chain
                 # both now land in (*B x *A) act (V act 1); compare after unitors
@@ -211,13 +198,13 @@ def solve_zigzag_scalars(spec: FusionCategorySpec, left: bool) -> dict:
         if left:
             zig = blocks.runit_reg(base, sa) \
                 * blocks.zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
-                * blocks.whisker_c(reg, sa, blocks.lcoev_insert(reg, sa, one_obj)) \
+                * blocks.whisker_c(reg, sa, lcoev_insert(reg, sa, one_obj)) \
                 * blocks.runit_reg_inv(base, sa)
         else:
             zig = blocks.runit_reg(base, sa) \
                 * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
                 * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, blocks.runit_reg_inv(base, sa))) \
-                * blocks.coev_insert(reg, sa, sa)
+                * coev_insert(reg, sa, sa)
         scalar = zig.mat[0, 0]
         if not scalar:
             raise InconsistentRigidity(f"degenerate zig-zag at {a}")
@@ -276,16 +263,9 @@ def test_closed_form_duality_matches_zigzag_oracle(tmp_path):
 FACTORS = ("2", "-3", "1/5")
 
 
-def test_closed_form_duality_matches_oracle_on_mutations(tmp_path):
-    """Seeded single-entry mutations of the F-symbols.
-
-    Off the unit legs the closed form must agree with the solved zig-zag,
-    whether or not the mutated category is still valid.  Mutating a unit
-    leg breaks the skeleton convention the closed form relies on; the gate
-    rejects such data before duality is ever computed.
-    """
-    compared = 0
-    for name, spec in _oracle_subjects(tmp_path).items():
+def _mutants(subjects):
+    """Seeded single-entry F-symbol mutants: ``(mutant, off the unit legs)``."""
+    for name, spec in subjects.items():
         rng = random.Random(zlib.crc32(name.encode()))
         keys = sorted(k for k, v in spec._f.items() if v)
         unit_leg = [k for k in keys if spec.unit in k[:3]]
@@ -296,14 +276,110 @@ def test_closed_form_duality_matches_oracle_on_mutations(tmp_path):
             for factor in FACTORS:
                 f_new = dict(spec._f)
                 f_new[key] = f_new[key] * spec.field.rational(factor)
-                mutant = _with_f(spec, f_new, f"{name}@{key}x{factor}")
-                if not off_unit:
-                    checks = {e.check for e in validate_fusion(mutant).entries}
-                    assert "unit-leg-f" in checks, mutant.name
-                    continue
-                assert _closed_form_scalars(mutant) == _oracle_scalars(mutant), mutant.name
-                compared += 1
+                yield _with_f(spec, f_new, f"{name}@{key}x{factor}"), off_unit
+
+
+def test_closed_form_duality_matches_oracle_on_mutations(tmp_path):
+    """Seeded single-entry mutations of the F-symbols.
+
+    Off the unit legs the closed form must agree with the solved zig-zag,
+    whether or not the mutated category is still valid.  Mutating a unit
+    leg breaks the skeleton convention the closed form relies on; the gate
+    rejects such data before duality is ever computed.
+    """
+    compared = 0
+    for mutant, off_unit in _mutants(_oracle_subjects(tmp_path)):
+        if not off_unit:
+            checks = {e.check for e in validate_fusion(mutant).entries}
+            assert "unit-leg-f" in checks, mutant.name
+            continue
+        assert _closed_form_scalars(mutant) == _oracle_scalars(mutant), mutant.name
+        compared += 1
     assert compared >= 100
+
+
+def _duality_outcome(spec):
+    """``compute_duality``'s InconsistentRigidity message, or None."""
+    try:
+        compute_duality(spec)
+    except InconsistentRigidity as exc:
+        return str(exc)
+    return None
+
+
+def _composite_duality_outcome(spec):
+    """The outcome of ``compute_duality`` with the four zig-zags checked as
+    whole-object composites on the installed scalars."""
+    outcome = _duality_outcome(spec)
+    if outcome is not None and "degenerate" in outcome:
+        return outcome
+    base = spec.tables
+    reg = base.regular()
+    one_obj = blocks.cunit(base)
+    for a in spec.simples:
+        sa = blocks._simple(base, a)
+        da = blocks.rdual_flat(base, sa)
+        ident_a = identity_mor(spec.field, sa)
+        ident_d = identity_mor(spec.field, da)
+        zig1 = blocks.runit_reg(base, sa) \
+            * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
+            * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, blocks.runit_reg_inv(base, sa))) \
+            * coev_insert(reg, sa, sa)
+        zig2 = blocks.runit_reg(base, da) \
+            * blocks.eps_flat(reg, sa, blocks.act_c(reg, da, one_obj)) \
+            * blocks.whisker_c(reg, da, coev_insert(reg, sa, one_obj)) \
+            * blocks.runit_reg_inv(base, da)
+        if zig1 != ident_a or zig2 != ident_d:
+            return f"right zig-zags disagree at {a}"
+        lzig1 = blocks.runit_reg(base, sa) \
+            * blocks.zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
+            * blocks.whisker_c(reg, sa, lcoev_insert(reg, sa, one_obj)) \
+            * blocks.runit_reg_inv(base, sa)
+        lzig2 = blocks.runit_reg(base, da) \
+            * blocks.whisker_c(reg, da, blocks.zeta_flat(reg, sa, one_obj)
+                               * blocks.whisker_c(reg, sa, blocks.runit_reg_inv(base, da))) \
+            * lcoev_insert(reg, sa, da)
+        if lzig1 != ident_a or lzig2 != ident_d:
+            return f"left zig-zags disagree at {a}"
+    return None
+
+
+def _subjects_and_mutants(tmp_path) -> list:
+    subjects = _oracle_subjects(tmp_path)
+    return list(subjects.values()) + [m for m, off_unit in _mutants(subjects) if off_unit]
+
+
+def test_zigzag_equations_match_the_composites(tmp_path):
+    """The four scalar zig-zag equations fail exactly where the composites do,
+    with the same message, on every subject and every mutant off the unit legs."""
+    outcomes = []
+    for spec in _subjects_and_mutants(tmp_path):
+        outcomes.append(_duality_outcome(spec))
+        composite = _composite_duality_outcome(_with_f(spec, spec._f, spec.name))
+        assert outcomes[-1] == composite, spec.name
+    held = outcomes.count(None)
+    assert held >= 12 and len(outcomes) - held >= 10, outcomes
+
+
+def test_ev_tensor_prod_identity(tmp_path):
+    """``blocks.nested_lev_scalar`` against the composite, and ``lev_tensor_holds``
+    against the comparison of whole morphisms, on every subject and mutant off
+    the unit legs whose duality scalars exist."""
+    triples = failing = 0
+    for spec in _subjects_and_mutants(tmp_path):
+        if "degenerate" in str(_duality_outcome(spec)):
+            continue
+        bt = spec.tables
+        for a in spec.simples:
+            for b in spec.simples:
+                closed = [blocks.nested_lev_scalar(bt, a, b, z) for z in bt.fuse(a, b)]
+                assert closed == nested_lev_entries(bt, a, b), (spec.name, a, b)
+                V = blocks.ctensor(bt, blocks._simple(bt, a), blocks._simple(bt, b))
+                holds = blocks.lev_flat(bt, V) == nested_lev(bt, a, b)
+                assert blocks.lev_tensor_holds(bt, a, b) == holds, (spec.name, a, b)
+                triples += len(closed)
+                failing += not holds
+    assert triples >= 400 and failing, (triples, failing)
 
 
 def test_zero_evaluation_entry_with_invertible_block_is_degenerate():

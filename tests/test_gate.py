@@ -15,11 +15,11 @@ from collections import Counter
 
 import pytest
 
-from helpers import gauge_category, gauge_functor, gauge_module
+from helpers import (c_assoc, gauge_category, gauge_functor, gauge_module,
+                     opposite_module_composite, ract_c, ract_mor, rassoc)
 from modend import blocks, cli
-from modend.blocks import (Mor, _simple, act_c, act_mor, assoc, c_assoc, c_mor, ctensor,
-                           cunit, f_mor, f_obj, ract_c, ract_mor, rassoc, unit_l,
-                           whisker_c)
+from modend.blocks import (Mor, _simple, act_c, act_mor, assoc, c_mor, ctensor, cunit, f_mor,
+                           f_obj, unit_l, whisker_c)
 from modend.fusioncat import FusionCategorySpec, validate_fusion
 from modend.modcat import (ModuleCategorySpec, opposite_module, regular_module,
                            validate_module)
@@ -208,6 +208,18 @@ SUBJECTS = _subjects()
 def test_valid_subject_matches_reference(name, monkeypatch):
     validate, subject = SUBJECTS[name]
     assert _validate_both_ways(validate, subject, monkeypatch) == []
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (validate, _) in SUBJECTS.items()
+                                         if validate is validate_module))
+def test_opposite_module_matches_the_composite(name):
+    """The opposite's symbols, read off L-blocks, equal those of the composite."""
+    module = SUBJECTS[name][1]
+    closed, composite = opposite_module(module), opposite_module_composite(module)
+    assert closed.orientation == composite.orientation
+    assert closed.action == composite.action
+    assert closed.l_raw == composite.l_raw and closed._l == composite._l
+    assert closed.unit_scalars == composite.unit_scalars
 
 
 def test_pentagon_sweep_is_shared_by_a_category_and_its_regular_module(monkeypatch):

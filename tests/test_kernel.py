@@ -6,8 +6,9 @@ import random
 import pytest
 
 from helpers import bench_gen
-from modend import blocks, cli
+from modend import blocks, cli, theorems
 from modend.modcat import ModuleCategorySpec, validate_module
+from modend.modfunct import compose_functors
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
 Q = FieldSpec([0, 1])          # Q[x]/(x): plain rationals
@@ -75,7 +76,8 @@ def test_object_constructors_are_hash_consed():
     assert blocks.act_c(mod, tt, tau) is blocks.act_c(mod, tt, blocks.simple_obj("tau"))
     assert blocks.uhom_obj(mod, tau, tt) is blocks.uhom_obj(mod, tau, tt)
     assert blocks.f_obj(fun, tt) is blocks.f_obj(fun, tt)
-    assert blocks.c_assoc(base, tau, tau, tau) is blocks.c_assoc(base, tau, tau, tau)
+    reg = base.regular()
+    assert blocks.assoc(reg, tau, tau, tau) is blocks.assoc(reg, tau, tau, tau)
     assert blocks.unit_l(mod, tt) is blocks.unit_l(mod, tt)
     assert blocks.runit_reg(base, tt) is blocks.runit_reg(base, tt)
     # equal objects built apart still compare and hash equal
@@ -163,3 +165,31 @@ def test_sweeps_stay_with_their_tables(tmp_path):
                                 name=reg.name)
     assert "mixed-pentagon" in {e.check for e in validate_module(mutant).entries}
     assert validate_module(reg).ok
+
+
+def test_symbol_level_constructions_build_no_morphisms(monkeypatch):
+    """The gate, the hom lemmas, functor composition and the ev-tensor identity
+    read symbols: after loading, none of them builds a ``Mor``."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    tau = bundle.functor("rmul_fib_tau")
+    steps = {
+        "validate_all": lambda: all(rep.ok for rep in bundle.validate_all()),
+        "hom_lemma_suite": lambda: all(theorems.hom_lemma_suite(m).ok
+                                       for m in bundle.modules.values()),
+        "compose_functors": lambda: compose_functors(tau, tau).mult("tau", "tau") == 2,
+        "lev_tensor_holds": lambda: all(blocks.lev_tensor_holds(c.tables, a, b)
+                                        for c in bundle.categories.values()
+                                        for a in c.simples for b in c.simples)}
+    init, built = blocks.Mor.__init__, []
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(blocks.Mor, "__init__", counting)
+    counts = {}
+    for name, step in steps.items():
+        before = len(built)
+        assert step(), name
+        counts[name] = len(built) - before
+    assert counts == dict.fromkeys(steps, 0)

@@ -2,10 +2,12 @@ import pytest
 
 from helpers import all_categories, fib, vec_z2_omega, vec_z2_triv, vec_over_vec_z2
 
+from modend import blocks
 from modend.common import SourceTargetMismatch
 from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,
                              identity_functor, validate_functor)
 from modend.modcat import regular_module
+from modend.scalarfield import Matrix
 
 CATS = all_categories()
 
@@ -165,3 +167,81 @@ def test_composition_associative_up_to_invertible_natural_element():
             acc = acc + other
         candidates.append(acc)
     assert any(blockwise_invertible(v) for v in candidates)
+
+
+def compose_functors_composite(g, f):
+    """``c^GF`` read off the whole-object composite ``c^G_{X, F(m_i)} G(c^F_{X, m_i})``.
+
+    The nested bases of that composite are reindexed into the flattened
+    canonical row and column orders of ``compose_functors``.
+    """
+    mid = f.dst
+    ftab, gtab = f.tables, g.tables
+
+    def copy_order(i, k2):
+        return [(k, alpha, beta) for k in mid.simples for alpha in range(f.mult(i, k))
+                for beta in range(g.mult(k, k2))]
+
+    c_symbols = {}
+    bt = f.src.base.tables
+    for X in f.src.base.simples:
+        sx = blocks._simple(bt, X)
+        for i in f.src.simples:
+            mi = blocks._simple(bt, i)
+            fmi = blocks.f_obj(ftab, mi)
+            e = blocks.c_mor(gtab, sx, fmi) * blocks.f_mor(gtab, blocks.c_mor(ftab, sx, mi))
+            src_inner = blocks.act_c(f.src.tables, sx, mi)      # X act m_i
+            f_of_src = blocks.f_obj(ftab, src_inner)
+            nested_src = blocks.f_obj(gtab, f_of_src)           # e.src
+            gfm = blocks.f_obj(gtab, fmi)
+            nested_dst = blocks.act_c(g.dst.tables, sx, gfm)
+            col_map = []                                        # (t_src, k2, copy)
+            for ip, t_src in enumerate(src_inner.labels):
+                for k2 in g.dst.simples:
+                    for (k, alpha, beta) in copy_order(t_src, k2):
+                        apos = f_of_src.index[(ip, k, alpha)]
+                        col_map.append(nested_src.index[(apos, k2, beta)])
+            row_map = []                                        # (k2, copy, t)
+            for k2 in g.dst.simples:
+                for (k, alpha, beta) in copy_order(i, k2):
+                    gpos = gfm.index[(fmi.index[(0, k, alpha)], k2, beta)]
+                    for t in g.dst.act_set(X, k2):
+                        row_map.append(nested_dst.index[(0, gpos, t)])
+            mat = Matrix.zeros(f.field, len(row_map), len(col_map))
+            for r, rp in enumerate(row_map):
+                for c, cp in enumerate(col_map):
+                    mat[r, c] = e.mat[rp, cp]
+            c_symbols[(X, i)] = mat
+    return c_symbols
+
+
+def _composite_pairs():
+    out = {}
+    for name in ("ising", "vec_z4"):
+        spec = CATS[name]
+        reg = regular_module(spec)
+        rmul = {y: act_right_functor(spec, y, reg) for y in spec.simples}
+        out.update({f"{name}:{y}*{z}": (rmul[y], rmul[z])
+                    for y in spec.simples for z in spec.simples})
+    spec = fib()
+    tau = act_right_functor(spec, "tau", regular_module(spec))
+    out["fib:tau*tau"] = (tau, tau)
+    # F(tau) and G(tau) hold m_tau twice
+    tau2 = compose_functors(tau, tau)
+    out["fib:tau*(tau*tau)"] = (tau, tau2)
+    out["fib:(tau*tau)*tau"] = (tau2, tau)
+    mod, reg, forgetful = vec_over_vec_z2(vec_z2_triv())
+    out["forgetful*id"] = (forgetful, identity_functor(mod))
+    out["id*forgetful"] = (identity_functor(reg), forgetful)
+    return out
+
+
+COMPOSITE_PAIRS = _composite_pairs()
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITE_PAIRS))
+def test_composed_c_blocks_match_the_composite(name):
+    g, f = COMPOSITE_PAIRS[name]
+    closed = compose_functors(g, f)
+    assert closed.c_symbols == compose_functors_composite(g, f), name
+    assert validate_functor(closed).ok, name
