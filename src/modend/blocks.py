@@ -3,10 +3,10 @@
 The end engine's probe builders reduce to finite compositions of structure
 morphisms between direct sums of simple objects.  This module fixes one
 concrete additive skeleton and provides those compositions as exact
-matrices; the builders and ``modfunct.act_right_functor`` are their only
-callers.  Everything else reads symbols: the validators (the predicates at
-the end of this module), the duality checks, opposite modules and
-composite functors are products of F-, L- and c-symbols and duality scalars.
+matrices; the builders are their only callers.  Everything else reads
+symbols: the validators (the predicates at the end of this module), the
+duality checks, opposite modules, composite functors and the right
+multiplications are products of F-, L- and c-symbols and duality scalars.
 
 Conventions
 -----------

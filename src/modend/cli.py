@@ -64,12 +64,14 @@ class InstanceBundle:
             raise UnknownName(f"functor {name!r}")
         return self.functors[name]
 
-    def validate_all(self) -> list:
+    def validate_all(self, sweep_derived: bool = True) -> list:
         """All validation reports plus duality construction, in bundle order.
 
         A module over an invalid category, or a functor from or to an invalid
         module, is not checked: its report holds one ``invalid-dependency``
-        entry at the name of the invalid subject.
+        entry at the name of the invalid subject.  With ``sweep_derived``
+        false, a derived subject (``spec.derived``) over valid dependencies
+        is recorded valid by construction, without its sweeps.
         """
         reports = []
         invalid = {}        # id of each spec whose report failed -> (kind, name)
@@ -83,7 +85,8 @@ class InstanceBundle:
         def gated(validate, spec, *needs):
             broken = [invalid[id(d)] for d in needs if id(d) in invalid]
             if not broken:
-                return validate(spec)
+                return validate(spec) if sweep_derived or not spec.derived \
+                    else ValidationReport()
             kind, name = broken[0]
             rep = ValidationReport()
             rep.add("invalid-dependency", (name,), f"invalid {kind}")
@@ -239,7 +242,8 @@ STATUS_EXIT = {"ok": 0, "validation-failed": 1, "certificate-failed": 2}
 
 
 def _validate_gate(bundle: InstanceBundle):
-    for rep in bundle.validate_all():
+    """Stop at the first failed report; derived subjects are valid by construction."""
+    for rep in bundle.validate_all(sweep_derived=False):
         if not rep.ok:
             raise ValidationError(f"{rep.subject}: {rep.entries[0]}")
 

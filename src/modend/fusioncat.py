@@ -183,7 +183,11 @@ def compute_duality(spec: FusionCategorySpec) -> DualityData:
     """Install the scalars (coev = 1, ev read off F) read-only; verify both zig-zags.
 
     At a simple each zig-zag is one scalar equation in an F-symbol or an
-    entry of an inverse F-block (``blocks.f_inverse_entry``).
+    entry of an inverse F-block (``blocks.f_inverse_entry``).  The first of
+    each pair holds by the choice of ``ev``/``lev``.  The second left one at
+    ``a``, ``F(a*,a,a*; a*; 1,1) = F^-1[a,a*,a; a]_{1,1}``, is the second right
+    one at ``a*``, so the left check alone fails only at a simple that is not
+    self-dual and whose block ``F[a,a*,a; a]`` is larger than 1 x 1.
     """
     base, unit, dual, one = spec.tables, spec.unit, spec.dual, spec.field.one
     F, Finv = base._f_entry, functools.partial(blocks.f_inverse_entry, base)

@@ -27,15 +27,18 @@ from .scalarfield import FieldElement, Matrix
 
 
 class ModuleCategorySpec:
-    """Skeletal module-category data with a left/right orientation flag."""
+    """Skeletal module-category data with a left/right orientation flag.
+
+    A ``derived`` module (a regular one) is valid whenever its category is.
+    """
 
     def __init__(self, base: FusionCategorySpec, simples: Sequence[str],
                  action: Iterable[tuple], l_symbols: Mapping[tuple, FieldElement],
                  unit_scalars: Mapping[str, FieldElement] | None = None,
-                 orientation: str = "left", name: str = ""):
+                 orientation: str = "left", name: str = "", derived: bool = False):
         if orientation not in ("left", "right"):
             raise ValueError(f"bad orientation {orientation!r}")
-        self.name = name
+        self.name, self.derived = name, derived
         self.base = base
         self.field = base.field
         self.orientation = orientation
@@ -179,7 +182,8 @@ def regular_module(c: FusionCategorySpec) -> ModuleCategorySpec:
     mod = ModuleCategorySpec(
         base=c, simples=c.simples, action=c.fusion, l_symbols=l_symbols,
         unit_scalars={i: c.field.one for i in c.simples},
-        orientation="left", name=f"{c.name}_regular" if c.name else "regular")
+        orientation="left", name=f"{c.name}_regular" if c.name else "regular",
+        derived=True)
     mod._tables = c.tables.regular()
     return mod
 

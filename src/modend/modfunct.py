@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import blocks
-from .blocks import FunctorTables, _simple
+from .blocks import FunctorTables
 from .common import SourceTargetMismatch, ValidationReport
 from .fusioncat import FusionCategorySpec
 from .modcat import ModuleCategorySpec, regular_module
@@ -21,16 +21,20 @@ from .scalarfield import Matrix
 
 
 class ModuleFunctorSpec:
-    """A module functor ``(F, c)`` between left modules over the same base."""
+    """A module functor ``(F, c)`` between left modules over the same base.
+
+    A ``derived`` functor (an identity, or a right multiplication on a regular
+    module) is valid whenever its modules are.
+    """
 
     def __init__(self, src: ModuleCategorySpec, dst: ModuleCategorySpec,
                  on_simples: Mapping[tuple, int], c_symbols: Mapping[tuple, Matrix],
-                 name: str = ""):
+                 name: str = "", derived: bool = False):
         if src.base is not dst.base:
             raise SourceTargetMismatch("source and target must share the base category")
         if src.orientation != "left" or dst.orientation != "left":
             raise SourceTargetMismatch("module functors are between left modules here")
-        self.name = name
+        self.name, self.derived = name, derived
         self.src = src
         self.dst = dst
         self.field = src.field
@@ -103,25 +107,33 @@ def identity_functor(m: ModuleCategorySpec) -> ModuleFunctorSpec:
         for i in m.simples:
             n = len(m.act_set(X, i))
             c_symbols[(X, i)] = Matrix.identity(m.field, n)
-    return ModuleFunctorSpec(m, m, on_simples, c_symbols, name=f"id_{m.name}")
+    return ModuleFunctorSpec(m, m, on_simples, c_symbols, name=f"id_{m.name}", derived=True)
 
 
 def act_right_functor(c: FusionCategorySpec, y: str,
                       reg: ModuleCategorySpec | None = None) -> ModuleFunctorSpec:
-    """Right multiplication ``- x y`` on the regular module of ``c``."""
+    """Right multiplication ``- x y`` on the regular module of ``c``.
+
+    The c-block at ``(X, i)`` is the associator ``(X x i) x y -> X x (i x y)``:
+    row ``(k, 0, t)``, column ``(z, t, 0)`` holds ``F(X, i, y; t; z, k)``.  It is
+    derived: its coherence is the pentagon, its unit axiom the unit legs.
+    """
     if y not in c.simples:
         raise SourceTargetMismatch(f"{y!r} is not a simple of the base")
     if reg is None:
         reg = regular_module(c)
-    tables = reg.tables
-    bt = tables.base
     on_simples = {(i, k): 1 for i in c.simples for k in c.fuse(i, y)}
+    zero = c.field.zero
     c_symbols = {}
     for X in c.simples:
         for i in c.simples:
-            iso = blocks.assoc(tables, _simple(bt, X), _simple(bt, i), _simple(bt, y))
-            c_symbols[(X, i)] = iso.mat
-    return ModuleFunctorSpec(reg, reg, on_simples, c_symbols, name=f"rmul_{c.name}_{y}")
+            rows = [(k, t) for k in c.fuse(i, y) for t in c.fuse(X, k)]
+            cols = [(z, t) for z in c.fuse(X, i) for t in c.fuse(z, y)]
+            c_symbols[(X, i)] = Matrix(c.field, len(rows), len(cols), [
+                c.f_symbol(X, i, y, t, z, k) if t == s else zero
+                for k, t in rows for z, s in cols])
+    return ModuleFunctorSpec(reg, reg, on_simples, c_symbols, name=f"rmul_{c.name}_{y}",
+                             derived=reg.derived and reg.base is c)
 
 
 def compose_functors(g: ModuleFunctorSpec, f: ModuleFunctorSpec) -> ModuleFunctorSpec:

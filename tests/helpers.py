@@ -16,6 +16,7 @@ import importlib.util
 import json
 import os
 import random
+import zlib
 from pathlib import Path
 
 from modend import blocks, cli, endengine
@@ -69,6 +70,19 @@ def ising() -> FusionCategorySpec:
 
 def all_categories() -> dict:
     return {name: _bundled_category(name) for name in CORPUS}
+
+
+def gauged_corpus_and_zn() -> dict:
+    """The corpus categories, a seeded gauge copy of each and bench/gen.py zn4, zn6."""
+    out = all_categories()
+    for name in CORPUS:
+        out[f"{name}~gauged"] = gauge_category(
+            out[name], random.Random(zlib.crc32(name.encode())))[0]
+    gen = bench_gen()
+    for n in (4, 6):
+        name = f"zn{n}"
+        out[name] = cli._load_category(name, gen.instance(n, 1)["categories"][name])
+    return out
 
 
 def vec_over_vec_z2(base: FusionCategorySpec) -> tuple:
@@ -300,6 +314,16 @@ def rassoc(tables, N: Obj, A: Obj, B: Obj) -> Mor:
 def c_assoc(base, A: Obj, B: Obj, C: Obj) -> Mor:
     """``(A x B) x C -> A x (B x C)``: the regular module's associator."""
     return blocks.assoc(base.regular(), A, B, C)
+
+
+def act_right_composite(c: FusionCategorySpec, y: str, reg: ModuleCategorySpec) -> dict:
+    """``modfunct.act_right_functor``'s c-blocks as associator composites: the
+    block at ``(X, i)`` is the matrix of ``assoc(reg, X, i, y)``."""
+    tables = reg.tables
+    bt = tables.base
+    return {(X, i): blocks.assoc(tables, blocks._simple(bt, X), blocks._simple(bt, i),
+                                 blocks._simple(bt, y)).mat
+            for X in c.simples for i in c.simples}
 
 
 def plain_dinaturality_condition(f, g, carrier, h: Mor) -> Matrix:

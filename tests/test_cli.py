@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import fib
+from helpers import bench_gen, fib
 from modend import cli
 from modend.common import ParseError, UnknownName
 from modend.modcat import opposite_module, regular_module, validate_module
@@ -502,6 +502,54 @@ def test_main_suite_exit_codes(tmp_path, capsys):
         flags.extend(["-i", m])
     assert cli.main([*flags, "suite"]) == 2
     capsys.readouterr()
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """Names of the subjects ``validate_module``/``validate_functor`` check, in call order."""
+    swept = []
+    for name in ("validate_module", "validate_functor"):
+        def counting(spec, _validate=getattr(cli, name)):
+            swept.append(spec.name)
+            return _validate(spec)
+        monkeypatch.setattr(cli, name, counting)
+    return swept
+
+
+def test_gate_sweeps_no_derived_subject(tmp_path, monkeypatch, capsys):
+    """Before a command other than validate and suite, regular modules, identities
+    and right multiplications are valid by construction; validate and suite
+    sweep every subject."""
+    path = tmp_path / "zn4.json"
+    path.write_text(json.dumps(bench_gen().instance(4, 1)))
+    swept = _count_sweeps(monkeypatch)
+    assert cli.main(["-i", str(path), "serre", "zn4_regular"]) == 0
+    assert swept == []
+    assert cli.main(["serre", "fib_regular"]) == 0
+    assert swept == ["vec_over_vec_z2", "forgetful"]
+    bundle = cli.load(cli.bundled_instance_paths())
+    for command in ("validate", "suite"):
+        swept.clear()
+        assert cli.main([command]) == 0
+        assert swept == [*bundle.modules, *bundle.functors], command
+    capsys.readouterr()
+
+
+def test_gate_keeps_every_sweep_on_explicit_subjects(tmp_path, monkeypatch, capsys):
+    """A coherence fault in the explicit forgetful functor that keeps the Schur
+    rule stops serre with the first entry validate reports."""
+    doc = json.loads(Path(_bundled_path("vec_over_vec_z2.json")).read_text())
+    _mut_forgetful_c(doc)
+    path = tmp_path / "vec_over_vec_z2.json"
+    path.write_text(json.dumps(doc))
+    flags = ["-i", _bundled_path("vec_z2_triv.json"), "-i", str(path)]
+    assert cli.main([*flags, "validate"]) == 1
+    entries = json.loads(capsys.readouterr().out)["result"]["functor forgetful"]
+    assert entries[0].startswith("coherence at "), entries
+    swept = _count_sweeps(monkeypatch)
+    assert cli.main([*flags, "serre", "vec_over_vec_z2"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "validation-failed", "error": f"functor forgetful: {entries[0]}"}
+    assert swept == ["vec_over_vec_z2", "forgetful"]
 
 
 def _fib_op_file(tmp_path) -> Path:

@@ -1,13 +1,13 @@
-import json
+import itertools
 import random
 import zlib
 
 import pytest
 
-from helpers import (all_categories, bench_gen, coev_insert, fib, gauge_category,
-                     identity_mor, ising, lcoev_insert, nested_lev, nested_lev_entries,
-                     vec_z2_omega, vec_z2_triv, vec_z4)
-from modend import blocks, cli
+from helpers import (all_categories, coev_insert, fib, gauged_corpus_and_zn, identity_mor,
+                     ising, lcoev_insert, nested_lev, nested_lev_entries, vec_z2_omega,
+                     vec_z2_triv, vec_z4)
+from modend import blocks
 from modend.blocks import BaseTables
 from modend.common import InconsistentRigidity, UnknownLabel
 from modend.fusioncat import (FusionCategorySpec, compute_duality, hom_dim,
@@ -240,21 +240,35 @@ def _with_f(spec, f_symbols, name):
                               name=name)
 
 
-def _oracle_subjects(tmp_path):
-    subjects = dict(CATS)
-    for name, spec in CATS.items():
-        subjects[f"{name}~gauged"] = gauge_category(
-            spec, random.Random(zlib.crc32(name.encode())))[0]
-    gen = bench_gen()
-    for n in (4, 6):
-        path = tmp_path / f"zn{n}.json"
-        path.write_text(json.dumps(gen.instance(n, 1)))
-        subjects[f"zn{n}"] = cli.load([str(path)]).category(f"zn{n}")
-    return subjects
+def fib_z3() -> FusionCategorySpec:
+    """fib x Vec_{Z/3} over fib's field: simples ``x.g``, F-symbols fib's on the
+    first factor and 1 on the second.  ``tau.1`` is not self-dual and its block
+    ``F[tau.1, tau.2, tau.1; tau.1]`` is 2 x 2."""
+    fb = fib()
+
+    def lab(x, g):
+        return f"{x}.{g % 3}"
+    f_symbols = {}
+    for (a, b, c, d, e, f), val in fb._f.items():
+        for g, h, k in itertools.product(range(3), repeat=3):
+            f_symbols[(lab(a, g), lab(b, h), lab(c, k), lab(d, g + h + k),
+                       lab(e, g + h), lab(f, h + k))] = val
+    return FusionCategorySpec(
+        field=fb.field, simples=[lab(x, g) for x in fb.simples for g in range(3)],
+        unit=lab(fb.unit, 0), dual={lab(x, g): lab(fb.dual[x], -g)
+                                    for x in fb.simples for g in range(3)},
+        fusion=[(lab(a, g), lab(b, h), lab(c, g + h)) for a, b, c in fb.fusion
+                for g in range(3) for h in range(3)],
+        f_symbols=f_symbols, name="fib_z3")
 
 
-def test_closed_form_duality_matches_zigzag_oracle(tmp_path):
-    for name, spec in _oracle_subjects(tmp_path).items():
+def _oracle_subjects():
+    """The corpus, its gauged copies, zn4, zn6 and fib x Vec_{Z/3}."""
+    return {**gauged_corpus_and_zn(), "fib_z3": fib_z3()}
+
+
+def test_closed_form_duality_matches_zigzag_oracle():
+    for name, spec in _oracle_subjects().items():
         assert validate_fusion(spec).ok, name
         dd = compute_duality(spec)  # both zig-zags hold on valid data
         assert (dict(dd.ev_scalar), dict(dd.left_ev_scalar)) == _oracle_scalars(spec), name
@@ -279,7 +293,7 @@ def _mutants(subjects):
                 yield _with_f(spec, f_new, f"{name}@{key}x{factor}"), off_unit
 
 
-def test_closed_form_duality_matches_oracle_on_mutations(tmp_path):
+def test_closed_form_duality_matches_oracle_on_mutations():
     """Seeded single-entry mutations of the F-symbols.
 
     Off the unit legs the closed form must agree with the solved zig-zag,
@@ -288,7 +302,7 @@ def test_closed_form_duality_matches_oracle_on_mutations(tmp_path):
     rejects such data before duality is ever computed.
     """
     compared = 0
-    for mutant, off_unit in _mutants(_oracle_subjects(tmp_path)):
+    for mutant, off_unit in _mutants(_oracle_subjects()):
         if not off_unit:
             checks = {e.check for e in validate_fusion(mutant).entries}
             assert "unit-leg-f" in checks, mutant.name
@@ -344,16 +358,16 @@ def _composite_duality_outcome(spec):
     return None
 
 
-def _subjects_and_mutants(tmp_path) -> list:
-    subjects = _oracle_subjects(tmp_path)
+def _subjects_and_mutants() -> list:
+    subjects = _oracle_subjects()
     return list(subjects.values()) + [m for m, off_unit in _mutants(subjects) if off_unit]
 
 
-def test_zigzag_equations_match_the_composites(tmp_path):
+def test_zigzag_equations_match_the_composites():
     """The four scalar zig-zag equations fail exactly where the composites do,
     with the same message, on every subject and every mutant off the unit legs."""
     outcomes = []
-    for spec in _subjects_and_mutants(tmp_path):
+    for spec in _subjects_and_mutants():
         outcomes.append(_duality_outcome(spec))
         composite = _composite_duality_outcome(_with_f(spec, spec._f, spec.name))
         assert outcomes[-1] == composite, spec.name
@@ -361,12 +375,12 @@ def test_zigzag_equations_match_the_composites(tmp_path):
     assert held >= 12 and len(outcomes) - held >= 10, outcomes
 
 
-def test_ev_tensor_prod_identity(tmp_path):
+def test_ev_tensor_prod_identity():
     """``blocks.nested_lev_scalar`` against the composite, and ``lev_tensor_holds``
     against the comparison of whole morphisms, on every subject and mutant off
     the unit legs whose duality scalars exist."""
     triples = failing = 0
-    for spec in _subjects_and_mutants(tmp_path):
+    for spec in _subjects_and_mutants():
         if "degenerate" in str(_duality_outcome(spec)):
             continue
         bt = spec.tables
@@ -390,3 +404,20 @@ def test_zero_evaluation_entry_with_invertible_block_is_degenerate():
     with pytest.raises(InconsistentRigidity, match="degenerate zig-zag at tau"):
         compute_duality(spec)
     assert _oracle_scalars(spec) == "degenerate zig-zag at tau"
+
+
+def test_left_zigzag_fails_alone_off_the_diagonal():
+    """Scaling an off-diagonal entry of ``F[a, a*, a; a]`` at a simple that is not
+    self-dual changes ``F^-1[a, a*, a; a]_{1,1}`` and nothing the right equations
+    at ``a`` or at the simples before it read, so only the left check fails."""
+    spec = fib_z3()
+    assert validate_fusion(spec).ok and _duality_outcome(fib_z3()) is None
+    a, unit = "tau.1", spec.unit
+    d = spec.dual[a]
+    assert d == "tau.2" and spec.fuse(a, d) == (unit, "tau.0")
+    key = (a, d, a, a, unit, "tau.0")
+    mutant = _with_f(spec, {**spec._f, key: spec._f[key] * spec.field.rational(2)},
+                     "fib_z3_off_diagonal")
+    assert _duality_outcome(mutant) == "left zig-zags disagree at tau.1"
+    assert _composite_duality_outcome(_with_f(mutant, mutant._f, mutant.name)) \
+        == "left zig-zags disagree at tau.1"

@@ -9,21 +9,24 @@ place of the symbol-level predicates, and requires the same
 """
 
 import functools
+import json
 import random
 import zlib
 from collections import Counter
 
 import pytest
 
-from helpers import (c_assoc, gauge_category, gauge_functor, gauge_module,
-                     opposite_module_composite, ract_c, ract_mor, rassoc)
+from helpers import (bench_gen, c_assoc, gauge_category, gauge_functor, gauge_module,
+                     gauged_corpus_and_zn, opposite_module_composite, ract_c, ract_mor,
+                     rassoc)
 from modend import blocks, cli
 from modend.blocks import (Mor, _simple, act_c, act_mor, assoc, c_mor, ctensor, cunit, f_mor,
                            f_obj, unit_l, whisker_c)
 from modend.fusioncat import FusionCategorySpec, validate_fusion
 from modend.modcat import (ModuleCategorySpec, opposite_module, regular_module,
                            validate_module)
-from modend.modfunct import ModuleFunctorSpec, compose_functors, validate_functor
+from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,
+                             identity_functor, validate_functor)
 from modend.scalarfield import Matrix
 
 # ---------------------------------------------------------------------------
@@ -246,6 +249,46 @@ def test_pentagon_sweep_is_shared_by_a_category_and_its_regular_module(monkeypat
 def test_composite_functor_has_multiplicity_two():
     _, sq = SUBJECTS["rmul_fib_tau^2"]
     assert sq.mult("tau", "tau") == 2
+
+
+# ---------------------------------------------------------------------------
+# derived subjects: the gate before a command other than validate and suite
+# takes them as valid by construction, so every sweep must find them valid
+
+
+def _derived_subjects(tmp_path):
+    """The derived modules and functors of the loaded corpus and bench/gen.py zn4,
+    zn6; those ``suite`` builds from the same categories and from gauged copies of
+    the corpus; and the identity of the explicit module."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    assert {name for name, mod in bundle.modules.items() if mod.derived} \
+        == {f"{cname}_regular" for cname in bundle.categories}
+    assert {name for name, fun in bundle.functors.items() if not fun.derived} == {"forgetful"}
+    gen, paths = bench_gen(), []
+    for n in (4, 6):
+        paths.append(tmp_path / f"zn{n}.json")
+        paths[-1].write_text(json.dumps(gen.instance(n, 1)))
+    zn = cli.load([str(p) for p in paths])
+    out = {}
+    for loaded in (bundle, zn):
+        out.update((name, spec) for name, spec in {**loaded.modules, **loaded.functors}.items()
+                   if spec.derived)
+    for cname, cat in gauged_corpus_and_zn().items():
+        reg = regular_module(cat)
+        out[f"suite {cname} regular"], out[f"suite {cname} id"] = reg, identity_functor(reg)
+        for y in cat.simples:
+            out[f"suite {cname} rmul {y}"] = act_right_functor(cat, y, reg)
+    out["id_vec_over_vec_z2"] = identity_functor(bundle.module("vec_over_vec_z2"))
+    return out
+
+
+def test_derived_subjects_pass_every_sweep(tmp_path):
+    subjects = _derived_subjects(tmp_path)
+    assert len(subjects) == 2 * (23 + 14) + 23 + 1
+    for name, spec in subjects.items():
+        assert spec.derived, name
+        validate = validate_module if isinstance(spec, ModuleCategorySpec) else validate_functor
+        assert _entries(validate(spec)) == [], name
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import all_categories, fib, vec_z2_omega, vec_z2_triv, vec_over_vec_z2
+from helpers import (act_right_composite, all_categories, fib, gauged_corpus_and_zn,
+                     vec_z2_omega, vec_z2_triv, vec_over_vec_z2)
 
 from modend import blocks
 from modend.common import SourceTargetMismatch
@@ -39,6 +40,21 @@ def test_act_right_on_twisted_z2_solves_coherence():
     assert blk.rows == blk.cols == 1
     assert blk[0, 0] == spec.field.rational(-1)
     assert validate_functor(f).ok
+
+
+def test_act_right_blocks_match_the_associator_composite():
+    """Each c-block read off the F-symbols equals the matrix of ``assoc(reg, X, i, y)``."""
+    for name, spec in gauged_corpus_and_zn().items():
+        reg = regular_module(spec)
+        for y in spec.simples:
+            closed = act_right_functor(spec, y, reg).c_symbols
+            assert closed == act_right_composite(spec, y, reg), (name, y)
+    # fib's tau at X = tau: rows (1,0,tau), (tau,0,1), (tau,0,tau), one 2 x 2 F-block at tau
+    spec = fib()
+    reg = regular_module(spec)
+    blk = act_right_functor(spec, "tau", reg).c_symbols[("tau", "tau")]
+    assert (blk.rows, blk.cols) == (3, 3)
+    assert blk == act_right_composite(spec, "tau", reg)[("tau", "tau")]
 
 
 def test_label_swap_on_trivial_z2():
