@@ -64,14 +64,14 @@ class InstanceBundle:
             raise UnknownName(f"functor {name!r}")
         return self.functors[name]
 
-    def validate_all(self, sweep_derived: bool = True) -> list:
+    def validate_all(self) -> list:
         """All validation reports plus duality construction, in bundle order.
 
         A module over an invalid category, or a functor from or to an invalid
         module, is not checked: its report holds one ``invalid-dependency``
-        entry at the name of the invalid subject.  With ``sweep_derived``
-        false, a derived subject (``spec.derived``) over valid dependencies
-        is recorded valid by construction, without its sweeps.
+        entry at the name of the invalid subject.  A derived subject
+        (``spec.derived``) over valid dependencies is valid by construction:
+        its report is empty and none of its sweeps run.
         """
         reports = []
         invalid = {}        # id of each spec whose report failed -> (kind, name)
@@ -85,8 +85,7 @@ class InstanceBundle:
         def gated(validate, spec, *needs):
             broken = [invalid[id(d)] for d in needs if id(d) in invalid]
             if not broken:
-                return validate(spec) if sweep_derived or not spec.derived \
-                    else ValidationReport()
+                return ValidationReport() if spec.derived else validate(spec)
             kind, name = broken[0]
             rep = ValidationReport()
             rep.add("invalid-dependency", (name,), f"invalid {kind}")
@@ -243,7 +242,7 @@ STATUS_EXIT = {"ok": 0, "validation-failed": 1, "certificate-failed": 2}
 
 def _validate_gate(bundle: InstanceBundle):
     """Stop at the first failed report; derived subjects are valid by construction."""
-    for rep in bundle.validate_all(sweep_derived=False):
+    for rep in bundle.validate_all():
         if not rep.ok:
             raise ValidationError(f"{rep.subject}: {rep.entries[0]}")
 

@@ -114,9 +114,10 @@ def act_right_functor(c: FusionCategorySpec, y: str,
                       reg: ModuleCategorySpec | None = None) -> ModuleFunctorSpec:
     """Right multiplication ``- x y`` on the regular module of ``c``.
 
-    The c-block at ``(X, i)`` is the associator ``(X x i) x y -> X x (i x y)``:
-    row ``(k, 0, t)``, column ``(z, t, 0)`` holds ``F(X, i, y; t; z, k)``.  It is
-    derived: its coherence is the pentagon, its unit axiom the unit legs.
+    The c-block at ``(X, i)`` is the associator ``(X x i) act y -> X act (i act y)``
+    of ``reg``: row ``(k, 0, t)``, column ``(z, t, 0)`` holds ``L(X, i, y; k, z, t)``,
+    which is ``F(X, i, y; t; z, k)`` on a regular module.  There it is derived:
+    its coherence is the pentagon, its unit axiom the unit legs.
     """
     if y not in c.simples:
         raise SourceTargetMismatch(f"{y!r} is not a simple of the base")
@@ -127,10 +128,10 @@ def act_right_functor(c: FusionCategorySpec, y: str,
     c_symbols = {}
     for X in c.simples:
         for i in c.simples:
-            rows = [(k, t) for k in c.fuse(i, y) for t in c.fuse(X, k)]
-            cols = [(z, t) for z in c.fuse(X, i) for t in c.fuse(z, y)]
+            rows = [(k, t) for k in reg.act_set(i, y) for t in reg.act_set(X, k)]
+            cols = [(z, t) for z in reg.base.fuse(X, i) for t in reg.act_set(z, y)]
             c_symbols[(X, i)] = Matrix(c.field, len(rows), len(cols), [
-                c.f_symbol(X, i, y, t, z, k) if t == s else zero
+                reg.l_symbol(X, i, y, k, z, t) if t == s else zero
                 for k, t in rows for z, s in cols])
     return ModuleFunctorSpec(reg, reg, on_simples, c_symbols, name=f"rmul_{c.name}_{y}",
                              derived=reg.derived and reg.base is c)

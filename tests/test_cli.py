@@ -1,16 +1,18 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import bench_gen, fib
+from helpers import act_right_composite, bench_gen, fib, gauge_module
 from modend import cli
 from modend.common import ParseError, UnknownName
 from modend.modcat import opposite_module, regular_module, validate_module
+from modend.modfunct import act_right_functor, validate_functor
 
 
 @pytest.fixture(scope="module")
@@ -516,22 +518,43 @@ def _count_sweeps(monkeypatch) -> list:
 
 
 def test_gate_sweeps_no_derived_subject(tmp_path, monkeypatch, capsys):
-    """Before a command other than validate and suite, regular modules, identities
-    and right multiplications are valid by construction; validate and suite
-    sweep every subject."""
+    """Regular modules, identities and right multiplications are valid by
+    construction: no command sweeps them, and explicit subjects are swept once."""
     path = tmp_path / "zn4.json"
     path.write_text(json.dumps(bench_gen().instance(4, 1)))
     swept = _count_sweeps(monkeypatch)
     assert cli.main(["-i", str(path), "serre", "zn4_regular"]) == 0
     assert swept == []
-    assert cli.main(["serre", "fib_regular"]) == 0
-    assert swept == ["vec_over_vec_z2", "forgetful"]
-    bundle = cli.load(cli.bundled_instance_paths())
-    for command in ("validate", "suite"):
+    for command in (["serre", "fib_regular"], ["validate"], ["suite"]):
         swept.clear()
-        assert cli.main([command]) == 0
-        assert swept == [*bundle.modules, *bundle.functors], command
+        assert cli.main(command) == 0
+        assert swept == ["vec_over_vec_z2", "forgetful"], command
     capsys.readouterr()
+
+
+def test_act_right_on_an_explicit_regular_module_reads_its_l_symbols(tmp_path, capsys):
+    """An ``act_right`` functor over an explicit ``fib_regular`` whose L-symbols are
+    a gauged copy of the F-symbols takes its c-blocks from those L-symbols, and is
+    swept like any explicit functor."""
+    cat = fib()
+    one = cat.field.one
+    gauged, _ = gauge_module(regular_module(cat), cat, dict.fromkeys(cat.fusion, one),
+                             random.Random(12))
+    assert gauged._l != regular_module(cat)._l
+    doc = json.loads(Path(_bundled_path("fib.json")).read_text())
+    doc["modules"] = {"fib_regular": _module_entry(gauged, "fib")}
+    doc["functors"] = {"rmul_tau": {"type": "act_right", "category": "fib", "label": "tau"}}
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    loaded = cli.load([str(path)])
+    reg, fun = loaded.module("fib_regular"), loaded.functor("rmul_tau")
+    assert not reg.derived and not fun.derived
+    assert fun.c_symbols == act_right_composite(loaded.category("fib"), "tau", reg)
+    assert fun.c_symbols != act_right_functor(cat, "tau").c_symbols
+    assert cli.main(["-i", str(path), "validate"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["module fib_regular"] == "valid"
+    assert result["functor rmul_tau"] == [str(e) for e in validate_functor(fun).entries]
 
 
 def test_gate_keeps_every_sweep_on_explicit_subjects(tmp_path, monkeypatch, capsys):

@@ -252,8 +252,8 @@ def test_composite_functor_has_multiplicity_two():
 
 
 # ---------------------------------------------------------------------------
-# derived subjects: the gate before a command other than validate and suite
-# takes them as valid by construction, so every sweep must find them valid
+# derived subjects: no command sweeps them, as they are valid by construction,
+# so every sweep must find them valid
 
 
 def _derived_subjects(tmp_path):
