@@ -1,12 +1,15 @@
 """Block-matrix calculus for skeletal semisimple module categories.
 
-The end engine's probe builders reduce to finite compositions of structure
-morphisms between direct sums of simple objects.  This module fixes one
-concrete additive skeleton and provides those compositions as exact
-matrices; the builders are their only callers.  Everything else reads
-symbols: the validators (the predicates at the end of this module), the
-duality checks, opposite modules, composite functors and the right
-multiplications are products of F-, L- and c-symbols and duality scalars.
+The end engine's ``Hom(F(-), G(-))`` family (the module end, its
+naturality oracle, its coend and the composite conditions) reduces to
+finite compositions of structure morphisms between direct sums of simple
+objects.  This module fixes one concrete additive skeleton and provides
+those compositions as exact matrices; that family is their only caller.
+Everything else reads symbols: the validators (the predicates at the end
+of this module), the duality checks, opposite modules, composite functors,
+right multiplications and the object-valued probe builders are sums of
+products of F-, L- and c-symbols, entries of inverse blocks and duality
+scalars.
 
 Conventions
 -----------
@@ -24,18 +27,16 @@ Conventions
   at simple slots ``(a, b, p)`` with target ``t`` is the L-matrix
   ``rows j in b act p, cols z in a x b``.
 * The base acting on itself is the regular module (``BaseTables.regular``),
-  whose L-symbols are the F-symbols: ``ctensor`` and ``ctensor_mor`` are its
-  ``act_c`` and ``act_mor``/``whisker_c``, and its ``assoc`` is the base's
-  associator.
+  whose L-symbols are the F-symbols: ``ctensor`` is its ``act_c``, and its
+  ``assoc`` is the base's associator.
 * The unit constraints of the base are the canonical projections (scalar 1);
   module unit maps carry the module's unit scalars.
 * Right duals pair as ``ev(a): a* x a -> 1`` with scalar ``ev[a]``, right
-  coevaluation ``coev(a): 1 -> a x a*``; left duals pair as
-  ``lev(a): a x *a -> 1`` and ``lcoev(a): 1 -> *a x a``.  Flat duals of sums
-  dualize labels summand-wise and pair diagonally.  Because both zig-zags of
-  each chirality are verified, the dual of a morphism is its matrix transpose
-  and ``(A x B)* -> B* x A*`` is monomial, with one closed-form scalar in F,
-  ``ev`` and ``lev`` per summand (``phi_r``, ``phi_l``).
+  coevaluation ``coev(a): 1 -> a x a*``; flat duals of sums dualize labels
+  summand-wise and pair diagonally.  The left duality scalars ``lev`` and
+  ``lcoev`` and the canonical isos ``(a x b)* -> b* x a*`` (one closed-form
+  scalar per summand, ``phi_r_scalar`` and ``phi_l_scalar``) enter the
+  symbol-level forms only.
 * Object constructors and the structure morphisms that depend on objects
   alone are cached on the tables object they take, for the life of that
   object; callers share the returned :class:`Obj` and :class:`Mor` values and
@@ -320,8 +321,6 @@ def rdual_flat(base: BaseTables, A: Obj) -> Obj:
     return Obj(tuple(base.dual[a] for a in A.labels), A.keys)
 
 
-ldual_flat = rdual_flat  # one involution serves both duals at label level
-
 
 # ---------------------------------------------------------------------------
 # structural morphisms of a left module
@@ -421,27 +420,6 @@ def unit_l_inv(tables: ModuleTables, N: Obj) -> Mor:
     return Mor(N, src, mat)
 
 
-@_memoized
-def runit_reg(base: BaseTables, A: Obj) -> Mor:
-    """``A x 1 -> A`` in the regular module (canonical projections)."""
-    reg = base.regular()
-    src = act_c(reg, A, cunit(base))
-    mat = Matrix.zeros(base.field, len(A), len(src))
-    for ia, a in enumerate(A.labels):
-        mat[ia, src.index[(ia, 0, a)]] = base.field.one
-    return Mor(src, A, mat)
-
-
-@_memoized
-def runit_reg_inv(base: BaseTables, A: Obj) -> Mor:
-    reg = base.regular()
-    src = act_c(reg, A, cunit(base))
-    mat = Matrix.zeros(base.field, len(src), len(A))
-    for ia, a in enumerate(A.labels):
-        mat[src.index[(ia, 0, a)], ia] = base.field.one
-    return Mor(A, src, mat)
-
-
 # ---------------------------------------------------------------------------
 # duality on the base category
 
@@ -468,20 +446,6 @@ def coev_flat(base: BaseTables, A: Obj) -> Mor:
     return Mor(cunit(base), dst, _diagonal(base, dst, A, base.coev))
 
 
-@_memoized
-def lev_flat(base: BaseTables, A: Obj) -> Mor:
-    """``A x *A -> 1``."""
-    src = ctensor(base, A, ldual_flat(base, A))
-    return Mor(src, cunit(base), _diagonal(base, src, A, base.lev).transpose())
-
-
-@_memoized
-def lcoev_flat(base: BaseTables, A: Obj) -> Mor:
-    """``1 -> *A x A``."""
-    dst = ctensor(base, ldual_flat(base, A), A)
-    return Mor(cunit(base), dst, _diagonal(base, dst, A, base.lcoev))
-
-
 def eps_flat(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
     """``A* act (A act N) -> N``: right-dual evaluation acting on a module."""
     da = rdual_flat(tables.base, A)
@@ -491,37 +455,9 @@ def eps_flat(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
     return step3 * step2 * step1
 
 
-def zeta_flat(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
-    """``A act (*A act N) -> N``: left-dual evaluation acting on a module."""
-    da = ldual_flat(tables.base, A)
-    step1 = assoc_inv(tables, A, da, N)
-    step2 = act_mor(tables, lev_flat(tables.base, A), N)
-    step3 = unit_l(tables, N)
-    return step3 * step2 * step1
-
-
-def rdual_mor(base: BaseTables, g: Mor) -> Mor:
-    """Right-dual transpose ``g*: B* -> A*`` of ``g: A -> B``: the matrix transpose."""
-    return Mor(rdual_flat(base, g.dst), rdual_flat(base, g.src), g.mat.transpose())
-
-
-ldual_mor = rdual_mor  # the left zig-zags are the identity as well
-
-
-def _dual_tensor_iso(base: BaseTables, A1: Obj, A2: Obj, scalar: Callable) -> Mor:
-    """Monomial iso ``(A1 x A2)* -> A2* x A1*``: summand ``(ia, ib, z)`` goes to
-    ``(ib, ia, z*)`` times ``scalar(a, b, z)``, where ``a, b`` label ``A1[ia], A2[ib]``."""
-    V = ctensor(base, A1, A2)
-    src = rdual_flat(base, V)
-    dst = ctensor(base, rdual_flat(base, A2), rdual_flat(base, A1))
-    mat = Matrix.zeros(base.field, len(dst), len(src))
-    for col, (ia, ib, z) in enumerate(V.keys):
-        mat[dst.index[(ib, ia, base.dual[z])], col] = scalar(A1.labels[ia], A2.labels[ib], z)
-    return Mor(src, dst, mat)
-
-
 def phi_r_scalar(base: BaseTables, a: str, b: str, z: str):
-    """Scalar of ``phi_r`` at ``z in a x b``.
+    """Scalar at ``z in a x b`` of the canonical iso ``(a x b)* -> b* x a*``
+    between two right duals, which is monomial.
 
     ``F(b,b*,a*; a*; 1,z*) ev[z] / (F(a,b,z*; 1; z,a*) lev[z*])``.
     """
@@ -531,23 +467,14 @@ def phi_r_scalar(base: BaseTables, a: str, b: str, z: str):
 
 
 def phi_l_scalar(base: BaseTables, a: str, b: str, z: str):
-    """Scalar of ``phi_l`` at ``z in a x b``.
+    """Scalar at ``z in a x b`` of the canonical iso ``*(a x b) -> *b x *a``
+    between two left duals, which is monomial.
 
     ``F(b*,b,z*; z*; 1,a*) F(a*,a,a*; a*; 1,1) lev[z] / F(a,b,z*; 1; z,a*)``.
     """
     F, d, one = base._f_entry, base.dual, base.unit
     return (F(d[b], b, d[z], d[z], one, d[a]) * F(d[a], a, d[a], d[a], one, one) * base.lev[z]
             / F(a, b, d[z], one, z, d[a]))
-
-
-def phi_r(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
-    """Canonical iso ``(A1 x A2)* -> A2* x A1*`` between two right duals (``phi_r_scalar``)."""
-    return _dual_tensor_iso(base, A1, A2, functools.partial(phi_r_scalar, base))
-
-
-def phi_l(base: BaseTables, A1: Obj, A2: Obj) -> Mor:
-    """Canonical iso ``*(A1 x A2) -> *A2 x *A1`` between two left duals (``phi_l_scalar``)."""
-    return _dual_tensor_iso(base, A1, A2, functools.partial(phi_l_scalar, base))
 
 
 def f_inverse_entry(base: BaseTables, a: str, b: str, c: str, t: str, e: str, f: str):
@@ -680,107 +607,6 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
     out = Mor(src, dst, mat)
     ft._cache[key] = out
     return out
-
-
-# ---------------------------------------------------------------------------
-# internal hom of a left module
-
-
-def uhom_set(tables: ModuleTables, i: str, j: str) -> tuple:
-    return tuple(X for X in tables.base.simples if tables.n(X, i, j))
-
-
-@_memoized
-def uhom_obj(tables: ModuleTables, A: Obj, B: Obj) -> Obj:
-    """Representing object of ``Hom(- act A, B)`` for sums of simples."""
-    labels, keys = [], []
-    for ipa, p in enumerate(A.labels):
-        for iq, q in enumerate(B.labels):
-            for X in uhom_set(tables, p, q):
-                labels.append(X)
-                keys.append((ipa, iq, X))
-    return Obj(tuple(labels), tuple(keys))
-
-
-def uhom_mor_first(tables: ModuleTables, f: Mor, B: Obj) -> Mor:
-    """``uhom(f, id_B)``, contravariant inflation in the first slot."""
-    src = uhom_obj(tables, f.dst, B)
-    dst = uhom_obj(tables, f.src, B)
-    mat = Matrix.zeros(tables.field, len(dst), len(src))
-    for iq2 in range(len(f.dst)):
-        for ip in range(len(f.src)):
-            val = f.mat[iq2, ip]
-            if not val:
-                continue
-            for ib, q in enumerate(B.labels):
-                for X in uhom_set(tables, f.src.labels[ip], q):
-                    mat[dst.index[(ip, ib, X)], src.index[(iq2, ib, X)]] = val
-    return Mor(src, dst, mat)
-
-
-def uhom_mor_second(tables: ModuleTables, A: Obj, g: Mor) -> Mor:
-    """``uhom(id_A, g)``, covariant inflation in the second slot."""
-    src = uhom_obj(tables, A, g.src)
-    dst = uhom_obj(tables, A, g.dst)
-    mat = Matrix.zeros(tables.field, len(dst), len(src))
-    for iq2 in range(len(g.dst)):
-        for iq in range(len(g.src)):
-            val = g.mat[iq2, iq]
-            if not val:
-                continue
-            for ipa, p in enumerate(A.labels):
-                for X in uhom_set(tables, p, g.src.labels[iq]):
-                    mat[dst.index[(ipa, iq2, X)], src.index[(ipa, iq, X)]] = val
-    return Mor(src, dst, mat)
-
-
-def evh_mor(tables: ModuleTables, A: Obj, B: Obj) -> Mor:
-    """Counit ``uhom(A, B) act A -> B`` on the chosen bases."""
-    uh = uhom_obj(tables, A, B)
-    src = act_c(tables, uh, A)
-    mat = Matrix.zeros(tables.field, len(B), len(src))
-    for ih, (ipa, iq, X) in enumerate(uh.keys):
-        t = B.labels[iq]
-        pos = src.index.get((ih, ipa, t))
-        if pos is not None:
-            mat[iq, pos] = tables.field.one
-    return Mor(src, B, mat)
-
-
-def psi_reshuffle(tables: ModuleTables, W: Obj, A: Obj, B: Obj, h: Mor) -> Mor:
-    """Adjunction mate ``W -> uhom(A, B)`` of ``h: W act A -> B``."""
-    wa = act_c(tables, W, A)
-    if h.src != wa or h.dst != B:
-        raise DimensionMismatch("mate of a morphism with unexpected ends")
-    uh = uhom_obj(tables, A, B)
-    mat = Matrix.zeros(tables.field, len(uh), len(W))
-    for dpos, (ipa, iq, X) in enumerate(uh.keys):
-        t = B.labels[iq]
-        for iw in W.positions(X):
-            spos = wa.index.get((iw, ipa, t))
-            if spos is not None:
-                mat[dpos, iw] = h.mat[iq, spos]
-    return Mor(W, uh, mat)
-
-
-def uhom_left_tensor_iso(tables: ModuleTables, X: str, A: Obj, B: Obj) -> Mor:
-    """Action iso ``X x uhom(A, B) -> uhom(A, X act B)`` on chosen bases."""
-    uh = uhom_obj(tables, A, B)
-    sx = _simple(tables.base, X)
-    W = ctensor(tables.base, sx, uh)
-    xb = act_c(tables, sx, B)
-    h = whisker_c(tables, sx, evh_mor(tables, A, B)) * assoc(tables, sx, uh, A)
-    return psi_reshuffle(tables, W, A, xb, h)
-
-
-# ---------------------------------------------------------------------------
-# base-category structure morphisms
-
-
-def ctensor_mor(base: BaseTables, g: Mor, h: Mor) -> Mor:
-    """``g x h``, that is ``(g act id) after (id act h)`` in the regular module."""
-    reg = base.regular()
-    return act_mor(reg, g, h.dst) * whisker_c(reg, g.src, h)
 
 
 # ---------------------------------------------------------------------------

@@ -146,10 +146,14 @@ def _load_functor(name: str, data: dict, bundle: InstanceBundle) -> ModuleFuncto
         return fun
     if kind == "act_right":
         cat = bundle.category(data["category"])
-        reg = bundle.modules.get(f"{data['category']}_regular")
+        reg_name = f"{data['category']}_regular"
+        reg = bundle.modules.get(reg_name)
         if reg is None:
-            raise ParseError(f"functor {name!r}: act_right needs the module "
-                             f"'{data['category']}_regular'")
+            raise ParseError(f"functor {name!r}: act_right needs the module {reg_name!r}")
+        # L(X, i, y; k, z, t) is a c-block entry of - x y only on the regular module
+        if reg.tables is not cat.tables.regular():
+            raise ParseError(f"functor {name!r}: act_right needs {reg_name!r} to be the "
+                             f"regular module of {data['category']!r}")
         fun = act_right_functor(cat, data["label"], reg)
         fun.name = name
         return fun

@@ -27,7 +27,9 @@ the double-dual end) are built once, over a carrier that keeps every summand
 of each diagonal object tagged with its label.  Restricting that system to
 the coordinates of one label (``restrict_carrier``) gives the Hom-probe
 ``Hom(label, -)`` of the (co)end, an ordinary vect-valued module end whose
-dimension is that label's multiplicity.
+dimension is that label's multiplicity.  Their builders write each condition
+entry by entry from symbols and compose no morphisms; the ``Obj``/``Mor``
+calculus of ``blocks`` serves the Hom family alone.
 """
 
 from __future__ import annotations
@@ -344,56 +346,51 @@ def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> Dinatu
 
 # ---------------------------------------------------------------------------
 # object-valued ends and coends, read off label by label through Hom-probes
+#
+# Each builder writes a generator's condition entry by entry: its left-hand
+# side on the generator's own block and, subtracted, its right-hand side on
+# the block of each summand it passes through.  Every entry is a product of
+# F-, L- and c-symbols, entries of inverse F- and L-blocks and duality
+# scalars.  ``L(X,Y,i; j,Z,t)`` is the entry of ``l_block(X, Y, i, t)`` at
+# row ``j``, column ``Z``, and ``Linv(X,Y,i; t)[Z, j]`` that of its inverse;
+# ``F`` and ``Finv`` are the same for ``f_block``.
 
 
-def _labelled_carrier(objects: Mapping[str, Obj], order: Sequence[str]):
-    """One block per diagonal object, one coordinate per summand, tagged by its label."""
-    out = []
-    offset = 0
+def _labelled_carrier(summands: Mapping[str, Sequence[tuple]], order: Sequence[str]):
+    """One block per diagonal object, one coordinate per summand, tagged by its label.
+
+    ``summands[key]`` lists the summands of the object at ``key``, each a tuple
+    whose last entry is its label.  Returns the blocks and the carrier column
+    of each ``(key, summand)``.
+    """
+    out, column = [], {}
     for key in order:
-        basis = tuple((lab, pos) for pos, lab in enumerate(objects[key].labels))
-        out.append(CarrierBlock(simple=key, basis=basis, offset=offset))
-        offset += len(basis)
-    return out
+        basis = []
+        for pos, summand in enumerate(summands[key]):
+            column[key, summand] = len(column)
+            basis.append((summand[-1], pos))
+        out.append(CarrierBlock(simple=key, basis=tuple(basis), offset=len(column) - len(basis)))
+    return out, column
 
 
-def _unit_matrix(field, rows, cols, r, c):
-    m = Matrix.zeros(field, rows, cols)
-    m[r, c] = field.one
-    return m
+def _inverse_entries(block, zero):
+    """``inv(key, r, c)``: the entry of the inverse of ``block(*key)`` at row ``r``
+    (a column label of the block) and column ``c`` (a row label); 0 where either
+    label is not in the block.  Each block is inverted once."""
+    cache = {}
 
-
-def _decomposition_sum(bt: blocks.BaseTables, A: Obj, term) -> dict:
-    """``sum term(q, p_q, i_q).mat`` over the summands of ``A``, grouped by label ``q``.
-
-    ``p_q: A -> q`` and ``i_q: q -> A`` are the projection onto and the
-    inclusion of one summand, so the sum extends a morphism on simples to ``A``.
-    """
-    out = {}
-    for qp, q in enumerate(A.labels):
-        sq = _simple(bt, q)
-        p_q = Mor(A, sq, _unit_matrix(bt.field, 1, len(A), 0, qp))
-        i_q = Mor(sq, A, _unit_matrix(bt.field, len(A), 1, qp, 0))
-        mat = term(q, p_q, i_q).mat
-        out[q] = out[q] + mat if q in out else mat
-    return out
-
-
-def _balancing_matrix(field: FieldSpec, carrier, lhs_block: str, lhs: Matrix,
-                      rhs: Mapping[str, Matrix]) -> Matrix:
-    """Condition matrix of one balancing equation on a labelled carrier.
-
-    ``lhs`` acts on block ``lhs_block`` and ``rhs[q]`` on block ``q``; the
-    condition on the coordinate at position ``pos`` of block ``q`` is column
-    ``pos`` of ``[q == lhs_block] lhs - rhs[q]``.
-    """
-    columns = []
-    for block in carrier:
-        diff = lhs if block.simple == lhs_block else Matrix.zeros(field, lhs.rows, block.dim)
-        if block.simple in rhs:
-            diff = diff - rhs[block.simple]
-        columns.extend(diff.entries[pos::block.dim] for pos in range(block.dim))
-    return _column_matrix(field, columns, lhs.rows)
+    def inv(key, r, c):
+        hit = cache.get(key)
+        if hit is None:
+            rows, cols, mat = block(*key)
+            hit = cache[key] = ({lab: n for n, lab in enumerate(cols)},
+                                {lab: n for n, lab in enumerate(rows)},
+                                mat.inverse() if mat.rows else mat)
+        r_at, c_at, mat = hit
+        if r in r_at and c in c_at:
+            return mat[r_at[r], c_at[c]]
+        return zero
+    return inv
 
 
 def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
@@ -401,62 +398,64 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
 
     ``f`` and ``g`` must land in the regular module of the base; restricted to
     the label ``p`` (``restrict_carrier``) the system computes
-    ``dim Hom(p, end object)`` of the internal-character end.  The
-    pre-balancing is assembled from the functor coherences, ``phi_l`` and the
-    dual transpose of ``c``.
+    ``dim Hom(p, end object)`` of the internal-character end.
+
+    Block ``i`` has a coordinate per copy ``(k,a)`` of ``m_k`` in ``F(m_i)``,
+    copy ``(l,b)`` of ``m_l`` in ``G(m_i)`` and ``p in k* x l``.  The rows of
+    generator ``(X, m_i)`` run over ``s in X act m_i``, ``w in X* act m_s``,
+    copies ``(k,a)`` in ``F(m_w)``, ``(l,b)`` in ``G(m_i)`` and ``p in k* x l``.
+    The left-hand side, where ``w = i``, is ``lambda_i ev[X] Linv(X*,X,i; i)[1, s]``
+    at ``(k,a,l,b,p)`` of block ``i``.  The right-hand side at ``(k',a',l',b',p)``
+    of block ``s`` is ``c_G(X,i)[(l,b,l'), (s,l',b')] Finv(k'*,X,l; p; k*,l')
+    c_F(X*,s)[(k',a',k), (w,k,a)] / phi_l(X*,k'; k)``: the pre-balancing through
+    the functor coherences, ``phi_l`` and the dual transpose of ``c``.
     """
     if f.src is not g.src:
         raise SourceTargetMismatch("functors must share their source")
     base = f.src.base
     bt = base.tables
-    reg = bt.regular()
     for h in (f, g):
-        if h.dst.tables is not reg:
+        if h.dst.tables is not bt.regular():
             raise SourceTargetMismatch(
                 f"functor {h.name!r} must land in the regular module of the base")
     base.duality()
-    mt = f.src.tables
-    ftab, gtab = f.tables, g.tables
-
-    def fobj(N: Obj) -> Obj:
-        return blocks.f_obj(ftab, N)
-
-    def gobj(N: Obj) -> Obj:
-        return blocks.f_obj(gtab, N)
-
-    def s_obj(A: Obj, B: Obj) -> Obj:
-        return blocks.ctensor(bt, blocks.ldual_flat(bt, fobj(A)), gobj(B))
-
-    s_diag = {i: s_obj(_simple(bt, i), _simple(bt, i)) for i in f.src.simples}
-    carrier = _labelled_carrier(s_diag, f.src.simples)
+    mt, ftab, gtab = f.src.tables, f.tables, g.tables
+    field, dual, unit = f.field, base.dual, base.unit
+    l_inv = _inverse_entries(mt.l_block, field.zero)
+    f_inv = _inverse_entries(bt.f_block, field.zero)
+    f_copies = {i: [(k, a) for k, n in ftab.images[i] for a in range(n)] for i in f.src.simples}
+    g_copies = {i: [(l, b) for l, n in gtab.images[i] for b in range(n)] for i in f.src.simples}
+    carrier, column = _labelled_carrier(
+        {i: [(k, a, l, b, p) for k, a in f_copies[i] for l, b in g_copies[i]
+             for p in bt.fuse(dual[k], l)] for i in f.src.simples}, f.src.simples)
+    dim = len(column)
     conditions = []
     for X in base.simples:
-        sx = _simple(bt, X)
-        Xd = base.dual[X]
-        sxd = _simple(bt, Xd)
+        Xd = dual[X]
         for i in f.src.simples:
-            mi = _simple(bt, i)
-            A = blocks.act_c(mt, sx, mi)
-            fa = fobj(A)
-            gmi = gobj(mi)
-            lfa = blocks.ldual_flat(bt, fa)
-            # LHS: S(eps, id) on the diagonal block at i
-            eps = blocks.eps_flat(mt, sx, mi)
-            l1 = blocks.act_mor(reg, blocks.ldual_mor(bt, blocks.f_mor(ftab, eps)), gmi)
-            # RHS: the pre-balancing (a fixed post-composition) after extension
-            d = blocks.c_mor(gtab, sx, mi)                 # G(A) -> X x G(m_i)
-            st1 = blocks.whisker_c(reg, lfa, d)
-            regroup = blocks.assoc_inv(reg, lfa, sx, gmi)
-            tau = blocks.act_mor(reg, blocks.phi_l(bt, sxd, fa).inverse(), gmi)
-            cf = blocks.c_mor(ftab, sxd, A)                # F(X* act A) -> X* x F(A)
-            st4 = blocks.act_mor(reg, blocks.ldual_mor(bt, cf), gmi)
-            beta_chain = st4 * tau * regroup * st1
-            rhs = _decomposition_sum(bt, A, lambda q, p_q, i_q: beta_chain
-                                     * blocks.ctensor_mor(bt, blocks.ldual_mor(
-                                         bt, blocks.f_mor(ftab, p_q)), blocks.f_mor(gtab, i_q)))
-            cond = _balancing_matrix(f.field, carrier, i, l1.mat, rhs)
-            conditions.append(Condition(generator=(X, i), matrix=cond))
-    return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
+            c_g = blocks._c_entries(gtab, X, i)
+            lhs = mt.unit_scalar(i) * bt.ev[X]
+            rows = [(s, w, k, a, l, b, p) for s in mt.act_set(X, i) for w in mt.act_set(Xd, s)
+                    for k, a in f_copies[w] for l, b in g_copies[i] for p in bt.fuse(dual[k], l)]
+            mat = Matrix.zeros(field, len(rows), dim)
+            for r, (s, w, k, a, l, b, p) in enumerate(rows):
+                at = r * dim
+                if w == i:
+                    mat.entries[at + column[i, (k, a, l, b, p)]] += \
+                        lhs * l_inv((Xd, X, i, i), unit, s)
+                c_f = blocks._c_entries(ftab, Xd, s)
+                for k2, a2 in f_copies[s]:
+                    cf = c_f.get((k2, a2, k, w, k, a))
+                    if not cf:
+                        continue
+                    cf = cf / blocks.phi_l_scalar(bt, Xd, k2, k)
+                    for l2, b2 in g_copies[s]:
+                        cg = c_g.get((l, b, l2, s, l2, b2))
+                        if cg and (s, (k2, a2, l2, b2, p)) in column:
+                            mat.entries[at + column[s, (k2, a2, l2, b2, p)]] -= \
+                                cg * f_inv((dual[k2], X, l, p), dual[k], l2) * cf
+            conditions.append(Condition(generator=(X, i), matrix=mat))
+    return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="character-probe", meta={"base": base})
 
 
@@ -467,49 +466,63 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     probed with ``Hom(-, m_p)``, which turns its relations into an end-type
     system on coordinate functionals; restricted to the label ``p``, the
     nullspace dimension is the multiplicity of ``m_p`` in the coend object.
+
+    With ``US(j)`` the simples ``Y`` with ``m_j in Y act m_i``, block ``u`` has
+    a coordinate per ``Y in US(u)`` and ``t in Y* act m_u``.  The rows of
+    generator ``(X, m_u)`` run over ``Y in US(u)``, ``z in X* x X``,
+    ``s in z* act m_u`` and ``t in Y* act m_s``.  The left-hand side, where
+    ``z = 1``, is ``lcoev[X] lambda_u`` at ``(Y, t)`` of block ``u``.  The
+    right-hand side at ``(Z, t)`` of block ``q in X act m_u`` is
+    ``phi_r(X*,X; z) L(X*,X,u; q,z*,s) Linv(Y*,X*,q; t)[Z*, s] M_Z^-1[Y, q]
+    / phi_r(X,Y; Z)``, where ``M_Z`` holds ``L(X,Y',i; u,Z,q')`` at row
+    ``q' in X act m_u`` with ``Z in US(q')`` and column ``Y' in US(u)`` with
+    ``Z in X x Y'``: the internal hom's action iso, square by the
+    ``uhom-shift-second`` identity.
     """
     base = m.base
     base.duality()
-    bt = base.tables
-    mt = m.tables
-    field = m.field
-    mi = _simple(bt, i)
+    bt, mt = base.tables, m.tables
+    field, dual, unit = m.field, base.dual, base.unit
+    L = mt._l_entry
+    l_inv = _inverse_entries(mt.l_block, field.zero)
+    us = {j: [Y for Y in base.simples if mt.n(Y, i, j)] for j in m.simples}
+    carrier, column = _labelled_carrier(
+        {u: [(Y, t) for Y in us[u] for t in mt.act_set(dual[Y], u)] for u in m.simples},
+        m.simples)
+    dim = len(column)
 
-    def uh(v_obj: Obj) -> Obj:
-        return blocks.uhom_obj(mt, mi, v_obj)
+    def action_iso(X, u, Z):
+        """``M_Z`` of ``(X, m_u)`` as the block of ``_inverse_entries``."""
+        rows = [q for q in mt.act_set(X, u) if Z in us[q]]
+        cols = [Y for Y in us[u] if bt.n(X, Y, Z)]
+        return rows, cols, Matrix(field, len(rows), len(cols),
+                                  [L(X, Y, i, u, Z, q) for q in rows for Y in cols])
 
-    t_diag = {}
-    for u in m.simples:
-        su = _simple(bt, u)
-        t_diag[u] = blocks.act_c(mt, blocks.rdual_flat(bt, uh(su)), su)
-    carrier = _labelled_carrier(t_diag, m.simples)
+    m_inv = _inverse_entries(action_iso, field.zero)
     conditions = []
     for X in base.simples:
-        sx = _simple(bt, X)
-        sxd = _simple(bt, base.dual[X])
+        Xd = dual[X]
         for u in m.simples:
-            su = _simple(bt, u)
-            rd_uh_u = blocks.rdual_flat(bt, uh(su))
-            # Gamma1: the first-slot move along the transposed left coevaluation
-            ghat = blocks.unit_l(mt, su) \
-                * blocks.act_mor(mt, blocks.rdual_mor(bt, blocks.lcoev_flat(bt, sx)), su)
-            gamma1 = blocks.whisker_c(mt, rd_uh_u, ghat)
-            # inverse of the opposite-module associativity, underlying morphism
-            s1 = blocks.whisker_c(mt, rd_uh_u, blocks.assoc(mt, sxd, sx, su)
-                                  * blocks.act_mor(mt, blocks.phi_r(bt, sxd, sx), su))
-            # the pre-balancing of the Serre coend
-            U0 = blocks.act_c(mt, sx, su)
-            gb = blocks.rdual_mor(bt, blocks.uhom_left_tensor_iso(mt, X, mi, su)).inverse() \
-                * blocks.phi_r(bt, sx, uh(su)).inverse()
-            gamma = blocks.act_mor(mt, gb, U0) * blocks.assoc_inv(mt, rd_uh_u, sxd, U0)
-            rd_uh_U0 = blocks.rdual_flat(bt, uh(U0))
-            rhs = _decomposition_sum(bt, U0, lambda q, p_q, i_q: blocks.act_mor(
-                mt, blocks.rdual_mor(bt, blocks.uhom_mor_second(mt, mi, i_q)), _simple(bt, q))
-                * blocks.whisker_c(mt, rd_uh_U0, p_q) * gamma * s1)
-            # probed with Hom(-, m_p), the coend's coordinates are functionals: transpose
-            cond = _balancing_matrix(field, carrier, u, gamma1.mat.transpose(),
-                                     {q: t.transpose() for q, t in rhs.items()})
-            conditions.append(Condition(generator=(X, u), matrix=cond))
+            lhs = bt.lcoev[X] * mt.unit_scalar(u)
+            rows = [(Y, z, s, t) for Y in us[u] for z in bt.fuse(Xd, X)
+                    for s in mt.act_set(dual[z], u) for t in mt.act_set(dual[Y], s)]
+            mat = Matrix.zeros(field, len(rows), dim)
+            for r, (Y, z, s, t) in enumerate(rows):
+                at = r * dim
+                if z == unit:
+                    mat.entries[at + column[u, (Y, t)]] += lhs
+                phi = blocks.phi_r_scalar(bt, Xd, X, z)
+                for q in mt.act_set(X, u):
+                    lval = L(Xd, X, u, q, dual[z], s)
+                    if not lval:
+                        continue
+                    for Z in us[q]:
+                        if (q, (Z, t)) not in column or not bt.n(X, Y, Z):
+                            continue
+                        mat.entries[at + column[q, (Z, t)]] -= (
+                            phi * lval * l_inv((dual[Y], Xd, q, t), dual[Z], s)
+                            * m_inv((X, u, Z), Y, q) / blocks.phi_r_scalar(bt, X, Y, Z))
+            conditions.append(Condition(generator=(X, u), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="serre-coend-probe",
                            meta={"base": base, "input": i})
@@ -521,56 +534,44 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
     The end runs over the dual category realized by right multiplications:
     one condition per (simple Y, module simple m), with the pre-balancing
     assembled from the internal-hom adjunction shift along ``- x Y``.
+
+    Block ``m`` has a coordinate per ``q in x x m`` and ``Z`` with
+    ``q in Z x m``.  The rows of generator ``(Y, m)`` run over ``n in m x Y``,
+    ``w in n x Y*``, ``q in x x m`` and ``Z`` with ``q in Z x w``.  The
+    left-hand side, where ``w = m``, is ``F(m,Y,Y*; m; n,1) lev[Y]`` at
+    ``(q, Z)`` of block ``m``.  The right-hand side at ``(q', Z)`` of block
+    ``n``, for ``q' in x x n`` with ``q' in Z x n`` and ``q' in q x Y``, is
+    ``Finv(x,m,Y; q'; q,n) Finv(Z,n,Y*; q; q',w) F(q,Y,Y*; q; q',1) lev[Y]``.
     """
     base = reg_module.base
-    base.duality()
     bt = base.tables
-    rt = reg_module.tables
-    field = reg_module.field
-    sx = _simple(bt, x)
-    one = _simple(bt, base.unit)
-
-    def g_of(N: Obj) -> Obj:
-        return blocks.act_c(rt, sx, N)
-
-    def counit(N: Obj, Y: str) -> Mor:
-        """(N x Y) x *Y -> N via the left-dual evaluation of Y."""
-        sy, syd = _simple(bt, Y), _simple(bt, base.dual[Y])
-        e1 = blocks.assoc(rt, N, sy, syd)
-        inner = blocks.zeta_flat(rt, sy, one) \
-            * blocks.whisker_c(rt, sy, blocks.runit_reg_inv(bt, syd))
-        e2 = blocks.whisker_c(rt, N, inner)
-        return blocks.runit_reg(bt, N) * e2 * e1
-
-    s_diag = {mm: blocks.uhom_obj(rt, _simple(bt, mm), g_of(_simple(bt, mm)))
-              for mm in reg_module.simples}
-    carrier = _labelled_carrier(s_diag, reg_module.simples)
+    if reg_module.tables is not bt.regular():
+        raise SourceTargetMismatch(f"{reg_module.name!r} is not the regular module of the base")
+    base.duality()
+    field, dual, unit = reg_module.field, base.dual, base.unit
+    F = bt._f_entry
+    f_inv = _inverse_entries(bt.f_block, field.zero)
+    carrier, column = _labelled_carrier(
+        {m: [(q, Z) for q in bt.fuse(x, m) for Z in base.simples if bt.n(Z, m, q)]
+         for m in base.simples}, base.simples)
+    dim = len(column)
     conditions = []
     for Y in base.simples:
-        sy, syd = _simple(bt, Y), _simple(bt, base.dual[Y])
-        for mm in reg_module.simples:
-            sm = _simple(bt, mm)
-            Fm = blocks.act_c(rt, sm, sy)                 # m x Y
-            Gm = g_of(sm)
-            GFm = g_of(Fm)
-            FlaM = blocks.act_c(rt, Fm, syd)              # (m x Y) x *Y
-            lhs = blocks.uhom_mor_first(rt, counit(sm, Y), Gm)
-            # gamma = xi after uhom(id, d)
-            d = blocks.assoc(rt, sx, sm, sy).inverse()    # G(F(m)) -> F(G(m))
-            FGm = blocks.act_c(rt, Gm, sy)
-            ud = blocks.uhom_mor_second(rt, Fm, d)
-            Z = blocks.uhom_obj(rt, Fm, FGm)
-            h1 = blocks.evh_mor(rt, Fm, FGm)
-            b = blocks.assoc(rt, Z, Fm, syd)
-            omega = counit(Gm, Y) * blocks.act_mor(rt, h1, syd)
-            xi = blocks.psi_reshuffle(rt, Z, FlaM, Gm, omega * b.inverse())
-            gamma = xi * ud
-            rhs = _decomposition_sum(bt, Fm, lambda q, p_q, i_q: gamma
-                                     * (blocks.uhom_mor_first(rt, p_q, GFm)
-                                        * blocks.uhom_mor_second(rt, _simple(bt, q),
-                                                                 blocks.whisker_c(rt, sx, i_q))))
-            cond = _balancing_matrix(field, carrier, mm, lhs.mat, rhs)
-            conditions.append(Condition(generator=(Y, mm), matrix=cond))
+        Yd = dual[Y]
+        for m in base.simples:
+            rows = [(n, w, q, Z) for n in bt.fuse(m, Y) for w in bt.fuse(n, Yd)
+                    for q in bt.fuse(x, m) for Z in base.simples if bt.n(Z, w, q)]
+            mat = Matrix.zeros(field, len(rows), dim)
+            for r, (n, w, q, Z) in enumerate(rows):
+                at = r * dim
+                if w == m:
+                    mat.entries[at + column[m, (q, Z)]] += F(m, Y, Yd, m, n, unit) * bt.lev[Y]
+                for q2 in bt.fuse(x, n):
+                    if bt.n(Z, n, q2) and bt.n(q, Y, q2):
+                        mat.entries[at + column[n, (q2, Z)]] -= (
+                            f_inv((x, m, Y, q2), q, n) * f_inv((Z, n, Yd, q), q2, w)
+                            * F(q, Y, Yd, q, q2, unit) * bt.lev[Y])
+            conditions.append(Condition(generator=(Y, m), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="upsilon-probe",
                            meta={"base": base, "x": x})

@@ -24,7 +24,7 @@ from modend.blocks import Mor, Obj
 from modend.fusioncat import FusionCategorySpec
 from modend.modcat import ModuleCategorySpec, regular_module
 from modend.modfunct import ModuleFunctorSpec
-from modend.scalarfield import FieldSpec, Matrix
+from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
 # bundled categories in the order seeded samplers draw them
 CORPUS = ("vec_z2_triv", "vec_z2_omega", "vec_z4", "fib", "ising")
@@ -248,9 +248,9 @@ def coev_insert(tables, A: Obj, N: Obj) -> Mor:
 
 def lcoev_insert(tables, A: Obj, N: Obj) -> Mor:
     """``N -> *A act (A act N)`` via the left coevaluation."""
-    da = blocks.ldual_flat(tables.base, A)
+    da = ldual_flat(tables.base, A)
     step1 = blocks.unit_l_inv(tables, N)
-    step2 = blocks.act_mor(tables, blocks.lcoev_flat(tables.base, A), N)
+    step2 = blocks.act_mor(tables, lcoev_flat(tables.base, A), N)
     step3 = blocks.assoc(tables, da, A, N)
     return step3 * step2 * step1
 
@@ -342,19 +342,19 @@ def nested_lev(bt, a: str, b: str) -> Mor:
     reg = bt.regular()
     sa, sb = blocks._simple(bt, a), blocks._simple(bt, b)
     V = blocks.ctensor(bt, sa, sb)
-    Lb = blocks.ctensor(bt, blocks.ldual_flat(bt, sb), blocks.ldual_flat(bt, sa))
+    Lb = blocks.ctensor(bt, ldual_flat(bt, sb), ldual_flat(bt, sa))
     W = blocks.ctensor(bt, V, Lb)
     one = blocks.cunit(bt)
-    da, db = blocks.ldual_flat(bt, sa), blocks.ldual_flat(bt, sb)
+    da, db = ldual_flat(bt, sa), ldual_flat(bt, sb)
     tail = blocks.act_c(reg, db, blocks.act_c(reg, da, one))
-    chain = blocks.runit_reg_inv(bt, W)
+    chain = runit_reg_inv(bt, W)
     chain = blocks.assoc(reg, V, Lb, one) * chain
     chain = blocks.whisker_c(reg, V, blocks.assoc(reg, db, da, one)) * chain
     chain = blocks.assoc(reg, sa, sb, tail) * chain
-    chain = blocks.whisker_c(reg, sa, blocks.zeta_flat(reg, sb, blocks.act_c(reg, da, one))) \
+    chain = blocks.whisker_c(reg, sa, zeta_flat(reg, sb, blocks.act_c(reg, da, one))) \
         * chain
-    chain = blocks.zeta_flat(reg, sa, one) * chain
-    return chain * blocks.whisker_c(reg, V, blocks.phi_l(bt, sa, sb))
+    chain = zeta_flat(reg, sa, one) * chain
+    return chain * blocks.whisker_c(reg, V, phi_l(bt, sa, sb))
 
 
 def nested_lev_entries(bt, a: str, b: str) -> list:
@@ -381,8 +381,7 @@ def opposite_module_composite(m: ModuleCategorySpec) -> ModuleCategorySpec:
         for Y in base.simples:
             sxd, syd = blocks._simple(btab, dual[X]), blocks._simple(btab, dual[Y])
             ct = blocks.ctensor(btab, blocks._simple(btab, X), blocks._simple(btab, Y))
-            phir_inv = blocks.phi_r(btab, blocks._simple(btab, X),
-                                    blocks._simple(btab, Y)).inverse()
+            phir_inv = phi_r(btab, blocks._simple(btab, X), blocks._simple(btab, Y)).inverse()
             for i in m.simples:
                 mi = blocks._simple(btab, i)
                 if left:
@@ -413,3 +412,382 @@ def opposite_module_composite(m: ModuleCategorySpec) -> ModuleCategorySpec:
     return ModuleCategorySpec(base=base, simples=m.simples, action=action,
                               l_symbols=l_symbols, unit_scalars=units,
                               orientation="right" if left else "left", name=f"{m.name}_op")
+
+
+# ---------------------------------------------------------------------------
+# the internal hom, the left duality, the tensor-dual isos and the probe
+# builders as whole-object composites: the references for the symbol-level
+# probe builders of ``endengine``
+
+
+ldual_flat = blocks.rdual_flat  # one involution serves both duals at label level
+
+
+def uhom_set(tables, i: str, j: str) -> tuple:
+    return tuple(X for X in tables.base.simples if tables.n(X, i, j))
+
+
+@blocks._memoized
+def uhom_obj(tables, A: Obj, B: Obj) -> Obj:
+    """Representing object of ``Hom(- act A, B)`` for sums of simples."""
+    labels, keys = [], []
+    for ipa, p in enumerate(A.labels):
+        for iq, q in enumerate(B.labels):
+            for X in uhom_set(tables, p, q):
+                labels.append(X)
+                keys.append((ipa, iq, X))
+    return Obj(tuple(labels), tuple(keys))
+
+
+def uhom_mor_first(tables, f: Mor, B: Obj) -> Mor:
+    """``uhom(f, id_B)``, contravariant inflation in the first slot."""
+    src = uhom_obj(tables, f.dst, B)
+    dst = uhom_obj(tables, f.src, B)
+    mat = Matrix.zeros(tables.field, len(dst), len(src))
+    for iq2 in range(len(f.dst)):
+        for ip in range(len(f.src)):
+            val = f.mat[iq2, ip]
+            if not val:
+                continue
+            for ib, q in enumerate(B.labels):
+                for X in uhom_set(tables, f.src.labels[ip], q):
+                    mat[dst.index[(ip, ib, X)], src.index[(iq2, ib, X)]] = val
+    return Mor(src, dst, mat)
+
+
+def uhom_mor_second(tables, A: Obj, g: Mor) -> Mor:
+    """``uhom(id_A, g)``, covariant inflation in the second slot."""
+    src = uhom_obj(tables, A, g.src)
+    dst = uhom_obj(tables, A, g.dst)
+    mat = Matrix.zeros(tables.field, len(dst), len(src))
+    for iq2 in range(len(g.dst)):
+        for iq in range(len(g.src)):
+            val = g.mat[iq2, iq]
+            if not val:
+                continue
+            for ipa, p in enumerate(A.labels):
+                for X in uhom_set(tables, p, g.src.labels[iq]):
+                    mat[dst.index[(ipa, iq2, X)], src.index[(ipa, iq, X)]] = val
+    return Mor(src, dst, mat)
+
+
+def evh_mor(tables, A: Obj, B: Obj) -> Mor:
+    """Counit ``uhom(A, B) act A -> B`` on the chosen bases."""
+    uh = uhom_obj(tables, A, B)
+    src = blocks.act_c(tables, uh, A)
+    mat = Matrix.zeros(tables.field, len(B), len(src))
+    for ih, (ipa, iq, X) in enumerate(uh.keys):
+        t = B.labels[iq]
+        pos = src.index.get((ih, ipa, t))
+        if pos is not None:
+            mat[iq, pos] = tables.field.one
+    return Mor(src, B, mat)
+
+
+def psi_reshuffle(tables, W: Obj, A: Obj, B: Obj, h: Mor) -> Mor:
+    """Adjunction mate ``W -> uhom(A, B)`` of ``h: W act A -> B``."""
+    wa = blocks.act_c(tables, W, A)
+    if h.src != wa or h.dst != B:
+        raise DimensionMismatch("mate of a morphism with unexpected ends")
+    uh = uhom_obj(tables, A, B)
+    mat = Matrix.zeros(tables.field, len(uh), len(W))
+    for dpos, (ipa, iq, X) in enumerate(uh.keys):
+        t = B.labels[iq]
+        for iw in W.positions(X):
+            spos = wa.index.get((iw, ipa, t))
+            if spos is not None:
+                mat[dpos, iw] = h.mat[iq, spos]
+    return Mor(W, uh, mat)
+
+
+def uhom_left_tensor_iso(tables, X: str, A: Obj, B: Obj) -> Mor:
+    """Action iso ``X x uhom(A, B) -> uhom(A, X act B)`` on chosen bases."""
+    uh = uhom_obj(tables, A, B)
+    sx = blocks._simple(tables.base, X)
+    W = blocks.ctensor(tables.base, sx, uh)
+    xb = blocks.act_c(tables, sx, B)
+    h = blocks.whisker_c(tables, sx, evh_mor(tables, A, B)) * blocks.assoc(tables, sx, uh, A)
+    return psi_reshuffle(tables, W, A, xb, h)
+
+
+@blocks._memoized
+def runit_reg(base, A: Obj) -> Mor:
+    """``A x 1 -> A`` in the regular module (canonical projections)."""
+    src = blocks.act_c(base.regular(), A, blocks.cunit(base))
+    mat = Matrix.zeros(base.field, len(A), len(src))
+    for ia, a in enumerate(A.labels):
+        mat[ia, src.index[(ia, 0, a)]] = base.field.one
+    return Mor(src, A, mat)
+
+
+@blocks._memoized
+def runit_reg_inv(base, A: Obj) -> Mor:
+    src = blocks.act_c(base.regular(), A, blocks.cunit(base))
+    mat = Matrix.zeros(base.field, len(src), len(A))
+    for ia, a in enumerate(A.labels):
+        mat[src.index[(ia, 0, a)], ia] = base.field.one
+    return Mor(A, src, mat)
+
+
+@blocks._memoized
+def lev_flat(base, A: Obj) -> Mor:
+    """``A x *A -> 1``."""
+    src = blocks.ctensor(base, A, ldual_flat(base, A))
+    return Mor(src, blocks.cunit(base), blocks._diagonal(base, src, A, base.lev).transpose())
+
+
+@blocks._memoized
+def lcoev_flat(base, A: Obj) -> Mor:
+    """``1 -> *A x A``."""
+    dst = blocks.ctensor(base, ldual_flat(base, A), A)
+    return Mor(blocks.cunit(base), dst, blocks._diagonal(base, dst, A, base.lcoev))
+
+
+def zeta_flat(tables, A: Obj, N: Obj) -> Mor:
+    """``A act (*A act N) -> N``: left-dual evaluation acting on a module."""
+    da = ldual_flat(tables.base, A)
+    step1 = blocks.assoc_inv(tables, A, da, N)
+    step2 = blocks.act_mor(tables, lev_flat(tables.base, A), N)
+    return blocks.unit_l(tables, N) * step2 * step1
+
+
+def rdual_mor(base, g: Mor) -> Mor:
+    """Right-dual transpose ``g*: B* -> A*`` of ``g: A -> B``: the matrix transpose."""
+    return Mor(blocks.rdual_flat(base, g.dst), blocks.rdual_flat(base, g.src), g.mat.transpose())
+
+
+ldual_mor = rdual_mor  # the left zig-zags are the identity as well
+
+
+def _dual_tensor_iso(base, A1: Obj, A2: Obj, scalar) -> Mor:
+    """Monomial iso ``(A1 x A2)* -> A2* x A1*``: summand ``(ia, ib, z)`` goes to
+    ``(ib, ia, z*)`` times ``scalar(a, b, z)``, where ``a, b`` label ``A1[ia], A2[ib]``."""
+    V = blocks.ctensor(base, A1, A2)
+    src = blocks.rdual_flat(base, V)
+    dst = blocks.ctensor(base, blocks.rdual_flat(base, A2), blocks.rdual_flat(base, A1))
+    mat = Matrix.zeros(base.field, len(dst), len(src))
+    for col, (ia, ib, z) in enumerate(V.keys):
+        mat[dst.index[(ib, ia, base.dual[z])], col] = scalar(base, A1.labels[ia], A2.labels[ib], z)
+    return Mor(src, dst, mat)
+
+
+def phi_r(base, A1: Obj, A2: Obj) -> Mor:
+    """Canonical iso ``(A1 x A2)* -> A2* x A1*`` between two right duals (``phi_r_scalar``)."""
+    return _dual_tensor_iso(base, A1, A2, blocks.phi_r_scalar)
+
+
+def phi_l(base, A1: Obj, A2: Obj) -> Mor:
+    """Canonical iso ``*(A1 x A2) -> *A2 x *A1`` between two left duals (``phi_l_scalar``)."""
+    return _dual_tensor_iso(base, A1, A2, blocks.phi_l_scalar)
+
+
+def ctensor_mor(base, g: Mor, h: Mor) -> Mor:
+    """``g x h``, that is ``(g act id) after (id act h)`` in the regular module."""
+    reg = base.regular()
+    return blocks.act_mor(reg, g, h.dst) * blocks.whisker_c(reg, g.src, h)
+
+
+def labelled_carrier(objects: dict, order) -> list:
+    """One block per diagonal object, one coordinate per summand, tagged by its label."""
+    out = []
+    offset = 0
+    for key in order:
+        basis = tuple((lab, pos) for pos, lab in enumerate(objects[key].labels))
+        out.append(endengine.CarrierBlock(simple=key, basis=basis, offset=offset))
+        offset += len(basis)
+    return out
+
+
+def _unit_matrix(field, rows, cols, r, c):
+    m = Matrix.zeros(field, rows, cols)
+    m[r, c] = field.one
+    return m
+
+
+def decomposition_sum(bt, A: Obj, term) -> dict:
+    """``sum term(q, p_q, i_q).mat`` over the summands of ``A``, grouped by label ``q``.
+
+    ``p_q: A -> q`` and ``i_q: q -> A`` are the projection onto and the
+    inclusion of one summand, so the sum extends a morphism on simples to ``A``.
+    """
+    out = {}
+    for qp, q in enumerate(A.labels):
+        sq = blocks._simple(bt, q)
+        p_q = Mor(A, sq, _unit_matrix(bt.field, 1, len(A), 0, qp))
+        i_q = Mor(sq, A, _unit_matrix(bt.field, len(A), 1, qp, 0))
+        mat = term(q, p_q, i_q).mat
+        out[q] = out[q] + mat if q in out else mat
+    return out
+
+
+def balancing_matrix(field, carrier, lhs_block: str, lhs: Matrix, rhs: dict) -> Matrix:
+    """Condition matrix of one balancing equation on a labelled carrier.
+
+    ``lhs`` acts on block ``lhs_block`` and ``rhs[q]`` on block ``q``; the
+    condition on the coordinate at position ``pos`` of block ``q`` is column
+    ``pos`` of ``[q == lhs_block] lhs - rhs[q]``.
+    """
+    columns = []
+    for block in carrier:
+        diff = lhs if block.simple == lhs_block else Matrix.zeros(field, lhs.rows, block.dim)
+        if block.simple in rhs:
+            diff = diff - rhs[block.simple]
+        columns.extend(diff.entries[pos::block.dim] for pos in range(block.dim))
+    return endengine._column_matrix(field, columns, lhs.rows)
+
+
+def character_probe_composite(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
+    """``endengine.build_character_probe_system`` as whole-object composites: the
+    pre-balancing is assembled from the functor coherences, ``phi_l`` and the
+    dual transpose of ``c``."""
+    base = f.src.base
+    bt = base.tables
+    reg = bt.regular()
+    base.duality()
+    mt = f.src.tables
+    ftab, gtab = f.tables, g.tables
+
+    def fobj(N: Obj) -> Obj:
+        return blocks.f_obj(ftab, N)
+
+    def gobj(N: Obj) -> Obj:
+        return blocks.f_obj(gtab, N)
+
+    def s_obj(A: Obj, B: Obj) -> Obj:
+        return blocks.ctensor(bt, ldual_flat(bt, fobj(A)), gobj(B))
+
+    s_diag = {i: s_obj(blocks._simple(bt, i), blocks._simple(bt, i)) for i in f.src.simples}
+    carrier = labelled_carrier(s_diag, f.src.simples)
+    conditions = []
+    for X in base.simples:
+        sx = blocks._simple(bt, X)
+        sxd = blocks._simple(bt, base.dual[X])
+        for i in f.src.simples:
+            mi = blocks._simple(bt, i)
+            A = blocks.act_c(mt, sx, mi)
+            fa = fobj(A)
+            gmi = gobj(mi)
+            lfa = ldual_flat(bt, fa)
+            # LHS: S(eps, id) on the diagonal block at i
+            eps = blocks.eps_flat(mt, sx, mi)
+            l1 = blocks.act_mor(reg, ldual_mor(bt, blocks.f_mor(ftab, eps)), gmi)
+            # RHS: the pre-balancing (a fixed post-composition) after extension
+            d = blocks.c_mor(gtab, sx, mi)                 # G(A) -> X x G(m_i)
+            st1 = blocks.whisker_c(reg, lfa, d)
+            regroup = blocks.assoc_inv(reg, lfa, sx, gmi)
+            tau = blocks.act_mor(reg, phi_l(bt, sxd, fa).inverse(), gmi)
+            cf = blocks.c_mor(ftab, sxd, A)                # F(X* act A) -> X* x F(A)
+            st4 = blocks.act_mor(reg, ldual_mor(bt, cf), gmi)
+            beta_chain = st4 * tau * regroup * st1
+            rhs = decomposition_sum(bt, A, lambda q, p_q, i_q: beta_chain * ctensor_mor(
+                bt, ldual_mor(bt, blocks.f_mor(ftab, p_q)), blocks.f_mor(gtab, i_q)))
+            cond = balancing_matrix(f.field, carrier, i, l1.mat, rhs)
+            conditions.append(endengine.Condition(generator=(X, i), matrix=cond))
+    return endengine.DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
+                                     kind="end", recipe="character-probe", meta={"base": base})
+
+
+def serre_probe_composite(m: ModuleCategorySpec, i: str):
+    """``endengine.build_serre_probe_system`` as whole-object composites: the coend
+    of ``uhom(m_i, -)* act -`` over the opposite module, probed with ``Hom(-, m_p)``."""
+    base = m.base
+    base.duality()
+    bt = base.tables
+    mt = m.tables
+    field = m.field
+    mi = blocks._simple(bt, i)
+
+    def uh(v_obj: Obj) -> Obj:
+        return uhom_obj(mt, mi, v_obj)
+
+    t_diag = {}
+    for u in m.simples:
+        su = blocks._simple(bt, u)
+        t_diag[u] = blocks.act_c(mt, blocks.rdual_flat(bt, uh(su)), su)
+    carrier = labelled_carrier(t_diag, m.simples)
+    conditions = []
+    for X in base.simples:
+        sx = blocks._simple(bt, X)
+        sxd = blocks._simple(bt, base.dual[X])
+        for u in m.simples:
+            su = blocks._simple(bt, u)
+            rd_uh_u = blocks.rdual_flat(bt, uh(su))
+            # Gamma1: the first-slot move along the transposed left coevaluation
+            ghat = blocks.unit_l(mt, su) \
+                * blocks.act_mor(mt, rdual_mor(bt, lcoev_flat(bt, sx)), su)
+            gamma1 = blocks.whisker_c(mt, rd_uh_u, ghat)
+            # inverse of the opposite-module associativity, underlying morphism
+            s1 = blocks.whisker_c(mt, rd_uh_u, blocks.assoc(mt, sxd, sx, su)
+                                  * blocks.act_mor(mt, phi_r(bt, sxd, sx), su))
+            # the pre-balancing of the Serre coend
+            U0 = blocks.act_c(mt, sx, su)
+            gb = rdual_mor(bt, uhom_left_tensor_iso(mt, X, mi, su)).inverse() \
+                * phi_r(bt, sx, uh(su)).inverse()
+            gamma = blocks.act_mor(mt, gb, U0) * blocks.assoc_inv(mt, rd_uh_u, sxd, U0)
+            rd_uh_U0 = blocks.rdual_flat(bt, uh(U0))
+            rhs = decomposition_sum(bt, U0, lambda q, p_q, i_q: blocks.act_mor(
+                mt, rdual_mor(bt, uhom_mor_second(mt, mi, i_q)), blocks._simple(bt, q))
+                * blocks.whisker_c(mt, rd_uh_U0, p_q) * gamma * s1)
+            # probed with Hom(-, m_p), the coend's coordinates are functionals: transpose
+            cond = balancing_matrix(field, carrier, u, gamma1.mat.transpose(),
+                                    {q: t.transpose() for q, t in rhs.items()})
+            conditions.append(endengine.Condition(generator=(X, u), matrix=cond))
+    return endengine.DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
+                                     kind="end", recipe="serre-coend-probe",
+                                     meta={"base": base, "input": i})
+
+
+def upsilon_probe_composite(reg_module: ModuleCategorySpec, x: str):
+    """``endengine.build_upsilon_probe_system`` as whole-object composites: the
+    pre-balancing is assembled from the internal-hom adjunction shift along ``- x Y``."""
+    base = reg_module.base
+    base.duality()
+    bt = base.tables
+    rt = reg_module.tables
+    field = reg_module.field
+    sx = blocks._simple(bt, x)
+    one = blocks._simple(bt, base.unit)
+
+    def g_of(N: Obj) -> Obj:
+        return blocks.act_c(rt, sx, N)
+
+    def counit(N: Obj, Y: str) -> Mor:
+        """(N x Y) x *Y -> N via the left-dual evaluation of Y."""
+        sy, syd = blocks._simple(bt, Y), blocks._simple(bt, base.dual[Y])
+        e1 = blocks.assoc(rt, N, sy, syd)
+        inner = zeta_flat(rt, sy, one) * blocks.whisker_c(rt, sy, runit_reg_inv(bt, syd))
+        e2 = blocks.whisker_c(rt, N, inner)
+        return runit_reg(bt, N) * e2 * e1
+
+    s_diag = {mm: uhom_obj(rt, blocks._simple(bt, mm), g_of(blocks._simple(bt, mm)))
+              for mm in reg_module.simples}
+    carrier = labelled_carrier(s_diag, reg_module.simples)
+    conditions = []
+    for Y in base.simples:
+        sy, syd = blocks._simple(bt, Y), blocks._simple(bt, base.dual[Y])
+        for mm in reg_module.simples:
+            sm = blocks._simple(bt, mm)
+            Fm = blocks.act_c(rt, sm, sy)                 # m x Y
+            Gm = g_of(sm)
+            GFm = g_of(Fm)
+            FlaM = blocks.act_c(rt, Fm, syd)              # (m x Y) x *Y
+            lhs = uhom_mor_first(rt, counit(sm, Y), Gm)
+            # gamma = xi after uhom(id, d)
+            d = blocks.assoc(rt, sx, sm, sy).inverse()    # G(F(m)) -> F(G(m))
+            FGm = blocks.act_c(rt, Gm, sy)
+            ud = uhom_mor_second(rt, Fm, d)
+            Z = uhom_obj(rt, Fm, FGm)
+            h1 = evh_mor(rt, Fm, FGm)
+            b = blocks.assoc(rt, Z, Fm, syd)
+            omega = counit(Gm, Y) * blocks.act_mor(rt, h1, syd)
+            xi = psi_reshuffle(rt, Z, FlaM, Gm, omega * b.inverse())
+            gamma = xi * ud
+            rhs = decomposition_sum(bt, Fm, lambda q, p_q, i_q: gamma
+                                    * (uhom_mor_first(rt, p_q, GFm)
+                                       * uhom_mor_second(rt, blocks._simple(bt, q),
+                                                         blocks.whisker_c(rt, sx, i_q))))
+            cond = balancing_matrix(field, carrier, mm, lhs.mat, rhs)
+            conditions.append(endengine.Condition(generator=(Y, mm), matrix=cond))
+    return endengine.DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
+                                     kind="end", recipe="upsilon-probe",
+                                     meta={"base": base, "x": x})

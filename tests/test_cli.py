@@ -12,7 +12,7 @@ from helpers import act_right_composite, bench_gen, fib, gauge_module
 from modend import cli
 from modend.common import ParseError, UnknownName
 from modend.modcat import opposite_module, regular_module, validate_module
-from modend.modfunct import act_right_functor, validate_functor
+from modend.modfunct import act_right_functor
 
 
 @pytest.fixture(scope="module")
@@ -533,28 +533,30 @@ def test_gate_sweeps_no_derived_subject(tmp_path, monkeypatch, capsys):
 
 
 def test_act_right_on_an_explicit_regular_module_reads_its_l_symbols(tmp_path, capsys):
-    """An ``act_right`` functor over an explicit ``fib_regular`` whose L-symbols are
-    a gauged copy of the F-symbols takes its c-blocks from those L-symbols, and is
-    swept like any explicit functor."""
+    """``act_right_functor`` over a module whose L-symbols are a gauged copy of the
+    F-symbols takes its c-blocks from those L-symbols, which are not a right
+    multiplication's; so the loader accepts an ``act_right`` functor only over
+    the regular module itself, and an explicit ``fib_regular`` is one JSON error."""
     cat = fib()
     one = cat.field.one
     gauged, _ = gauge_module(regular_module(cat), cat, dict.fromkeys(cat.fusion, one),
                              random.Random(12))
     assert gauged._l != regular_module(cat)._l
+    fun = act_right_functor(cat, "tau", gauged)
+    assert not fun.derived
+    assert fun.c_symbols == act_right_composite(cat, "tau", gauged)
+    assert fun.c_symbols != act_right_functor(cat, "tau").c_symbols
     doc = json.loads(Path(_bundled_path("fib.json")).read_text())
     doc["modules"] = {"fib_regular": _module_entry(gauged, "fib")}
     doc["functors"] = {"rmul_tau": {"type": "act_right", "category": "fib", "label": "tau"}}
     path = tmp_path / "fib.json"
     path.write_text(json.dumps(doc))
-    loaded = cli.load([str(path)])
-    reg, fun = loaded.module("fib_regular"), loaded.functor("rmul_tau")
-    assert not reg.derived and not fun.derived
-    assert fun.c_symbols == act_right_composite(loaded.category("fib"), "tau", reg)
-    assert fun.c_symbols != act_right_functor(cat, "tau").c_symbols
+    error = "functor 'rmul_tau': act_right needs 'fib_regular' to be the regular module of 'fib'"
+    with pytest.raises(ParseError, match=error):
+        cli.load([str(path)])
     assert cli.main(["-i", str(path), "validate"]) == 1
-    result = json.loads(capsys.readouterr().out)["result"]
-    assert result["module fib_regular"] == "valid"
-    assert result["functor rmul_tau"] == [str(e) for e in validate_functor(fun).entries]
+    assert capsys.readouterr().out.splitlines() == [
+        json.dumps({"error": error, "status": "validation-failed"}, separators=(",", ":"))]
 
 
 def test_gate_keeps_every_sweep_on_explicit_subjects(tmp_path, monkeypatch, capsys):

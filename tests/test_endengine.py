@@ -4,11 +4,11 @@ import zlib
 import pytest
 
 from helpers import (all_categories, fib, ising, one_simple_category,
-                     plain_dinaturality_condition, sample_pairs, vec_z2_omega, vec_z2_triv,
-                     vec_z4)
+                     plain_dinaturality_condition, sample_pairs, vec_over_vec_z2, vec_z2_omega,
+                     vec_z2_triv, vec_z4)
 
 from modend import endengine as ee
-from modend.common import NotATensorSubcategory
+from modend.common import NotATensorSubcategory, SourceTargetMismatch
 from modend.modcat import ModuleCategorySpec, regular_module, validate_module
 from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,
                              identity_functor, validate_functor)
@@ -269,6 +269,10 @@ def test_object_valued_end_by_label_restriction():
     assert sub.dim == sum(1 for b in character.blocks for t in b.basis if t[0] == "e")
     assert [c.generator for c in sub.conditions] == [c.generator for c in character.conditions]
     assert all(c.matrix.cols == sub.dim for c in sub.conditions)
+    # the double-dual end reads F-symbols: it runs over the regular module only
+    module, _reg, _forgetful = vec_over_vec_z2(spec)
+    with pytest.raises(SourceTargetMismatch, match="not the regular module"):
+        ee.build_upsilon_probe_system(module, "e")
 
 
 def random_vec_module_and_functors(rng):

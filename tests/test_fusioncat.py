@@ -4,9 +4,10 @@ import zlib
 
 import pytest
 
-from helpers import (all_categories, coev_insert, fib, gauged_corpus_and_zn, identity_mor,
-                     ising, lcoev_insert, nested_lev, nested_lev_entries, vec_z2_omega,
-                     vec_z2_triv, vec_z4)
+from helpers import (all_categories, coev_insert, ctensor_mor, fib, gauged_corpus_and_zn,
+                     identity_mor, ising, lcoev_flat, lcoev_insert, ldual_flat, lev_flat,
+                     nested_lev, nested_lev_entries, phi_l, runit_reg, runit_reg_inv,
+                     vec_z2_omega, vec_z2_triv, vec_z4, zeta_flat)
 from modend import blocks
 from modend.blocks import BaseTables
 from modend.common import InconsistentRigidity, UnknownLabel
@@ -141,8 +142,6 @@ def test_dual_involution_everywhere():
 
 def test_coev_tensor_prod_identity():
     """The coevaluation side of the composite-duality identity."""
-    from modend import blocks
-    from modend.scalarfield import Matrix
     for spec in CATS.values():
         spec.duality()
         bt = spec.tables
@@ -152,13 +151,13 @@ def test_coev_tensor_prod_identity():
             for b in spec.simples:
                 sa, sb = blocks.simple_obj(a), blocks.simple_obj(b)
                 V = blocks.ctensor(bt, sa, sb)
-                La = blocks.ldual_flat(bt, V)
-                phi = blocks.phi_l(bt, sa, sb)
+                La = ldual_flat(bt, V)
+                phi = phi_l(bt, sa, sb)
                 # flat: 1 -> *V x V, then push the dual through phi^l
-                flat = blocks.lcoev_flat(bt, V)
-                moved = blocks.ctensor_mor(bt, phi, identity_mor(spec.field, V)) * flat
+                flat = lcoev_flat(bt, V)
+                moved = ctensor_mor(bt, phi, identity_mor(spec.field, V)) * flat
                 # nested: 1 -> *B x (A* ... ) x (A x B) built from the simples
-                da, db = blocks.ldual_flat(bt, sa), blocks.ldual_flat(bt, sb)
+                da, db = ldual_flat(bt, sa), ldual_flat(bt, sb)
                 chain = lcoev_insert(reg, sb, one)
                 chain = blocks.whisker_c(reg, db, lcoev_insert(reg, sa, blocks.act_c(reg, sb, one))) * chain
                 chain = blocks.whisker_c(reg, db, blocks.whisker_c(reg, da, blocks.assoc_inv(reg, sa, sb, one))) * chain
@@ -166,10 +165,10 @@ def test_coev_tensor_prod_identity():
                 # both now land in (*B x *A) act (V act 1); compare after unitors
                 tail = blocks.act_c(reg, V, one)
                 lb = blocks.ctensor(bt, db, da)
-                finish = blocks.whisker_c(reg, lb, blocks.runit_reg(bt, V))
+                finish = blocks.whisker_c(reg, lb, runit_reg(bt, V))
                 nested = finish * chain
                 moved2 = blocks.assoc(reg, lb, V, one) \
-                    * blocks.runit_reg_inv(bt, blocks.ctensor(bt, lb, V)) * moved
+                    * runit_reg_inv(bt, blocks.ctensor(bt, lb, V)) * moved
                 assert nested == moved2, (spec.name, a, b)
 
 
@@ -196,14 +195,14 @@ def solve_zigzag_scalars(spec: FusionCategorySpec, left: bool) -> dict:
         base_ev = base.lev if left else base.ev
         base_ev[a] = one
         if left:
-            zig = blocks.runit_reg(base, sa) \
-                * blocks.zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
+            zig = runit_reg(base, sa) \
+                * zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
                 * blocks.whisker_c(reg, sa, lcoev_insert(reg, sa, one_obj)) \
-                * blocks.runit_reg_inv(base, sa)
+                * runit_reg_inv(base, sa)
         else:
-            zig = blocks.runit_reg(base, sa) \
+            zig = runit_reg(base, sa) \
                 * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
-                * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, blocks.runit_reg_inv(base, sa))) \
+                * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, runit_reg_inv(base, sa))) \
                 * coev_insert(reg, sa, sa)
         scalar = zig.mat[0, 0]
         if not scalar:
@@ -335,23 +334,23 @@ def _composite_duality_outcome(spec):
         da = blocks.rdual_flat(base, sa)
         ident_a = identity_mor(spec.field, sa)
         ident_d = identity_mor(spec.field, da)
-        zig1 = blocks.runit_reg(base, sa) \
+        zig1 = runit_reg(base, sa) \
             * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
-            * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, blocks.runit_reg_inv(base, sa))) \
+            * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, runit_reg_inv(base, sa))) \
             * coev_insert(reg, sa, sa)
-        zig2 = blocks.runit_reg(base, da) \
+        zig2 = runit_reg(base, da) \
             * blocks.eps_flat(reg, sa, blocks.act_c(reg, da, one_obj)) \
             * blocks.whisker_c(reg, da, coev_insert(reg, sa, one_obj)) \
-            * blocks.runit_reg_inv(base, da)
+            * runit_reg_inv(base, da)
         if zig1 != ident_a or zig2 != ident_d:
             return f"right zig-zags disagree at {a}"
-        lzig1 = blocks.runit_reg(base, sa) \
-            * blocks.zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
+        lzig1 = runit_reg(base, sa) \
+            * zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
             * blocks.whisker_c(reg, sa, lcoev_insert(reg, sa, one_obj)) \
-            * blocks.runit_reg_inv(base, sa)
-        lzig2 = blocks.runit_reg(base, da) \
-            * blocks.whisker_c(reg, da, blocks.zeta_flat(reg, sa, one_obj)
-                               * blocks.whisker_c(reg, sa, blocks.runit_reg_inv(base, da))) \
+            * runit_reg_inv(base, sa)
+        lzig2 = runit_reg(base, da) \
+            * blocks.whisker_c(reg, da, zeta_flat(reg, sa, one_obj)
+                               * blocks.whisker_c(reg, sa, runit_reg_inv(base, da))) \
             * lcoev_insert(reg, sa, da)
         if lzig1 != ident_a or lzig2 != ident_d:
             return f"left zig-zags disagree at {a}"
@@ -389,7 +388,7 @@ def test_ev_tensor_prod_identity():
                 closed = [blocks.nested_lev_scalar(bt, a, b, z) for z in bt.fuse(a, b)]
                 assert closed == nested_lev_entries(bt, a, b), (spec.name, a, b)
                 V = blocks.ctensor(bt, blocks._simple(bt, a), blocks._simple(bt, b))
-                holds = blocks.lev_flat(bt, V) == nested_lev(bt, a, b)
+                holds = lev_flat(bt, V) == nested_lev(bt, a, b)
                 assert blocks.lev_tensor_holds(bt, a, b) == holds, (spec.name, a, b)
                 triples += len(closed)
                 failing += not holds

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import bench_gen
+from helpers import bench_gen, runit_reg, uhom_obj
 from modend import blocks, cli, theorems
 from modend.modcat import ModuleCategorySpec, validate_module
 from modend.modfunct import compose_functors
@@ -74,12 +74,12 @@ def test_object_constructors_are_hash_consed():
     tt = blocks.ctensor(base, tau, tau)
     assert blocks.ctensor(base, blocks.simple_obj("tau"), tau) is tt
     assert blocks.act_c(mod, tt, tau) is blocks.act_c(mod, tt, blocks.simple_obj("tau"))
-    assert blocks.uhom_obj(mod, tau, tt) is blocks.uhom_obj(mod, tau, tt)
+    assert uhom_obj(mod, tau, tt) is uhom_obj(mod, tau, tt)
     assert blocks.f_obj(fun, tt) is blocks.f_obj(fun, tt)
     reg = base.regular()
     assert blocks.assoc(reg, tau, tau, tau) is blocks.assoc(reg, tau, tau, tau)
     assert blocks.unit_l(mod, tt) is blocks.unit_l(mod, tt)
-    assert blocks.runit_reg(base, tt) is blocks.runit_reg(base, tt)
+    assert runit_reg(base, tt) is runit_reg(base, tt)
     # equal objects built apart still compare and hash equal
     fresh = blocks.Obj(tt.labels, tt.keys)
     assert fresh == tt and hash(fresh) == hash(tt) and fresh is not tt
@@ -127,7 +127,7 @@ def test_caches_live_with_the_loaded_bundle():
     first, second = (cli.load(cli.bundled_instance_paths()) for _ in range(2))
     for bundle in (first, second):
         assert cli.run(cmd, bundle).payload["result"]["dim"] == 1
-        blocks.uhom_obj(bundle.module("fib_regular").tables,
+        uhom_obj(bundle.module("fib_regular").tables,
                         blocks.simple_obj("tau"), blocks.simple_obj("tau"))
     assert not _cached_values(first) & _cached_values(second)
 
@@ -168,25 +168,33 @@ def test_sweeps_stay_with_their_tables(tmp_path):
 
 
 def test_symbol_level_constructions_build_no_morphisms(monkeypatch):
-    """The gate, the hom lemmas, functor composition and the ev-tensor identity
-    read symbols: after loading, none of them builds a ``Mor``."""
+    """The gate, the hom lemmas, functor composition, the ev-tensor identity and
+    the object-valued probes (Serre, character, upsilon and the adjoint shift)
+    read symbols: after loading, none of them builds an ``Obj`` or a ``Mor``."""
     bundle = cli.load(cli.bundled_instance_paths())
     tau = bundle.functor("rmul_fib_tau")
+    cats = bundle.categories.values()
     steps = {
         "validate_all": lambda: all(rep.ok for rep in bundle.validate_all()),
         "hom_lemma_suite": lambda: all(theorems.hom_lemma_suite(m).ok
                                        for m in bundle.modules.values()),
         "compose_functors": lambda: compose_functors(tau, tau).mult("tau", "tau") == 2,
         "lev_tensor_holds": lambda: all(blocks.lev_tensor_holds(c.tables, a, b)
-                                        for c in bundle.categories.values()
-                                        for a in c.simples for b in c.simples)}
-    init, built = blocks.Mor.__init__, []
-
-    def counting(self, *args):
-        built.append(1)
-        init(self, *args)
-
-    monkeypatch.setattr(blocks.Mor, "__init__", counting)
+                                        for c in cats for a in c.simples for b in c.simples),
+        "serre_functor": lambda: all(theorems.serre_functor(m).certificates
+                                     for m in bundle.modules.values()),
+        "internal_character": lambda: all(
+            theorems.internal_character(u.src, u) for u in bundle.functors.values()),
+        "upsilon_regular": lambda: all(theorems.upsilon_regular(c, x)
+                                       for c in cats for x in c.simples),
+        "adjoint_shift_check": lambda: all(theorems.adjoint_shift_check(c, y)
+                                           for c in cats for y in c.simples)}
+    built = []
+    for cls in (blocks.Obj, blocks.Mor):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
     counts = {}
     for name, step in steps.items():
         before = len(built)

@@ -5,6 +5,7 @@ import pytest
 from helpers import (all_categories, fib, gauge_category, gauge_functor, gauge_module, ising,
                      vec_z2_omega, vec_z2_triv, vec_over_vec_z2)
 
+from modend import theorems
 from modend.common import OracleMismatch, SerreCertificateFailure, UpsilonMismatch
 from modend.fusioncat import validate_fusion
 from modend.modcat import internal_hom, regular_module, validate_module
@@ -94,13 +95,15 @@ def test_adjoint_shift(name):
 
 
 def test_object_valued_ends_build_once_per_object(monkeypatch):
-    """Each object-valued (co)end is assembled once and read off per label."""
-    from modend import endengine
+    """Each object-valued (co)end is assembled once and read off per label.
+
+    The builders are patched where ``theorems`` calls them: a test that
+    re-imports ``modend`` leaves ``sys.modules`` holding another copy."""
     calls = []
     for attr in ("build_character_probe_system", "build_serre_probe_system",
                  "build_upsilon_probe_system"):
-        original = getattr(endengine, attr)
-        monkeypatch.setattr(endengine, attr,
+        original = getattr(theorems.endengine, attr)
+        monkeypatch.setattr(theorems.endengine, attr,
                             lambda *args, _f=original: calls.append(args) or _f(*args))
     spec = CATS["vec_z4"]
     reg = regular_module(spec)
