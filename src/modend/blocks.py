@@ -1,15 +1,20 @@
-"""Block-matrix calculus for skeletal semisimple module categories.
+"""Skeletal tables of fusion categories, module categories and module functors.
 
-The end engine's ``Hom(F(-), G(-))`` family (the module end, its
-naturality oracle, its coend and the composite conditions) reduces to
-finite compositions of structure morphisms between direct sums of simple
-objects.  This module fixes one concrete additive skeleton and provides
-those compositions as exact matrices; that family is their only caller.
-Everything else reads symbols: the validators (the predicates at the end
-of this module), the duality checks, opposite modules, composite functors,
-right multiplications and the object-valued probe builders are sums of
+Every construction of the package reads symbols off these tables: the
+validators (the predicates at the end of this module), the duality checks,
+opposite modules, composite functors, right multiplications, the
+``Hom(F(-), G(-))`` systems and the object-valued probe builders are sums of
 products of F-, L- and c-symbols, entries of inverse blocks and duality
-scalars.
+scalars.  Each tables object keeps its blocks and their inverses
+(``f_block``/``f_inverse``, ``l_block``/``l_inverse``,
+``rl_block``/``rl_inverse``) for its own life, and the regular module shares
+the base's.
+
+The block-matrix calculus those forms replaced (:class:`Obj`, :class:`Mor`,
+``act_c``, ``ctensor``, ``f_obj``, ``assoc``, ``assoc_inv``, ``c_mor``) has
+no caller in the package.  It stays because the benchmark's tracer
+(``bench/tracing.py``) wraps ``assoc``, ``assoc_inv``, ``c_mor`` and
+``Obj.__init__``; the tests build their whole-object references on it.
 
 Conventions
 -----------
@@ -19,10 +24,6 @@ Conventions
 * A :class:`Mor` is a matrix between the summand bases, row index = target
   summand, column index = source summand.  Entries between summands with
   different simple labels must vanish (Schur).
-* Decomposition maps of ``X acted on N`` etc. are the canonical inclusions and
-  projections of the flat sum; all nontrivial coherence data lives in the
-  associator blocks (F-symbols of the base, L-symbols of a module) and in the
-  duality scalars.
 * ``assoc(A, B, N)`` realizes ``(A x B) act N -> A act (B act N)``; its block
   at simple slots ``(a, b, p)`` with target ``t`` is the L-matrix
   ``rows j in b act p, cols z in a x b``.
@@ -30,17 +31,13 @@ Conventions
   whose L-symbols are the F-symbols: ``ctensor`` is its ``act_c``, and its
   ``assoc`` is the base's associator.
 * The unit constraints of the base are the canonical projections (scalar 1);
-  module unit maps carry the module's unit scalars.
-* Right duals pair as ``ev(a): a* x a -> 1`` with scalar ``ev[a]``, right
-  coevaluation ``coev(a): 1 -> a x a*``; flat duals of sums dualize labels
-  summand-wise and pair diagonally.  The left duality scalars ``lev`` and
-  ``lcoev`` and the canonical isos ``(a x b)* -> b* x a*`` (one closed-form
-  scalar per summand, ``phi_r_scalar`` and ``phi_l_scalar``) enter the
-  symbol-level forms only.
-* Object constructors and the structure morphisms that depend on objects
-  alone are cached on the tables object they take, for the life of that
-  object; callers share the returned :class:`Obj` and :class:`Mor` values and
-  must not write into them.
+  module unit maps carry the module's unit scalars.  Right duals pair as
+  ``ev(a): a* x a -> 1`` with scalar ``ev[a]`` and ``coev(a): 1 -> a x a*``;
+  the canonical isos ``(a x b)* -> b* x a*`` are monomial, one closed-form
+  scalar per summand (``phi_r_scalar`` and ``phi_l_scalar``).
+* Object constructors and the structure morphisms are cached on the tables
+  object they take, for the life of that object; callers share the returned
+  :class:`Obj` and :class:`Mor` values and must not write into them.
 """
 
 from __future__ import annotations
@@ -79,9 +76,6 @@ class Obj:
 
     def __repr__(self):
         return f"Obj[{', '.join(self.labels)}]"
-
-    def positions(self, label: str) -> list:
-        return [i for i, lab in enumerate(self.labels) if lab == label]
 
 
 def simple_obj(label: str) -> Obj:
@@ -136,6 +130,7 @@ class BaseTables:
         # duality scalars, installed once by ``fusioncat.compute_duality``
         self.ev = self.coev = self.lev = self.lcoev = MappingProxyType({})
         self._fblock_cache = {}
+        self._finv_cache = {}
         self._memo = {}
         self._reg = None
 
@@ -160,9 +155,13 @@ class BaseTables:
             self._fblock_cache[key] = blk
         return blk
 
-    def regular(self) -> "ModuleTables":
+    def f_inverse(self, a: str, b: str, c: str, t: str) -> dict:
+        """``inverse_entries`` of ``f_block(a, b, c, t)``, keyed ``(e, f)``."""
+        return _cached_inverse(self._finv_cache, (a, b, c, t), self.f_block(a, b, c, t))
+
+    def regular(self) -> "RegularTables":
         if self._reg is None:
-            self._reg = ModuleTables(
+            self._reg = RegularTables(
                 base=self,
                 simples=self.simples,
                 act_map={(a, b): self.fuse(a, b) for a in self.simples for b in self.simples},
@@ -184,6 +183,7 @@ class ModuleTables:
         self._l_entry = l_entry
         self._units = unit_scalars
         self._lblock_cache = {}
+        self._linv_cache = {}
         self._cache = {}
         self._memo = {}
         self._axioms = {}
@@ -216,6 +216,22 @@ class ModuleTables:
             self._lblock_cache[key] = blk
         return blk
 
+    def l_inverse(self, X: str, Y: str, i: str, t: str) -> dict:
+        """``inverse_entries`` of ``l_block(X, Y, i, t)``, keyed ``(z, j)``."""
+        return _cached_inverse(self._linv_cache, (X, Y, i, t), self.l_block(X, Y, i, t))
+
+
+class RegularTables(ModuleTables):
+    """The base acting on itself, whose L-blocks are the base's F-blocks:
+    ``l_block(X, Y, i, t)`` is ``f_block(X, Y, i, t)`` entry for entry, so the
+    two share one block and one inverse."""
+
+    def l_block(self, X: str, Y: str, i: str, t: str):
+        return self.base.f_block(X, Y, i, t)
+
+    def l_inverse(self, X: str, Y: str, i: str, t: str) -> dict:
+        return self.base.f_inverse(X, Y, i, t)
+
 
 class RightTables:
     """Skeletal data of a right module category."""
@@ -229,6 +245,7 @@ class RightTables:
         self._rl_entry = rl_entry
         self._units = runit_scalars
         self._block_cache = {}
+        self._inv_cache = {}
         self._memo = {}
 
     def ract_set(self, i: str, X: str) -> tuple:
@@ -259,6 +276,38 @@ class RightTables:
             self._block_cache[key] = blk
         return blk
 
+    def rl_inverse(self, i: str, X: str, Y: str, t: str) -> dict:
+        """``inverse_entries`` of ``rl_block(i, X, Y, t)``, keyed ``(z, j)``."""
+        return _cached_inverse(self._inv_cache, (i, X, Y, t), self.rl_block(i, X, Y, t))
+
+
+def inverse_entries(rows: Sequence, cols: Sequence, mat: Matrix) -> dict:
+    """Nonzero entries of the inverse of the block ``mat``, keyed ``(c, r)``:
+    ``c`` runs over ``cols`` (the inverse's rows) and ``r`` over ``rows``.
+
+    Raises as ``Matrix.inverse`` does: ``DimensionMismatch`` on a block that is
+    not square, an ``ArithmeticError`` on a singular one.
+    """
+    inv, out = mat.inverse(), {}
+    for n, c in enumerate(cols):
+        for m, r in enumerate(rows):
+            val = inv.entries[n * len(rows) + m]
+            if val:
+                out[c, r] = val
+    return out
+
+
+def _cached_inverse(cache: dict, key: tuple, block) -> dict:
+    """``inverse_entries(*block)``, computed once per ``key`` of ``cache``.
+
+    The tables keep each block's inverse for their own life, so the gate's
+    invertibility sweep, the probe builders and the Hom builders share it.
+    """
+    inv = cache.get(key)
+    if inv is None:
+        inv = cache[key] = inverse_entries(*block)
+    return inv
+
 
 # ---------------------------------------------------------------------------
 # object constructors
@@ -268,9 +317,10 @@ def _memoized(fn):
     """Cache ``fn(tables, *args)`` in ``tables._memo`` under ``(fn name, args)``.
 
     Object constructors are hash-consed this way: equal arguments on one
-    tables object give the same :class:`Obj`.  The duality scalars a pairing
-    reads are installed once, before any pairing is built, so they need no
-    place in the key.
+    tables object give the same :class:`Obj`; the end engine keeps its
+    evaluation scalars this way.  The duality scalars an evaluation reads are
+    installed once, before any evaluation is built, so they need no place in
+    the key.
     """
     name = fn.__name__
 
@@ -295,10 +345,6 @@ def _simple(base: BaseTables, label: str) -> Obj:
     return simple_obj(label)
 
 
-def cunit(base: BaseTables) -> Obj:
-    return _simple(base, base.unit)
-
-
 @_memoized
 def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
     labels, keys = [], []
@@ -316,48 +362,8 @@ def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
     return act_c(base.regular(), A, B)
 
 
-@_memoized
-def rdual_flat(base: BaseTables, A: Obj) -> Obj:
-    return Obj(tuple(base.dual[a] for a in A.labels), A.keys)
-
-
-
 # ---------------------------------------------------------------------------
-# structural morphisms of a left module
-
-
-def whisker_c(tables: ModuleTables, A: Obj, f: Mor) -> Mor:
-    """``id_A  act  f``."""
-    src = act_c(tables, A, f.src)
-    dst = act_c(tables, A, f.dst)
-    mat = Matrix.zeros(tables.field, len(dst), len(src))
-    for iq in range(len(f.dst)):
-        for ip in range(len(f.src)):
-            val = f.mat[iq, ip]
-            if not val:
-                continue
-            s = f.src.labels[ip]
-            for ia, a in enumerate(A.labels):
-                for t in tables.act_set(a, s):
-                    mat[dst.index[(ia, iq, t)], src.index[(ia, ip, t)]] = val
-    return Mor(src, dst, mat)
-
-
-def act_mor(tables: ModuleTables, g: Mor, N: Obj) -> Mor:
-    """``g act id_N`` for a base-category morphism ``g``."""
-    src = act_c(tables, g.src, N)
-    dst = act_c(tables, g.dst, N)
-    mat = Matrix.zeros(tables.field, len(dst), len(src))
-    for ib in range(len(g.dst)):
-        for ia in range(len(g.src)):
-            val = g.mat[ib, ia]
-            if not val:
-                continue
-            a = g.src.labels[ia]
-            for ip, p in enumerate(N.labels):
-                for t in tables.act_set(a, p):
-                    mat[dst.index[(ib, ip, t)], src.index[(ia, ip, t)]] = val
-    return Mor(src, dst, mat)
+# structural morphisms, kept for the benchmark tracer
 
 
 def assoc(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
@@ -401,58 +407,8 @@ def assoc_inv(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
     return cached
 
 
-@_memoized
-def unit_l(tables: ModuleTables, N: Obj) -> Mor:
-    """``1 act N -> N`` carrying the module's unit scalars."""
-    src = act_c(tables, cunit(tables.base), N)
-    mat = Matrix.zeros(tables.field, len(N), len(src))
-    for ip, p in enumerate(N.labels):
-        mat[ip, src.index[(0, ip, p)]] = tables.unit_scalar(p)
-    return Mor(src, N, mat)
-
-
-@_memoized
-def unit_l_inv(tables: ModuleTables, N: Obj) -> Mor:
-    src = act_c(tables, cunit(tables.base), N)
-    mat = Matrix.zeros(tables.field, len(src), len(N))
-    for ip, p in enumerate(N.labels):
-        mat[src.index[(0, ip, p)], ip] = tables.unit_scalar(p).inverse()
-    return Mor(N, src, mat)
-
-
 # ---------------------------------------------------------------------------
 # duality on the base category
-
-
-def _diagonal(base: BaseTables, pairs: Obj, A: Obj, scalars) -> Matrix:
-    """Column over ``pairs`` with ``scalars[a]`` at each diagonal summand ``(ia, ia, 1)``."""
-    mat = Matrix.zeros(base.field, len(pairs), 1)
-    for ia, a in enumerate(A.labels):
-        mat[pairs.index[(ia, ia, base.unit)], 0] = scalars[a]
-    return mat
-
-
-@_memoized
-def ev_flat(base: BaseTables, A: Obj) -> Mor:
-    """``A* x A -> 1`` pairing matching summands with the right-dual scalars."""
-    src = ctensor(base, rdual_flat(base, A), A)
-    return Mor(src, cunit(base), _diagonal(base, src, A, base.ev).transpose())
-
-
-@_memoized
-def coev_flat(base: BaseTables, A: Obj) -> Mor:
-    """``1 -> A x A*``."""
-    dst = ctensor(base, A, rdual_flat(base, A))
-    return Mor(cunit(base), dst, _diagonal(base, dst, A, base.coev))
-
-
-def eps_flat(tables: ModuleTables, A: Obj, N: Obj) -> Mor:
-    """``A* act (A act N) -> N``: right-dual evaluation acting on a module."""
-    da = rdual_flat(tables.base, A)
-    step1 = assoc_inv(tables, da, A, N)        # A* act (A act N) -> (A* x A) act N
-    step2 = act_mor(tables, ev_flat(tables.base, A), N)
-    step3 = unit_l(tables, N)
-    return step3 * step2 * step1
 
 
 def phi_r_scalar(base: BaseTables, a: str, b: str, z: str):
@@ -480,8 +436,7 @@ def phi_l_scalar(base: BaseTables, a: str, b: str, z: str):
 def f_inverse_entry(base: BaseTables, a: str, b: str, c: str, t: str, e: str, f: str):
     """``Finv(a,b,c; t; e,f)``: the inverse of ``f_block(a, b, c, t)`` at row
     ``e in a x b``, column ``f in b x c``."""
-    f_list, e_list, mat = base.f_block(a, b, c, t)
-    return mat.inverse()[e_list.index(e), f_list.index(f)]
+    return base.f_inverse(a, b, c, t).get((e, f), base.field.zero)
 
 
 def nested_lev_scalar(base: BaseTables, a: str, b: str, z: str):
@@ -563,23 +518,6 @@ def f_obj(ft: FunctorTables, N: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
-def f_mor(ft: FunctorTables, f: Mor) -> Mor:
-    """Multiplicity inflation of a module morphism under the functor."""
-    src = f_obj(ft, f.src)
-    dst = f_obj(ft, f.dst)
-    mat = Matrix.zeros(ft.field, len(dst), len(src))
-    for iq in range(len(f.dst)):
-        for ip in range(len(f.src)):
-            val = f.mat[iq, ip]
-            if not val:
-                continue
-            p = f.src.labels[ip]
-            for k in ft.dst.simples:
-                for cnt in range(ft.mult(p, k)):
-                    mat[dst.index[(iq, k, cnt)], src.index[(ip, k, cnt)]] = val
-    return Mor(src, dst, mat)
-
-
 def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
     """Coherence ``F(A act N) -> A act F(N)`` assembled from simple blocks."""
     key = ("c_mor", A, N)
@@ -628,18 +566,21 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # category's sweeps: the validator of either reads what the other computed.
 
 
-def block_failure(blk: Matrix):
-    """Why an L-block is not invertible (``not-square``, ``singular``, or
-    ``zero-divisor``: only a reducible ``min_poly`` has one), else None."""
-    if blk.rows != blk.cols:
+def block_failure(inverse: Callable, *key) -> str | None:
+    """Why the block at ``key`` is not invertible (``not-square``, ``singular``,
+    or ``zero-divisor``: only a reducible ``min_poly`` has one), else None.
+
+    ``inverse`` is a tables' ``l_inverse`` or ``rl_inverse``, which keeps the
+    inverse it computes for later readers.
+    """
+    try:
+        inverse(*key)
+    except DimensionMismatch:
         return "not-square"
-    if blk.rows:
-        try:
-            blk.inverse()
-        except ZeroDivisorDetected:
-            return "zero-divisor"
-        except ArithmeticError:
-            return "singular"
+    except ZeroDivisorDetected:
+        return "zero-divisor"
+    except ArithmeticError:
+        return "singular"
     return None
 
 
@@ -659,7 +600,7 @@ def l_block_failures(tables: ModuleTables) -> tuple:
                     totals = {t for z in tables.base.fuse(X, Y) for t in tables.act_set(z, i)}
                     totals.update(t for j in tables.act_set(Y, i) for t in tables.act_set(X, j))
                     for t in (t for t in tables.simples if t in totals):
-                        kind = block_failure(tables.l_block(X, Y, i, t)[2])
+                        kind = block_failure(tables.l_inverse, X, Y, i, t)
                         if kind:
                             out.append((kind, (X, Y, i, t)))
         out = tables._axioms["l-blocks"] = tuple(out)

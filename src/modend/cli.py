@@ -362,11 +362,8 @@ def run(command, bundle: InstanceBundle) -> Report:
             res = endengine.solve_coend(sys_)
             return Report(command, digests, "ok",
                           {"dim": res.dim, "relations": len(res.relations)})
-        sys_ = endengine.build_nat_system(f, g)
-        if "--ordinary" in flags:
-            sys_ = endengine.DinaturalSystem(field=sys_.field, blocks=sys_.blocks,
-                                             conditions=[], kind="end",
-                                             recipe="ordinary", meta=sys_.meta)
+        sys_ = (endengine.ordinary_end_system(f, g) if "--ordinary" in flags
+                else endengine.build_nat_system(f, g))
         if "--restrict" in flags:
             sys_ = endengine.restrict_conditions(sys_, values["LABELS"].split(","))
         res = endengine.solve_end(sys_)

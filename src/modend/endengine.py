@@ -15,31 +15,29 @@ only; the condition generated by a decomposed tensor product ``X x Y`` is
 expected to be redundant and a dedicated builder exposes it so the property
 suite can verify that it never shrinks the solution space.
 
-The ``Hom(F(-), G(-))`` family (the end, the naturality oracle, the coend
-relations, the composite and the tests' plain-dinaturality conditions) is
-assembled through one theta extension, which extends a carrier basis
-element to any object, and one condition helper, which evaluates a
-generator's equation on each extended basis element; the coend reads its
-relations back through ``_carrier_coords``, the adjoint of the extension.
+Every builder writes each condition entry by entry and composes no
+morphisms: an entry is a sum, over intermediate labels, of products of F-,
+L- and c-symbols, entries of inverse F- and L-blocks (kept on the tables)
+and duality scalars, in the closed form its docstring gives.  The
+``Hom(F(-), G(-))`` family (the end, the naturality oracle, the coend
+relations and the conditions of a decomposed generator) has a carrier
+coordinate per pair of copies of one simple in ``F(m_i)`` and ``G(m_i)``.
 
 Object-valued ends and coends (internal characters, the Serre-functor coend,
 the double-dual end) are built once, over a carrier that keeps every summand
 of each diagonal object tagged with its label.  Restricting that system to
 the coordinates of one label (``restrict_carrier``) gives the Hom-probe
 ``Hom(label, -)`` of the (co)end, an ordinary vect-valued module end whose
-dimension is that label's multiplicity.  Their builders write each condition
-entry by entry from symbols and compose no morphisms; the ``Obj``/``Mor``
-calculus of ``blocks`` serves the Hom family alone.
+dimension is that label's multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from typing import Mapping, Sequence
 
 from . import blocks
-from .blocks import Mor, Obj, _simple
+from .blocks import _memoized
 from .common import SourceTargetMismatch
 from .fusioncat import tensor_subcategory
 from .modcat import ModuleCategorySpec
@@ -164,6 +162,14 @@ def _column_matrix(field, columns, rows=None) -> Matrix:
 
 # ---------------------------------------------------------------------------
 # natural-transformation systems: S = Hom(F(-), G(-))
+#
+# Each builder writes a generator's condition entry by entry: its left-hand
+# side and, subtracted, its right-hand side, each on the carrier block it
+# reaches.  ``L(X,Y,i; j,Z,t)`` is the entry of ``l_block(X, Y, i, t)`` at
+# row ``j``, column ``Z``, and ``Linv(X,Y,i; t)[Z, j]`` that of its inverse;
+# ``F`` and ``Finv`` are the same for ``f_block``.  ``cF(X,i)[row, col]`` is
+# an entry of the c-block of ``F`` (``blocks._c_entries``), ``cG`` one of
+# ``G``'s, and ``eps(X,p)[s]`` is ``_evaluation``.
 
 
 def _nat_carrier(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
@@ -180,180 +186,239 @@ def _nat_carrier(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
     return out
 
 
-def _theta_ext_mor(f, g, i: str, k: str, a: int, b: int, N: Obj) -> Mor:
-    """Canonical extension of the basis element ``(k, a, b)`` of block ``i`` to ``N``.
-
-    It is zero on every summand of ``N`` other than ``m_i``.
-    """
-    src = blocks.f_obj(f.tables, N)
-    dst = blocks.f_obj(g.tables, N)
-    mat = Matrix.zeros(f.field, len(dst), len(src))
-    for ip, lab in enumerate(N.labels):
-        if lab == i:
-            mat[dst.index[(ip, k, b)], src.index[(ip, k, a)]] = f.field.one
-    return Mor(src, dst, mat)
-
-
-def _carrier_coords(f, g, carrier, N: Obj, beta: Mor) -> list:
-    """Carrier coordinates of the diagonal part of ``beta: F(N) -> G(N)``.
-
-    The adjoint of theta extension: coordinate ``(k, a, b)`` of block ``i``
-    sums the entries of ``beta`` from copy ``a`` to copy ``b`` of ``k`` over
-    the summands ``m_i`` of ``N``.
-    """
-    src = blocks.f_obj(f.tables, N)
-    dst = blocks.f_obj(g.tables, N)
-    coords = []
+def _nat_columns(carrier) -> dict:
+    """The carrier column of each coordinate ``(i, k, a, b)``."""
+    column = {}
     for block in carrier:
-        summands = [ip for ip, lab in enumerate(N.labels) if lab == block.simple]
-        for (k, a, b) in block.basis:
-            coords.append(sum((beta.mat[dst.index[(ip, k, b)], src.index[(ip, k, a)]]
-                               for ip in summands), f.field.zero))
-    return coords
+        for k, a, b in block.basis:
+            column[block.simple, k, a, b] = len(column)
+    return column
 
 
-def _theta_condition(f, g, carrier, equation) -> Matrix:
-    """One column per carrier basis element: ``equation(theta).mat``.
+def _zero_condition(field, rows: int, column: dict) -> Matrix:
+    """The zero condition with ``rows`` rows over the carrier; 0 x 0 on an empty one."""
+    return Matrix.zeros(field, rows if column else 0, len(column))
 
-    ``theta(N)`` is that basis element extended to the object ``N``.
-    """
-    return _column_matrix(f.field, [
-        equation(partial(_theta_ext_mor, f, g, block.simple, k, a, b)).mat.entries
-        for block in carrier for (k, a, b) in block.basis])
+
+def _copies(ft, simples) -> dict:
+    """``i -> [(k, a), ...]``: the copies of simples in ``F(m_i)``, in ``f_obj`` order."""
+    return {i: [(k, a) for k, n in ft.images[i] for a in range(n)] for i in simples}
+
+
+@_memoized
+def _evaluation(tables, X: str, p: str) -> dict:
+    """``eps(X, p)``: the evaluation ``X* act (X act m_p) -> m_p`` on its summand
+    through ``s in X act m_p``, ``lambda_p ev[X] Linv(X*,X,p; p)[1, s]``."""
+    base = tables.base
+    inv, scale = tables.l_inverse(base.dual[X], X, p, p), tables.unit_scalar(p) * base.ev[X]
+    return {s: scale * inv.get((base.unit, s), tables.field.zero) for s in tables.act_set(X, p)}
 
 
 def _hom_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec, kind: str, recipe: str,
                 condition) -> DinaturalSystem:
     """The system on ``Hom(F(-), G(-))`` with one condition per generator ``(X, m_i)``.
 
-    ``condition(carrier, X, block)`` returns the condition matrix of the
-    generator ``(X, block.simple)``.
+    ``condition(column, copies, X, block)`` returns the condition matrix of
+    the generator ``(X, block.simple)``; ``column`` is ``_nat_columns`` of the
+    carrier and ``copies`` holds ``_copies`` of ``f`` and of ``g``.  Without
+    ``condition`` the system has no conditions.
     """
     if f.src is not g.src or f.dst is not g.dst:
         raise SourceTargetMismatch("functors must share source and target")
     base = f.src.base
     base.duality()
     carrier = _nat_carrier(f, g)
-    conditions = [Condition(generator=(X, block.simple), matrix=condition(carrier, X, block))
-                  for X in base.simples for block in carrier]
+    column = _nat_columns(carrier)
+    copies = (_copies(f.tables, f.src.simples), _copies(g.tables, f.src.simples))
+    conditions = [Condition(generator=(X, block.simple),
+                            matrix=condition(column, copies, X, block))
+                  for X in base.simples for block in carrier] if condition else []
     return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
                            kind=kind, recipe=recipe, meta={"base": base, "f": f, "g": g})
 
 
-def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
-    """Module-end system for ``Hom(F(-), G(-))`` with its canonical pre-balancing."""
-    base = f.src.base
-    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+def ordinary_end_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
+    """The ordinary end of ``Hom(F(-), G(-))``: the carrier, free of conditions."""
+    return _hom_system(f, g, "end", "ordinary", None)
 
-    def balancing(carrier, X, block):
-        mi = _simple(bt, block.simple)
-        sx, sxd = _simple(bt, X), _simple(bt, base.dual[X])
-        A = blocks.act_c(src_t, sx, mi)                         # X act m_i
-        f_eps = blocks.f_mor(f.tables, blocks.eps_flat(src_t, sx, mi))
-        c1 = blocks.c_mor(f.tables, sxd, A)                     # F(X* act A) -> X* act F(A)
-        d = blocks.c_mor(g.tables, sx, mi)                      # G(A) -> X act G(m_i)
-        eps_dst = blocks.eps_flat(dst_t, sx, blocks.f_obj(g.tables, mi))
-        return _theta_condition(f, g, carrier, lambda theta: theta(mi) * f_eps
-                                - eps_dst * blocks.whisker_c(dst_t, sxd, d * theta(A)) * c1)
+
+def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
+    """Module-end system for ``Hom(F(-), G(-))`` with its canonical pre-balancing.
+
+    Generator ``(X, m_i)`` equates ``theta_{m_i} F(eps)`` with
+    ``eps' (id_{X*} act (c_G theta_{X act m_i})) c_F`` as maps
+    ``F(X* act (X act m_i)) -> G(m_i)``.  Its rows run over copies ``(l,b)`` in
+    ``G(m_i)`` and then ``s in X act m_i``, ``t in X* act m_s`` and copies
+    ``(k',a')`` in ``F(m_t)``.  The left-hand side, where ``t = i`` and
+    ``k' = l``, is ``eps(X,i)[s]`` at ``(l,a',b)`` of block ``i``.  The
+    right-hand side at ``(k,a,b')`` of block ``s`` is
+    ``cF(X*,s)[(k,a,l), (t,k',a')] cG(X,i)[(l,b,k), (s,k,b')] eps'(X,l)[k]``,
+    where ``eps'`` is the evaluation of the target module.
+    """
+    src_t, dst_t, ft, gt = f.src.tables, f.dst.tables, f.tables, g.tables
+
+    def balancing(column, copies, X, block):
+        (f_copies, g_copies), i, Xd = copies, block.simple, f.src.base.dual[X]
+        cols = [(s, t, k, a) for s in src_t.act_set(X, i) for t in src_t.act_set(Xd, s)
+                for k, a in f_copies[t]]
+        eps, c_g = _evaluation(src_t, X, i), blocks._c_entries(gt, X, i)
+        mat = _zero_condition(f.field, len(g_copies[i]) * len(cols), column)
+        for r, (l, b) in enumerate(g_copies[i]):
+            eps_l = _evaluation(dst_t, X, l)
+            for c, (s, t, k2, a2) in enumerate(cols):
+                at = (r * len(cols) + c) * len(column)
+                if t == i and k2 == l:
+                    mat.entries[at + column[i, l, a2, b]] += eps[s]
+                c_f = blocks._c_entries(ft, Xd, s)
+                for k, a in f_copies[s]:
+                    cf = c_f.get((k, a, l, t, k2, a2))
+                    for b2 in range(g.mult(s, k)) if cf else ():
+                        cg = c_g.get((l, b, k, s, k, b2))
+                        if cg:
+                            mat.entries[at + column[s, k, a, b2]] -= cf * cg * eps_l[k]
+        return mat
 
     return _hom_system(f, g, "end", "hom-end", balancing)
 
 
 def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
-    """Direct module-naturality system: d theta_{X act m} = (id_X act theta_m) c."""
-    bt, dst_t = f.src.base.tables, f.dst.tables
+    """Direct module-naturality system: d theta_{X act m} = (id_X act theta_m) c.
 
-    def naturality(carrier, X, block):
-        sx, mi = _simple(bt, X), _simple(bt, block.simple)
-        A = blocks.act_c(f.src.tables, sx, mi)
-        c = blocks.c_mor(f.tables, sx, mi)
-        d = blocks.c_mor(g.tables, sx, mi)
-        return _theta_condition(f, g, carrier, lambda theta: d * theta(A)
-                                - blocks.whisker_c(dst_t, sx, theta(mi)) * c)
+    The rows of generator ``(X, m_i)`` run over copies ``(l,b)`` in ``G(m_i)``
+    and ``u in X act m_l``, then ``s in X act m_i`` and copies ``(k,a)`` in
+    ``F(m_s)``.  The left-hand side is ``cG(X,i)[(l,b,u), (s,k,b')]`` at
+    ``(k,a,b')`` of block ``s``, the right-hand side
+    ``cF(X,i)[(l,a',u), (s,k,a)]`` at ``(l,a',b)`` of block ``i``.
+    """
+    src_t, dst_t, ft, gt = f.src.tables, f.dst.tables, f.tables, g.tables
+
+    def naturality(column, copies, X, block):
+        (f_copies, g_copies), i = copies, block.simple
+        rows = [(l, b, u) for l, b in g_copies[i] for u in dst_t.act_set(X, l)]
+        cols = [(s, k, a) for s in src_t.act_set(X, i) for k, a in f_copies[s]]
+        c_f, c_g = blocks._c_entries(ft, X, i), blocks._c_entries(gt, X, i)
+        mat = _zero_condition(f.field, len(rows) * len(cols), column)
+        for r, (l, b, u) in enumerate(rows):
+            for c, (s, k, a) in enumerate(cols):
+                at = (r * len(cols) + c) * len(column)
+                for b2 in range(g.mult(s, k)):
+                    cg = c_g.get((l, b, u, s, k, b2))
+                    if cg:
+                        mat.entries[at + column[s, k, a, b2]] += cg
+                for a2 in range(f.mult(i, l)):
+                    cf = c_f.get((l, a2, u, s, k, a))
+                    if cf:
+                        mat.entries[at + column[i, l, a2, b]] -= cf
+        return mat
 
     return _hom_system(f, g, "end", "module-naturality-oracle", naturality)
 
 
 def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
                              carrier, X: str, Y: str) -> list:
-    """Balancing conditions generated by the decomposed object ``X x Y``.
+    """Balancing conditions generated by the decomposed object ``W = X x Y``.
 
-    All ingredients (evaluation, coherences, pre-balancing) are assembled for
-    the composite generator through their categorical formulas, so appending
-    these conditions tests the simple-generator reduction instead of assuming
-    it.
+    The evaluation of ``W`` is nested from those of ``X`` and ``Y`` through the
+    associators of the module, ``W* = Y* x X*``, so appending these conditions
+    tests the simple-generator reduction instead of assuming it: on the summand
+    ``(w, z, s, p)`` of ``W* act (W act m_p)``, for ``w in Y* x X*``,
+    ``z in X x Y`` and ``s in z act m_p``, it is ``epsW(p)[w,z,s] =
+    sum_r L(Y*,X*,s; r,w,p) L(X,Y,p; r,z,s) eps(X,r)[s] eps(Y,p)[r]``.  The
+    rows of generator ``(X*Y, m_i)`` run over copies ``(l,b)`` in ``G(m_i)``
+    and then ``w``, ``z``, ``s in z act m_i``, ``t in w act m_s`` and copies
+    ``(k',a')`` in ``F(m_t)``.  The left-hand side, where ``t = i`` and
+    ``k' = l``, is ``epsW(i)[w,z,s]`` at ``(l,a',b)`` of block ``i``; the
+    right-hand side at ``(k,a,b')`` of block ``s`` is
+    ``cF(w,s)[(k,a,l), (t,k',a')] cG(z,i)[(l,b,k), (s,k,b')] epsW'(l)[w,z,k]``.
     """
     base = f.src.base
-    ft, gt = f.tables, g.tables
-    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
-    sx, sy = _simple(bt, X), _simple(bt, Y)
-    sxd, syd = _simple(bt, base.dual[X]), _simple(bt, base.dual[Y])
-    W = blocks.ctensor(bt, sx, sy)
-    Wd = blocks.ctensor(bt, syd, sxd)
+    src_t, dst_t, ft, gt, zero = f.src.tables, f.dst.tables, f.tables, g.tables, f.field.zero
+    Xd, Yd = base.dual[X], base.dual[Y]
+    ws, zs = base.tables.fuse(Yd, Xd), base.tables.fuse(X, Y)
+    f_copies, g_copies = _copies(ft, f.src.simples), _copies(gt, f.src.simples)
+    column = _nat_columns(carrier)
 
-    def nested_eps(tables, N):
-        """W* act (W act N) -> N via nested right evaluations."""
-        wn = blocks.act_c(tables, W, N)
-        inner_y = blocks.act_c(tables, sy, N)
-        chain = blocks.assoc(tables, syd, sxd, wn)
-        chain = blocks.whisker_c(tables, syd,
-                                 blocks.whisker_c(tables, sxd, blocks.assoc(tables, sx, sy, N))) * chain
-        chain = blocks.whisker_c(tables, syd, blocks.eps_flat(tables, sx, inner_y)) * chain
-        return blocks.eps_flat(tables, sy, N) * chain
+    def nested_eps(tables, p):
+        L, eps_w = tables._l_entry, {}
+        eps_y = _evaluation(tables, Y, p)
+        for r in tables.act_set(Y, p):
+            eps_x = _evaluation(tables, X, r)
+            for s in tables.act_set(X, r):
+                for z in zs:
+                    lz = L(X, Y, p, r, z, s)
+                    for w in ws if lz else ():
+                        lw = L(Yd, Xd, s, r, w, p)
+                        if lw:
+                            eps_w[w, z, s] = eps_w.get((w, z, s), zero) \
+                                + lw * lz * eps_x[s] * eps_y[r]
+        return eps_w
 
     out = []
     for i in f.src.simples:
-        mi = _simple(bt, i)
-        WM = blocks.act_c(src_t, W, mi)
-        f_eps = blocks.f_mor(ft, nested_eps(src_t, mi))
-        cW = blocks.c_mor(ft, Wd, WM)
-        dW = blocks.c_mor(gt, W, mi)
-        eps_dst = nested_eps(dst_t, blocks.f_obj(gt, mi))
-        mat = _theta_condition(f, g, carrier, lambda theta: theta(mi) * f_eps
-                               - eps_dst * blocks.whisker_c(dst_t, Wd, dW * theta(WM)) * cW)
+        eps = nested_eps(src_t, i)
+        cols = [(w, z, s, t, k, a) for w in ws for z in zs for s in src_t.act_set(z, i)
+                for t in src_t.act_set(w, s) for k, a in f_copies[t]]
+        mat = _zero_condition(f.field, len(g_copies[i]) * len(cols), column)
+        for r, (l, b) in enumerate(g_copies[i]):
+            eps_l = nested_eps(dst_t, l)
+            for c, (w, z, s, t, k2, a2) in enumerate(cols):
+                at = (r * len(cols) + c) * len(column)
+                if t == i and k2 == l:
+                    mat.entries[at + column[i, l, a2, b]] += eps.get((w, z, s), zero)
+                c_f, c_g = blocks._c_entries(ft, w, s), blocks._c_entries(gt, z, i)
+                for k, a in f_copies[s]:
+                    cf = c_f.get((k, a, l, t, k2, a2))
+                    for b2 in range(g.mult(s, k)) if cf else ():
+                        cg = c_g.get((l, b, k, s, k, b2))
+                        if cg:
+                            mat.entries[at + column[s, k, a, b2]] -= \
+                                cf * cg * eps_l.get((w, z, k), zero)
         out.append(Condition(generator=(f"{X}*{Y}", i), matrix=mat))
     return out
 
 
 def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
-    """Module-coend relations for ``Hom(F(-), G(-))``."""
-    base = f.src.base
-    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+    """Module-coend relations for ``Hom(F(-), G(-))``.
 
-    def relations(carrier, X, block):
-        sx, sxd = _simple(bt, X), _simple(bt, base.dual[X])
-        mi = _simple(bt, block.simple)
-        A = blocks.act_c(src_t, sxd, mi)                        # X* act m_i
-        # g0 = m_{X,X*,m_i} (coev_X act id) ell^{-1}: m_i -> X act (X* act m_i)
-        g0 = blocks.assoc(src_t, sx, sxd, mi) \
-            * blocks.act_mor(src_t, blocks.coev_flat(bt, sx), mi) \
-            * blocks.unit_l_inv(src_t, mi)
-        d_g0 = blocks.c_mor(g.tables, sx, A) * blocks.f_mor(g.tables, g0)  # G(m_i) -> X act G(A)
-        cA = blocks.c_mor(f.tables, sxd, mi)                    # F(X* act m_i) -> X* act F(m_i)
-        eps_dst = blocks.eps_flat(dst_t, sx, blocks.f_obj(g.tables, A))
-        cols = []
-        for (k, a, b) in block.basis:
-            # the relation e_i(v) - sum_j e_j(S(iota_j, p_j) beta), beta: F(A) -> G(A);
-            # e_i(v) is the carrier coordinate vector of theta_i itself
-            theta_i = _theta_ext_mor(f, g, block.simple, k, a, b, mi)
-            beta = eps_dst * blocks.whisker_c(dst_t, sxd, d_g0 * theta_i) * cA
-            cols.append([u - v for u, v in zip(_carrier_coords(f, g, carrier, mi, theta_i),
-                                                _carrier_coords(f, g, carrier, A, beta))])
-        return _column_matrix(f.field, cols, sum(bb.dim for bb in carrier))
+    Generator ``(X, m_i)`` has one relation per coordinate ``(k,a,b)`` of
+    block ``i``, a column over the carrier: that coordinate's unit vector minus
+    the carrier coordinates of ``beta = eps' (id_{X*} act (c_G G(g0) theta))
+    c_F: F(X* act m_i) -> G(X* act m_i)``, where ``theta`` is the coordinate
+    and ``g0 = m (coev_X act id) ell^-1: m_i -> X act (X* act m_i)`` is
+    ``g0[j] = L(X,X*,i; j,1,i) coev[X] / lambda_i`` on ``j in X* act m_i``.
+    The coordinate ``(k',a',b')`` of block ``j`` of ``beta`` is
+    ``cF(X*,i)[(k,a,k'), (j,k',a')] g0[j] cG(X,j)[(k',b',k), (i,k,b)] eps'(X,k')[k]``.
+    """
+    base = f.src.base
+    src_t, dst_t, ft, gt = f.src.tables, f.dst.tables, f.tables, g.tables
+
+    def relations(column, copies, X, block):
+        f_copies, i, Xd = copies[0], block.simple, base.dual[X]
+        scale = base.tables.coev[X] / src_t.unit_scalar(i)
+        g0 = {j: src_t._l_entry(X, Xd, i, j, base.unit, i) * scale
+              for j in src_t.act_set(Xd, i)}
+        c_f, n = blocks._c_entries(ft, Xd, i), len(block.basis)
+        mat = Matrix.zeros(f.field, len(column), n)
+        for c, (k, a, b) in enumerate(block.basis):
+            mat.entries[column[i, k, a, b] * n + c] += f.field.one
+            for j, g0_j in g0.items():
+                c_g = blocks._c_entries(gt, X, j)
+                for k2, a2 in f_copies[j]:
+                    cf = c_f.get((k, a, k2, j, k2, a2))
+                    for b2 in range(g.mult(j, k2)) if cf and g0_j else ():
+                        cg = c_g.get((k2, b2, k, i, k, b))
+                        if cg:
+                            mat.entries[column[j, k2, a2, b2] * n + c] -= \
+                                cf * g0_j * cg * _evaluation(dst_t, X, k2)[k]
+        return mat
 
     return _hom_system(f, g, "coend", "hom-coend", relations)
 
 
 # ---------------------------------------------------------------------------
-# object-valued ends and coends, read off label by label through Hom-probes
-#
-# Each builder writes a generator's condition entry by entry: its left-hand
-# side on the generator's own block and, subtracted, its right-hand side on
-# the block of each summand it passes through.  Every entry is a product of
-# F-, L- and c-symbols, entries of inverse F- and L-blocks and duality
-# scalars.  ``L(X,Y,i; j,Z,t)`` is the entry of ``l_block(X, Y, i, t)`` at
-# row ``j``, column ``Z``, and ``Linv(X,Y,i; t)[Z, j]`` that of its inverse;
-# ``F`` and ``Finv`` are the same for ``f_block``.
+# object-valued ends and coends, read off label by label through Hom-probes,
+# in the notation above: the left-hand side on the generator's own block and
+# the right-hand side on the block of each summand it passes through
 
 
 def _labelled_carrier(summands: Mapping[str, Sequence[tuple]], order: Sequence[str]):
@@ -371,26 +436,6 @@ def _labelled_carrier(summands: Mapping[str, Sequence[tuple]], order: Sequence[s
             basis.append((summand[-1], pos))
         out.append(CarrierBlock(simple=key, basis=tuple(basis), offset=len(column) - len(basis)))
     return out, column
-
-
-def _inverse_entries(block, zero):
-    """``inv(key, r, c)``: the entry of the inverse of ``block(*key)`` at row ``r``
-    (a column label of the block) and column ``c`` (a row label); 0 where either
-    label is not in the block.  Each block is inverted once."""
-    cache = {}
-
-    def inv(key, r, c):
-        hit = cache.get(key)
-        if hit is None:
-            rows, cols, mat = block(*key)
-            hit = cache[key] = ({lab: n for n, lab in enumerate(cols)},
-                                {lab: n for n, lab in enumerate(rows)},
-                                mat.inverse() if mat.rows else mat)
-        r_at, c_at, mat = hit
-        if r in r_at and c in c_at:
-            return mat[r_at[r], c_at[c]]
-        return zero
-    return inv
 
 
 def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
@@ -420,11 +465,8 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
                 f"functor {h.name!r} must land in the regular module of the base")
     base.duality()
     mt, ftab, gtab = f.src.tables, f.tables, g.tables
-    field, dual, unit = f.field, base.dual, base.unit
-    l_inv = _inverse_entries(mt.l_block, field.zero)
-    f_inv = _inverse_entries(bt.f_block, field.zero)
-    f_copies = {i: [(k, a) for k, n in ftab.images[i] for a in range(n)] for i in f.src.simples}
-    g_copies = {i: [(l, b) for l, n in gtab.images[i] for b in range(n)] for i in f.src.simples}
+    field, dual, zero = f.field, base.dual, f.field.zero
+    f_copies, g_copies = _copies(ftab, f.src.simples), _copies(gtab, f.src.simples)
     carrier, column = _labelled_carrier(
         {i: [(k, a, l, b, p) for k, a in f_copies[i] for l, b in g_copies[i]
              for p in bt.fuse(dual[k], l)] for i in f.src.simples}, f.src.simples)
@@ -433,16 +475,14 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     for X in base.simples:
         Xd = dual[X]
         for i in f.src.simples:
-            c_g = blocks._c_entries(gtab, X, i)
-            lhs = mt.unit_scalar(i) * bt.ev[X]
+            c_g, eps = blocks._c_entries(gtab, X, i), _evaluation(mt, X, i)
             rows = [(s, w, k, a, l, b, p) for s in mt.act_set(X, i) for w in mt.act_set(Xd, s)
                     for k, a in f_copies[w] for l, b in g_copies[i] for p in bt.fuse(dual[k], l)]
             mat = Matrix.zeros(field, len(rows), dim)
             for r, (s, w, k, a, l, b, p) in enumerate(rows):
                 at = r * dim
                 if w == i:
-                    mat.entries[at + column[i, (k, a, l, b, p)]] += \
-                        lhs * l_inv((Xd, X, i, i), unit, s)
+                    mat.entries[at + column[i, (k, a, l, b, p)]] += eps[s]
                 c_f = blocks._c_entries(ftab, Xd, s)
                 for k2, a2 in f_copies[s]:
                     cf = c_f.get((k2, a2, k, w, k, a))
@@ -453,7 +493,7 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
                         cg = c_g.get((l, b, l2, s, l2, b2))
                         if cg and (s, (k2, a2, l2, b2, p)) in column:
                             mat.entries[at + column[s, (k2, a2, l2, b2, p)]] -= \
-                                cg * f_inv((dual[k2], X, l, p), dual[k], l2) * cf
+                                cg * bt.f_inverse(dual[k2], X, l, p).get((dual[k], l2), zero) * cf
             conditions.append(Condition(generator=(X, i), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="character-probe", meta={"base": base})
@@ -482,23 +522,25 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     base = m.base
     base.duality()
     bt, mt = base.tables, m.tables
-    field, dual, unit = m.field, base.dual, base.unit
+    field, dual, unit, zero = m.field, base.dual, base.unit, m.field.zero
     L = mt._l_entry
-    l_inv = _inverse_entries(mt.l_block, field.zero)
     us = {j: [Y for Y in base.simples if mt.n(Y, i, j)] for j in m.simples}
     carrier, column = _labelled_carrier(
         {u: [(Y, t) for Y in us[u] for t in mt.act_set(dual[Y], u)] for u in m.simples},
         m.simples)
     dim = len(column)
 
-    def action_iso(X, u, Z):
-        """``M_Z`` of ``(X, m_u)`` as the block of ``_inverse_entries``."""
-        rows = [q for q in mt.act_set(X, u) if Z in us[q]]
-        cols = [Y for Y in us[u] if bt.n(X, Y, Z)]
-        return rows, cols, Matrix(field, len(rows), len(cols),
-                                  [L(X, Y, i, u, Z, q) for q in rows for Y in cols])
+    m_inv = {}
 
-    m_inv = _inverse_entries(action_iso, field.zero)
+    def action_iso_inverse(X, u, Z):
+        """``inverse_entries`` of ``M_Z`` of ``(X, m_u)``, inverted once per build."""
+        if (X, u, Z) not in m_inv:
+            rows = [q for q in mt.act_set(X, u) if Z in us[q]]
+            cols = [Y for Y in us[u] if bt.n(X, Y, Z)]
+            m_inv[X, u, Z] = blocks.inverse_entries(rows, cols, Matrix(
+                field, len(rows), len(cols), [L(X, Y, i, u, Z, q) for q in rows for Y in cols]))
+        return m_inv[X, u, Z]
+
     conditions = []
     for X in base.simples:
         Xd = dual[X]
@@ -520,8 +562,9 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
                         if (q, (Z, t)) not in column or not bt.n(X, Y, Z):
                             continue
                         mat.entries[at + column[q, (Z, t)]] -= (
-                            phi * lval * l_inv((dual[Y], Xd, q, t), dual[Z], s)
-                            * m_inv((X, u, Z), Y, q) / blocks.phi_r_scalar(bt, X, Y, Z))
+                            phi * lval * mt.l_inverse(dual[Y], Xd, q, t).get((dual[Z], s), zero)
+                            * action_iso_inverse(X, u, Z).get((Y, q), zero)
+                            / blocks.phi_r_scalar(bt, X, Y, Z))
             conditions.append(Condition(generator=(X, u), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="serre-coend-probe",
@@ -549,8 +592,7 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
         raise SourceTargetMismatch(f"{reg_module.name!r} is not the regular module of the base")
     base.duality()
     field, dual, unit = reg_module.field, base.dual, base.unit
-    F = bt._f_entry
-    f_inv = _inverse_entries(bt.f_block, field.zero)
+    F, zero = bt._f_entry, field.zero
     carrier, column = _labelled_carrier(
         {m: [(q, Z) for q in bt.fuse(x, m) for Z in base.simples if bt.n(Z, m, q)]
          for m in base.simples}, base.simples)
@@ -569,7 +611,8 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
                 for q2 in bt.fuse(x, n):
                     if bt.n(Z, n, q2) and bt.n(q, Y, q2):
                         mat.entries[at + column[n, (q2, Z)]] -= (
-                            f_inv((x, m, Y, q2), q, n) * f_inv((Z, n, Yd, q), q2, w)
+                            bt.f_inverse(x, m, Y, q2).get((q, n), zero)
+                            * bt.f_inverse(Z, n, Yd, q).get((q2, w), zero)
                             * F(q, Y, Yd, q, q2, unit) * bt.lev[Y])
             conditions.append(Condition(generator=(Y, m), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,

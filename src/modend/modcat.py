@@ -156,7 +156,7 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
             for Y in base.simples:
                 for i in spec.simples:
                     for t in spec.simples:
-                        kind = blocks.block_failure(tables.rl_block(i, X, Y, t)[2])
+                        kind = blocks.block_failure(tables.rl_inverse, i, X, Y, t)
                         if kind:
                             report.add(f"l-block-{kind}", (X, Y, i, t))
         if not report.ok:
@@ -207,17 +207,12 @@ def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
             first, second = (dual[X], dual[Y]) if left else (dual[Y], dual[X])
             phi_inv = {Z: blocks.phi_r_scalar(btab, X, Y, Z).inverse() for Z in base.fuse(X, Y)}
             for i in m.simples:
-                inverses = {}
                 for j in m.act_set(first, i):
                     for t in m.act_set(second, j):
-                        if t not in inverses:
-                            j_list, z_list, blk = (tables.l_block(dual[Y], dual[X], i, t) if left
-                                                   else tables.rl_block(i, dual[Y], dual[X], t))
-                            inverses[t] = (j_list, z_list, blk.inverse())
-                        j_list, z_list, inv = inverses[t]
+                        inv = (tables.l_inverse(dual[Y], dual[X], i, t) if left
+                               else tables.rl_inverse(i, dual[Y], dual[X], t))
                         for Z, phi_z in phi_inv.items():
-                            val = (inv[z_list.index(dual[Z]), j_list.index(j)]
-                                   if dual[Z] in z_list else None)
+                            val = inv.get((dual[Z], j))
                             if val:
                                 l_symbols[(X, Y, i, j, Z, t)] = val * phi_z
     action = [(dual[X], i, j) for (X, i, j) in m.action]

@@ -12,6 +12,7 @@ and all reported dimensions must be invariant.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import os
@@ -24,6 +25,7 @@ from modend.blocks import Mor, Obj
 from modend.fusioncat import FusionCategorySpec
 from modend.modcat import ModuleCategorySpec, regular_module
 from modend.modfunct import ModuleFunctorSpec
+from modend.common import SourceTargetMismatch
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
 # bundled categories in the order seeded samplers draw them
@@ -227,6 +229,59 @@ def sample_pairs(items, count, rng):
     return [(rng.choice(items), rng.choice(items)) for _ in range(count)]
 
 
+# seeded single-symbol mutations: at most MUTATIONS_PER_SUBJECT nonzero
+# symbols of a subject, each scaled by one of MUTATION_FACTORS
+MUTATIONS_PER_SUBJECT = 6
+MUTATION_FACTORS = (-1, 2)
+
+
+def mutation_sites(subject):
+    """Nonzero symbols a mutation may scale, in a fixed order."""
+    if isinstance(subject, FusionCategorySpec):
+        # unit-leg F-symbols are pinned to 1 before the pentagon is reached
+        return [("f", key) for key, val in sorted(subject._f.items())
+                if val and subject.unit not in key[:3]]
+    if isinstance(subject, ModuleCategorySpec):
+        return [("l", key) for key, val in sorted(subject._l.items()) if val] \
+            + [("unit", i) for i in subject.simples]
+    return [("c", (key, r, c)) for key, blk in sorted(subject.c_symbols.items())
+            for r in range(blk.rows) for c in range(blk.cols) if blk[r, c]]
+
+
+def mutated(subject, site, factor):
+    """``subject`` with the symbol at ``site`` scaled by ``factor``."""
+    kind, key = site
+    scale = subject.field.rational(factor)
+    if kind == "f":
+        f = dict(subject._f)
+        f[key] = f[key] * scale
+        return FusionCategorySpec(field=subject.field, simples=subject.simples,
+                                  unit=subject.unit, dual=subject.dual,
+                                  fusion=subject.fusion, f_symbols=f, name=subject.name)
+    if kind in ("l", "unit"):
+        l_symbols, units = dict(subject._l), dict(subject.unit_scalars)
+        table = l_symbols if kind == "l" else units
+        table[key] = table[key] * scale
+        return ModuleCategorySpec(base=subject.base, simples=subject.simples,
+                                  action=subject.action, l_symbols=l_symbols,
+                                  unit_scalars=units, orientation=subject.orientation,
+                                  name=subject.name)
+    (block_key, r, c) = key
+    c_symbols = dict(subject.c_symbols)
+    blk = c_symbols[block_key].copy()
+    blk[r, c] = blk[r, c] * scale
+    c_symbols[block_key] = blk
+    return ModuleFunctorSpec(subject.src, subject.dst, dict(subject.on_simples),
+                             c_symbols, name=subject.name)
+
+
+def sampled_sites(name, subject):
+    """The mutation sites of ``subject``, sampled with a seed taken from ``name``."""
+    sites = mutation_sites(subject)
+    rng = random.Random(zlib.crc32(name.encode()))
+    return rng.sample(sites, min(MUTATIONS_PER_SUBJECT, len(sites)))
+
+
 # ---------------------------------------------------------------------------
 # block-calculus references: structure morphisms and composites that no
 # longer have a caller in the package, kept as oracles for the closed forms
@@ -237,11 +292,121 @@ def identity_mor(field, obj: Obj) -> Mor:
     return Mor(obj, obj, Matrix.identity(field, len(obj)))
 
 
+def cunit(base) -> Obj:
+    return blocks._simple(base, base.unit)
+
+
+@blocks._memoized
+def rdual_flat(base, A: Obj) -> Obj:
+    return Obj(tuple(base.dual[a] for a in A.labels), A.keys)
+
+
+def whisker_c(tables, A: Obj, f: Mor) -> Mor:
+    """``id_A  act  f``."""
+    src = blocks.act_c(tables, A, f.src)
+    dst = blocks.act_c(tables, A, f.dst)
+    mat = Matrix.zeros(tables.field, len(dst), len(src))
+    for iq in range(len(f.dst)):
+        for ip in range(len(f.src)):
+            val = f.mat[iq, ip]
+            if not val:
+                continue
+            s = f.src.labels[ip]
+            for ia, a in enumerate(A.labels):
+                for t in tables.act_set(a, s):
+                    mat[dst.index[(ia, iq, t)], src.index[(ia, ip, t)]] = val
+    return Mor(src, dst, mat)
+
+
+def act_mor(tables, g: Mor, N: Obj) -> Mor:
+    """``g act id_N`` for a base-category morphism ``g``."""
+    src = blocks.act_c(tables, g.src, N)
+    dst = blocks.act_c(tables, g.dst, N)
+    mat = Matrix.zeros(tables.field, len(dst), len(src))
+    for ib in range(len(g.dst)):
+        for ia in range(len(g.src)):
+            val = g.mat[ib, ia]
+            if not val:
+                continue
+            a = g.src.labels[ia]
+            for ip, p in enumerate(N.labels):
+                for t in tables.act_set(a, p):
+                    mat[dst.index[(ib, ip, t)], src.index[(ia, ip, t)]] = val
+    return Mor(src, dst, mat)
+
+
+@blocks._memoized
+def unit_l(tables, N: Obj) -> Mor:
+    """``1 act N -> N`` carrying the module's unit scalars."""
+    src = blocks.act_c(tables, cunit(tables.base), N)
+    mat = Matrix.zeros(tables.field, len(N), len(src))
+    for ip, p in enumerate(N.labels):
+        mat[ip, src.index[(0, ip, p)]] = tables.unit_scalar(p)
+    return Mor(src, N, mat)
+
+
+@blocks._memoized
+def unit_l_inv(tables, N: Obj) -> Mor:
+    src = blocks.act_c(tables, cunit(tables.base), N)
+    mat = Matrix.zeros(tables.field, len(src), len(N))
+    for ip, p in enumerate(N.labels):
+        mat[src.index[(0, ip, p)], ip] = tables.unit_scalar(p).inverse()
+    return Mor(N, src, mat)
+
+
+def diagonal(base, pairs: Obj, A: Obj, scalars) -> Matrix:
+    """Column over ``pairs`` with ``scalars[a]`` at each diagonal summand ``(ia, ia, 1)``."""
+    mat = Matrix.zeros(base.field, len(pairs), 1)
+    for ia, a in enumerate(A.labels):
+        mat[pairs.index[(ia, ia, base.unit)], 0] = scalars[a]
+    return mat
+
+
+@blocks._memoized
+def ev_flat(base, A: Obj) -> Mor:
+    """``A* x A -> 1`` pairing matching summands with the right-dual scalars."""
+    src = blocks.ctensor(base, rdual_flat(base, A), A)
+    return Mor(src, cunit(base), diagonal(base, src, A, base.ev).transpose())
+
+
+@blocks._memoized
+def coev_flat(base, A: Obj) -> Mor:
+    """``1 -> A x A*``."""
+    dst = blocks.ctensor(base, A, rdual_flat(base, A))
+    return Mor(cunit(base), dst, diagonal(base, dst, A, base.coev))
+
+
+def eps_flat(tables, A: Obj, N: Obj) -> Mor:
+    """``A* act (A act N) -> N``: right-dual evaluation acting on a module."""
+    da = rdual_flat(tables.base, A)
+    step1 = blocks.assoc_inv(tables, da, A, N)        # A* act (A act N) -> (A* x A) act N
+    step2 = act_mor(tables, ev_flat(tables.base, A), N)
+    step3 = unit_l(tables, N)
+    return step3 * step2 * step1
+
+
+def f_mor(ft, f: Mor) -> Mor:
+    """Multiplicity inflation of a module morphism under the functor."""
+    src = blocks.f_obj(ft, f.src)
+    dst = blocks.f_obj(ft, f.dst)
+    mat = Matrix.zeros(ft.field, len(dst), len(src))
+    for iq in range(len(f.dst)):
+        for ip in range(len(f.src)):
+            val = f.mat[iq, ip]
+            if not val:
+                continue
+            p = f.src.labels[ip]
+            for k in ft.dst.simples:
+                for cnt in range(ft.mult(p, k)):
+                    mat[dst.index[(iq, k, cnt)], src.index[(ip, k, cnt)]] = val
+    return Mor(src, dst, mat)
+
+
 def coev_insert(tables, A: Obj, N: Obj) -> Mor:
     """``N -> A act (A* act N)`` via the right coevaluation."""
-    da = blocks.rdual_flat(tables.base, A)
-    step1 = blocks.unit_l_inv(tables, N)
-    step2 = blocks.act_mor(tables, blocks.coev_flat(tables.base, A), N)
+    da = rdual_flat(tables.base, A)
+    step1 = unit_l_inv(tables, N)
+    step2 = act_mor(tables, coev_flat(tables.base, A), N)
     step3 = blocks.assoc(tables, A, da, N)
     return step3 * step2 * step1
 
@@ -249,8 +414,8 @@ def coev_insert(tables, A: Obj, N: Obj) -> Mor:
 def lcoev_insert(tables, A: Obj, N: Obj) -> Mor:
     """``N -> *A act (A act N)`` via the left coevaluation."""
     da = ldual_flat(tables.base, A)
-    step1 = blocks.unit_l_inv(tables, N)
-    step2 = blocks.act_mor(tables, lcoev_flat(tables.base, A), N)
+    step1 = unit_l_inv(tables, N)
+    step2 = act_mor(tables, lcoev_flat(tables.base, A), N)
     step3 = blocks.assoc(tables, da, A, N)
     return step3 * step2 * step1
 
@@ -326,11 +491,6 @@ def act_right_composite(c: FusionCategorySpec, y: str, reg: ModuleCategorySpec) 
             for X in c.simples for i in c.simples}
 
 
-def plain_dinaturality_condition(f, g, carrier, h: Mor) -> Matrix:
-    """Ordinary dinaturality along ``h: A -> B``: G(h) theta_A = theta_B F(h)."""
-    fh, gh = blocks.f_mor(f.tables, h), blocks.f_mor(g.tables, h)
-    return endengine._theta_condition(
-        f, g, carrier, lambda theta: gh * theta(h.src) - theta(h.dst) * fh)
 
 
 def nested_lev(bt, a: str, b: str) -> Mor:
@@ -344,17 +504,17 @@ def nested_lev(bt, a: str, b: str) -> Mor:
     V = blocks.ctensor(bt, sa, sb)
     Lb = blocks.ctensor(bt, ldual_flat(bt, sb), ldual_flat(bt, sa))
     W = blocks.ctensor(bt, V, Lb)
-    one = blocks.cunit(bt)
+    one = cunit(bt)
     da, db = ldual_flat(bt, sa), ldual_flat(bt, sb)
     tail = blocks.act_c(reg, db, blocks.act_c(reg, da, one))
     chain = runit_reg_inv(bt, W)
     chain = blocks.assoc(reg, V, Lb, one) * chain
-    chain = blocks.whisker_c(reg, V, blocks.assoc(reg, db, da, one)) * chain
+    chain = whisker_c(reg, V, blocks.assoc(reg, db, da, one)) * chain
     chain = blocks.assoc(reg, sa, sb, tail) * chain
-    chain = blocks.whisker_c(reg, sa, zeta_flat(reg, sb, blocks.act_c(reg, da, one))) \
+    chain = whisker_c(reg, sa, zeta_flat(reg, sb, blocks.act_c(reg, da, one))) \
         * chain
     chain = zeta_flat(reg, sa, one) * chain
-    return chain * blocks.whisker_c(reg, V, phi_l(bt, sa, sb))
+    return chain * whisker_c(reg, V, phi_l(bt, sa, sb))
 
 
 def nested_lev_entries(bt, a: str, b: str) -> list:
@@ -385,7 +545,7 @@ def opposite_module_composite(m: ModuleCategorySpec) -> ModuleCategorySpec:
             for i in m.simples:
                 mi = blocks._simple(btab, i)
                 if left:
-                    mu = blocks.act_mor(tables, phir_inv, mi) \
+                    mu = act_mor(tables, phir_inv, mi) \
                         * blocks.assoc_inv(tables, syd, sxd, mi)
                     inner = blocks.act_c(tables, sxd, mi)
                     first, second = dual[X], dual[Y]
@@ -415,12 +575,179 @@ def opposite_module_composite(m: ModuleCategorySpec) -> ModuleCategorySpec:
 
 
 # ---------------------------------------------------------------------------
+# the Hom(F(-), G(-)) family as whole-object composites: the references for
+# the symbol-level builders of ``endengine``
+
+
+def theta_ext_mor(f, g, i: str, k: str, a: int, b: int, N: Obj) -> Mor:
+    """Canonical extension of the basis element ``(k, a, b)`` of block ``i`` to ``N``.
+
+    It is zero on every summand of ``N`` other than ``m_i``.
+    """
+    src = blocks.f_obj(f.tables, N)
+    dst = blocks.f_obj(g.tables, N)
+    mat = Matrix.zeros(f.field, len(dst), len(src))
+    for ip, lab in enumerate(N.labels):
+        if lab == i:
+            mat[dst.index[(ip, k, b)], src.index[(ip, k, a)]] = f.field.one
+    return Mor(src, dst, mat)
+
+
+def carrier_coords(f, g, carrier, N: Obj, beta: Mor) -> list:
+    """Carrier coordinates of the diagonal part of ``beta: F(N) -> G(N)``.
+
+    The adjoint of theta extension: coordinate ``(k, a, b)`` of block ``i``
+    sums the entries of ``beta`` from copy ``a`` to copy ``b`` of ``k`` over
+    the summands ``m_i`` of ``N``.
+    """
+    src = blocks.f_obj(f.tables, N)
+    dst = blocks.f_obj(g.tables, N)
+    coords = []
+    for block in carrier:
+        summands = [ip for ip, lab in enumerate(N.labels) if lab == block.simple]
+        for (k, a, b) in block.basis:
+            coords.append(sum((beta.mat[dst.index[(ip, k, b)], src.index[(ip, k, a)]]
+                               for ip in summands), f.field.zero))
+    return coords
+
+
+def theta_condition(f, g, carrier, equation) -> Matrix:
+    """One column per carrier basis element: ``equation(theta).mat``.
+
+    ``theta(N)`` is that basis element extended to the object ``N``.
+    """
+    return endengine._column_matrix(f.field, [
+        equation(functools.partial(theta_ext_mor, f, g, block.simple, k, a, b)).mat.entries
+        for block in carrier for (k, a, b) in block.basis])
+
+
+def _hom_composite(f, g, kind: str, recipe: str, condition):
+    """``endengine._hom_system`` with ``condition(carrier, X, block)``."""
+    if f.src is not g.src or f.dst is not g.dst:
+        raise SourceTargetMismatch("functors must share source and target")
+    base = f.src.base
+    base.duality()
+    carrier = endengine._nat_carrier(f, g)
+    conditions = [endengine.Condition(generator=(X, block.simple),
+                                      matrix=condition(carrier, X, block))
+                  for X in base.simples for block in carrier]
+    return endengine.DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
+                                     kind=kind, recipe=recipe,
+                                     meta={"base": base, "f": f, "g": g})
+
+
+def nat_composite(f, g):
+    """``endengine.build_nat_system`` as whole-object composites."""
+    base = f.src.base
+    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+
+    def balancing(carrier, X, block):
+        mi = blocks._simple(bt, block.simple)
+        sx, sxd = blocks._simple(bt, X), blocks._simple(bt, base.dual[X])
+        A = blocks.act_c(src_t, sx, mi)                         # X act m_i
+        f_eps = f_mor(f.tables, eps_flat(src_t, sx, mi))
+        c1 = blocks.c_mor(f.tables, sxd, A)                     # F(X* act A) -> X* act F(A)
+        d = blocks.c_mor(g.tables, sx, mi)                      # G(A) -> X act G(m_i)
+        eps_dst = eps_flat(dst_t, sx, blocks.f_obj(g.tables, mi))
+        return theta_condition(f, g, carrier, lambda theta: theta(mi) * f_eps
+                               - eps_dst * whisker_c(dst_t, sxd, d * theta(A)) * c1)
+
+    return _hom_composite(f, g, "end", "hom-end", balancing)
+
+
+def nat_oracle_composite(f, g):
+    """``endengine.nat_oracle_system`` as whole-object composites:
+    d theta_{X act m} = (id_X act theta_m) c."""
+    bt, dst_t = f.src.base.tables, f.dst.tables
+
+    def naturality(carrier, X, block):
+        sx, mi = blocks._simple(bt, X), blocks._simple(bt, block.simple)
+        A = blocks.act_c(f.src.tables, sx, mi)
+        c = blocks.c_mor(f.tables, sx, mi)
+        d = blocks.c_mor(g.tables, sx, mi)
+        return theta_condition(f, g, carrier, lambda theta: d * theta(A)
+                               - whisker_c(dst_t, sx, theta(mi)) * c)
+
+    return _hom_composite(f, g, "end", "module-naturality-oracle", naturality)
+
+
+def composite_conditions_composite(f, g, carrier, X: str, Y: str) -> list:
+    """``endengine.composite_nat_conditions`` as whole-object composites: the
+    evaluation of ``X x Y`` nested from those of ``X`` and ``Y``."""
+    base = f.src.base
+    ft, gt = f.tables, g.tables
+    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+    sx, sy = blocks._simple(bt, X), blocks._simple(bt, Y)
+    sxd, syd = blocks._simple(bt, base.dual[X]), blocks._simple(bt, base.dual[Y])
+    W = blocks.ctensor(bt, sx, sy)
+    Wd = blocks.ctensor(bt, syd, sxd)
+
+    def nested_eps(tables, N):
+        """W* act (W act N) -> N via nested right evaluations."""
+        wn = blocks.act_c(tables, W, N)
+        inner_y = blocks.act_c(tables, sy, N)
+        chain = blocks.assoc(tables, syd, sxd, wn)
+        chain = whisker_c(tables, syd,
+                          whisker_c(tables, sxd, blocks.assoc(tables, sx, sy, N))) * chain
+        chain = whisker_c(tables, syd, eps_flat(tables, sx, inner_y)) * chain
+        return eps_flat(tables, sy, N) * chain
+
+    out = []
+    for i in f.src.simples:
+        mi = blocks._simple(bt, i)
+        WM = blocks.act_c(src_t, W, mi)
+        f_eps = f_mor(ft, nested_eps(src_t, mi))
+        cW = blocks.c_mor(ft, Wd, WM)
+        dW = blocks.c_mor(gt, W, mi)
+        eps_dst = nested_eps(dst_t, blocks.f_obj(gt, mi))
+        mat = theta_condition(f, g, carrier, lambda theta: theta(mi) * f_eps
+                              - eps_dst * whisker_c(dst_t, Wd, dW * theta(WM)) * cW)
+        out.append(endengine.Condition(generator=(f"{X}*{Y}", i), matrix=mat))
+    return out
+
+
+def hom_coend_composite(f, g):
+    """``endengine.build_hom_coend_system`` as whole-object composites."""
+    base = f.src.base
+    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+
+    def relations(carrier, X, block):
+        sx, sxd = blocks._simple(bt, X), blocks._simple(bt, base.dual[X])
+        mi = blocks._simple(bt, block.simple)
+        A = blocks.act_c(src_t, sxd, mi)                        # X* act m_i
+        # g0 = m_{X,X*,m_i} (coev_X act id) ell^{-1}: m_i -> X act (X* act m_i)
+        g0 = blocks.assoc(src_t, sx, sxd, mi) \
+            * act_mor(src_t, coev_flat(bt, sx), mi) \
+            * unit_l_inv(src_t, mi)
+        d_g0 = blocks.c_mor(g.tables, sx, A) * f_mor(g.tables, g0)  # G(m_i) -> X act G(A)
+        cA = blocks.c_mor(f.tables, sxd, mi)                    # F(X* act m_i) -> X* act F(m_i)
+        eps_dst = eps_flat(dst_t, sx, blocks.f_obj(g.tables, A))
+        cols = []
+        for (k, a, b) in block.basis:
+            # the relation e_i(v) - sum_j e_j(S(iota_j, p_j) beta), beta: F(A) -> G(A);
+            # e_i(v) is the carrier coordinate vector of theta_i itself
+            theta_i = theta_ext_mor(f, g, block.simple, k, a, b, mi)
+            beta = eps_dst * whisker_c(dst_t, sxd, d_g0 * theta_i) * cA
+            cols.append([u - v for u, v in zip(carrier_coords(f, g, carrier, mi, theta_i),
+                                                carrier_coords(f, g, carrier, A, beta))])
+        return endengine._column_matrix(f.field, cols, sum(bb.dim for bb in carrier))
+
+    return _hom_composite(f, g, "coend", "hom-coend", relations)
+
+
+def plain_dinaturality_condition(f, g, carrier, h: Mor) -> Matrix:
+    """Ordinary dinaturality along ``h: A -> B``: G(h) theta_A = theta_B F(h)."""
+    fh, gh = f_mor(f.tables, h), f_mor(g.tables, h)
+    return theta_condition(f, g, carrier, lambda theta: gh * theta(h.src) - theta(h.dst) * fh)
+
+
+# ---------------------------------------------------------------------------
 # the internal hom, the left duality, the tensor-dual isos and the probe
 # builders as whole-object composites: the references for the symbol-level
 # probe builders of ``endengine``
 
 
-ldual_flat = blocks.rdual_flat  # one involution serves both duals at label level
+ldual_flat = rdual_flat  # one involution serves both duals at label level
 
 
 def uhom_set(tables, i: str, j: str) -> tuple:
@@ -493,7 +820,7 @@ def psi_reshuffle(tables, W: Obj, A: Obj, B: Obj, h: Mor) -> Mor:
     mat = Matrix.zeros(tables.field, len(uh), len(W))
     for dpos, (ipa, iq, X) in enumerate(uh.keys):
         t = B.labels[iq]
-        for iw in W.positions(X):
+        for iw in (iw for iw, lab in enumerate(W.labels) if lab == X):
             spos = wa.index.get((iw, ipa, t))
             if spos is not None:
                 mat[dpos, iw] = h.mat[iq, spos]
@@ -506,14 +833,14 @@ def uhom_left_tensor_iso(tables, X: str, A: Obj, B: Obj) -> Mor:
     sx = blocks._simple(tables.base, X)
     W = blocks.ctensor(tables.base, sx, uh)
     xb = blocks.act_c(tables, sx, B)
-    h = blocks.whisker_c(tables, sx, evh_mor(tables, A, B)) * blocks.assoc(tables, sx, uh, A)
+    h = whisker_c(tables, sx, evh_mor(tables, A, B)) * blocks.assoc(tables, sx, uh, A)
     return psi_reshuffle(tables, W, A, xb, h)
 
 
 @blocks._memoized
 def runit_reg(base, A: Obj) -> Mor:
     """``A x 1 -> A`` in the regular module (canonical projections)."""
-    src = blocks.act_c(base.regular(), A, blocks.cunit(base))
+    src = blocks.act_c(base.regular(), A, cunit(base))
     mat = Matrix.zeros(base.field, len(A), len(src))
     for ia, a in enumerate(A.labels):
         mat[ia, src.index[(ia, 0, a)]] = base.field.one
@@ -522,7 +849,7 @@ def runit_reg(base, A: Obj) -> Mor:
 
 @blocks._memoized
 def runit_reg_inv(base, A: Obj) -> Mor:
-    src = blocks.act_c(base.regular(), A, blocks.cunit(base))
+    src = blocks.act_c(base.regular(), A, cunit(base))
     mat = Matrix.zeros(base.field, len(src), len(A))
     for ia, a in enumerate(A.labels):
         mat[src.index[(ia, 0, a)], ia] = base.field.one
@@ -533,27 +860,27 @@ def runit_reg_inv(base, A: Obj) -> Mor:
 def lev_flat(base, A: Obj) -> Mor:
     """``A x *A -> 1``."""
     src = blocks.ctensor(base, A, ldual_flat(base, A))
-    return Mor(src, blocks.cunit(base), blocks._diagonal(base, src, A, base.lev).transpose())
+    return Mor(src, cunit(base), diagonal(base, src, A, base.lev).transpose())
 
 
 @blocks._memoized
 def lcoev_flat(base, A: Obj) -> Mor:
     """``1 -> *A x A``."""
     dst = blocks.ctensor(base, ldual_flat(base, A), A)
-    return Mor(blocks.cunit(base), dst, blocks._diagonal(base, dst, A, base.lcoev))
+    return Mor(cunit(base), dst, diagonal(base, dst, A, base.lcoev))
 
 
 def zeta_flat(tables, A: Obj, N: Obj) -> Mor:
     """``A act (*A act N) -> N``: left-dual evaluation acting on a module."""
     da = ldual_flat(tables.base, A)
     step1 = blocks.assoc_inv(tables, A, da, N)
-    step2 = blocks.act_mor(tables, lev_flat(tables.base, A), N)
-    return blocks.unit_l(tables, N) * step2 * step1
+    step2 = act_mor(tables, lev_flat(tables.base, A), N)
+    return unit_l(tables, N) * step2 * step1
 
 
 def rdual_mor(base, g: Mor) -> Mor:
     """Right-dual transpose ``g*: B* -> A*`` of ``g: A -> B``: the matrix transpose."""
-    return Mor(blocks.rdual_flat(base, g.dst), blocks.rdual_flat(base, g.src), g.mat.transpose())
+    return Mor(rdual_flat(base, g.dst), rdual_flat(base, g.src), g.mat.transpose())
 
 
 ldual_mor = rdual_mor  # the left zig-zags are the identity as well
@@ -563,8 +890,8 @@ def _dual_tensor_iso(base, A1: Obj, A2: Obj, scalar) -> Mor:
     """Monomial iso ``(A1 x A2)* -> A2* x A1*``: summand ``(ia, ib, z)`` goes to
     ``(ib, ia, z*)`` times ``scalar(a, b, z)``, where ``a, b`` label ``A1[ia], A2[ib]``."""
     V = blocks.ctensor(base, A1, A2)
-    src = blocks.rdual_flat(base, V)
-    dst = blocks.ctensor(base, blocks.rdual_flat(base, A2), blocks.rdual_flat(base, A1))
+    src = rdual_flat(base, V)
+    dst = blocks.ctensor(base, rdual_flat(base, A2), rdual_flat(base, A1))
     mat = Matrix.zeros(base.field, len(dst), len(src))
     for col, (ia, ib, z) in enumerate(V.keys):
         mat[dst.index[(ib, ia, base.dual[z])], col] = scalar(base, A1.labels[ia], A2.labels[ib], z)
@@ -584,7 +911,7 @@ def phi_l(base, A1: Obj, A2: Obj) -> Mor:
 def ctensor_mor(base, g: Mor, h: Mor) -> Mor:
     """``g x h``, that is ``(g act id) after (id act h)`` in the regular module."""
     reg = base.regular()
-    return blocks.act_mor(reg, g, h.dst) * blocks.whisker_c(reg, g.src, h)
+    return act_mor(reg, g, h.dst) * whisker_c(reg, g.src, h)
 
 
 def labelled_carrier(objects: dict, order) -> list:
@@ -669,18 +996,18 @@ def character_probe_composite(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
             gmi = gobj(mi)
             lfa = ldual_flat(bt, fa)
             # LHS: S(eps, id) on the diagonal block at i
-            eps = blocks.eps_flat(mt, sx, mi)
-            l1 = blocks.act_mor(reg, ldual_mor(bt, blocks.f_mor(ftab, eps)), gmi)
+            eps = eps_flat(mt, sx, mi)
+            l1 = act_mor(reg, ldual_mor(bt, f_mor(ftab, eps)), gmi)
             # RHS: the pre-balancing (a fixed post-composition) after extension
             d = blocks.c_mor(gtab, sx, mi)                 # G(A) -> X x G(m_i)
-            st1 = blocks.whisker_c(reg, lfa, d)
+            st1 = whisker_c(reg, lfa, d)
             regroup = blocks.assoc_inv(reg, lfa, sx, gmi)
-            tau = blocks.act_mor(reg, phi_l(bt, sxd, fa).inverse(), gmi)
+            tau = act_mor(reg, phi_l(bt, sxd, fa).inverse(), gmi)
             cf = blocks.c_mor(ftab, sxd, A)                # F(X* act A) -> X* x F(A)
-            st4 = blocks.act_mor(reg, ldual_mor(bt, cf), gmi)
+            st4 = act_mor(reg, ldual_mor(bt, cf), gmi)
             beta_chain = st4 * tau * regroup * st1
             rhs = decomposition_sum(bt, A, lambda q, p_q, i_q: beta_chain * ctensor_mor(
-                bt, ldual_mor(bt, blocks.f_mor(ftab, p_q)), blocks.f_mor(gtab, i_q)))
+                bt, ldual_mor(bt, f_mor(ftab, p_q)), f_mor(gtab, i_q)))
             cond = balancing_matrix(f.field, carrier, i, l1.mat, rhs)
             conditions.append(endengine.Condition(generator=(X, i), matrix=cond))
     return endengine.DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
@@ -703,7 +1030,7 @@ def serre_probe_composite(m: ModuleCategorySpec, i: str):
     t_diag = {}
     for u in m.simples:
         su = blocks._simple(bt, u)
-        t_diag[u] = blocks.act_c(mt, blocks.rdual_flat(bt, uh(su)), su)
+        t_diag[u] = blocks.act_c(mt, rdual_flat(bt, uh(su)), su)
     carrier = labelled_carrier(t_diag, m.simples)
     conditions = []
     for X in base.simples:
@@ -711,23 +1038,23 @@ def serre_probe_composite(m: ModuleCategorySpec, i: str):
         sxd = blocks._simple(bt, base.dual[X])
         for u in m.simples:
             su = blocks._simple(bt, u)
-            rd_uh_u = blocks.rdual_flat(bt, uh(su))
+            rd_uh_u = rdual_flat(bt, uh(su))
             # Gamma1: the first-slot move along the transposed left coevaluation
-            ghat = blocks.unit_l(mt, su) \
-                * blocks.act_mor(mt, rdual_mor(bt, lcoev_flat(bt, sx)), su)
-            gamma1 = blocks.whisker_c(mt, rd_uh_u, ghat)
+            ghat = unit_l(mt, su) \
+                * act_mor(mt, rdual_mor(bt, lcoev_flat(bt, sx)), su)
+            gamma1 = whisker_c(mt, rd_uh_u, ghat)
             # inverse of the opposite-module associativity, underlying morphism
-            s1 = blocks.whisker_c(mt, rd_uh_u, blocks.assoc(mt, sxd, sx, su)
-                                  * blocks.act_mor(mt, phi_r(bt, sxd, sx), su))
+            s1 = whisker_c(mt, rd_uh_u, blocks.assoc(mt, sxd, sx, su)
+                                  * act_mor(mt, phi_r(bt, sxd, sx), su))
             # the pre-balancing of the Serre coend
             U0 = blocks.act_c(mt, sx, su)
             gb = rdual_mor(bt, uhom_left_tensor_iso(mt, X, mi, su)).inverse() \
                 * phi_r(bt, sx, uh(su)).inverse()
-            gamma = blocks.act_mor(mt, gb, U0) * blocks.assoc_inv(mt, rd_uh_u, sxd, U0)
-            rd_uh_U0 = blocks.rdual_flat(bt, uh(U0))
-            rhs = decomposition_sum(bt, U0, lambda q, p_q, i_q: blocks.act_mor(
+            gamma = act_mor(mt, gb, U0) * blocks.assoc_inv(mt, rd_uh_u, sxd, U0)
+            rd_uh_U0 = rdual_flat(bt, uh(U0))
+            rhs = decomposition_sum(bt, U0, lambda q, p_q, i_q: act_mor(
                 mt, rdual_mor(bt, uhom_mor_second(mt, mi, i_q)), blocks._simple(bt, q))
-                * blocks.whisker_c(mt, rd_uh_U0, p_q) * gamma * s1)
+                * whisker_c(mt, rd_uh_U0, p_q) * gamma * s1)
             # probed with Hom(-, m_p), the coend's coordinates are functionals: transpose
             cond = balancing_matrix(field, carrier, u, gamma1.mat.transpose(),
                                     {q: t.transpose() for q, t in rhs.items()})
@@ -755,8 +1082,8 @@ def upsilon_probe_composite(reg_module: ModuleCategorySpec, x: str):
         """(N x Y) x *Y -> N via the left-dual evaluation of Y."""
         sy, syd = blocks._simple(bt, Y), blocks._simple(bt, base.dual[Y])
         e1 = blocks.assoc(rt, N, sy, syd)
-        inner = zeta_flat(rt, sy, one) * blocks.whisker_c(rt, sy, runit_reg_inv(bt, syd))
-        e2 = blocks.whisker_c(rt, N, inner)
+        inner = zeta_flat(rt, sy, one) * whisker_c(rt, sy, runit_reg_inv(bt, syd))
+        e2 = whisker_c(rt, N, inner)
         return runit_reg(bt, N) * e2 * e1
 
     s_diag = {mm: uhom_obj(rt, blocks._simple(bt, mm), g_of(blocks._simple(bt, mm)))
@@ -779,13 +1106,13 @@ def upsilon_probe_composite(reg_module: ModuleCategorySpec, x: str):
             Z = uhom_obj(rt, Fm, FGm)
             h1 = evh_mor(rt, Fm, FGm)
             b = blocks.assoc(rt, Z, Fm, syd)
-            omega = counit(Gm, Y) * blocks.act_mor(rt, h1, syd)
+            omega = counit(Gm, Y) * act_mor(rt, h1, syd)
             xi = psi_reshuffle(rt, Z, FlaM, Gm, omega * b.inverse())
             gamma = xi * ud
             rhs = decomposition_sum(bt, Fm, lambda q, p_q, i_q: gamma
                                     * (uhom_mor_first(rt, p_q, GFm)
                                        * uhom_mor_second(rt, blocks._simple(bt, q),
-                                                         blocks.whisker_c(rt, sx, i_q))))
+                                                         whisker_c(rt, sx, i_q))))
             cond = balancing_matrix(field, carrier, mm, lhs.mat, rhs)
             conditions.append(endengine.Condition(generator=(Y, mm), matrix=cond))
     return endengine.DinaturalSystem(field=field, blocks=carrier, conditions=conditions,

@@ -11,7 +11,11 @@ entry.  Each probe builder must equal its whole-object composite in
 matrix entry for matrix entry.  The nested left evaluation and the opposite
 modules are read off symbols (``blocks.nested_lev_scalar``,
 ``modcat.opposite_module``); their composites in ``helpers`` are built on
-the composite duality maps as well and must agree entry for entry.
+the composite duality maps as well and must agree entry for entry.  The
+``Hom(F(-), G(-))`` family (the nat, oracle and coend systems and the
+conditions of a decomposed ``X x Y``) must equal its composites in
+``helpers`` the same way, on the probe subjects and on seeded single-symbol
+mutants of the gate's subjects, whose symbols obey no coherence.
 """
 
 from __future__ import annotations
@@ -22,14 +26,18 @@ import zlib
 import pytest
 
 import helpers
-from helpers import (CORPUS, all_categories, bench_gen, character_probe_composite, coev_insert,
-                     gauge_category, lcoev_insert, ldual_flat, nested_lev_entries,
-                     opposite_module_composite, runit_reg, runit_reg_inv,
-                     serre_probe_composite, upsilon_probe_composite, vec_over_vec_z2, zeta_flat)
+import test_gate
+from helpers import (CORPUS, act_mor, all_categories, bench_gen,
+                     character_probe_composite, coev_insert, composite_conditions_composite,
+                     cunit, eps_flat, gauge_category, hom_coend_composite, lcoev_insert,
+                     ldual_flat, mutated, nat_composite, nat_oracle_composite,
+                     nested_lev_entries, opposite_module_composite, rdual_flat, runit_reg,
+                     runit_reg_inv, sampled_sites, serre_probe_composite,
+                     upsilon_probe_composite, vec_over_vec_z2, whisker_c, zeta_flat)
 from modend import blocks, cli, endengine
-from modend.blocks import Mor, Obj, _simple, cunit
-from modend.modcat import opposite_module, regular_module
-from modend.modfunct import act_right_functor, identity_functor
+from modend.blocks import Mor, Obj, _simple
+from modend.modcat import ModuleCategorySpec, opposite_module, regular_module
+from modend.modfunct import ModuleFunctorSpec, act_right_functor, identity_functor
 from modend.scalarfield import Matrix
 
 
@@ -41,12 +49,12 @@ def ref_rdual_mor(base, g: Mor) -> Mor:
     """``g*: B* -> A*`` through ``coev_A``, ``g`` and ``ev_B``."""
     reg = base.regular()
     A, B = g.src, g.dst
-    da, db = blocks.rdual_flat(base, A), blocks.rdual_flat(base, B)
+    da, db = rdual_flat(base, A), rdual_flat(base, B)
     n0 = blocks.act_c(reg, da, cunit(base))
     chain = runit_reg_inv(base, db)
-    chain = blocks.whisker_c(reg, db, coev_insert(reg, A, cunit(base))) * chain
-    chain = blocks.whisker_c(reg, db, blocks.act_mor(reg, g, n0)) * chain
-    chain = blocks.eps_flat(reg, B, n0) * chain
+    chain = whisker_c(reg, db, coev_insert(reg, A, cunit(base))) * chain
+    chain = whisker_c(reg, db, act_mor(reg, g, n0)) * chain
+    chain = eps_flat(reg, B, n0) * chain
     return runit_reg(base, da) * chain
 
 
@@ -56,10 +64,10 @@ def ref_ldual_mor(base, g: Mor) -> Mor:
     A, B = g.src, g.dst
     da, db = ldual_flat(base, A), ldual_flat(base, B)
     chain = lcoev_insert(reg, A, db)
-    chain = blocks.whisker_c(reg, da, blocks.act_mor(reg, g, db)) * chain
-    inner = blocks.whisker_c(reg, B, runit_reg_inv(base, db))
+    chain = whisker_c(reg, da, act_mor(reg, g, db)) * chain
+    inner = whisker_c(reg, B, runit_reg_inv(base, db))
     inner = zeta_flat(reg, B, cunit(base)) * inner
-    chain = blocks.whisker_c(reg, da, inner) * chain
+    chain = whisker_c(reg, da, inner) * chain
     return runit_reg(base, da) * chain
 
 
@@ -67,16 +75,16 @@ def ref_phi_r(base, A1: Obj, A2: Obj) -> Mor:
     """``(A1 x A2)* -> A2* x A1*`` through nested coevaluations and ``ev``."""
     reg = base.regular()
     V = blocks.ctensor(base, A1, A2)
-    d1, d2 = blocks.rdual_flat(base, A1), blocks.rdual_flat(base, A2)
-    Da = blocks.rdual_flat(base, V)
+    d1, d2 = rdual_flat(base, A1), rdual_flat(base, A2)
+    Da = rdual_flat(base, V)
     Db = blocks.ctensor(base, d2, d1)
     one = cunit(base)
     co = coev_insert(reg, A1, one)
-    co = blocks.whisker_c(reg, A1, coev_insert(reg, A2, blocks.act_c(reg, d1, one))) * co
-    chain = blocks.whisker_c(reg, Da, co) * runit_reg_inv(base, Da)
+    co = whisker_c(reg, A1, coev_insert(reg, A2, blocks.act_c(reg, d1, one))) * co
+    chain = whisker_c(reg, Da, co) * runit_reg_inv(base, Da)
     n_tail = blocks.act_c(reg, d2, blocks.act_c(reg, d1, one))
-    refuse = blocks.whisker_c(reg, Da, blocks.assoc_inv(reg, A1, A2, n_tail))
-    chain = blocks.eps_flat(reg, V, n_tail) * (refuse * chain)
+    refuse = whisker_c(reg, Da, blocks.assoc_inv(reg, A1, A2, n_tail))
+    chain = eps_flat(reg, V, n_tail) * (refuse * chain)
     chain = blocks.assoc_inv(reg, d2, d1, one) * chain
     return runit_reg(base, Db) * chain
 
@@ -90,11 +98,11 @@ def ref_phi_l(base, A1: Obj, A2: Obj) -> Mor:
     Lb = blocks.ctensor(base, d2, d1)
     one = cunit(base)
     chain = lcoev_insert(reg, A2, La)
-    chain = blocks.whisker_c(reg, d2, lcoev_insert(reg, A1, blocks.act_c(reg, A2, La))) \
+    chain = whisker_c(reg, d2, lcoev_insert(reg, A1, blocks.act_c(reg, A2, La))) \
         * chain
-    f3 = zeta_flat(reg, V, one) * blocks.whisker_c(reg, V, runit_reg_inv(base, La)) \
+    f3 = zeta_flat(reg, V, one) * whisker_c(reg, V, runit_reg_inv(base, La)) \
         * blocks.assoc_inv(reg, A1, A2, La)
-    chain = blocks.whisker_c(reg, d2, blocks.whisker_c(reg, d1, f3)) * chain
+    chain = whisker_c(reg, d2, whisker_c(reg, d1, f3)) * chain
     chain = blocks.assoc_inv(reg, d2, d1, one) * chain
     return runit_reg(base, Lb) * chain
 
@@ -104,8 +112,8 @@ def ref_nu_left(base, X: str) -> Mor:
     reg = base.regular()
     sx, sxd = _simple(base, X), _simple(base, base.dual[X])
     one = cunit(base)
-    pair1 = blocks.eps_flat(reg, sx, one) * blocks.whisker_c(reg, sxd, runit_reg_inv(base, sx))
-    return runit_reg(base, sx) * blocks.whisker_c(reg, sx, pair1) \
+    pair1 = eps_flat(reg, sx, one) * whisker_c(reg, sxd, runit_reg_inv(base, sx))
+    return runit_reg(base, sx) * whisker_c(reg, sx, pair1) \
         * lcoev_insert(reg, sxd, sx)
 
 
@@ -280,3 +288,70 @@ def test_probe_systems_match_the_composites(name, monkeypatch):
     assert closed.keys() == composite.keys()
     for key in closed:
         assert closed[key] == composite[key], key
+
+
+# ---------------------------------------------------------------------------
+# the Hom(F(-), G(-)) family built on either form
+
+
+HOM_SYMBOLS = (endengine.build_nat_system, endengine.nat_oracle_system,
+               endengine.build_hom_coend_system, endengine.composite_nat_conditions)
+HOM_COMPOSITES = (nat_composite, nat_oracle_composite, hom_coend_composite,
+                  composite_conditions_composite)
+
+
+def _hom_family(f, g, products, nat, oracle, coend, nested) -> dict:
+    """The nat, oracle and coend systems of ``(f, g)`` and, on the nat carrier,
+    the conditions of each decomposed ``X x Y`` for ``(X, Y)`` in ``products``."""
+    out = {kind: _system(build(f, g))
+           for kind, build in (("nat", nat), ("oracle", oracle), ("coend", coend))}
+    carrier = endengine.build_nat_system(f, g).blocks
+    out["nested"] = [(c.generator, c.matrix) for X, Y in products
+                     for c in nested(f, g, carrier, X, Y)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_hom_systems_match_the_composites(name):
+    """Every functor pair of the probe subjects, compared matrix for matrix,
+    with every ``X x Y`` for ``(F, F)`` and three seeded ones for the others."""
+    module, pairs = MODULES[name]
+    rng = random.Random(zlib.crc32(f"hom {name}".encode()))
+    products = [(X, Y) for X in module.base.simples for Y in module.base.simples]
+    for f, g in pairs:
+        some = products if f is g else rng.sample(products, min(3, len(products)))
+        assert _hom_family(f, g, some, *HOM_SYMBOLS) \
+            == _hom_family(f, g, some, *HOM_COMPOSITES), (f.name, g.name)
+
+
+def _gate_mutant_pairs(name) -> list:
+    """Functor pairs over seeded single-symbol mutants of the gate's subject
+    ``name``, each symbol doubled: a left module's identity functor, or a
+    functor against the unmutated one on either side."""
+    _validate, subject = test_gate.SUBJECTS[name]
+    out = []
+    for site in sampled_sites(name, subject):
+        mutant = mutated(subject, site, 2)
+        if isinstance(subject, ModuleCategorySpec):
+            out.append((identity_functor(mutant), identity_functor(mutant)))
+        else:
+            out += [(mutant, subject), (subject, mutant)]
+    return out
+
+
+# the gate's left modules and functors; of a subject with a gauged copy, the copy
+GATE_SUBJECTS = sorted(name for name, (_v, s) in test_gate.SUBJECTS.items()
+                       if f"{name}~gauged" not in test_gate.SUBJECTS
+                       and (isinstance(s, ModuleFunctorSpec)
+                            or isinstance(s, ModuleCategorySpec) and s.orientation == "left"))
+
+
+@pytest.mark.parametrize("name", GATE_SUBJECTS)
+def test_hom_systems_match_the_composites_on_mutants(name):
+    """The gate's left modules and functors with one c- or L-symbol doubled,
+    and one seeded ``X x Y`` each."""
+    rng = random.Random(zlib.crc32(f"hom mutants {name}".encode()))
+    for f, g in _gate_mutant_pairs(name):
+        products = [tuple(rng.choice(f.src.base.simples) for _ in "XY")]
+        assert _hom_family(f, g, products, *HOM_SYMBOLS) \
+            == _hom_family(f, g, products, *HOM_COMPOSITES), (f.name, g.name)

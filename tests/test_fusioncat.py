@@ -4,10 +4,11 @@ import zlib
 
 import pytest
 
-from helpers import (all_categories, coev_insert, ctensor_mor, fib, gauged_corpus_and_zn,
-                     identity_mor, ising, lcoev_flat, lcoev_insert, ldual_flat, lev_flat,
-                     nested_lev, nested_lev_entries, phi_l, runit_reg, runit_reg_inv,
-                     vec_z2_omega, vec_z2_triv, vec_z4, zeta_flat)
+from helpers import (all_categories, coev_insert, ctensor_mor, cunit, eps_flat, fib,
+                     gauged_corpus_and_zn, identity_mor, ising, lcoev_flat, lcoev_insert,
+                     ldual_flat, lev_flat, nested_lev, nested_lev_entries, phi_l, rdual_flat,
+                     runit_reg, runit_reg_inv, vec_z2_omega, vec_z2_triv, vec_z4, whisker_c,
+                     zeta_flat)
 from modend import blocks
 from modend.blocks import BaseTables
 from modend.common import InconsistentRigidity, UnknownLabel
@@ -159,13 +160,13 @@ def test_coev_tensor_prod_identity():
                 # nested: 1 -> *B x (A* ... ) x (A x B) built from the simples
                 da, db = ldual_flat(bt, sa), ldual_flat(bt, sb)
                 chain = lcoev_insert(reg, sb, one)
-                chain = blocks.whisker_c(reg, db, lcoev_insert(reg, sa, blocks.act_c(reg, sb, one))) * chain
-                chain = blocks.whisker_c(reg, db, blocks.whisker_c(reg, da, blocks.assoc_inv(reg, sa, sb, one))) * chain
+                chain = whisker_c(reg, db, lcoev_insert(reg, sa, blocks.act_c(reg, sb, one))) * chain
+                chain = whisker_c(reg, db, whisker_c(reg, da, blocks.assoc_inv(reg, sa, sb, one))) * chain
                 chain = blocks.assoc_inv(reg, db, da, blocks.act_c(reg, V, one)) * chain
                 # both now land in (*B x *A) act (V act 1); compare after unitors
                 tail = blocks.act_c(reg, V, one)
                 lb = blocks.ctensor(bt, db, da)
-                finish = blocks.whisker_c(reg, lb, runit_reg(bt, V))
+                finish = whisker_c(reg, lb, runit_reg(bt, V))
                 nested = finish * chain
                 moved2 = blocks.assoc(reg, lb, V, one) \
                     * runit_reg_inv(bt, blocks.ctensor(bt, lb, V)) * moved
@@ -187,22 +188,22 @@ def solve_zigzag_scalars(spec: FusionCategorySpec, left: bool) -> dict:
     base.ev, base.lev = {}, {}
     base.coev = base.lcoev = {a: one for a in spec.simples}
     reg = base.regular()
-    one_obj = blocks.cunit(base)
+    one_obj = cunit(base)
     out = {}
     for a in spec.simples:
         sa = blocks._simple(base, a)
-        da = blocks.rdual_flat(base, sa)
+        da = rdual_flat(base, sa)
         base_ev = base.lev if left else base.ev
         base_ev[a] = one
         if left:
             zig = runit_reg(base, sa) \
                 * zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
-                * blocks.whisker_c(reg, sa, lcoev_insert(reg, sa, one_obj)) \
+                * whisker_c(reg, sa, lcoev_insert(reg, sa, one_obj)) \
                 * runit_reg_inv(base, sa)
         else:
             zig = runit_reg(base, sa) \
-                * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
-                * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, runit_reg_inv(base, sa))) \
+                * whisker_c(reg, sa, eps_flat(reg, sa, one_obj)) \
+                * whisker_c(reg, sa, whisker_c(reg, da, runit_reg_inv(base, sa))) \
                 * coev_insert(reg, sa, sa)
         scalar = zig.mat[0, 0]
         if not scalar:
@@ -328,29 +329,29 @@ def _composite_duality_outcome(spec):
         return outcome
     base = spec.tables
     reg = base.regular()
-    one_obj = blocks.cunit(base)
+    one_obj = cunit(base)
     for a in spec.simples:
         sa = blocks._simple(base, a)
-        da = blocks.rdual_flat(base, sa)
+        da = rdual_flat(base, sa)
         ident_a = identity_mor(spec.field, sa)
         ident_d = identity_mor(spec.field, da)
         zig1 = runit_reg(base, sa) \
-            * blocks.whisker_c(reg, sa, blocks.eps_flat(reg, sa, one_obj)) \
-            * blocks.whisker_c(reg, sa, blocks.whisker_c(reg, da, runit_reg_inv(base, sa))) \
+            * whisker_c(reg, sa, eps_flat(reg, sa, one_obj)) \
+            * whisker_c(reg, sa, whisker_c(reg, da, runit_reg_inv(base, sa))) \
             * coev_insert(reg, sa, sa)
         zig2 = runit_reg(base, da) \
-            * blocks.eps_flat(reg, sa, blocks.act_c(reg, da, one_obj)) \
-            * blocks.whisker_c(reg, da, coev_insert(reg, sa, one_obj)) \
+            * eps_flat(reg, sa, blocks.act_c(reg, da, one_obj)) \
+            * whisker_c(reg, da, coev_insert(reg, sa, one_obj)) \
             * runit_reg_inv(base, da)
         if zig1 != ident_a or zig2 != ident_d:
             return f"right zig-zags disagree at {a}"
         lzig1 = runit_reg(base, sa) \
             * zeta_flat(reg, sa, blocks.act_c(reg, sa, one_obj)) \
-            * blocks.whisker_c(reg, sa, lcoev_insert(reg, sa, one_obj)) \
+            * whisker_c(reg, sa, lcoev_insert(reg, sa, one_obj)) \
             * runit_reg_inv(base, sa)
         lzig2 = runit_reg(base, da) \
-            * blocks.whisker_c(reg, da, zeta_flat(reg, sa, one_obj)
-                               * blocks.whisker_c(reg, sa, runit_reg_inv(base, da))) \
+            * whisker_c(reg, da, zeta_flat(reg, sa, one_obj)
+                               * whisker_c(reg, sa, runit_reg_inv(base, da))) \
             * lcoev_insert(reg, sa, da)
         if lzig1 != ident_a or lzig2 != ident_d:
             return f"left zig-zags disagree at {a}"

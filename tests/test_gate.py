@@ -16,17 +16,17 @@ from collections import Counter
 
 import pytest
 
-from helpers import (bench_gen, c_assoc, gauge_category, gauge_functor, gauge_module,
-                     gauged_corpus_and_zn, opposite_module_composite, ract_c, ract_mor,
-                     rassoc)
+from helpers import (MUTATION_FACTORS, act_mor, bench_gen, c_assoc, cunit, f_mor,
+                     gauge_category, gauge_functor, gauge_module, gauged_corpus_and_zn, mutated,
+                     opposite_module_composite, ract_c, ract_mor, rassoc, sampled_sites, unit_l,
+                     whisker_c)
 from modend import blocks, cli
-from modend.blocks import (Mor, _simple, act_c, act_mor, assoc, c_mor, ctensor, cunit, f_mor,
-                           f_obj, unit_l, whisker_c)
-from modend.fusioncat import FusionCategorySpec, validate_fusion
+from modend.blocks import Mor, _simple, act_c, assoc, c_mor, ctensor, f_obj
+from modend.fusioncat import validate_fusion
 from modend.modcat import (ModuleCategorySpec, opposite_module, regular_module,
                            validate_module)
-from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,
-                             identity_functor, validate_functor)
+from modend.modfunct import (act_right_functor, compose_functors, identity_functor,
+                             validate_functor)
 from modend.scalarfield import Matrix
 
 # ---------------------------------------------------------------------------
@@ -292,63 +292,15 @@ def test_derived_subjects_pass_every_sweep(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# seeded single-entry mutations
-
-MUTATIONS_PER_SUBJECT = 6
-FACTORS = (-1, 2)
-
-
-def _mutation_sites(subject):
-    """Nonzero symbols a mutation may scale, in a fixed order."""
-    if isinstance(subject, FusionCategorySpec):
-        # unit-leg F-symbols are pinned to 1 before the pentagon is reached
-        return [("f", key) for key, val in sorted(subject._f.items())
-                if val and subject.unit not in key[:3]]
-    if isinstance(subject, ModuleCategorySpec):
-        return [("l", key) for key, val in sorted(subject._l.items()) if val] \
-            + [("unit", i) for i in subject.simples]
-    return [("c", (key, r, c)) for key, blk in sorted(subject.c_symbols.items())
-            for r in range(blk.rows) for c in range(blk.cols) if blk[r, c]]
-
-
-def _mutated(subject, site, factor):
-    kind, key = site
-    scale = subject.field.rational(factor)
-    if kind == "f":
-        f = dict(subject._f)
-        f[key] = f[key] * scale
-        return FusionCategorySpec(field=subject.field, simples=subject.simples,
-                                  unit=subject.unit, dual=subject.dual,
-                                  fusion=subject.fusion, f_symbols=f, name=subject.name)
-    if kind in ("l", "unit"):
-        l_symbols, units = dict(subject._l), dict(subject.unit_scalars)
-        table = l_symbols if kind == "l" else units
-        table[key] = table[key] * scale
-        return ModuleCategorySpec(base=subject.base, simples=subject.simples,
-                                  action=subject.action, l_symbols=l_symbols,
-                                  unit_scalars=units, orientation=subject.orientation,
-                                  name=subject.name)
-    (block_key, r, c) = key
-    c_symbols = dict(subject.c_symbols)
-    blk = c_symbols[block_key].copy()
-    blk[r, c] = blk[r, c] * scale
-    c_symbols[block_key] = blk
-    return ModuleFunctorSpec(subject.src, subject.dst, dict(subject.on_simples),
-                             c_symbols, name=subject.name)
-
-
-def _sampled_sites(name, subject):
-    sites = _mutation_sites(subject)
-    rng = random.Random(zlib.crc32(name.encode()))
-    return rng.sample(sites, min(MUTATIONS_PER_SUBJECT, len(sites)))
+# seeded single-entry mutations (``helpers.sampled_sites``)
 
 
 @pytest.mark.parametrize("name", sorted(SUBJECTS))
 def test_mutated_subject_matches_reference(name, monkeypatch):
     validate, subject = SUBJECTS[name]
-    for site in _sampled_sites(name, subject):
-        for factor in FACTORS:
-            _validate_both_ways(validate, _mutated(subject, site, factor), monkeypatch)
+    for site in sampled_sites(name, subject):
+        for factor in MUTATION_FACTORS:
+            _validate_both_ways(validate, mutated(subject, site, factor), monkeypatch)
 
 
 def test_mutations_reach_every_coherence_check(monkeypatch):
@@ -356,8 +308,8 @@ def test_mutations_reach_every_coherence_check(monkeypatch):
     seen = set()
     for name in sorted(SUBJECTS):
         validate, subject = SUBJECTS[name]
-        for site in _sampled_sites(name, subject):
-            report = validate(_mutated(subject, site, 2))
+        for site in sampled_sites(name, subject):
+            report = validate(mutated(subject, site, 2))
             seen.update((validate.__name__, e.check) for e in report.entries
                         if e.check in COHERENCE_CHECKS)
     assert seen >= {("validate_fusion", "pentagon"),

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from helpers import bench_gen, runit_reg, uhom_obj
-from modend import blocks, cli, theorems
-from modend.modcat import ModuleCategorySpec, validate_module
+from helpers import bench_gen, ev_flat, runit_reg, uhom_obj, unit_l
+from modend import blocks, cli, endengine, theorems
+from modend.modcat import ModuleCategorySpec, opposite_module, validate_module
 from modend.modfunct import compose_functors
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
@@ -78,7 +78,7 @@ def test_object_constructors_are_hash_consed():
     assert blocks.f_obj(fun, tt) is blocks.f_obj(fun, tt)
     reg = base.regular()
     assert blocks.assoc(reg, tau, tau, tau) is blocks.assoc(reg, tau, tau, tau)
-    assert blocks.unit_l(mod, tt) is blocks.unit_l(mod, tt)
+    assert unit_l(mod, tt) is unit_l(mod, tt)
     assert runit_reg(base, tt) is runit_reg(base, tt)
     # equal objects built apart still compare and hash equal
     fresh = blocks.Obj(tt.labels, tt.keys)
@@ -95,10 +95,10 @@ def test_duality_scalars_are_installed_read_only():
         with pytest.raises(TypeError):
             table["tau"] = base.field.one
     tau = blocks._simple(base, "tau")
-    pairing = blocks.ev_flat(base, tau)
+    pairing = ev_flat(base, tau)
     entry = cat.f_symbol("tau", "tau", "tau", "tau", "1", "1")
     assert pairing.mat[0, pairing.src.index[(0, 0, base.unit)]] == entry.inverse()
-    assert blocks.ev_flat(base, tau) is pairing
+    assert ev_flat(base, tau) is pairing
 
 
 def test_regular_module_shares_the_base_regular_tables():
@@ -107,9 +107,9 @@ def test_regular_module_shares_the_base_regular_tables():
         assert bundle.module(f"{name}_regular").tables is cat.tables.regular()
 
 
-CACHES = {blocks.BaseTables: ("_fblock_cache", "_memo"),
-          blocks.ModuleTables: ("_lblock_cache", "_cache", "_memo"),
-          blocks.FunctorTables: ("_cache", "_memo")}
+CACHES = {blocks.BaseTables: ("_fblock_cache", "_finv_cache"),
+          blocks.RegularTables: ("_memo",),
+          blocks.FunctorTables: ("_cache", "_c_entries")}
 
 
 def _cached_values(bundle):
@@ -127,8 +127,6 @@ def test_caches_live_with_the_loaded_bundle():
     first, second = (cli.load(cli.bundled_instance_paths()) for _ in range(2))
     for bundle in (first, second):
         assert cli.run(cmd, bundle).payload["result"]["dim"] == 1
-        uhom_obj(bundle.module("fib_regular").tables,
-                        blocks.simple_obj("tau"), blocks.simple_obj("tau"))
     assert not _cached_values(first) & _cached_values(second)
 
 
@@ -167,13 +165,42 @@ def test_sweeps_stay_with_their_tables(tmp_path):
     assert validate_module(reg).ok
 
 
+def test_blocks_are_inverted_once_per_load(monkeypatch):
+    """The gate's sweep inverts each block and keeps the inverse on its tables;
+    the Hom systems, opposite modules and the ev-tensor identity read the kept
+    inverses, and a regular module shares its category's."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    inverted, inverse = [], Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda mat: inverted.append(mat) or inverse(mat))
+    assert all(rep.ok for rep in bundle.validate_all())
+    swept = len(inverted)
+    assert swept
+    fib = bundle.category("fib").tables
+    assert bundle.module("fib_regular").tables.l_inverse("tau", "tau", "tau", "1") \
+        is fib.f_inverse("tau", "tau", "tau", "1")
+    funs = bundle.functors.values()
+    for f in funs:
+        for g in funs:
+            if f.src is g.src and f.dst is g.dst:
+                assert theorems.nat_m_dim(f, g, "both").oracle_agrees
+                assert endengine.build_hom_coend_system(f, g).conditions
+    assert all(opposite_module(m) for m in bundle.modules.values())
+    assert all(blocks.lev_tensor_holds(c.tables, a, b) for c in bundle.categories.values()
+               for a in c.simples for b in c.simples)
+    assert len(inverted) == swept
+
+
 def test_symbol_level_constructions_build_no_morphisms(monkeypatch):
-    """The gate, the hom lemmas, functor composition, the ev-tensor identity and
-    the object-valued probes (Serre, character, upsilon and the adjoint shift)
-    read symbols: after loading, none of them builds an ``Obj`` or a ``Mor``."""
+    """The gate, the hom lemmas, functor composition, the ev-tensor identity,
+    the object-valued probes (Serre, character, upsilon and the adjoint shift),
+    the ``Hom(F(-), G(-))`` family (the nat end, its oracle, the coend and the
+    conditions of a decomposed ``X x Y``) and the whole suite read symbols:
+    after loading, none of them builds an ``Obj`` or a ``Mor``."""
     bundle = cli.load(cli.bundled_instance_paths())
     tau = bundle.functor("rmul_fib_tau")
     cats = bundle.categories.values()
+    funs = bundle.functors.values()
+    pairs = [(f, g) for f in funs for g in funs if f.src is g.src and f.dst is g.dst]
     steps = {
         "validate_all": lambda: all(rep.ok for rep in bundle.validate_all()),
         "hom_lemma_suite": lambda: all(theorems.hom_lemma_suite(m).ok
@@ -188,7 +215,16 @@ def test_symbol_level_constructions_build_no_morphisms(monkeypatch):
         "upsilon_regular": lambda: all(theorems.upsilon_regular(c, x)
                                        for c in cats for x in c.simples),
         "adjoint_shift_check": lambda: all(theorems.adjoint_shift_check(c, y)
-                                           for c in cats for y in c.simples)}
+                                           for c in cats for y in c.simples),
+        "nat_m_dim": lambda: all(theorems.nat_m_dim(f, g, mode).mode == mode
+                                 for f, g in pairs for mode in ("end", "oracle", "both")),
+        "build_hom_coend_system": lambda: all(endengine.build_hom_coend_system(f, g).conditions
+                                              for f, g in pairs),
+        "composite_nat_conditions": lambda: all(
+            endengine.composite_nat_conditions(f, f, endengine.build_nat_system(f, f).blocks,
+                                               X, Y)
+            for f in funs for X in f.src.base.simples for Y in f.src.base.simples),
+        "run_suite": lambda: cli.run_suite(bundle)[1]}
     built = []
     for cls in (blocks.Obj, blocks.Mor):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__):

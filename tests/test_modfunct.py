@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import (act_right_composite, all_categories, fib, gauged_corpus_and_zn,
+from helpers import (act_right_composite, all_categories, f_mor, fib, gauged_corpus_and_zn,
                      vec_z2_omega, vec_z2_triv, vec_over_vec_z2)
 
 from modend import blocks
@@ -205,7 +205,7 @@ def compose_functors_composite(g, f):
         for i in f.src.simples:
             mi = blocks._simple(bt, i)
             fmi = blocks.f_obj(ftab, mi)
-            e = blocks.c_mor(gtab, sx, fmi) * blocks.f_mor(gtab, blocks.c_mor(ftab, sx, mi))
+            e = blocks.c_mor(gtab, sx, fmi) * f_mor(gtab, blocks.c_mor(ftab, sx, mi))
             src_inner = blocks.act_c(f.src.tables, sx, mi)      # X act m_i
             f_of_src = blocks.f_obj(ftab, src_inner)
             nested_src = blocks.f_obj(gtab, f_of_src)           # e.src
