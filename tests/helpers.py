@@ -1,5 +1,5 @@
-"""Shared fixtures: the bundled corpus, sampled randomness, gauge transformations
-and block-calculus references.
+"""Shared fixtures: the bundled corpus, sampled randomness, seeded symbol
+mutations, gauge transformations and block-calculus references.
 
 The corpus categories are read from the JSON files shipped with the package,
 a fresh load per call, so tests and the command line see the same data.
@@ -22,10 +22,10 @@ from pathlib import Path
 
 from modend import blocks, cli, endengine
 from modend.blocks import Mor, Obj
+from modend.common import SourceTargetMismatch
 from modend.fusioncat import FusionCategorySpec
 from modend.modcat import ModuleCategorySpec, regular_module
 from modend.modfunct import ModuleFunctorSpec
-from modend.common import SourceTargetMismatch
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
 # bundled categories in the order seeded samplers draw them

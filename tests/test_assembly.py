@@ -333,7 +333,8 @@ def _gate_mutant_pairs(name) -> list:
     for site in sampled_sites(name, subject):
         mutant = mutated(subject, site, 2)
         if isinstance(subject, ModuleCategorySpec):
-            out.append((identity_functor(mutant), identity_functor(mutant)))
+            idf = identity_functor(mutant)
+            out.append((idf, idf))
         else:
             out += [(mutant, subject), (subject, mutant)]
     return out
