@@ -6,9 +6,9 @@ opposite modules, composite functors, right multiplications, the
 ``Hom(F(-), G(-))`` systems and the object-valued probe builders are sums of
 products of F-, L- and c-symbols, entries of inverse blocks and duality
 scalars.  Each tables object keeps its blocks and their inverses
-(``f_block``/``f_inverse``, ``l_block``/``l_inverse``,
-``rl_block``/``rl_inverse``) for its own life, and the regular module shares
-the base's.
+(``f_block``/``f_inverse``, ``l_block``/``l_inverse``) for its own life, and
+the regular module shares the base's.  Left and right modules share one
+tables class, which keeps the spec's key for both.
 
 The block-matrix calculus those forms replaced (:class:`Obj`, :class:`Mor`,
 ``act_c``, ``ctensor``, ``f_obj``, ``assoc``, ``assoc_inv``, ``c_mor``) has
@@ -172,13 +172,22 @@ class BaseTables:
 
 
 class ModuleTables:
-    """Skeletal data of a left module category over a :class:`BaseTables`."""
+    """Skeletal data of a left or right module category over a :class:`BaseTables`.
+
+    Both orientations keep the spec's key: ``act_set(X, i)`` is ``X act m_i``
+    or ``m_i ract X``, and ``L(X,Y,i; j,z,t)`` is the entry of
+    ``l_block(X, Y, i, t)`` at row ``j``, column ``z``.  They differ only in
+    the order the factors of ``X x Y`` act along a row path (``row_steps``):
+    ``Y`` first on a left module, ``j in Y act m_i`` and ``t in X act m_j``;
+    ``X`` first on a right one, ``j in m_i ract X`` and ``t in m_j ract Y``.
+    """
 
     def __init__(self, base: BaseTables, simples: Sequence[str], act_map: dict,
-                 l_entry: Callable, unit_scalars: dict):
+                 l_entry: Callable, unit_scalars: dict, right: bool = False):
         self.base = base
         self.field = base.field
         self.simples = tuple(simples)
+        self.right = right
         self._act = act_map
         self._l_entry = l_entry
         self._units = unit_scalars
@@ -186,7 +195,6 @@ class ModuleTables:
         self._linv_cache = {}
         self._cache = {}
         self._memo = {}
-        self._axioms = {}
 
     def act_set(self, X: str, i: str) -> tuple:
         return self._act.get((X, i), ())
@@ -198,15 +206,16 @@ class ModuleTables:
         return self._units[i]
 
     def l_block(self, X: str, Y: str, i: str, t: str):
-        """Associator block of ``(X x Y) act m_i`` at target ``t``.
+        """Associator block of ``X x Y`` acting on ``m_i`` at target ``t``.
 
-        Rows run over ``j in Y act m_i`` with ``t in X act m_j``, columns over
+        Rows run over the row paths ``j`` that end at ``t``, columns over
         ``z in X x Y`` with ``t in z act m_i``.
         """
         key = (X, Y, i, t)
         blk = self._lblock_cache.get(key)
         if blk is None:
-            j_list = [j for j in self.act_set(Y, i) if self.n(X, j, t)]
+            first, second = row_steps(self.right, X, Y)
+            j_list = [j for j in self.act_set(first, i) if self.n(second, j, t)]
             z_list = [z for z in self.base.fuse(X, Y) if self.n(z, i, t)]
             mat = Matrix.zeros(self.field, len(j_list), len(z_list))
             for r, j in enumerate(j_list):
@@ -221,6 +230,12 @@ class ModuleTables:
         return _cached_inverse(self._linv_cache, (X, Y, i, t), self.l_block(X, Y, i, t))
 
 
+def row_steps(right: bool, X: str, Y: str) -> tuple:
+    """The factors of ``X x Y`` in the order they act along a row path of an
+    L-block (:class:`ModuleTables`): ``(Y, X)`` if left, ``(X, Y)`` if right."""
+    return (X, Y) if right else (Y, X)
+
+
 class RegularTables(ModuleTables):
     """The base acting on itself, whose L-blocks are the base's F-blocks:
     ``l_block(X, Y, i, t)`` is ``f_block(X, Y, i, t)`` entry for entry, so the
@@ -231,54 +246,6 @@ class RegularTables(ModuleTables):
 
     def l_inverse(self, X: str, Y: str, i: str, t: str) -> dict:
         return self.base.f_inverse(X, Y, i, t)
-
-
-class RightTables:
-    """Skeletal data of a right module category."""
-
-    def __init__(self, base: BaseTables, simples: Sequence[str], ract_map: dict,
-                 rl_entry: Callable, runit_scalars: dict):
-        self.base = base
-        self.field = base.field
-        self.simples = tuple(simples)
-        self._ract = ract_map
-        self._rl_entry = rl_entry
-        self._units = runit_scalars
-        self._block_cache = {}
-        self._inv_cache = {}
-        self._memo = {}
-
-    def ract_set(self, i: str, X: str) -> tuple:
-        return self._ract.get((i, X), ())
-
-    def n(self, i: str, X: str, j: str) -> bool:
-        return j in self._ract.get((i, X), ())
-
-    def runit_scalar(self, i: str):
-        return self._units[i]
-
-    def rl_block(self, i: str, X: str, Y: str, t: str):
-        """Block of ``m_i ract (X x Y) -> (m_i ract X) ract Y`` at target ``t``.
-
-        Rows over ``j in m_i ract X`` with ``t in m_j ract Y``, columns over
-        ``z in X x Y`` with ``t in m_i ract z``.
-        """
-        key = (i, X, Y, t)
-        blk = self._block_cache.get(key)
-        if blk is None:
-            j_list = [j for j in self.ract_set(i, X) if self.n(j, Y, t)]
-            z_list = [z for z in self.base.fuse(X, Y) if self.n(i, z, t)]
-            mat = Matrix.zeros(self.field, len(j_list), len(z_list))
-            for r, j in enumerate(j_list):
-                for c, z in enumerate(z_list):
-                    mat[r, c] = self._rl_entry(i, X, Y, j, z, t)
-            blk = (j_list, z_list, mat)
-            self._block_cache[key] = blk
-        return blk
-
-    def rl_inverse(self, i: str, X: str, Y: str, t: str) -> dict:
-        """``inverse_entries`` of ``rl_block(i, X, Y, t)``, keyed ``(z, j)``."""
-        return _cached_inverse(self._inv_cache, (i, X, Y, t), self.rl_block(i, X, Y, t))
 
 
 def inverse_entries(rows: Sequence, cols: Sequence, mat: Matrix) -> dict:
@@ -461,12 +428,13 @@ class FunctorTables:
     """On-simples multiplicities and coherence blocks of a module functor."""
 
     def __init__(self, src: ModuleTables, dst: ModuleTables, mult: dict,
-                 c_block_fn: Callable):
+                 c_symbols: dict):
         self.src = src
         self.dst = dst
         self.field = src.field
         self._mult = mult
-        self._c_block_fn = c_block_fn
+        # (X, i) -> matrix of c_{X, m_i} in the canonical row/column orders
+        self.c_symbols = c_symbols
         self._cache = {}
         self._memo = {}
         self._c_entries = {}
@@ -476,15 +444,6 @@ class FunctorTables:
 
     def mult(self, i: str, k: str) -> int:
         return self._mult.get((i, k), 0)
-
-    def c_block(self, X: str, i: str) -> Matrix:
-        """Matrix of ``c_{X, m_i}`` in the canonical row/column orders."""
-        key = (X, i)
-        blk = self._cache.get(key)
-        if blk is None:
-            blk = self._c_block_fn(X, i)
-            self._cache[key] = blk
-        return blk
 
 
 def c_rows(ft: FunctorTables, X: str, i: str) -> list:
@@ -531,7 +490,7 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
     mat = Matrix.zeros(ft.field, len(dst), len(src))
     for ia, a in enumerate(A.labels):
         for ip, p in enumerate(N.labels):
-            blk = ft.c_block(a, p)
+            blk = ft.c_symbols[a, p]
             rows = c_rows(ft, a, p)
             cols = c_cols(ft, a, p)
             for r, (k, cnt, t) in enumerate(rows):
@@ -555,23 +514,21 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # over intermediate labels of products of F-, L- and c-symbols.  Symbols of
 # inadmissible label tuples read 0, so the sums may run over whole fusion
 # sets.  ``L(X,Y,i; j,z,t)`` is the entry of ``l_block(X, Y, i, t)`` at row
-# ``j``, column ``z``; ``F(a,b,c; d; e,f)`` that of ``f_block(a, b, c, d)``
-# at row ``f``, column ``e``.
+# ``j``, column ``z``, on a left or a right module; ``F(a,b,c; d; e,f)`` that
+# of ``f_block(a, b, c, d)`` at row ``f``, column ``e``.
 #
-# Each axiom is swept once per tables object: ``l_block_failures`` and
-# ``left_pentagon_failures`` run it over every tuple of simples and keep the
-# failures in ``tables._axioms``, apart from ``_memo``, whose values are
-# objects owned by one loaded bundle (an empty tuple is shared by all).  The
-# regular module's L-blocks are the F-blocks, so a regular module shares its
-# category's sweeps: the validator of either reads what the other computed.
+# ``l_block_failures`` and ``left_pentagon_failures`` sweep an axiom over
+# every tuple of simples.  The gate sweeps each tables object at most once
+# per load: a regular module is derived and never swept, and its category's
+# sweeps run on the regular module's tables, whose L-blocks are the F-blocks.
 
 
 def block_failure(inverse: Callable, *key) -> str | None:
     """Why the block at ``key`` is not invertible (``not-square``, ``singular``,
     or ``zero-divisor``: only a reducible ``min_poly`` has one), else None.
 
-    ``inverse`` is a tables' ``l_inverse`` or ``rl_inverse``, which keeps the
-    inverse it computes for later readers.
+    ``inverse`` is a tables' ``l_inverse``, which keeps the inverse it
+    computes for later readers.
     """
     try:
         inverse(*key)
@@ -590,38 +547,27 @@ def l_block_failures(tables: ModuleTables) -> tuple:
     ``kind`` is a ``block_failure``.  For the regular module these are the
     F-blocks ``f_block(X, Y, i, t)``.
     """
-    out = tables._axioms.get("l-blocks")
-    if out is None:
-        out = []
-        for X in tables.base.simples:
-            for Y in tables.base.simples:
-                for i in tables.simples:
-                    # totals of a row or a column path; any other block is 0 x 0
-                    totals = {t for z in tables.base.fuse(X, Y) for t in tables.act_set(z, i)}
-                    totals.update(t for j in tables.act_set(Y, i) for t in tables.act_set(X, j))
-                    for t in (t for t in tables.simples if t in totals):
-                        kind = block_failure(tables.l_inverse, X, Y, i, t)
-                        if kind:
-                            out.append((kind, (X, Y, i, t)))
-        out = tables._axioms["l-blocks"] = tuple(out)
-    return out
+    out = []
+    for X in tables.base.simples:
+        for Y in tables.base.simples:
+            first, second = row_steps(tables.right, X, Y)
+            for i in tables.simples:
+                # totals of a row or a column path; any other block is 0 x 0
+                totals = {t for z in tables.base.fuse(X, Y) for t in tables.act_set(z, i)}
+                totals.update(t for j in tables.act_set(first, i)
+                              for t in tables.act_set(second, j))
+                for t in (t for t in tables.simples if t in totals):
+                    kind = block_failure(tables.l_inverse, X, Y, i, t)
+                    if kind:
+                        out.append((kind, (X, Y, i, t)))
+    return tuple(out)
 
 
 def left_pentagon_failures(tables: ModuleTables) -> tuple:
-    """Every ``(X, Y, Z, i)`` where ``left_pentagon_holds`` fails, in ``simples`` order.
-
-    The entry is keyed by the predicate this module holds at call time, so a
-    replacement predicate is evaluated afresh rather than read from the cache.
-    """
-    holds = left_pentagon_holds
-    key = ("pentagon", holds)
-    out = tables._axioms.get(key)
-    if out is None:
-        simples = tables.base.simples
-        out = tables._axioms[key] = tuple(
-            (X, Y, Z, i) for X in simples for Y in simples for Z in simples
-            for i in tables.simples if not holds(tables, X, Y, Z, i))
-    return out
+    """Every ``(X, Y, Z, i)`` where ``left_pentagon_holds`` fails, in ``simples`` order."""
+    simples = tables.base.simples
+    return tuple((X, Y, Z, i) for X in simples for Y in simples for Z in simples
+                 for i in tables.simples if not left_pentagon_holds(tables, X, Y, Z, i))
 
 
 def left_pentagon_holds(tables: ModuleTables, X: str, Y: str, Z: str, i: str) -> bool:
@@ -659,40 +605,39 @@ def left_unit_holds(tables: ModuleTables, X: str, i: str) -> bool:
                for t in tables.act_set(X, i))
 
 
-def right_pentagon_holds(tables: RightTables, i: str, X: str, Y: str, Z: str) -> bool:
+def right_pentagon_holds(tables: ModuleTables, i: str, X: str, Y: str, Z: str) -> bool:
     """Mixed pentagon of a right module at ``(m_i, X, Y, Z)``.
 
-    With ``R(i,X,Y; j,z,t)`` the entry of ``rl_block(i, X, Y, t)``, source
-    paths ``u in X x Y, w in u x Z`` and target paths ``j in m_i ract X,
+    Source paths ``u in X x Y, w in u x Z`` and target paths ``j in m_i ract X,
     k in m_j ract Y`` meet at totals ``t``, where
-    ``R(i,X,Y; j,u,k) R(i,u,Z; k,w,t) = sum_v R(j,Y,Z; k,v,t) R(i,X,v; j,w,t) F(X,Y,Z; w; u,v)``.
+    ``L(X,Y,i; j,u,k) L(u,Z,i; k,w,t) = sum_v L(Y,Z,j; k,v,t) L(X,v,i; j,w,t) F(X,Y,Z; w; u,v)``.
     """
     base = tables.base
-    R, F, zero = tables._rl_entry, base._f_entry, tables.field.zero
+    L, F, zero = tables._l_entry, base._f_entry, tables.field.zero
     yz = base.fuse(Y, Z)
     for u in base.fuse(X, Y):
         for w in base.fuse(u, Z):
-            for j in tables.ract_set(i, X):
-                for k in tables.ract_set(j, Y):
-                    for t in tables.ract_set(k, Z):
-                        if not tables.n(i, w, t):
+            for j in tables.act_set(X, i):
+                for k in tables.act_set(Y, j):
+                    for t in tables.act_set(Z, k):
+                        if not tables.n(w, i, t):
                             continue
                         rhs = zero
                         for v in yz:
-                            a = R(j, Y, Z, k, v, t)
+                            a = L(Y, Z, j, k, v, t)
                             if a:
-                                rhs = rhs + a * R(i, X, v, j, w, t) * F(X, Y, Z, w, u, v)
-                        if R(i, X, Y, j, u, k) * R(i, u, Z, k, w, t) != rhs:
+                                rhs = rhs + a * L(X, v, i, j, w, t) * F(X, Y, Z, w, u, v)
+                        if L(X, Y, i, j, u, k) * L(u, Z, i, k, w, t) != rhs:
                             return False
     return True
 
 
-def right_unit_holds(tables: RightTables, i: str, X: str) -> bool:
-    """Unit coherence at ``(m_i, X)``: ``R(i,1,X; i,X,t) * lambda_i = 1``."""
+def right_unit_holds(tables: ModuleTables, i: str, X: str) -> bool:
+    """Unit coherence at ``(m_i, X)``: ``L(1,X,i; i,X,t) * lambda_i = 1``."""
     unit, one = tables.base.unit, tables.field.one
-    scalar = tables.runit_scalar(i)
-    return all(tables._rl_entry(i, unit, X, i, X, t) * scalar == one
-               for t in tables.ract_set(i, X))
+    scalar = tables.unit_scalar(i)
+    return all(tables._l_entry(unit, X, i, i, X, t) * scalar == one
+               for t in tables.act_set(X, i))
 
 
 def _c_entries(ft: FunctorTables, X: str, i: str) -> dict:
@@ -704,7 +649,7 @@ def _c_entries(ft: FunctorTables, X: str, i: str) -> dict:
     key = (X, i)
     out = ft._c_entries.get(key)
     if out is None:
-        blk, cols = ft.c_block(X, i), c_cols(ft, X, i)
+        blk, cols = ft.c_symbols[X, i], c_cols(ft, X, i)
         out = ft._c_entries[key] = {}
         for r, row in enumerate(c_rows(ft, X, i)):
             for c, col in enumerate(cols):

@@ -497,6 +497,12 @@ def run_suite(bundle: InstanceBundle):
     return lines, ok_all
 
 
+def _print_error(status: str, error: str) -> int:
+    """Print the one-line JSON error of ``status`` and return its exit code."""
+    print(json.dumps({"status": status, "error": error}, sort_keys=True, separators=(",", ":")))
+    return STATUS_EXIT[status]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="modend",
@@ -513,25 +519,16 @@ def main(argv=None) -> int:
     try:
         bundle = load(paths)
     except (ParseError, UnknownName, ValidationError) as exc:
-        print(json.dumps({"status": "validation-failed", "error": str(exc)},
-                         sort_keys=True, separators=(",", ":")))
-        return 1
+        return _print_error("validation-failed", str(exc))
     try:
         report = run(ns.command, bundle)
     except (ParseError, ValidationError, UnknownName, NotATensorSubcategory,
             SourceTargetMismatch) as exc:
-        print(json.dumps({"status": "validation-failed", "error": str(exc)},
-                         sort_keys=True, separators=(",", ":")))
-        return 1
+        return _print_error("validation-failed", str(exc))
     except (OracleMismatch, SerreCertificateFailure, UpsilonMismatch) as exc:
-        print(json.dumps({"status": "certificate-failed", "error": str(exc)},
-                         sort_keys=True, separators=(",", ":")))
-        return 2
+        return _print_error("certificate-failed", str(exc))
     except UnknownCommand as exc:
-        print(json.dumps({"status": "validation-failed",
-                          "error": f"unknown command {exc}"},
-                         sort_keys=True, separators=(",", ":")))
-        return 1
+        return _print_error("validation-failed", f"unknown command {exc}")
     print(report.dumps())
     return STATUS_EXIT[report.payload["status"]]
 

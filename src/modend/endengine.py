@@ -330,7 +330,12 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     ``k' = l``, is ``epsW(i)[w,z,s]`` at ``(l,a',b)`` of block ``i``; the
     right-hand side at ``(k,a,b')`` of block ``s`` is
     ``cF(w,s)[(k,a,l), (t,k',a')] cG(z,i)[(l,b,k), (s,k,b')] epsW'(l)[w,z,k]``.
+    ``carrier`` must be the carrier of ``f`` and ``g``, as in ``build_nat_system``.
     """
+    if f.src is not g.src or f.dst is not g.dst:
+        raise SourceTargetMismatch("functors must share source and target")
+    if list(carrier) != _nat_carrier(f, g):
+        raise SourceTargetMismatch("carrier is not the Hom(F(-), G(-)) carrier of the functors")
     base = f.src.base
     src_t, dst_t, ft, gt, zero = f.src.tables, f.dst.tables, f.tables, g.tables, f.field.zero
     Xd, Yd = base.dual[X], base.dual[Y]

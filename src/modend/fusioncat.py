@@ -160,8 +160,8 @@ def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
         a, b, c, d, e, f = key
         if spec.unit in (a, b, c) and val != spec.field.one:
             report.add("unit-leg-f", key, "unit-leg F-symbols must be 1")
-    # F-blocks and pentagon, via the regular module, whose sweeps a regular
-    # module of this category shares
+    # F-blocks and pentagon, swept on the regular module's tables, whose
+    # L-blocks are the F-blocks
     reg = spec.tables.regular()
     for kind, loc in blocks.l_block_failures(reg):
         report.add(f"f-block-{kind}", loc)

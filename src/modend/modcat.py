@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import blocks
-from .blocks import ModuleTables, RightTables
+from .blocks import ModuleTables, row_steps
 from .common import UnknownLabel, ValidationReport
 from .fusioncat import FusionCategorySpec, tensor_subcategory
 from .scalarfield import FieldElement, Matrix
@@ -65,43 +65,27 @@ class ModuleCategorySpec:
         return self._act_map[(X, i)]
 
     def _admissible_l_keys(self):
-        if self.orientation == "left":
-            for X in self.base.simples:
-                for Y in self.base.simples:
-                    for i in self.simples:
-                        for j in self._act_map[(Y, i)]:
-                            for t in self._act_map[(X, j)]:
-                                for Z in self.base.fuse(X, Y):
-                                    if t in self._act_map[(Z, i)]:
-                                        yield (X, Y, i, j, Z, t)
-        else:
-            for X in self.base.simples:
-                for Y in self.base.simples:
-                    for i in self.simples:
-                        for j in self._act_map[(X, i)]:
-                            for t in self._act_map[(Y, j)]:
-                                for Z in self.base.fuse(X, Y):
-                                    if t in self._act_map[(Z, i)]:
-                                        yield (X, Y, i, j, Z, t)
+        right = self.orientation == "right"
+        for X in self.base.simples:
+            for Y in self.base.simples:
+                first, second = row_steps(right, X, Y)
+                for i in self.simples:
+                    for j in self._act_map[(first, i)]:
+                        for t in self._act_map[(second, j)]:
+                            for Z in self.base.fuse(X, Y):
+                                if t in self._act_map[(Z, i)]:
+                                    yield (X, Y, i, j, Z, t)
 
     def l_symbol(self, X, Y, i, j, Z, t) -> FieldElement:
         return self._l.get((X, Y, i, j, Z, t), self.field.zero)
 
     @property
-    def tables(self):
+    def tables(self) -> ModuleTables:
         if self._tables is None:
-            if self.orientation == "left":
-                self._tables = ModuleTables(
-                    base=self.base.tables, simples=self.simples,
-                    act_map=dict(self._act_map),
-                    l_entry=lambda X, Y, i, j, Z, t: self.l_symbol(X, Y, i, j, Z, t),
-                    unit_scalars=dict(self.unit_scalars))
-            else:
-                self._tables = RightTables(
-                    base=self.base.tables, simples=self.simples,
-                    ract_map={(i, X): js for (X, i), js in self._act_map.items()},
-                    rl_entry=lambda i, X, Y, j, Z, t: self.l_symbol(X, Y, i, j, Z, t),
-                    runit_scalars=dict(self.unit_scalars))
+            self._tables = ModuleTables(
+                base=self.base.tables, simples=self.simples, act_map=dict(self._act_map),
+                l_entry=self.l_symbol, unit_scalars=dict(self.unit_scalars),
+                right=self.orientation == "right")
         return self._tables
 
     def __repr__(self):
@@ -123,54 +107,43 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
         if not spec.unit_scalars[i]:
             report.add("unit-scalar-zero", (i,))
     # associativity of the multiplicity tables
+    right = spec.orientation == "right"
     for X in base.simples:
         for Y in base.simples:
+            first, second = row_steps(right, X, Y)
             for i in spec.simples:
                 for t in spec.simples:
                     via_fuse = sum(1 for Z in base.fuse(X, Y) if t in spec.act_set(Z, i))
-                    if spec.orientation == "left":
-                        via_steps = sum(1 for j in spec.act_set(Y, i)
-                                        if t in spec.act_set(X, j))
-                    else:
-                        via_steps = sum(1 for j in spec.act_set(X, i)
-                                        if t in spec.act_set(Y, j))
+                    via_steps = sum(1 for j in spec.act_set(first, i)
+                                    if t in spec.act_set(second, j))
                     if via_fuse != via_steps:
                         report.add("action-associativity", (X, Y, i, t),
                                    f"path counts {via_fuse} != {via_steps}")
     if not report.ok:
         return report
     tables = spec.tables
-    if spec.orientation == "left":
-        for kind, loc in blocks.l_block_failures(tables):
-            report.add(f"l-block-{kind}", loc)
-        if not report.ok:
-            return report
+    for kind, loc in blocks.l_block_failures(tables):
+        report.add(f"l-block-{kind}", loc)
+    if not report.ok:
+        return report
+    if not right:
         for loc in blocks.left_pentagon_failures(tables):
             report.add("mixed-pentagon", loc)
         for X in base.simples:
             for i in spec.simples:
                 if not blocks.left_unit_holds(tables, X, i):
                     report.add("unit-coherence", (X, i))
-    else:
-        for X in base.simples:
-            for Y in base.simples:
+        return report
+    for X in base.simples:
+        for Y in base.simples:
+            for Z in base.simples:
                 for i in spec.simples:
-                    for t in spec.simples:
-                        kind = blocks.block_failure(tables.rl_inverse, i, X, Y, t)
-                        if kind:
-                            report.add(f"l-block-{kind}", (X, Y, i, t))
-        if not report.ok:
-            return report
-        for X in base.simples:
-            for Y in base.simples:
-                for Z in base.simples:
-                    for i in spec.simples:
-                        if not blocks.right_pentagon_holds(tables, i, X, Y, Z):
-                            report.add("mixed-pentagon", (i, X, Y, Z))
-        for X in base.simples:
-            for i in spec.simples:
-                if not blocks.right_unit_holds(tables, i, X):
-                    report.add("unit-coherence", (i, X))
+                    if not blocks.right_pentagon_holds(tables, i, X, Y, Z):
+                        report.add("mixed-pentagon", (i, X, Y, Z))
+    for X in base.simples:
+        for i in spec.simples:
+            if not blocks.right_unit_holds(tables, i, X):
+                report.add("unit-coherence", (i, X))
     return report
 
 
@@ -192,9 +165,8 @@ def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
     """Opposite module category (left <-> right), dual-twisted action.
 
     ``L_op(X,Y,i; j,Z,t) = Binv[Z*, j] / phi_r(X,Y; Z)``, where ``Binv`` is
-    the inverse of ``l_block(Y*, X*, i, t)`` of a left module, or of
-    ``rl_block(i, Y*, X*, t)`` of a right one.  Only nonzero values are
-    stored; the unit scalars are inverted.
+    the inverse of ``l_block(Y*, X*, i, t)`` in either orientation.  Only
+    nonzero values are stored; the unit scalars are inverted.
     """
     base = m.base
     base.duality()  # the duality scalars phi_r reads
@@ -203,14 +175,13 @@ def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
     l_symbols = {}
     for X in base.simples:
         for Y in base.simples:
-            # j in X* act m_i, t in Y* act m_j (left); j in m_i ract Y*, t in m_j ract X* (right)
-            first, second = (dual[X], dual[Y]) if left else (dual[Y], dual[X])
+            # the opposite's row path, through m's action of the duals
+            first, second = (dual[a] for a in row_steps(left, X, Y))
             phi_inv = {Z: blocks.phi_r_scalar(btab, X, Y, Z).inverse() for Z in base.fuse(X, Y)}
             for i in m.simples:
                 for j in m.act_set(first, i):
                     for t in m.act_set(second, j):
-                        inv = (tables.l_inverse(dual[Y], dual[X], i, t) if left
-                               else tables.rl_inverse(i, dual[Y], dual[X], t))
+                        inv = tables.l_inverse(dual[Y], dual[X], i, t)
                         for Z, phi_z in phi_inv.items():
                             val = inv.get((dual[Z], j))
                             if val:

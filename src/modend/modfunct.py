@@ -48,10 +48,8 @@ class ModuleFunctorSpec:
     @property
     def tables(self) -> FunctorTables:
         if self._tables is None:
-            self._tables = FunctorTables(
-                src=self.src.tables, dst=self.dst.tables,
-                mult=dict(self.on_simples),
-                c_block_fn=lambda X, i: self.c_symbols[(X, i)])
+            self._tables = FunctorTables(src=self.src.tables, dst=self.dst.tables,
+                                         mult=dict(self.on_simples), c_symbols=self.c_symbols)
         return self._tables
 
     def image_vector(self, i: str) -> tuple:

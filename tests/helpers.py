@@ -426,7 +426,7 @@ def ract_c(tables, N: Obj, A: Obj) -> Obj:
     labels, keys = [], []
     for ip, p in enumerate(N.labels):
         for ia, a in enumerate(A.labels):
-            for t in tables.ract_set(p, a):
+            for t in tables.act_set(a, p):
                 labels.append(t)
                 keys.append((ip, ia, t))
     return Obj(tuple(labels), tuple(keys))
@@ -444,7 +444,7 @@ def ract_mor(tables, N: Obj, g: Mor) -> Mor:
                 continue
             a = g.src.labels[ia]
             for ip, p in enumerate(N.labels):
-                for t in tables.ract_set(p, a):
+                for t in tables.act_set(a, p):
                     mat[dst.index[(ip, ib, t)], src.index[(ip, ia, t)]] = val
     return Mor(src, dst, mat)
 
@@ -461,9 +461,9 @@ def rassoc(tables, N: Obj, A: Obj, B: Obj) -> Mor:
             for ib, b in enumerate(B.labels):
                 targets = set()
                 for z in tables.base.fuse(a, b):
-                    targets.update(tables.ract_set(p, z))
+                    targets.update(tables.act_set(z, p))
                 for t in targets:
-                    j_list, z_list, blk = tables.rl_block(p, a, b, t)
+                    j_list, z_list, blk = tables.l_block(a, b, p, t)
                     for r, j in enumerate(j_list):
                         for c, z in enumerate(z_list):
                             val = blk[r, c]

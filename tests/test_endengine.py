@@ -7,7 +7,7 @@ from helpers import (all_categories, fib, ising, one_simple_category,
                      plain_dinaturality_condition, sample_pairs, vec_over_vec_z2, vec_z2_omega,
                      vec_z2_triv, vec_z4)
 
-from modend import endengine as ee
+from modend import cli, endengine as ee
 from modend.common import NotATensorSubcategory, SourceTargetMismatch
 from modend.modcat import ModuleCategorySpec, regular_module, validate_module
 from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,
@@ -16,6 +16,18 @@ from modend.scalarfield import Matrix, span_contains, subspace_equal
 from modend import blocks
 
 CATS = all_categories()
+
+
+def test_composite_conditions_refuse_a_foreign_functor_or_carrier():
+    bundle = cli.load(cli.bundled_instance_paths())
+    idf, tau = bundle.functor("id_fib_regular"), bundle.functor("rmul_fib_tau")
+    carrier = ee.build_nat_system(idf, idf).blocks
+    with pytest.raises(SourceTargetMismatch, match="share source and target"):
+        ee.composite_nat_conditions(idf, bundle.functor("rmul_ising_psi"), carrier, "tau", "tau")
+    with pytest.raises(SourceTargetMismatch, match="carrier"):
+        ee.composite_nat_conditions(idf, tau, carrier, "tau", "tau")
+    own = ee.build_nat_system(idf, tau).blocks
+    assert ee.composite_nat_conditions(idf, tau, own, "tau", "tau")
 
 
 def nat_pairs(spec, reg):

@@ -8,18 +8,16 @@ place of the symbol-level predicates, and requires the same
 ``(check, location)`` entries in the same order.
 """
 
-import functools
 import json
 import random
 import zlib
-from collections import Counter
 
 import pytest
 
 from helpers import (MUTATION_FACTORS, act_mor, bench_gen, c_assoc, cunit, f_mor,
                      gauge_category, gauge_functor, gauge_module, gauged_corpus_and_zn, mutated,
-                     opposite_module_composite, ract_c, ract_mor, rassoc, sampled_sites, unit_l,
-                     whisker_c)
+                     mutation_sites, opposite_module_composite, ract_c, ract_mor, rassoc,
+                     sampled_sites, unit_l, whisker_c)
 from modend import blocks, cli
 from modend.blocks import Mor, _simple, act_c, assoc, c_mor, ctensor, f_obj
 from modend.fusioncat import validate_fusion
@@ -42,7 +40,7 @@ def rwhisker(tables, f, A):
             val = f.mat[iq, ip]
             if val:
                 for ia, a in enumerate(A.labels):
-                    for t in tables.ract_set(s, a):
+                    for t in tables.act_set(a, s):
                         mat[dst.index[(iq, ia, t)], src.index[(ip, ia, t)]] = val
     return Mor(src, dst, mat)
 
@@ -52,7 +50,7 @@ def runit_r(tables, N):
     src = ract_c(tables, N, cunit(tables.base))
     mat = Matrix.zeros(tables.field, len(N), len(src))
     for ip, p in enumerate(N.labels):
-        mat[ip, src.index[(ip, 0, p)]] = tables.runit_scalar(p)
+        mat[ip, src.index[(ip, 0, p)]] = tables.unit_scalar(p)
     return Mor(src, N, mat)
 
 
@@ -150,9 +148,7 @@ def _validate_both_ways(validate, subject, monkeypatch):
     got = _entries(validate(subject))
     with monkeypatch.context() as patch:
         for name, checker in REFERENCE.items():
-            # a new function object per call: the sweeps cached on the tables
-            # are keyed by the predicate, so every reference run evaluates
-            patch.setattr(blocks, name, functools.partial(checker))
+            patch.setattr(blocks, name, checker)
         want = _entries(validate(subject))
     assert got == want, subject
     return got
@@ -225,25 +221,27 @@ def test_opposite_module_matches_the_composite(name):
     assert closed.unit_scalars == composite.unit_scalars
 
 
-def test_pentagon_sweep_is_shared_by_a_category_and_its_regular_module(monkeypatch):
-    """Each pentagon tuple is evaluated once per predicate and tables object:
-    the regular module reads the sweep its category made, and a replacement
-    predicate gets a sweep of its own instead of the cached one."""
-    bundle = cli.load(cli.bundled_instance_paths())
-    cat, reg = bundle.category("fib"), bundle.module("fib_regular")
-    reports = (_entries(validate_fusion(cat)), _entries(validate_module(reg)))
-    calls = Counter()
-    holds = blocks.left_pentagon_holds
+def _unpruned_l_block_failures(tables):
+    """``blocks.l_block_failures`` without its pruning: every block is inverted."""
+    simples = tables.base.simples
+    return tuple((kind, (X, Y, i, t)) for X in simples for Y in simples
+                 for i in tables.simples for t in tables.simples
+                 if (kind := blocks.block_failure(tables.l_inverse, X, Y, i, t)))
 
-    def counting(tables, *labels):
-        calls[id(tables), labels] += 1
-        return holds(tables, *labels)
 
-    monkeypatch.setattr(blocks, "left_pentagon_holds", counting)
-    assert (_entries(validate_fusion(cat)), _entries(validate_module(reg))) == reports
-    simples = cat.simples
-    assert calls == Counter({(id(reg.tables), (X, Y, Z, i)): 1 for X in simples
-                             for Y in simples for Z in simples for i in simples})
+@pytest.mark.parametrize("name", sorted(name for name, (validate, _) in SUBJECTS.items()
+                                         if validate is validate_module))
+def test_l_block_sweep_matches_the_unpruned_sweep(name):
+    """The pruned sweep finds what inverting every block finds, left or right,
+    on the module and on each copy with one L-symbol set to 0."""
+    module = SUBJECTS[name][1]
+    kinds = set()
+    for spec in [module] + [mutated(module, site, 0) for site in mutation_sites(module)
+                            if site[0] == "l"]:
+        failures = blocks.l_block_failures(spec.tables)
+        assert failures == _unpruned_l_block_failures(spec.tables), (name, spec.l_raw)
+        kinds.update(kind for kind, _ in failures)
+    assert "singular" in kinds
 
 
 def test_composite_functor_has_multiplicity_two():

@@ -109,7 +109,7 @@ def test_regular_module_shares_the_base_regular_tables():
 
 CACHES = {blocks.BaseTables: ("_fblock_cache", "_finv_cache"),
           blocks.RegularTables: ("_memo",),
-          blocks.FunctorTables: ("_cache", "_c_entries")}
+          blocks.FunctorTables: ("_c_entries",)}
 
 
 def _cached_values(bundle):
