@@ -26,8 +26,8 @@ from .endengine import (Condition, DinaturalSystem, EndResult,
                         build_character_probe_system, build_hom_coend_system,
                         build_nat_system, build_serre_probe_system,
                         build_upsilon_probe_system, composite_nat_conditions,
-                        nat_oracle_system, restrict_carrier, restrict_conditions,
-                        solve_coend, solve_end)
+                        nat_oracle_system, restrict_conditions, solve_coend,
+                        solve_end)
 from .theorems import (AdjointShiftResult, NatResult, SerreResult,
                        adjoint_shift_check, hom_lemma_suite, internal_character,
                        nat_m_dim, serre_functor, upsilon_regular)
@@ -48,7 +48,7 @@ __all__ = [
     "Condition", "DinaturalSystem", "EndResult", "build_character_probe_system",
     "build_hom_coend_system", "build_nat_system", "build_serre_probe_system",
     "build_upsilon_probe_system", "composite_nat_conditions", "nat_oracle_system",
-    "restrict_carrier", "restrict_conditions", "solve_coend", "solve_end",
+    "restrict_conditions", "solve_coend", "solve_end",
     "AdjointShiftResult", "NatResult", "SerreResult", "adjoint_shift_check",
     "hom_lemma_suite", "internal_character", "nat_m_dim", "serre_functor",
     "upsilon_regular",

@@ -545,17 +545,17 @@ def l_block_failures(tables: ModuleTables) -> tuple:
     """Every ``(kind, (X, Y, i, t))`` whose L-block is not invertible, in ``simples`` order.
 
     ``kind`` is a ``block_failure``.  For the regular module these are the
-    F-blocks ``f_block(X, Y, i, t)``.
+    F-blocks ``f_block(X, Y, i, t)``.  The sweep visits the totals of column
+    paths only, so it expects the path counts to agree (``action-associativity``
+    in ``validate_module``, ``fusion-associativity`` in ``validate_fusion``,
+    both checked first): then every total of a row path is one of a column
+    path, and every other block is 0 x 0.
     """
     out = []
     for X in tables.base.simples:
         for Y in tables.base.simples:
-            first, second = row_steps(tables.right, X, Y)
             for i in tables.simples:
-                # totals of a row or a column path; any other block is 0 x 0
                 totals = {t for z in tables.base.fuse(X, Y) for t in tables.act_set(z, i)}
-                totals.update(t for j in tables.act_set(first, i)
-                              for t in tables.act_set(second, j))
                 for t in (t for t in tables.simples if t in totals):
                     kind = block_failure(tables.l_inverse, X, Y, i, t)
                     if kind:

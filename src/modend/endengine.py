@@ -25,10 +25,11 @@ coordinate per pair of copies of one simple in ``F(m_i)`` and ``G(m_i)``.
 
 Object-valued ends and coends (internal characters, the Serre-functor coend,
 the double-dual end) are built once, over a carrier that keeps every summand
-of each diagonal object tagged with its label.  Restricting that system to
-the coordinates of one label (``restrict_carrier``) gives the Hom-probe
-``Hom(label, -)`` of the (co)end, an ordinary vect-valued module end whose
-dimension is that label's multiplicity.
+of each diagonal object tagged with its label.  By Schur's lemma no condition
+row has entries on two labels, so the system is block-diagonal by label and
+one solve gives every label's Hom-probe ``Hom(label, -)`` at once: each
+nullspace vector lies on one label, and the multiplicity of a label is the
+number of vectors on it (``theorems._multiplicities``).
 """
 
 from __future__ import annotations
@@ -97,12 +98,12 @@ class EndResult:
 
 
 def solve_end(sys: DinaturalSystem) -> EndResult:
-    """Nullspace of the stacked condition matrix over the carrier."""
+    """Nullspace of the stacked condition matrix over the carrier, from one ``rref``."""
     if sys.kind != "end":
         raise ValueError("solve_end expects an end-kind system")
     mats = [c.matrix for c in sys.conditions if c.matrix.rows]
-    stacked = Matrix.vstack(sys.field, mats, cols=sys.dim)
-    return EndResult(dim=sys.dim - stacked.rank(), basis=stacked.nullspace())
+    basis = Matrix.vstack(sys.field, mats, cols=sys.dim).nullspace()
+    return EndResult(dim=len(basis), basis=basis)
 
 
 def solve_coend(sys: DinaturalSystem) -> EndResult:
@@ -127,37 +128,6 @@ def restrict_conditions(sys: DinaturalSystem, sub: Sequence[str]) -> DinaturalSy
     kept = [c for c in sys.conditions if c.generator[0] in subset]
     return DinaturalSystem(field=sys.field, blocks=sys.blocks, conditions=kept,
                            kind=sys.kind, recipe=sys.recipe, meta=dict(sys.meta))
-
-
-def restrict_carrier(sys: DinaturalSystem, label: str) -> DinaturalSystem:
-    """Keep only the carrier coordinates tagged ``label``: the Hom-probe at ``label``.
-
-    On the labelled carrier of an object-valued (co)end the restricted
-    system's dimension is the multiplicity of ``label`` in the object.
-    """
-    keep, kept_blocks = [], []
-    for block in sys.blocks:
-        coords = [k for k, b in enumerate(block.basis) if b[0] == label]
-        kept_blocks.append(CarrierBlock(simple=block.simple, offset=len(keep),
-                                        basis=tuple(block.basis[k] for k in coords)))
-        keep.extend(block.offset + k for k in coords)
-    conditions = [Condition(generator=c.generator, matrix=_column_matrix(
-                      sys.field, [c.matrix.entries[k::c.matrix.cols] for k in keep], c.matrix.rows))
-                  for c in sys.conditions]
-    return DinaturalSystem(field=sys.field, blocks=kept_blocks, conditions=conditions,
-                           kind=sys.kind, recipe=sys.recipe, meta=dict(sys.meta))
-
-
-def _column_matrix(field, columns, rows=None) -> Matrix:
-    """The matrix whose ``c``-th column is the flat sequence ``columns[c]``."""
-    if rows is None:
-        rows = len(columns[0]) if columns else 0
-    mat = Matrix.zeros(field, rows, len(columns))
-    for c, col in enumerate(columns):
-        for r, val in enumerate(col):
-            if val:
-                mat[r, c] = val
-    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +391,7 @@ def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> Dinatu
 
 
 # ---------------------------------------------------------------------------
-# object-valued ends and coends, read off label by label through Hom-probes,
+# object-valued ends and coends, every label's Hom-probe read off one solve,
 # in the notation above: the left-hand side on the generator's own block and
 # the right-hand side on the block of each summand it passes through
 
@@ -446,9 +416,9 @@ def _labelled_carrier(summands: Mapping[str, Sequence[tuple]], order: Sequence[s
 def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
     """Module end of ``ldual(F(-)) x G(-)`` over the source module.
 
-    ``f`` and ``g`` must land in the regular module of the base; restricted to
-    the label ``p`` (``restrict_carrier``) the system computes
-    ``dim Hom(p, end object)`` of the internal-character end.
+    ``f`` and ``g`` must land in the regular module of the base; its nullspace
+    vectors on the label ``p`` count ``dim Hom(p, end object)`` of the
+    internal-character end.
 
     Block ``i`` has a coordinate per copy ``(k,a)`` of ``m_k`` in ``F(m_i)``,
     copy ``(l,b)`` of ``m_l`` in ``G(m_i)`` and ``p in k* x l``.  The rows of
@@ -509,8 +479,8 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
 
     The coend of ``uhom(m_i, -)* act -`` over the opposite (right) module is
     probed with ``Hom(-, m_p)``, which turns its relations into an end-type
-    system on coordinate functionals; restricted to the label ``p``, the
-    nullspace dimension is the multiplicity of ``m_p`` in the coend object.
+    system on coordinate functionals; its nullspace vectors on the label
+    ``p`` count the multiplicity of ``m_p`` in the coend object.
 
     With ``US(j)`` the simples ``Y`` with ``m_j in Y act m_i``, block ``u`` has
     a coordinate per ``Y in US(u)`` and ``t in Y* act m_u``.  The rows of
@@ -577,7 +547,7 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
 
 
 def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> DinaturalSystem:
-    """Double-dual end over the regular module, read label by label.
+    """Double-dual end over the regular module, every label read off one solve.
 
     The end runs over the dual category realized by right multiplications:
     one condition per (simple Y, module simple m), with the pre-balancing

@@ -8,15 +8,15 @@ and compared exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import endengine
 from .common import (OracleMismatch, SerreCertificateFailure, SourceTargetMismatch,
-                     UpsilonMismatch, ValidationReport)
+                     UpsilonMismatch, ValidationError, ValidationReport)
 from .fusioncat import FusionCategorySpec
 from .modcat import ModuleCategorySpec, opposite_module, regular_module
 from .modfunct import ModuleFunctorSpec, act_right_functor, identity_functor
-from .scalarfield import subspace_equal
 
 
 @dataclass
@@ -32,7 +32,9 @@ def nat_m_dim(f: ModuleFunctorSpec, g: ModuleFunctorSpec, mode: str = "end") -> 
     """Dimension of the space of module natural transformations F -> G.
 
     ``end`` solves the module-end system, ``oracle`` the direct naturality
-    system, ``both`` solves both and requires exact subspace equality.
+    system, ``both`` solves both and requires the same subspace.  Both bases
+    are echelon-canonical (``Matrix.nullspace``), so the two subspaces agree
+    exactly when the two bases are equal.
     """
     if mode not in ("end", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -45,8 +47,7 @@ def nat_m_dim(f: ModuleFunctorSpec, g: ModuleFunctorSpec, mode: str = "end") -> 
         return NatResult(dim=end_res.dim, mode=mode, end_basis=end_res.basis)
     if mode == "oracle":
         return NatResult(dim=oracle_res.dim, mode=mode, oracle_basis=oracle_res.basis)
-    agrees = subspace_equal(end_res.basis, oracle_res.basis)
-    if not agrees:
+    if end_res.basis != oracle_res.basis:
         raise OracleMismatch(
             f"module end ({end_res.dim}) and naturality oracle ({oracle_res.dim}) disagree "
             f"for {f.name} -> {g.name}")
@@ -72,15 +73,34 @@ class SerreResult:
 
 
 def _multiplicities(sys: endengine.DinaturalSystem, labels) -> tuple:
-    """Multiplicity of each label in an object-valued (co)end, one Hom-probe each."""
-    return tuple(endengine.solve_end(endengine.restrict_carrier(sys, p)).dim for p in labels)
+    """Multiplicity of each label in an object-valued (co)end, read off one solve.
+
+    Each carrier coordinate carries its label.  When no condition row has
+    entries on two labels, elimination only combines rows of one label, so
+    every nullspace vector lies on one label, and the multiplicity of ``p``
+    is the number of vectors on ``p``.  Schur's lemma makes every probe
+    system so; a row on two labels raises ``ValidationError``.
+    """
+    tags = [t[0] for block in sys.blocks for t in block.basis]
+    for cond in sys.conditions:
+        mat = cond.matrix
+        for r in range(mat.rows):
+            row = mat.entries[r * mat.cols:(r + 1) * mat.cols]
+            touched = {tags[k] for k, e in enumerate(row) if e}
+            if len(touched) > 1:
+                raise ValidationError(
+                    f"{sys.recipe}: a condition row of generator {cond.generator} has "
+                    f"entries on labels {sorted(touched)}")
+    on = Counter(tuple({tags[k] for k, e in enumerate(vec.entries) if e})
+                 for vec in endengine.solve_end(sys).basis)
+    return tuple(on[(p,)] for p in labels)
 
 
 def serre_functor(m: ModuleCategorySpec) -> SerreResult:
     """Relative Serre functor on simples via the twisted-hom coend.
 
-    The coend of each simple is built once and its image multiplicity vector
-    read off label by label, then every dimension certificate
+    The coend of each simple is built and solved once and its image
+    multiplicity vector read off that solve, then every dimension certificate
     ``dim Hom(X, uhom(m_i, m_j)*) = dim Hom(X, uhom(m_j, S(m_i)))`` is
     checked exactly.
     """
@@ -143,7 +163,7 @@ def adjoint_shift_check(c: FusionCategorySpec, y: str,
 
     Both sides are solved independently: the end of ``ldual(F^{ra}(-)) x -``
     and the end of ``ldual(-) x F(-)`` for ``F = - x y`` on the regular
-    module, each built once and read off label by label.
+    module, each built and solved once.
     """
     if reg is None:
         reg = regular_module(c)

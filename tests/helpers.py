@@ -283,6 +283,42 @@ def sampled_sites(name, subject):
 
 
 # ---------------------------------------------------------------------------
+# the label restriction: the reference route for the multiplicities of an
+# object-valued (co)end, one solve per label
+
+
+def restrict_carrier(sys: endengine.DinaturalSystem, label: str) -> endengine.DinaturalSystem:
+    """Keep only the carrier coordinates tagged ``label``: the Hom-probe at ``label``.
+
+    On the labelled carrier of an object-valued (co)end the restricted
+    system's dimension is the multiplicity of ``label`` in the object.
+    """
+    keep, kept_blocks = [], []
+    for block in sys.blocks:
+        coords = [k for k, b in enumerate(block.basis) if b[0] == label]
+        kept_blocks.append(endengine.CarrierBlock(simple=block.simple, offset=len(keep),
+                                                  basis=tuple(block.basis[k] for k in coords)))
+        keep.extend(block.offset + k for k in coords)
+    conditions = [endengine.Condition(generator=c.generator, matrix=column_matrix(
+                      sys.field, [c.matrix.entries[k::c.matrix.cols] for k in keep], c.matrix.rows))
+                  for c in sys.conditions]
+    return endengine.DinaturalSystem(field=sys.field, blocks=kept_blocks, conditions=conditions,
+                                     kind=sys.kind, recipe=sys.recipe, meta=dict(sys.meta))
+
+
+def column_matrix(field, columns, rows=None) -> Matrix:
+    """The matrix whose ``c``-th column is the flat sequence ``columns[c]``."""
+    if rows is None:
+        rows = len(columns[0]) if columns else 0
+    mat = Matrix.zeros(field, rows, len(columns))
+    for c, col in enumerate(columns):
+        for r, val in enumerate(col):
+            if val:
+                mat[r, c] = val
+    return mat
+
+
+# ---------------------------------------------------------------------------
 # block-calculus references: structure morphisms and composites that no
 # longer have a caller in the package, kept as oracles for the closed forms
 # that replaced them
@@ -616,7 +652,7 @@ def theta_condition(f, g, carrier, equation) -> Matrix:
 
     ``theta(N)`` is that basis element extended to the object ``N``.
     """
-    return endengine._column_matrix(f.field, [
+    return column_matrix(f.field, [
         equation(functools.partial(theta_ext_mor, f, g, block.simple, k, a, b)).mat.entries
         for block in carrier for (k, a, b) in block.basis])
 
@@ -730,7 +766,7 @@ def hom_coend_composite(f, g):
             beta = eps_dst * whisker_c(dst_t, sxd, d_g0 * theta_i) * cA
             cols.append([u - v for u, v in zip(carrier_coords(f, g, carrier, mi, theta_i),
                                                 carrier_coords(f, g, carrier, A, beta))])
-        return endengine._column_matrix(f.field, cols, sum(bb.dim for bb in carrier))
+        return column_matrix(f.field, cols, sum(bb.dim for bb in carrier))
 
     return _hom_composite(f, g, "coend", "hom-coend", relations)
 
@@ -960,7 +996,7 @@ def balancing_matrix(field, carrier, lhs_block: str, lhs: Matrix, rhs: dict) -> 
         if block.simple in rhs:
             diff = diff - rhs[block.simple]
         columns.extend(diff.entries[pos::block.dim] for pos in range(block.dim))
-    return endengine._column_matrix(field, columns, lhs.rows)
+    return column_matrix(field, columns, lhs.rows)
 
 
 def character_probe_composite(f: ModuleFunctorSpec, g: ModuleFunctorSpec):

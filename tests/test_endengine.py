@@ -3,16 +3,18 @@ import zlib
 
 import pytest
 
-from helpers import (all_categories, fib, ising, one_simple_category,
-                     plain_dinaturality_condition, sample_pairs, vec_over_vec_z2, vec_z2_omega,
-                     vec_z2_triv, vec_z4)
+import test_assembly
+from helpers import (all_categories, fib, ising, mutated, one_simple_category,
+                     plain_dinaturality_condition, restrict_carrier, sample_pairs, sampled_sites,
+                     vec_over_vec_z2, vec_z2_omega, vec_z2_triv, vec_z4)
 
-from modend import cli, endengine as ee
-from modend.common import NotATensorSubcategory, SourceTargetMismatch
+from modend import cli, endengine as ee, theorems
+from modend.common import (InconsistentRigidity, NotATensorSubcategory, SourceTargetMismatch,
+                           ValidationError)
 from modend.modcat import ModuleCategorySpec, regular_module, validate_module
 from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,
                              identity_functor, validate_functor)
-from modend.scalarfield import Matrix, span_contains, subspace_equal
+from modend.scalarfield import FieldSpec, Matrix, span_contains, subspace_equal
 from modend import blocks
 
 CATS = all_categories()
@@ -267,7 +269,7 @@ def test_object_valued_end_by_label_restriction():
     idf = identity_functor(reg)
 
     def mult(sys, label):
-        return ee.solve_end(ee.restrict_carrier(sys, label)).dim
+        return ee.solve_end(restrict_carrier(sys, label)).dim
 
     character = ee.build_character_probe_system(idf, idf)
     assert (mult(character, "e"), mult(character, "s")) == (1, 0)
@@ -277,7 +279,7 @@ def test_object_valued_end_by_label_restriction():
     serre_f = ee.build_serre_probe_system(regf, "tau")
     assert (mult(serre_f, "tau"), mult(serre_f, "1")) == (1, 0)
     # the restriction keeps the label's coordinates and every condition
-    sub = ee.restrict_carrier(character, "e")
+    sub = restrict_carrier(character, "e")
     assert sub.dim == sum(1 for b in character.blocks for t in b.basis if t[0] == "e")
     assert [c.generator for c in sub.conditions] == [c.generator for c in character.conditions]
     assert all(c.matrix.cols == sub.dim for c in sub.conditions)
@@ -359,5 +361,74 @@ def test_ordinary_character_probe_counts_summands():
     sys = ee.build_character_probe_system(idf, idf)
     bare = ee.DinaturalSystem(field=sys.field, blocks=sys.blocks, conditions=[],
                               kind="end", recipe="ordinary", meta=sys.meta)
-    assert ee.solve_end(ee.restrict_carrier(bare, "e")).dim == 2
-    assert ee.solve_end(ee.restrict_carrier(bare, "s")).dim == 0
+    assert ee.solve_end(restrict_carrier(bare, "e")).dim == 2
+    assert ee.solve_end(restrict_carrier(bare, "s")).dim == 0
+
+
+# ---------------------------------------------------------------------------
+# object-valued (co)ends: every label read off one solve, against the label
+# restriction that solves once per label
+
+
+def _probe_systems(module, pairs) -> list:
+    """``(system, labels)`` for the Serre, character and upsilon probes of a
+    subject of ``test_assembly``; ``labels`` are those its multiplicities run over."""
+    base = module.base
+    out = [(ee.build_serre_probe_system(module, i), module.simples) for i in module.simples]
+    out += [(ee.build_character_probe_system(f, g), base.simples) for f, g in pairs]
+    if module.tables is base.tables.regular():
+        out += [(ee.build_upsilon_probe_system(module, x), base.simples) for x in base.simples]
+    return out
+
+
+def _mutant_probe_systems(name, module, pairs) -> list:
+    """The probes of seeded single-symbol mutants, each symbol doubled: of the
+    module (Serre), of either functor of each pair (character) and, on a regular
+    module, of the base (upsilon).  A base mutant whose zig-zags fail is refused
+    by ``duality`` before any probe is built, so it has no probe to compare."""
+    base = module.base
+    out = []
+    for site in sampled_sites(name, module):
+        mutant = mutated(module, site, 2)
+        out += [(ee.build_serre_probe_system(mutant, i), mutant.simples) for i in mutant.simples]
+    for f, g in pairs:
+        (f_site,), (g_site,) = (sampled_sites(f"{name} {f.name} {g.name} {side}", h)[:1]
+                                for side, h in (("f", f), ("g", g)))
+        for pair in ((mutated(f, f_site, 2), g), (f, mutated(g, g_site, 2))):
+            out.append((ee.build_character_probe_system(*pair), base.simples))
+    if module.tables is base.tables.regular():
+        for site in sampled_sites(name, base):
+            mutant = mutated(base, site, 2)
+            try:
+                mutant.duality()
+            except InconsistentRigidity:
+                continue
+            reg = regular_module(mutant)
+            out += [(ee.build_upsilon_probe_system(reg, x), mutant.simples)
+                    for x in mutant.simples]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(test_assembly.MODULES))
+def test_one_solve_matches_the_label_restriction(name):
+    """``theorems._multiplicities`` solves each probe system once; every label's
+    multiplicity equals the dimension of the system restricted to that label."""
+    module, pairs = test_assembly.MODULES[name]
+    systems = _probe_systems(module, pairs) + _mutant_probe_systems(name, module, pairs)
+    for sys_, labels in systems:
+        assert theorems._multiplicities(sys_, labels) == tuple(
+            ee.solve_end(restrict_carrier(sys_, p)).dim for p in labels), sys_.recipe
+
+
+def test_a_condition_row_on_two_labels_is_refused():
+    """One solve is exact only when no condition row has entries on two labels;
+    the label restriction would split this row and miscount its kernel, which
+    is one vector on both labels."""
+    q = FieldSpec([0, 1])
+    carrier = [ee.CarrierBlock(simple="m", basis=(("e", 0), ("s", 1)), offset=0)]
+    row = ee.Condition(generator=("X", "m"), matrix=Matrix(q, 1, 2, [q.one, -q.one]))
+    sys_ = ee.DinaturalSystem(field=q, blocks=carrier, conditions=[row], recipe="hand-built")
+    assert ee.solve_end(sys_).dim == 1
+    assert [ee.solve_end(restrict_carrier(sys_, p)).dim for p in ("e", "s")] == [0, 0]
+    with pytest.raises(ValidationError, match=r"hand-built: .* generator \('X', 'm'\)"):
+        theorems._multiplicities(sys_, ("e", "s"))

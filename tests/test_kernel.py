@@ -190,6 +190,26 @@ def test_blocks_are_inverted_once_per_load(monkeypatch):
     assert len(inverted) == swept
 
 
+def test_object_valued_ends_solve_once(tmp_path, monkeypatch):
+    """One ``solve_end`` and one ``rref`` per object-valued system on zn4, whose
+    F-blocks are monomial and so are inverted without elimination: the Serre
+    functor of the regular module solves one coend per simple, upsilon one end."""
+    bundle = _zn4(tmp_path)
+    assert all(rep.ok for rep in bundle.validate_all())
+    cat, reg = bundle.category("zn4"), bundle.module("zn4_regular")
+    calls = []
+    for owner, attr in ((endengine, "solve_end"), (Matrix, "rref")):
+        def counting(*args, _fn=getattr(owner, attr), _attr=attr):
+            calls.append(_attr)
+            return _fn(*args)
+        monkeypatch.setattr(owner, attr, counting)
+    for step, solves in ((lambda: theorems.serre_functor(reg), 4),
+                         (lambda: theorems.upsilon_regular(cat, "1", reg), 1)):
+        calls.clear()
+        step()
+        assert sorted(calls) == ["rref"] * solves + ["solve_end"] * solves
+
+
 def test_symbol_level_constructions_build_no_morphisms(monkeypatch):
     """The gate, the hom lemmas, functor composition, the ev-tensor identity,
     the object-valued probes (Serre, character, upsilon and the adjoint shift),

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from helpers import (all_categories, fib, gauge_category, gauge_functor, gauge_module, ising,
-                     vec_z2_omega, vec_z2_triv, vec_over_vec_z2)
+from helpers import (all_categories, bench_gen, fib, gauge_category, gauge_functor, gauge_module,
+                     ising, vec_z2_omega, vec_z2_triv, vec_over_vec_z2)
 
-from modend import theorems
+from modend import cli, endengine, theorems
 from modend.common import OracleMismatch, SerreCertificateFailure, UpsilonMismatch
 from modend.fusioncat import validate_fusion
 from modend.modcat import internal_hom, regular_module, validate_module
 from modend.modfunct import act_right_functor, identity_functor, validate_functor
+from modend.scalarfield import subspace_equal
 from modend.theorems import (adjoint_shift_check, hom_lemma_suite, internal_character,
                              nat_m_dim, serre_functor, upsilon_regular)
 
@@ -27,6 +28,43 @@ def test_nat_yoneda(name):
             res = nat_m_dim(fy, fz, "both")
             assert res.dim == (1 if y == z else 0)
             assert res.oracle_agrees
+
+
+def _suite_nat_pairs(spec) -> list:
+    """The pairs ``suite`` runs ``nat --both`` on: ``(id, id)`` and every ``(- x y, - x z)``."""
+    reg = regular_module(spec)
+    rmul = [act_right_functor(spec, y, reg) for y in spec.simples]
+    return [(identity_functor(reg),) * 2] + [(fy, fz) for fy in rmul for fz in rmul]
+
+
+def test_nat_both_compares_canonical_bases():
+    """The end and the oracle bases are echelon-canonical, so list equality is
+    subspace equality on every pair ``suite`` checks, on the corpus and on zn4;
+    an oracle basis moved off the end's subspace is an ``OracleMismatch``."""
+    zn4 = cli._load_category("zn4", bench_gen().instance(4, 1)["categories"]["zn4"])
+    for spec in [*CATS.values(), zn4]:
+        for f, g in _suite_nat_pairs(spec):
+            end = endengine.solve_end(endengine.build_nat_system(f, g)).basis
+            oracle = endengine.solve_end(endengine.nat_oracle_system(f, g)).basis
+            assert (end == oracle) == subspace_equal(end, oracle) is True, (f.name, g.name)
+    idf = _suite_nat_pairs(fib())[0][0]
+    solve = endengine.solve_end
+
+    def moved(sys_):
+        res = solve(sys_)
+        if sys_.recipe == "module-naturality-oracle":
+            vec = res.basis[0].copy()
+            vec.entries[-1] = vec.entries[-1] + vec.entries[-1]
+            res.basis[0] = vec
+        return res
+
+    end = solve(endengine.build_nat_system(idf, idf)).basis
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(endengine, "solve_end", moved)
+        oracle = endengine.solve_end(endengine.nat_oracle_system(idf, idf)).basis
+        assert not subspace_equal(end, oracle)
+        with pytest.raises(OracleMismatch, match="disagree"):
+            nat_m_dim(idf, idf, "both")
 
 
 def test_nat_identity_and_empty():
