@@ -37,7 +37,7 @@ def _suite_nat_pairs(spec) -> list:
     return [(identity_functor(reg),) * 2] + [(fy, fz) for fy in rmul for fz in rmul]
 
 
-def test_nat_both_compares_canonical_bases():
+def test_nat_both_compares_canonical_bases(monkeypatch):
     """The end and the oracle bases are echelon-canonical, so list equality is
     subspace equality on every pair ``suite`` checks, on the corpus and on zn4;
     an oracle basis moved off the end's subspace is an ``OracleMismatch``."""
@@ -46,7 +46,7 @@ def test_nat_both_compares_canonical_bases():
         for f, g in _suite_nat_pairs(spec):
             end = endengine.solve_end(endengine.build_nat_system(f, g)).basis
             oracle = endengine.solve_end(endengine.nat_oracle_system(f, g)).basis
-            assert (end == oracle) == subspace_equal(end, oracle) is True, (f.name, g.name)
+            assert subspace_equal(end, oracle) and end == oracle, (f.name, g.name)
     idf = _suite_nat_pairs(fib())[0][0]
     solve = endengine.solve_end
 
@@ -59,12 +59,10 @@ def test_nat_both_compares_canonical_bases():
         return res
 
     end = solve(endengine.build_nat_system(idf, idf)).basis
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(endengine, "solve_end", moved)
-        oracle = endengine.solve_end(endengine.nat_oracle_system(idf, idf)).basis
-        assert not subspace_equal(end, oracle)
-        with pytest.raises(OracleMismatch, match="disagree"):
-            nat_m_dim(idf, idf, "both")
+    monkeypatch.setattr(endengine, "solve_end", moved)
+    assert not subspace_equal(end, endengine.solve_end(endengine.nat_oracle_system(idf, idf)).basis)
+    with pytest.raises(OracleMismatch, match="disagree"):
+        nat_m_dim(idf, idf, "both")
 
 
 def test_nat_identity_and_empty():
