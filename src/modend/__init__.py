@@ -13,10 +13,8 @@ from .common import (InconsistentRigidity, NotATensorSubcategory, OracleMismatch
                      UnknownCommand, UnknownLabel, UnknownName, UpsilonMismatch,
                      ValidationError, ValidationReport)
 from .scalarfield import (DimensionMismatch, DivisionByZero, FieldElement,
-                          FieldSpec, Matrix, ZeroDivisorDetected,
-                          span_contains, subspace_equal)
-from .fusioncat import (DualityData, FusionCategorySpec, compute_duality,
-                        hom_dim, tensor_decompose, validate_fusion)
+                          FieldSpec, Matrix, ZeroDivisorDetected, subspace_equal)
+from .fusioncat import FusionCategorySpec, compute_duality, validate_fusion
 from .modcat import (InternalHomTable, ModuleCategorySpec, internal_hom,
                      opposite_module, regular_module, restrict_module,
                      validate_module)
@@ -38,9 +36,8 @@ __all__ = [
     "SerreCertificateFailure", "SourceTargetMismatch", "UnknownCommand", "UnknownLabel",
     "UnknownName", "UpsilonMismatch", "ValidationError", "ValidationReport",
     "DimensionMismatch", "DivisionByZero", "FieldElement", "FieldSpec", "Matrix",
-    "ZeroDivisorDetected", "span_contains", "subspace_equal",
-    "DualityData", "FusionCategorySpec", "compute_duality", "hom_dim", "tensor_decompose",
-    "validate_fusion",
+    "ZeroDivisorDetected", "subspace_equal",
+    "FusionCategorySpec", "compute_duality", "validate_fusion",
     "InternalHomTable", "ModuleCategorySpec", "internal_hom", "opposite_module",
     "regular_module", "restrict_module", "validate_module",
     "ModuleFunctorSpec", "act_right_functor", "compose_functors", "identity_functor",

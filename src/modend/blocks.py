@@ -43,6 +43,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from types import MappingProxyType
 from typing import Callable, Sequence
 
@@ -517,10 +518,11 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # ``j``, column ``z``, on a left or a right module; ``F(a,b,c; d; e,f)`` that
 # of ``f_block(a, b, c, d)`` at row ``f``, column ``e``.
 #
-# ``l_block_failures`` and ``left_pentagon_failures`` sweep an axiom over
-# every tuple of simples.  The gate sweeps each tables object at most once
-# per load: a regular module is derived and never swept, and its category's
-# sweeps run on the regular module's tables, whose L-blocks are the F-blocks.
+# ``path_count_failures``, ``l_block_failures`` and ``left_pentagon_failures``
+# sweep an axiom over every tuple of simples.  The gate sweeps each tables
+# object at most once per load: a regular module is derived and never swept,
+# and its category's sweeps run on the regular module's tables, whose
+# L-blocks are the F-blocks and whose path counts are the fusion table's.
 
 
 def block_failure(inverse: Callable, *key) -> str | None:
@@ -541,15 +543,33 @@ def block_failure(inverse: Callable, *key) -> str | None:
     return None
 
 
+def path_count_failures(tables: ModuleTables):
+    """Every ``((X, Y, i, t), via_fuse, via_steps)`` where the number of paths
+    from ``m_i`` to ``m_t`` through ``z in X x Y`` differs from the number of
+    row paths (``row_steps``), in ``simples`` order.  On the regular tables
+    this is the associativity of the fusion table."""
+    base = tables.base
+    for X in base.simples:
+        for Y in base.simples:
+            first, second = row_steps(tables.right, X, Y)
+            xy = base.fuse(X, Y)
+            for i in tables.simples:
+                via_fuse = Counter(t for z in xy for t in tables.act_set(z, i))
+                via_steps = Counter(t for j in tables.act_set(first, i)
+                                    for t in tables.act_set(second, j))
+                for t in tables.simples:
+                    if via_fuse[t] != via_steps[t]:
+                        yield (X, Y, i, t), via_fuse[t], via_steps[t]
+
+
 def l_block_failures(tables: ModuleTables) -> tuple:
     """Every ``(kind, (X, Y, i, t))`` whose L-block is not invertible, in ``simples`` order.
 
     ``kind`` is a ``block_failure``.  For the regular module these are the
     F-blocks ``f_block(X, Y, i, t)``.  The sweep visits the totals of column
-    paths only, so it expects the path counts to agree (``action-associativity``
-    in ``validate_module``, ``fusion-associativity`` in ``validate_fusion``,
-    both checked first): then every total of a row path is one of a column
-    path, and every other block is 0 x 0.
+    paths only, so it expects the path counts to agree (``path_count_failures``,
+    which both validators check first): then every total of a row path is one
+    of a column path, and every other block is 0 x 0.
     """
     out = []
     for X in tables.base.simples:

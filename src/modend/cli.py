@@ -106,12 +106,21 @@ class InstanceBundle:
         return reports
 
 
+def _keyed(section: str, entries, value) -> dict:
+    """``{tuple(entry["key"]): value(entry)}`` over ``entries``; a repeated key is refused."""
+    out = {}
+    for entry in entries:
+        key = tuple(entry["key"])
+        if key in out:
+            raise ValueError(f"{section} key {list(key)} is repeated")
+        out[key] = value(entry)
+    return out
+
+
 def _load_category(name: str, data: dict) -> FusionCategorySpec:
     field = FieldSpec(data["field"]["min_poly"])
-    f_symbols = {}
-    for entry in data.get("f_symbols", []):
-        key = tuple(entry["key"])
-        f_symbols[key] = _parse_element(field, entry["value"])
+    f_symbols = _keyed("f_symbols", data.get("f_symbols", []),
+                       lambda e: _parse_element(field, e["value"]))
     return FusionCategorySpec(
         field=field, simples=data["simples"], unit=data["unit"],
         dual=data["dual"], fusion=[tuple(t) for t in data["fusion"]],
@@ -127,9 +136,8 @@ def _load_module(name: str, data: dict, bundle: InstanceBundle) -> ModuleCategor
         return mod
     if kind != "explicit":
         raise ParseError(f"unknown module type {kind!r}")
-    l_symbols = {}
-    for entry in data.get("l_symbols", []):
-        l_symbols[tuple(entry["key"])] = _parse_element(base.field, entry["value"])
+    l_symbols = _keyed("l_symbols", data.get("l_symbols", []),
+                       lambda e: _parse_element(base.field, e["value"]))
     units = {i: _parse_element(base.field, v)
              for i, v in data.get("unit_scalars", {}).items()}
     return ModuleCategorySpec(
@@ -159,17 +167,17 @@ def _load_functor(name: str, data: dict, bundle: InstanceBundle) -> ModuleFuncto
         return fun
     if kind != "explicit":
         raise ParseError(f"unknown functor type {kind!r}")
-    src = bundle.module(data["src"])
-    dst = bundle.module(data["dst"])
-    field = src.field
-    on_simples = {tuple(e["key"]): int(e["value"]) for e in data["on_simples"]}
-    c_symbols = {}
-    for entry in data.get("c_symbols", []):
+    src, dst = bundle.module(data["src"]), bundle.module(data["dst"])
+    on_simples = _keyed("on_simples", data["on_simples"], lambda e: e["value"])
+    for key, value in on_simples.items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"on_simples {list(key)}: {value!r} is not a non-negative integer")
+
+    def matrix(entry) -> Matrix:
         rows = entry["entries"]
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = [_parse_element(field, v) for row in rows for v in row]
-        c_symbols[tuple(entry["key"])] = Matrix(field, nrows, ncols, flat)
+        return Matrix(src.field, len(rows), len(rows[0]) if rows else 0,
+                      [_parse_element(src.field, v) for row in rows for v in row])
+    c_symbols = _keyed("c_symbols", data.get("c_symbols", []), matrix)
     return ModuleFunctorSpec(src, dst, on_simples, c_symbols, name=name)
 
 

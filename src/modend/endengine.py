@@ -86,16 +86,6 @@ class EndResult:
     kind: str = "end"
     relations: list | None = None
 
-    def inclusion(self, field: FieldSpec) -> Matrix:
-        """The embedding of the solved subspace into the carrier.
-
-        Columns are the basis vectors in carrier coordinates; the module end
-        is the identity embedding of this span into the ordinary end.
-        """
-        if not self.basis:
-            return Matrix.zeros(field, 0, 0)
-        return Matrix.hstack(field, self.basis)
-
 
 def solve_end(sys: DinaturalSystem) -> EndResult:
     """Nullspace of the stacked condition matrix over the carrier, from one ``rref``."""

@@ -18,7 +18,6 @@ block's inverse.  Both zig-zags are then verified exactly for each chirality.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -26,7 +25,7 @@ from . import blocks
 from .blocks import BaseTables
 from .common import (InconsistentRigidity, NotATensorSubcategory, UnknownLabel,
                      ValidationReport)
-from .scalarfield import DimensionMismatch, FieldSpec, FieldElement
+from .scalarfield import FieldSpec, FieldElement
 
 
 class FusionCategorySpec:
@@ -61,7 +60,7 @@ class FusionCategorySpec:
         for key in self._admissible_f_keys():
             self._f[key] = self.f_raw.get(key, field.one)
         self._tables = None
-        self._duality = None
+        self._dual_ok = False
 
     def _admissible_f_keys(self):
         for a in self.simples:
@@ -91,23 +90,14 @@ class FusionCategorySpec:
             )
         return self._tables
 
-    def duality(self) -> "DualityData":
-        if self._duality is None:
-            self._duality = compute_duality(self)
-        return self._duality
+    def duality(self) -> None:
+        """Install the duality scalars on ``tables`` once (``compute_duality``)."""
+        if not self._dual_ok:
+            compute_duality(self)
+            self._dual_ok = True
 
     def __repr__(self):
         return f"FusionCategorySpec({self.name or ','.join(self.simples)})"
-
-
-@dataclass
-class DualityData:
-    """Zig-zag-normalized duality scalars: the base tables' read-only maps."""
-
-    ev_scalar: Mapping
-    coev_scalar: Mapping
-    left_ev_scalar: Mapping
-    left_coev_scalar: Mapping
 
 
 def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
@@ -140,15 +130,8 @@ def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
                     report.add("dual-symmetry", (a, b, c),
                                "N_{ab}^c must equal N_{b*a*}^{c*}")
     # associativity of the fusion table itself
-    for a in simples:
-        for b in simples:
-            for c in simples:
-                for d in simples:
-                    left = sum(1 for e in spec._fuse_map[(a, b)] if d in spec._fuse_map[(e, c)])
-                    right = sum(1 for f in spec._fuse_map[(b, c)] if d in spec._fuse_map[(a, f)])
-                    if left != right:
-                        report.add("fusion-associativity", (a, b, c, d),
-                                   f"path counts {left} != {right}")
+    for loc, left, right in blocks.path_count_failures(spec.tables.regular()):
+        report.add("fusion-associativity", loc, f"path counts {left} != {right}")
     if not report.ok:
         return report
     # F-symbols: inadmissible entries, unit legs, invertibility
@@ -179,7 +162,7 @@ def _inverse_at(val, a: str):
     return val.inverse()
 
 
-def compute_duality(spec: FusionCategorySpec) -> DualityData:
+def compute_duality(spec: FusionCategorySpec) -> None:
     """Install the scalars (coev = 1, ev read off F) read-only; verify both zig-zags.
 
     At a simple each zig-zag is one scalar equation in an F-symbol or an
@@ -203,8 +186,6 @@ def compute_duality(spec: FusionCategorySpec) -> DualityData:
         if (base.lcoev[a] * Finv(a, d, a, a, unit, unit) * lev[a] != one
                 or base.lcoev[a] * F(d, a, d, d, unit, unit) * lev[a] != one):
             raise InconsistentRigidity(f"left zig-zags disagree at {a}")
-    return DualityData(ev_scalar=base.ev, coev_scalar=base.coev,
-                       left_ev_scalar=base.lev, left_coev_scalar=base.lcoev)
 
 
 def tensor_subcategory(spec: FusionCategorySpec, labels: Sequence[str]) -> tuple:
@@ -224,15 +205,3 @@ def tensor_subcategory(spec: FusionCategorySpec, labels: Sequence[str]) -> tuple
                 if c not in subset:
                     raise NotATensorSubcategory(f"not fusion-closed at ({a},{b})")
     return sub
-
-
-def tensor_decompose(spec: FusionCategorySpec, a: str, b: str) -> tuple:
-    """Simple summands of ``a x b``."""
-    return spec.fuse(a, b)
-
-
-def hom_dim(spec: FusionCategorySpec, x: Sequence[int], y: Sequence[int]) -> int:
-    """Hom dimension between multiplicity vectors over the simples."""
-    if len(x) != len(spec.simples) or len(y) != len(spec.simples):
-        raise DimensionMismatch("multiplicity vectors must run over the simples")
-    return sum(xi * yi for xi, yi in zip(x, y))

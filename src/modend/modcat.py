@@ -23,7 +23,7 @@ from . import blocks
 from .blocks import ModuleTables, row_steps
 from .common import UnknownLabel, ValidationReport
 from .fusioncat import FusionCategorySpec, tensor_subcategory
-from .scalarfield import FieldElement, Matrix
+from .scalarfield import FieldElement
 
 
 class ModuleCategorySpec:
@@ -56,8 +56,8 @@ class ModuleCategorySpec:
         self._l = {}
         for key in self._admissible_l_keys():
             self._l[key] = self.l_raw.get(key, self.field.one)
-        units = dict(unit_scalars or {})
-        self.unit_scalars = {i: units.get(i, self.field.one) for i in self.simples}
+        self.units_raw = dict(unit_scalars or {})
+        self.unit_scalars = {i: self.units_raw.get(i, self.field.one) for i in self.simples}
         self._tables = None
 
     def act_set(self, X: str, i: str) -> tuple:
@@ -95,30 +95,22 @@ class ModuleCategorySpec:
 def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
     """Exhaustive mixed-pentagon and unit check; empty report iff valid."""
     report = ValidationReport(subject=spec.name or "module category")
-    base = spec.base
-    unit = base.unit
+    base, unit = spec.base, spec.base.unit
     for i in spec.simples:
         if spec.act_set(unit, i) != (i,):
             report.add("unit-action", (unit, i), "unit must act trivially")
     for key in spec.l_raw:
         if key not in spec._l:
             report.add("inadmissible-l-entry", key)
+    for i in spec.units_raw:
+        if i not in spec.unit_scalars:
+            report.add("unknown-unit-scalar", (i,))
     for i in spec.simples:
         if not spec.unit_scalars[i]:
             report.add("unit-scalar-zero", (i,))
     # associativity of the multiplicity tables
-    right = spec.orientation == "right"
-    for X in base.simples:
-        for Y in base.simples:
-            first, second = row_steps(right, X, Y)
-            for i in spec.simples:
-                for t in spec.simples:
-                    via_fuse = sum(1 for Z in base.fuse(X, Y) if t in spec.act_set(Z, i))
-                    via_steps = sum(1 for j in spec.act_set(first, i)
-                                    if t in spec.act_set(second, j))
-                    if via_fuse != via_steps:
-                        report.add("action-associativity", (X, Y, i, t),
-                                   f"path counts {via_fuse} != {via_steps}")
+    for loc, via_fuse, via_steps in blocks.path_count_failures(spec.tables):
+        report.add("action-associativity", loc, f"path counts {via_fuse} != {via_steps}")
     if not report.ok:
         return report
     tables = spec.tables
@@ -126,7 +118,7 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
         report.add(f"l-block-{kind}", loc)
     if not report.ok:
         return report
-    if not right:
+    if not tables.right:
         for loc in blocks.left_pentagon_failures(tables):
             report.add("mixed-pentagon", loc)
         for X in base.simples:
@@ -196,28 +188,13 @@ def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:
 
 @dataclass
 class InternalHomTable:
-    """Internal-hom multiplicities with the canonical adjunction bases."""
+    """Internal-hom multiplicities of a left module."""
 
     module: ModuleCategorySpec
 
-    def mult(self, i: str, j: str) -> dict:
-        """Multiplicity of each base simple in ``uhom(m_i, m_j)``."""
-        spec = self.module
-        return {X: (1 if j in spec.act_set(X, i) else 0) for X in spec.base.simples}
-
     def mult_vector(self, i: str, j: str) -> tuple:
-        spec = self.module
-        return tuple(1 if j in spec.act_set(X, i) else 0 for X in spec.base.simples)
-
-    def phi(self, X: str, i: str, j: str) -> Matrix:
-        """Matrix of ``Hom(X, uhom(m_i,m_j)) -> Hom(X act m_i, m_j)``."""
-        spec = self.module
-        if j not in spec.act_set(X, i):
-            return Matrix.zeros(spec.field, 0, 0)
-        return Matrix.identity(spec.field, 1)
-
-    def psi(self, X: str, i: str, j: str) -> Matrix:
-        return self.phi(X, i, j)
+        """Multiplicity of each base simple in ``uhom(m_i, m_j)``."""
+        return tuple(1 if j in self.module.act_set(X, i) else 0 for X in self.module.base.simples)
 
 
 def internal_hom(m: ModuleCategorySpec) -> InternalHomTable:

@@ -10,6 +10,7 @@ canonical bases: rows run over ``(k, copy, t)`` as produced by
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Mapping
 
 from . import blocks
@@ -38,6 +39,7 @@ class ModuleFunctorSpec:
         self.src = src
         self.dst = dst
         self.field = src.field
+        self.on_raw = dict(on_simples)
         self.on_simples = {k: int(v) for k, v in on_simples.items() if v}
         self.c_symbols = dict(c_symbols)
         self._tables = None
@@ -52,10 +54,6 @@ class ModuleFunctorSpec:
                                          mult=dict(self.on_simples), c_symbols=self.c_symbols)
         return self._tables
 
-    def image_vector(self, i: str) -> tuple:
-        """Multiplicity vector of ``F(m_i)`` over the target simples."""
-        return tuple(self.mult(i, k) for k in self.dst.simples)
-
     def __repr__(self):
         return f"ModuleFunctorSpec({self.name or id(self)})"
 
@@ -65,6 +63,12 @@ def validate_functor(f: ModuleFunctorSpec) -> ValidationReport:
     report = ValidationReport(subject=f.name or "module functor")
     base = f.src.base
     ft = f.tables
+    for check, keys, known in (
+            ("unknown-on-simples-key", f.on_raw, set(product(f.src.simples, f.dst.simples))),
+            ("unknown-c-key", f.c_symbols, set(product(base.simples, f.src.simples)))):
+        for key in keys:
+            if key not in known:
+                report.add(check, key)
     for X in base.simples:
         for i in f.src.simples:
             rows = blocks.c_rows(ft, X, i)

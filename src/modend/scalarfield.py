@@ -54,9 +54,7 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and ``"p/q"`` strings to an exact rational."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
@@ -435,23 +433,6 @@ class Matrix:
             rows += m.rows
         return cls(field, rows, width, flat)
 
-    @classmethod
-    def hstack(cls, field: FieldSpec, mats: Sequence["Matrix"]) -> "Matrix":
-        if not mats:
-            raise DimensionMismatch("hstack of nothing")
-        height = mats[0].rows
-        cols = sum(m.cols for m in mats)
-        out = cls.zeros(field, height, cols)
-        off = 0
-        for m in mats:
-            if m.rows != height:
-                raise DimensionMismatch("hstack height mismatch")
-            for i in range(height):
-                for j in range(m.cols):
-                    out[i, off + j] = m[i, j]
-            off += m.cols
-        return out
-
     def rref(self):
         """Reduced row echelon form; returns ``(matrix, pivot_columns)``."""
         field, nrows, ncols = self.field, self.rows, self.cols
@@ -549,14 +530,3 @@ def subspace_equal(a: Sequence[Matrix], b: Sequence[Matrix]) -> bool:
     if rank_a != rank_b:
         return False
     return Matrix.from_rows(field, rows_a + rows_b).rank() == rank_a
-
-
-def span_contains(basis: Sequence[Matrix], vector: Matrix) -> bool:
-    """Whether ``vector`` lies in the span of ``basis``."""
-    if not basis:
-        return vector.is_zero()
-    ambient = vector.rows
-    rows = [[v[i, 0] for i in range(ambient)] for v in basis]
-    base_rank = Matrix.from_rows(vector.field, rows).rank()
-    rows.append([vector[i, 0] for i in range(ambient)])
-    return Matrix.from_rows(vector.field, rows).rank() == base_rank

@@ -22,9 +22,9 @@ from pathlib import Path
 
 from modend import blocks, cli, endengine
 from modend.blocks import Mor, Obj
-from modend.common import SourceTargetMismatch
+from modend.common import SourceTargetMismatch, ValidationReport
 from modend.fusioncat import FusionCategorySpec
-from modend.modcat import ModuleCategorySpec, regular_module
+from modend.modcat import ModuleCategorySpec, opposite_module, regular_module
 from modend.modfunct import ModuleFunctorSpec
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
@@ -1154,3 +1154,81 @@ def upsilon_probe_composite(reg_module: ModuleCategorySpec, x: str):
     return endengine.DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                                      kind="end", recipe="upsilon-probe",
                                      meta={"base": base, "x": x})
+
+
+# ---------------------------------------------------------------------------
+# references for the checks that now share a sweep or read the action table:
+# the loops ``validate_fusion``, ``validate_module`` and ``hom_lemma_suite``
+# ran before, kept as they were
+
+
+def fusion_associativity_entries(spec: FusionCategorySpec) -> list:
+    """The ``fusion-associativity`` entries of ``validate_fusion``, from its own loop."""
+    report = ValidationReport()
+    simples = spec.simples
+    for a in simples:
+        for b in simples:
+            for c in simples:
+                for d in simples:
+                    left = sum(1 for e in spec._fuse_map[(a, b)] if d in spec._fuse_map[(e, c)])
+                    right = sum(1 for f in spec._fuse_map[(b, c)] if d in spec._fuse_map[(a, f)])
+                    if left != right:
+                        report.add("fusion-associativity", (a, b, c, d),
+                                   f"path counts {left} != {right}")
+    return report.entries
+
+
+def action_associativity_entries(spec: ModuleCategorySpec) -> list:
+    """The ``action-associativity`` entries of ``validate_module``, from its own loop."""
+    report = ValidationReport()
+    base = spec.base
+    right = spec.orientation == "right"
+    for X in base.simples:
+        for Y in base.simples:
+            first, second = blocks.row_steps(right, X, Y)
+            for i in spec.simples:
+                for t in spec.simples:
+                    via_fuse = sum(1 for Z in base.fuse(X, Y) if t in spec.act_set(Z, i))
+                    via_steps = sum(1 for j in spec.act_set(first, i)
+                                    if t in spec.act_set(second, j))
+                    if via_fuse != via_steps:
+                        report.add("action-associativity", (X, Y, i, t),
+                                   f"path counts {via_fuse} != {via_steps}")
+    return report.entries
+
+
+def hom_lemma_suite_via_opposite(m: ModuleCategorySpec) -> ValidationReport:
+    """``theorems.hom_lemma_suite`` reading ``uhom-op`` off ``opposite_module(m)``."""
+    report = ValidationReport(subject=f"hom lemmas on {m.name}")
+    base = m.base
+    n = lambda X, i, j: 1 if j in m.act_set(X, i) else 0
+    N = lambda a, b, c: 1 if c in base.fuse(a, b) else 0
+    for X in base.simples:
+        for i in m.simples:
+            for j in m.simples:
+                for W in base.simples:
+                    lhs = sum(n(X, i, t) * n(W, t, j) for t in m.simples)
+                    rhs = sum(n(V, i, j) * N(V, base.dual[X], W) for V in base.simples)
+                    if lhs != rhs:
+                        report.add("uhom-shift-first", (X, i, j, W),
+                                   f"{lhs} != {rhs}")
+                    lhs2 = sum(n(X, j, t) * n(W, i, t) for t in m.simples)
+                    rhs2 = sum(N(X, V, W) * n(V, i, j) for V in base.simples)
+                    if lhs2 != rhs2:
+                        report.add("uhom-shift-second", (X, i, j, W),
+                                   f"{lhs2} != {rhs2}")
+    if not report.ok:
+        return report
+    try:
+        op = opposite_module(m)
+    except ArithmeticError as exc:
+        report.add("uhom-op", ("opposite",), f"opposite module construction failed: {exc}")
+        return report
+    for X in base.simples:
+        for i in m.simples:
+            for j in m.simples:
+                lhs = 1 if i in op.act_set(X, j) else 0
+                rhs = n(X, i, j)
+                if lhs != rhs:
+                    report.add("uhom-op", (X, i, j), f"{lhs} != {rhs}")
+    return report

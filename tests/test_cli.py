@@ -88,6 +88,111 @@ def _bundled_path(basename):
     return next(p for p in cli.bundled_instance_paths() if Path(p).name == basename)
 
 
+def _forgetful(doc):
+    return doc["functors"]["forgetful"]
+
+
+def _repeat_first(section, **changes):
+    """Append the first entry of ``section`` again, with ``changes``."""
+    section.append({**section[0], **changes})
+
+
+# file to edit, how, and the error the loader gives for it
+LOADER_REFUSALS = {
+    "multiplicity-1.7": ("vec_over_vec_z2.json",
+                         lambda d: _forgetful(d)["on_simples"][0].update(value=1.7),
+                         "functor 'forgetful': ValueError: on_simples ['m', 'e']: 1.7 is not "
+                         "a non-negative integer"),
+    "multiplicity-true": ("vec_over_vec_z2.json",
+                          lambda d: _forgetful(d)["on_simples"][0].update(value=True),
+                          "on_simples ['m', 'e']: True is not a non-negative integer"),
+    "multiplicity-negative": ("vec_over_vec_z2.json",
+                              lambda d: _forgetful(d)["on_simples"][1].update(value=-1),
+                              "on_simples ['m', 's']: -1 is not a non-negative integer"),
+    "multiplicity-string": ("vec_over_vec_z2.json",
+                            lambda d: _forgetful(d)["on_simples"][1].update(value="1"),
+                            "on_simples ['m', 's']: '1' is not a non-negative integer"),
+    "f-symbol-true": ("vec_z2_omega.json",
+                      lambda d: d["categories"]["vec_z2_omega"]["f_symbols"][0].update(value=True),
+                      "category 'vec_z2_omega': TypeError: not an exact rational: True"),
+    "f-coefficient-false": ("fib.json",
+                            lambda d: d["categories"]["fib"]["f_symbols"][0]["value"].__setitem__(
+                                0, False),
+                            "category 'fib': TypeError: not an exact rational: False"),
+    "unit-scalar-true": ("vec_over_vec_z2.json",
+                         lambda d: d["modules"]["vec_over_vec_z2"].update(unit_scalars={"m": True}),
+                         "module 'vec_over_vec_z2': TypeError: not an exact rational: True"),
+    "c-entry-false": ("vec_over_vec_z2.json",
+                      lambda d: _forgetful(d)["c_symbols"][0]["entries"][0].__setitem__(0, False),
+                      "functor 'forgetful': TypeError: not an exact rational: False"),
+    "repeated-f-symbol": ("vec_z2_omega.json",
+                          lambda d: _repeat_first(d["categories"]["vec_z2_omega"]["f_symbols"],
+                                                  value="1"),
+                          "category 'vec_z2_omega': ValueError: f_symbols key "
+                          "['s', 's', 's', 's', 'e', 'e'] is repeated"),
+    "repeated-l-symbol": ("vec_over_vec_z2.json",
+                          lambda d: d["modules"]["vec_over_vec_z2"].update(l_symbols=[
+                              {"key": ["s", "s", "m", "m", "e", "m"], "value": "2"},
+                              {"key": ["s", "s", "m", "m", "e", "m"], "value": "1"}]),
+                          "module 'vec_over_vec_z2': ValueError: l_symbols key "
+                          "['s', 's', 'm', 'm', 'e', 'm'] is repeated"),
+    "repeated-c-symbol": ("vec_over_vec_z2.json",
+                          lambda d: _repeat_first(_forgetful(d)["c_symbols"],
+                                                  entries=[["1", "1"], ["0", "1"]]),
+                          "functor 'forgetful': ValueError: c_symbols key ['e', 'm'] is repeated"),
+    "repeated-on-simples": ("vec_over_vec_z2.json",
+                            lambda d: _repeat_first(_forgetful(d)["on_simples"], value=0),
+                            "functor 'forgetful': ValueError: on_simples key ['m', 'e'] is "
+                            "repeated"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_REFUSALS))
+def test_loader_refusals_give_one_json_line(tmp_path, capsys, case):
+    """A multiplicity that is not a non-negative JSON integer, a boolean given
+    as a scalar and a key repeated in one section are each refused at load
+    time: one JSON line naming the entity and the key, exit code 1."""
+    filename, mutate, error = LOADER_REFUSALS[case]
+    doc = json.loads(Path(_bundled_path(filename)).read_text())
+    mutate(doc)
+    path = tmp_path / filename
+    path.write_text(json.dumps(doc))
+    beside = ["-i", _bundled_path("vec_z2_triv.json")] if filename.startswith("vec_over") else []
+    assert cli.main([*beside, "-i", str(path), "validate"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    report = json.loads(out)
+    assert report["status"] == "validation-failed"
+    assert error in report["error"], report["error"]
+
+
+def _unknown_keys(doc):
+    doc["modules"]["vec_over_vec_z2"]["unit_scalars"] = {"m": "1", "q": "2"}
+    _forgetful(doc)["on_simples"].append({"key": ["m", "nope"], "value": 0})
+    _forgetful(doc)["c_symbols"].append({"key": ["nope", "m"], "entries": []})
+
+
+def test_keys_on_labels_that_do_not_exist_are_reported(tmp_path, capsys):
+    """A ``unit_scalars`` key that is not a module simple, and an ``on_simples``
+    or ``c_symbols`` key outside the functor's simples, are report entries, as
+    an inadmissible L-symbol is."""
+    doc = json.loads(Path(_bundled_path("vec_over_vec_z2.json")).read_text())
+    _unknown_keys(doc)
+    path = tmp_path / "vec_over_vec_z2.json"
+    path.write_text(json.dumps(doc))
+    base = _bundled_path("vec_z2_triv.json")
+    assert cli.main(["-i", base, "-i", str(path), "validate"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["module vec_over_vec_z2"] == ["unknown-unit-scalar at (q)"]
+    doc["modules"]["vec_over_vec_z2"].pop("unit_scalars")
+    path.write_text(json.dumps(doc))
+    assert cli.main(["-i", base, "-i", str(path), "validate"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["module vec_over_vec_z2"] == "valid"
+    assert result["functor forgetful"] == ["unknown-on-simples-key at (m, nope)",
+                                           "unknown-c-key at (nope, m)"]
+
+
 def _leaf_paths(node, path=()):
     """Key paths of the scalar leaves of a JSON document, in document order."""
     if isinstance(node, (dict, list)):

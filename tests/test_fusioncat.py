@@ -11,10 +11,8 @@ from helpers import (all_categories, coev_insert, ctensor_mor, cunit, eps_flat, 
                      zeta_flat)
 from modend import blocks
 from modend.blocks import BaseTables
-from modend.common import InconsistentRigidity, UnknownLabel
-from modend.fusioncat import (FusionCategorySpec, compute_duality, hom_dim,
-                              tensor_decompose, validate_fusion)
-from modend.scalarfield import DimensionMismatch
+from modend.common import InconsistentRigidity
+from modend.fusioncat import FusionCategorySpec, compute_duality, validate_fusion
 
 CATS = all_categories()
 
@@ -86,18 +84,18 @@ def test_negated_fib_entry_reported_at_tau_tuple():
 
 def test_duality_values():
     triv = vec_z2_triv()
-    dd = compute_duality(triv)
-    assert all(v == triv.field.one for v in dd.ev_scalar.values())
+    compute_duality(triv)
+    assert all(v == triv.field.one for v in triv.tables.ev.values())
     om = vec_z2_omega()
-    dd = compute_duality(om)
+    compute_duality(om)
     # solved from the 1-dimensional zig-zag equation
-    assert dd.ev_scalar["s"] == om.field.rational(-1)
+    assert om.tables.ev["s"] == om.field.rational(-1)
     fb = fib()
-    dd = compute_duality(fb)
+    compute_duality(fb)
     # inverse of the F-symbol entry F[tau,tau,tau;tau]_{1,1}
     entry = fb.f_symbol("tau", "tau", "tau", "tau", "1", "1")
-    assert dd.ev_scalar["tau"] == entry.inverse()
-    assert dd.coev_scalar["tau"] == fb.field.one
+    assert fb.tables.ev["tau"] == entry.inverse()
+    assert fb.tables.coev["tau"] == fb.field.one
 
 
 def test_inconsistent_rigidity_detected():
@@ -112,27 +110,6 @@ def test_inconsistent_rigidity_detected():
                               name="ising_bad")
     with pytest.raises(InconsistentRigidity):
         compute_duality(spec)
-
-
-def test_tensor_decompose():
-    fb = fib()
-    assert tensor_decompose(fb, "tau", "tau") == ("1", "tau")
-    z4 = vec_z4()
-    assert tensor_decompose(z4, "1", "3") == ("0",)
-    for name, spec in CATS.items():
-        for a in spec.simples:
-            assert tensor_decompose(spec, spec.unit, a) == (a,)
-    with pytest.raises(UnknownLabel):
-        tensor_decompose(fb, "tau", "nope")
-
-
-def test_hom_dim():
-    spec = vec_z2_triv()
-    assert hom_dim(spec, (0, 1), (0, 1)) == 1
-    assert hom_dim(spec, (0, 1), (1, 0)) == 0
-    assert hom_dim(spec, (1, 2), (0, 1)) == 2
-    with pytest.raises(DimensionMismatch):
-        hom_dim(spec, (1,), (0, 1))
 
 
 def test_dual_involution_everywhere():
@@ -270,8 +247,8 @@ def _oracle_subjects():
 def test_closed_form_duality_matches_zigzag_oracle():
     for name, spec in _oracle_subjects().items():
         assert validate_fusion(spec).ok, name
-        dd = compute_duality(spec)  # both zig-zags hold on valid data
-        assert (dict(dd.ev_scalar), dict(dd.left_ev_scalar)) == _oracle_scalars(spec), name
+        compute_duality(spec)  # both zig-zags hold on valid data
+        assert (dict(spec.tables.ev), dict(spec.tables.lev)) == _oracle_scalars(spec), name
 
 
 FACTORS = ("2", "-3", "1/5")

@@ -14,13 +14,14 @@ import zlib
 
 import pytest
 
-from helpers import (MUTATION_FACTORS, act_mor, bench_gen, c_assoc, cunit, f_mor,
-                     gauge_category, gauge_functor, gauge_module, gauged_corpus_and_zn, mutated,
-                     mutation_sites, opposite_module_composite, ract_c, ract_mor, rassoc,
-                     sampled_sites, unit_l, whisker_c)
+from helpers import (MUTATION_FACTORS, act_mor, action_associativity_entries, bench_gen,
+                     c_assoc, cunit, f_mor, fusion_associativity_entries, gauge_category,
+                     gauge_functor, gauge_module, gauged_corpus_and_zn, mutated, mutation_sites,
+                     opposite_module_composite, ract_c, ract_mor, rassoc, sampled_sites, unit_l,
+                     whisker_c)
 from modend import blocks, cli
 from modend.blocks import Mor, _simple, act_c, assoc, c_mor, ctensor, f_obj
-from modend.fusioncat import validate_fusion
+from modend.fusioncat import FusionCategorySpec, validate_fusion
 from modend.modcat import (ModuleCategorySpec, opposite_module, regular_module,
                            validate_module)
 from modend.modfunct import (act_right_functor, compose_functors, identity_functor,
@@ -315,3 +316,39 @@ def test_mutations_reach_every_coherence_check(monkeypatch):
                     ("validate_module", "unit-coherence"),
                     ("validate_functor", "unit-coherence"),
                     ("validate_functor", "coherence")}
+
+
+# ---------------------------------------------------------------------------
+# the path-count sweep both validators share (``blocks.path_count_failures``)
+
+
+def _drop_each(triples, rebuild):
+    """The spec with each of ``triples`` dropped in turn, rebuilt by ``rebuild(rest)``."""
+    return [rebuild(triples - {t}) for t in sorted(triples)]
+
+
+def test_path_count_sweep_matches_the_two_loops():
+    """On every corpus category, every bundled module and the opposite of each,
+    whole and with one fusion or action triple dropped, the sweep's
+    ``fusion-associativity`` and ``action-associativity`` entries are those of
+    the loops each validator ran before (``helpers``), in the same order."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    failing = 0
+    for c in bundle.categories.values():
+        for spec in [c] + _drop_each(c.fusion, lambda rest: FusionCategorySpec(
+                field=c.field, simples=c.simples, unit=c.unit, dual=c.dual, fusion=rest,
+                f_symbols=c.f_raw, name=c.name)):
+            want = fusion_associativity_entries(spec)
+            report = validate_fusion(spec)
+            assert [e for e in report.entries if e.check == "fusion-associativity"] == want
+            failing += bool(want)
+    modules = list(bundle.modules.values())
+    for m in modules + [opposite_module(m) for m in modules]:
+        for spec in [m] + _drop_each(m.action, lambda rest: ModuleCategorySpec(
+                base=m.base, simples=m.simples, action=rest, l_symbols=m.l_raw,
+                unit_scalars=m.unit_scalars, orientation=m.orientation, name=m.name)):
+            want = action_associativity_entries(spec)
+            report = validate_module(spec)
+            assert [e for e in report.entries if e.check == "action-associativity"] == want
+            failing += bool(want)
+    assert failing >= 100

@@ -89,8 +89,11 @@ def test_object_constructors_are_hash_consed():
 def test_duality_scalars_are_installed_read_only():
     cat = cli.load(cli.bundled_instance_paths()).category("fib")
     base = cat.tables
-    dd = cat.duality()
-    assert dd.ev_scalar is base.ev and dd.left_ev_scalar is base.lev
+    cat.duality()
+    installed = (base.ev, base.coev, base.lev, base.lcoev)
+    cat.duality()  # installs once per category
+    assert all(new is old for new, old in zip((base.ev, base.coev, base.lev, base.lcoev),
+                                              installed))
     for table in (base.ev, base.coev, base.lev, base.lcoev):
         with pytest.raises(TypeError):
             table["tau"] = base.field.one

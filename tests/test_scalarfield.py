@@ -3,8 +3,7 @@ import random
 import pytest
 
 from modend.scalarfield import (
-    DimensionMismatch, DivisionByZero, FieldSpec, Matrix, ZeroDivisorDetected,
-    span_contains, subspace_equal,
+    DimensionMismatch, DivisionByZero, FieldSpec, Matrix, ZeroDivisorDetected, subspace_equal,
 )
 
 Q = FieldSpec([0, 1])                 # Q[x]/(x): plain rationals
@@ -135,15 +134,6 @@ def test_subspace_equal_equivalence_relation():
         assert subspace_equal(a, b) == subspace_equal(b, a)
         if subspace_equal(a, b) and subspace_equal(b, c):
             assert subspace_equal(a, c)
-
-
-def test_span_contains():
-    e1 = Matrix.column(Q, [Q.one, Q.zero])
-    inside = Matrix.column(Q, [Q.rational(7), Q.zero])
-    outside = Matrix.column(Q, [Q.one, Q.one])
-    assert span_contains([e1], inside)
-    assert not span_contains([e1], outside)
-    assert span_contains([], Matrix.column(Q, [Q.zero]))
 
 
 def test_matrix_inverse():

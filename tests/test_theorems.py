@@ -3,12 +3,13 @@ import random
 import pytest
 
 from helpers import (all_categories, bench_gen, fib, gauge_category, gauge_functor, gauge_module,
-                     ising, vec_z2_omega, vec_z2_triv, vec_over_vec_z2)
+                     hom_lemma_suite_via_opposite, ising, vec_z2_omega, vec_z2_triv,
+                     vec_over_vec_z2)
 
 from modend import cli, endengine, theorems
 from modend.common import OracleMismatch, SerreCertificateFailure, UpsilonMismatch
 from modend.fusioncat import validate_fusion
-from modend.modcat import internal_hom, regular_module, validate_module
+from modend.modcat import internal_hom, opposite_module, regular_module, validate_module
 from modend.modfunct import act_right_functor, identity_functor, validate_functor
 from modend.scalarfield import subspace_equal
 from modend.theorems import (adjoint_shift_check, hom_lemma_suite, internal_character,
@@ -174,6 +175,25 @@ def test_hom_lemma_suite_detects_corruption():
     rep = hom_lemma_suite(broken)
     assert not rep.ok
     assert any(e.check.startswith("uhom") for e in rep.entries)
+    assert rep.entries == hom_lemma_suite_via_opposite(broken).entries
+
+
+def test_hom_lemma_suite_matches_the_opposite_module_route():
+    """``uhom-op`` is read off the action table: ``i in X* act m_j`` is
+    ``i in X act m_j`` in ``opposite_module(m)``, on every bundled module, the
+    regular module of zn4 and the opposite of each, and the whole report is
+    the one the opposite-module route gives."""
+    modules = list(cli.load(cli.bundled_instance_paths()).modules.values())
+    modules.append(regular_module(
+        cli._load_category("zn4", bench_gen().instance(4, 1)["categories"]["zn4"])))
+    for m in modules + [opposite_module(m) for m in modules]:
+        op, base = opposite_module(m), m.base
+        for X in base.simples:
+            for i in m.simples:
+                for j in m.simples:
+                    assert (i in m.act_set(base.dual[X], j)) == (i in op.act_set(X, j))
+        rep = hom_lemma_suite(m)
+        assert rep.ok and rep == hom_lemma_suite_via_opposite(m), m.name
 
 
 GAUGE_NAMES = ["vec_z2_omega", "vec_z4", "fib", "ising"]
