@@ -11,7 +11,7 @@ from helpers import (all_categories, coev_insert, ctensor_mor, cunit, eps_flat, 
                      zeta_flat)
 from modend import blocks
 from modend.blocks import BaseTables
-from modend.common import InconsistentRigidity
+from modend.common import InconsistentRigidity, UnknownLabel
 from modend.fusioncat import FusionCategorySpec, compute_duality, validate_fusion
 
 CATS = all_categories()
@@ -110,6 +110,18 @@ def test_inconsistent_rigidity_detected():
                               name="ising_bad")
     with pytest.raises(InconsistentRigidity):
         compute_duality(spec)
+
+
+def test_tensor_decompose():
+    fb = fib()
+    assert fb.fuse("tau", "tau") == ("1", "tau")
+    z4 = vec_z4()
+    assert z4.fuse("1", "3") == ("0",)
+    for name, spec in CATS.items():
+        for a in spec.simples:
+            assert spec.fuse(spec.unit, a) == (a,)
+    with pytest.raises(UnknownLabel):
+        fb.fuse("tau", "nope")
 
 
 def test_dual_involution_everywhere():
