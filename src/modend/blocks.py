@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
+from math import lcm
 from types import MappingProxyType
 from typing import Callable, Sequence
 
@@ -584,10 +585,90 @@ def l_block_failures(tables: ModuleTables) -> tuple:
 
 
 def left_pentagon_failures(tables: ModuleTables) -> tuple:
-    """Every ``(X, Y, Z, i)`` where ``left_pentagon_holds`` fails, in ``simples`` order."""
+    """Every ``(X, Y, Z, i)`` where ``left_pentagon_holds`` fails, in ``simples`` order.
+
+    On pointed tables (``is_pointed``) this is ``pointed_pentagon_failures``.
+    """
+    if is_pointed(tables):
+        return pointed_pentagon_failures(tables)
     simples = tables.base.simples
     return tuple((X, Y, Z, i) for X in simples for Y in simples for Z in simples
                  for i in tables.simples if not left_pentagon_holds(tables, X, Y, Z, i))
+
+
+def is_pointed(tables: ModuleTables) -> bool:
+    """Every ``fuse(X, Y)`` and every ``act_set(X, i)`` is one simple, so every
+    F- and L-block is 1 x 1."""
+    base = tables.base
+    return (all(len(base.fuse(X, Y)) == 1 for X in base.simples for Y in base.simples)
+            and all(len(tables.act_set(X, i)) == 1 for X in base.simples for i in tables.simples))
+
+
+def pointed_pentagon_failures(tables: ModuleTables) -> tuple:
+    """``left_pentagon_failures`` on pointed left tables, as one flat sweep.
+
+    With one path on each side, the mixed pentagon at ``(X, Y, Z, m_i)`` is
+    the scalar equation
+    ``L(X,Y,Z act i) L(XY,Z,i) = L(Y,Z,i) L(X,YZ,i) F(X,Y,Z)``, where
+    ``L(X,Y,i)`` is the one entry of ``l_block(X, Y, i, X act (Y act i))`` and
+    ``F(X,Y,Z)`` that of ``f_block(X, Y, Z, (XY)Z)``; on the regular tables
+    it is the 3-cocycle identity.  The values are read once into lists
+    indexed by the positions of the simples.  Over Q the two sides are
+    compared as cross-multiplied integers, over a larger field as field
+    elements.  Like ``l_block_failures``, the sweep expects the path counts to
+    agree (``path_count_failures``), which both validators check first: then
+    every symbol the general sweep reads is one of these entries, or an
+    F-symbol read as 0 where ``(XY)Z != X(YZ)`` that zeroes its product here.
+    """
+    base, simples = tables.base, tables.simples
+    labels = base.simples
+    pos = {a: p for p, a in enumerate(labels)}
+    mpos = {i: p for p, i in enumerate(simples)}
+    fuse = [[pos[base.fuse(X, Y)[0]] for Y in labels] for X in labels]
+    act = [[mpos[tables.act_set(X, i)[0]] for i in simples] for X in labels]
+    xy = [[labels[p] for p in row] for row in fuse]     # the simple X x Y
+    xi = [[simples[p] for p in row] for row in act]     # the simple X act m_i
+    L_entry, F_entry = tables._l_entry, base._f_entry
+    L = [[[L_entry(X, Y, i, xi[y][p], xy[x][y], xi[x][act[y][p]])
+           for p, i in enumerate(simples)] for y, Y in enumerate(labels)]
+         for x, X in enumerate(labels)]
+    F = [[[F_entry(X, Y, Z, xy[fuse[x][y]][z], xy[x][y], xy[y][z])
+           for z, Z in enumerate(labels)] for y, Y in enumerate(labels)]
+         for x, X in enumerate(labels)]
+    if tables.field.degree == 1:
+        return _pointed_sweep_q(tables, fuse, act, L, F)
+    out = []
+    for x, X in enumerate(labels):
+        for y, Y in enumerate(labels):
+            u, Lxy, Ly, Fxy = fuse[x][y], L[x][y], L[y], F[x][y]
+            for z, Z in enumerate(labels):
+                Luz, Lyz, Lxv, f = L[u][z], Ly[z], L[x][fuse[y][z]], Fxy[z]
+                for i, k in enumerate(act[z]):
+                    if Lxy[k] * Luz[i] != Lyz[i] * Lxv[i] * f:
+                        out.append((X, Y, Z, simples[i]))
+    return tuple(out)
+
+
+def _pointed_sweep_q(tables: ModuleTables, fuse: list, act: list, L: list, F: list) -> tuple:
+    """``pointed_pentagon_failures`` over Q.  The L-values are integers ``n``
+    over one common denominator, which cancels from the two sides; each
+    F-value keeps its own, multiplied across."""
+    labels, simples = tables.base.simples, tables.simples
+    den = lcm(*(e.den for Lx in L for row in Lx for e in row))
+    n = [[[e.num[0] * (den // e.den) for e in row] for row in Lx] for Lx in L]
+    out = []
+    for x, X in enumerate(labels):
+        nx, Fx = n[x], F[x]
+        for y, Y in enumerate(labels):
+            u, nxy, ny, Fxy = fuse[x][y], nx[y], n[y], Fx[y]
+            nu = n[u]
+            for z, Z in enumerate(labels):
+                f = Fxy[z]
+                fn, fd = f.num[0], f.den
+                for i, (k, nuz, nyz, nxv) in enumerate(zip(act[z], nu[z], ny[z], nx[fuse[y][z]])):
+                    if nxy[k] * nuz * fd != nyz * nxv * fn:
+                        out.append((X, Y, Z, simples[i]))
+    return tuple(out)
 
 
 def left_pentagon_holds(tables: ModuleTables, X: str, Y: str, Z: str, i: str) -> bool:

@@ -195,8 +195,8 @@ def load(paths) -> InstanceBundle:
         if bundle.digests.setdefault(name, digest) != digest:
             raise ParseError(f"two different input files are named {name}")
         try:
-            docs.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
+            docs.append(json.loads(raw, object_pairs_hook=_unique_keys))
+        except (json.JSONDecodeError, ParseError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
         if not isinstance(docs[-1], dict):
             raise ParseError(f"{path}: top level must be a JSON object")
@@ -210,6 +210,16 @@ def load(paths) -> InstanceBundle:
         for name, data in _section(doc, "functors").items():
             bundle.functors[name] = _parse_entity("functor", name, _load_functor, data, bundle)
     return bundle
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key repeated inside it is a ParseError."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"key {key!r} is repeated in one JSON object")
+    return out
 
 
 def _section(doc: dict, key: str) -> dict:

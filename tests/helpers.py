@@ -120,14 +120,16 @@ def rand_nonzero(field, rng):
     return field.rational(val)
 
 
-def gauge_category(spec: FusionCategorySpec, rng) -> tuple:
-    """Random basis rescaling of the fusion vertices; unit legs stay 1."""
+def gauge_category(spec: FusionCategorySpec, rng, scalar=rand_nonzero) -> tuple:
+    """Random basis rescaling of the fusion vertices; unit legs stay 1.
+
+    Each other vertex is rescaled by ``scalar(field, rng)``, a nonzero scalar."""
     lam = {}
     for (a, b, c) in spec.fusion:
         if a == spec.unit or b == spec.unit:
             lam[(a, b, c)] = spec.field.one
         else:
-            lam[(a, b, c)] = rand_nonzero(spec.field, rng)
+            lam[(a, b, c)] = scalar(spec.field, rng)
     f_new = {}
     for (a, b, c, d, e, f), val in spec._f.items():
         factor = lam[(a, b, e)] * lam[(e, c, d)] \
@@ -141,11 +143,12 @@ def gauge_category(spec: FusionCategorySpec, rng) -> tuple:
 
 
 def gauge_module(m: ModuleCategorySpec, new_base: FusionCategorySpec,
-                 lam: dict, rng) -> tuple:
-    """Random rescaling of the action vertices over a gauged base."""
+                 lam: dict, rng, scalar=rand_nonzero) -> tuple:
+    """Random rescaling of the action vertices over a gauged base, each by
+    ``scalar(field, rng)``."""
     mu = {}
     for (X, i, j) in m.action:
-        mu[(X, i, j)] = rand_nonzero(m.field, rng)
+        mu[(X, i, j)] = scalar(m.field, rng)
     l_new = {}
     for (X, Y, i, j, Z, t), val in m._l.items():
         factor = lam[(X, Y, Z)] * mu[(Z, i, t)] \

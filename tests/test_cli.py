@@ -166,6 +166,21 @@ def test_loader_refusals_give_one_json_line(tmp_path, capsys, case):
     assert error in report["error"], report["error"]
 
 
+def test_a_key_repeated_in_one_json_object_is_refused(tmp_path, capsys):
+    """``{"m": "0", "m": "1"}`` is refused at load time with one JSON line and
+    exit code 1; the last value is not kept silently."""
+    doc = json.loads(Path(_bundled_path("vec_over_vec_z2.json")).read_text())
+    doc["modules"]["vec_over_vec_z2"]["unit_scalars"] = "UNITS"
+    path = tmp_path / "vec_over_vec_z2.json"
+    path.write_text(json.dumps(doc).replace('"UNITS"', '{"m": "0", "m": "1"}'))
+    base = _bundled_path("vec_z2_triv.json")
+    assert cli.main(["-i", base, "-i", str(path), "validate"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"status": "validation-failed",
+                               "error": f"{path}: key 'm' is repeated in one JSON object"}
+
+
 def _unknown_keys(doc):
     doc["modules"]["vec_over_vec_z2"]["unit_scalars"] = {"m": "1", "q": "2"}
     _forgetful(doc)["on_simples"].append({"key": ["m", "nope"], "value": 0})

@@ -26,7 +26,7 @@ from modend.modcat import (ModuleCategorySpec, opposite_module, regular_module,
                            validate_module)
 from modend.modfunct import (act_right_functor, compose_functors, identity_functor,
                              validate_functor)
-from modend.scalarfield import Matrix
+from modend.scalarfield import FieldSpec, Matrix
 
 # ---------------------------------------------------------------------------
 # structure morphisms only the composites below use
@@ -150,6 +150,8 @@ def _validate_both_ways(validate, subject, monkeypatch):
     with monkeypatch.context() as patch:
         for name, checker in REFERENCE.items():
             patch.setattr(blocks, name, checker)
+        # pointed tables take the flat sweep, which calls no predicate
+        patch.setattr(blocks, "is_pointed", lambda tables: False)
         want = _entries(validate(subject))
     assert got == want, subject
     return got
@@ -352,3 +354,116 @@ def test_path_count_sweep_matches_the_two_loops():
             assert [e for e in report.entries if e.check == "action-associativity"] == want
             failing += bool(want)
     assert failing >= 100
+
+
+# ---------------------------------------------------------------------------
+# the flat pentagon sweep of pointed tables (``blocks.pointed_pentagon_failures``)
+
+
+def _general_pentagon_failures(tables):
+    """The general sweep: ``left_pentagon_holds`` at every ``(X, Y, Z, i)``."""
+    simples = tables.base.simples
+    return tuple((X, Y, Z, i) for X in simples for Y in simples for Z in simples
+                 for i in tables.simples if not blocks.left_pentagon_holds(tables, X, Y, Z, i))
+
+
+def _pentagon_tables(spec):
+    """The tables a validator sweeps the pentagon of ``spec`` on."""
+    return spec.tables.regular() if isinstance(spec, FusionCategorySpec) else spec.tables
+
+
+def _pointed_subjects():
+    """The pointed corpus categories, their regular modules, vec_over_vec_z2,
+    the gauged copies of SUBJECTS and bench/gen.py zn4, zn6 with their regular
+    modules."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    out = {}
+    for cname in ("vec_z2_omega", "vec_z2_triv", "vec_z4"):
+        out[cname] = bundle.category(cname)
+        out[f"{cname}_regular"] = bundle.module(f"{cname}_regular")
+    out["vec_over_vec_z2"] = bundle.module("vec_over_vec_z2")
+    for cname in ("vec_z2_omega", "vec_z4"):
+        for name in (f"{cname}~gauged", f"{cname}_regular~gauged"):
+            out[name] = SUBJECTS[name][1]
+    zn = gauged_corpus_and_zn()
+    for cname in ("zn4", "zn6"):
+        out[cname] = zn[cname]
+        out[f"{cname}_regular"] = regular_module(zn[cname])
+    return out
+
+
+POINTED = _pointed_subjects()
+
+
+def _mutants(name, spec):
+    """``(site, factor, mutant)`` for ``spec`` with one F- or L-symbol doubled
+    or negated: every site, or a seeded sample of them on zn6.  All 1 x 1
+    blocks stay invertible."""
+    sites = sampled_sites(name, spec) if name.startswith("zn6") else mutation_sites(spec)
+    return [(site, factor, mutated(spec, site, factor)) for site in sites
+            if site[0] in ("f", "l") for factor in MUTATION_FACTORS]
+
+
+# single-symbol changes that leave the pentagon holding: on Vec_{Z/2} the one
+# F-symbol off the unit legs is 1 or -1 (two 3-cocycles), and on
+# vec_over_vec_z2 the one L-symbol off the unit legs is a 2-cocycle at any
+# nonzero value
+COCYCLE_MUTANTS = {(("f", ("s", "s", "s", "s", "e", "e")), -1),
+                   (("l", ("s", "s", "m", "m", "e", "m")), -1),
+                   (("l", ("s", "s", "m", "m", "e", "m")), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(POINTED))
+def test_pointed_sweep_matches_the_general_sweep(name):
+    """On every pointed subject and on each single-symbol mutant, the flat sweep
+    fails at the tuples the general sweep fails at, in the same order; every
+    mutant but a cocycle fails somewhere."""
+    spec = POINTED[name]
+    tables = _pentagon_tables(spec)
+    assert blocks.is_pointed(tables)
+    assert blocks.pointed_pentagon_failures(tables) == _general_pentagon_failures(tables) == ()
+    mutants = _mutants(name, spec)
+    assert len(mutants) > sum(1 for site, factor, _ in mutants
+                              if (site, factor) in COCYCLE_MUTANTS)
+    for site, factor, mutant in mutants:
+        tables = _pentagon_tables(mutant)
+        assert blocks.l_block_failures(tables) == ()
+        failures = blocks.pointed_pentagon_failures(tables)
+        assert bool(failures) != ((site, factor) in COCYCLE_MUTANTS), (name, site, factor)
+        assert failures == _general_pentagon_failures(tables), (name, site, factor)
+        assert blocks.left_pentagon_failures(tables) == failures
+
+
+def _over_sqrt2(spec):
+    """``spec``'s rational data over Q(sqrt 2)."""
+    field = FieldSpec([-2, 0, 1])
+    f_symbols = {key: field.rational(val.coeffs[0]) for key, val in spec.f_raw.items()}
+    return FusionCategorySpec(field=field, simples=spec.simples, unit=spec.unit, dual=spec.dual,
+                              fusion=spec.fusion, f_symbols=f_symbols, name=f"{spec.name}/sqrt2")
+
+
+def _theta_shift(field, rng):
+    """``theta + k`` for a small integer ``k``: never 0, never rational."""
+    return field.gen() + field.rational(rng.randint(-3, 3))
+
+
+@pytest.mark.parametrize("cname", ["vec_z2_omega", "vec_z4"])
+def test_pointed_sweep_over_a_field_of_degree_two(cname):
+    """The field-element branch: a pointed category over Q(sqrt 2) and its
+    regular module, both gauged by cochains in theta, and a mutant of each."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    rng = random.Random(zlib.crc32(cname.encode()))
+    plain = _over_sqrt2(bundle.category(cname))
+    cat, lam = gauge_category(plain, rng, scalar=_theta_shift)
+    mod, _ = gauge_module(regular_module(plain), cat, lam, rng, scalar=_theta_shift)
+    assert any(val.num[1] for val in mod._l.values())
+    assert validate_fusion(cat).ok and validate_module(mod).ok
+    for spec in (cat, mod):
+        tables = _pentagon_tables(spec)
+        assert tables.field.degree == 2 and blocks.is_pointed(tables)
+        assert blocks.pointed_pentagon_failures(tables) == _general_pentagon_failures(tables) == ()
+        site = next(site for site in mutation_sites(spec) if site[0] in ("f", "l")
+                    and tables.base.unit not in site[1][:2])
+        tables = _pentagon_tables(mutated(spec, site, 2))
+        failures = blocks.pointed_pentagon_failures(tables)
+        assert failures and failures == _general_pentagon_failures(tables)

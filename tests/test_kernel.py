@@ -139,18 +139,31 @@ def _zn4(tmp_path):
     return cli.load([str(path)])
 
 
-def test_gate_sweeps_each_pentagon_once(tmp_path, monkeypatch):
-    """The category and its regular module share one pentagon sweep: 4**4 calls, not twice that."""
-    bundle = _zn4(tmp_path)
-    holds, calls = blocks.left_pentagon_holds, []
+def _count_calls(monkeypatch, name) -> list:
+    """The argument tuples of every call to ``blocks.<name>`` from now on."""
+    fn, calls = getattr(blocks, name), []
 
     def counting(*args):
         calls.append(args)
-        return holds(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(blocks, "left_pentagon_holds", counting)
+    monkeypatch.setattr(blocks, name, counting)
+    return calls
+
+
+def test_gate_sweeps_each_pentagon_once(tmp_path, monkeypatch):
+    """The category and its regular module share one pentagon sweep: one flat
+    sweep on pointed zn4, and 2**4 ``left_pentagon_holds`` calls on fib, not
+    twice that."""
+    bundle = _zn4(tmp_path)
+    flat = _count_calls(monkeypatch, "pointed_pentagon_failures")
+    holds = _count_calls(monkeypatch, "left_pentagon_holds")
     assert all(rep.ok for rep in bundle.validate_all())
-    assert len(calls) == 4 ** 4
+    assert len(flat) == 1 and holds == []
+    fib = cli.load([p for p in cli.bundled_instance_paths() if p.endswith("fib.json")])
+    assert set(fib.modules) == {"fib_regular"}
+    assert all(rep.ok for rep in fib.validate_all())
+    assert len(flat) == 1 and len(holds) == 2 ** 4
 
 
 def test_sweeps_stay_with_their_tables(tmp_path):
