@@ -8,7 +8,9 @@ products of F-, L- and c-symbols, entries of inverse blocks and duality
 scalars.  Each tables object keeps its blocks and their inverses
 (``f_block``/``f_inverse``, ``l_block``/``l_inverse``) for its own life, and
 the regular module shares the base's.  Left and right modules share one
-tables class, which keeps the spec's key for both.
+tables class, which keeps the spec's key for both.  On pointed tables, where
+every block is 1 x 1, the validators check the pentagon as one scalar
+equation per tuple of simples (``pointed_pentagon_failures``).
 
 The block-matrix calculus those forms replaced (:class:`Obj`, :class:`Mor`,
 ``act_c``, ``ctensor``, ``f_obj``, ``assoc``, ``assoc_inv``, ``c_mor``) has
@@ -524,6 +526,11 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # object at most once per load: a regular module is derived and never swept,
 # and its category's sweeps run on the regular module's tables, whose
 # L-blocks are the F-blocks and whose path counts are the fusion table's.
+# On pointed tables (``is_pointed``: every fusion product and every action of
+# a simple is one simple) every block is 1 x 1, and ``left_pentagon_failures``
+# checks the pentagon as one scalar equation per tuple over lists of the
+# values (``pointed_pentagon_failures``), with the same failures in the same
+# order; other left tables take ``left_pentagon_holds`` at every tuple.
 
 
 def block_failure(inverse: Callable, *key) -> str | None:
@@ -613,11 +620,13 @@ def pointed_pentagon_failures(tables: ModuleTables) -> tuple:
     ``L(X,Y,i)`` is the one entry of ``l_block(X, Y, i, X act (Y act i))`` and
     ``F(X,Y,Z)`` that of ``f_block(X, Y, Z, (XY)Z)``; on the regular tables
     it is the 3-cocycle identity.  The values are read once into lists
-    indexed by the positions of the simples.  Over Q the two sides are
-    compared as cross-multiplied integers, over a larger field as field
-    elements.  Like ``l_block_failures``, the sweep expects the path counts to
-    agree (``path_count_failures``), which both validators check first: then
-    every symbol the general sweep reads is one of these entries, or an
+    indexed by the positions of the simples, and each ``F`` is split into a
+    pair ``(den, num)`` multiplied across.  Over Q the L-values are integers
+    over one common denominator, which cancels from the two sides, and the
+    pairs are integers; over a larger field both are field elements, with
+    ``den = 1``.  Like ``l_block_failures``, the sweep expects the path counts
+    to agree (``path_count_failures``), which both validators check first:
+    then every symbol the general sweep reads is one of these entries, or an
     F-symbol read as 0 where ``(XY)Z != X(YZ)`` that zeroes its product here.
     """
     base, simples = tables.base, tables.simples
@@ -636,37 +645,21 @@ def pointed_pentagon_failures(tables: ModuleTables) -> tuple:
            for z, Z in enumerate(labels)] for y, Y in enumerate(labels)]
          for x, X in enumerate(labels)]
     if tables.field.degree == 1:
-        return _pointed_sweep_q(tables, fuse, act, L, F)
+        den = lcm(*(e.den for Lx in L for row in Lx for e in row))
+        L = [[[e.num[0] * (den // e.den) for e in row] for row in Lx] for Lx in L]
+        F = [[[(f.den, f.num[0]) for f in row] for row in Fx] for Fx in F]
+    else:
+        one = tables.field.one
+        F = [[[(one, f) for f in row] for row in Fx] for Fx in F]
     out = []
     for x, X in enumerate(labels):
+        Lx, Fx = L[x], F[x]
         for y, Y in enumerate(labels):
-            u, Lxy, Ly, Fxy = fuse[x][y], L[x][y], L[y], F[x][y]
+            Lxy, Lu, Ly, Fxy = Lx[y], L[fuse[x][y]], L[y], Fx[y]
             for z, Z in enumerate(labels):
-                Luz, Lyz, Lxv, f = L[u][z], Ly[z], L[x][fuse[y][z]], Fxy[z]
-                for i, k in enumerate(act[z]):
-                    if Lxy[k] * Luz[i] != Lyz[i] * Lxv[i] * f:
-                        out.append((X, Y, Z, simples[i]))
-    return tuple(out)
-
-
-def _pointed_sweep_q(tables: ModuleTables, fuse: list, act: list, L: list, F: list) -> tuple:
-    """``pointed_pentagon_failures`` over Q.  The L-values are integers ``n``
-    over one common denominator, which cancels from the two sides; each
-    F-value keeps its own, multiplied across."""
-    labels, simples = tables.base.simples, tables.simples
-    den = lcm(*(e.den for Lx in L for row in Lx for e in row))
-    n = [[[e.num[0] * (den // e.den) for e in row] for row in Lx] for Lx in L]
-    out = []
-    for x, X in enumerate(labels):
-        nx, Fx = n[x], F[x]
-        for y, Y in enumerate(labels):
-            u, nxy, ny, Fxy = fuse[x][y], nx[y], n[y], Fx[y]
-            nu = n[u]
-            for z, Z in enumerate(labels):
-                f = Fxy[z]
-                fn, fd = f.num[0], f.den
-                for i, (k, nuz, nyz, nxv) in enumerate(zip(act[z], nu[z], ny[z], nx[fuse[y][z]])):
-                    if nxy[k] * nuz * fd != nyz * nxv * fn:
+                fd, fn = Fxy[z]
+                for i, (k, luz, lyz, lxv) in enumerate(zip(act[z], Lu[z], Ly[z], Lx[fuse[y][z]])):
+                    if Lxy[k] * luz * fd != lyz * lxv * fn:
                         out.append((X, Y, Z, simples[i]))
     return tuple(out)
 

@@ -214,11 +214,11 @@ def load(paths) -> InstanceBundle:
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object as a dict; a key repeated inside it is a ParseError."""
-    out = dict(pairs)
-    if len(out) != len(pairs):
-        seen = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ParseError(f"key {key!r} is repeated in one JSON object")
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"key {key!r} is repeated in one JSON object")
+        out[key] = value
     return out
 
 
