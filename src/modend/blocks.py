@@ -9,8 +9,11 @@ scalars.  Each tables object keeps its blocks and their inverses
 (``f_block``/``f_inverse``, ``l_block``/``l_inverse``) for its own life, and
 the regular module shares the base's.  Left and right modules share one
 tables class, which keeps the spec's key for both.  On pointed tables, where
-every block is 1 x 1, the validators check the pentagon as one scalar
-equation per tuple of simples (``pointed_pentagon_failures``).
+every block is 1 x 1, the validators check the path counts, the blocks'
+invertibility and the pentagon as flat sweeps over the positions of the
+simples (``pointed_path_count_failures``, ``pointed_l_block_failures``,
+``pointed_pentagon_failures``); the block sweep keeps the inverses it
+computes, so the builders read them and no block is inverted twice.
 
 The block-matrix calculus those forms replaced (:class:`Obj`, :class:`Mor`,
 ``act_c``, ``ctensor``, ``f_obj``, ``assoc``, ``assoc_inv``, ``c_mor``) has
@@ -243,13 +246,15 @@ def row_steps(right: bool, X: str, Y: str) -> tuple:
 class RegularTables(ModuleTables):
     """The base acting on itself, whose L-blocks are the base's F-blocks:
     ``l_block(X, Y, i, t)`` is ``f_block(X, Y, i, t)`` entry for entry, so the
-    two share one block and one inverse."""
+    two share one block, and ``l_inverse`` keeps its inverses in the base's
+    F-inverse cache, where ``f_inverse`` reads them."""
+
+    def __init__(self, base: BaseTables, **kwargs):
+        super().__init__(base, **kwargs)
+        self._linv_cache = base._finv_cache
 
     def l_block(self, X: str, Y: str, i: str, t: str):
         return self.base.f_block(X, Y, i, t)
-
-    def l_inverse(self, X: str, Y: str, i: str, t: str) -> dict:
-        return self.base.f_inverse(X, Y, i, t)
 
 
 def inverse_entries(rows: Sequence, cols: Sequence, mat: Matrix) -> dict:
@@ -527,10 +532,15 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # and its category's sweeps run on the regular module's tables, whose
 # L-blocks are the F-blocks and whose path counts are the fusion table's.
 # On pointed tables (``is_pointed``: every fusion product and every action of
-# a simple is one simple) every block is 1 x 1, and ``left_pentagon_failures``
-# checks the pentagon as one scalar equation per tuple over lists of the
-# values (``pointed_pentagon_failures``), with the same failures in the same
-# order; other left tables take ``left_pentagon_holds`` at every tuple.
+# a simple is one simple) every block is 1 x 1, and the three sweeps take flat
+# branches over lists indexed by the positions of the simples
+# (``_pointed_index``), with the same failures in the same order: one column
+# and one row total per ``(X, Y, i)`` (``pointed_path_count_failures``), one
+# entry per block, inverted once and kept where ``l_inverse`` reads it
+# (``pointed_l_block_failures``), and one scalar equation per pentagon
+# (``pointed_pentagon_failures``).  Other tables count paths in ``Counter``s,
+# invert each block through ``l_inverse`` and, if left, take
+# ``left_pentagon_holds`` at every tuple.
 
 
 def block_failure(inverse: Callable, *key) -> str | None:
@@ -555,7 +565,13 @@ def path_count_failures(tables: ModuleTables):
     """Every ``((X, Y, i, t), via_fuse, via_steps)`` where the number of paths
     from ``m_i`` to ``m_t`` through ``z in X x Y`` differs from the number of
     row paths (``row_steps``), in ``simples`` order.  On the regular tables
-    this is the associativity of the fusion table."""
+    this is the associativity of the fusion table.
+
+    On pointed tables (``is_pointed``) this is ``pointed_path_count_failures``.
+    """
+    if is_pointed(tables):
+        yield from pointed_path_count_failures(tables)
+        return
     base = tables.base
     for X in base.simples:
         for Y in base.simples:
@@ -577,8 +593,11 @@ def l_block_failures(tables: ModuleTables) -> tuple:
     F-blocks ``f_block(X, Y, i, t)``.  The sweep visits the totals of column
     paths only, so it expects the path counts to agree (``path_count_failures``,
     which both validators check first): then every total of a row path is one
-    of a column path, and every other block is 0 x 0.
+    of a column path, and every other block is 0 x 0.  On pointed tables
+    (``is_pointed``) this is ``pointed_l_block_failures``.
     """
+    if is_pointed(tables):
+        return pointed_l_block_failures(tables)
     out = []
     for X in tables.base.simples:
         for Y in tables.base.simples:
@@ -611,6 +630,82 @@ def is_pointed(tables: ModuleTables) -> bool:
             and all(len(tables.act_set(X, i)) == 1 for X in base.simples for i in tables.simples))
 
 
+def _pointed_index(tables: ModuleTables) -> tuple:
+    """``(labels, simples, fuse, act)`` of pointed tables, built per call:
+    ``labels`` are the base's simples and ``simples`` the module's;
+    ``fuse[x][y]`` is the position in ``labels`` of the one simple of
+    ``X x Y`` and ``act[x][p]`` that in ``simples`` of the one simple of
+    ``act_set(X, i)``, where ``x``, ``y`` and ``p`` are those of ``X``, ``Y``
+    and ``m_i``."""
+    base, simples = tables.base, tables.simples
+    labels = base.simples
+    pos = {a: p for p, a in enumerate(labels)}
+    mpos = {i: p for p, i in enumerate(simples)}
+    fuse = [[pos[base.fuse(X, Y)[0]] for Y in labels] for X in labels]
+    act = [[mpos[tables.act_set(X, i)[0]] for i in simples] for X in labels]
+    return labels, simples, fuse, act
+
+
+def pointed_path_count_failures(tables: ModuleTables) -> tuple:
+    """``path_count_failures`` on pointed tables, as one flat sweep.
+
+    Each ``(X, Y, i)`` has one column path, to ``(XY) act m_i``, and one row
+    path (``row_steps``).  Where their totals differ, each total is reached
+    by one path on its own side and none on the other: counts ``(1, 0)`` and
+    ``(0, 1)``, in ``simples`` order.
+    """
+    labels, simples, fuse, act = _pointed_index(tables)
+    out = []
+    for x, X in enumerate(labels):
+        for y, Y in enumerate(labels):
+            first, second = row_steps(tables.right, x, y)
+            via_fuse, act_first, act_second = act[fuse[x][y]], act[first], act[second]
+            for p, i in enumerate(simples):
+                col, row = via_fuse[p], act_second[act_first[p]]
+                if col != row:
+                    for t, counts in sorted(((col, (1, 0)), (row, (0, 1)))):
+                        out.append(((X, Y, i, simples[t]), *counts))
+    return tuple(out)
+
+
+def pointed_l_block_failures(tables: ModuleTables) -> tuple:
+    """``l_block_failures`` on pointed tables, as one flat sweep that keeps
+    the inverses it computes where ``l_inverse`` reads them.
+
+    The block at ``(X, Y, i, t)``, ``t = (XY) act m_i``, has the one column
+    ``XY`` and the one row ``j``, the first row step (``row_steps``).  If the
+    row path ends at ``t`` it is 1 x 1 and holds ``L(X,Y,i; j,XY,t)``, else it
+    is 0 x 1 (``not-square``).  A zero entry is ``singular`` and one whose
+    inverse meets a zero divisor ``zero-divisor``, as ``Matrix.inverse``
+    finds them; a block whose inverse is already kept is not inverted again.
+    """
+    labels, simples, fuse, act = _pointed_index(tables)
+    L_entry, kept = tables._l_entry, tables._linv_cache
+    out = []
+    for x, X in enumerate(labels):
+        for y, Y in enumerate(labels):
+            first, second = row_steps(tables.right, x, y)
+            z = fuse[x][y]
+            Z, via_fuse, act_first, act_second = labels[z], act[z], act[first], act[second]
+            for p, i in enumerate(simples):
+                t, j = via_fuse[p], act_first[p]
+                key = (X, Y, i, simples[t])
+                if key in kept:
+                    continue
+                if act_second[j] != t:
+                    out.append(("not-square", key))
+                    continue
+                entry = L_entry(X, Y, i, simples[j], Z, simples[t])
+                if not entry:
+                    out.append(("singular", key))
+                    continue
+                try:
+                    kept[key] = {(Z, simples[j]): entry.inverse()}
+                except ZeroDivisorDetected:
+                    out.append(("zero-divisor", key))
+    return tuple(out)
+
+
 def pointed_pentagon_failures(tables: ModuleTables) -> tuple:
     """``left_pentagon_failures`` on pointed left tables, as one flat sweep.
 
@@ -629,12 +724,8 @@ def pointed_pentagon_failures(tables: ModuleTables) -> tuple:
     then every symbol the general sweep reads is one of these entries, or an
     F-symbol read as 0 where ``(XY)Z != X(YZ)`` that zeroes its product here.
     """
-    base, simples = tables.base, tables.simples
-    labels = base.simples
-    pos = {a: p for p, a in enumerate(labels)}
-    mpos = {i: p for p, i in enumerate(simples)}
-    fuse = [[pos[base.fuse(X, Y)[0]] for Y in labels] for X in labels]
-    act = [[mpos[tables.act_set(X, i)[0]] for i in simples] for X in labels]
+    base = tables.base
+    labels, simples, fuse, act = _pointed_index(tables)
     xy = [[labels[p] for p in row] for row in fuse]     # the simple X x Y
     xi = [[simples[p] for p in row] for row in act]     # the simple X act m_i
     L_entry, F_entry = tables._l_entry, base._f_entry

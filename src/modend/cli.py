@@ -117,12 +117,20 @@ def _keyed(section: str, entries, value) -> dict:
     return out
 
 
+def _simples(data: dict) -> list:
+    """``data["simples"]``, refused unless it is a JSON list of strings."""
+    simples = data["simples"]
+    if type(simples) is not list or not all(type(s) is str for s in simples):
+        raise ValueError(f"simples {simples!r} is not a JSON list of strings")
+    return simples
+
+
 def _load_category(name: str, data: dict) -> FusionCategorySpec:
     field = FieldSpec(data["field"]["min_poly"])
     f_symbols = _keyed("f_symbols", data.get("f_symbols", []),
                        lambda e: _parse_element(field, e["value"]))
     return FusionCategorySpec(
-        field=field, simples=data["simples"], unit=data["unit"],
+        field=field, simples=_simples(data), unit=data["unit"],
         dual=data["dual"], fusion=[tuple(t) for t in data["fusion"]],
         f_symbols=f_symbols, name=name)
 
@@ -141,7 +149,7 @@ def _load_module(name: str, data: dict, bundle: InstanceBundle) -> ModuleCategor
     units = {i: _parse_element(base.field, v)
              for i, v in data.get("unit_scalars", {}).items()}
     return ModuleCategorySpec(
-        base=base, simples=data["simples"],
+        base=base, simples=_simples(data),
         action=[tuple(t) for t in data["action"]], l_symbols=l_symbols,
         unit_scalars=units, orientation=data.get("orientation", "left"), name=name)
 

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 from . import blocks
 from .blocks import BaseTables
 from .common import (InconsistentRigidity, NotATensorSubcategory, UnknownLabel,
-                     ValidationReport)
+                     ValidationReport, unique_triples)
 from .scalarfield import FieldSpec, FieldElement
 
 
@@ -49,7 +49,7 @@ class FusionCategorySpec:
             for lab in triple:
                 if lab not in self.simples:
                     raise UnknownLabel(lab)
-        self.fusion = frozenset(triples)
+        self.fusion = unique_triples("fusion", triples)
         fuse_map = {}
         for a in self.simples:
             for b in self.simples:

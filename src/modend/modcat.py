@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import blocks
 from .blocks import ModuleTables, row_steps
-from .common import UnknownLabel, ValidationReport
+from .common import UnknownLabel, ValidationReport, unique_triples
 from .fusioncat import FusionCategorySpec, tensor_subcategory
 from .scalarfield import FieldElement
 
@@ -43,7 +43,7 @@ class ModuleCategorySpec:
         self.field = base.field
         self.orientation = orientation
         self.simples = tuple(simples)
-        self.action = frozenset(tuple(t) for t in action)
+        self.action = unique_triples("action", (tuple(t) for t in action))
         for X, i, j in self.action:
             if X not in base.simples or i not in self.simples or j not in self.simples:
                 raise UnknownLabel(f"action triple {(X, i, j)}")
