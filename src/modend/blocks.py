@@ -672,35 +672,32 @@ def pointed_l_block_failures(tables: ModuleTables) -> tuple:
     """``l_block_failures`` on pointed tables, as one flat sweep that keeps
     the inverses it computes where ``l_inverse`` reads them.
 
-    The block at ``(X, Y, i, t)``, ``t = (XY) act m_i``, has the one column
-    ``XY`` and the one row ``j``, the first row step (``row_steps``).  If the
-    row path ends at ``t`` it is 1 x 1 and holds ``L(X,Y,i; j,XY,t)``, else it
-    is 0 x 1 (``not-square``).  A zero entry is ``singular`` and one whose
-    inverse meets a zero divisor ``zero-divisor``, as ``Matrix.inverse``
-    finds them; a block whose inverse is already kept is not inverted again.
+    The block at ``(X, Y, i, t)``, ``t = (XY) act m_i``, is 1 x 1 and holds
+    ``L(X,Y,i; j,XY,t)``, where ``j`` is the first row step (``row_steps``).
+    A zero entry is ``singular`` and one whose inverse meets a zero divisor
+    ``zero-divisor``, as ``Matrix.inverse`` finds them; a block whose inverse
+    is already kept is not inverted again.  Like ``l_block_failures``, the
+    sweep expects the path counts to agree (``path_count_failures``), which
+    both validators check first: then the row path also ends at ``t``.
     """
     labels, simples, fuse, act = _pointed_index(tables)
     L_entry, kept = tables._l_entry, tables._linv_cache
     out = []
     for x, X in enumerate(labels):
         for y, Y in enumerate(labels):
-            first, second = row_steps(tables.right, x, y)
             z = fuse[x][y]
-            Z, via_fuse, act_first, act_second = labels[z], act[z], act[first], act[second]
+            Z, via_fuse, act_first = labels[z], act[z], act[row_steps(tables.right, x, y)[0]]
             for p, i in enumerate(simples):
-                t, j = via_fuse[p], act_first[p]
-                key = (X, Y, i, simples[t])
+                t, j = simples[via_fuse[p]], simples[act_first[p]]
+                key = (X, Y, i, t)
                 if key in kept:
                     continue
-                if act_second[j] != t:
-                    out.append(("not-square", key))
-                    continue
-                entry = L_entry(X, Y, i, simples[j], Z, simples[t])
+                entry = L_entry(X, Y, i, j, Z, t)
                 if not entry:
                     out.append(("singular", key))
                     continue
                 try:
-                    kept[key] = {(Z, simples[j]): entry.inverse()}
+                    kept[key] = {(Z, j): entry.inverse()}
                 except ZeroDivisorDetected:
                     out.append(("zero-divisor", key))
     return tuple(out)

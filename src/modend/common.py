@@ -5,20 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-def unique_triples(section: str, triples) -> frozenset:
-    """``triples`` as a set; a triple given twice is refused, naming it.
-
-    The tables are multiplicity-free, so a repeated triple is never a
-    multiplicity of 2.
-    """
-    out = set()
-    for triple in triples:
-        if triple in out:
-            raise ValueError(f"{section} triple {list(triple)} is repeated")
-        out.add(triple)
-    return frozenset(out)
-
-
 class UnknownLabel(KeyError):
     pass
 

@@ -24,8 +24,22 @@ from typing import Iterable, Mapping, Sequence
 from . import blocks
 from .blocks import BaseTables
 from .common import (InconsistentRigidity, NotATensorSubcategory, UnknownLabel,
-                     ValidationReport, unique_triples)
+                     ValidationReport)
 from .scalarfield import FieldSpec, FieldElement
+
+
+def unique_triples(section: str, triples) -> frozenset:
+    """``triples`` as a set; a triple given twice is refused, naming it.
+
+    The tables are multiplicity-free, so a repeated triple is never a
+    multiplicity of 2.
+    """
+    out = set()
+    for triple in triples:
+        if triple in out:
+            raise ValueError(f"{section} triple {list(triple)} is repeated")
+        out.add(triple)
+    return frozenset(out)
 
 
 class FusionCategorySpec:

@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import blocks
 from .blocks import ModuleTables, row_steps
-from .common import UnknownLabel, ValidationReport, unique_triples
-from .fusioncat import FusionCategorySpec, tensor_subcategory
+from .common import UnknownLabel, ValidationReport
+from .fusioncat import FusionCategorySpec, tensor_subcategory, unique_triples
 from .scalarfield import FieldElement
 
 
