@@ -94,7 +94,8 @@ def _forgetful(doc):
 
 def _repeat_first(section, **changes):
     """Append the first entry of ``section`` again, with ``changes``."""
-    section.append({**section[0], **changes})
+    first = section[0]
+    section.append({**first, **changes} if isinstance(first, dict) else first)
 
 
 # file to edit, how, and the error the loader gives for it
@@ -144,14 +145,36 @@ LOADER_REFUSALS = {
                             lambda d: _repeat_first(_forgetful(d)["on_simples"], value=0),
                             "functor 'forgetful': ValueError: on_simples key ['m', 'e'] is "
                             "repeated"),
+    "simples-string": ("vec_z4.json",
+                       lambda d: d["categories"]["vec_z4"].update(simples="0123"),
+                       "category 'vec_z4': ValueError: simples '0123' is not a JSON list of "
+                       "strings"),
+    "simples-integers": ("vec_z4.json",
+                         lambda d: d["categories"]["vec_z4"].update(simples=[0, 1, 2, 3]),
+                         "category 'vec_z4': ValueError: simples [0, 1, 2, 3] is not a JSON "
+                         "list of strings"),
+    "module-simples-string": ("vec_over_vec_z2.json",
+                              lambda d: d["modules"]["vec_over_vec_z2"].update(simples="m"),
+                              "module 'vec_over_vec_z2': ValueError: simples 'm' is not a JSON "
+                              "list of strings"),
+    "repeated-fusion-triple": ("vec_z4.json",
+                               lambda d: _repeat_first(d["categories"]["vec_z4"]["fusion"]),
+                               "category 'vec_z4': ValueError: fusion triple ['0', '0', '0'] is "
+                               "repeated"),
+    "repeated-action-triple": ("vec_over_vec_z2.json",
+                               lambda d: _repeat_first(d["modules"]["vec_over_vec_z2"]["action"]),
+                               "module 'vec_over_vec_z2': ValueError: action triple "
+                               "['e', 'm', 'm'] is repeated"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LOADER_REFUSALS))
 def test_loader_refusals_give_one_json_line(tmp_path, capsys, case):
     """A multiplicity that is not a non-negative JSON integer, a boolean given
-    as a scalar and a key repeated in one section are each refused at load
-    time: one JSON line naming the entity and the key, exit code 1."""
+    as a scalar, a key repeated in one section, ``simples`` that are not a
+    JSON list of strings and a fusion or action triple given twice are each
+    refused at load time: one JSON line naming the entity and the key or
+    value, exit code 1."""
     filename, mutate, error = LOADER_REFUSALS[case]
     doc = json.loads(Path(_bundled_path(filename)).read_text())
     mutate(doc)

@@ -447,15 +447,22 @@ def _theta_shift(field, rng):
     return field.gen() + field.rational(rng.randint(-3, 3))
 
 
-@pytest.mark.parametrize("cname", ["vec_z2_omega", "vec_z4"])
-def test_pointed_sweep_over_a_field_of_degree_two(cname):
-    """The field-element branch: a pointed category over Q(sqrt 2) and its
-    regular module, both gauged by cochains in theta, and a mutant of each."""
+def _sqrt2_gauged(cname):
+    """The pointed corpus category ``cname`` over Q(sqrt 2) and its regular
+    module, both gauged by cochains in theta."""
     bundle = cli.load(cli.bundled_instance_paths())
     rng = random.Random(zlib.crc32(cname.encode()))
     plain = _over_sqrt2(bundle.category(cname))
     cat, lam = gauge_category(plain, rng, scalar=_theta_shift)
     mod, _ = gauge_module(regular_module(plain), cat, lam, rng, scalar=_theta_shift)
+    return cat, mod
+
+
+@pytest.mark.parametrize("cname", ["vec_z2_omega", "vec_z4"])
+def test_pointed_sweep_over_a_field_of_degree_two(cname):
+    """The field-element branch: a pointed category over Q(sqrt 2) and its
+    regular module, both gauged by cochains in theta, and a mutant of each."""
+    cat, mod = _sqrt2_gauged(cname)
     assert any(val.num[1] for val in mod._l.values())
     assert validate_fusion(cat).ok and validate_module(mod).ok
     for spec in (cat, mod):
@@ -467,3 +474,132 @@ def test_pointed_sweep_over_a_field_of_degree_two(cname):
         tables = _pentagon_tables(mutated(spec, site, 2))
         failures = blocks.pointed_pentagon_failures(tables)
         assert failures and failures == _general_pentagon_failures(tables)
+
+
+# ---------------------------------------------------------------------------
+# the flat path-count and block sweeps of pointed tables
+# (``blocks.pointed_path_count_failures``, ``blocks.pointed_l_block_failures``)
+
+
+def _swept_subjects():
+    """POINTED, the opposites (right modules) of vec_over_vec_z2 and of the
+    gauged regular modules, and the gauged pointed categories over Q(sqrt 2)
+    with their regular modules."""
+    out = dict(POINTED)
+    for name in ("vec_over_vec_z2_op", "vec_z2_omega_regular_op~gauged",
+                 "vec_z4_regular_op~gauged"):
+        out[name] = SUBJECTS[name][1]
+    for cname in ("vec_z2_omega", "vec_z4"):
+        out[f"{cname}/sqrt2~gauged"], out[f"{cname}_regular/sqrt2~gauged"] = _sqrt2_gauged(cname)
+    return out
+
+
+SWEPT = _swept_subjects()
+
+
+def _with_triples(spec, triples):
+    """``spec`` rebuilt on its own tables, with ``triples`` as its fusion or
+    action table."""
+    if isinstance(spec, FusionCategorySpec):
+        return FusionCategorySpec(field=spec.field, simples=spec.simples, unit=spec.unit,
+                                  dual=spec.dual, fusion=triples, f_symbols=spec.f_raw,
+                                  name=spec.name)
+    return ModuleCategorySpec(base=spec.base, simples=spec.simples, action=triples,
+                              l_symbols=spec.l_raw, unit_scalars=spec.units_raw,
+                              orientation=spec.orientation, name=spec.name)
+
+
+def _triples(spec):
+    return spec.fusion if isinstance(spec, FusionCategorySpec) else spec.action
+
+
+def _fresh(spec):
+    """A copy of ``spec`` on tables of its own, whose caches start empty."""
+    if isinstance(spec, ModuleCategorySpec) and spec.derived:
+        return regular_module(_fresh(spec.base))
+    return _with_triples(spec, _triples(spec))
+
+
+def _remapped(name, spec):
+    """``spec`` with one fusion or action triple ``(a, b, c)`` remapped to
+    ``(a, b, c')``, ``c'`` the next simple after ``c``: every set stays one
+    simple.  Triples whose first label is the unit, or a seeded sample of
+    six triples on zn4 and zn6."""
+    triples, labels = _triples(spec), spec.simples
+    unit = spec.base.unit if isinstance(spec, ModuleCategorySpec) else spec.unit
+    chosen = sorted(triples)
+    if name.startswith("zn"):
+        chosen = random.Random(zlib.crc32(name.encode())).sample(chosen, 6)
+    else:
+        chosen = [t for t in chosen if t[0] == unit]
+    out = []
+    for a, b, c in chosen:
+        moved = labels[(labels.index(c) + 1) % len(labels)]
+        if moved != c:
+            out.append(_with_triples(spec, triples - {(a, b, c)} | {(a, b, moved)}))
+    return out
+
+
+def _zeroed(name, spec):
+    """``spec`` with one F- or L-symbol set to 0, at a seeded sample of four
+    sites."""
+    sites = [site for site in mutation_sites(spec) if site[0] in ("f", "l")]
+    sites = random.Random(zlib.crc32(name.encode())).sample(sites, min(4, len(sites)))
+    return [mutated(spec, site, 0) for site in sites]
+
+
+def _general_failures(spec, monkeypatch):
+    """The general path-count and block sweeps of ``spec`` on fresh tables:
+    the ``Counter`` sweep, and ``block_failure(tables.l_inverse, ...)`` at every
+    ``(X, Y, i, t)`` unless the path counts fail.  Also the tables."""
+    tables = _pentagon_tables(_fresh(spec))
+    with monkeypatch.context() as patch:
+        patch.setattr(blocks, "is_pointed", lambda tables: False)
+        paths = tuple(blocks.path_count_failures(tables))
+    return paths, (None if paths else _unpruned_l_block_failures(tables)), tables
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+def test_pointed_path_and_block_sweeps_match_the_general_sweeps(name, monkeypatch):
+    """On every pointed subject, left or right, and on each mutant with one
+    triple remapped or one symbol set to 0, the flat sweeps fail at the
+    tuples the general sweeps fail at, in the same order; every mutant fails.
+    Each inverse the flat sweep keeps is that of the block on fresh tables,
+    and the general sweep run after it inverts only the failing blocks."""
+    spec = SWEPT[name]
+    remapped, zeroed = _remapped(name, spec), _zeroed(name, spec)
+    assert zeroed and (remapped or len(spec.simples) == 1)
+    for case in [spec] + remapped + zeroed:
+        paths, failures, general = _general_failures(case, monkeypatch)
+        tables = _pentagon_tables(_fresh(case))
+        assert blocks.is_pointed(tables)
+        assert tuple(blocks.path_count_failures(tables)) == paths, name
+        if case in remapped:
+            assert paths, name
+            continue
+        assert paths == () and blocks.l_block_failures(tables) == failures, name
+        assert ("singular" in {kind for kind, _ in failures}) == (case in zeroed), name
+        kept = tables._linv_cache
+        assert kept == {key: blocks.inverse_entries(*general.l_block(*key)) for key in kept}
+        assert set(kept) == {key for key, inv in general._linv_cache.items() if inv}
+        with monkeypatch.context() as patch:
+            inverted, inverse = [], Matrix.inverse
+            patch.setattr(Matrix, "inverse", lambda mat: inverted.append(mat) or inverse(mat))
+            patch.setattr(blocks, "is_pointed", lambda tables: False)
+            assert blocks.l_block_failures(tables) == failures
+        assert len(inverted) == len(failures)
+
+
+def test_pointed_zero_divisor_matches_the_general_sweep(monkeypatch):
+    """A pointed category over Q[x]/(x^2 - 1) whose F-symbol F(s,s,s; s; e,e)
+    is 1 + x: both sweeps report the zero divisor, and so does the validator."""
+    triv = cli.load(cli.bundled_instance_paths()).category("vec_z2_triv")
+    field, key = FieldSpec([-1, 0, 1]), ("s", "s", "s", "s", "e", "e")
+    spec = FusionCategorySpec(field=field, simples=triv.simples, unit=triv.unit, dual=triv.dual,
+                              fusion=triv.fusion, f_symbols={key: field.element([1, 1])},
+                              name="vec_z2_triv/(x^2-1)")
+    want = (("zero-divisor", key[:4]),)
+    assert _general_failures(spec, monkeypatch)[:2] == ((), want)
+    tables = _pentagon_tables(_fresh(spec))
+    assert blocks.is_pointed(tables) and blocks.l_block_failures(tables) == want
+    assert _entries(validate_fusion(spec)) == [("f-block-zero-divisor", key[:4])]

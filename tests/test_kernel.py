@@ -7,6 +7,7 @@ import pytest
 
 from helpers import bench_gen, ev_flat, runit_reg, uhom_obj, unit_l
 from modend import blocks, cli, endengine, theorems
+from modend.fusioncat import validate_fusion
 from modend.modcat import ModuleCategorySpec, opposite_module, validate_module
 from modend.modfunct import compose_functors
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
@@ -204,6 +205,32 @@ def test_blocks_are_inverted_once_per_load(monkeypatch):
     assert all(blocks.lev_tensor_holds(c.tables, a, b) for c in bundle.categories.values()
                for a in c.simples for b in c.simples)
     assert len(inverted) == swept
+
+
+def test_pointed_gate_inverts_no_matrix_and_builds_no_block(tmp_path, monkeypatch):
+    """On pointed zn4 the gate's flat sweeps read symbols and invert 1 x 1
+    entries: one ``validate_all`` makes no ``Matrix.inverse`` call, and the
+    validators build no F- or L-block.  A second sweep of the same tables
+    keeps the inverses the first one kept.  (``validate_all`` also installs
+    the duality scalars, whose lookups of the kept inverses build the blocks
+    they key, as every ``f_inverse`` lookup does.)"""
+    calls, inverse = [], Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda mat: calls.append("inverse") or inverse(mat))
+    assert all(rep.ok for rep in _zn4(tmp_path).validate_all())
+    assert calls == []
+    for owner, name in ((blocks.BaseTables, "f_block"), (blocks.ModuleTables, "l_block")):
+        def counting(tables, *key, _fn=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _fn(tables, *key)
+        monkeypatch.setattr(owner, name, counting)
+    bundle = _zn4(tmp_path)
+    cat = bundle.category("zn4")
+    assert validate_fusion(cat).ok
+    kept = dict(cat.tables._finv_cache)
+    assert len(kept) == 4 ** 3
+    assert validate_module(bundle.module("zn4_regular")).ok   # the same regular tables
+    assert all(cat.tables._finv_cache[key] is inv for key, inv in kept.items())
+    assert calls == []
 
 
 def test_object_valued_ends_solve_once(tmp_path, monkeypatch):
