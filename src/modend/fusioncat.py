@@ -204,12 +204,12 @@ def compute_duality(spec: FusionCategorySpec) -> None:
 
 def tensor_subcategory(spec: FusionCategorySpec, labels: Sequence[str]) -> tuple:
     """The labels in ``spec.simples`` order, checked to span a tensor subcategory."""
-    subset = set(labels)
-    if spec.unit not in subset:
-        raise NotATensorSubcategory("unit missing")
     for a in labels:
         if a not in spec.simples:
             raise NotATensorSubcategory(f"unknown label {a}")
+    subset = set(labels)
+    if spec.unit not in subset:
+        raise NotATensorSubcategory("unit missing")
     sub = tuple(a for a in spec.simples if a in subset)
     for a in sub:
         if spec.dual[a] not in subset:

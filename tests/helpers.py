@@ -1160,9 +1160,9 @@ def upsilon_probe_composite(reg_module: ModuleCategorySpec, x: str):
 
 
 # ---------------------------------------------------------------------------
-# references for the checks that now share a sweep or read the action table:
-# the loops ``validate_fusion``, ``validate_module`` and ``hom_lemma_suite``
-# ran before, kept as they were
+# references for the checks that now share a sweep or count sparsely: the
+# loops ``validate_fusion``, ``validate_module`` and ``hom_lemma_suite`` ran
+# before, kept as they were
 
 
 def fusion_associativity_entries(spec: FusionCategorySpec) -> list:
@@ -1201,7 +1201,8 @@ def action_associativity_entries(spec: ModuleCategorySpec) -> list:
 
 
 def hom_lemma_suite_via_opposite(m: ModuleCategorySpec) -> ValidationReport:
-    """``theorems.hom_lemma_suite`` reading ``uhom-op`` off ``opposite_module(m)``."""
+    """The dense loop of ``theorems.hom_lemma_suite``, with a ``uhom-op`` tail
+    read off ``opposite_module(m)`` that the sparse sweep leaves out."""
     report = ValidationReport(subject=f"hom lemmas on {m.name}")
     base = m.base
     n = lambda X, i, j: 1 if j in m.act_set(X, i) else 0

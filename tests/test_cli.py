@@ -440,6 +440,16 @@ def test_restrict_error_is_deterministic():
     assert outs == {'{"error":"not fusion-closed at (1,1)","status":"validation-failed"}\n'}
 
 
+@pytest.mark.parametrize("labels", ["2,zz", "zz"])
+def test_restrict_names_an_unknown_label(labels, capsys):
+    """A label that is not a simple of the base is named as such, not reported
+    as a missing unit."""
+    assert cli.main(["end", "--hom", "id_vec_z4_regular", "id_vec_z4_regular",
+                     "--restrict", labels]) == 1
+    assert capsys.readouterr().out == \
+        '{"error":"unknown label zz","status":"validation-failed"}\n'
+
+
 def _singular_fib_blocks(cat):
     """Zero every ``F[tau,tau,tau; tau]`` entry and ``F[tau,tau,tau; 1; tau,tau]``."""
     cat["f_symbols"] = [e for e in cat["f_symbols"] if e["key"][:4] != ["tau"] * 4]

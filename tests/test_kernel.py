@@ -7,8 +7,8 @@ import pytest
 
 from helpers import bench_gen, ev_flat, runit_reg, uhom_obj, unit_l
 from modend import blocks, cli, endengine, theorems
-from modend.fusioncat import validate_fusion
-from modend.modcat import ModuleCategorySpec, opposite_module, validate_module
+from modend.fusioncat import FusionCategorySpec, validate_fusion
+from modend.modcat import ModuleCategorySpec, opposite_module, regular_module, validate_module
 from modend.modfunct import compose_functors
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
@@ -251,6 +251,23 @@ def test_object_valued_ends_solve_once(tmp_path, monkeypatch):
         calls.clear()
         step()
         assert sorted(calls) == ["rref"] * solves + ["solve_end"] * solves
+
+
+def test_hom_lemma_suite_reads_each_action_set_a_bounded_number_of_times(monkeypatch):
+    """One ``hom_lemma_suite`` of the gen zn8 regular module reads the action
+    and fusion sets at most 8 n**3 times (n = 8): the counts are sparse per
+    ``(X, i)``, not a sum over all simples at every ``(X, i, j, W)``.  At least
+    one read keeps the pin from passing on a sweep of the private tables."""
+    cat = cli._load_category("zn8", bench_gen().instance(8, 1)["categories"]["zn8"])
+    reg = regular_module(cat)
+    calls = []
+    for cls, attr in ((ModuleCategorySpec, "act_set"), (FusionCategorySpec, "fuse")):
+        def counting(self, *args, _fn=getattr(cls, attr)):
+            calls.append(args)
+            return _fn(self, *args)
+        monkeypatch.setattr(cls, attr, counting)
+    assert theorems.hom_lemma_suite(reg).ok
+    assert 1 <= len(calls) <= 8 * 8 ** 3
 
 
 def test_symbol_level_constructions_build_no_morphisms(monkeypatch):

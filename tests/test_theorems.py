@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -9,7 +10,8 @@ from helpers import (all_categories, bench_gen, fib, gauge_category, gauge_funct
 from modend import cli, endengine, theorems
 from modend.common import OracleMismatch, SerreCertificateFailure, UpsilonMismatch
 from modend.fusioncat import validate_fusion
-from modend.modcat import internal_hom, opposite_module, regular_module, validate_module
+from modend.modcat import (ModuleCategorySpec, internal_hom, opposite_module, regular_module,
+                           validate_module)
 from modend.modfunct import act_right_functor, identity_functor, validate_functor
 from modend.scalarfield import subspace_equal
 from modend.theorems import (adjoint_shift_check, hom_lemma_suite, internal_character,
@@ -164,36 +166,83 @@ def test_hom_lemma_suite_clean(name):
 
 
 def test_hom_lemma_suite_detects_corruption():
-    from modend.modcat import ModuleCategorySpec
     spec = vec_z2_triv()
     reg = regular_module(spec)
     # corrupt the action table: drop one admissible triple
     action = set(reg.action) - {("s", "s", "e")}
     broken = ModuleCategorySpec(base=spec, simples=reg.simples, action=action,
-                                l_symbols={k: v for k, v in reg._l.items()
-                                           if k in set()}, name="broken")
+                                l_symbols={}, name="broken")
     rep = hom_lemma_suite(broken)
     assert not rep.ok
     assert any(e.check.startswith("uhom") for e in rep.entries)
     assert rep.entries == hom_lemma_suite_via_opposite(broken).entries
 
 
+def _hom_lemma_subjects() -> list:
+    """Every bundled module, the regular modules of bench/gen.py zn4 and zn6,
+    and the opposite of each."""
+    modules = list(cli.load(cli.bundled_instance_paths()).modules.values())
+    gen = bench_gen()
+    for n in (4, 6):
+        cat = cli._load_category(f"zn{n}", gen.instance(n, 1)["categories"][f"zn{n}"])
+        modules.append(regular_module(cat))
+    return modules + [opposite_module(m) for m in modules]
+
+
+HOM_LEMMA_SUBJECTS = _hom_lemma_subjects()
+
+
 def test_hom_lemma_suite_matches_the_opposite_module_route():
     """``uhom-op`` is read off the action table: ``i in X* act m_j`` is
-    ``i in X act m_j`` in ``opposite_module(m)``, on every bundled module, the
-    regular module of zn4 and the opposite of each, and the whole report is
-    the one the opposite-module route gives."""
-    modules = list(cli.load(cli.bundled_instance_paths()).modules.values())
-    modules.append(regular_module(
-        cli._load_category("zn4", bench_gen().instance(4, 1)["categories"]["zn4"])))
-    for m in modules + [opposite_module(m) for m in modules]:
+    ``i in X act m_j`` in ``opposite_module(m)``, on every subject above.  Each
+    subject passes the gate, the reference's ``uhom-op`` tail finds nothing on
+    it, and the sparse sweep gives the reference's whole report."""
+    for m in HOM_LEMMA_SUBJECTS:
         op, base = opposite_module(m), m.base
         for X in base.simples:
             for i in m.simples:
                 for j in m.simples:
                     assert (i in m.act_set(base.dual[X], j)) == (i in op.act_set(X, j))
+        assert validate_module(m).ok, m.name
+        want = hom_lemma_suite_via_opposite(m)
+        assert not any(e.check == "uhom-op" for e in want.entries), m.name
         rep = hom_lemma_suite(m)
-        assert rep.ok and rep == hom_lemma_suite_via_opposite(m), m.name
+        assert rep.ok and rep == want, m.name
+
+
+def _triple_mutants(m) -> list:
+    """``m`` with one action triple dropped, and with one absent triple added
+    (an action set of two simples, so counts reach 2): every triple, or six
+    of each kind seeded by the name on bench/gen.py zn6."""
+    present = set(m.action)
+    absent = [(X, i, j) for X in m.base.simples for i in m.simples for j in m.simples
+              if (X, i, j) not in present]
+    dropped, added = sorted(present), absent
+    if m.name.startswith("zn6"):
+        rng = random.Random(zlib.crc32(m.name.encode()))
+        dropped, added = rng.sample(dropped, 6), rng.sample(added, 6)
+    return [ModuleCategorySpec(base=m.base, simples=m.simples, action=action,
+                               l_symbols=m.l_raw, unit_scalars=m.unit_scalars,
+                               orientation=m.orientation, name=m.name)
+            for action in [present - {t} for t in dropped] + [present | {t} for t in added]]
+
+
+def test_hom_lemma_suite_matches_the_dense_reference_on_mutants():
+    """Every subject above with one action triple dropped or added, in both
+    orientations (the dropped ones are the action mutants of
+    ``tests/test_gate.py``): the sparse sweep fails on each, with the dense
+    reference's entries in the same order, and some report holds both checks
+    at one tuple, the first before the second."""
+    both_at_one_tuple = 0
+    for m in HOM_LEMMA_SUBJECTS:
+        for mutant in _triple_mutants(m):
+            rep = hom_lemma_suite(mutant)
+            assert not rep.ok, (m.name, mutant.action ^ set(m.action))
+            assert rep.entries == hom_lemma_suite_via_opposite(mutant).entries
+            both_at_one_tuple += any(
+                (a.check, b.check) == ("uhom-shift-first", "uhom-shift-second")
+                and a.location == b.location for a, b in zip(rep.entries, rep.entries[1:]))
+    assert both_at_one_tuple
 
 
 GAUGE_NAMES = ["vec_z2_omega", "vec_z4", "fib", "ising"]
