@@ -212,13 +212,13 @@ def test_hom_lemma_suite_matches_the_opposite_module_route():
 
 def _triple_mutants(m) -> list:
     """``m`` with one action triple dropped, and with one absent triple added
-    (an action set of two simples, so counts reach 2): every triple, or six
-    of each kind seeded by the name on bench/gen.py zn6."""
+    (one more simple in an action set, so counts reach 2): every triple, or
+    six of each kind seeded by the name on bench/gen.py zn4 and zn6."""
     present = set(m.action)
     absent = [(X, i, j) for X in m.base.simples for i in m.simples for j in m.simples
               if (X, i, j) not in present]
     dropped, added = sorted(present), absent
-    if m.name.startswith("zn6"):
+    if m.name.startswith("zn"):
         rng = random.Random(zlib.crc32(m.name.encode()))
         dropped, added = rng.sample(dropped, 6), rng.sample(added, 6)
     return [ModuleCategorySpec(base=m.base, simples=m.simples, action=action,
@@ -229,7 +229,7 @@ def _triple_mutants(m) -> list:
 
 def test_hom_lemma_suite_matches_the_dense_reference_on_mutants():
     """Every subject above with one action triple dropped or added, in both
-    orientations (the dropped ones are the action mutants of
+    orientations (the dropped ones include the action mutants of
     ``tests/test_gate.py``): the sparse sweep fails on each, with the dense
     reference's entries in the same order, and some report holds both checks
     at one tuple, the first before the second."""
