@@ -294,9 +294,9 @@ def _memoized(fn):
 
     Object constructors are hash-consed this way: equal arguments on one
     tables object give the same :class:`Obj`; the end engine keeps its
-    evaluation scalars this way.  The duality scalars an evaluation reads are
-    installed once, before any evaluation is built, so they need no place in
-    the key.
+    evaluation scalars this way, and the base tables their ``phi_r`` and
+    ``phi_l`` scalars.  The duality scalars these read are installed once,
+    before any of them is computed, so they need no place in the key.
     """
     name = fn.__name__
 
@@ -387,6 +387,7 @@ def assoc_inv(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
 # duality on the base category
 
 
+@_memoized
 def phi_r_scalar(base: BaseTables, a: str, b: str, z: str):
     """Scalar at ``z in a x b`` of the canonical iso ``(a x b)* -> b* x a*``
     between two right duals, which is monomial.
@@ -398,6 +399,7 @@ def phi_r_scalar(base: BaseTables, a: str, b: str, z: str):
             / (F(a, b, d[z], one, z, d[a]) * base.lev[d[z]]))
 
 
+@_memoized
 def phi_l_scalar(base: BaseTables, a: str, b: str, z: str):
     """Scalar at ``z in a x b`` of the canonical iso ``*(a x b) -> *b x *a``
     between two left duals, which is monomial.

@@ -29,12 +29,12 @@ from .fusioncat import FusionCategorySpec, validate_fusion
 from .modcat import ModuleCategorySpec, internal_hom, regular_module, validate_module
 from .modfunct import (ModuleFunctorSpec, act_right_functor, identity_functor,
                        validate_functor)
-from .scalarfield import FieldElement, FieldSpec, Matrix, as_fraction
+from .scalarfield import FieldElement, FieldSpec, Matrix
 
 
 def _parse_element(field: FieldSpec, value) -> FieldElement:
     if isinstance(value, (int, str)):
-        return field.rational(as_fraction(value))
+        return field.rational(value)
     if isinstance(value, list):
         return field.element(value)
     raise ParseError(f"not a field element: {value!r}")
@@ -362,6 +362,11 @@ def run(command, bundle: InstanceBundle) -> Report:
         raise UnknownCommand("empty command")
     op = argv[0]
     values, flags = _check_arguments(op, argv[1:]) if op in USAGE else ({}, set())
+    if "--restrict" in flags:
+        labels = values["LABELS"].split(",")
+        bad = next((a for a in labels if not a or a != a.strip()), None)
+        if bad is not None:
+            raise ParseError(f"{op}: LABELS item {bad!r} is empty or padded")
     digests = bundle.digests
     if op == "validate":
         reports = bundle.validate_all()
@@ -391,7 +396,7 @@ def run(command, bundle: InstanceBundle) -> Report:
         sys_ = (endengine.ordinary_end_system(f, g) if "--ordinary" in flags
                 else endengine.build_nat_system(f, g))
         if "--restrict" in flags:
-            sys_ = endengine.restrict_conditions(sys_, values["LABELS"].split(","))
+            sys_ = endengine.restrict_conditions(sys_, labels)
         res = endengine.solve_end(sys_)
         return Report(command, digests, "ok", {"dim": res.dim})
     if op == "serre":

@@ -42,6 +42,18 @@ def unique_triples(section: str, triples) -> frozenset:
     return frozenset(out)
 
 
+def triple_map(triples, firsts: Sequence[str], seconds: Sequence[str],
+               thirds: Sequence[str]) -> dict:
+    """``{(a, b): (c, ...)}`` for ``a`` in ``firsts``, ``b`` in ``seconds``: the
+    ``c`` with ``(a, b, c)`` in ``triples``, in ``thirds`` order.  Every label
+    of ``triples`` must be in its list."""
+    pos = {c: k for k, c in enumerate(thirds)}
+    out = {(a, b): [] for a in firsts for b in seconds}
+    for a, b, c in triples:
+        out[a, b].append(c)
+    return {key: tuple(sorted(cs, key=pos.__getitem__)) for key, cs in out.items()}
+
+
 class FusionCategorySpec:
     """Immutable skeletal data of a multiplicity-free fusion category."""
 
@@ -64,11 +76,7 @@ class FusionCategorySpec:
                 if lab not in self.simples:
                     raise UnknownLabel(lab)
         self.fusion = unique_triples("fusion", triples)
-        fuse_map = {}
-        for a in self.simples:
-            for b in self.simples:
-                fuse_map[(a, b)] = tuple(c for c in self.simples if (a, b, c) in self.fusion)
-        self._fuse_map = fuse_map
+        self._fuse_map = triple_map(self.fusion, self.simples, self.simples, self.simples)
         self.f_raw = dict(f_symbols or {})
         self._f = {}
         for key in self._admissible_f_keys():

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from . import blocks
 from .blocks import ModuleTables, row_steps
 from .common import UnknownLabel, ValidationReport
-from .fusioncat import FusionCategorySpec, tensor_subcategory, unique_triples
+from .fusioncat import FusionCategorySpec, tensor_subcategory, triple_map, unique_triples
 from .scalarfield import FieldElement
 
 
@@ -30,12 +30,17 @@ class ModuleCategorySpec:
     """Skeletal module-category data with a left/right orientation flag.
 
     A ``derived`` module (a regular one) is valid whenever its category is.
+    A construction whose data are complete by construction passes its action
+    map ``{(X, i): act_set(X, i)}`` as ``act_map`` and every admissible
+    L-symbol in ``l_symbols``; the triple checks and the admissible-key walk
+    are then skipped.
     """
 
     def __init__(self, base: FusionCategorySpec, simples: Sequence[str],
                  action: Iterable[tuple], l_symbols: Mapping[tuple, FieldElement],
                  unit_scalars: Mapping[str, FieldElement] | None = None,
-                 orientation: str = "left", name: str = "", derived: bool = False):
+                 orientation: str = "left", name: str = "", derived: bool = False,
+                 act_map: Mapping[tuple, tuple] | None = None):
         if orientation not in ("left", "right"):
             raise ValueError(f"bad orientation {orientation!r}")
         self.name, self.derived = name, derived
@@ -43,19 +48,18 @@ class ModuleCategorySpec:
         self.field = base.field
         self.orientation = orientation
         self.simples = tuple(simples)
-        self.action = unique_triples("action", (tuple(t) for t in action))
-        for X, i, j in self.action:
-            if X not in base.simples or i not in self.simples or j not in self.simples:
-                raise UnknownLabel(f"action triple {(X, i, j)}")
-        self._act_map = {}
-        for X in base.simples:
-            for i in self.simples:
-                self._act_map[(X, i)] = tuple(j for j in self.simples
-                                              if (X, i, j) in self.action)
         self.l_raw = dict(l_symbols)
-        self._l = {}
-        for key in self._admissible_l_keys():
-            self._l[key] = self.l_raw.get(key, self.field.one)
+        if act_map is not None:
+            self.action, self._act_map, self._l = frozenset(action), act_map, self.l_raw
+        else:
+            triples = [tuple(t) for t in action]
+            self.action = unique_triples("action", triples)
+            for X, i, j in triples:     # in the order given, not the set's
+                if X not in base.simples or i not in self.simples or j not in self.simples:
+                    raise UnknownLabel(f"action triple {(X, i, j)}")
+            self._act_map = triple_map(self.action, base.simples, self.simples, self.simples)
+            self._l = {key: self.l_raw.get(key, self.field.one)
+                       for key in self._admissible_l_keys()}
         self.units_raw = dict(unit_scalars or {})
         self.unit_scalars = {i: self.units_raw.get(i, self.field.one) for i in self.simples}
         self._tables = None
@@ -140,15 +144,14 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
 
 
 def regular_module(c: FusionCategorySpec) -> ModuleCategorySpec:
-    """The category acting on itself through ``c.tables.regular()``; L = F reindexed."""
-    l_symbols = {}
-    for (a, b, i, t, Z, j), val in c._f.items():
-        l_symbols[(a, b, i, j, Z, t)] = val
+    """The category acting on itself through ``c.tables.regular()``: the action
+    map is the fusion map, and L is the admissible F re-keyed."""
+    l_symbols = {(a, b, i, j, Z, t): val for (a, b, i, t, Z, j), val in c._f.items()}
     mod = ModuleCategorySpec(
         base=c, simples=c.simples, action=c.fusion, l_symbols=l_symbols,
         unit_scalars={i: c.field.one for i in c.simples},
         orientation="left", name=f"{c.name}_regular" if c.name else "regular",
-        derived=True)
+        derived=True, act_map=c._fuse_map)
     mod._tables = c.tables.regular()
     return mod
 

@@ -11,7 +11,7 @@ canonical bases: rows run over ``(k, copy, t)`` as produced by
 from __future__ import annotations
 
 from itertools import product
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import blocks
 from .blocks import FunctorTables
@@ -25,11 +25,14 @@ class ModuleFunctorSpec:
     """A module functor ``(F, c)`` between left modules over the same base.
 
     A ``derived`` functor (an identity, or a right multiplication on a regular
-    module) is valid whenever its modules are.
+    module) is valid whenever its modules are.  ``c_symbols`` may be given as
+    a function that returns them: it runs the first time ``c_symbols`` or
+    ``tables`` is read, so a derived functor no command reads costs nothing.
     """
 
     def __init__(self, src: ModuleCategorySpec, dst: ModuleCategorySpec,
-                 on_simples: Mapping[tuple, int], c_symbols: Mapping[tuple, Matrix],
+                 on_simples: Mapping[tuple, int],
+                 c_symbols: Mapping[tuple, Matrix] | Callable[[], Mapping[tuple, Matrix]],
                  name: str = "", derived: bool = False):
         if src.base is not dst.base:
             raise SourceTargetMismatch("source and target must share the base category")
@@ -41,8 +44,14 @@ class ModuleFunctorSpec:
         self.field = src.field
         self.on_raw = dict(on_simples)
         self.on_simples = {k: int(v) for k, v in on_simples.items() if v}
-        self.c_symbols = dict(c_symbols)
+        self._c_symbols = c_symbols if callable(c_symbols) else dict(c_symbols)
         self._tables = None
+
+    @property
+    def c_symbols(self) -> dict:
+        if callable(self._c_symbols):
+            self._c_symbols = dict(self._c_symbols())
+        return self._c_symbols
 
     def mult(self, i: str, k: str) -> int:
         return self.on_simples.get((i, k), 0)
@@ -103,12 +112,11 @@ def validate_functor(f: ModuleFunctorSpec) -> ValidationReport:
 
 
 def identity_functor(m: ModuleCategorySpec) -> ModuleFunctorSpec:
+    """The identity of ``m``, whose c-blocks are identities, built on first read."""
+    def c_symbols() -> dict:
+        return {(X, i): Matrix.identity(m.field, len(m.act_set(X, i)))
+                for X in m.base.simples for i in m.simples}
     on_simples = {(i, i): 1 for i in m.simples}
-    c_symbols = {}
-    for X in m.base.simples:
-        for i in m.simples:
-            n = len(m.act_set(X, i))
-            c_symbols[(X, i)] = Matrix.identity(m.field, n)
     return ModuleFunctorSpec(m, m, on_simples, c_symbols, name=f"id_{m.name}", derived=True)
 
 
@@ -119,22 +127,25 @@ def act_right_functor(c: FusionCategorySpec, y: str,
     The c-block at ``(X, i)`` is the associator ``(X x i) act y -> X act (i act y)``
     of ``reg``: row ``(k, 0, t)``, column ``(z, t, 0)`` holds ``L(X, i, y; k, z, t)``,
     which is ``F(X, i, y; t; z, k)`` on a regular module.  There it is derived:
-    its coherence is the pentagon, its unit axiom the unit legs.
+    its coherence is the pentagon, its unit axiom the unit legs.  The blocks
+    are built on first read.
     """
     if y not in c.simples:
         raise SourceTargetMismatch(f"{y!r} is not a simple of the base")
     if reg is None:
         reg = regular_module(c)
     on_simples = {(i, k): 1 for i in c.simples for k in c.fuse(i, y)}
-    zero = c.field.zero
-    c_symbols = {}
-    for X in c.simples:
-        for i in c.simples:
-            rows = [(k, t) for k in reg.act_set(i, y) for t in reg.act_set(X, k)]
-            cols = [(z, t) for z in reg.base.fuse(X, i) for t in reg.act_set(z, y)]
-            c_symbols[(X, i)] = Matrix(c.field, len(rows), len(cols), [
-                reg.l_symbol(X, i, y, k, z, t) if t == s else zero
-                for k, t in rows for z, s in cols])
+
+    def c_symbols() -> dict:
+        zero, out = c.field.zero, {}
+        for X in c.simples:
+            for i in c.simples:
+                rows = [(k, t) for k in reg.act_set(i, y) for t in reg.act_set(X, k)]
+                cols = [(z, t) for z in reg.base.fuse(X, i) for t in reg.act_set(z, y)]
+                out[(X, i)] = Matrix(c.field, len(rows), len(cols), [
+                    reg.l_symbol(X, i, y, k, z, t) if t == s else zero
+                    for k, t in rows for z, s in cols])
+        return out
     return ModuleFunctorSpec(reg, reg, on_simples, c_symbols, name=f"rmul_{c.name}_{y}",
                              derived=reg.derived and reg.base is c)
 

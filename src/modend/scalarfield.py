@@ -62,7 +62,8 @@ def as_fraction(value) -> Fraction:
 class FieldSpec:
     """The number field Q[x]/(p(x)) with ``p`` given constant-first."""
 
-    __slots__ = ("min_poly", "degree", "_red_rows", "_red_den", "zero", "one", "_rat_cache")
+    __slots__ = ("min_poly", "degree", "_red_rows", "_red_den", "zero", "one", "_rat_cache",
+                 "_parsed")
 
     def __init__(self, min_poly: Sequence):
         coeffs = tuple(as_fraction(c) for c in min_poly)
@@ -89,6 +90,7 @@ class FieldSpec:
         self.zero = FieldElement(self, (0,) * d, 1)
         self.one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
         self._rat_cache = {}
+        self._parsed = {}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FieldSpec) and self.min_poly == other.min_poly)
@@ -106,6 +108,16 @@ class FieldSpec:
         return _from_fractions(self, vec)
 
     def rational(self, value) -> FieldElement:
+        """``as_fraction(value)`` as an element; a string is parsed once per field.
+
+        Only strings are keyed as given: ``True == 1``, so a key ``1`` would
+        answer for ``True``, which ``as_fraction`` refuses.
+        """
+        if type(value) is str:
+            parsed = self._parsed.get(value)
+            if parsed is None:
+                parsed = self._parsed[value] = self.rational(as_fraction(value))
+            return parsed
         q = as_fraction(value)
         cached = self._rat_cache.get(q)
         if cached is None:

@@ -13,6 +13,7 @@ from modend import cli
 from modend.common import ParseError, UnknownName
 from modend.modcat import opposite_module, regular_module, validate_module
 from modend.modfunct import act_right_functor
+from modend.scalarfield import FieldSpec, as_fraction
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +449,69 @@ def test_restrict_names_an_unknown_label(labels, capsys):
                      "--restrict", labels]) == 1
     assert capsys.readouterr().out == \
         '{"error":"unknown label zz","status":"validation-failed"}\n'
+
+
+@pytest.mark.parametrize("labels,item", [(",", ""), ("", ""), ("0,2,", ""), ("0, 2", " 2")])
+def test_restrict_refuses_an_empty_or_padded_item(labels, item, capsys):
+    """An empty or padded item of ``--restrict LABELS`` is a usage error that
+    names ``LABELS`` and quotes the item, not an unknown label."""
+    assert cli.main(["end", "--hom", "id_vec_z4_regular", "id_vec_z4_regular",
+                     "--restrict", labels]) == 1
+    error = f"end: LABELS item {item!r} is empty or padded"
+    assert capsys.readouterr().out == \
+        json.dumps({"error": error, "status": "validation-failed"}, separators=(",", ":")) + "\n"
+
+
+def _random_scalar(rng) -> str:
+    """A scalar string as a file might hold it, well formed or not."""
+    p, q, k = rng.randint(0, 40), rng.randint(1, 12), rng.randint(-2, 2)
+    body = rng.choice((f"{p}", f"{p}/{q}", f"{p}.{q}", f"{p}e{k}", f"{p}/{q}/{q}", f"{p}x"))
+    pad = rng.choice(("", " ", "\t"))
+    return f"{pad}{rng.choice(('', '-', '+'))}{body}{pad}"
+
+
+PARSE_EDGES = ("1.5", " 3/4 ", "1e2", "-0", "+2/4", "1/2/3", "1/0", "x", "", "1 /2")
+
+
+@pytest.mark.parametrize("min_poly", [[0, 1], [-2, 0, 1]])
+def test_scalar_strings_parse_once_per_field_as_as_fraction_does(min_poly):
+    """``_parse_element`` reads a string as ``as_fraction`` does, a malformed
+    one with the same error every time, and a repeated string as the element
+    its first read made."""
+    field = FieldSpec(min_poly)
+    rng = random.Random(2204)
+    for text in [*PARSE_EDGES, *(_random_scalar(rng) for _ in range(400))]:
+        try:
+            want = field.rational(as_fraction(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            for _ in range(2):
+                with pytest.raises(type(exc)) as got:
+                    cli._parse_element(field, text)
+                assert str(got.value) == str(exc), text
+            continue
+        first = cli._parse_element(field, text)
+        assert first == want, text
+        assert cli._parse_element(field, text) is first
+
+
+def test_the_parse_cache_answers_no_boolean(tmp_path, capsys):
+    """A ``true`` read after ``"1"`` and ``1`` in one file is still refused:
+    ``True == 1``, so a cache keyed by the value would answer for it.  With
+    ``"-1"`` in its place the file is valid."""
+    doc = json.loads(Path(_bundled_path("vec_z2_omega.json")).read_text())
+    f_symbols = doc["categories"]["vec_z2_omega"]["f_symbols"] = [
+        {"key": ["e", "e", "e", "e", "e", "e"], "value": "1"},
+        {"key": ["e", "s", "s", "e", "s", "e"], "value": 1},
+        {"key": ["s", "s", "s", "s", "e", "e"], "value": True}]
+    path = tmp_path / "vec_z2_omega.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["-i", str(path), "validate"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == \
+        "category 'vec_z2_omega': TypeError: not an exact rational: True"
+    f_symbols[2]["value"] = "-1"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["-i", str(path), "validate"]) == 0
+    capsys.readouterr()
 
 
 def _singular_fib_blocks(cat):

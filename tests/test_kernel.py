@@ -233,6 +233,49 @@ def test_pointed_gate_inverts_no_matrix_and_builds_no_block(tmp_path, monkeypatc
     assert calls == []
 
 
+def _built_functors(bundle) -> list:
+    """The functors of ``bundle`` whose c-blocks have been built."""
+    return sorted(name for name, f in bundle.functors.items() if not callable(f._c_symbols))
+
+
+@pytest.mark.parametrize("command,built", [
+    (["validate"], []),
+    (["serre", "zn4_regular"], []),
+    (["homsuite", "zn4_regular"], []),
+    (["end", "--hom", "id_zn4_regular", "id_zn4_regular"], ["id_zn4_regular"]),
+    (["nat", "rmul_zn4_1", "rmul_zn4_2", "--both"], ["rmul_zn4_1", "rmul_zn4_2"])])
+def test_commands_build_only_the_c_blocks_they_read(tmp_path, command, built):
+    """Loading gen zn4 builds no derived functor's c-blocks, the gate reads
+    none, and a command builds those of the functors it names only."""
+    bundle = _zn4(tmp_path)
+    assert len(bundle.functors) == 5 and _built_functors(bundle) == []
+    assert cli.run(command, bundle).payload["status"] == "ok"
+    assert _built_functors(bundle) == built
+
+
+def test_memoized_duality_isos_equal_their_closed_forms():
+    """``phi_r_scalar`` and ``phi_l_scalar`` keep their values on the base
+    tables.  On every corpus category, the values the Serre builder kept and
+    every value at a simple pair and summand equal the closed forms."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    assert all(rep.ok for rep in bundle.validate_all())
+    closed = {fn.__name__: fn.__wrapped__ for fn in (blocks.phi_r_scalar, blocks.phi_l_scalar)}
+    for name, cat in bundle.categories.items():
+        base = cat.tables
+        theorems.serre_functor(bundle.module(f"{name}_regular"))
+        kept = [(key, val) for key, val in base._memo.items() if key[0] in closed]
+        assert kept, name
+        for (fn, args), val in kept:
+            assert val == closed[fn](base, *args), (name, fn, args)
+        for fn in (blocks.phi_r_scalar, blocks.phi_l_scalar):
+            for a in cat.simples:
+                for b in cat.simples:
+                    for z in cat.fuse(a, b):
+                        val = fn(base, a, b, z)
+                        assert val == closed[fn.__name__](base, a, b, z), (name, a, b, z)
+                        assert fn(base, a, b, z) is val
+
+
 def test_object_valued_ends_solve_once(tmp_path, monkeypatch):
     """One ``solve_end`` and one ``rref`` per object-valued system on zn4, whose
     F-blocks are monomial and so are inverted without elimination: the Serre
