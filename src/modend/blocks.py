@@ -202,6 +202,7 @@ class ModuleTables:
         self._linv_cache = {}
         self._cache = {}
         self._memo = {}
+        self._pointed = None
 
     def act_set(self, X: str, i: str) -> tuple:
         return self._act.get((X, i), ())
@@ -626,10 +627,15 @@ def left_pentagon_failures(tables: ModuleTables) -> tuple:
 
 def is_pointed(tables: ModuleTables) -> bool:
     """Every ``fuse(X, Y)`` and every ``act_set(X, i)`` is one simple, so every
-    F- and L-block is 1 x 1."""
-    base = tables.base
-    return (all(len(base.fuse(X, Y)) == 1 for X in base.simples for Y in base.simples)
-            and all(len(tables.act_set(X, i)) == 1 for X in base.simples for i in tables.simples))
+    F- and L-block is 1 x 1.  Scanned once per tables object, whose fusion and
+    action maps never change after construction."""
+    if tables._pointed is None:
+        base = tables.base
+        tables._pointed = (
+            all(len(base.fuse(X, Y)) == 1 for X in base.simples for Y in base.simples)
+            and all(len(tables.act_set(X, i)) == 1
+                    for X in base.simples for i in tables.simples))
+    return tables._pointed
 
 
 def _pointed_index(tables: ModuleTables) -> tuple:

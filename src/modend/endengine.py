@@ -482,7 +482,10 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     / phi_r(X,Y; Z)``, where ``M_Z`` holds ``L(X,Y',i; u,Z,q')`` at row
     ``q' in X act m_u`` with ``Z in US(q')`` and column ``Y' in US(u)`` with
     ``Z in X x Y'``: the internal hom's action iso, square by the
-    ``uhom-shift-second`` identity.
+    ``uhom-shift-second`` identity.  On pointed tables (``blocks.is_pointed``)
+    ``M_Z`` is 1 x 1 and its one entry is that of ``l_block(X, Y, i, q)``, so
+    ``M_Z^-1[Y, q]`` is read off the inverse the tables keep,
+    ``l_inverse(X, Y, i, q)[Z, u]``; other tables invert ``M_Z`` once per build.
     """
     base = m.base
     base.duality()
@@ -495,16 +498,19 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
         m.simples)
     dim = len(column)
 
-    m_inv = {}
+    pointed, m_inv = blocks.is_pointed(mt), {}
 
-    def action_iso_inverse(X, u, Z):
-        """``inverse_entries`` of ``M_Z`` of ``(X, m_u)``, inverted once per build."""
+    def action_iso_inverse(X, u, Z, Y, q):
+        """``M_Z^-1[Y, q]`` of ``(X, m_u)``: on pointed tables the kept inverse
+        of the L-block that ``M_Z`` is, else ``M_Z`` inverted once per build."""
+        if pointed:
+            return mt.l_inverse(X, Y, i, q).get((Z, u), zero)
         if (X, u, Z) not in m_inv:
-            rows = [q for q in mt.act_set(X, u) if Z in us[q]]
-            cols = [Y for Y in us[u] if bt.n(X, Y, Z)]
+            rows = [r for r in mt.act_set(X, u) if Z in us[r]]
+            cols = [c for c in us[u] if bt.n(X, c, Z)]
             m_inv[X, u, Z] = blocks.inverse_entries(rows, cols, Matrix(
-                field, len(rows), len(cols), [L(X, Y, i, u, Z, q) for q in rows for Y in cols]))
-        return m_inv[X, u, Z]
+                field, len(rows), len(cols), [L(X, c, i, u, Z, r) for r in rows for c in cols]))
+        return m_inv[X, u, Z].get((Y, q), zero)
 
     conditions = []
     for X in base.simples:
@@ -528,7 +534,7 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
                             continue
                         mat.entries[at + column[q, (Z, t)]] -= (
                             phi * lval * mt.l_inverse(dual[Y], Xd, q, t).get((dual[Z], s), zero)
-                            * action_iso_inverse(X, u, Z).get((Y, q), zero)
+                            * action_iso_inverse(X, u, Z, Y, q)
                             / blocks.phi_r_scalar(bt, X, Y, Z))
             conditions.append(Condition(generator=(X, u), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,

@@ -102,7 +102,11 @@ def serre_functor(m: ModuleCategorySpec) -> SerreResult:
     The coend of each simple is built and solved once and its image
     multiplicity vector read off that solve, then every dimension certificate
     ``dim Hom(X, uhom(m_i, m_j)*) = dim Hom(X, uhom(m_j, S(m_i)))`` is
-    checked exactly.
+    checked exactly, in the order ``i``, ``j``, ``X``, up to the first that
+    fails.  The left-hand side is ``[m_j in X* act m_i]`` and the right-hand
+    side sums the multiplicities of ``S(m_i)`` over ``X act m_j`` only, so
+    the sweep is O(n^3) for n simples.  The action triples form a set (the
+    loader refuses a repeated one), so an action set holds no simple twice.
     """
     if m.orientation != "left":
         raise SourceTargetMismatch(f"the Serre coend needs a left module; {m.name!r} is right")
@@ -116,8 +120,7 @@ def serre_functor(m: ModuleCategorySpec) -> SerreResult:
         for j in m.simples:
             for X in base.simples:
                 lhs = 1 if j in m.act_set(base.dual[X], i) else 0
-                rhs = sum(on_simples[i][t] * (1 if t in m.act_set(X, j) else 0)
-                          for t in m.simples)
+                rhs = sum(on_simples[i][t] for t in m.act_set(X, j))
                 certificates.append(((i, j, X), lhs, rhs))
                 if lhs != rhs:
                     raise SerreCertificateFailure(

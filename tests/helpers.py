@@ -1236,3 +1236,19 @@ def hom_lemma_suite_via_opposite(m: ModuleCategorySpec) -> ValidationReport:
                 if lhs != rhs:
                     report.add("uhom-op", (X, i, j), f"{lhs} != {rhs}")
     return report
+
+
+def serre_certificates_dense(m: ModuleCategorySpec, on_simples: dict) -> list:
+    """Every Serre dimension certificate ``((i, j, X), lhs, rhs)`` in the order
+    ``theorems.serre_functor`` checks them, with ``rhs`` summed over every
+    simple ``t`` as ``on_simples[i][t] [t in X act m_j]``: the dense reference
+    of the sweep over action sets."""
+    out = []
+    for i in m.simples:
+        for j in m.simples:
+            for X in m.base.simples:
+                lhs = 1 if j in m.act_set(m.base.dual[X], i) else 0
+                rhs = sum(on_simples[i][t] * (1 if t in m.act_set(X, j) else 0)
+                          for t in m.simples)
+                out.append(((i, j, X), lhs, rhs))
+    return out

@@ -233,6 +233,37 @@ def test_pointed_gate_inverts_no_matrix_and_builds_no_block(tmp_path, monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("name,pointed", [
+    ("zn4_regular", True), ("vec_z4_regular", True), ("vec_z2_omega_regular", True),
+    ("vec_z2_triv_regular", True), ("vec_over_vec_z2", True),
+    ("fib_regular", False), ("ising_regular", False)])
+def test_serre_on_pointed_tables_inverts_no_matrix(tmp_path, monkeypatch, name, pointed):
+    """After ``validate_all``, the Serre functor of a pointed module reads every
+    action-iso inverse off the L-inverses the gate kept and makes no
+    ``Matrix.inverse`` call; on fib and ising it inverts its action isos."""
+    bundle = _zn4(tmp_path) if name.startswith("zn4") else cli.load(cli.bundled_instance_paths())
+    assert all(rep.ok for rep in bundle.validate_all())
+    module = bundle.module(name)
+    assert blocks.is_pointed(module.tables) == pointed
+    calls, inverse = [], Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda mat: calls.append(mat) or inverse(mat))
+    assert theorems.serre_functor(module).certificates
+    assert (len(calls) == 0) == pointed, len(calls)
+
+
+def test_is_pointed_scans_each_tables_object_once(tmp_path, monkeypatch):
+    """The gate's three sweeps and every Serre build ask ``is_pointed`` of the
+    same tables; only the first question reads the action sets."""
+    bundle = _zn4(tmp_path)
+    reads, act_set = [], blocks.ModuleTables.act_set
+    monkeypatch.setattr(blocks.ModuleTables, "act_set",
+                        lambda tables, *key: reads.append(key) or act_set(tables, *key))
+    tables = bundle.module("zn4_regular").tables
+    assert blocks.is_pointed(tables) and len(reads) == 4 * 4
+    reads.clear()
+    assert blocks.is_pointed(tables) and reads == []
+
+
 def _built_functors(bundle) -> list:
     """The functors of ``bundle`` whose c-blocks have been built."""
     return sorted(name for name, f in bundle.functors.items() if not callable(f._c_symbols))

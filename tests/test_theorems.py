@@ -4,8 +4,8 @@ import zlib
 import pytest
 
 from helpers import (all_categories, bench_gen, fib, gauge_category, gauge_functor, gauge_module,
-                     hom_lemma_suite_via_opposite, ising, vec_z2_omega, vec_z2_triv,
-                     vec_over_vec_z2)
+                     hom_lemma_suite_via_opposite, ising, serre_certificates_dense, vec_z2_omega,
+                     vec_z2_triv, vec_over_vec_z2)
 
 from modend import cli, endengine, theorems
 from modend.common import OracleMismatch, SerreCertificateFailure, UpsilonMismatch
@@ -94,6 +94,49 @@ def test_serre_single_simple_module():
     mod, _, _ = vec_over_vec_z2(vec_z2_triv())
     res = serre_functor(mod)
     assert res.on_simples == {"m": {"m": 1}}
+
+
+def _certificate_subjects() -> dict:
+    """The corpus modules and the regular modules of bench/gen.py zn4, zn6."""
+    out = dict(cli.load(cli.bundled_instance_paths()).modules)
+    for n in (4, 6):
+        cat = cli._load_category(f"zn{n}", bench_gen().instance(n, 1)["categories"][f"zn{n}"])
+        out[f"zn{n}_regular"] = regular_module(cat)
+    return out
+
+
+CERTIFICATE_SUBJECTS = _certificate_subjects()
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_SUBJECTS))
+def test_serre_certificates_match_the_dense_sum(name, monkeypatch):
+    """The certificates summed over action sets equal the dense sum over every
+    simple, entry for entry and in order.  With one multiplicity raised by 1
+    (three seeded ``(i, t)``), ``SerreCertificateFailure`` names the first
+    ``(i, j, X)`` where the dense certificates fail."""
+    m = CERTIFICATE_SUBJECTS[name]
+    res = serre_functor(m)
+    assert res.certificates == serre_certificates_dense(m, res.on_simples)
+    rng = random.Random(zlib.crc32(f"serre certificates {name}".encode()))
+    multiplicities = theorems._multiplicities
+    for _ in range(3):
+        i, t = rng.choice(m.simples), rng.choice(m.simples)
+        on_simples = {k: dict(vec) for k, vec in res.on_simples.items()}
+        on_simples[i][t] += 1
+        (fi, fj, fX), lhs, rhs = next(cert for cert in serre_certificates_dense(m, on_simples)
+                                      if cert[1] != cert[2])
+
+        def perturbed(sys, labels, i=i, t=t):
+            vec = multiplicities(sys, labels)
+            if sys.meta["input"] != i:
+                return vec
+            return tuple(v + (p == t) for p, v in zip(labels, vec))
+
+        monkeypatch.setattr(theorems, "_multiplicities", perturbed)
+        with pytest.raises(SerreCertificateFailure) as err:
+            serre_functor(m)
+        assert str(err.value) == (f"uhom duality certificate fails at "
+                                  f"(i={fi}, j={fj}, X={fX}): {lhs} != {rhs}"), (name, i, t)
 
 
 @pytest.mark.parametrize("name", sorted(CATS))
