@@ -534,15 +534,25 @@ def _print_error(status: str, error: str) -> int:
     return STATUS_EXIT[status]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raise a usage error as a ``ParseError``, for the one-line JSON report."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modend",
         description="Exact module-(co)end computations over skeletal fusion categories.")
     parser.add_argument("--instances", "-i", action="append", metavar="FILE",
                         help="instance file, repeatable (default: the bundled corpus)")
     parser.add_argument("command", nargs=argparse.REMAINDER,
                         help=" | ".join(usage_line(op) for op in USAGE))
-    ns = parser.parse_args(argv)
+    try:
+        ns = parser.parse_args(argv)
+    except ParseError as exc:
+        return _print_error("validation-failed", str(exc))
     paths = ns.instances if ns.instances else bundled_instance_paths()
     if not ns.command:
         parser.print_help()

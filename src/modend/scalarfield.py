@@ -12,7 +12,12 @@ integers over one denominator ``R`` (``R = 1`` whenever ``p`` has integer
 coefficients); one gcd then normalises the result.  Irreducibility of ``p`` is
 a trust assumption on instance files: it is never verified up front, and a
 reducible modulus surfaces lazily as :class:`ZeroDivisorDetected` when an
-inversion hits a nontrivial gcd.
+inversion hits a nontrivial gcd.  A rational element is inverted by swapping
+its numerator and denominator.  An element with an irrational part is
+inverted by the extended Euclid in Q[x] once per field: the field keeps each
+such inverse, keyed by the element's canonical ``(num, den)``, so every later
+inversion of an equal element returns the kept one.  A zero divisor is never
+kept, so each inversion of one raises again.
 
 Matrices are stored dense.  Elimination works on row lists and touches only
 the pivot row's nonzero columns, both when it scales the pivot row and when it
@@ -63,7 +68,7 @@ class FieldSpec:
     """The number field Q[x]/(p(x)) with ``p`` given constant-first."""
 
     __slots__ = ("min_poly", "degree", "_red_rows", "_red_den", "zero", "one", "_rat_cache",
-                 "_parsed")
+                 "_parsed", "_inverses")
 
     def __init__(self, min_poly: Sequence):
         coeffs = tuple(as_fraction(c) for c in min_poly)
@@ -91,6 +96,7 @@ class FieldSpec:
         self.one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
         self._rat_cache = {}
         self._parsed = {}
+        self._inverses = {}
 
     def __eq__(self, other):
         return self is other or (isinstance(other, FieldSpec) and self.min_poly == other.min_poly)
@@ -237,21 +243,11 @@ class FieldElement:
         if not any(num[1:]):
             sign = 1 if num[0] > 0 else -1
             return FieldElement(self.field, (sign * den,) + num[1:], sign * num[0])
-        # extended Euclid for gcd(b, p) = s*b + t*p in Q[x]
-        r0 = list(self.field.min_poly)
-        r1 = _trim(list(self.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _degree(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
-            # gcd(b, p) = r0 has positive degree: p is reducible
-            raise ZeroDivisorDetected("reducible min_poly detected")
-        const = r1[0]
-        # deg s1 < deg p, so s1 / const is already reduced
-        inv = [c / const for c in s1]
-        return _from_fractions(self.field, inv + [Fraction(0)] * (len(num) - len(inv)))
+        kept = self.field._inverses
+        inv = kept.get((num, den))
+        if inv is None:
+            inv = kept[num, den] = _euclid_inverse(self)
+        return inv
 
     def __truediv__(self, other):
         return self * other.inverse()
@@ -264,6 +260,25 @@ class FieldElement:
                 suffix = names.get(i, f"*t^{i}")
                 terms.append(f"{c}{suffix}")
         return " + ".join(terms) if terms else "0"
+
+
+def _euclid_inverse(x: FieldElement) -> FieldElement:
+    """The inverse of ``x`` modulo ``p`` by the extended Euclid in Q[x]."""
+    # extended Euclid for gcd(b, p) = s*b + t*p in Q[x]
+    r0 = list(x.field.min_poly)
+    r1 = _trim(list(x.coeffs))
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while _degree(r1) > 0:
+        q, rem = _poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    if not r1:
+        # gcd(b, p) = r0 has positive degree: p is reducible
+        raise ZeroDivisorDetected("reducible min_poly detected")
+    const = r1[0]
+    # deg s1 < deg p, so s1 / const is already reduced
+    inv = [c / const for c in s1]
+    return _from_fractions(x.field, inv + [Fraction(0)] * (len(x.num) - len(inv)))
 
 
 def _normalized(field: FieldSpec, num: list, den: int) -> FieldElement:

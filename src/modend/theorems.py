@@ -82,16 +82,18 @@ def _multiplicities(sys: endengine.DinaturalSystem, labels) -> tuple:
     system so; a row on two labels raises ``ValidationError``.
     """
     tags = [t[0] for block in sys.blocks for t in block.basis]
+    # entries no builder wrote are the shared zero: skip them without a truth test
+    zero = sys.field.zero
     for cond in sys.conditions:
         mat = cond.matrix
         for r in range(mat.rows):
             row = mat.entries[r * mat.cols:(r + 1) * mat.cols]
-            touched = {tags[k] for k, e in enumerate(row) if e}
+            touched = {tags[k] for k, e in enumerate(row) if e is not zero and e}
             if len(touched) > 1:
                 raise ValidationError(
                     f"{sys.recipe}: a condition row of generator {cond.generator} has "
                     f"entries on labels {sorted(touched)}")
-    on = Counter(tuple({tags[k] for k, e in enumerate(vec.entries) if e})
+    on = Counter(tuple({tags[k] for k, e in enumerate(vec.entries) if e is not zero and e})
                  for vec in endengine.solve_end(sys).basis)
     return tuple(on[(p,)] for p in labels)
 

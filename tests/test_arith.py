@@ -8,14 +8,16 @@ reference below is the earlier implementation: an element is a tuple of
 require the two to agree exactly, element by element and entry by entry.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modend.scalarfield import (DivisionByZero, FieldSpec, Matrix, _degree, _poly_divmod,
-                                _poly_mul, _poly_sub, _trim)
+from modend import cli
+from modend.scalarfield import (DivisionByZero, FieldSpec, Matrix, ZeroDivisorDetected, _degree,
+                                _poly_divmod, _poly_mul, _poly_sub, _trim)
 
 # ---------------------------------------------------------------------------
 # the Fraction-tuple element
@@ -306,6 +308,44 @@ def test_equality_hash_and_truth_agree_with_the_reference(name, data):
     for x, y in ((a * b, b * a), ((a + b) - b, a), (-(-a), a),
                  (field.element(a.coeffs), a)):
         assert x == y and hash(x) == hash(y)
+
+
+CORPUS_FIELDS = ["Q", "Q(sqrt2)", "fib"]   # degree 1, 2 and 4: the fields of the corpus
+
+
+@pytest.mark.parametrize("name", CORPUS_FIELDS)
+@given(data=st.data())
+def test_kept_inverses_match_the_reference(name, data):
+    """A first and a repeated inversion on a fresh field both equal the
+    reference; an element with an irrational part is inverted once."""
+    field, rfield = FieldSpec(FIELDS[name]), PAIRS[name][1]
+    a = data.draw(elements(field).filter(bool))
+    first, again = a.inverse(), a.inverse()
+    for inv in (first, again):
+        assert ref(inv, rfield) == ref(a, rfield).inverse()
+        assert a * inv == field.one
+    assert (again is first) == any(a.num[1:])
+    assert len(field._inverses) == (1 if any(a.num[1:]) else 0)
+
+
+def test_a_zero_divisor_raises_on_every_inversion():
+    """Over the reducible x^2 the class of x has no inverse; none is kept."""
+    field = FieldSpec(["0", "0", "1"])
+    for _ in range(3):
+        with pytest.raises(ZeroDivisorDetected):
+            field.gen().inverse()
+    assert field._inverses == {}
+
+
+def test_a_reducible_ising_field_is_reported_as_a_zero_divisor(tmp_path):
+    path = next(p for p in cli.bundled_instance_paths() if p.endswith("ising.json"))
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["categories"]["ising"]["field"]["min_poly"] = ["0", "0", "1"]
+    mutant = tmp_path / "ising.json"
+    mutant.write_text(json.dumps(doc))
+    result = cli.run(["validate"], cli.load([str(mutant)])).payload["result"]
+    assert result["category ising"] == ["f-block-zero-divisor at (sigma, sigma, sigma, sigma)"]
 
 
 # ---------------------------------------------------------------------------

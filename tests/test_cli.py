@@ -559,6 +559,9 @@ BAD_COMMAND_LINES = {
     "end": "end: missing option --hom",
     "end --ordinary": "end: missing option --hom",
     "coend": "coend: missing option --hom",
+    "--bogus validate": "unrecognized arguments: --bogus",
+    "-x suite": "unrecognized arguments: -x",
+    "-i": "argument --instances/-i: expected one argument",
 }
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import bench_gen, ev_flat, runit_reg, uhom_obj, unit_l
-from modend import blocks, cli, endengine, theorems
+from modend import blocks, cli, endengine, scalarfield, theorems
 from modend.fusioncat import FusionCategorySpec, validate_fusion
 from modend.modcat import ModuleCategorySpec, opposite_module, regular_module, validate_module
 from modend.modfunct import compose_functors
@@ -132,6 +132,40 @@ def test_caches_live_with_the_loaded_bundle():
     for bundle in (first, second):
         assert cli.run(cmd, bundle).payload["result"]["dim"] == 1
     assert not _cached_values(first) & _cached_values(second)
+
+
+def test_fields_keep_no_inverse_of_another_load():
+    """Each load parses its own fields, so kept element inverses start cold."""
+    cmd = ["nat", "rmul_fib_tau", "rmul_fib_tau", "--both"]
+    first, second = (cli.load(cli.bundled_instance_paths()) for _ in range(2))
+    kept = []
+    for bundle in (first, second):
+        assert cli.run(cmd, bundle).payload["result"]["dim"] == 1
+        fields = [cat.field for cat in bundle.categories.values()]
+        assert fields[0]._inverses
+        kept.append({id(v) for f in fields for v in f._inverses.values()})
+    assert not kept[0] & kept[1]
+
+
+def test_suite_runs_the_euclid_once_per_distinct_element(monkeypatch):
+    """Every inversion of an element with an irrational part after the first
+    reads the field's kept inverse: ``suite`` runs the extended Euclid once
+    per distinct ``(num, den)``, 6 times over fib's field and 4 over ising's,
+    and never over Q."""
+    runs, euclid = [], scalarfield._euclid_inverse
+    monkeypatch.setattr(scalarfield, "_euclid_inverse", lambda x: runs.append(x) or euclid(x))
+    inversions, inverse = [], scalarfield.FieldElement.inverse
+    monkeypatch.setattr(scalarfield.FieldElement, "inverse",
+                        lambda x: inversions.append(x) or inverse(x))
+    bundle = cli.load(cli.bundled_instance_paths())
+    assert cli.run(["suite"], bundle).payload["status"] == "ok"
+    per_field = {}
+    for name, cat in bundle.categories.items():
+        keys = [(x.num, x.den) for x in runs if x.field is cat.field]
+        assert len(keys) == len(set(keys)) == len(cat.field._inverses), name
+        per_field[name] = len(keys)
+    assert per_field == {"fib": 6, "ising": 4, "vec_z2_omega": 0, "vec_z2_triv": 0, "vec_z4": 0}
+    assert len(runs) == 10 < len(inversions)
 
 
 def _zn4(tmp_path):
