@@ -238,11 +238,14 @@ def _section(doc: dict, key: str) -> dict:
 
 
 def _parse_entity(kind: str, name: str, load_one, *args):
-    """Load one named entity; malformed data becomes a ParseError naming it."""
+    """Load one named entity; malformed data becomes a ParseError naming it, and
+    a reference to an absent entity an UnknownName naming both."""
     try:
         return load_one(name, *args)
-    except (ParseError, UnknownName):
+    except ParseError:
         raise
+    except UnknownName as exc:
+        raise UnknownName(f"{kind} {name!r}: no {exc}") from None
     except (ArithmeticError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{kind} {name!r}: {type(exc).__name__}: {exc}") from exc
 

@@ -11,9 +11,16 @@ A module end is the subspace of the carrier cut out by one balancing
 condition per pair (base simple X, module simple m); a module coend is the
 quotient of the carrier by the corresponding relation vectors, solved as a
 transposed end (rank computation).  Conditions are generated at simple X
-only; the condition generated by a decomposed tensor product ``X x Y`` is
-expected to be redundant and a dedicated builder exposes it so the property
-suite can verify that it never shrinks the solution space.
+only.  A module pre-balancing is compatible with the tensor product, so the
+condition at ``X x Y`` follows from those at ``X`` and ``Y``, the condition at
+a summand of ``X x Y`` follows by naturality, and the unit's conditions vanish
+on gated data.  The object-valued probes below therefore balance only at
+``fusioncat.tensor_generators`` of the base, one simple on the corpus and on
+Z/n.  The ``Hom(F(-), G(-))`` family keeps every simple X: ``end --restrict``
+keeps the conditions at the labels of a tensor subcategory, which need hold
+no generator, and ``composite_nat_conditions`` exposes the condition of a
+decomposed ``X x Y`` so the property suite can verify, against conditions at
+every simple, that it never shrinks the solution space.
 
 Every builder writes each condition entry by entry and composes no
 morphisms: an entry is a sum, over intermediate labels, of products of F-,
@@ -40,7 +47,7 @@ from typing import Mapping, Sequence
 from . import blocks
 from .blocks import _memoized
 from .common import SourceTargetMismatch
-from .fusioncat import tensor_subcategory
+from .fusioncat import tensor_generators, tensor_subcategory
 from .modcat import ModuleCategorySpec
 from .modfunct import ModuleFunctorSpec
 from .scalarfield import FieldSpec, Matrix
@@ -419,6 +426,8 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     of block ``s`` is ``c_G(X,i)[(l,b,l'), (s,l',b')] Finv(k'*,X,l; p; k*,l')
     c_F(X*,s)[(k',a',k), (w,k,a)] / phi_l(X*,k'; k)``: the pre-balancing through
     the functor coherences, ``phi_l`` and the dual transpose of ``c``.
+    ``X`` runs over ``tensor_generators`` of the base: the conditions at the
+    other simples follow from these (see the module docstring).
     """
     if f.src is not g.src:
         raise SourceTargetMismatch("functors must share their source")
@@ -437,7 +446,7 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
              for p in bt.fuse(dual[k], l)] for i in f.src.simples}, f.src.simples)
     dim = len(column)
     conditions = []
-    for X in base.simples:
+    for X in tensor_generators(base):
         Xd = dual[X]
         for i in f.src.simples:
             c_g, eps = blocks._c_entries(gtab, X, i), _evaluation(mt, X, i)
@@ -486,6 +495,8 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     ``M_Z`` is 1 x 1 and its one entry is that of ``l_block(X, Y, i, q)``, so
     ``M_Z^-1[Y, q]`` is read off the inverse the tables keep,
     ``l_inverse(X, Y, i, q)[Z, u]``; other tables invert ``M_Z`` once per build.
+    ``X`` runs over ``tensor_generators`` of the base: the conditions at the
+    other simples follow from these (see the module docstring).
     """
     base = m.base
     base.duality()
@@ -513,7 +524,7 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
         return m_inv[X, u, Z].get((Y, q), zero)
 
     conditions = []
-    for X in base.simples:
+    for X in tensor_generators(base):
         Xd = dual[X]
         for u in m.simples:
             lhs = bt.lcoev[X] * mt.unit_scalar(u)
@@ -547,7 +558,9 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
 
     The end runs over the dual category realized by right multiplications:
     one condition per (simple Y, module simple m), with the pre-balancing
-    assembled from the internal-hom adjunction shift along ``- x Y``.
+    assembled from the internal-hom adjunction shift along ``- x Y``.  ``Y``
+    runs over ``tensor_generators`` of the base: the conditions at the other
+    simples follow from these (see the module docstring).
 
     Block ``m`` has a coordinate per ``q in x x m`` and ``Z`` with
     ``q in Z x m``.  The rows of generator ``(Y, m)`` run over ``n in m x Y``,
@@ -569,7 +582,7 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
          for m in base.simples}, base.simples)
     dim = len(column)
     conditions = []
-    for Y in base.simples:
+    for Y in tensor_generators(base):
         Yd = dual[Y]
         for m in base.simples:
             rows = [(n, w, q, Z) for n in bt.fuse(m, Y) for w in bt.fuse(n, Yd)

@@ -83,6 +83,7 @@ class FusionCategorySpec:
             self._f[key] = self.f_raw.get(key, field.one)
         self._tables = None
         self._dual_ok = False
+        self._generators = None
 
     def _admissible_f_keys(self):
         for a in self.simples:
@@ -227,3 +228,39 @@ def tensor_subcategory(spec: FusionCategorySpec, labels: Sequence[str]) -> tuple
                 if c not in subset:
                     raise NotATensorSubcategory(f"not fusion-closed at ({a},{b})")
     return sub
+
+
+def _reached(spec: FusionCategorySpec, gens: Sequence[str]) -> set:
+    """The unit and every summand of a tensor word in ``gens``: each generator
+    is a word, so each reaches itself whatever the table holds."""
+    seen, todo = {spec.unit, *gens}, list(gens)
+    while todo:
+        a = todo.pop()
+        for g in gens:
+            for c in spec._fuse_map[(a, g)]:
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+    return seen
+
+
+def tensor_generators(spec: FusionCategorySpec) -> tuple:
+    """Simples whose tensor words reach every simple, chosen greedily; kept on ``spec``.
+
+    Each step takes the simple whose addition reaches the most simples, the
+    first in ``simples`` order on a tie, until the unit and the summands of
+    the words reach every simple; so each generator reaches a simple the
+    earlier ones miss, and a one-simple category has ``()``.  A module
+    pre-balancing at ``X x Y`` follows from those at ``X`` and ``Y``, and at a
+    summand of ``X x Y`` by naturality, while the unit's conditions vanish on
+    gated data: balancing at these simples cuts out the end that balancing at
+    every simple does.
+    """
+    if spec._generators is None:
+        chosen, reached = [], _reached(spec, ())
+        while len(reached) < len(spec.simples):
+            best = max(spec.simples, key=lambda X: len(_reached(spec, (*chosen, X))))
+            chosen.append(best)
+            reached = _reached(spec, chosen)
+        spec._generators = tuple(chosen)
+    return spec._generators

@@ -20,6 +20,7 @@ mutants of the gate's subjects, whose symbols obey no coherence.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import zlib
 
@@ -36,7 +37,7 @@ from helpers import (CORPUS, act_mor, all_categories, bench_gen,
                      upsilon_probe_composite, vec_over_vec_z2, whisker_c, zeta_flat)
 from modend import blocks, cli, endengine
 from modend.blocks import Mor, Obj, _simple
-from modend.fusioncat import validate_fusion
+from modend.fusioncat import tensor_generators, validate_fusion
 from modend.modcat import ModuleCategorySpec, opposite_module, regular_module, validate_module
 from modend.modfunct import ModuleFunctorSpec, act_right_functor, identity_functor
 from modend.scalarfield import Matrix
@@ -261,15 +262,23 @@ COMPOSITES = (serre_probe_composite, character_probe_composite, upsilon_probe_co
               opposite_module_composite, nested_lev_entries)
 
 
+def _at_generators(sys_) -> endengine.DinaturalSystem:
+    """``sys_`` with only the conditions whose generator is in ``tensor_generators``."""
+    gens = tensor_generators(sys_.meta["base"])
+    return dataclasses.replace(sys_, conditions=[c for c in sys_.conditions
+                                                 if c.generator[0] in gens])
+
+
 def _assembled(module, pairs, serre, character, upsilon, opposite, lev_entries) -> dict:
+    """The probe systems (as built), the nested left evaluations and the opposite modules."""
     base = module.base
     bt = base.tables
-    out = {f"serre {i}": _system(serre(module, i)) for i in module.simples}
+    out = {f"serre {i}": serre(module, i) for i in module.simples}
     for f, g in pairs:
-        out[f"character {f.name}, {g.name}"] = _system(character(f, g))
+        out[f"character {f.name}, {g.name}"] = character(f, g)
     if module.tables is bt.regular():
         for x in base.simples:
-            out[f"upsilon {x}"] = _system(upsilon(module, x))
+            out[f"upsilon {x}"] = upsilon(module, x)
         out["nested lev"] = [lev_entries(bt, a, b) for a in base.simples for b in base.simples]
     op = opposite(module)
     for tag, mod in (("op", op), ("op op", opposite(op))):
@@ -280,15 +289,25 @@ def _assembled(module, pairs, serre, character, upsilon, opposite, lev_entries) 
 @pytest.mark.parametrize("name", sorted(MODULES))
 def test_probe_systems_match_the_composites(name, monkeypatch):
     """The probe systems, the nested left evaluation and the opposite modules,
-    each built from symbols and as a composite on the composite duality maps."""
+    each built from symbols and as a composite on the composite duality maps.
+
+    The builders balance at ``tensor_generators`` of the base and the
+    composites at every simple: each built system equals its composite's
+    conditions at the generators, matrix for matrix, and has the nullspace of
+    the whole composite, so the other simples' conditions are redundant."""
     module, pairs = MODULES[name]
     closed = _assembled(module, pairs, *SYMBOLS)
     for attr, ref in REFERENCE.items():
         monkeypatch.setattr(helpers, attr, ref)
     composite = _assembled(module, pairs, *COMPOSITES)
     assert closed.keys() == composite.keys()
-    for key in closed:
-        assert closed[key] == composite[key], key
+    for key, built in closed.items():
+        ref = composite[key]
+        if not isinstance(built, endengine.DinaturalSystem):
+            assert built == ref, key
+            continue
+        assert _system(built) == _system(_at_generators(ref)), key
+        assert endengine.solve_end(built).basis == endengine.solve_end(ref).basis, key
 
 
 # the pointed left modules of the gate's flat sweeps: the pointed corpus
@@ -301,11 +320,11 @@ POINTED_LEFT = sorted(name for name, spec in test_gate.SWEPT.items()
 @pytest.mark.parametrize("name", POINTED_LEFT)
 def test_serre_reads_the_kept_l_inverses(name, monkeypatch):
     """On fresh tables of each pointed left module, after the gate: at every
-    ``(X, u, Z, Y, q)`` where the Serre builder reads ``M_Z^-1[Y, q]``, the
-    L-inverse the gate kept for ``l_block(X, Y, i, q)`` is ``inverse_entries``
-    of ``M_Z`` built the general way.  The builds read those inverses, invert
-    no matrix, and equal matrix for matrix the systems of the general path,
-    which inverts each ``M_Z``."""
+    ``(X, u, Z, Y, q)`` of ``M_Z^-1[Y, q]``, the L-inverse the gate kept for
+    ``l_block(X, Y, i, q)`` is ``inverse_entries`` of ``M_Z`` built the
+    general way.  The builds read those inverses at each generator ``X`` of
+    ``tensor_generators``, invert no matrix, and equal matrix for matrix the
+    systems of the general path, which inverts each ``M_Z``."""
     m = test_gate._fresh(test_gate.SWEPT[name])
     assert validate_fusion(m.base).ok and validate_module(m).ok
     base, bt, mt, kept = m.base, m.base.tables, m.tables, m.tables._linv_cache
@@ -316,13 +335,15 @@ def test_serre_reads_the_kept_l_inverses(name, monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", lambda mat: inverted.append(mat) or inverse(mat))
     pointed = {i: _system(endengine.build_serre_probe_system(m, i)) for i in m.simples}
     assert inverted == []
+    gens = tensor_generators(base)
     for i in m.simples:
         us = {j: [Y for Y in base.simples if mt.n(Y, i, j)] for j in m.simples}
         sites = [(X, u, Z, Y, q) for X in base.simples for u in m.simples
                  for q in mt.act_set(X, u) for Z in us[q] for Y in us[u] if bt.n(X, Y, Z)]
         assert sites
+        assert any(X in gens for X, *_ in sites)
         for X, u, Z, Y, q in sites:
-            assert (X, Y, i, q) in read, (name, X, Y, i, q)
+            assert X not in gens or (X, Y, i, q) in read, (name, X, Y, i, q)
             rows = [r for r in mt.act_set(X, u) if Z in us[r]]
             cols = [c for c in us[u] if bt.n(X, c, Z)]
             m_z = Matrix(m.field, len(rows), len(cols),

@@ -37,6 +37,24 @@ def test_dangling_reference_fails(tmp_path):
         cli.load([str(path)])
 
 
+def test_a_dangling_reference_names_both_sides(tmp_path, capsys):
+    """A module over an absent category and a functor over an absent module
+    are each one JSON error, exit 1, naming the referrer and what is missing."""
+    functor = tmp_path / "functor.json"
+    functor.write_text(json.dumps(
+        {"functors": {"id_orphan": {"type": "identity", "module": "orphan"}}}))
+    cases = (([_bundled_path("vec_over_vec_z2.json")],
+              "module 'vec_over_vec_z2': no category 'vec_z2_triv'"),
+             ([_bundled_path("fib.json"), str(functor)],
+              "functor 'id_orphan': no module 'orphan'"))
+    for paths, error in cases:
+        with pytest.raises(UnknownName, match=f"^{error}$"):
+            cli.load(paths)
+        assert cli.main([a for p in paths for a in ("-i", p)] + ["validate"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            json.dumps({"error": error, "status": "validation-failed"}, separators=(",", ":"))]
+
+
 def _mutated_fib(mutate, category_only=False):
     with open(next(p for p in cli.bundled_instance_paths() if p.endswith("fib.json"))) as fh:
         doc = json.load(fh)
@@ -850,3 +868,20 @@ def test_zero_divisor_in_a_right_module_is_reported(tmp_path):
     result = cli.run(["validate"], cli.load([str(path)])).payload["result"]
     assert result["category vec_z2_triv"] == "valid"
     assert result["module vec_over_vec_z2_op"] == ["l-block-zero-divisor at (s, s, m, m)"]
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 10))
+def test_generated_probes_give_their_known_answers(n, tmp_path):
+    """``serre``, ``character`` with the identity, and ``upsilon`` and ``adjshift``
+    at every label, on ``bench/gen.py``'s gauged Vec_{Z/n}^omega past the
+    corpus sizes: each report is the generator's known answer."""
+    gen = bench_gen()
+    nm = gen.names(n)
+    ops = [["serre", nm["module"]], ["character", nm["module"], nm["identity"]]]
+    ops += [[op, nm["category"], str(x)] for op in ("upsilon", "adjshift") for x in range(n)]
+    path, answers = gen.emit(tmp_path, n, seed=n, ops=ops)
+    bundle = cli.load([str(path)])
+    for argv in ops:
+        payload = cli.run(argv, bundle).payload
+        assert {"status": payload["status"], "result": payload["result"]} \
+            == answers[" ".join(argv)], argv

@@ -4,15 +4,16 @@ import zlib
 
 import pytest
 
-from helpers import (all_categories, coev_insert, ctensor_mor, cunit, eps_flat, fib,
+from helpers import (all_categories, bench_gen, coev_insert, ctensor_mor, cunit, eps_flat, fib,
                      gauged_corpus_and_zn, identity_mor, ising, lcoev_flat, lcoev_insert,
                      ldual_flat, lev_flat, nested_lev, nested_lev_entries, phi_l, rdual_flat,
-                     runit_reg, runit_reg_inv, vec_z2_omega, vec_z2_triv, vec_z4, whisker_c,
-                     zeta_flat)
-from modend import blocks
+                     one_simple_category, runit_reg, runit_reg_inv, vec_z2_omega, vec_z2_triv,
+                     vec_z4, whisker_c, zeta_flat)
+from modend import blocks, cli
 from modend.blocks import BaseTables
 from modend.common import InconsistentRigidity, UnknownLabel
-from modend.fusioncat import FusionCategorySpec, compute_duality, validate_fusion
+from modend.fusioncat import (FusionCategorySpec, compute_duality, tensor_generators,
+                              validate_fusion)
 
 CATS = all_categories()
 
@@ -410,3 +411,56 @@ def test_left_zigzag_fails_alone_off_the_diagonal():
     assert _duality_outcome(mutant) == "left zig-zags disagree at tau.1"
     assert _composite_duality_outcome(_with_f(mutant, mutant._f, mutant.name)) \
         == "left zig-zags disagree at tau.1"
+
+
+# ---------------------------------------------------------------------------
+# tensor-generating sets, the simples the probe builders balance at
+
+
+def _words_reach(spec, gens) -> set:
+    """The unit and every summand of a word in ``gens``, by words of growing length."""
+    reached, words = {spec.unit, *gens}, set(gens)
+    while words:
+        words = {c for w in words for g in gens for c in spec.fuse(w, g)} - reached
+        reached |= words
+    return reached
+
+
+def _generator_subjects() -> dict:
+    out, gen = dict(CATS), bench_gen()
+    for n in range(4, 13, 2):
+        name = f"zn{n}"
+        out[name] = cli._load_category(name, gen.instance(n, 1)["categories"][name])
+    return out
+
+
+GENERATOR_SUBJECTS = _generator_subjects()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SUBJECTS))
+def test_one_simple_tensor_generates(name):
+    """The set reaches every simple, each generator reaches a simple the
+    earlier ones miss, and one simple suffices on the corpus and on Z/n."""
+    spec = GENERATOR_SUBJECTS[name]
+    gens = tensor_generators(spec)
+    assert _words_reach(spec, gens) == set(spec.simples), gens
+    for k in range(1, len(gens)):
+        assert _words_reach(spec, gens[:k]) < _words_reach(spec, gens[:k + 1]), gens
+    assert len(gens) == 1 and tensor_generators(spec) is gens
+
+
+def test_tensor_generators_are_greedy_in_simples_order():
+    """A one-simple category needs no generator.  On Vec_{Z/2 x Z/2} each
+    non-unit simple reaches two simples, so the first is taken, and then any
+    other reaches all four, so the next is."""
+    assert tensor_generators(one_simple_category()) == ()
+    add = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "c": (1, 1)}
+    label = {v: k for k, v in add.items()}
+    klein = FusionCategorySpec(
+        field=CATS["vec_z2_triv"].field, simples=list(add), unit="0",
+        dual={x: x for x in add},
+        fusion=[(x, y, label[(add[x][0] ^ add[y][0], add[x][1] ^ add[y][1])])
+                for x in add for y in add])
+    assert validate_fusion(klein).ok
+    assert tensor_generators(klein) == ("a", "b")
+    assert _words_reach(klein, ("a",)) == {"0", "a"}
