@@ -25,7 +25,7 @@ from . import blocks, endengine, theorems
 from .common import (NotATensorSubcategory, OracleMismatch, ParseError,
                      SerreCertificateFailure, SourceTargetMismatch, UnknownCommand,
                      UnknownName, UpsilonMismatch, ValidationError, ValidationReport)
-from .fusioncat import FusionCategorySpec, validate_fusion
+from .fusioncat import FusionCategorySpec, tensor_generators, validate_fusion
 from .modcat import ModuleCategorySpec, internal_hom, regular_module, validate_module
 from .modfunct import (ModuleFunctorSpec, act_right_functor, identity_functor,
                        validate_functor)
@@ -392,14 +392,17 @@ def run(command, bundle: InstanceBundle) -> Report:
     if op in ("end", "coend"):
         f, g = (_argument(bundle, op, values, arg) for arg in ("F", "G"))
         if op == "coend":
-            sys_ = endengine.build_hom_coend_system(f, g)
+            sys_ = endengine.build_hom_coend_system(f, g, tensor_generators(f.src.base))
             res = endengine.solve_coend(sys_)
             return Report(command, digests, "ok",
                           {"dim": res.dim, "relations": len(res.relations)})
-        sys_ = (endengine.ordinary_end_system(f, g) if "--ordinary" in flags
-                else endengine.build_nat_system(f, g))
-        if "--restrict" in flags:
-            sys_ = endengine.restrict_conditions(sys_, labels)
+        if "--ordinary" in flags:
+            sys_ = endengine.ordinary_end_system(f, g)
+        else:
+            # a source/target mismatch is reported before a bad label
+            endengine.check_hom_pair(f, g)
+            at = tensor_generators(f.src.base, labels if "--restrict" in flags else None)
+            sys_ = endengine.build_nat_system(f, g, at)
         res = endengine.solve_end(sys_)
         return Report(command, digests, "ok", {"dim": res.dim})
     if op == "serre":
@@ -507,26 +510,26 @@ def run_suite(bundle: InstanceBundle):
             record("serre::vec_over_vec_z2", True)
         except SerreCertificateFailure as exc:
             record("serre::vec_over_vec_z2", False, str(exc))
+
+    def hom_dims(cname, build, solve, subs) -> list:
+        """Dimension of the (co)end of the identity of ``cname``'s regular module
+        balanced at a tensor-generating set of each label set in ``subs``, of the
+        whole category for None."""
+        idf, cat = identities[cname], bundle.categories[cname]
+        return [solve(build(idf, idf, tensor_generators(cat, sub))).dim for sub in subs]
+
     if "vec_z4" in bundle.categories:
-        idf = identities["vec_z4"]
-        sys_full = endengine.build_nat_system(idf, idf)
-        d_c = endengine.solve_end(sys_full).dim
-        d_d = endengine.solve_end(endengine.restrict_conditions(sys_full, ["0", "2"])).dim
-        d_v = endengine.solve_end(endengine.restrict_conditions(sys_full, ["0"])).dim
+        d_c, d_d, d_v = hom_dims("vec_z4", endengine.build_nat_system, endengine.solve_end,
+                                 (None, ["0", "2"], ["0"]))
         record("restriction-monotone::vec_z4", d_c <= d_d <= d_v,
                f"{d_c} <= {d_d} <= {d_v}")
-        co = endengine.build_hom_coend_system(idf, idf)
-        c_c = endengine.solve_coend(co).dim
-        c_d = endengine.solve_coend(endengine.restrict_conditions(co, ["0", "2"])).dim
-        c_v = endengine.solve_coend(endengine.restrict_conditions(co, ["0"])).dim
+        c_c, c_d, c_v = hom_dims("vec_z4", endengine.build_hom_coend_system,
+                                 endengine.solve_coend, (None, ["0", "2"], ["0"]))
         record("restriction-monotone-coend::vec_z4", c_c <= c_d <= c_v,
                f"{c_c} <= {c_d} <= {c_v}")
     if "vec_z2_triv" in bundle.categories:
-        idf = identities["vec_z2_triv"]
-        sys_full = endengine.build_nat_system(idf, idf)
-        full = endengine.solve_end(sys_full).dim
-        vec_only = endengine.solve_end(
-            endengine.restrict_conditions(sys_full, ["e"])).dim
+        full, vec_only = hom_dims("vec_z2_triv", endengine.build_nat_system,
+                                  endengine.solve_end, (None, ["e"]))
         record("restriction-strict::vec_z2", full < vec_only, f"{full} < {vec_only}")
     return lines, ok_all
 

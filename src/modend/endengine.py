@@ -14,13 +14,15 @@ transposed end (rank computation).  Conditions are generated at simple X
 only.  A module pre-balancing is compatible with the tensor product, so the
 condition at ``X x Y`` follows from those at ``X`` and ``Y``, the condition at
 a summand of ``X x Y`` follows by naturality, and the unit's conditions vanish
-on gated data.  The object-valued probes below therefore balance only at
+on gated data.  Every command therefore balances only at
 ``fusioncat.tensor_generators`` of the base, one simple on the corpus and on
-Z/n.  The ``Hom(F(-), G(-))`` family keeps every simple X: ``end --restrict``
-keeps the conditions at the labels of a tensor subcategory, which need hold
-no generator, and ``composite_nat_conditions`` exposes the condition of a
-decomposed ``X x Y`` so the property suite can verify, against conditions at
-every simple, that it never shrinks the solution space.
+Z/n: the object-valued probes below always, and the ``Hom(F(-), G(-))``
+family at the simples its callers pass (``end --restrict D`` at a
+tensor-generating set of D).  Called with no simples, the Hom family writes
+every simple X, the reference that ``restrict_conditions`` filters and that
+``composite_nat_conditions``, the condition of a decomposed ``X x Y``, is
+appended to, so the property suite can verify that the reduction never
+shrinks the solution space.
 
 Every builder writes each condition entry by entry and composes no
 morphisms: an entry is a sum, over intermediate labels, of products of F-,
@@ -117,8 +119,19 @@ def solve_coend(sys: DinaturalSystem) -> EndResult:
 
 
 def restrict_conditions(sys: DinaturalSystem, sub: Sequence[str]) -> DinaturalSystem:
-    """Keep only the conditions whose generator lies in the label subset."""
-    base = sys.meta.get("base")
+    """Keep only the conditions whose generator lies in the label subset.
+
+    The all-simples reference for a tensor subcategory's end, which the
+    acceptance gates read: ``sys`` must balance at every simple of its base,
+    as a Hom builder called with no ``at`` does.  A system built at fewer
+    simples (its ``meta["at"]``, as a probe system always is) raises
+    ``ValueError``, since filtering it would drop conditions the subcategory
+    needs; ``end --restrict`` instead builds at ``tensor_generators`` of the
+    subcategory.
+    """
+    base, at = sys.meta.get("base"), sys.meta.get("at")
+    if base is not None and at is not None and set(at) != set(base.simples):
+        raise ValueError(f"{sys.recipe} system balances at {list(at)}, not at every simple")
     if base is not None:
         tensor_subcategory(base, sub)
     subset = set(sub)
@@ -181,27 +194,37 @@ def _evaluation(tables, X: str, p: str) -> dict:
     return {s: scale * inv.get((base.unit, s), tables.field.zero) for s in tables.act_set(X, p)}
 
 
+def check_hom_pair(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> None:
+    """Raise ``SourceTargetMismatch`` unless ``f`` and ``g`` share source and target."""
+    if f.src is not g.src or f.dst is not g.dst:
+        raise SourceTargetMismatch("functors must share source and target")
+
+
 def _hom_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec, kind: str, recipe: str,
-                condition) -> DinaturalSystem:
+                condition, at: Sequence[str] | None = None) -> DinaturalSystem:
     """The system on ``Hom(F(-), G(-))`` with one condition per generator ``(X, m_i)``.
 
+    ``X`` runs over ``at``, in its order, or over every simple of the base
+    when ``at`` is None; ``meta["at"]`` records the simples balanced at.
+    Balancing at a tensor-generating set (``fusioncat.tensor_generators``)
+    cuts out the space that every simple does (see the module docstring).
     ``condition(column, copies, X, block)`` returns the condition matrix of
     the generator ``(X, block.simple)``; ``column`` is ``_nat_columns`` of the
     carrier and ``copies`` holds ``_copies`` of ``f`` and of ``g``.  Without
     ``condition`` the system has no conditions.
     """
-    if f.src is not g.src or f.dst is not g.dst:
-        raise SourceTargetMismatch("functors must share source and target")
+    check_hom_pair(f, g)
     base = f.src.base
     base.duality()
+    at = tuple(base.simples if at is None else at)
     carrier = _nat_carrier(f, g)
     column = _nat_columns(carrier)
     copies = (_copies(f.tables, f.src.simples), _copies(g.tables, f.src.simples))
     conditions = [Condition(generator=(X, block.simple),
                             matrix=condition(column, copies, X, block))
-                  for X in base.simples for block in carrier] if condition else []
-    return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
-                           kind=kind, recipe=recipe, meta={"base": base, "f": f, "g": g})
+                  for X in at for block in carrier] if condition else []
+    return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions, kind=kind,
+                           recipe=recipe, meta={"base": base, "f": f, "g": g, "at": at})
 
 
 def ordinary_end_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
@@ -209,8 +232,12 @@ def ordinary_end_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> Dinatural
     return _hom_system(f, g, "end", "ordinary", None)
 
 
-def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
+def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
+                     at: Sequence[str] | None = None) -> DinaturalSystem:
     """Module-end system for ``Hom(F(-), G(-))`` with its canonical pre-balancing.
+
+    It balances at the simples ``at`` of the base, every simple when None
+    (``_hom_system``); the commands pass ``tensor_generators``.
 
     Generator ``(X, m_i)`` equates ``theta_{m_i} F(eps)`` with
     ``eps' (id_{X*} act (c_G theta_{X act m_i})) c_F`` as maps
@@ -233,23 +260,28 @@ def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSys
         for r, (l, b) in enumerate(g_copies[i]):
             eps_l = _evaluation(dst_t, X, l)
             for c, (s, t, k2, a2) in enumerate(cols):
-                at = (r * len(cols) + c) * len(column)
+                start = (r * len(cols) + c) * len(column)
                 if t == i and k2 == l:
-                    mat.entries[at + column[i, l, a2, b]] += eps[s]
+                    mat.entries[start + column[i, l, a2, b]] += eps[s]
                 c_f = blocks._c_entries(ft, Xd, s)
                 for k, a in f_copies[s]:
                     cf = c_f.get((k, a, l, t, k2, a2))
                     for b2 in range(g.mult(s, k)) if cf else ():
                         cg = c_g.get((l, b, k, s, k, b2))
                         if cg:
-                            mat.entries[at + column[s, k, a, b2]] -= cf * cg * eps_l[k]
+                            mat.entries[start + column[s, k, a, b2]] -= cf * cg * eps_l[k]
         return mat
 
-    return _hom_system(f, g, "end", "hom-end", balancing)
+    return _hom_system(f, g, "end", "hom-end", balancing, at)
 
 
-def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
+def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
+                      at: Sequence[str] | None = None) -> DinaturalSystem:
     """Direct module-naturality system: d theta_{X act m} = (id_X act theta_m) c.
+
+    Naturality at ``X x Y`` follows from naturality at ``X`` and ``Y`` through
+    the coherence of ``c``, so, like ``build_nat_system``, it is written at
+    the simples ``at``, every simple when None.
 
     The rows of generator ``(X, m_i)`` run over copies ``(l,b)`` in ``G(m_i)``
     and ``u in X act m_l``, then ``s in X act m_i`` and copies ``(k,a)`` in
@@ -267,18 +299,18 @@ def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSy
         mat = _zero_condition(f.field, len(rows) * len(cols), column)
         for r, (l, b, u) in enumerate(rows):
             for c, (s, k, a) in enumerate(cols):
-                at = (r * len(cols) + c) * len(column)
+                start = (r * len(cols) + c) * len(column)
                 for b2 in range(g.mult(s, k)):
                     cg = c_g.get((l, b, u, s, k, b2))
                     if cg:
-                        mat.entries[at + column[s, k, a, b2]] += cg
+                        mat.entries[start + column[s, k, a, b2]] += cg
                 for a2 in range(f.mult(i, l)):
                     cf = c_f.get((l, a2, u, s, k, a))
                     if cf:
-                        mat.entries[at + column[i, l, a2, b]] -= cf
+                        mat.entries[start + column[i, l, a2, b]] -= cf
         return mat
 
-    return _hom_system(f, g, "end", "module-naturality-oracle", naturality)
+    return _hom_system(f, g, "end", "module-naturality-oracle", naturality, at)
 
 
 def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
@@ -299,8 +331,7 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     ``cF(w,s)[(k,a,l), (t,k',a')] cG(z,i)[(l,b,k), (s,k,b')] epsW'(l)[w,z,k]``.
     ``carrier`` must be the carrier of ``f`` and ``g``, as in ``build_nat_system``.
     """
-    if f.src is not g.src or f.dst is not g.dst:
-        raise SourceTargetMismatch("functors must share source and target")
+    check_hom_pair(f, g)
     if list(carrier) != _nat_carrier(f, g):
         raise SourceTargetMismatch("carrier is not the Hom(F(-), G(-)) carrier of the functors")
     base = f.src.base
@@ -349,8 +380,13 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     return out
 
 
-def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
+def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
+                           at: Sequence[str] | None = None) -> DinaturalSystem:
     """Module-coend relations for ``Hom(F(-), G(-))``.
+
+    It relates at the simples ``at`` of the base, every simple when None
+    (``_hom_system``); the commands pass ``tensor_generators``, whose
+    relations span those of every simple, so the rank is the same.
 
     Generator ``(X, m_i)`` has one relation per coordinate ``(k,a,b)`` of
     block ``i``, a column over the carrier: that coordinate's unit vector minus
@@ -384,7 +420,7 @@ def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> Dinatu
                                 cf * g0_j * cg * _evaluation(dst_t, X, k2)[k]
         return mat
 
-    return _hom_system(f, g, "coend", "hom-coend", relations)
+    return _hom_system(f, g, "coend", "hom-coend", relations, at)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +480,9 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     carrier, column = _labelled_carrier(
         {i: [(k, a, l, b, p) for k, a in f_copies[i] for l, b in g_copies[i]
              for p in bt.fuse(dual[k], l)] for i in f.src.simples}, f.src.simples)
-    dim = len(column)
+    dim, gens = len(column), tensor_generators(base)
     conditions = []
-    for X in tensor_generators(base):
+    for X in gens:
         Xd = dual[X]
         for i in f.src.simples:
             c_g, eps = blocks._c_entries(gtab, X, i), _evaluation(mt, X, i)
@@ -470,7 +506,7 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
                                 cg * bt.f_inverse(dual[k2], X, l, p).get((dual[k], l2), zero) * cf
             conditions.append(Condition(generator=(X, i), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
-                           kind="end", recipe="character-probe", meta={"base": base})
+                           kind="end", recipe="character-probe", meta={"base": base, "at": gens})
 
 
 def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
@@ -523,8 +559,8 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
                 field, len(rows), len(cols), [L(X, c, i, u, Z, r) for r in rows for c in cols]))
         return m_inv[X, u, Z].get((Y, q), zero)
 
-    conditions = []
-    for X in tensor_generators(base):
+    conditions, gens = [], tensor_generators(base)
+    for X in gens:
         Xd = dual[X]
         for u in m.simples:
             lhs = bt.lcoev[X] * mt.unit_scalar(u)
@@ -550,7 +586,7 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
             conditions.append(Condition(generator=(X, u), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="serre-coend-probe",
-                           meta={"base": base, "input": i})
+                           meta={"base": base, "input": i, "at": gens})
 
 
 def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> DinaturalSystem:
@@ -580,9 +616,9 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
     carrier, column = _labelled_carrier(
         {m: [(q, Z) for q in bt.fuse(x, m) for Z in base.simples if bt.n(Z, m, q)]
          for m in base.simples}, base.simples)
-    dim = len(column)
+    dim, gens = len(column), tensor_generators(base)
     conditions = []
-    for Y in tensor_generators(base):
+    for Y in gens:
         Yd = dual[Y]
         for m in base.simples:
             rows = [(n, w, q, Z) for n in bt.fuse(m, Y) for w in bt.fuse(n, Yd)
@@ -601,4 +637,4 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
             conditions.append(Condition(generator=(Y, m), matrix=mat))
     return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                            kind="end", recipe="upsilon-probe",
-                           meta={"base": base, "x": x})
+                           meta={"base": base, "x": x, "at": gens})

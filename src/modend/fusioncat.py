@@ -244,7 +244,17 @@ def _reached(spec: FusionCategorySpec, gens: Sequence[str]) -> set:
     return seen
 
 
-def tensor_generators(spec: FusionCategorySpec) -> tuple:
+def _greedy_generators(spec: FusionCategorySpec, simples: Sequence[str]) -> tuple:
+    """Generators of the fusion-closed ``simples``, each reaching the most, first on a tie."""
+    chosen, reached = [], _reached(spec, ())
+    while len(reached) < len(simples):
+        best = max(simples, key=lambda X: len(_reached(spec, (*chosen, X))))
+        chosen.append(best)
+        reached = _reached(spec, chosen)
+    return tuple(chosen)
+
+
+def tensor_generators(spec: FusionCategorySpec, labels: Sequence[str] | None = None) -> tuple:
     """Simples whose tensor words reach every simple, chosen greedily; kept on ``spec``.
 
     Each step takes the simple whose addition reaches the most simples, the
@@ -255,12 +265,13 @@ def tensor_generators(spec: FusionCategorySpec) -> tuple:
     summand of ``X x Y`` by naturality, while the unit's conditions vanish on
     gated data: balancing at these simples cuts out the end that balancing at
     every simple does.
+
+    With ``labels``, the same greedy choice over the tensor subcategory they
+    span, checked by ``tensor_subcategory`` (whose errors it raises); only the
+    whole category's set is kept on ``spec``.
     """
+    if labels is not None:
+        return _greedy_generators(spec, tensor_subcategory(spec, labels))
     if spec._generators is None:
-        chosen, reached = [], _reached(spec, ())
-        while len(reached) < len(spec.simples):
-            best = max(spec.simples, key=lambda X: len(_reached(spec, (*chosen, X))))
-            chosen.append(best)
-            reached = _reached(spec, chosen)
-        spec._generators = tuple(chosen)
+        spec._generators = _greedy_generators(spec, spec.simples)
     return spec._generators

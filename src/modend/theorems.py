@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from . import endengine
 from .common import (OracleMismatch, SerreCertificateFailure, SourceTargetMismatch,
                      UpsilonMismatch, ValidationError, ValidationReport)
-from .fusioncat import FusionCategorySpec
+from .fusioncat import FusionCategorySpec, tensor_generators
 from .modcat import ModuleCategorySpec, regular_module
 from .modfunct import ModuleFunctorSpec, act_right_functor, identity_functor
 
@@ -34,15 +34,18 @@ def nat_m_dim(f: ModuleFunctorSpec, g: ModuleFunctorSpec, mode: str = "end") -> 
     ``end`` solves the module-end system, ``oracle`` the direct naturality
     system, ``both`` solves both and requires the same subspace.  Both bases
     are echelon-canonical (``Matrix.nullspace``), so the two subspaces agree
-    exactly when the two bases are equal.
+    exactly when the two bases are equal.  Both systems are written at
+    ``tensor_generators`` of the base, which cut out the spaces that every
+    simple does.
     """
     if mode not in ("end", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     end_res = oracle_res = None
+    at = tensor_generators(f.src.base)
     if mode in ("end", "both"):
-        end_res = endengine.solve_end(endengine.build_nat_system(f, g))
+        end_res = endengine.solve_end(endengine.build_nat_system(f, g, at))
     if mode in ("oracle", "both"):
-        oracle_res = endengine.solve_end(endengine.nat_oracle_system(f, g))
+        oracle_res = endengine.solve_end(endengine.nat_oracle_system(f, g, at))
     if mode == "end":
         return NatResult(dim=end_res.dim, mode=mode, end_basis=end_res.basis)
     if mode == "oracle":

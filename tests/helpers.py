@@ -661,7 +661,7 @@ def theta_condition(f, g, carrier, equation) -> Matrix:
 
 
 def _hom_composite(f, g, kind: str, recipe: str, condition):
-    """``endengine._hom_system`` with ``condition(carrier, X, block)``."""
+    """``endengine._hom_system`` at every simple with ``condition(carrier, X, block)``."""
     if f.src is not g.src or f.dst is not g.dst:
         raise SourceTargetMismatch("functors must share source and target")
     base = f.src.base
@@ -672,7 +672,8 @@ def _hom_composite(f, g, kind: str, recipe: str, condition):
                   for X in base.simples for block in carrier]
     return endengine.DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
                                      kind=kind, recipe=recipe,
-                                     meta={"base": base, "f": f, "g": g})
+                                     meta={"base": base, "f": f, "g": g,
+                                           "at": tuple(base.simples)})
 
 
 def nat_composite(f, g):
@@ -1050,7 +1051,8 @@ def character_probe_composite(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
             cond = balancing_matrix(f.field, carrier, i, l1.mat, rhs)
             conditions.append(endengine.Condition(generator=(X, i), matrix=cond))
     return endengine.DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
-                                     kind="end", recipe="character-probe", meta={"base": base})
+                                     kind="end", recipe="character-probe",
+                                     meta={"base": base, "at": tuple(base.simples)})
 
 
 def serre_probe_composite(m: ModuleCategorySpec, i: str):
@@ -1100,7 +1102,8 @@ def serre_probe_composite(m: ModuleCategorySpec, i: str):
             conditions.append(endengine.Condition(generator=(X, u), matrix=cond))
     return endengine.DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                                      kind="end", recipe="serre-coend-probe",
-                                     meta={"base": base, "input": i})
+                                     meta={"base": base, "input": i,
+                                           "at": tuple(base.simples)})
 
 
 def upsilon_probe_composite(reg_module: ModuleCategorySpec, x: str):
@@ -1156,7 +1159,7 @@ def upsilon_probe_composite(reg_module: ModuleCategorySpec, x: str):
             conditions.append(endengine.Condition(generator=(Y, mm), matrix=cond))
     return endengine.DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
                                      kind="end", recipe="upsilon-probe",
-                                     meta={"base": base, "x": x})
+                                     meta={"base": base, "x": x, "at": tuple(base.simples)})
 
 
 # ---------------------------------------------------------------------------

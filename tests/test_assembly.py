@@ -21,6 +21,7 @@ mutants of the gate's subjects, whose symbols obey no coherence.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import zlib
 
@@ -37,7 +38,8 @@ from helpers import (CORPUS, act_mor, all_categories, bench_gen,
                      upsilon_probe_composite, vec_over_vec_z2, whisker_c, zeta_flat)
 from modend import blocks, cli, endengine
 from modend.blocks import Mor, Obj, _simple
-from modend.fusioncat import tensor_generators, validate_fusion
+from modend.common import NotATensorSubcategory
+from modend.fusioncat import tensor_generators, tensor_subcategory, validate_fusion
 from modend.modcat import ModuleCategorySpec, opposite_module, regular_module, validate_module
 from modend.modfunct import ModuleFunctorSpec, act_right_functor, identity_functor
 from modend.scalarfield import Matrix
@@ -266,7 +268,8 @@ def _at_generators(sys_) -> endengine.DinaturalSystem:
     """``sys_`` with only the conditions whose generator is in ``tensor_generators``."""
     gens = tensor_generators(sys_.meta["base"])
     return dataclasses.replace(sys_, conditions=[c for c in sys_.conditions
-                                                 if c.generator[0] in gens])
+                                                 if c.generator[0] in gens],
+                               meta={**sys_.meta, "at": gens})
 
 
 def _assembled(module, pairs, serre, character, upsilon, opposite, lev_entries) -> dict:
@@ -421,3 +424,96 @@ def test_hom_systems_match_the_composites_on_mutants(name):
         products = [tuple(rng.choice(f.src.base.simples) for _ in "XY")]
         assert _hom_family(f, g, products, *HOM_SYMBOLS) \
             == _hom_family(f, g, products, *HOM_COMPOSITES), (f.name, g.name)
+
+
+# ---------------------------------------------------------------------------
+# the Hom family at tensor generators against the Hom family at every simple
+
+
+HOM_BUILDERS = {"nat": endengine.build_nat_system, "oracle": endengine.nat_oracle_system,
+                "coend": endengine.build_hom_coend_system}
+
+
+def _solved(sys_) -> list:
+    """The echelon nullspace basis of an end, the echelon relations of a
+    coend: equal exactly when the two systems cut out the same space."""
+    if sys_.kind == "coend":
+        return endengine.solve_coend(sys_).relations
+    return endengine.solve_end(sys_).basis
+
+
+@pytest.fixture(scope="module")
+def every_simple():
+    """``name -> [(f, g, {kind: (system, solved)})]``: each functor pair of the
+    ``MODULES`` entry with its Hom systems at every simple, built on first use."""
+    cache = {}
+
+    def systems(name):
+        if name not in cache:
+            cache[name] = [(f, g, {kind: (sys_, _solved(sys_)) for kind, sys_ in
+                                   ((kind, build(f, g)) for kind, build in HOM_BUILDERS.items())})
+                           for f, g in MODULES[name][1]]
+        return cache[name]
+    return systems
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_hom_family_at_generators_cuts_out_every_simples_space(name, every_simple):
+    """At ``tensor_generators`` of the base the nat and oracle systems have
+    the nullspace, and the coend the relation space, of the same system
+    written at every simple, for every functor pair."""
+    gens = tensor_generators(MODULES[name][0].base)
+    for f, g, full in every_simple(name):
+        for kind, build in HOM_BUILDERS.items():
+            assert _solved(build(f, g, gens)) == full[kind][1], (kind, f.name, g.name)
+
+
+def _subcategories(spec) -> list:
+    """The label sets, in ``simples`` order, of every tensor subcategory."""
+    out = []
+    for size in range(1, len(spec.simples) + 1):
+        for labels in itertools.combinations(spec.simples, size):
+            try:
+                tensor_subcategory(spec, labels)
+            except NotATensorSubcategory:
+                continue
+            out.append(labels)
+    return out
+
+
+# the subjects over vec_z4 and vec_z2_triv, whose subcategories are proper
+RESTRICTED = sorted(name for name in MODULES
+                    if name.startswith(("vec_z4", "vec_z2_triv")) or name == "vec_over_vec_z2")
+
+
+@pytest.mark.parametrize("name", RESTRICTED)
+def test_hom_family_at_subcategory_generators_matches_restrict(name, every_simple):
+    """Under every tensor subcategory D, the systems written at D's
+    generators cut out the space of ``restrict_conditions`` of the system at
+    every simple, which ``end --restrict`` reported before."""
+    base = MODULES[name][0].base
+    subs = _subcategories(base)
+    assert len(subs) == {2: 2, 4: 3}[len(base.simples)], subs
+    for labels in subs:
+        gens = tensor_generators(base, labels)
+        for f, g, full in every_simple(name):
+            for kind, build in HOM_BUILDERS.items():
+                restricted = endengine.restrict_conditions(full[kind][0], labels)
+                assert _solved(build(f, g, gens)) == _solved(restricted), \
+                    (labels, kind, f.name, g.name)
+
+
+# a set of simples that generates a proper subcategory only, per base
+NON_GENERATING = {"vec_z4": ("2",), "ising": ("psi",), "zn6": ("3",)}
+
+
+def test_a_set_that_does_not_generate_cuts_out_more(every_simple):
+    """Each non-generating set leaves some pair's nat, oracle and coend space
+    larger than at every simple, so the check above would catch a generator
+    choice that misses a simple."""
+    for base, at in NON_GENERATING.items():
+        names = [name for name in MODULES if name.split("~")[0].removesuffix("_regular") == base]
+        assert len(names) == (1 if base.startswith("zn") else 2), names
+        for kind, build in HOM_BUILDERS.items():
+            assert any(_solved(build(f, g, at)) != full[kind][1]
+                       for name in names for f, g, full in every_simple(name)), (base, kind)

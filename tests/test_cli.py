@@ -469,6 +469,16 @@ def test_restrict_names_an_unknown_label(labels, capsys):
         '{"error":"unknown label zz","status":"validation-failed"}\n'
 
 
+def test_restrict_reports_a_mismatch_before_a_label(capsys):
+    """``end --restrict`` checks that the functors share source and target
+    before it reads the labels, which name no simple of the forgetful
+    functor's base here."""
+    assert cli.main(["end", "--hom", "forgetful", "id_vec_z4_regular",
+                     "--restrict", "0,1"]) == 1
+    assert capsys.readouterr().out == \
+        '{"error":"functors must share source and target","status":"validation-failed"}\n'
+
+
 @pytest.mark.parametrize("labels,item", [(",", ""), ("", ""), ("0,2,", ""), ("0, 2", " 2")])
 def test_restrict_refuses_an_empty_or_padded_item(labels, item, capsys):
     """An empty or padded item of ``--restrict LABELS`` is a usage error that

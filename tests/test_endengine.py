@@ -144,6 +144,25 @@ def test_restrict_conditions():
         ee.restrict_conditions(sys, ["0", "1"])
 
 
+def test_restrict_conditions_refuses_a_system_at_fewer_simples():
+    """A system balanced at a proper subset of the simples (``meta["at"]``),
+    a Hom system given one or a probe system, lacks conditions a subcategory
+    may need: restricting it is an error, while a system built at every
+    simple named explicitly restricts as the default one does."""
+    spec = vec_z4()
+    reg = regular_module(spec)
+    idf = identity_functor(reg)
+    for build in (ee.build_nat_system, ee.nat_oracle_system, ee.build_hom_coend_system):
+        with pytest.raises(ValueError, match="not at every simple"):
+            ee.restrict_conditions(build(idf, idf, ("1",)), ["0", "2"])
+    for probe in (ee.build_character_probe_system(idf, idf),
+                  ee.build_serre_probe_system(reg, "0"), ee.build_upsilon_probe_system(reg, "0")):
+        with pytest.raises(ValueError, match="not at every simple"):
+            ee.restrict_conditions(probe, ["0", "2"])
+    every = ee.build_nat_system(idf, idf, tuple(reversed(spec.simples)))
+    assert ee.solve_end(ee.restrict_conditions(every, ["0", "2"])).dim == 2
+
+
 def test_restrict_to_unit_matches_ordinary_end():
     # Prop restriction-vect: over the trivial subcategory the module end is
     # the ordinary end

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import zlib
 
 import pytest
@@ -11,9 +12,9 @@ from helpers import (all_categories, bench_gen, coev_insert, ctensor_mor, cunit,
                      vec_z4, whisker_c, zeta_flat)
 from modend import blocks, cli
 from modend.blocks import BaseTables
-from modend.common import InconsistentRigidity, UnknownLabel
+from modend.common import InconsistentRigidity, NotATensorSubcategory, UnknownLabel
 from modend.fusioncat import (FusionCategorySpec, compute_duality, tensor_generators,
-                              validate_fusion)
+                              tensor_subcategory, validate_fusion)
 
 CATS = all_categories()
 
@@ -449,18 +450,63 @@ def test_one_simple_tensor_generates(name):
     assert len(gens) == 1 and tensor_generators(spec) is gens
 
 
+def _klein() -> FusionCategorySpec:
+    """Vec_{Z/2 x Z/2} with the trivial associator, simples 0, a, b, c = a x b."""
+    add = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "c": (1, 1)}
+    label = {v: k for k, v in add.items()}
+    return FusionCategorySpec(
+        field=CATS["vec_z2_triv"].field, simples=list(add), unit="0",
+        dual={x: x for x in add},
+        fusion=[(x, y, label[(add[x][0] ^ add[y][0], add[x][1] ^ add[y][1])])
+                for x in add for y in add])
+
+
 def test_tensor_generators_are_greedy_in_simples_order():
     """A one-simple category needs no generator.  On Vec_{Z/2 x Z/2} each
     non-unit simple reaches two simples, so the first is taken, and then any
     other reaches all four, so the next is."""
     assert tensor_generators(one_simple_category()) == ()
-    add = {"0": (0, 0), "a": (1, 0), "b": (0, 1), "c": (1, 1)}
-    label = {v: k for k, v in add.items()}
-    klein = FusionCategorySpec(
-        field=CATS["vec_z2_triv"].field, simples=list(add), unit="0",
-        dual={x: x for x in add},
-        fusion=[(x, y, label[(add[x][0] ^ add[y][0], add[x][1] ^ add[y][1])])
-                for x in add for y in add])
+    klein = _klein()
     assert validate_fusion(klein).ok
     assert tensor_generators(klein) == ("a", "b")
     assert _words_reach(klein, ("a",)) == {"0", "a"}
+
+
+def test_tensor_generators_of_a_subcategory():
+    """Over a tensor subcategory the greedy choice runs on its labels alone:
+    the subgroups of Z/4 and of the Klein group, and each whole category
+    named by all its labels, in any order."""
+    z4, klein = vec_z4(), _klein()
+    cases = ((z4, ["0", "2"], ("2",)), (z4, ["2", "0"], ("2",)), (z4, ["0"], ()),
+             (z4, ["3", "2", "1", "0"], ("1",)), (klein, ["0"], ()),
+             (klein, ["0", "a"], ("a",)), (klein, ["b", "0"], ("b",)),
+             (klein, ["0", "c"], ("c",)), (klein, ["c", "b", "a", "0"], ("a", "b")))
+    for spec, labels, gens in cases:
+        assert tensor_generators(spec, labels) == gens, (spec.name, labels)
+        sub = tensor_subcategory(spec, labels)
+        assert _words_reach(spec, gens) == set(sub), (spec.name, labels)
+
+
+@pytest.mark.parametrize("labels", (["zz"], ["0", "zz"], ["2"], ["0", "1"], ["0", "1", "3"],
+                                    ["0", "1", "2"]))
+def test_tensor_generators_refuse_what_tensor_subcategory_refuses(labels):
+    """A label set that spans no tensor subcategory raises the same
+    ``NotATensorSubcategory`` message from both."""
+    spec = vec_z4()
+    with pytest.raises(NotATensorSubcategory) as expected:
+        tensor_subcategory(spec, labels)
+    with pytest.raises(NotATensorSubcategory, match=f"^{re.escape(str(expected.value))}$"):
+        tensor_generators(spec, labels)
+
+
+def test_a_subcategory_neither_reads_nor_writes_the_kept_generators():
+    """Only the whole category's set is kept on the spec: a subcategory's
+    set, even of every label, is computed afresh and leaves the kept one."""
+    spec = vec_z4()
+    assert tensor_generators(spec, ["0", "2"]) == ("2",)
+    assert spec._generators is None
+    spec._generators = ("sentinel",)
+    assert tensor_generators(spec, list(spec.simples)) == ("1",)
+    assert tensor_generators(spec, ["0", "2"]) == ("2",)
+    assert spec._generators == ("sentinel",)
+    assert tensor_generators(spec) == ("sentinel",)
