@@ -33,12 +33,11 @@ relations and the conditions of a decomposed generator) has a carrier
 coordinate per pair of copies of one simple in ``F(m_i)`` and ``G(m_i)``.
 
 Object-valued ends and coends (internal characters, the Serre-functor coend,
-the double-dual end) are built once, over a carrier that keeps every summand
-of each diagonal object tagged with its label.  By Schur's lemma no condition
-row has entries on two labels, so the system is block-diagonal by label and
-one solve gives every label's Hom-probe ``Hom(label, -)`` at once: each
-nullspace vector lies on one label, and the multiplicity of a label is the
-number of vectors on it (``theorems._multiplicities``).
+the double-dual end) are built once, by ``_probe_system``, over a carrier that
+keeps every summand of each diagonal object tagged with its label.  By
+Schur's lemma no condition row has entries on two labels, so the system is
+block-diagonal by label: the multiplicity of a label, its Hom-probe
+``Hom(label, -)``, is the nullity of its block (``theorems._multiplicities``).
 """
 
 from __future__ import annotations
@@ -200,31 +199,42 @@ def check_hom_pair(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> None:
         raise SourceTargetMismatch("functors must share source and target")
 
 
+def _assemble(base, carrier, column: dict, at, condition, kind: str, recipe: str,
+              **meta) -> DinaturalSystem:
+    """The system over ``carrier`` with one condition per generator ``(X, block.simple)``.
+
+    ``X`` runs over ``at``, in its order, and ``block`` over the carrier;
+    ``meta["at"]`` records the simples balanced at.  ``condition(column, X,
+    block)`` returns the condition matrix of the generator, ``column`` mapping
+    a carrier coordinate to its column.  Without ``condition`` the system has
+    no conditions.  The base's duality data is computed first.
+    """
+    base.duality()
+    conditions = [Condition(generator=(X, block.simple), matrix=condition(column, X, block))
+                  for X in at for block in carrier] if condition else []
+    return DinaturalSystem(field=base.field, blocks=carrier, conditions=conditions, kind=kind,
+                           recipe=recipe, meta={"base": base, **meta, "at": at})
+
+
 def _hom_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec, kind: str, recipe: str,
                 condition, at: Sequence[str] | None = None) -> DinaturalSystem:
     """The system on ``Hom(F(-), G(-))`` with one condition per generator ``(X, m_i)``.
 
     ``X`` runs over ``at``, in its order, or over every simple of the base
-    when ``at`` is None; ``meta["at"]`` records the simples balanced at.
-    Balancing at a tensor-generating set (``fusioncat.tensor_generators``)
-    cuts out the space that every simple does (see the module docstring).
-    ``condition(column, copies, X, block)`` returns the condition matrix of
-    the generator ``(X, block.simple)``; ``column`` is ``_nat_columns`` of the
-    carrier and ``copies`` holds ``_copies`` of ``f`` and of ``g``.  Without
-    ``condition`` the system has no conditions.
+    when ``at`` is None.  Balancing at a tensor-generating set
+    (``fusioncat.tensor_generators``) cuts out the space that every simple
+    does (see the module docstring).  ``condition(column, copies, X, block)``
+    is ``_assemble``'s callback with ``column`` the ``_nat_columns`` of the
+    carrier and ``copies`` the ``_copies`` of ``f`` and of ``g``.
     """
     check_hom_pair(f, g)
     base = f.src.base
-    base.duality()
-    at = tuple(base.simples if at is None else at)
     carrier = _nat_carrier(f, g)
-    column = _nat_columns(carrier)
     copies = (_copies(f.tables, f.src.simples), _copies(g.tables, f.src.simples))
-    conditions = [Condition(generator=(X, block.simple),
-                            matrix=condition(column, copies, X, block))
-                  for X in at for block in carrier] if condition else []
-    return DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions, kind=kind,
-                           recipe=recipe, meta={"base": base, "f": f, "g": g, "at": at})
+    at = tuple(base.simples if at is None else at)
+    return _assemble(base, carrier, _nat_columns(carrier), at,
+                     condition and (lambda column, X, block: condition(column, copies, X, block)),
+                     kind, recipe, f=f, g=g)
 
 
 def ordinary_end_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
@@ -424,34 +434,38 @@ def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
 
 
 # ---------------------------------------------------------------------------
-# object-valued ends and coends, every label's Hom-probe read off one solve,
+# object-valued ends and coends, block-diagonal by label, on ``_probe_system``,
 # in the notation above: the left-hand side on the generator's own block and
 # the right-hand side on the block of each summand it passes through
 
 
-def _labelled_carrier(summands: Mapping[str, Sequence[tuple]], order: Sequence[str]):
-    """One block per diagonal object, one coordinate per summand, tagged by its label.
+def _probe_system(base, summands: Mapping[str, Sequence[tuple]], recipe: str, condition,
+                  **meta) -> DinaturalSystem:
+    """An object-valued end system, balanced at ``tensor_generators`` of ``base``:
+    the conditions at the other simples follow from these (see the module docstring).
 
-    ``summands[key]`` lists the summands of the object at ``key``, each a tuple
-    whose last entry is its label.  Returns the blocks and the carrier column
-    of each ``(key, summand)``.
+    The carrier has one block per key of ``summands``, in its order, and one
+    coordinate per summand of the diagonal object at that key, tagged by the
+    summand's last entry, its label.  ``condition(column, X, block)`` is
+    ``_assemble``'s callback, ``column[key, summand]`` the column of a summand.
     """
-    out, column = [], {}
-    for key in order:
-        basis = []
-        for pos, summand in enumerate(summands[key]):
+    carrier, column = [], {}
+    for key, objs in summands.items():
+        basis, offset = [], len(column)
+        for pos, summand in enumerate(objs):
             column[key, summand] = len(column)
             basis.append((summand[-1], pos))
-        out.append(CarrierBlock(simple=key, basis=tuple(basis), offset=len(column) - len(basis)))
-    return out, column
+        carrier.append(CarrierBlock(simple=key, basis=tuple(basis), offset=offset))
+    return _assemble(base, carrier, column, tensor_generators(base), condition, "end", recipe,
+                     **meta)
 
 
 def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
     """Module end of ``ldual(F(-)) x G(-)`` over the source module.
 
-    ``f`` and ``g`` must land in the regular module of the base; its nullspace
-    vectors on the label ``p`` count ``dim Hom(p, end object)`` of the
-    internal-character end.
+    ``f`` and ``g`` must land in the regular module of the base; the
+    nullity of its rows on the label ``p`` counts ``dim Hom(p, end object)``
+    of the internal-character end.
 
     Block ``i`` has a coordinate per copy ``(k,a)`` of ``m_k`` in ``F(m_i)``,
     copy ``(l,b)`` of ``m_l`` in ``G(m_i)`` and ``p in k* x l``.  The rows of
@@ -462,8 +476,6 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     of block ``s`` is ``c_G(X,i)[(l,b,l'), (s,l',b')] Finv(k'*,X,l; p; k*,l')
     c_F(X*,s)[(k',a',k), (w,k,a)] / phi_l(X*,k'; k)``: the pre-balancing through
     the functor coherences, ``phi_l`` and the dual transpose of ``c``.
-    ``X`` runs over ``tensor_generators`` of the base: the conditions at the
-    other simples follow from these (see the module docstring).
     """
     if f.src is not g.src:
         raise SourceTargetMismatch("functors must share their source")
@@ -473,40 +485,36 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
         if h.dst.tables is not bt.regular():
             raise SourceTargetMismatch(
                 f"functor {h.name!r} must land in the regular module of the base")
-    base.duality()
     mt, ftab, gtab = f.src.tables, f.tables, g.tables
     field, dual, zero = f.field, base.dual, f.field.zero
     f_copies, g_copies = _copies(ftab, f.src.simples), _copies(gtab, f.src.simples)
-    carrier, column = _labelled_carrier(
-        {i: [(k, a, l, b, p) for k, a in f_copies[i] for l, b in g_copies[i]
-             for p in bt.fuse(dual[k], l)] for i in f.src.simples}, f.src.simples)
-    dim, gens = len(column), tensor_generators(base)
-    conditions = []
-    for X in gens:
-        Xd = dual[X]
-        for i in f.src.simples:
-            c_g, eps = blocks._c_entries(gtab, X, i), _evaluation(mt, X, i)
-            rows = [(s, w, k, a, l, b, p) for s in mt.act_set(X, i) for w in mt.act_set(Xd, s)
-                    for k, a in f_copies[w] for l, b in g_copies[i] for p in bt.fuse(dual[k], l)]
-            mat = Matrix.zeros(field, len(rows), dim)
-            for r, (s, w, k, a, l, b, p) in enumerate(rows):
-                at = r * dim
-                if w == i:
-                    mat.entries[at + column[i, (k, a, l, b, p)]] += eps[s]
-                c_f = blocks._c_entries(ftab, Xd, s)
-                for k2, a2 in f_copies[s]:
-                    cf = c_f.get((k2, a2, k, w, k, a))
-                    if not cf:
-                        continue
-                    cf = cf / blocks.phi_l_scalar(bt, Xd, k2, k)
-                    for l2, b2 in g_copies[s]:
-                        cg = c_g.get((l, b, l2, s, l2, b2))
-                        if cg and (s, (k2, a2, l2, b2, p)) in column:
-                            mat.entries[at + column[s, (k2, a2, l2, b2, p)]] -= \
-                                cg * bt.f_inverse(dual[k2], X, l, p).get((dual[k], l2), zero) * cf
-            conditions.append(Condition(generator=(X, i), matrix=mat))
-    return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
-                           kind="end", recipe="character-probe", meta={"base": base, "at": gens})
+
+    def balancing(column, X, block):
+        i, Xd, dim = block.simple, dual[X], len(column)
+        c_g, eps = blocks._c_entries(gtab, X, i), _evaluation(mt, X, i)
+        rows = [(s, w, k, a, l, b, p) for s in mt.act_set(X, i) for w in mt.act_set(Xd, s)
+                for k, a in f_copies[w] for l, b in g_copies[i] for p in bt.fuse(dual[k], l)]
+        mat = Matrix.zeros(field, len(rows), dim)
+        for r, (s, w, k, a, l, b, p) in enumerate(rows):
+            at = r * dim
+            if w == i:
+                mat.entries[at + column[i, (k, a, l, b, p)]] += eps[s]
+            c_f = blocks._c_entries(ftab, Xd, s)
+            for k2, a2 in f_copies[s]:
+                cf = c_f.get((k2, a2, k, w, k, a))
+                if not cf:
+                    continue
+                cf = cf / blocks.phi_l_scalar(bt, Xd, k2, k)
+                for l2, b2 in g_copies[s]:
+                    cg = c_g.get((l, b, l2, s, l2, b2))
+                    if cg and (s, (k2, a2, l2, b2, p)) in column:
+                        mat.entries[at + column[s, (k2, a2, l2, b2, p)]] -= \
+                            cg * bt.f_inverse(dual[k2], X, l, p).get((dual[k], l2), zero) * cf
+        return mat
+
+    return _probe_system(base, {i: [(k, a, l, b, p) for k, a in f_copies[i] for l, b in g_copies[i]
+                                    for p in bt.fuse(dual[k], l)] for i in f.src.simples},
+                         "character-probe", balancing)
 
 
 def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
@@ -514,8 +522,8 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
 
     The coend of ``uhom(m_i, -)* act -`` over the opposite (right) module is
     probed with ``Hom(-, m_p)``, which turns its relations into an end-type
-    system on coordinate functionals; its nullspace vectors on the label
-    ``p`` count the multiplicity of ``m_p`` in the coend object.
+    system on coordinate functionals whose nullity on the label ``p`` counts
+    ``m_p`` in the coend.  An ``i`` not in ``m.simples`` raises ``SourceTargetMismatch``.
 
     With ``US(j)`` the simples ``Y`` with ``m_j in Y act m_i``, block ``u`` has
     a coordinate per ``Y in US(u)`` and ``t in Y* act m_u``.  The rows of
@@ -531,20 +539,14 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     ``M_Z`` is 1 x 1 and its one entry is that of ``l_block(X, Y, i, q)``, so
     ``M_Z^-1[Y, q]`` is read off the inverse the tables keep,
     ``l_inverse(X, Y, i, q)[Z, u]``; other tables invert ``M_Z`` once per build.
-    ``X`` runs over ``tensor_generators`` of the base: the conditions at the
-    other simples follow from these (see the module docstring).
     """
+    if i not in m.simples:
+        raise SourceTargetMismatch(f"{i!r} is not a simple of {m.name!r}")
     base = m.base
-    base.duality()
     bt, mt = base.tables, m.tables
     field, dual, unit, zero = m.field, base.dual, base.unit, m.field.zero
     L = mt._l_entry
     us = {j: [Y for Y in base.simples if mt.n(Y, i, j)] for j in m.simples}
-    carrier, column = _labelled_carrier(
-        {u: [(Y, t) for Y in us[u] for t in mt.act_set(dual[Y], u)] for u in m.simples},
-        m.simples)
-    dim = len(column)
-
     pointed, m_inv = blocks.is_pointed(mt), {}
 
     def action_iso_inverse(X, u, Z, Y, q):
@@ -559,44 +561,41 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
                 field, len(rows), len(cols), [L(X, c, i, u, Z, r) for r in rows for c in cols]))
         return m_inv[X, u, Z].get((Y, q), zero)
 
-    conditions, gens = [], tensor_generators(base)
-    for X in gens:
-        Xd = dual[X]
-        for u in m.simples:
-            lhs = bt.lcoev[X] * mt.unit_scalar(u)
-            rows = [(Y, z, s, t) for Y in us[u] for z in bt.fuse(Xd, X)
-                    for s in mt.act_set(dual[z], u) for t in mt.act_set(dual[Y], s)]
-            mat = Matrix.zeros(field, len(rows), dim)
-            for r, (Y, z, s, t) in enumerate(rows):
-                at = r * dim
-                if z == unit:
-                    mat.entries[at + column[u, (Y, t)]] += lhs
-                phi = blocks.phi_r_scalar(bt, Xd, X, z)
-                for q in mt.act_set(X, u):
-                    lval = L(Xd, X, u, q, dual[z], s)
-                    if not lval:
+    def balancing(column, X, block):
+        u, Xd, dim = block.simple, dual[X], len(column)
+        lhs = bt.lcoev[X] * mt.unit_scalar(u)
+        rows = [(Y, z, s, t) for Y in us[u] for z in bt.fuse(Xd, X)
+                for s in mt.act_set(dual[z], u) for t in mt.act_set(dual[Y], s)]
+        mat = Matrix.zeros(field, len(rows), dim)
+        for r, (Y, z, s, t) in enumerate(rows):
+            at = r * dim
+            if z == unit:
+                mat.entries[at + column[u, (Y, t)]] += lhs
+            phi = blocks.phi_r_scalar(bt, Xd, X, z)
+            for q in mt.act_set(X, u):
+                lval = L(Xd, X, u, q, dual[z], s)
+                if not lval:
+                    continue
+                for Z in us[q]:
+                    if (q, (Z, t)) not in column or not bt.n(X, Y, Z):
                         continue
-                    for Z in us[q]:
-                        if (q, (Z, t)) not in column or not bt.n(X, Y, Z):
-                            continue
-                        mat.entries[at + column[q, (Z, t)]] -= (
-                            phi * lval * mt.l_inverse(dual[Y], Xd, q, t).get((dual[Z], s), zero)
-                            * action_iso_inverse(X, u, Z, Y, q)
-                            / blocks.phi_r_scalar(bt, X, Y, Z))
-            conditions.append(Condition(generator=(X, u), matrix=mat))
-    return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
-                           kind="end", recipe="serre-coend-probe",
-                           meta={"base": base, "input": i, "at": gens})
+                    mat.entries[at + column[q, (Z, t)]] -= (
+                        phi * lval * mt.l_inverse(dual[Y], Xd, q, t).get((dual[Z], s), zero)
+                        * action_iso_inverse(X, u, Z, Y, q)
+                        / blocks.phi_r_scalar(bt, X, Y, Z))
+        return mat
+
+    return _probe_system(base, {u: [(Y, t) for Y in us[u] for t in mt.act_set(dual[Y], u)]
+                                for u in m.simples}, "serre-coend-probe", balancing, input=i)
 
 
 def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> DinaturalSystem:
-    """Double-dual end over the regular module, every label read off one solve.
+    """Double-dual end over the regular module, block-diagonal by label.
 
     The end runs over the dual category realized by right multiplications:
     one condition per (simple Y, module simple m), with the pre-balancing
-    assembled from the internal-hom adjunction shift along ``- x Y``.  ``Y``
-    runs over ``tensor_generators`` of the base: the conditions at the other
-    simples follow from these (see the module docstring).
+    assembled from the internal-hom adjunction shift along ``- x Y``.  An
+    ``x`` that is not a simple of the base raises ``SourceTargetMismatch``.
 
     Block ``m`` has a coordinate per ``q in x x m`` and ``Z`` with
     ``q in Z x m``.  The rows of generator ``(Y, m)`` run over ``n in m x Y``,
@@ -610,31 +609,28 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
     bt = base.tables
     if reg_module.tables is not bt.regular():
         raise SourceTargetMismatch(f"{reg_module.name!r} is not the regular module of the base")
-    base.duality()
+    if x not in base.simples:
+        raise SourceTargetMismatch(f"{x!r} is not a simple of the base")
     field, dual, unit = reg_module.field, base.dual, base.unit
     F, zero = bt._f_entry, field.zero
-    carrier, column = _labelled_carrier(
-        {m: [(q, Z) for q in bt.fuse(x, m) for Z in base.simples if bt.n(Z, m, q)]
-         for m in base.simples}, base.simples)
-    dim, gens = len(column), tensor_generators(base)
-    conditions = []
-    for Y in gens:
-        Yd = dual[Y]
-        for m in base.simples:
-            rows = [(n, w, q, Z) for n in bt.fuse(m, Y) for w in bt.fuse(n, Yd)
-                    for q in bt.fuse(x, m) for Z in base.simples if bt.n(Z, w, q)]
-            mat = Matrix.zeros(field, len(rows), dim)
-            for r, (n, w, q, Z) in enumerate(rows):
-                at = r * dim
-                if w == m:
-                    mat.entries[at + column[m, (q, Z)]] += F(m, Y, Yd, m, n, unit) * bt.lev[Y]
-                for q2 in bt.fuse(x, n):
-                    if bt.n(Z, n, q2) and bt.n(q, Y, q2):
-                        mat.entries[at + column[n, (q2, Z)]] -= (
-                            bt.f_inverse(x, m, Y, q2).get((q, n), zero)
-                            * bt.f_inverse(Z, n, Yd, q).get((q2, w), zero)
-                            * F(q, Y, Yd, q, q2, unit) * bt.lev[Y])
-            conditions.append(Condition(generator=(Y, m), matrix=mat))
-    return DinaturalSystem(field=field, blocks=carrier, conditions=conditions,
-                           kind="end", recipe="upsilon-probe",
-                           meta={"base": base, "x": x, "at": gens})
+
+    def balancing(column, Y, block):
+        m, Yd, dim = block.simple, dual[Y], len(column)
+        rows = [(n, w, q, Z) for n in bt.fuse(m, Y) for w in bt.fuse(n, Yd)
+                for q in bt.fuse(x, m) for Z in base.simples if bt.n(Z, w, q)]
+        mat = Matrix.zeros(field, len(rows), dim)
+        for r, (n, w, q, Z) in enumerate(rows):
+            at = r * dim
+            if w == m:
+                mat.entries[at + column[m, (q, Z)]] += F(m, Y, Yd, m, n, unit) * bt.lev[Y]
+            for q2 in bt.fuse(x, n):
+                if bt.n(Z, n, q2) and bt.n(q, Y, q2):
+                    mat.entries[at + column[n, (q2, Z)]] -= (
+                        bt.f_inverse(x, m, Y, q2).get((q, n), zero)
+                        * bt.f_inverse(Z, n, Yd, q).get((q2, w), zero)
+                        * F(q, Y, Yd, q, q2, unit) * bt.lev[Y])
+        return mat
+
+    return _probe_system(base, {m: [(q, Z) for q in bt.fuse(x, m) for Z in base.simples
+                                    if bt.n(Z, m, q)] for m in base.simples},
+                         "upsilon-probe", balancing, x=x)

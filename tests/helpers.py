@@ -18,11 +18,12 @@ import json
 import os
 import random
 import zlib
+from collections import Counter
 from pathlib import Path
 
 from modend import blocks, cli, endengine
 from modend.blocks import Mor, Obj
-from modend.common import SourceTargetMismatch, ValidationReport
+from modend.common import SourceTargetMismatch, ValidationError, ValidationReport
 from modend.fusioncat import FusionCategorySpec
 from modend.modcat import ModuleCategorySpec, opposite_module, regular_module
 from modend.modfunct import ModuleFunctorSpec
@@ -286,8 +287,9 @@ def sampled_sites(name, subject):
 
 
 # ---------------------------------------------------------------------------
-# the label restriction: the reference route for the multiplicities of an
-# object-valued (co)end, one solve per label
+# the reference routes for the multiplicities of an object-valued (co)end: the
+# label restriction, one solve per label, and the whole carrier stacked and
+# solved once
 
 
 def restrict_carrier(sys: endengine.DinaturalSystem, label: str) -> endengine.DinaturalSystem:
@@ -307,6 +309,32 @@ def restrict_carrier(sys: endengine.DinaturalSystem, label: str) -> endengine.Di
                   for c in sys.conditions]
     return endengine.DinaturalSystem(field=sys.field, blocks=kept_blocks, conditions=conditions,
                                      kind=sys.kind, recipe=sys.recipe, meta=dict(sys.meta))
+
+
+def stacked_multiplicities(sys: endengine.DinaturalSystem, labels) -> tuple:
+    """Multiplicity of each label in an object-valued (co)end, read off one solve.
+
+    Each carrier coordinate carries its label.  When no condition row has
+    entries on two labels, elimination only combines rows of one label, so
+    every nullspace vector lies on one label, and the multiplicity of ``p``
+    is the number of vectors on ``p``.  Schur's lemma makes every probe
+    system so; a row on two labels raises ``ValidationError``.
+    """
+    tags = [t[0] for block in sys.blocks for t in block.basis]
+    # entries no builder wrote are the shared zero: skip them without a truth test
+    zero = sys.field.zero
+    for cond in sys.conditions:
+        mat = cond.matrix
+        for r in range(mat.rows):
+            row = mat.entries[r * mat.cols:(r + 1) * mat.cols]
+            touched = {tags[k] for k, e in enumerate(row) if e is not zero and e}
+            if len(touched) > 1:
+                raise ValidationError(
+                    f"{sys.recipe}: a condition row of generator {cond.generator} has "
+                    f"entries on labels {sorted(touched)}")
+    on = Counter(tuple({tags[k] for k, e in enumerate(vec.entries) if e is not zero and e})
+                 for vec in endengine.solve_end(sys).basis)
+    return tuple(on[(p,)] for p in labels)
 
 
 def column_matrix(field, columns, rows=None) -> Matrix:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import zlib
 
@@ -6,7 +7,8 @@ import pytest
 import test_assembly
 from helpers import (all_categories, fib, ising, mutated, one_simple_category,
                      plain_dinaturality_condition, restrict_carrier, sample_pairs, sampled_sites,
-                     vec_over_vec_z2, vec_z2_omega, vec_z2_triv, vec_z4)
+                     stacked_multiplicities, vec_over_vec_z2, vec_z2_omega, vec_z2_triv,
+                     vec_z4)
 
 from modend import cli, endengine as ee, theorems
 from modend.common import (InconsistentRigidity, NotATensorSubcategory, SourceTargetMismatch,
@@ -306,6 +308,18 @@ def test_object_valued_end_by_label_restriction():
         ee.build_upsilon_probe_system(module, "e")
 
 
+def test_probe_builders_refuse_a_label_that_is_not_a_simple():
+    """A Serre or upsilon probe at a label off the simples is refused, not
+    built over an empty carrier whose multiplicities would all read 0."""
+    reg = regular_module(fib())
+    with pytest.raises(SourceTargetMismatch, match=f"^'zz' is not a simple of '{reg.name}'$"):
+        ee.build_serre_probe_system(reg, "zz")
+    with pytest.raises(SourceTargetMismatch, match="^'zz' is not a simple of the base$"):
+        ee.build_upsilon_probe_system(reg, "zz")
+    with pytest.raises(SourceTargetMismatch, match="^'zz' is not a simple of the base$"):
+        theorems.upsilon_regular(reg.base, "zz", reg)
+
+
 def random_vec_module_and_functors(rng):
     base = one_simple_category()
     k = rng.randint(1, 3)
@@ -373,8 +387,8 @@ def test_ordinary_character_probe_counts_summands():
 
 
 # ---------------------------------------------------------------------------
-# object-valued (co)ends: every label read off one solve, against the label
-# restriction that solves once per label
+# object-valued (co)ends: every label read off its own block, against the label
+# restriction that solves once per label and the stacked solve of the carrier
 
 
 def _probe_systems(module, pairs) -> list:
@@ -418,13 +432,34 @@ def _mutant_probe_systems(name, module, pairs) -> list:
 
 @pytest.mark.parametrize("name", sorted(test_assembly.MODULES))
 def test_one_solve_matches_the_label_restriction(name):
-    """``theorems._multiplicities`` solves each probe system once; every label's
-    multiplicity equals the dimension of the system restricted to that label."""
+    """``theorems._multiplicities`` reads each label off its own block; every
+    label's multiplicity equals the dimension of the system restricted to that
+    label and the count of nullspace vectors on it in one stacked solve."""
     module, pairs = test_assembly.MODULES[name]
     systems = _probe_systems(module, pairs) + _mutant_probe_systems(name, module, pairs)
     for sys_, labels in systems:
-        assert theorems._multiplicities(sys_, labels) == tuple(
-            ee.solve_end(restrict_carrier(sys_, p)).dim for p in labels), sys_.recipe
+        read = theorems._multiplicities(sys_, labels)
+        assert read == stacked_multiplicities(sys_, labels), sys_.recipe
+        assert read == tuple(ee.solve_end(restrict_carrier(sys_, p)).dim for p in labels), \
+            sys_.recipe
+
+
+def test_a_label_block_without_rows_or_coordinates():
+    """A label with coordinates but no rows reads its coordinate count, a label
+    with no coordinates reads 0, and a zero row touches no label."""
+    q = FieldSpec([0, 1])
+    carrier = [ee.CarrierBlock(simple="m", basis=(("e", 0), ("s", 1), ("e", 2)), offset=0),
+               ee.CarrierBlock(simple="n", basis=(("s", 0),), offset=3)]
+    rows = ee.Condition(generator=("X", "m"), matrix=Matrix(
+        q, 3, 4, [q.zero, q.one, q.zero, -q.one] + [q.zero] * 8))
+    sys_ = ee.DinaturalSystem(field=q, blocks=carrier, conditions=[rows], recipe="hand-built")
+    labels = ("e", "s", "t")
+    assert theorems._multiplicities(sys_, labels) == (2, 1, 0)
+    assert stacked_multiplicities(sys_, labels) == (2, 1, 0)
+    assert tuple(ee.solve_end(restrict_carrier(sys_, p)).dim for p in labels) == (2, 1, 0)
+    bare = dataclasses.replace(sys_, conditions=[])
+    assert theorems._multiplicities(bare, labels) == stacked_multiplicities(bare, labels) \
+        == (2, 2, 0)
 
 
 def test_a_condition_row_on_two_labels_is_refused():
@@ -437,5 +472,8 @@ def test_a_condition_row_on_two_labels_is_refused():
     sys_ = ee.DinaturalSystem(field=q, blocks=carrier, conditions=[row], recipe="hand-built")
     assert ee.solve_end(sys_).dim == 1
     assert [ee.solve_end(restrict_carrier(sys_, p)).dim for p in ("e", "s")] == [0, 0]
-    with pytest.raises(ValidationError, match=r"hand-built: .* generator \('X', 'm'\)"):
-        theorems._multiplicities(sys_, ("e", "s"))
+    for read in (theorems._multiplicities, stacked_multiplicities):
+        with pytest.raises(ValidationError) as refused:
+            read(sys_, ("e", "s"))
+        assert str(refused.value) == ("hand-built: a condition row of generator ('X', 'm') "
+                                      "has entries on labels ['e', 's']")

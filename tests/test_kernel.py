@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -340,24 +341,54 @@ def test_memoized_duality_isos_equal_their_closed_forms():
                         assert fn(base, a, b, z) is val
 
 
-def test_object_valued_ends_solve_once(tmp_path, monkeypatch):
-    """One ``solve_end`` and one ``rref`` per object-valued system on zn4, whose
-    F-blocks are monomial and so are inverted without elimination: the Serre
-    functor of the regular module solves one coend per simple, upsilon one end."""
-    bundle = _zn4(tmp_path)
-    assert all(rep.ok for rep in bundle.validate_all())
-    cat, reg = bundle.category("zn4"), bundle.module("zn4_regular")
-    calls = []
-    for owner, attr in ((endengine, "solve_end"), (Matrix, "rref")):
-        def counting(*args, _fn=getattr(owner, attr), _attr=attr):
-            calls.append(_attr)
-            return _fn(*args)
-        monkeypatch.setattr(owner, attr, counting)
-    for step, solves in ((lambda: theorems.serre_functor(reg), 4),
-                         (lambda: theorems.upsilon_regular(cat, "1", reg), 1)):
-        calls.clear()
-        step()
-        assert sorted(calls) == ["rref"] * solves + ["solve_end"] * solves
+def test_object_valued_ends_solve_one_block_per_label(tmp_path, monkeypatch):
+    """No ``solve_end``, and at most one ``rref`` per label while
+    ``theorems._multiplicities`` reads an object-valued system, each no wider
+    than that label's coordinates.  On zn4 every coordinate of a probe carries
+    one label; on fib and ising the labels split the carrier, so a solve over
+    the whole carrier would be wider than any label.  Each subject runs the
+    Serre functor of its regular module and upsilon at every simple."""
+    zn4, corpus = _zn4(tmp_path), cli.load(cli.bundled_instance_paths())
+    assert all(rep.ok for bundle in (zn4, corpus) for rep in bundle.validate_all())
+    events = []
+    solve_end, rref, read = endengine.solve_end, Matrix.rref, theorems._multiplicities
+
+    def solving(*args):
+        events.append("solve_end")
+        return solve_end(*args)
+
+    def reducing(self):
+        events.append(self.cols)
+        return rref(self)
+
+    def reading(sys_, labels):
+        events.append(sys_)
+        out = read(sys_, labels)
+        events.append(None)
+        return out
+
+    monkeypatch.setattr(endengine, "solve_end", solving)
+    monkeypatch.setattr(Matrix, "rref", reducing)
+    monkeypatch.setattr(theorems, "_multiplicities", reading)
+    split = 0
+    for bundle, name in ((zn4, "zn4"), (corpus, "fib"), (corpus, "ising")):
+        cat, reg = bundle.category(name), bundle.module(f"{name}_regular")
+        events.clear()
+        theorems.serre_functor(reg)
+        for x in cat.simples:
+            theorems.upsilon_regular(cat, x, reg)
+        assert "solve_end" not in events
+        starts = [k for k, e in enumerate(events) if isinstance(e, endengine.DinaturalSystem)]
+        assert len(starts) == len(reg.simples) + len(cat.simples), name
+        for start in starts:
+            system, end = events[start], events.index(None, start)
+            widths = sorted(events[start + 1:end], reverse=True)
+            coords = sorted(Counter(t[0] for b in system.blocks for t in b.basis).values(),
+                            reverse=True)
+            assert 1 <= len(widths) <= len(coords), (name, system.meta)
+            assert all(w <= c for w, c in zip(widths, coords)), (name, widths, coords)
+            split += len(coords) > 1
+    assert split
 
 
 def test_hom_lemma_suite_reads_each_action_set_a_bounded_number_of_times(monkeypatch):
