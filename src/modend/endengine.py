@@ -19,18 +19,17 @@ on gated data.  Every command therefore balances only at
 Z/n: the object-valued probes below always, and the ``Hom(F(-), G(-))``
 family at the simples its callers pass (``end --restrict D`` at a
 tensor-generating set of D).  Called with no simples, the Hom family writes
-every simple X, the reference that ``restrict_conditions`` filters and that
-``composite_nat_conditions``, the condition of a decomposed ``X x Y``, is
-appended to, so the property suite can verify that the reduction never
-shrinks the solution space.
+every simple X, the reference that ``restrict_conditions`` filters; the nat
+writer, given the evaluation of ``X x Y`` nested from those of X and Y, also
+writes ``composite_nat_conditions``, so the property suite can verify that
+the reduction never shrinks the solution space.
 
 Every builder writes each condition entry by entry and composes no
 morphisms: an entry is a sum, over intermediate labels, of products of F-,
 L- and c-symbols, entries of inverse F- and L-blocks (kept on the tables)
 and duality scalars, in the closed form its docstring gives.  The
-``Hom(F(-), G(-))`` family (the end, the naturality oracle, the coend
-relations and the conditions of a decomposed generator) has a carrier
-coordinate per pair of copies of one simple in ``F(m_i)`` and ``G(m_i)``.
+``Hom(F(-), G(-))`` family has a carrier coordinate per pair of copies of
+one simple in ``F(m_i)`` and ``G(m_i)``.
 
 Object-valued ends and coends (internal characters, the Serre-functor coend,
 the double-dual end) are built once, by ``_probe_system``, over a carrier that
@@ -151,27 +150,26 @@ def restrict_conditions(sys: DinaturalSystem, sub: Sequence[str]) -> DinaturalSy
 # ``G``'s, and ``eps(X,p)[s]`` is ``_evaluation``.
 
 
+def check_hom_pair(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> None:
+    """Raise ``SourceTargetMismatch`` unless ``f`` and ``g`` share source and target."""
+    if f.src is not g.src or f.dst is not g.dst:
+        raise SourceTargetMismatch("functors must share source and target")
+
+
 def _nat_carrier(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
-    out = []
-    offset = 0
+    """The carrier, a block per ``m_i`` with a coordinate per copy pair ``(k, a, b)``,
+    and the column of each coordinate ``(i, k, a, b)``; ``check_hom_pair`` first."""
+    check_hom_pair(f, g)
+    carrier, column = [], {}
     for i in f.src.simples:
-        basis = []
+        basis, offset = [], len(column)
         for k in f.dst.simples:
             for a in range(f.mult(i, k)):
                 for b in range(g.mult(i, k)):
+                    column[i, k, a, b] = len(column)
                     basis.append((k, a, b))
-        out.append(CarrierBlock(simple=i, basis=tuple(basis), offset=offset))
-        offset += len(basis)
-    return out
-
-
-def _nat_columns(carrier) -> dict:
-    """The carrier column of each coordinate ``(i, k, a, b)``."""
-    column = {}
-    for block in carrier:
-        for k, a, b in block.basis:
-            column[block.simple, k, a, b] = len(column)
-    return column
+        carrier.append(CarrierBlock(simple=i, basis=tuple(basis), offset=offset))
+    return carrier, column
 
 
 def _zero_condition(field, rows: int, column: dict) -> Matrix:
@@ -179,9 +177,16 @@ def _zero_condition(field, rows: int, column: dict) -> Matrix:
     return Matrix.zeros(field, rows if column else 0, len(column))
 
 
-def _copies(ft, simples) -> dict:
-    """``i -> [(k, a), ...]``: the copies of simples in ``F(m_i)``, in ``f_obj`` order."""
-    return {i: [(k, a) for k, n in ft.images[i] for a in range(n)] for i in simples}
+def _copies(h: ModuleFunctorSpec) -> dict:
+    """``i -> [(k, a), ...]``: the copies of simples in ``H(m_i)``, in ``f_obj`` order."""
+    return {i: [(k, a) for k, n in h.tables.images[i] for a in range(n)] for i in h.src.simples}
+
+
+def _check_simples(base, labels) -> None:
+    """Raise ``SourceTargetMismatch`` at the first label that is not a simple of ``base``."""
+    for X in labels:
+        if X not in base.simples:
+            raise SourceTargetMismatch(f"{X!r} is not a simple of the base")
 
 
 @_memoized
@@ -193,22 +198,18 @@ def _evaluation(tables, X: str, p: str) -> dict:
     return {s: scale * inv.get((base.unit, s), tables.field.zero) for s in tables.act_set(X, p)}
 
 
-def check_hom_pair(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> None:
-    """Raise ``SourceTargetMismatch`` unless ``f`` and ``g`` share source and target."""
-    if f.src is not g.src or f.dst is not g.dst:
-        raise SourceTargetMismatch("functors must share source and target")
-
-
 def _assemble(base, carrier, column: dict, at, condition, kind: str, recipe: str,
               **meta) -> DinaturalSystem:
     """The system over ``carrier`` with one condition per generator ``(X, block.simple)``.
 
-    ``X`` runs over ``at``, in its order, and ``block`` over the carrier;
-    ``meta["at"]`` records the simples balanced at.  ``condition(column, X,
-    block)`` returns the condition matrix of the generator, ``column`` mapping
-    a carrier coordinate to its column.  Without ``condition`` the system has
-    no conditions.  The base's duality data is computed first.
+    ``X`` runs over ``at``, in its order (a non-simple raises
+    ``SourceTargetMismatch``), and ``block`` over the carrier; ``meta["at"]``
+    records ``at``.  ``condition(column, X, block)`` returns the condition
+    matrix of the generator, ``column`` mapping a carrier coordinate to its
+    column.  Without ``condition`` the system has no conditions.  The base's
+    duality data is computed first.
     """
+    _check_simples(base, at)
     base.duality()
     conditions = [Condition(generator=(X, block.simple), matrix=condition(column, X, block))
                   for X in at for block in carrier] if condition else []
@@ -223,18 +224,13 @@ def _hom_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec, kind: str, recipe: s
     ``X`` runs over ``at``, in its order, or over every simple of the base
     when ``at`` is None.  Balancing at a tensor-generating set
     (``fusioncat.tensor_generators``) cuts out the space that every simple
-    does (see the module docstring).  ``condition(column, copies, X, block)``
-    is ``_assemble``'s callback with ``column`` the ``_nat_columns`` of the
-    carrier and ``copies`` the ``_copies`` of ``f`` and of ``g``.
+    does (see the module docstring).  ``condition(column, X, block)`` is
+    ``_assemble``'s callback, ``column`` that of ``_nat_carrier``.
     """
-    check_hom_pair(f, g)
     base = f.src.base
-    carrier = _nat_carrier(f, g)
-    copies = (_copies(f.tables, f.src.simples), _copies(g.tables, f.src.simples))
-    at = tuple(base.simples if at is None else at)
-    return _assemble(base, carrier, _nat_columns(carrier), at,
-                     condition and (lambda column, X, block: condition(column, copies, X, block)),
-                     kind, recipe, f=f, g=g)
+    carrier, column = _nat_carrier(f, g)
+    return _assemble(base, carrier, column, tuple(base.simples if at is None else at),
+                     condition, kind, recipe, f=f, g=g)
 
 
 def ordinary_end_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> DinaturalSystem:
@@ -242,45 +238,58 @@ def ordinary_end_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> Dinatural
     return _hom_system(f, g, "end", "ordinary", None)
 
 
+def _balancing(f: ModuleFunctorSpec, g: ModuleFunctorSpec, column: dict, copies,
+               pairs, evaluation, i: str) -> Matrix:
+    """The balancing condition of generator ``(W, m_i)`` on ``Hom(F(-), G(-))``.
+
+    It equates ``theta_{m_i} F(epsW)`` with ``epsW' (id_{W*} act (c_G
+    theta_{W act m_i})) c_F`` on ``F(W* act (W act m_i))``.  ``pairs`` are the
+    summands ``(w, z)``, ``w in W*`` and ``z in W``, ``evaluation(tables, p)``
+    is ``epsW(p)`` keyed ``(w, z, s)`` for ``s in z act m_p``, and ``copies``
+    the ``_copies`` of ``f`` and ``g``.  The rows run over copies ``(l,b)`` in
+    ``G(m_i)``, then ``(w, z)``, ``s in z act m_i``, ``t in w act m_s`` and
+    copies ``(k',a')`` in ``F(m_t)``.  The left-hand side, where ``t = i`` and
+    ``k' = l``, is ``epsW(i)[w,z,s]`` at ``(l,a',b)`` of block ``i``.  The
+    right-hand side at ``(k,a,b')`` of block ``s`` is ``cF(w,s)[(k,a,l),
+    (t,k',a')] cG(z,i)[(l,b,k), (s,k,b')] epsW'(l)[w,z,k]``, with ``epsW'``
+    the evaluation of the target module.
+    """
+    (f_copies, g_copies), src_t, zero = copies, f.src.tables, f.field.zero
+    cols = [(w, z, s, t, k, a) for w, z in pairs for s in src_t.act_set(z, i)
+            for t in src_t.act_set(w, s) for k, a in f_copies[t]]
+    eps = evaluation(src_t, i)
+    mat = _zero_condition(f.field, len(g_copies[i]) * len(cols), column)
+    for r, (l, b) in enumerate(g_copies[i]):
+        eps_l = evaluation(f.dst.tables, l)
+        for c, (w, z, s, t, k2, a2) in enumerate(cols):
+            start = (r * len(cols) + c) * len(column)
+            if t == i and k2 == l:
+                mat.entries[start + column[i, l, a2, b]] += eps.get((w, z, s), zero)
+            c_f, c_g = blocks._c_entries(f.tables, w, s), blocks._c_entries(g.tables, z, i)
+            for k, a in f_copies[s]:
+                cf = c_f.get((k, a, l, t, k2, a2))
+                for b2 in range(g.mult(s, k)) if cf else ():
+                    cg = c_g.get((l, b, k, s, k, b2))
+                    if cg:
+                        mat.entries[start + column[s, k, a, b2]] -= \
+                            cf * cg * eps_l.get((w, z, k), zero)
+    return mat
+
+
 def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
                      at: Sequence[str] | None = None) -> DinaturalSystem:
     """Module-end system for ``Hom(F(-), G(-))`` with its canonical pre-balancing.
 
     It balances at the simples ``at`` of the base, every simple when None
-    (``_hom_system``); the commands pass ``tensor_generators``.
-
-    Generator ``(X, m_i)`` equates ``theta_{m_i} F(eps)`` with
-    ``eps' (id_{X*} act (c_G theta_{X act m_i})) c_F`` as maps
-    ``F(X* act (X act m_i)) -> G(m_i)``.  Its rows run over copies ``(l,b)`` in
-    ``G(m_i)`` and then ``s in X act m_i``, ``t in X* act m_s`` and copies
-    ``(k',a')`` in ``F(m_t)``.  The left-hand side, where ``t = i`` and
-    ``k' = l``, is ``eps(X,i)[s]`` at ``(l,a',b)`` of block ``i``.  The
-    right-hand side at ``(k,a,b')`` of block ``s`` is
-    ``cF(X*,s)[(k,a,l), (t,k',a')] cG(X,i)[(l,b,k), (s,k,b')] eps'(X,l)[k]``,
-    where ``eps'`` is the evaluation of the target module.
+    (``_hom_system``); the commands pass ``tensor_generators``.  Generator
+    ``(X, m_i)`` is ``_balancing`` at the one pair ``(X*, X)``, with ``eps``.
     """
-    src_t, dst_t, ft, gt = f.src.tables, f.dst.tables, f.tables, g.tables
+    dual = f.src.base.dual
+    copies = _copies(f), _copies(g)
 
-    def balancing(column, copies, X, block):
-        (f_copies, g_copies), i, Xd = copies, block.simple, f.src.base.dual[X]
-        cols = [(s, t, k, a) for s in src_t.act_set(X, i) for t in src_t.act_set(Xd, s)
-                for k, a in f_copies[t]]
-        eps, c_g = _evaluation(src_t, X, i), blocks._c_entries(gt, X, i)
-        mat = _zero_condition(f.field, len(g_copies[i]) * len(cols), column)
-        for r, (l, b) in enumerate(g_copies[i]):
-            eps_l = _evaluation(dst_t, X, l)
-            for c, (s, t, k2, a2) in enumerate(cols):
-                start = (r * len(cols) + c) * len(column)
-                if t == i and k2 == l:
-                    mat.entries[start + column[i, l, a2, b]] += eps[s]
-                c_f = blocks._c_entries(ft, Xd, s)
-                for k, a in f_copies[s]:
-                    cf = c_f.get((k, a, l, t, k2, a2))
-                    for b2 in range(g.mult(s, k)) if cf else ():
-                        cg = c_g.get((l, b, k, s, k, b2))
-                        if cg:
-                            mat.entries[start + column[s, k, a, b2]] -= cf * cg * eps_l[k]
-        return mat
+    def balancing(column, X, block):
+        return _balancing(f, g, column, copies, [(dual[X], X)], lambda tables, p: {
+            (dual[X], X, s): e for s, e in _evaluation(tables, X, p).items()}, block.simple)
 
     return _hom_system(f, g, "end", "hom-end", balancing, at)
 
@@ -300,9 +309,10 @@ def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     ``cF(X,i)[(l,a',u), (s,k,a)]`` at ``(l,a',b)`` of block ``i``.
     """
     src_t, dst_t, ft, gt = f.src.tables, f.dst.tables, f.tables, g.tables
+    f_copies, g_copies = _copies(f), _copies(g)
 
-    def naturality(column, copies, X, block):
-        (f_copies, g_copies), i = copies, block.simple
+    def naturality(column, X, block):
+        i = block.simple
         rows = [(l, b, u) for l, b in g_copies[i] for u in dst_t.act_set(X, l)]
         cols = [(s, k, a) for s in src_t.act_set(X, i) for k, a in f_copies[s]]
         c_f, c_g = blocks._c_entries(ft, X, i), blocks._c_entries(gt, X, i)
@@ -327,29 +337,21 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
                              carrier, X: str, Y: str) -> list:
     """Balancing conditions generated by the decomposed object ``W = X x Y``.
 
-    The evaluation of ``W`` is nested from those of ``X`` and ``Y`` through the
-    associators of the module, ``W* = Y* x X*``, so appending these conditions
-    tests the simple-generator reduction instead of assuming it: on the summand
-    ``(w, z, s, p)`` of ``W* act (W act m_p)``, for ``w in Y* x X*``,
-    ``z in X x Y`` and ``s in z act m_p``, it is ``epsW(p)[w,z,s] =
-    sum_r L(Y*,X*,s; r,w,p) L(X,Y,p; r,z,s) eps(X,r)[s] eps(Y,p)[r]``.  The
-    rows of generator ``(X*Y, m_i)`` run over copies ``(l,b)`` in ``G(m_i)``
-    and then ``w``, ``z``, ``s in z act m_i``, ``t in w act m_s`` and copies
-    ``(k',a')`` in ``F(m_t)``.  The left-hand side, where ``t = i`` and
-    ``k' = l``, is ``epsW(i)[w,z,s]`` at ``(l,a',b)`` of block ``i``; the
-    right-hand side at ``(k,a,b')`` of block ``s`` is
-    ``cF(w,s)[(k,a,l), (t,k',a')] cG(z,i)[(l,b,k), (s,k,b')] epsW'(l)[w,z,k]``.
-    ``carrier`` must be the carrier of ``f`` and ``g``, as in ``build_nat_system``.
+    ``_balancing`` at the pairs of ``Y* x X*`` and ``X x Y``, tagged ``(X*Y,
+    m_i)``, with the evaluation nested through the module's associators, so
+    they test the simple-generator reduction instead of assuming it:
+    ``epsW(p)[w,z,s] = sum_r L(Y*,X*,s; r,w,p) L(X,Y,p; r,z,s) eps(X,r)[s]
+    eps(Y,p)[r]``.  ``carrier`` must be that of ``f`` and ``g`` (as in
+    ``build_nat_system``) and ``X``, ``Y`` simples of the base.
     """
-    check_hom_pair(f, g)
-    if list(carrier) != _nat_carrier(f, g):
+    own, column = _nat_carrier(f, g)
+    if list(carrier) != own:
         raise SourceTargetMismatch("carrier is not the Hom(F(-), G(-)) carrier of the functors")
-    base = f.src.base
-    src_t, dst_t, ft, gt, zero = f.src.tables, f.dst.tables, f.tables, g.tables, f.field.zero
+    base, zero = f.src.base, f.field.zero
+    _check_simples(base, (X, Y))
     Xd, Yd = base.dual[X], base.dual[Y]
     ws, zs = base.tables.fuse(Yd, Xd), base.tables.fuse(X, Y)
-    f_copies, g_copies = _copies(ft, f.src.simples), _copies(gt, f.src.simples)
-    column = _nat_columns(carrier)
+    copies = _copies(f), _copies(g)
 
     def nested_eps(tables, p):
         L, eps_w = tables._l_entry, {}
@@ -366,28 +368,10 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
                                 + lw * lz * eps_x[s] * eps_y[r]
         return eps_w
 
-    out = []
-    for i in f.src.simples:
-        eps = nested_eps(src_t, i)
-        cols = [(w, z, s, t, k, a) for w in ws for z in zs for s in src_t.act_set(z, i)
-                for t in src_t.act_set(w, s) for k, a in f_copies[t]]
-        mat = _zero_condition(f.field, len(g_copies[i]) * len(cols), column)
-        for r, (l, b) in enumerate(g_copies[i]):
-            eps_l = nested_eps(dst_t, l)
-            for c, (w, z, s, t, k2, a2) in enumerate(cols):
-                at = (r * len(cols) + c) * len(column)
-                if t == i and k2 == l:
-                    mat.entries[at + column[i, l, a2, b]] += eps.get((w, z, s), zero)
-                c_f, c_g = blocks._c_entries(ft, w, s), blocks._c_entries(gt, z, i)
-                for k, a in f_copies[s]:
-                    cf = c_f.get((k, a, l, t, k2, a2))
-                    for b2 in range(g.mult(s, k)) if cf else ():
-                        cg = c_g.get((l, b, k, s, k, b2))
-                        if cg:
-                            mat.entries[at + column[s, k, a, b2]] -= \
-                                cf * cg * eps_l.get((w, z, k), zero)
-        out.append(Condition(generator=(f"{X}*{Y}", i), matrix=mat))
-    return out
+    pairs = [(w, z) for w in ws for z in zs]
+    return [Condition(generator=(f"{X}*{Y}", i),
+                      matrix=_balancing(f, g, column, copies, pairs, nested_eps, i))
+            for i in f.src.simples]
 
 
 def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
@@ -409,9 +393,10 @@ def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     """
     base = f.src.base
     src_t, dst_t, ft, gt = f.src.tables, f.dst.tables, f.tables, g.tables
+    f_copies = _copies(f)
 
-    def relations(column, copies, X, block):
-        f_copies, i, Xd = copies[0], block.simple, base.dual[X]
+    def relations(column, X, block):
+        i, Xd = block.simple, base.dual[X]
         scale = base.tables.coev[X] / src_t.unit_scalar(i)
         g0 = {j: src_t._l_entry(X, Xd, i, j, base.unit, i) * scale
               for j in src_t.act_set(Xd, i)}
@@ -487,7 +472,7 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
                 f"functor {h.name!r} must land in the regular module of the base")
     mt, ftab, gtab = f.src.tables, f.tables, g.tables
     field, dual, zero = f.field, base.dual, f.field.zero
-    f_copies, g_copies = _copies(ftab, f.src.simples), _copies(gtab, f.src.simples)
+    f_copies, g_copies = _copies(f), _copies(g)
 
     def balancing(column, X, block):
         i, Xd, dim = block.simple, dual[X], len(column)
@@ -609,8 +594,7 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
     bt = base.tables
     if reg_module.tables is not bt.regular():
         raise SourceTargetMismatch(f"{reg_module.name!r} is not the regular module of the base")
-    if x not in base.simples:
-        raise SourceTargetMismatch(f"{x!r} is not a simple of the base")
+    _check_simples(base, [x])
     field, dual, unit = reg_module.field, base.dual, base.unit
     F, zero = bt._f_entry, field.zero
 

@@ -694,7 +694,7 @@ def _hom_composite(f, g, kind: str, recipe: str, condition):
         raise SourceTargetMismatch("functors must share source and target")
     base = f.src.base
     base.duality()
-    carrier = endengine._nat_carrier(f, g)
+    carrier, _column = endengine._nat_carrier(f, g)
     conditions = [endengine.Condition(generator=(X, block.simple),
                                       matrix=condition(carrier, X, block))
                   for X in base.simples for block in carrier]

@@ -31,7 +31,38 @@ def test_composite_conditions_refuse_a_foreign_functor_or_carrier():
     with pytest.raises(SourceTargetMismatch, match="carrier"):
         ee.composite_nat_conditions(idf, tau, carrier, "tau", "tau")
     own = ee.build_nat_system(idf, tau).blocks
+    for X, Y in (("zz", "tau"), ("tau", "zz")):
+        with pytest.raises(SourceTargetMismatch, match="'zz' is not a simple of the base"):
+            ee.composite_nat_conditions(idf, tau, own, X, Y)
     assert ee.composite_nat_conditions(idf, tau, own, "tau", "tau")
+
+
+def test_hom_builders_refuse_a_label_that_is_not_a_simple():
+    bundle = cli.load(cli.bundled_instance_paths())
+    idf, tau = bundle.functor("id_fib_regular"), bundle.functor("rmul_fib_tau")
+    for build in (ee.build_nat_system, ee.nat_oracle_system, ee.build_hom_coend_system):
+        for at in (["zz"], ["tau", "zz"]):
+            with pytest.raises(SourceTargetMismatch, match="'zz' is not a simple of the base"):
+                build(idf, tau, at)
+
+
+def test_composite_conditions_at_a_unit_factor_match_the_simple_ones():
+    """The balancing writer at ``X x 1`` and ``1 x X`` against it at ``X``: on
+    every corpus functor pair, each composite condition of ``m_i`` has the row
+    space of the condition at ``(X, m_i)``, equal ranks and the same rank stacked."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    funs = list(bundle.functors.values())
+    for f, g in [(f, g) for f in funs for g in funs if f.src is g.src and f.dst is g.dst]:
+        sys = ee.build_nat_system(f, g)
+        simple = {c.generator: c.matrix for c in sys.conditions}
+        unit = f.src.base.unit
+        for X in f.src.base.simples:
+            for pair in ((X, unit), (unit, X)):
+                for cond in ee.composite_nat_conditions(f, g, sys.blocks, *pair):
+                    own = simple[X, cond.generator[1]]
+                    stacked = Matrix.vstack(f.field, [own, cond.matrix], cols=sys.dim)
+                    assert own.rank() == cond.matrix.rank() == stacked.rank(), \
+                        (f.name, g.name, pair, cond.generator)
 
 
 def nat_pairs(spec, reg):
