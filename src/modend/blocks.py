@@ -12,8 +12,9 @@ tables class, which keeps the spec's key for both.  On pointed tables, where
 every block is 1 x 1, the validators check the path counts, the blocks'
 invertibility and the pentagon as flat sweeps over the positions of the
 simples (``pointed_path_count_failures``, ``pointed_l_block_failures``,
-``pointed_pentagon_failures``); the block sweep keeps the inverses it
-computes, so the builders read them and no block is inverted twice.
+``pointed_pentagon_failures``), which they keep with the one entry of each
+block; the block sweep keeps the inverses it computes, so the builders read
+them and no block is inverted twice.
 
 The block-matrix calculus those forms replaced (:class:`Obj`, :class:`Mor`,
 ``act_c``, ``ctensor``, ``f_obj``, ``assoc``, ``assoc_inv``, ``c_mor``) has
@@ -202,7 +203,9 @@ class ModuleTables:
         self._linv_cache = {}
         self._cache = {}
         self._memo = {}
-        self._pointed = None
+        # ``is_pointed``, ``_pointed_index`` and ``_pointed_entries``, each
+        # computed once
+        self._pointed = self._index = self._entries = None
 
     def act_set(self, X: str, i: str) -> tuple:
         return self._act.get((X, i), ())
@@ -536,14 +539,17 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # L-blocks are the F-blocks and whose path counts are the fusion table's.
 # On pointed tables (``is_pointed``: every fusion product and every action of
 # a simple is one simple) every block is 1 x 1, and the three sweeps take flat
-# branches over lists indexed by the positions of the simples
-# (``_pointed_index``), with the same failures in the same order: one column
-# and one row total per ``(X, Y, i)`` (``pointed_path_count_failures``), one
-# entry per block, inverted once and kept where ``l_inverse`` reads it
-# (``pointed_l_block_failures``), and one scalar equation per pentagon
-# (``pointed_pentagon_failures``).  Other tables count paths in ``Counter``s,
-# invert each block through ``l_inverse`` and, if left, take
-# ``left_pentagon_holds`` at every tuple.
+# branches over lists indexed by the positions of the simples, with the same
+# failures in the same order.  The tables keep those positions
+# (``_pointed_index``) and the one entry of each block (``_pointed_entries``),
+# each built on first read, so the block and pentagon sweeps share one read
+# of each L-symbol: one column and one row total per ``(X, Y, i)``
+# (``pointed_path_count_failures``), one entry per block, inverted once and
+# kept where ``l_inverse`` reads it (``pointed_l_block_failures``), and one
+# scalar equation per pentagon over the kept entries, which on the regular
+# tables are also its F-values (``pointed_pentagon_failures``).  Other tables
+# count paths in ``Counter``s, invert each block through ``l_inverse`` and,
+# if left, take ``left_pentagon_holds`` at every tuple.
 
 
 def block_failure(inverse: Callable, *key) -> str | None:
@@ -639,19 +645,42 @@ def is_pointed(tables: ModuleTables) -> bool:
 
 
 def _pointed_index(tables: ModuleTables) -> tuple:
-    """``(labels, simples, fuse, act)`` of pointed tables, built per call:
-    ``labels`` are the base's simples and ``simples`` the module's;
-    ``fuse[x][y]`` is the position in ``labels`` of the one simple of
-    ``X x Y`` and ``act[x][p]`` that in ``simples`` of the one simple of
-    ``act_set(X, i)``, where ``x``, ``y`` and ``p`` are those of ``X``, ``Y``
-    and ``m_i``."""
-    base, simples = tables.base, tables.simples
-    labels = base.simples
-    pos = {a: p for p, a in enumerate(labels)}
-    mpos = {i: p for p, i in enumerate(simples)}
-    fuse = [[pos[base.fuse(X, Y)[0]] for Y in labels] for X in labels]
-    act = [[mpos[tables.act_set(X, i)[0]] for i in simples] for X in labels]
-    return labels, simples, fuse, act
+    """``(labels, simples, fuse, act)`` of pointed tables, built once and kept
+    on them, as ``is_pointed`` keeps its answer: ``labels`` are the base's
+    simples and ``simples`` the module's; ``fuse[x][y]`` is the position in
+    ``labels`` of the one simple of ``X x Y`` and ``act[x][p]`` that in
+    ``simples`` of the one simple of ``act_set(X, i)``, where ``x``, ``y`` and
+    ``p`` are those of ``X``, ``Y`` and ``m_i``."""
+    if tables._index is None:
+        base, simples = tables.base, tables.simples
+        labels = base.simples
+        pos = {a: p for p, a in enumerate(labels)}
+        mpos = {i: p for p, i in enumerate(simples)}
+        tables._index = (labels, simples,
+                         [[pos[base.fuse(X, Y)[0]] for Y in labels] for X in labels],
+                         [[mpos[tables.act_set(X, i)[0]] for i in simples] for X in labels])
+    return tables._index
+
+
+def _pointed_entries(tables: ModuleTables) -> list:
+    """``V[x][y][p] = L(X,Y,i; j,XY,t)``, the one entry of the 1 x 1 block
+    ``l_block(X, Y, i, t)`` of pointed tables, read once and kept on them:
+    ``j`` is the first row step (``row_steps``), ``t = (XY) act m_i``, and
+    ``x``, ``y``, ``p`` are as in ``_pointed_index``.  The lists hold the
+    tables' own elements, not copies."""
+    if tables._entries is None:
+        labels, simples, fuse, act = _pointed_index(tables)
+        L_entry, right = tables._l_entry, tables.right
+        acted = [[simples[p] for p in row] for row in act]     # the simple X act m_i
+        V = tables._entries = []
+        for x, X in enumerate(labels):
+            Vx = []
+            for y, Y in enumerate(labels):
+                z = fuse[x][y]
+                Z, firsts = labels[z], acted[row_steps(right, x, y)[0]]
+                Vx.append([L_entry(X, Y, i, j, Z, t) for i, j, t in zip(simples, firsts, acted[z])])
+            V.append(Vx)
+    return tables._entries
 
 
 def pointed_path_count_failures(tables: ModuleTables) -> tuple:
@@ -681,31 +710,29 @@ def pointed_l_block_failures(tables: ModuleTables) -> tuple:
     the inverses it computes where ``l_inverse`` reads them.
 
     The block at ``(X, Y, i, t)``, ``t = (XY) act m_i``, is 1 x 1 and holds
-    ``L(X,Y,i; j,XY,t)``, where ``j`` is the first row step (``row_steps``).
-    A zero entry is ``singular`` and one whose inverse meets a zero divisor
-    ``zero-divisor``, as ``Matrix.inverse`` finds them; a block whose inverse
-    is already kept is not inverted again.  Like ``l_block_failures``, the
-    sweep expects the path counts to agree (``path_count_failures``), which
-    both validators check first: then the row path also ends at ``t``.
+    the kept entry ``V[x][y][p]`` (``_pointed_entries``).  A zero entry is
+    ``singular`` and one whose inverse meets a zero divisor ``zero-divisor``,
+    as ``Matrix.inverse`` finds them; a block whose inverse is already kept
+    is not inverted again.  Like ``l_block_failures``, the sweep expects the
+    path counts to agree (``path_count_failures``), which both validators
+    check first: then the row path also ends at ``t``.
     """
     labels, simples, fuse, act = _pointed_index(tables)
-    L_entry, kept = tables._l_entry, tables._linv_cache
+    V, kept = _pointed_entries(tables), tables._linv_cache
     out = []
     for x, X in enumerate(labels):
         for y, Y in enumerate(labels):
             z = fuse[x][y]
             Z, via_fuse, act_first = labels[z], act[z], act[row_steps(tables.right, x, y)[0]]
-            for p, i in enumerate(simples):
-                t, j = simples[via_fuse[p]], simples[act_first[p]]
-                key = (X, Y, i, t)
+            for p, (i, entry) in enumerate(zip(simples, V[x][y])):
+                key = (X, Y, i, simples[via_fuse[p]])
                 if key in kept:
                     continue
-                entry = L_entry(X, Y, i, j, Z, t)
                 if not entry:
                     out.append(("singular", key))
                     continue
                 try:
-                    kept[key] = {(Z, j): entry.inverse()}
+                    kept[key] = {(Z, simples[act_first[p]]): entry.inverse()}
                 except ZeroDivisorDetected:
                     out.append(("zero-divisor", key))
     return tuple(out)
@@ -719,34 +746,36 @@ def pointed_pentagon_failures(tables: ModuleTables) -> tuple:
     ``L(X,Y,Z act i) L(XY,Z,i) = L(Y,Z,i) L(X,YZ,i) F(X,Y,Z)``, where
     ``L(X,Y,i)`` is the one entry of ``l_block(X, Y, i, X act (Y act i))`` and
     ``F(X,Y,Z)`` that of ``f_block(X, Y, Z, (XY)Z)``; on the regular tables
-    it is the 3-cocycle identity.  The values are read once into lists
-    indexed by the positions of the simples, and each ``F`` is split into a
-    pair ``(den, num)`` multiplied across.  Over Q the L-values are integers
-    over one common denominator, which cancels from the two sides, and the
-    pairs are integers; over a larger field both are field elements, with
-    ``den = 1``.  Like ``l_block_failures``, the sweep expects the path counts
-    to agree (``path_count_failures``), which both validators check first:
-    then every symbol the general sweep reads is one of these entries, or an
-    F-symbol read as 0 where ``(XY)Z != X(YZ)`` that zeroes its product here.
+    it is the 3-cocycle identity.  Like ``l_block_failures``, the sweep
+    expects the path counts to agree (``path_count_failures``), which both
+    validators check first: then ``X act (Y act i) = (XY) act i``, so the
+    L-values are the kept entries ``V`` (``_pointed_entries``), and every
+    symbol the general sweep reads is one of these entries, or an F-symbol
+    read as 0 where ``(XY)Z != X(YZ)`` that zeroes its product here.  On the
+    regular tables, whose L-symbols are the F-symbols re-keyed, the F-values
+    are ``V`` itself; other tables read each ``F`` once into a list of the
+    same shape.  Each ``F`` is split into a pair ``(den, num)`` multiplied
+    across.  Over Q the L-values are integers over one common denominator,
+    which cancels from the two sides, and the pairs are integers; over a
+    larger field both are field elements, with ``den = 1``.
     """
-    base = tables.base
     labels, simples, fuse, act = _pointed_index(tables)
-    xy = [[labels[p] for p in row] for row in fuse]     # the simple X x Y
-    xi = [[simples[p] for p in row] for row in act]     # the simple X act m_i
-    L_entry, F_entry = tables._l_entry, base._f_entry
-    L = [[[L_entry(X, Y, i, xi[y][p], xy[x][y], xi[x][act[y][p]])
-           for p, i in enumerate(simples)] for y, Y in enumerate(labels)]
-         for x, X in enumerate(labels)]
-    F = [[[F_entry(X, Y, Z, xy[fuse[x][y]][z], xy[x][y], xy[y][z])
-           for z, Z in enumerate(labels)] for y, Y in enumerate(labels)]
-         for x, X in enumerate(labels)]
+    V = _pointed_entries(tables)
+    if isinstance(tables, RegularTables):
+        F = V
+    else:
+        xy = [[labels[p] for p in row] for row in fuse]     # the simple X x Y
+        F_entry = tables.base._f_entry
+        F = [[[F_entry(X, Y, Z, xy[fuse[x][y]][z], xy[x][y], xy[y][z])
+               for z, Z in enumerate(labels)] for y, Y in enumerate(labels)]
+             for x, X in enumerate(labels)]
     if tables.field.degree == 1:
-        den = lcm(*(e.den for Lx in L for row in Lx for e in row))
-        L = [[[e.num[0] * (den // e.den) for e in row] for row in Lx] for Lx in L]
+        den = lcm(*(e.den for Vx in V for row in Vx for e in row))
+        L = [[[e.num[0] * (den // e.den) for e in row] for row in Vx] for Vx in V]
         F = [[[(f.den, f.num[0]) for f in row] for row in Fx] for Fx in F]
     else:
         one = tables.field.one
-        F = [[[(one, f) for f in row] for row in Fx] for Fx in F]
+        L, F = V, [[[(one, f) for f in row] for row in Fx] for Fx in F]
     out = []
     for x, X in enumerate(labels):
         Lx, Fx = L[x], F[x]

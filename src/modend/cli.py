@@ -71,7 +71,9 @@ class InstanceBundle:
         module, is not checked: its report holds one ``invalid-dependency``
         entry at the name of the invalid subject.  A derived subject
         (``spec.derived``) over valid dependencies is valid by construction:
-        its report is empty and none of its sweeps run.
+        its report is empty and none of its sweeps run.  Each spec keeps the
+        report of its first sweep (``_kept``), so a second call on the same
+        bundle sweeps nothing.
         """
         reports = []
         invalid = {}        # id of each spec whose report failed -> (kind, name)
@@ -85,25 +87,43 @@ class InstanceBundle:
         def gated(validate, spec, *needs):
             broken = [invalid[id(d)] for d in needs if id(d) in invalid]
             if not broken:
-                return ValidationReport() if spec.derived else validate(spec)
+                return ValidationReport() if spec.derived else _kept(spec, validate)
             kind, name = broken[0]
             rep = ValidationReport()
             rep.add("invalid-dependency", (name,), f"invalid {kind}")
             return rep
 
         for name, cat in self.categories.items():
-            rep = validate_fusion(cat)
-            if rep.ok:
-                try:
-                    cat.duality()
-                except ArithmeticError as exc:
-                    rep.add("duality", (name,), str(exc))
-            record("category", name, cat, rep)
+            record("category", name, cat,
+                   _kept(cat, lambda spec: _fusion_and_duality(name, spec)))
         for name, mod in self.modules.items():
             record("module", name, mod, gated(validate_module, mod, mod.base))
         for name, fun in self.functors.items():
             record("functor", name, fun, gated(validate_functor, fun, fun.src, fun.dst))
         return reports
+
+
+def _fusion_and_duality(name: str, cat: FusionCategorySpec) -> ValidationReport:
+    """``validate_fusion(cat)``, and if it passes, the duality construction,
+    whose failure is one ``duality`` entry at ``name``."""
+    rep = validate_fusion(cat)
+    if rep.ok:
+        try:
+            cat.duality()
+        except ArithmeticError as exc:
+            rep.add("duality", (name,), str(exc))
+    return rep
+
+
+def _kept(spec, sweep) -> ValidationReport:
+    """A copy of ``sweep(spec)``, run on the first call and kept on ``spec``.
+
+    A spec's data are not edited once it is built (an edited copy is a new
+    spec, with no report yet), so the kept report stays that of its data.
+    """
+    if spec._report is None:
+        spec._report = sweep(spec)
+    return ValidationReport(entries=list(spec._report.entries))
 
 
 def _keyed(section: str, entries, value) -> dict:

@@ -84,6 +84,7 @@ class FusionCategorySpec:
         self._tables = None
         self._dual_ok = False
         self._generators = None
+        self._report = None     # the gate's, kept by ``cli.InstanceBundle.validate_all``
 
     def _admissible_f_keys(self):
         for a in self.simples:

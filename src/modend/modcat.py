@@ -63,6 +63,7 @@ class ModuleCategorySpec:
         self.units_raw = dict(unit_scalars or {})
         self.unit_scalars = {i: self.units_raw.get(i, self.field.one) for i in self.simples}
         self._tables = None
+        self._report = None     # the gate's, kept by ``cli.InstanceBundle.validate_all``
 
     def act_set(self, X: str, i: str) -> tuple:
         """Left: summands of ``X act m_i``; right: summands of ``m_i ract X``."""

@@ -46,6 +46,7 @@ class ModuleFunctorSpec:
         self.on_simples = {k: int(v) for k, v in on_simples.items() if v}
         self._c_symbols = c_symbols if callable(c_symbols) else dict(c_symbols)
         self._tables = None
+        self._report = None     # the gate's, kept by ``cli.InstanceBundle.validate_all``
 
     @property
     def c_symbols(self) -> dict:

@@ -64,6 +64,26 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def _plain_rational(text: str) -> tuple | None:
+    """``(num, den)`` in lowest terms, ``den > 0``, of a ``[-]digits`` or
+    ``[-]digits/digits`` string with ASCII digits and a nonzero denominator;
+    None for any other string.  (``str.isdigit`` alone would pass ``"²"``,
+    which ``int`` refuses.)"""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if not slash:
+        return int(num), 1
+    if not (den.isascii() and den.isdigit()):
+        return None
+    n, d = int(num), int(den)
+    if not d:
+        return None
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 class FieldSpec:
     """The number field Q[x]/(p(x)) with ``p`` given constant-first."""
 
@@ -116,13 +136,21 @@ class FieldSpec:
     def rational(self, value) -> FieldElement:
         """``as_fraction(value)`` as an element; a string is parsed once per field.
 
-        Only strings are keyed as given: ``True == 1``, so a key ``1`` would
-        answer for ``True``, which ``as_fraction`` refuses.
+        A plain string (``_plain_rational``) is read by ``int`` and one
+        ``gcd``; any other goes through ``as_fraction``, so the syntax
+        accepted and the errors raised are ``Fraction``'s.  Only strings are
+        keyed as given: ``True == 1``, so a key ``1`` would answer for
+        ``True``, which ``as_fraction`` refuses.
         """
         if type(value) is str:
             parsed = self._parsed.get(value)
             if parsed is None:
-                parsed = self._parsed[value] = self.rational(as_fraction(value))
+                plain = _plain_rational(value)
+                if plain is None:
+                    parsed = self.rational(as_fraction(value))
+                else:
+                    parsed = FieldElement(self, (plain[0],) + (0,) * (self.degree - 1), plain[1])
+                self._parsed[value] = parsed
             return parsed
         q = as_fraction(value)
         cached = self._rat_cache.get(q)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import bench_gen, ev_flat, runit_reg, uhom_obj, unit_l
+from helpers import bench_gen, ev_flat, mutated, mutation_sites, runit_reg, uhom_obj, unit_l
 from modend import blocks, cli, endengine, scalarfield, theorems
 from modend.fusioncat import FusionCategorySpec, validate_fusion
 from modend.modcat import ModuleCategorySpec, opposite_module, regular_module, validate_module
@@ -296,6 +296,64 @@ def test_is_pointed_scans_each_tables_object_once(tmp_path, monkeypatch):
     assert blocks.is_pointed(tables) and len(reads) == 4 * 4
     reads.clear()
     assert blocks.is_pointed(tables) and reads == []
+
+
+def test_pointed_gate_reads_each_l_symbol_once(tmp_path, monkeypatch):
+    """One ``validate_all`` on gen zn4 reads each of the 4**3 L-symbols of the
+    regular tables once: the block sweep and the pentagon share the kept
+    entries, which on the regular tables are also the pentagon's F-values.
+    The positions of the simples are read once per tables object: after the
+    scan of ``is_pointed``, only ``_pointed_index``'s first build reads the
+    action sets, and sweeping the same tables again reads neither."""
+    bundle = _zn4(tmp_path)
+    tables = bundle.category("zn4").tables.regular()
+    entries, l_entry = [], tables._l_entry
+    tables._l_entry = lambda *key: entries.append(key) or l_entry(*key)
+    reads, act_set = Counter(), blocks.ModuleTables.act_set
+    monkeypatch.setattr(blocks.ModuleTables, "act_set",
+                        lambda tables, *key: reads.update([id(tables)]) or act_set(tables, *key))
+    assert all(rep.ok for rep in bundle.validate_all())
+    assert len(entries) == len(set(entries)) == 4 ** 3
+    assert reads == {id(tables): 2 * 4 * 4}
+    index = blocks._pointed_index(tables)
+    assert tuple(blocks.path_count_failures(tables)) == ()
+    assert blocks.l_block_failures(tables) == blocks.left_pentagon_failures(tables) == ()
+    assert blocks._pointed_index(tables) is index
+    assert len(entries) == 4 ** 3 and reads == {id(tables): 2 * 4 * 4}
+
+
+def _count_validators(monkeypatch) -> list:
+    """Every spec the gate sweeps from now on, through the validators it calls."""
+    swept = []
+    for name in ("validate_fusion", "validate_module", "validate_functor"):
+        def counting(spec, _validate=getattr(cli, name)):
+            swept.append(spec)
+            return _validate(spec)
+        monkeypatch.setattr(cli, name, counting)
+    return swept
+
+
+def test_a_gated_bundle_is_not_swept_again(monkeypatch):
+    """Each spec keeps its gate report: after one ``validate``, a command and
+    a second ``validate`` on the same bundle sweep nothing and report the same.
+    A category replaced by an edited copy is swept on the next gate, and only
+    it."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    swept = _count_validators(monkeypatch)
+    first = cli.run(["validate"], bundle).dumps()
+    assert len(swept) == 5 + 1 + 1      # the categories, vec_over_vec_z2 and forgetful
+    swept.clear()
+    assert cli.run(["serre", "fib_regular"], bundle).payload["status"] == "ok"
+    assert cli.run(["validate"], bundle).dumps() == first
+    assert swept == []
+    fib = bundle.category("fib")
+    edited = bundle.categories["fib"] = mutated(fib, mutation_sites(fib)[0], 2)
+    report = cli.run(["validate"], bundle).payload
+    assert swept == [edited]
+    assert report["status"] == "validation-failed"
+    assert report["result"]["category fib"][0].startswith("pentagon at ")
+    assert {k: v for k, v in report["result"].items() if k != "category fib"} == \
+        {k: v for k, v in json.loads(first)["result"].items() if k != "category fib"}
 
 
 def _built_functors(bundle) -> list:

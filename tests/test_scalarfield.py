@@ -1,7 +1,12 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from helpers import _instance_path
+from modend import cli
+from modend.common import ParseError
 from modend.scalarfield import (
     DimensionMismatch, DivisionByZero, FieldSpec, Matrix, ZeroDivisorDetected, subspace_equal,
 )
@@ -142,3 +147,40 @@ def test_matrix_inverse():
     assert m * inv == Matrix.identity(SQRT5, 2)
     with pytest.raises(DivisionByZero):
         mat(Q, [[1, 1], [2, 2]]).inverse()
+
+
+# strings at the edge of the plain ``[-]digits[/digits]`` form that
+# ``FieldSpec.rational`` reads without ``Fraction``: empty or signed
+# denominators, a zero denominator, other signs, padding, leading zeros,
+# decimals, exponents, underscores, non-ASCII digits ("٣" is a decimal digit,
+# "²" only passes ``str.isdigit``) and stray signs or slashes
+PLAIN_EDGES = ("3/", "/3", "1/-2", "4/-0", "3/0", "0/0", "-0", "+3", " 3", "3 ", "007",
+               "00/07", "-12/8", "1.5", "1e2", "1_0", "\u0663", "\u00b2", "", "-", "--1",
+               "- 1", "1/2/3")
+
+
+@pytest.mark.parametrize("field", [Q, SQRT5])
+@pytest.mark.parametrize("text", PLAIN_EDGES)
+def test_a_scalar_string_reads_as_its_fraction(field, text):
+    """``rational(s)`` is ``rational(Fraction(s))``, or raises the exception
+    ``Fraction(s)`` raises, with the same message."""
+    try:
+        want = field.rational(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            FieldSpec(field.min_poly).rational(text)
+        assert str(got.value) == str(exc)
+        return
+    got = FieldSpec(field.min_poly).rational(text)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_a_zero_denominator_is_the_same_parse_error(tmp_path):
+    """An F-symbol ``"3/0"`` is refused at load with ``Fraction``'s error."""
+    doc = json.loads(open(_instance_path("fib"), encoding="utf-8").read())
+    doc["categories"]["fib"]["f_symbols"][0]["value"] = "3/0"
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as got:
+        cli.load([str(path)])
+    assert str(got.value) == "category 'fib': ZeroDivisionError: Fraction(3, 0)"
