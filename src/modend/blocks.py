@@ -13,8 +13,8 @@ every block is 1 x 1, the validators check the path counts, the blocks'
 invertibility and the pentagon as flat sweeps over the positions of the
 simples (``pointed_path_count_failures``, ``pointed_l_block_failures``,
 ``pointed_pentagon_failures``), which they keep with the one entry of each
-block; the block sweep keeps the inverses it computes, so the builders read
-them and no block is inverted twice.
+block; the block sweep tests each entry and keeps no inverse, so a block is
+inverted when a builder first reads it, as one element, and once.
 
 The block-matrix calculus those forms replaced (:class:`Obj`, :class:`Mor`,
 ``act_c``, ``ctensor``, ``f_obj``, ``assoc``, ``assoc_inv``, ``c_mor``) has
@@ -54,7 +54,8 @@ from math import lcm
 from types import MappingProxyType
 from typing import Callable, Sequence
 
-from .scalarfield import DimensionMismatch, FieldSpec, Matrix, ZeroDivisorDetected
+from .scalarfield import (DimensionMismatch, DivisionByZero, FieldSpec, Matrix,
+                          ZeroDivisorDetected)
 
 
 class Obj:
@@ -265,9 +266,16 @@ def inverse_entries(rows: Sequence, cols: Sequence, mat: Matrix) -> dict:
     """Nonzero entries of the inverse of the block ``mat``, keyed ``(c, r)``:
     ``c`` runs over ``cols`` (the inverse's rows) and ``r`` over ``rows``.
 
-    Raises as ``Matrix.inverse`` does: ``DimensionMismatch`` on a block that is
-    not square, an ``ArithmeticError`` on a singular one.
+    A 1 x 1 block, every block of pointed tables, is inverted as its one
+    element.  Raises as ``Matrix.inverse`` does: ``DimensionMismatch`` on a
+    block that is not square, ``DivisionByZero`` on a singular one and
+    ``ZeroDivisorDetected`` where the inverse meets a zero divisor.
     """
+    if mat.rows == mat.cols == 1:
+        entry = mat.entries[0]
+        if not entry:
+            raise DivisionByZero("singular matrix")
+        return {(cols[0], rows[0]): entry.inverse()}
     inv, out = mat.inverse(), {}
     for n, c in enumerate(cols):
         for m, r in enumerate(rows):
@@ -281,7 +289,9 @@ def _cached_inverse(cache: dict, key: tuple, block) -> dict:
     """``inverse_entries(*block)``, computed once per ``key`` of ``cache``.
 
     The tables keep each block's inverse for their own life, so the gate's
-    invertibility sweep, the probe builders and the Hom builders share it.
+    invertibility sweep, the duality scalars, the probe builders and the Hom
+    builders share it.  The pointed sweep (``pointed_l_block_failures``) keeps
+    none: a pointed block is inverted here when it is first read.
     """
     inv = cache.get(key)
     if inv is None:
@@ -544,10 +554,13 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # (``_pointed_index``) and the one entry of each block (``_pointed_entries``),
 # each built on first read, so the block and pentagon sweeps share one read
 # of each L-symbol: one column and one row total per ``(X, Y, i)``
-# (``pointed_path_count_failures``), one entry per block, inverted once and
-# kept where ``l_inverse`` reads it (``pointed_l_block_failures``), and one
-# scalar equation per pentagon over the kept entries, which on the regular
-# tables are also its F-values (``pointed_pentagon_failures``).  Other tables
+# (``pointed_path_count_failures``), one entry per block, tested for zero
+# over Q and inverted only over a larger field, where a zero divisor can
+# show (``pointed_l_block_failures``), and one scalar equation per pentagon
+# over the kept entries, which on the regular tables are also its F-values
+# (``pointed_pentagon_failures``).  The block sweep keeps no inverse: the
+# builders read far fewer blocks than it tests, and ``l_inverse`` inverts
+# each on its first read (``inverse_entries``).  Other tables
 # count paths in ``Counter``s, invert each block through ``l_inverse`` and,
 # if left, take ``left_pentagon_holds`` at every tuple.
 
@@ -707,34 +720,34 @@ def pointed_path_count_failures(tables: ModuleTables) -> tuple:
 
 def pointed_l_block_failures(tables: ModuleTables) -> tuple:
     """``l_block_failures`` on pointed tables, as one flat sweep that keeps
-    the inverses it computes where ``l_inverse`` reads them.
+    no inverse.
 
     The block at ``(X, Y, i, t)``, ``t = (XY) act m_i``, is 1 x 1 and holds
     the kept entry ``V[x][y][p]`` (``_pointed_entries``).  A zero entry is
     ``singular`` and one whose inverse meets a zero divisor ``zero-divisor``,
-    as ``Matrix.inverse`` finds them; a block whose inverse is already kept
-    is not inverted again.  Like ``l_block_failures``, the sweep expects the
-    path counts to agree (``path_count_failures``), which both validators
-    check first: then the row path also ends at ``t``.
+    as ``inverse_entries`` finds them.  Over Q a nonzero entry is invertible,
+    so the sweep only tests for zero; over a larger field it inverts each
+    nonzero entry (``FieldElement.inverse``, whose field keeps the inverse
+    of an element with an irrational part).  A block is inverted for
+    ``l_inverse`` on its first read.  Like
+    ``l_block_failures``, the sweep expects the path counts to agree
+    (``path_count_failures``), which both validators check first: then the
+    row path also ends at ``t``.
     """
     labels, simples, fuse, act = _pointed_index(tables)
-    V, kept = _pointed_entries(tables), tables._linv_cache
+    V, rational = _pointed_entries(tables), tables.field.degree == 1
     out = []
     for x, X in enumerate(labels):
         for y, Y in enumerate(labels):
-            z = fuse[x][y]
-            Z, via_fuse, act_first = labels[z], act[z], act[row_steps(tables.right, x, y)[0]]
+            via_fuse = act[fuse[x][y]]
             for p, (i, entry) in enumerate(zip(simples, V[x][y])):
-                key = (X, Y, i, simples[via_fuse[p]])
-                if key in kept:
-                    continue
                 if not entry:
-                    out.append(("singular", key))
-                    continue
-                try:
-                    kept[key] = {(Z, simples[act_first[p]]): entry.inverse()}
-                except ZeroDivisorDetected:
-                    out.append(("zero-divisor", key))
+                    out.append(("singular", (X, Y, i, simples[via_fuse[p]])))
+                elif not rational:
+                    try:
+                        entry.inverse()
+                    except ZeroDivisorDetected:
+                        out.append(("zero-divisor", (X, Y, i, simples[via_fuse[p]])))
     return tuple(out)
 
 

@@ -126,32 +126,57 @@ def _kept(spec, sweep) -> ValidationReport:
     return ValidationReport(entries=list(spec._report.entries))
 
 
-def _keyed(section: str, entries, value) -> dict:
-    """``{tuple(entry["key"]): value(entry)}`` over ``entries``; a repeated key is refused."""
+def _part(data: dict, key: str, shape: type, default=None):
+    """``data[key]``, or ``default`` where it is absent if one is given,
+    refused unless it is a JSON list (``shape`` is ``list``) or object
+    (``dict``)."""
+    value = data[key] if default is None else data.get(key, default)
+    if type(value) is not shape:
+        raise ValueError(f"{key} must be a JSON {'list' if shape is list else 'object'}")
+    return value
+
+
+def _labels(what: str, value) -> tuple:
+    """``value`` as a tuple, refused unless it is a JSON list of strings: a
+    string is not read as its characters.  ``str.join`` tests every item in
+    one call; a JSON document has no subclass of ``str``."""
+    if type(value) is list:
+        try:
+            "".join(value)
+        except TypeError:
+            pass
+        else:
+            return tuple(value)
+    raise ValueError(f"{what} {value!r} is not a JSON list of strings")
+
+
+def _triples(section: str, data: dict) -> list:
+    """The ``fusion`` or ``action`` triples of ``data``, each a JSON list of strings."""
+    return [_labels(f"{section} triple", t) for t in _part(data, section, list)]
+
+
+def _keyed(section: str, entries: list, value) -> dict:
+    """``{tuple(entry["key"]): value(entry)}`` over ``entries``; an entry that
+    is not a JSON object, a key that is not a JSON list of strings and a
+    repeated key are refused."""
     out = {}
     for entry in entries:
-        key = tuple(entry["key"])
+        if type(entry) is not dict:
+            raise ValueError(f"{section} entry {entry!r} is not a JSON object")
+        key = _labels(f"{section} key", entry["key"])
         if key in out:
             raise ValueError(f"{section} key {list(key)} is repeated")
         out[key] = value(entry)
     return out
 
 
-def _simples(data: dict) -> list:
-    """``data["simples"]``, refused unless it is a JSON list of strings."""
-    simples = data["simples"]
-    if type(simples) is not list or not all(type(s) is str for s in simples):
-        raise ValueError(f"simples {simples!r} is not a JSON list of strings")
-    return simples
-
-
 def _load_category(name: str, data: dict) -> FusionCategorySpec:
-    field = FieldSpec(data["field"]["min_poly"])
-    f_symbols = _keyed("f_symbols", data.get("f_symbols", []),
+    field = FieldSpec(_part(data, "field", dict)["min_poly"])
+    f_symbols = _keyed("f_symbols", _part(data, "f_symbols", list, []),
                        lambda e: _parse_element(field, e["value"]))
     return FusionCategorySpec(
-        field=field, simples=_simples(data), unit=data["unit"],
-        dual=data["dual"], fusion=[tuple(t) for t in data["fusion"]],
+        field=field, simples=_labels("simples", data["simples"]), unit=data["unit"],
+        dual=_part(data, "dual", dict), fusion=_triples("fusion", data),
         f_symbols=f_symbols, name=name)
 
 
@@ -164,13 +189,13 @@ def _load_module(name: str, data: dict, bundle: InstanceBundle) -> ModuleCategor
         return mod
     if kind != "explicit":
         raise ParseError(f"unknown module type {kind!r}")
-    l_symbols = _keyed("l_symbols", data.get("l_symbols", []),
+    l_symbols = _keyed("l_symbols", _part(data, "l_symbols", list, []),
                        lambda e: _parse_element(base.field, e["value"]))
     units = {i: _parse_element(base.field, v)
-             for i, v in data.get("unit_scalars", {}).items()}
+             for i, v in _part(data, "unit_scalars", dict, {}).items()}
     return ModuleCategorySpec(
-        base=base, simples=_simples(data),
-        action=[tuple(t) for t in data["action"]], l_symbols=l_symbols,
+        base=base, simples=_labels("simples", data["simples"]),
+        action=_triples("action", data), l_symbols=l_symbols,
         unit_scalars=units, orientation=data.get("orientation", "left"), name=name)
 
 
@@ -196,7 +221,7 @@ def _load_functor(name: str, data: dict, bundle: InstanceBundle) -> ModuleFuncto
     if kind != "explicit":
         raise ParseError(f"unknown functor type {kind!r}")
     src, dst = bundle.module(data["src"]), bundle.module(data["dst"])
-    on_simples = _keyed("on_simples", data["on_simples"], lambda e: e["value"])
+    on_simples = _keyed("on_simples", _part(data, "on_simples", list), lambda e: e["value"])
     for key, value in on_simples.items():
         if type(value) is not int or value < 0:
             raise ValueError(f"on_simples {list(key)}: {value!r} is not a non-negative integer")
@@ -205,7 +230,7 @@ def _load_functor(name: str, data: dict, bundle: InstanceBundle) -> ModuleFuncto
         rows = entry["entries"]
         return Matrix(src.field, len(rows), len(rows[0]) if rows else 0,
                       [_parse_element(src.field, v) for row in rows for v in row])
-    c_symbols = _keyed("c_symbols", data.get("c_symbols", []), matrix)
+    c_symbols = _keyed("c_symbols", _part(data, "c_symbols", list, []), matrix)
     return ModuleFunctorSpec(src, dst, on_simples, c_symbols, name=name)
 
 

@@ -78,23 +78,16 @@ class FusionCategorySpec:
         self.fusion = unique_triples("fusion", triples)
         self._fuse_map = triple_map(self.fusion, self.simples, self.simples, self.simples)
         self.f_raw = dict(f_symbols or {})
-        self._f = {}
-        for key in self._admissible_f_keys():
-            self._f[key] = self.f_raw.get(key, field.one)
+        # every admissible (a, b, c, d, e, f): a, b, c in ``simples`` order
+        # (``_fuse_map`` holds the pairs (a, b) in that order), then e, d, f
+        fm, raw, one = self._fuse_map, self.f_raw, field.one
+        self._f = {(a, b, c, d, e, f): raw.get((a, b, c, d, e, f), one)
+                   for (a, b), ab in fm.items() for c in self.simples
+                   for e in ab for d in fm[e, c] for f in fm[b, c] if d in fm[a, f]}
         self._tables = None
         self._dual_ok = False
         self._generators = None
         self._report = None     # the gate's, kept by ``cli.InstanceBundle.validate_all``
-
-    def _admissible_f_keys(self):
-        for a in self.simples:
-            for b in self.simples:
-                for c in self.simples:
-                    for e in self._fuse_map[(a, b)]:
-                        for d in self._fuse_map[(e, c)]:
-                            for f in self._fuse_map[(b, c)]:
-                                if d in self._fuse_map[(a, f)]:
-                                    yield (a, b, c, d, e, f)
 
     def fuse(self, a: str, b: str) -> tuple:
         if a not in self.simples or b not in self.simples:

@@ -42,6 +42,14 @@ def bench_gen():
     return module
 
 
+def matrix_inverse_entries(rows, cols, mat: Matrix) -> dict:
+    """``blocks.inverse_entries`` through ``Matrix.inverse`` at every block
+    size: the reference for its 1 x 1 blocks, which it inverts as one element."""
+    inv = mat.inverse()
+    return {(c, r): inv[n, m] for n, c in enumerate(cols) for m, r in enumerate(rows)
+            if inv[n, m]}
+
+
 def _instance_path(name: str) -> str:
     return next(p for p in cli.bundled_instance_paths()
                 if os.path.basename(p) == f"{name}.json")

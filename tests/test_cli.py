@@ -184,16 +184,58 @@ LOADER_REFUSALS = {
                                lambda d: _repeat_first(d["modules"]["vec_over_vec_z2"]["action"]),
                                "module 'vec_over_vec_z2': ValueError: action triple "
                                "['e', 'm', 'm'] is repeated"),
+    "f-key-string": ("vec_z2_omega.json",
+                     lambda d: d["categories"]["vec_z2_omega"]["f_symbols"][0].update(
+                         key="ssssee"),
+                     "category 'vec_z2_omega': ValueError: f_symbols key 'ssssee' is not a JSON "
+                     "list of strings"),
+    "on-simples-key-string": ("vec_over_vec_z2.json",
+                              lambda d: _forgetful(d)["on_simples"][0].update(key="me"),
+                              "functor 'forgetful': ValueError: on_simples key 'me' is not a "
+                              "JSON list of strings"),
+    "fusion-strings": ("vec_z2_omega.json",
+                       lambda d: d["categories"]["vec_z2_omega"].update(
+                           fusion=["eee", "ess", "ses", "sse"]),
+                       "category 'vec_z2_omega': ValueError: fusion triple 'eee' is not a JSON "
+                       "list of strings"),
+    "action-string": ("vec_over_vec_z2.json",
+                      lambda d: d["modules"]["vec_over_vec_z2"]["action"].__setitem__(0, "emm"),
+                      "module 'vec_over_vec_z2': ValueError: action triple 'emm' is not a JSON "
+                      "list of strings"),
+    "f-symbol-entry-string": ("vec_z2_omega.json",
+                              lambda d: d["categories"]["vec_z2_omega"].update(f_symbols=["x"]),
+                              "category 'vec_z2_omega': ValueError: f_symbols entry 'x' is not a "
+                              "JSON object"),
+    "f-symbols-object": ("vec_z2_omega.json",
+                         lambda d: d["categories"]["vec_z2_omega"].update(f_symbols={"key": []}),
+                         "category 'vec_z2_omega': ValueError: f_symbols must be a JSON list"),
+    "fusion-object": ("vec_z2_omega.json",
+                      lambda d: d["categories"]["vec_z2_omega"].update(fusion={}),
+                      "category 'vec_z2_omega': ValueError: fusion must be a JSON list"),
+    "dual-list": ("vec_z2_omega.json",
+                  lambda d: d["categories"]["vec_z2_omega"].update(dual=["e", "s"]),
+                  "category 'vec_z2_omega': ValueError: dual must be a JSON object"),
+    "field-list": ("vec_z2_omega.json",
+                   lambda d: d["categories"]["vec_z2_omega"].update(field=["0", "1"]),
+                   "category 'vec_z2_omega': ValueError: field must be a JSON object"),
+    "unit-scalars-list": ("vec_over_vec_z2.json",
+                          lambda d: d["modules"]["vec_over_vec_z2"].update(unit_scalars=["1"]),
+                          "module 'vec_over_vec_z2': ValueError: unit_scalars must be a JSON "
+                          "object"),
+    "c-symbols-object": ("vec_over_vec_z2.json",
+                         lambda d: _forgetful(d).update(c_symbols={}),
+                         "functor 'forgetful': ValueError: c_symbols must be a JSON list"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LOADER_REFUSALS))
 def test_loader_refusals_give_one_json_line(tmp_path, capsys, case):
     """A multiplicity that is not a non-negative JSON integer, a boolean given
-    as a scalar, a key repeated in one section, ``simples`` that are not a
-    JSON list of strings and a fusion or action triple given twice are each
-    refused at load time: one JSON line naming the entity and the key or
-    value, exit code 1."""
+    as a scalar, a key repeated in one section, ``simples``, a key or a
+    triple that is not a JSON list of strings (a string is not read as its
+    characters), a fusion or action triple given twice and a section of the
+    wrong JSON type are each refused at load time: one JSON line naming the
+    entity and the key, value or section, exit code 1."""
     filename, mutate, error = LOADER_REFUSALS[case]
     doc = json.loads(Path(_bundled_path(filename)).read_text())
     mutate(doc)
@@ -593,18 +635,29 @@ BAD_COMMAND_LINES = {
 }
 
 
-def test_bad_command_lines_give_one_json_line():
+# one command error and one parser error, run through ``python -m modend``
+BAD_COMMAND_LINES_RUN_AS_MODULE = ("serre", "--bogus validate")
+
+
+def test_bad_command_lines_give_one_json_line(capsys):
     """A missing argument or a name of the wrong kind is a validation failure,
-    never a traceback."""
+    never a traceback.  Each line runs in process through ``cli.main``, and
+    ``BAD_COMMAND_LINES_RUN_AS_MODULE`` also as ``python -m modend``."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    for command, error in BAD_COMMAND_LINES.items():
+    runs = []
+    for command in BAD_COMMAND_LINES:
+        code = cli.main(command.split())
+        runs.append((command, code, *capsys.readouterr()))
+    for command in BAD_COMMAND_LINES_RUN_AS_MODULE:
         proc = subprocess.run([sys.executable, "-m", "modend", *command.split()],
                               capture_output=True, text=True, check=False,
                               env={**os.environ, "PYTHONPATH": src})
-        assert (proc.returncode, proc.stderr) == (1, ""), command
-        assert proc.stdout.count("\n") == 1, command
-        assert json.loads(proc.stdout) == {"error": error,
-                                           "status": "validation-failed"}, command
+        runs.append((command, proc.returncode, proc.stdout, proc.stderr))
+    for command, code, out, err in runs:
+        assert (code, err) == (1, ""), command
+        assert out.count("\n") == 1, command
+        assert json.loads(out) == {"error": BAD_COMMAND_LINES[command],
+                                   "status": "validation-failed"}, command
 
 
 def test_command_table_of_the_docs_is_the_usage(capsys):

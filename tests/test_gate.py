@@ -16,9 +16,9 @@ import pytest
 
 from helpers import (MUTATION_FACTORS, act_mor, action_associativity_entries, bench_gen,
                      c_assoc, cunit, f_mor, fusion_associativity_entries, gauge_category,
-                     gauge_functor, gauge_module, gauged_corpus_and_zn, mutated, mutation_sites,
-                     opposite_module_composite, ract_c, ract_mor, rassoc, sampled_sites, unit_l,
-                     whisker_c)
+                     gauge_functor, gauge_module, gauged_corpus_and_zn, matrix_inverse_entries,
+                     mutated, mutation_sites, opposite_module_composite, ract_c, ract_mor, rassoc,
+                     sampled_sites, unit_l, whisker_c)
 from modend import blocks, cli
 from modend.blocks import Mor, _simple, act_c, assoc, c_mor, ctensor, f_obj
 from modend.fusioncat import FusionCategorySpec, validate_fusion
@@ -564,8 +564,10 @@ def test_pointed_path_and_block_sweeps_match_the_general_sweeps(name, monkeypatc
     """On every pointed subject, left or right, and on each mutant with one
     triple remapped or one symbol set to 0, the flat sweeps fail at the
     tuples the general sweeps fail at, in the same order; every mutant fails.
-    Each inverse the flat sweep keeps is that of the block on fresh tables,
-    and the general sweep run after it inverts only the failing blocks."""
+    The flat sweep keeps no inverse.  Every ``l_inverse`` read after it is the
+    inverse of the block on fresh tables, and ``Matrix.inverse``'s; a failing
+    block's read raises.  The general sweep run after it fails at the same
+    tuples and inverts no matrix: every block is 1 x 1."""
     spec = SWEPT[name]
     remapped, zeroed = _remapped(name, spec), _zeroed(name, spec)
     assert zeroed and (remapped or len(spec.simples) == 1)
@@ -579,15 +581,20 @@ def test_pointed_path_and_block_sweeps_match_the_general_sweeps(name, monkeypatc
             continue
         assert paths == () and blocks.l_block_failures(tables) == failures, name
         assert ("singular" in {kind for kind, _ in failures}) == (case in zeroed), name
-        kept = tables._linv_cache
-        assert kept == {key: blocks.inverse_entries(*general.l_block(*key)) for key in kept}
-        assert set(kept) == {key for key, inv in general._linv_cache.items() if inv}
+        assert tables._linv_cache == {}
+        readable = {key: inv for key, inv in general._linv_cache.items() if inv}
+        for key, inv in readable.items():
+            assert tables.l_inverse(*key) == inv == matrix_inverse_entries(
+                *general.l_block(*key)), (name, key)
+        for _, key in failures:
+            with pytest.raises(ArithmeticError):
+                tables.l_inverse(*key)
         with monkeypatch.context() as patch:
             inverted, inverse = [], Matrix.inverse
             patch.setattr(Matrix, "inverse", lambda mat: inverted.append(mat) or inverse(mat))
             patch.setattr(blocks, "is_pointed", lambda tables: False)
             assert blocks.l_block_failures(tables) == failures
-        assert len(inverted) == len(failures)
+        assert inverted == []
 
 
 def test_pointed_zero_divisor_matches_the_general_sweep(monkeypatch):

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from helpers import bench_gen, ev_flat, mutated, mutation_sites, runit_reg, uhom_obj, unit_l
+from helpers import (bench_gen, ev_flat, matrix_inverse_entries, mutated, mutation_sites,
+                     runit_reg, uhom_obj, unit_l)
 from modend import blocks, cli, endengine, scalarfield, theorems
 from modend.fusioncat import FusionCategorySpec, validate_fusion
 from modend.modcat import ModuleCategorySpec, opposite_module, regular_module, validate_module
@@ -242,12 +243,12 @@ def test_blocks_are_inverted_once_per_load(monkeypatch):
 
 
 def test_pointed_gate_inverts_no_matrix_and_builds_no_block(tmp_path, monkeypatch):
-    """On pointed zn4 the gate's flat sweeps read symbols and invert 1 x 1
+    """On pointed zn4 the gate's flat sweeps read symbols and test 1 x 1
     entries: one ``validate_all`` makes no ``Matrix.inverse`` call, and the
-    validators build no F- or L-block.  A second sweep of the same tables
-    keeps the inverses the first one kept.  (``validate_all`` also installs
-    the duality scalars, whose lookups of the kept inverses build the blocks
-    they key, as every ``f_inverse`` lookup does.)"""
+    validators build no F- or L-block and keep no inverse, so a second sweep
+    of the same tables keeps none either.  (``validate_all`` also installs the
+    duality scalars, whose ``f_inverse`` lookups build and invert the blocks
+    they key, as every first ``f_inverse`` read does.)"""
     calls, inverse = [], Matrix.inverse
     monkeypatch.setattr(Matrix, "inverse", lambda mat: calls.append("inverse") or inverse(mat))
     assert all(rep.ok for rep in _zn4(tmp_path).validate_all())
@@ -260,11 +261,63 @@ def test_pointed_gate_inverts_no_matrix_and_builds_no_block(tmp_path, monkeypatc
     bundle = _zn4(tmp_path)
     cat = bundle.category("zn4")
     assert validate_fusion(cat).ok
-    kept = dict(cat.tables._finv_cache)
-    assert len(kept) == 4 ** 3
+    assert cat.tables._finv_cache == {}
     assert validate_module(bundle.module("zn4_regular")).ok   # the same regular tables
-    assert all(cat.tables._finv_cache[key] is inv for key, inv in kept.items())
+    assert cat.tables._finv_cache == {}
     assert calls == []
+
+
+@pytest.mark.parametrize("field", [Q, SQRT2, FieldSpec([-1, 0, 1])],
+                         ids=["Q", "Q(sqrt2)", "Q[x]/(x^2-1)"])
+def test_a_1x1_block_is_inverted_as_its_element(field, monkeypatch):
+    """``inverse_entries`` of a 1 x 1 block is ``Matrix.inverse``'s, with no
+    ``Matrix.inverse`` call: a zero entry raises ``DivisionByZero`` and a
+    zero divisor (1 + x over Q[x]/(x^2 - 1)) ``ZeroDivisorDetected``, as
+    ``Matrix.inverse`` does."""
+    one = field.one
+    outcomes = []
+    for entry in (field.zero, one, field.rational("-3/4"), field.gen() + one,
+                  field.gen() * field.rational(5)):
+        mat = Matrix(field, 1, 1, [entry])
+        try:
+            want = matrix_inverse_entries(["j"], ["z"], mat)
+        except ArithmeticError as exc:
+            want = type(exc)
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "inverse", lambda mat: pytest.fail("Matrix.inverse called"))
+            try:
+                got = blocks.inverse_entries(["j"], ["z"], mat)
+            except ArithmeticError as exc:
+                got = type(exc)
+        assert got == want, entry
+        outcomes.append(want)
+    assert scalarfield.DivisionByZero in outcomes
+    assert (scalarfield.ZeroDivisorDetected in outcomes) == (field.min_poly == (-1, 0, 1))
+
+
+def test_pointed_blocks_are_inverted_when_first_read(tmp_path, monkeypatch):
+    """On gen zn8 the gate keeps the inverses of the n duality blocks
+    ``F(a, a*, a; a)`` and no other; ``serre`` then inverts at most 2 n^2 of
+    the n^3 blocks, each on its first read, with no ``Matrix.inverse`` call,
+    and each equals the inverse of its block on fresh tables."""
+    n = 8
+    path = tmp_path / "zn8.json"
+    path.write_text(json.dumps(bench_gen().instance(n, 1)))
+    bundle = cli.load([str(path)])
+    calls, inverse = [], Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda mat: calls.append(mat) or inverse(mat))
+    assert all(rep.ok for rep in bundle.validate_all())
+    cat = bundle.category("zn8")
+    kept = cat.tables._finv_cache
+    assert set(kept) == {(a, cat.dual[a], a, a) for a in cat.simples}
+    gated = set(kept)
+    assert cli.run(["serre", "zn8_regular"], bundle).payload["status"] == "ok"
+    assert calls == []
+    added = set(kept) - gated
+    assert 0 < len(added) <= 2 * n ** 2 < n ** 3
+    fresh = cli.load([str(path)]).category("zn8").tables
+    for key in gated | added:
+        assert kept[key] == matrix_inverse_entries(*fresh.f_block(*key)), key
 
 
 @pytest.mark.parametrize("name,pointed", [
