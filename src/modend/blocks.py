@@ -829,11 +829,13 @@ def left_pentagon_holds(tables: ModuleTables, X: str, Y: str, Z: str, i: str) ->
     return True
 
 
-def left_unit_holds(tables: ModuleTables, X: str, i: str) -> bool:
-    """Unit coherence at ``(X, m_i)``: ``L(X,1,i; i,X,t) * lambda_i = 1``."""
+def unit_holds(tables: ModuleTables, X: str, i: str) -> bool:
+    """Unit coherence at ``X`` and ``m_i``: ``L(X,1,i; i,X,t) * lambda_i = 1``
+    on a left module, ``L(1,X,i; i,X,t) * lambda_i = 1`` on a right one."""
     unit, one = tables.base.unit, tables.field.one
     scalar = tables.unit_scalar(i)
-    return all(tables._l_entry(X, unit, i, i, X, t) * scalar == one
+    first, second = (unit, X) if tables.right else (X, unit)
+    return all(tables._l_entry(first, second, i, i, X, t) * scalar == one
                for t in tables.act_set(X, i))
 
 
@@ -862,14 +864,6 @@ def right_pentagon_holds(tables: ModuleTables, i: str, X: str, Y: str, Z: str) -
                         if L(X, Y, i, j, u, k) * L(u, Z, i, k, w, t) != rhs:
                             return False
     return True
-
-
-def right_unit_holds(tables: ModuleTables, i: str, X: str) -> bool:
-    """Unit coherence at ``(m_i, X)``: ``L(1,X,i; i,X,t) * lambda_i = 1``."""
-    unit, one = tables.base.unit, tables.field.one
-    scalar = tables.unit_scalar(i)
-    return all(tables._l_entry(unit, X, i, i, X, t) * scalar == one
-               for t in tables.act_set(X, i))
 
 
 def _c_entries(ft: FunctorTables, X: str, i: str) -> dict:

@@ -1,10 +1,8 @@
 """Instance loading, command dispatch and machine-readable reports.
 
 Instance files are JSON documents with three optional maps, ``categories``,
-``modules`` and ``functors``; cross-references are by name and may span
-files.  Scalars are exact: rationals are written ``"p/q"`` (or plain
-integers), field elements as constant-first coefficient arrays over the
-category's number field.  The full schema is documented in docs/format.md.
+``modules`` and ``functors``, whose references by name may span files, and
+exact scalars.  ``SHAPES`` states the format; docs/format.md documents it.
 
 Exit codes: 0 success, 1 parse/validation failure, 2 theorem-certificate
 failure.  The ``suite`` command treats every check (including validation and
@@ -19,12 +17,12 @@ import hashlib
 import json
 import os
 import sys
-from importlib import resources
 
 from . import blocks, endengine, theorems
 from .common import (NotATensorSubcategory, OracleMismatch, ParseError,
                      SerreCertificateFailure, SourceTargetMismatch, UnknownCommand,
-                     UnknownName, UpsilonMismatch, ValidationError, ValidationReport)
+                     UnknownLabel, UnknownName, UpsilonMismatch, ValidationError,
+                     ValidationReport)
 from .fusioncat import FusionCategorySpec, tensor_generators, validate_fusion
 from .modcat import ModuleCategorySpec, internal_hom, regular_module, validate_module
 from .modfunct import (ModuleFunctorSpec, act_right_functor, identity_functor,
@@ -37,7 +35,7 @@ def _parse_element(field: FieldSpec, value) -> FieldElement:
         return field.rational(value)
     if isinstance(value, list):
         return field.element(value)
-    raise ParseError(f"not a field element: {value!r}")
+    raise TypeError(f"not a field element: {value!r}")
 
 
 class InstanceBundle:
@@ -126,118 +124,155 @@ def _kept(spec, sweep) -> ValidationReport:
     return ValidationReport(entries=list(spec._report.entries))
 
 
-def _part(data: dict, key: str, shape: type, default=None):
-    """``data[key]``, or ``default`` where it is absent if one is given,
-    refused unless it is a JSON list (``shape`` is ``list``) or object
-    (``dict``)."""
-    value = data[key] if default is None else data.get(key, default)
-    if type(value) is not shape:
-        raise ValueError(f"{key} must be a JSON {'list' if shape is list else 'object'}")
-    return value
+def _joins(items) -> bool:
+    """Whether every item is a string (in one call: JSON has no ``str`` subclass)."""
+    try:
+        "".join(items)
+        return True
+    except TypeError:
+        return False
 
 
-def _labels(what: str, value) -> tuple:
-    """``value`` as a tuple, refused unless it is a JSON list of strings: a
-    string is not read as its characters.  ``str.join`` tests every item in
-    one call; a JSON document has no subclass of ``str``."""
-    if type(value) is list:
-        try:
-            "".join(value)
-        except TypeError:
-            pass
-        else:
-            return tuple(value)
-    raise ValueError(f"{what} {value!r} is not a JSON list of strings")
-
-
-def _triples(section: str, data: dict) -> list:
-    """The ``fusion`` or ``action`` triples of ``data``, each a JSON list of strings."""
-    return [_labels(f"{section} triple", t) for t in _part(data, section, list)]
-
-
-def _keyed(section: str, entries: list, value) -> dict:
-    """``{tuple(entry["key"]): value(entry)}`` over ``entries``; an entry that
-    is not a JSON object, a key that is not a JSON list of strings and a
-    repeated key are refused."""
-    out = {}
-    for entry in entries:
+def _read(shape, value, field, where: str):
+    """``value`` read by ``shape`` (see SHAPES) over ``field``; refusals name ``where``."""
+    if shape is ELEMENT:
+        return _parse_element(field, value)
+    if type(shape) is str:
+        if shape is STRINGS and type(value) is list and _joins(value):
+            return tuple(value)     # a string is not read as its characters
+        if (shape is ROWS and type(value) is list and {list} >= set(map(type, value))
+                and len(set(map(len, value))) < 2):
+            return Matrix.from_rows(field, [[_parse_element(field, v) for v in r] for r in value])
+        if (shape is STRING and type(value) is str or shape is RATIONALS and type(value) is list
+              or shape is COUNT and type(value) is int and value >= 0):
+            return value            # the rationals of ``min_poly`` are read by FieldSpec
+        raise ValueError(f"{where}{' ' if shape is STRINGS else ': '}{value!r} is not a {shape}")
+    kind, word, item = shape
+    if kind == "object":            # the field, the one object inside an entity
+        return FieldSpec(**_walk(item, value, None, where))
+    if type(value) is not (dict if kind == "map" else list):
+        raise ValueError(f"{where} must be a JSON {'object' if kind == 'map' else 'list'}")
+    inner = f"{where} {word}"
+    if kind == "map":
+        return {label: _read(item, v, field, inner) for label, v in value.items()}
+    if kind == "list":
+        return [_read(item, v, field, inner) for v in value]
+    out, key_at = {}, f"{where} key"
+    for entry in value:
         if type(entry) is not dict:
-            raise ValueError(f"{section} entry {entry!r} is not a JSON object")
-        key = _labels(f"{section} key", entry["key"])
-        if key in out:
-            raise ValueError(f"{section} key {list(key)} is repeated")
-        out[key] = value(entry)
+            raise ValueError(f"{where} entry {entry!r} is not a JSON object")
+        if len(entry) != 2 or word not in entry or "key" not in entry:
+            raise ValueError(f"{where} entry {entry!r} does not hold just 'key' and {word!r}")
+        key = entry["key"]
+        if type(key) is not list or not _joins(key):
+            raise ValueError(f"{key_at} {key!r} is not a {STRINGS}")
+        if (tup := tuple(key)) in out:
+            raise ValueError(f"{key_at} {key} is repeated")
+        out[tup] = (_parse_element(field, entry[word]) if item is ELEMENT
+                    else _read(item, entry[word], field, f"{where} {key}"))
     return out
 
 
+def _walk(kind: str, data, field_of, where: str = "") -> dict:
+    """The values of the JSON object ``data`` read by the form of ``kind`` and its
+    ``type``; ``field_of(values read so far)`` is the field of element values."""
+    if type(data) is not dict:
+        raise ValueError(f"{where} must be a JSON object".lstrip())
+    kind_type = data.get("type", "explicit") if kind in ("module", "functor") else None
+    try:
+        keys, required, shapes = FORMS[kind, kind_type]
+    except (KeyError, TypeError):       # TypeError: a JSON list or object as the type
+        raise ValueError(f"unknown {kind} type {kind_type!r}") from None
+    if not (keys.issuperset(data) and (len(data) == len(keys) or required.issubset(data))):
+        why = [f"unknown key {k!r}" for k in data if k not in keys] + [
+            f"missing key {k!r}" for k, _, _ in shapes if k in required and k not in data]
+        raise ValueError(f"{where}: {why[0]}" if where else why[0])
+    out, field = {}, None
+    for key, shape, holds in shapes:
+        if key in data:
+            value = data[key]
+            if shape is STRING and type(value) is str:     # the most common leaf
+                out[key] = value
+                continue
+            if holds and field is None:
+                field = field_of(out)
+            out[key] = _read(shape, value, field, f"{where}.{key}" if where else key)
+    return out
+
+
+# The instance format: each form, keyed by kind and ``type``, lists its keys (``?``:
+# it may be absent) and the shape of each value: a leaf, or ``(container, item word,
+# leaf)`` for a "list", a "map" from labels, a "keyed list" of objects of a ``key``
+# and the item word, or the "object" of a kind.
+STRING, STRINGS, RATIONALS = "JSON string", "JSON list of strings", "JSON list of rationals"
+COUNT, ELEMENT, ROWS = "non-negative integer", "field element", "JSON list of equal-length rows"
+TRIPLES, SYMBOLS = ("list", "triple", STRINGS), ("keyed list", "value", ELEMENT)
+SHAPES = {
+    ("category", None): {
+        "field": ("object", None, "field"), "simples": STRINGS, "unit": STRING,
+        "dual": ("map", "value", STRING), "fusion": TRIPLES, "f_symbols?": SYMBOLS},
+    ("field", None): {"min_poly": RATIONALS},
+    ("module", "regular"): {"type": STRING, "category": STRING},
+    ("module", "explicit"): {
+        "type?": STRING, "category": STRING, "orientation?": STRING, "simples": STRINGS,
+        "action": TRIPLES, "l_symbols?": SYMBOLS, "unit_scalars?": ("map", "value", ELEMENT)},
+    ("functor", "identity"): {"type": STRING, "module": STRING},
+    ("functor", "act_right"): {"type": STRING, "category": STRING, "label": STRING},
+    ("functor", "explicit"): {
+        "type?": STRING, "src": STRING, "dst": STRING,
+        "on_simples": ("keyed list", "value", COUNT),
+        "c_symbols?": ("keyed list", "entries", ROWS)},
+}
+# each form compiled once: its keys, its required keys, and (key, shape, holds elements)
+FORMS = {kind_type: (frozenset(k.rstrip("?") for k in keys),
+                     frozenset(k for k in keys if k[-1] != "?"),
+                     tuple((k.rstrip("?"), shape, (shape if type(shape) is str else shape[-1])
+                            in (ELEMENT, ROWS)) for k, shape in keys.items()))
+         for kind_type, keys in SHAPES.items()}
+
+
 def _load_category(name: str, data: dict) -> FusionCategorySpec:
-    field = FieldSpec(_part(data, "field", dict)["min_poly"])
-    f_symbols = _keyed("f_symbols", _part(data, "f_symbols", list, []),
-                       lambda e: _parse_element(field, e["value"]))
-    return FusionCategorySpec(
-        field=field, simples=_labels("simples", data["simples"]), unit=data["unit"],
-        dual=_part(data, "dual", dict), fusion=_triples("fusion", data),
-        f_symbols=f_symbols, name=name)
+    return FusionCategorySpec(**_walk("category", data, lambda v: v["field"]), name=name)
 
 
 def _load_module(name: str, data: dict, bundle: InstanceBundle) -> ModuleCategorySpec:
-    kind = data.get("type", "explicit")
-    base = bundle.category(data["category"])
-    if kind == "regular":
-        mod = regular_module(base)
-        mod.name = name
-        return mod
-    if kind != "explicit":
-        raise ParseError(f"unknown module type {kind!r}")
-    l_symbols = _keyed("l_symbols", _part(data, "l_symbols", list, []),
-                       lambda e: _parse_element(base.field, e["value"]))
-    units = {i: _parse_element(base.field, v)
-             for i, v in _part(data, "unit_scalars", dict, {}).items()}
-    return ModuleCategorySpec(
-        base=base, simples=_labels("simples", data["simples"]),
-        action=_triples("action", data), l_symbols=l_symbols,
-        unit_scalars=units, orientation=data.get("orientation", "left"), name=name)
+    v = _walk("module", data, lambda v: bundle.category(v["category"]).field)
+    base = bundle.category(v["category"])
+    mod = regular_module(base) if data.get("type") == "regular" else ModuleCategorySpec(
+        base, v["simples"], v["action"], v.get("l_symbols", {}), v.get("unit_scalars"),
+        v.get("orientation", "left"))
+    mod.name = name
+    return mod
 
 
 def _load_functor(name: str, data: dict, bundle: InstanceBundle) -> ModuleFunctorSpec:
+    v = _walk("functor", data, lambda v: bundle.module(v["src"]).field)
     kind = data.get("type", "explicit")
     if kind == "identity":
-        fun = identity_functor(bundle.module(data["module"]))
-        fun.name = name
-        return fun
-    if kind == "act_right":
-        cat = bundle.category(data["category"])
-        reg_name = f"{data['category']}_regular"
+        fun = identity_functor(bundle.module(v["module"]))
+    elif kind == "act_right":
+        cat, reg_name = bundle.category(v["category"]), f"{v['category']}_regular"
         reg = bundle.modules.get(reg_name)
-        if reg is None:
-            raise ParseError(f"functor {name!r}: act_right needs the module {reg_name!r}")
         # L(X, i, y; k, z, t) is a c-block entry of - x y only on the regular module
-        if reg.tables is not cat.tables.regular():
-            raise ParseError(f"functor {name!r}: act_right needs {reg_name!r} to be the "
-                             f"regular module of {data['category']!r}")
-        fun = act_right_functor(cat, data["label"], reg)
-        fun.name = name
-        return fun
-    if kind != "explicit":
-        raise ParseError(f"unknown functor type {kind!r}")
-    src, dst = bundle.module(data["src"]), bundle.module(data["dst"])
-    on_simples = _keyed("on_simples", _part(data, "on_simples", list), lambda e: e["value"])
-    for key, value in on_simples.items():
-        if type(value) is not int or value < 0:
-            raise ValueError(f"on_simples {list(key)}: {value!r} is not a non-negative integer")
+        if reg is None or reg.tables is not cat.tables.regular():
+            raise ParseError(f"functor {name!r}: act_right needs " + (
+                f"the module {reg_name!r}" if reg is None else
+                f"{reg_name!r} to be the regular module of {v['category']!r}"))
+        fun = act_right_functor(cat, v["label"], reg)
+    else:
+        fun = ModuleFunctorSpec(bundle.module(v["src"]), bundle.module(v["dst"]),
+                                v["on_simples"], v.get("c_symbols", {}))
+    fun.name = name
+    return fun
 
-    def matrix(entry) -> Matrix:
-        rows = entry["entries"]
-        return Matrix(src.field, len(rows), len(rows[0]) if rows else 0,
-                      [_parse_element(src.field, v) for row in rows for v in row])
-    c_symbols = _keyed("c_symbols", _part(data, "c_symbols", list, []), matrix)
-    return ModuleFunctorSpec(src, dst, on_simples, c_symbols, name=name)
+
+SECTIONS = {"categories": ("category", lambda name, data, bundle: _load_category(name, data)),
+            "modules": ("module", _load_module), "functors": ("functor", _load_functor)}
 
 
 def load(paths) -> InstanceBundle:
     """Parse and cross-link instance files; specs are validated by callers."""
-    bundle = InstanceBundle()
-    docs = []
+    bundle, docs = InstanceBundle(), []
     for path in paths:
         try:
             with open(path, "rb") as fh:
@@ -251,17 +286,23 @@ def load(paths) -> InstanceBundle:
             docs.append(json.loads(raw, object_pairs_hook=_unique_keys))
         except (json.JSONDecodeError, ParseError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        if not isinstance(docs[-1], dict):
-            raise ParseError(f"{path}: top level must be a JSON object")
-    for doc in docs:
-        for name, data in _section(doc, "categories").items():
-            bundle.categories[name] = _parse_entity("category", name, _load_category, data)
-    for doc in docs:
-        for name, data in _section(doc, "modules").items():
-            bundle.modules[name] = _parse_entity("module", name, _load_module, data, bundle)
-    for doc in docs:
-        for name, data in _section(doc, "functors").items():
-            bundle.functors[name] = _parse_entity("functor", name, _load_functor, data, bundle)
+        if not isinstance(docs[-1], dict) or not SECTIONS.keys() >= docs[-1].keys():
+            raise ParseError(f"{path}: top level must be a JSON object of {', '.join(SECTIONS)}")
+    for key, (kind, load_one) in SECTIONS.items():
+        entities = getattr(bundle, key)
+        for doc in docs:
+            section = doc.get(key, {})
+            if not isinstance(section, dict):
+                raise ParseError(f"{key!r} must be a JSON object")
+            for name, data in section.items():
+                try:
+                    entities[name] = load_one(name, data, bundle)
+                except ParseError:
+                    raise
+                except UnknownName as exc:      # a reference to an absent entity names both
+                    raise UnknownName(f"{kind} {name!r}: no {exc}") from None
+                except (ArithmeticError, TypeError, UnknownLabel, ValueError) as exc:
+                    raise ParseError(f"{kind} {name!r}: {type(exc).__name__}: {exc}") from exc
     return bundle
 
 
@@ -275,29 +316,9 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
-def _section(doc: dict, key: str) -> dict:
-    section = doc.get(key, {})
-    if not isinstance(section, dict):
-        raise ParseError(f"{key!r} must be a JSON object")
-    return section
-
-
-def _parse_entity(kind: str, name: str, load_one, *args):
-    """Load one named entity; malformed data becomes a ParseError naming it, and
-    a reference to an absent entity an UnknownName naming both."""
-    try:
-        return load_one(name, *args)
-    except ParseError:
-        raise
-    except UnknownName as exc:
-        raise UnknownName(f"{kind} {name!r}: no {exc}") from None
-    except (ArithmeticError, AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{kind} {name!r}: {type(exc).__name__}: {exc}") from exc
-
-
 def bundled_instance_paths() -> list:
-    root = resources.files("modend").joinpath("instances")
-    return sorted(str(p) for p in root.iterdir() if p.name.endswith(".json"))
+    root = os.path.join(os.path.dirname(__file__), "instances")
+    return sorted(os.path.join(root, n) for n in os.listdir(root) if n.endswith(".json"))
 
 
 class Report:

@@ -103,7 +103,7 @@ class FusionCategorySpec:
             self._tables = BaseTables(
                 field=self.field, simples=self.simples, unit=self.unit,
                 dual=self.dual, fuse_map=self._fuse_map,
-                f_entry=lambda a, b, c, d, e, f: self._f.get((a, b, c, d, e, f), self.field.zero),
+                f_entry=self.f_symbol,
             )
         return self._tables
 

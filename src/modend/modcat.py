@@ -126,21 +126,17 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
     if not tables.right:
         for loc in blocks.left_pentagon_failures(tables):
             report.add("mixed-pentagon", loc)
+    else:
         for X in base.simples:
-            for i in spec.simples:
-                if not blocks.left_unit_holds(tables, X, i):
-                    report.add("unit-coherence", (X, i))
-        return report
-    for X in base.simples:
-        for Y in base.simples:
-            for Z in base.simples:
-                for i in spec.simples:
-                    if not blocks.right_pentagon_holds(tables, i, X, Y, Z):
-                        report.add("mixed-pentagon", (i, X, Y, Z))
+            for Y in base.simples:
+                for Z in base.simples:
+                    for i in spec.simples:
+                        if not blocks.right_pentagon_holds(tables, i, X, Y, Z):
+                            report.add("mixed-pentagon", (i, X, Y, Z))
     for X in base.simples:
         for i in spec.simples:
-            if not blocks.right_unit_holds(tables, i, X):
-                report.add("unit-coherence", (i, X))
+            if not blocks.unit_holds(tables, X, i):
+                report.add("unit-coherence", (i, X) if tables.right else (X, i))
     return report
 
 

@@ -56,10 +56,14 @@ class DimensionMismatch(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and ``"p/q"`` strings to an exact rational."""
+    """Coerce ints, Fractions and ``"p/q"`` strings to an exact rational; a
+    plain string (``_plain_rational``) is read without ``Fraction``'s parser."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    if isinstance(value, str):
+        plain = _plain_rational(value)
+        return Fraction(value) if plain is None else Fraction(*plain)
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 

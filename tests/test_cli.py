@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,52 @@ LOADER_REFUSALS = {
     "c-symbols-object": ("vec_over_vec_z2.json",
                          lambda d: _forgetful(d).update(c_symbols={}),
                          "functor 'forgetful': ValueError: c_symbols must be a JSON list"),
+    "c-entries-object": ("vec_over_vec_z2.json",
+                         lambda d: _forgetful(d)["c_symbols"][0].update(entries={}),
+                         "functor 'forgetful': ValueError: c_symbols ['e', 'm']: {} is not a "
+                         "JSON list of equal-length rows"),
+    "c-entries-string": ("vec_over_vec_z2.json",
+                         lambda d: _forgetful(d)["c_symbols"][0].update(entries="11"),
+                         "functor 'forgetful': ValueError: c_symbols ['e', 'm']: '11' is not a "
+                         "JSON list of equal-length rows"),
+    # 6 entries in 3 rows, 3 x len(first row): a flattener that checks the count reshapes them
+    "c-entries-ragged": ("vec_over_vec_z2.json",
+                         lambda d: _forgetful(d)["c_symbols"][0].update(
+                             entries=[["1", "0"], ["0"], ["1", "0", "0"]]),
+                         "functor 'forgetful': ValueError: c_symbols ['e', 'm']: [['1', '0'], "
+                         "['0'], ['1', '0', '0']] is not a JSON list of equal-length rows"),
+    "on-simples-entry-without-value": ("vec_over_vec_z2.json",
+                                       lambda d: _forgetful(d)["on_simples"][0].pop("value"),
+                                       "functor 'forgetful': ValueError: on_simples entry "
+                                       "{'key': ['m', 'e']} does not hold just 'key' and 'value'"),
+    "min-poly-string": ("vec_z2_omega.json",
+                        lambda d: d["categories"]["vec_z2_omega"]["field"].update(min_poly="x"),
+                        "category 'vec_z2_omega': ValueError: field.min_poly: 'x' is not a JSON "
+                        "list of rationals"),
+    "f-symbols-misspelt": ("vec_z2_omega.json",
+                           lambda d: d["categories"]["vec_z2_omega"].update(
+                               f_symbol=d["categories"]["vec_z2_omega"].pop("f_symbols")),
+                           "category 'vec_z2_omega': ValueError: unknown key 'f_symbol'"),
+    "field-key-misspelt": ("vec_z2_omega.json",
+                           lambda d: d["categories"]["vec_z2_omega"].update(
+                               field={"minpoly": ["0", "1"]}),
+                           "category 'vec_z2_omega': ValueError: field: unknown key 'minpoly'"),
+    "missing-simples": ("vec_over_vec_z2.json",
+                        lambda d: d["modules"]["vec_over_vec_z2"].pop("simples"),
+                        "module 'vec_over_vec_z2': ValueError: missing key 'simples'"),
+    "unknown-module-type": ("vec_over_vec_z2.json",
+                            lambda d: d["modules"]["vec_over_vec_z2"].update(type="bogus"),
+                            "module 'vec_over_vec_z2': ValueError: unknown module type 'bogus'"),
+    "unit-integer": ("vec_z2_omega.json",
+                     lambda d: d["categories"]["vec_z2_omega"].update(unit=0),
+                     "category 'vec_z2_omega': ValueError: unit: 0 is not a JSON string"),
+    "dual-value-integer": ("vec_z2_omega.json",
+                           lambda d: d["categories"]["vec_z2_omega"]["dual"].update(e=0),
+                           "category 'vec_z2_omega': ValueError: dual value: 0 is not a JSON "
+                           "string"),
+    "section-misspelt": ("vec_z2_omega.json",
+                         lambda d: d.update(categoriess=d.pop("categories")),
+                         "top level must be a JSON object of categories, modules, functors"),
 }
 
 
@@ -233,8 +280,9 @@ def test_loader_refusals_give_one_json_line(tmp_path, capsys, case):
     """A multiplicity that is not a non-negative JSON integer, a boolean given
     as a scalar, a key repeated in one section, ``simples``, a key or a
     triple that is not a JSON list of strings (a string is not read as its
-    characters), a fusion or action triple given twice and a section of the
-    wrong JSON type are each refused at load time: one JSON line naming the
+    characters), a fusion or action triple given twice, a section of the
+    wrong JSON type, a key the format does not list and a required key that
+    is missing are each refused at load time: one JSON line naming the
     entity and the key, value or section, exit code 1."""
     filename, mutate, error = LOADER_REFUSALS[case]
     doc = json.loads(Path(_bundled_path(filename)).read_text())
@@ -263,6 +311,117 @@ def test_a_key_repeated_in_one_json_object_is_refused(tmp_path, capsys):
     assert out.count("\n") == 1
     assert json.loads(out) == {"status": "validation-failed",
                                "error": f"{path}: key 'm' is repeated in one JSON object"}
+
+
+# one value of each JSON type, the JSON types each leaf of cli.SHAPES takes (the
+# other leaves are lists), and the items of each leaf that is a list; "rational"
+# and "row" are the items of a list of rationals and of c-block rows
+JSON_VALUES = {"string": "q", "number": 2, "boolean": True, "null": None, "array": [],
+               "object": {}}
+SHAPE_TYPES = {cli.STRING: {"string"}, cli.COUNT: {"number"}, "rational": {"number", "string"},
+               cli.ELEMENT: {"number", "string", "array"}}
+LIST_ITEMS = {cli.STRINGS: cli.STRING, cli.RATIONALS: "rational", cli.ROWS: "row",
+              "row": cli.ELEMENT, cli.ELEMENT: "rational"}
+DELETE = object()
+
+
+def _value_cases(shape, value, path):
+    """``(path, replacement)``: each JSON type ``shape`` does not take, then the
+    cases inside ``value``: the keys of an object and the first item of a list
+    or map."""
+    if type(shape) is tuple:
+        takes = {"object"} if shape[0] in ("map", "object") else {"array"}
+    else:
+        takes = SHAPE_TYPES.get(shape, {"array"})
+    for json_type, wrong in JSON_VALUES.items():
+        if json_type not in takes:
+            yield path, wrong
+    if type(shape) is tuple and shape[0] == "object":
+        yield from _key_cases(cli.SHAPES[shape[2], None], value, path)
+    elif type(shape) is tuple and shape[0] == "map" and value:
+        label = next(iter(value))
+        yield from _value_cases(shape[2], value[label], path + (label,))
+    elif type(value) is list and value:
+        if type(shape) is tuple and shape[0] == "keyed list":
+            yield from ((path + (0,), w) for t, w in JSON_VALUES.items() if t != "object")
+            yield from _key_cases({"key": cli.STRINGS, shape[1]: shape[2]}, value[0], path + (0,))
+        else:
+            item = shape[2] if type(shape) is tuple else LIST_ITEMS[shape]
+            yield from _value_cases(item, value[0], path + (0,))
+
+
+def _key_cases(form: dict, node: dict, path=()):
+    """The cases of ``_value_cases`` at each key of ``form`` in ``node``, and the
+    key deleted where ``form`` requires it."""
+    for key, shape in form.items():
+        name = key.rstrip("?")
+        if name in node:
+            if not key.endswith("?"):
+                yield path + (name,), DELETE
+            yield from _value_cases(shape, node[name], path + (name,))
+
+
+def test_every_wrong_json_type_the_table_refuses_is_a_parse_error(tmp_path):
+    """At each key that ``SHAPES`` lists in each corpus entity, and at the first
+    item of each list or map under it, every JSON type the table does not give
+    that value loads as a ParseError, and so does deleting a required key."""
+    paths = cli.bundled_instance_paths()
+    seen, count = set(), 0
+    for path in paths:
+        doc = json.loads(Path(path).read_text())
+        others, mutated = [p for p in paths if p != path], tmp_path / Path(path).name
+        for section, (kind, _) in cli.SECTIONS.items():
+            for name, data in doc.get(section, {}).items():
+                kind_type = None if kind == "category" else data.get("type", "explicit")
+                seen.add((kind, kind_type))
+                for where, new in _key_cases(cli.SHAPES[kind, kind_type], data):
+                    case = copy.deepcopy(doc)
+                    node = case[section][name]
+                    for step in where[:-1]:
+                        node = node[step]
+                    if new is DELETE:
+                        del node[where[-1]]
+                    else:
+                        node[where[-1]] = new
+                    mutated.write_text(json.dumps(case))
+                    with pytest.raises(ParseError):
+                        cli.load([*others, str(mutated)])
+                    count += 1
+    assert seen == {kind_type for kind_type in cli.SHAPES if kind_type[0] != "field"}
+    assert count > 500
+
+
+def test_the_format_docs_show_every_key_of_the_table():
+    """The three ``json`` blocks of docs/format.md, each wrapped in ``{}``, pass
+    the walker, and the keys they show, by kind and type, are the table's."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 3
+    shown = set()
+    for block in blocks:
+        for section, entities in json.loads("{" + block + "}").items():
+            kind = cli.SECTIONS[section][0]
+            for data in entities.values():
+                values = cli._walk(kind, data, lambda v: v.get("field", FieldSpec(["0", "1"])))
+                kind_type = None if kind == "category" else data.get("type", "explicit")
+                shown |= {(kind, kind_type, key) for key in data}
+                if kind == "category":
+                    assert values["field"].degree == 4
+                    shown |= {("field", None, key) for key in data["field"]}
+    assert shown == {(*kind_type, key.rstrip("?"))
+                     for kind_type, form in cli.SHAPES.items() for key in form}
+
+
+def test_importing_the_cli_loads_no_path_or_temp_file_helpers():
+    """``import modend.cli`` under ``python -S`` leaves ``importlib.resources``,
+    ``tempfile``, ``pathlib`` and ``shutil`` unloaded: the corpus is listed with
+    ``os`` alone.  The pin depends on which modules load, not on speed."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, modend.cli; print(sorted(set(sys.modules) & "
+            "{'importlib.resources', 'tempfile', 'pathlib', 'shutil'}))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out == "[]\n"
 
 
 def _unknown_keys(doc):

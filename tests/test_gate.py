@@ -130,11 +130,14 @@ def ref_functor_coherence(ft, X, Y, i):
     return lhs == rhs
 
 
+def ref_unit(tables, X, i):
+    return ref_right_unit(tables, i, X) if tables.right else ref_left_unit(tables, X, i)
+
+
 REFERENCE = {
     "left_pentagon_holds": ref_left_pentagon,
-    "left_unit_holds": ref_left_unit,
     "right_pentagon_holds": ref_right_pentagon,
-    "right_unit_holds": ref_right_unit,
+    "unit_holds": ref_unit,
     "functor_unit_holds": ref_functor_unit,
     "functor_coherence_holds": ref_functor_coherence,
 }
