@@ -520,10 +520,9 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     / phi_r(X,Y; Z)``, where ``M_Z`` holds ``L(X,Y',i; u,Z,q')`` at row
     ``q' in X act m_u`` with ``Z in US(q')`` and column ``Y' in US(u)`` with
     ``Z in X x Y'``: the internal hom's action iso, square by the
-    ``uhom-shift-second`` identity.  On pointed tables (``blocks.is_pointed``)
-    ``M_Z`` is 1 x 1 and its one entry is that of ``l_block(X, Y, i, q)``, so
-    ``M_Z^-1[Y, q]`` is read off the inverse the tables keep,
-    ``l_inverse(X, Y, i, q)[Z, u]``; other tables invert ``M_Z`` once per build.
+    ``uhom-shift-second`` identity.  Each ``M_Z`` is inverted once per build
+    by ``blocks.inverse_entries``; on pointed tables it is 1 x 1 and is
+    inverted as its one element.
     """
     if i not in m.simples:
         raise SourceTargetMismatch(f"{i!r} is not a simple of {m.name!r}")
@@ -532,13 +531,10 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     field, dual, unit, zero = m.field, base.dual, base.unit, m.field.zero
     L = mt._l_entry
     us = {j: [Y for Y in base.simples if mt.n(Y, i, j)] for j in m.simples}
-    pointed, m_inv = blocks.is_pointed(mt), {}
+    m_inv = {}
 
     def action_iso_inverse(X, u, Z, Y, q):
-        """``M_Z^-1[Y, q]`` of ``(X, m_u)``: on pointed tables the kept inverse
-        of the L-block that ``M_Z`` is, else ``M_Z`` inverted once per build."""
-        if pointed:
-            return mt.l_inverse(X, Y, i, q).get((Z, u), zero)
+        """``M_Z^-1[Y, q]`` of ``(X, m_u)``, with ``M_Z`` inverted once per build."""
         if (X, u, Z) not in m_inv:
             rows = [r for r in mt.act_set(X, u) if Z in us[r]]
             cols = [c for c in us[u] if bt.n(X, c, Z)]

@@ -29,13 +29,15 @@ from .scalarfield import FieldSpec, FieldElement
 
 
 def unique_triples(section: str, triples) -> frozenset:
-    """``triples`` as a set; a triple given twice is refused, naming it.
+    """``triples`` as a set, refusing by name a triple not of 3 labels or repeated.
 
     The tables are multiplicity-free, so a repeated triple is never a
     multiplicity of 2.
     """
     out = set()
     for triple in triples:
+        if len(triple) != 3:
+            raise ValueError(f"{section} triple {list(triple)} does not have 3 labels")
         if triple in out:
             raise ValueError(f"{section} triple {list(triple)} is repeated")
         out.add(triple)
@@ -69,13 +71,11 @@ class FusionCategorySpec:
         self.unit = unit
         self.dual = dict(dual)
         triples = [tuple(t) for t in fusion]
+        self.fusion = unique_triples("fusion", triples)
         for triple in triples:
-            if len(triple) != 3:
-                raise ValueError(f"fusion triple {list(triple)} does not have 3 labels")
             for lab in triple:
                 if lab not in self.simples:
                     raise UnknownLabel(lab)
-        self.fusion = unique_triples("fusion", triples)
         self._fuse_map = triple_map(self.fusion, self.simples, self.simples, self.simples)
         self.f_raw = dict(f_symbols or {})
         # every admissible (a, b, c, d, e, f): a, b, c in ``simples`` order
@@ -87,6 +87,7 @@ class FusionCategorySpec:
         self._tables = None
         self._dual_ok = False
         self._generators = None
+        self._regular = None    # ``modcat.regular_module``'s, kept on first call
         self._report = None     # the gate's, kept by ``cli.InstanceBundle.validate_all``
 
     def fuse(self, a: str, b: str) -> tuple:

@@ -141,16 +141,17 @@ def validate_module(spec: ModuleCategorySpec) -> ValidationReport:
 
 
 def regular_module(c: FusionCategorySpec) -> ModuleCategorySpec:
-    """The category acting on itself through ``c.tables.regular()``: the action
-    map is the fusion map, and L is the admissible F re-keyed."""
-    l_symbols = {(a, b, i, j, Z, t): val for (a, b, i, t, Z, j), val in c._f.items()}
-    mod = ModuleCategorySpec(
-        base=c, simples=c.simples, action=c.fusion, l_symbols=l_symbols,
-        unit_scalars={i: c.field.one for i in c.simples},
-        orientation="left", name=f"{c.name}_regular" if c.name else "regular",
-        derived=True, act_map=c._fuse_map)
-    mod._tables = c.tables.regular()
-    return mod
+    """``c`` acting on itself, built on the first call and kept on ``c``: the
+    action map is the fusion map and L the admissible F re-keyed."""
+    if c._regular is None:
+        l_symbols = {(a, b, i, j, Z, t): val for (a, b, i, t, Z, j), val in c._f.items()}
+        c._regular = ModuleCategorySpec(
+            base=c, simples=c.simples, action=c.fusion, l_symbols=l_symbols,
+            unit_scalars={i: c.field.one for i in c.simples},
+            orientation="left", name=f"{c.name}_regular" if c.name else "regular",
+            derived=True, act_map=c._fuse_map)
+        c._regular._tables = c.tables.regular()
+    return c._regular
 
 
 def opposite_module(m: ModuleCategorySpec) -> ModuleCategorySpec:

@@ -27,9 +27,7 @@ the reduced row echelon form is unique, so every reported basis is
 reproducible across runs.  Nullspace vectors follow the standard
 free-variable convention: the free coordinate is set to 1 and pivot
 coordinates are solved, e.g. ``[[1, 1], [2, 2]]`` yields the basis vector
-``(-1, 1)``.  A monomial matrix (exactly one nonzero entry in every row and
-every column: 1x1 blocks, permutations, diagonals) is inverted entry by entry;
-any other square matrix is inverted by eliminating ``[A | I]``.
+``(-1, 1)``.  A square matrix is inverted by eliminating ``[A | I]``.
 """
 
 from __future__ import annotations
@@ -91,8 +89,8 @@ def _plain_rational(text: str) -> tuple | None:
 class FieldSpec:
     """The number field Q[x]/(p(x)) with ``p`` given constant-first."""
 
-    __slots__ = ("min_poly", "degree", "_red_rows", "_red_den", "zero", "one", "_rat_cache",
-                 "_parsed", "_inverses")
+    __slots__ = ("min_poly", "degree", "_red_rows", "_red_den", "zero", "one", "_parsed",
+                 "_inverses")
 
     def __init__(self, min_poly: Sequence):
         coeffs = tuple(as_fraction(c) for c in min_poly)
@@ -118,7 +116,6 @@ class FieldSpec:
                                for row in reductions)
         self.zero = FieldElement(self, (0,) * d, 1)
         self.one = FieldElement(self, (1,) + (0,) * (d - 1), 1)
-        self._rat_cache = {}
         self._parsed = {}
         self._inverses = {}
 
@@ -142,9 +139,10 @@ class FieldSpec:
 
         A plain string (``_plain_rational``) is read by ``int`` and one
         ``gcd``; any other goes through ``as_fraction``, so the syntax
-        accepted and the errors raised are ``Fraction``'s.  Only strings are
-        keyed as given: ``True == 1``, so a key ``1`` would answer for
-        ``True``, which ``as_fraction`` refuses.
+        accepted and the errors raised are ``Fraction``'s.  Each string's
+        element is kept, keyed by the string as given.  A non-string value
+        becomes its element directly through ``as_fraction``, which refuses
+        ``True`` and every other non-rational.
         """
         if type(value) is str:
             parsed = self._parsed.get(value)
@@ -157,11 +155,7 @@ class FieldSpec:
                 self._parsed[value] = parsed
             return parsed
         q = as_fraction(value)
-        cached = self._rat_cache.get(q)
-        if cached is None:
-            cached = FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
-            self._rat_cache[q] = cached
-        return cached
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def gen(self) -> FieldElement:
         """The class of x, i.e. the generator theta."""
@@ -530,21 +524,9 @@ class Matrix:
         if self.rows != self.cols:
             raise DimensionMismatch("inverse of non-square matrix")
         field, n, flat = self.field, self.rows, self.entries
-        rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-        # monomial: the one nonzero of row i sits in column cols[i], all distinct
-        cols = []
-        for r in rows:
-            support = [j for j, e in enumerate(r) if e]
-            if len(support) != 1:
-                break
-            cols.append(support[0])
-        if len(cols) == n and len(set(cols)) == n:
-            out = [field.zero] * (n * n)
-            for i, j in enumerate(cols):
-                out[j * n + i] = rows[i][j].inverse()
-            return Matrix(field, n, n, out)
         zero, one = field.zero, field.one
-        aug = [e for i, r in enumerate(rows) for e in r + [one if j == i else zero for j in range(n)]]
+        aug = [e for i in range(n)
+               for e in flat[i * n:(i + 1) * n] + [one if j == i else zero for j in range(n)]]
         red, pivots = Matrix(field, n, 2 * n, aug).rref()
         if pivots != list(range(n)):
             raise DivisionByZero("singular matrix")

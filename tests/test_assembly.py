@@ -32,15 +32,15 @@ import test_gate
 from helpers import (CORPUS, act_mor, all_categories, bench_gen,
                      character_probe_composite, coev_insert, composite_conditions_composite,
                      cunit, eps_flat, gauge_category, hom_coend_composite, lcoev_insert,
-                     ldual_flat, matrix_inverse_entries, mutated, nat_composite,
+                     ldual_flat, mutated, nat_composite,
                      nat_oracle_composite, nested_lev_entries, opposite_module_composite, rdual_flat, runit_reg,
                      runit_reg_inv, sampled_sites, serre_probe_composite,
                      upsilon_probe_composite, vec_over_vec_z2, whisker_c, zeta_flat)
 from modend import blocks, cli, endengine
 from modend.blocks import Mor, Obj, _simple
 from modend.common import NotATensorSubcategory
-from modend.fusioncat import tensor_generators, tensor_subcategory, validate_fusion
-from modend.modcat import ModuleCategorySpec, opposite_module, regular_module, validate_module
+from modend.fusioncat import tensor_generators, tensor_subcategory
+from modend.modcat import ModuleCategorySpec, opposite_module, regular_module
 from modend.modfunct import ModuleFunctorSpec, act_right_functor, identity_functor
 from modend.scalarfield import Matrix
 
@@ -311,54 +311,6 @@ def test_probe_systems_match_the_composites(name, monkeypatch):
             continue
         assert _system(built) == _system(_at_generators(ref)), key
         assert endengine.solve_end(built).basis == endengine.solve_end(ref).basis, key
-
-
-# the pointed left modules of the gate's flat sweeps: the pointed corpus
-# modules (vec_over_vec_z2, the one whose L-blocks are not F-blocks, among
-# them), gauged copies, gauged copies over Q(sqrt 2) and gen zn4, zn6
-POINTED_LEFT = sorted(name for name, spec in test_gate.SWEPT.items()
-                      if isinstance(spec, ModuleCategorySpec) and spec.orientation == "left")
-
-
-@pytest.mark.parametrize("name", POINTED_LEFT)
-def test_serre_reads_the_kept_l_inverses(name, monkeypatch):
-    """On fresh tables of each pointed left module, after the gate: at every
-    ``(X, u, Z, Y, q)`` of ``M_Z^-1[Y, q]``, the L-inverse the tables keep for
-    ``l_block(X, Y, i, q)`` once a build has read it is ``inverse_entries``
-    of ``M_Z`` built the general way, and ``Matrix.inverse``'s.  The builds
-    read those inverses at each generator ``X`` of ``tensor_generators`` and
-    equal matrix for matrix the systems of the general path, which inverts
-    each ``M_Z`` once per build; neither path calls ``Matrix.inverse``."""
-    m = test_gate._fresh(test_gate.SWEPT[name])
-    assert validate_fusion(m.base).ok and validate_module(m).ok
-    base, bt, mt = m.base, m.base.tables, m.tables
-    assert blocks.is_pointed(mt)
-    read, l_inverse = [], mt.l_inverse
-    monkeypatch.setattr(mt, "l_inverse", lambda *key: read.append(key) or l_inverse(*key))
-    inverted, inverse = [], Matrix.inverse
-    monkeypatch.setattr(Matrix, "inverse", lambda mat: inverted.append(mat) or inverse(mat))
-    pointed = {i: _system(endengine.build_serre_probe_system(m, i)) for i in m.simples}
-    read_by_pointed = set(read)
-    monkeypatch.setattr(blocks, "is_pointed", lambda tables: False)
-    general = {i: _system(endengine.build_serre_probe_system(m, i)) for i in m.simples}
-    assert inverted == [] and general == pointed
-    monkeypatch.undo()
-    gens = tensor_generators(base)
-    for i in m.simples:
-        us = {j: [Y for Y in base.simples if mt.n(Y, i, j)] for j in m.simples}
-        sites = [(X, u, Z, Y, q) for X in base.simples for u in m.simples
-                 for q in mt.act_set(X, u) for Z in us[q] for Y in us[u] if bt.n(X, Y, Z)]
-        assert sites
-        assert any(X in gens for X, *_ in sites)
-        for X, u, Z, Y, q in sites:
-            assert X not in gens or (X, Y, i, q) in read_by_pointed, (name, X, Y, i, q)
-            rows = [r for r in mt.act_set(X, u) if Z in us[r]]
-            cols = [c for c in us[u] if bt.n(X, c, Z)]
-            m_z = Matrix(m.field, len(rows), len(cols),
-                         [mt._l_entry(X, c, i, u, Z, r) for r in rows for c in cols])
-            (key, val), = mt.l_inverse(X, Y, i, q).items()
-            assert key == (Z, u) and blocks.inverse_entries(rows, cols, m_z) == {(Y, q): val} \
-                == matrix_inverse_entries(rows, cols, m_z), (name, X, Y, i, q)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,20 @@ LOADER_REFUSALS = {
                                lambda d: _repeat_first(d["modules"]["vec_over_vec_z2"]["action"]),
                                "module 'vec_over_vec_z2': ValueError: action triple "
                                "['e', 'm', 'm'] is repeated"),
+    "action-triple-short": ("vec_over_vec_z2.json",
+                            lambda d: d["modules"]["vec_over_vec_z2"]["action"].__setitem__(
+                                0, ["e", "m"]),
+                            "module 'vec_over_vec_z2': ValueError: action triple ['e', 'm'] "
+                            "does not have 3 labels"),
+    "action-triple-long": ("vec_over_vec_z2.json",
+                           lambda d: d["modules"]["vec_over_vec_z2"]["action"].__setitem__(
+                               0, ["e", "m", "m", "m"]),
+                           "module 'vec_over_vec_z2': ValueError: action triple "
+                           "['e', 'm', 'm', 'm'] does not have 3 labels"),
+    "fusion-triple-short": ("fib.json",
+                            lambda d: d["categories"]["fib"]["fusion"].__setitem__(0, ["1", "1"]),
+                            "category 'fib': ValueError: fusion triple ['1', '1'] does not have "
+                            "3 labels"),
     "f-key-string": ("vec_z2_omega.json",
                      lambda d: d["categories"]["vec_z2_omega"]["f_symbols"][0].update(
                          key="ssssee"),
@@ -280,10 +294,10 @@ def test_loader_refusals_give_one_json_line(tmp_path, capsys, case):
     """A multiplicity that is not a non-negative JSON integer, a boolean given
     as a scalar, a key repeated in one section, ``simples``, a key or a
     triple that is not a JSON list of strings (a string is not read as its
-    characters), a fusion or action triple given twice, a section of the
-    wrong JSON type, a key the format does not list and a required key that
-    is missing are each refused at load time: one JSON line naming the
-    entity and the key, value or section, exit code 1."""
+    characters), a fusion or action triple without 3 labels or given twice,
+    a section of the wrong JSON type, a key the format does not list and a
+    required key that is missing are each refused at load time: one JSON
+    line naming the entity and the key, value or section, exit code 1."""
     filename, mutate, error = LOADER_REFUSALS[case]
     doc = json.loads(Path(_bundled_path(filename)).read_text())
     mutate(doc)

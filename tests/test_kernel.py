@@ -325,9 +325,10 @@ def test_pointed_blocks_are_inverted_when_first_read(tmp_path, monkeypatch):
     ("vec_z2_triv_regular", True), ("vec_over_vec_z2", True),
     ("fib_regular", False), ("ising_regular", False)])
 def test_serre_on_pointed_tables_inverts_no_matrix(tmp_path, monkeypatch, name, pointed):
-    """After ``validate_all``, the Serre functor of a pointed module reads every
-    action-iso inverse off the L-inverses the gate kept and makes no
-    ``Matrix.inverse`` call; on fib and ising it inverts its action isos."""
+    """After ``validate_all``, the Serre functor of a pointed module makes no
+    ``Matrix.inverse`` call: each of its action isos ``M_Z`` is 1 x 1 and is
+    inverted as its one element.  On fib and ising it inverts its action isos
+    with ``Matrix.inverse``."""
     bundle = _zn4(tmp_path) if name.startswith("zn4") else cli.load(cli.bundled_instance_paths())
     assert all(rep.ok for rep in bundle.validate_all())
     module = bundle.module(name)
@@ -339,8 +340,8 @@ def test_serre_on_pointed_tables_inverts_no_matrix(tmp_path, monkeypatch, name, 
 
 
 def test_is_pointed_scans_each_tables_object_once(tmp_path, monkeypatch):
-    """The gate's three sweeps and every Serre build ask ``is_pointed`` of the
-    same tables; only the first question reads the action sets."""
+    """The gate's three sweeps ask ``is_pointed`` of the same tables; only the
+    first question reads the action sets."""
     bundle = _zn4(tmp_path)
     reads, act_set = [], blocks.ModuleTables.act_set
     monkeypatch.setattr(blocks.ModuleTables, "act_set",

@@ -3,7 +3,7 @@ import pytest
 from helpers import (act_right_composite, all_categories, f_mor, fib, gauged_corpus_and_zn,
                      vec_z2_omega, vec_z2_triv, vec_over_vec_z2)
 
-from modend import blocks
+from modend import blocks, cli, theorems
 from modend.common import SourceTargetMismatch
 from modend.modfunct import (ModuleFunctorSpec, act_right_functor, compose_functors,
                              identity_functor, validate_functor)
@@ -261,3 +261,17 @@ def test_composed_c_blocks_match_the_composite(name):
     closed = compose_functors(g, f)
     assert closed.c_symbols == compose_functors_composite(g, f), name
     assert validate_functor(closed).ok, name
+
+
+def test_calls_without_reg_share_the_bundles_regular_module():
+    """``regular_module`` keeps one spec per category, so functors built
+    without ``reg`` and the bundle's functors on the loaded regular module
+    compose, pair and take characters with each other."""
+    bundle = cli.load(cli.bundled_instance_paths())
+    spec = bundle.category("fib")
+    assert regular_module(spec) is regular_module(spec) is bundle.module("fib_regular")
+    tau = act_right_functor(spec, "tau")
+    assert compose_functors(tau, act_right_functor(spec, "tau")).name == "rmul_fib_tau*rmul_fib_tau"
+    identity = bundle.functor("id_fib_regular")
+    assert theorems.nat_m_dim(act_right_functor(spec, "1"), identity, "both").dim == 1
+    assert theorems.internal_character(regular_module(spec), identity) == (1, 0)

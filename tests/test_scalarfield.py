@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import _instance_path
-from modend import cli
+from modend import blocks, cli
 from modend.common import ParseError
 from modend.scalarfield import (
     DimensionMismatch, DivisionByZero, FieldSpec, Matrix, ZeroDivisorDetected, subspace_equal,
@@ -147,6 +147,28 @@ def test_matrix_inverse():
     assert m * inv == Matrix.identity(SQRT5, 2)
     with pytest.raises(DivisionByZero):
         mat(Q, [[1, 1], [2, 2]]).inverse()
+
+
+REDUCIBLE = FieldSpec([-1, 0, 1])     # Q[x]/(x^2 - 1): 1 + x divides zero
+
+
+@pytest.mark.parametrize("perm", [(1, 0), (1, 2, 0)], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("entry, error", [(REDUCIBLE.one + REDUCIBLE.gen(), ZeroDivisorDetected),
+                                          (REDUCIBLE.zero, DivisionByZero)],
+                         ids=["zero-divisor", "singular"])
+def test_a_permutation_shaped_matrix_fails_by_its_one_bad_entry(perm, entry, error):
+    """A permutation matrix with one entry replaced by ``1 + x`` over
+    Q[x]/(x^2 - 1) is a zero divisor, and with one replaced by 0 is
+    singular: elimination raises each, and ``block_failure`` names each."""
+    n, one = len(perm), REDUCIBLE.one
+    rows = [[one if j == perm[i] else REDUCIBLE.zero for j in range(n)] for i in range(n)]
+    rows[n - 1][perm[n - 1]] = entry
+    m = Matrix.from_rows(REDUCIBLE, rows)
+    with pytest.raises(error):
+        m.inverse()
+    labels = list(range(n))
+    assert blocks.block_failure(lambda: blocks.inverse_entries(labels, labels, m)) == (
+        "zero-divisor" if error is ZeroDivisorDetected else "singular")
 
 
 # strings at the edge of the plain ``[-]digits[/digits]`` form that
