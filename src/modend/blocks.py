@@ -5,10 +5,14 @@ validators (the predicates at the end of this module), the duality checks,
 opposite modules, composite functors, right multiplications, the
 ``Hom(F(-), G(-))`` systems and the object-valued probe builders are sums of
 products of F-, L- and c-symbols, entries of inverse blocks and duality
-scalars.  Each tables object keeps its blocks and their inverses
-(``f_block``/``f_inverse``, ``l_block``/``l_inverse``) for its own life, and
-the regular module shares the base's.  Left and right modules share one
-tables class, which keeps the spec's key for both.  On pointed tables, where
+scalars.  Each spec is its own tables: ``fusioncat.FusionCategorySpec`` is a
+:class:`BaseTables`, and ``modcat.ModuleCategorySpec`` and
+``modfunct.ModuleFunctorSpec`` keep their blocks and caches themselves.  Each
+keeps its blocks and their inverses (``f_block``/``f_inverse``,
+``l_block``/``l_inverse``) for its own life; the regular module
+(``modcat.regular_module``) reads its L-blocks through its category's
+``f_block`` and keeps their inverses in the category's F-inverse cache.  Left
+and right modules keep the spec's key for both.  On pointed tables, where
 every block is 1 x 1, the validators check the path counts, the blocks'
 invertibility and the pentagon as flat sweeps over the positions of the
 simples (``pointed_path_count_failures``, ``pointed_l_block_failures``,
@@ -33,7 +37,7 @@ Conventions
 * ``assoc(A, B, N)`` realizes ``(A x B) act N -> A act (B act N)``; its block
   at simple slots ``(a, b, p)`` with target ``t`` is the L-matrix
   ``rows j in b act p, cols z in a x b``.
-* The base acting on itself is the regular module (``BaseTables.regular``),
+* The base acting on itself is the regular module (``modcat.regular_module``),
   whose L-symbols are the F-symbols: ``ctensor`` is its ``act_c``, and its
   ``assoc`` is the base's associator.
 * The unit constraints of the base are the canonical projections (scalar 1);
@@ -52,10 +56,14 @@ import functools
 from collections import Counter
 from math import lcm
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .scalarfield import (DimensionMismatch, DivisionByZero, FieldSpec, Matrix,
-                          ZeroDivisorDetected)
+from .common import UnknownLabel
+from .scalarfield import DimensionMismatch, DivisionByZero, Matrix, ZeroDivisorDetected
+
+if TYPE_CHECKING:
+    from .modcat import ModuleCategorySpec
+    from .modfunct import ModuleFunctorSpec
 
 
 class Obj:
@@ -126,28 +134,27 @@ class Mor:
 
 
 class BaseTables:
-    """Fusion data of the base category together with duality scalars."""
+    """F-blocks, their inverses and the duality scalars of a base category.
 
-    def __init__(self, field: FieldSpec, simples: Sequence[str], unit: str,
-                 dual: dict, fuse_map: dict, f_entry: Callable):
-        self.field = field
-        self.simples = tuple(simples)
-        self.unit = unit
-        self.dual = dict(dual)
-        self._fuse = fuse_map
-        self._f_entry = f_entry
+    ``fusioncat.FusionCategorySpec``, the one subclass, holds the data these
+    read: ``field``, ``simples``, the fusion map ``_fuse_map`` and
+    ``f_symbol``.
+    """
+
+    def __init__(self):
         # duality scalars, installed once by ``fusioncat.compute_duality``
         self.ev = self.coev = self.lev = self.lcoev = MappingProxyType({})
-        self._fblock_cache = {}
-        self._finv_cache = {}
-        self._memo = {}
-        self._reg = None
+        self._fblock_cache, self._finv_cache, self._memo = {}, {}, {}
 
     def fuse(self, a: str, b: str) -> tuple:
-        return self._fuse.get((a, b), ())
+        """Summands of ``a x b``; a label that is not a simple raises ``UnknownLabel``."""
+        try:
+            return self._fuse_map[a, b]
+        except KeyError:
+            raise UnknownLabel(f"{a!r} or {b!r}") from None
 
     def n(self, a: str, b: str, c: str) -> bool:
-        return c in self._fuse.get((a, b), ())
+        return c in self._fuse_map.get((a, b), ())
 
     def f_block(self, a: str, b: str, c: str, t: str):
         """F-matrix of ``a,b,c`` at total ``t``: rows over f, cols over e."""
@@ -159,7 +166,7 @@ class BaseTables:
             mat = Matrix.zeros(self.field, len(f_list), len(e_list))
             for i, f in enumerate(f_list):
                 for j, e in enumerate(e_list):
-                    mat[i, j] = self._f_entry(a, b, c, t, e, f)
+                    mat[i, j] = self.f_symbol(a, b, c, t, e, f)
             blk = (f_list, e_list, mat)
             self._fblock_cache[key] = blk
         return blk
@@ -168,98 +175,11 @@ class BaseTables:
         """``inverse_entries`` of ``f_block(a, b, c, t)``, keyed ``(e, f)``."""
         return _cached_inverse(self._finv_cache, (a, b, c, t), self.f_block(a, b, c, t))
 
-    def regular(self) -> "RegularTables":
-        if self._reg is None:
-            self._reg = RegularTables(
-                base=self,
-                simples=self.simples,
-                act_map={(a, b): self.fuse(a, b) for a in self.simples for b in self.simples},
-                l_entry=lambda X, Y, i, j, Z, t: self._f_entry(X, Y, i, t, Z, j),
-                unit_scalars={a: self.field.one for a in self.simples},
-            )
-        return self._reg
-
-
-class ModuleTables:
-    """Skeletal data of a left or right module category over a :class:`BaseTables`.
-
-    Both orientations keep the spec's key: ``act_set(X, i)`` is ``X act m_i``
-    or ``m_i ract X``, and ``L(X,Y,i; j,z,t)`` is the entry of
-    ``l_block(X, Y, i, t)`` at row ``j``, column ``z``.  They differ only in
-    the order the factors of ``X x Y`` act along a row path (``row_steps``):
-    ``Y`` first on a left module, ``j in Y act m_i`` and ``t in X act m_j``;
-    ``X`` first on a right one, ``j in m_i ract X`` and ``t in m_j ract Y``.
-    """
-
-    def __init__(self, base: BaseTables, simples: Sequence[str], act_map: dict,
-                 l_entry: Callable, unit_scalars: dict, right: bool = False):
-        self.base = base
-        self.field = base.field
-        self.simples = tuple(simples)
-        self.right = right
-        self._act = act_map
-        self._l_entry = l_entry
-        self._units = unit_scalars
-        self._lblock_cache = {}
-        self._linv_cache = {}
-        self._cache = {}
-        self._memo = {}
-        # ``is_pointed``, ``_pointed_index`` and ``_pointed_entries``, each
-        # computed once
-        self._pointed = self._index = self._entries = None
-
-    def act_set(self, X: str, i: str) -> tuple:
-        return self._act.get((X, i), ())
-
-    def n(self, X: str, i: str, j: str) -> bool:
-        return j in self._act.get((X, i), ())
-
-    def unit_scalar(self, i: str):
-        return self._units[i]
-
-    def l_block(self, X: str, Y: str, i: str, t: str):
-        """Associator block of ``X x Y`` acting on ``m_i`` at target ``t``.
-
-        Rows run over the row paths ``j`` that end at ``t``, columns over
-        ``z in X x Y`` with ``t in z act m_i``.
-        """
-        key = (X, Y, i, t)
-        blk = self._lblock_cache.get(key)
-        if blk is None:
-            first, second = row_steps(self.right, X, Y)
-            j_list = [j for j in self.act_set(first, i) if self.n(second, j, t)]
-            z_list = [z for z in self.base.fuse(X, Y) if self.n(z, i, t)]
-            mat = Matrix.zeros(self.field, len(j_list), len(z_list))
-            for r, j in enumerate(j_list):
-                for c, z in enumerate(z_list):
-                    mat[r, c] = self._l_entry(X, Y, i, j, z, t)
-            blk = (j_list, z_list, mat)
-            self._lblock_cache[key] = blk
-        return blk
-
-    def l_inverse(self, X: str, Y: str, i: str, t: str) -> dict:
-        """``inverse_entries`` of ``l_block(X, Y, i, t)``, keyed ``(z, j)``."""
-        return _cached_inverse(self._linv_cache, (X, Y, i, t), self.l_block(X, Y, i, t))
-
 
 def row_steps(right: bool, X: str, Y: str) -> tuple:
     """The factors of ``X x Y`` in the order they act along a row path of an
-    L-block (:class:`ModuleTables`): ``(Y, X)`` if left, ``(X, Y)`` if right."""
+    L-block (``l_block``): ``(Y, X)`` if left, ``(X, Y)`` if right."""
     return (X, Y) if right else (Y, X)
-
-
-class RegularTables(ModuleTables):
-    """The base acting on itself, whose L-blocks are the base's F-blocks:
-    ``l_block(X, Y, i, t)`` is ``f_block(X, Y, i, t)`` entry for entry, so the
-    two share one block, and ``l_inverse`` keeps its inverses in the base's
-    F-inverse cache, where ``f_inverse`` reads them."""
-
-    def __init__(self, base: BaseTables, **kwargs):
-        super().__init__(base, **kwargs)
-        self._linv_cache = base._finv_cache
-
-    def l_block(self, X: str, Y: str, i: str, t: str):
-        return self.base.f_block(X, Y, i, t)
 
 
 def inverse_entries(rows: Sequence, cols: Sequence, mat: Matrix) -> dict:
@@ -335,28 +255,33 @@ def _simple(base: BaseTables, label: str) -> Obj:
     return simple_obj(label)
 
 
-@_memoized
-def act_c(tables: ModuleTables, A: Obj, N: Obj) -> Obj:
+def _acted(act: Callable, A: Obj, N: Obj) -> Obj:
+    """``A act N`` for the action ``act(a, p)`` of simples: summands ``(ia, ip, t)``."""
     labels, keys = [], []
     for ia, a in enumerate(A.labels):
         for ip, p in enumerate(N.labels):
-            for t in tables.act_set(a, p):
+            for t in act(a, p):
                 labels.append(t)
                 keys.append((ia, ip, t))
     return Obj(tuple(labels), tuple(keys))
 
 
 @_memoized
+def act_c(tables: ModuleCategorySpec, A: Obj, N: Obj) -> Obj:
+    return _acted(tables.act_set, A, N)
+
+
+@_memoized
 def ctensor(base: BaseTables, A: Obj, B: Obj) -> Obj:
     """``A x B``: the regular module's action of ``A`` on ``B``."""
-    return act_c(base.regular(), A, B)
+    return _acted(base.fuse, A, B)
 
 
 # ---------------------------------------------------------------------------
 # structural morphisms, kept for the benchmark tracer
 
 
-def assoc(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
+def assoc(tables: ModuleCategorySpec, A: Obj, B: Obj, N: Obj) -> Mor:
     """``(A x B) act N -> A act (B act N)`` assembled from L-blocks."""
     key = ("assoc", A, B, N)
     cached = tables._cache.get(key)
@@ -388,7 +313,7 @@ def assoc(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
     return out
 
 
-def assoc_inv(tables: ModuleTables, A: Obj, B: Obj, N: Obj) -> Mor:
+def assoc_inv(tables: ModuleCategorySpec, A: Obj, B: Obj, N: Obj) -> Mor:
     key = ("assoc_inv", A, B, N)
     cached = tables._cache.get(key)
     if cached is None:
@@ -408,7 +333,7 @@ def phi_r_scalar(base: BaseTables, a: str, b: str, z: str):
 
     ``F(b,b*,a*; a*; 1,z*) ev[z] / (F(a,b,z*; 1; z,a*) lev[z*])``.
     """
-    F, d, one = base._f_entry, base.dual, base.unit
+    F, d, one = base.f_symbol, base.dual, base.unit
     return (F(b, d[b], d[a], d[a], one, d[z]) * base.ev[z]
             / (F(a, b, d[z], one, z, d[a]) * base.lev[d[z]]))
 
@@ -420,7 +345,7 @@ def phi_l_scalar(base: BaseTables, a: str, b: str, z: str):
 
     ``F(b*,b,z*; z*; 1,a*) F(a*,a,a*; a*; 1,1) lev[z] / F(a,b,z*; 1; z,a*)``.
     """
-    F, d, one = base._f_entry, base.dual, base.unit
+    F, d, one = base.f_symbol, base.dual, base.unit
     return (F(d[b], b, d[z], d[z], one, d[a]) * F(d[a], a, d[a], d[a], one, one) * base.lev[z]
             / F(a, b, d[z], one, z, d[a]))
 
@@ -436,7 +361,7 @@ def nested_lev_scalar(base: BaseTables, a: str, b: str, z: str):
     those of ``a`` and ``b`` through ``phi_l``:
     ``phi_l(a,b; z) F(a,b,z*; 1; z,a*) lev[a] lev[b] Finv(b,b*,a*; a*; 1,z*)``."""
     d, one = base.dual, base.unit
-    return (phi_l_scalar(base, a, b, z) * base._f_entry(a, b, d[z], one, z, d[a])
+    return (phi_l_scalar(base, a, b, z) * base.f_symbol(a, b, d[z], one, z, d[a])
             * base.lev[a] * base.lev[b] * f_inverse_entry(base, b, d[b], d[a], d[a], one, d[z]))
 
 
@@ -449,29 +374,7 @@ def lev_tensor_holds(base: BaseTables, a: str, b: str) -> bool:
 # module functors
 
 
-class FunctorTables:
-    """On-simples multiplicities and coherence blocks of a module functor."""
-
-    def __init__(self, src: ModuleTables, dst: ModuleTables, mult: dict,
-                 c_symbols: dict):
-        self.src = src
-        self.dst = dst
-        self.field = src.field
-        self._mult = mult
-        # (X, i) -> matrix of c_{X, m_i} in the canonical row/column orders
-        self.c_symbols = c_symbols
-        self._cache = {}
-        self._memo = {}
-        self._c_entries = {}
-        # source simple -> ((target simple, multiplicity), ...) in dst.simples order
-        self.images = {i: tuple((k, mult[(i, k)]) for k in dst.simples if mult.get((i, k)))
-                       for i in src.simples}
-
-    def mult(self, i: str, k: str) -> int:
-        return self._mult.get((i, k), 0)
-
-
-def c_rows(ft: FunctorTables, X: str, i: str) -> list:
+def c_rows(ft: ModuleFunctorSpec, X: str, i: str) -> list:
     """Summand order of ``X act F(m_i)``: triples ``(k, copy, t)``."""
     rows = []
     for k in ft.dst.simples:
@@ -481,7 +384,7 @@ def c_rows(ft: FunctorTables, X: str, i: str) -> list:
     return rows
 
 
-def c_cols(ft: FunctorTables, X: str, i: str) -> list:
+def c_cols(ft: ModuleFunctorSpec, X: str, i: str) -> list:
     """Summand order of ``F(X act m_i)``: triples ``(t_src, k, copy)``."""
     cols = []
     for t in ft.src.act_set(X, i):
@@ -492,7 +395,7 @@ def c_cols(ft: FunctorTables, X: str, i: str) -> list:
 
 
 @_memoized
-def f_obj(ft: FunctorTables, N: Obj) -> Obj:
+def f_obj(ft: ModuleFunctorSpec, N: Obj) -> Obj:
     labels, keys = [], []
     for ip, p in enumerate(N.labels):
         for k in ft.dst.simples:
@@ -502,7 +405,7 @@ def f_obj(ft: FunctorTables, N: Obj) -> Obj:
     return Obj(tuple(labels), tuple(keys))
 
 
-def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
+def c_mor(ft: ModuleFunctorSpec, A: Obj, N: Obj) -> Mor:
     """Coherence ``F(A act N) -> A act F(N)`` assembled from simple blocks."""
     key = ("c_mor", A, N)
     cached = ft._cache.get(key)
@@ -543,10 +446,10 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # of ``f_block(a, b, c, d)`` at row ``f``, column ``e``.
 #
 # ``path_count_failures``, ``l_block_failures`` and ``left_pentagon_failures``
-# sweep an axiom over every tuple of simples.  The gate sweeps each tables
-# object at most once per load: a regular module is derived and never swept,
-# and its category's sweeps run on the regular module's tables, whose
-# L-blocks are the F-blocks and whose path counts are the fusion table's.
+# sweep an axiom over every tuple of simples.  The gate sweeps each module at
+# most once per load: its category's sweeps run on the regular module, whose
+# L-blocks are the F-blocks and whose path counts are the fusion table's, and
+# which, derived, is swept no second time as a module.
 # On pointed tables (``is_pointed``: every fusion product and every action of
 # a simple is one simple) every block is 1 x 1, and the three sweeps take flat
 # branches over lists indexed by the positions of the simples, with the same
@@ -557,7 +460,7 @@ def c_mor(ft: FunctorTables, A: Obj, N: Obj) -> Mor:
 # (``pointed_path_count_failures``), one entry per block, tested for zero
 # over Q and inverted only over a larger field, where a zero divisor can
 # show (``pointed_l_block_failures``), and one scalar equation per pentagon
-# over the kept entries, which on the regular tables are also its F-values
+# over the kept entries, which on the regular module are also its F-values
 # (``pointed_pentagon_failures``).  The block sweep keeps no inverse: the
 # builders read far fewer blocks than it tests, and ``l_inverse`` inverts
 # each on its first read (``inverse_entries``).  Other tables
@@ -583,10 +486,10 @@ def block_failure(inverse: Callable, *key) -> str | None:
     return None
 
 
-def path_count_failures(tables: ModuleTables):
+def path_count_failures(tables: ModuleCategorySpec):
     """Every ``((X, Y, i, t), via_fuse, via_steps)`` where the number of paths
     from ``m_i`` to ``m_t`` through ``z in X x Y`` differs from the number of
-    row paths (``row_steps``), in ``simples`` order.  On the regular tables
+    row paths (``row_steps``), in ``simples`` order.  On the regular module
     this is the associativity of the fusion table.
 
     On pointed tables (``is_pointed``) this is ``pointed_path_count_failures``.
@@ -608,7 +511,7 @@ def path_count_failures(tables: ModuleTables):
                         yield (X, Y, i, t), via_fuse[t], via_steps[t]
 
 
-def l_block_failures(tables: ModuleTables) -> tuple:
+def l_block_failures(tables: ModuleCategorySpec) -> tuple:
     """Every ``(kind, (X, Y, i, t))`` whose L-block is not invertible, in ``simples`` order.
 
     ``kind`` is a ``block_failure``.  For the regular module these are the
@@ -632,7 +535,7 @@ def l_block_failures(tables: ModuleTables) -> tuple:
     return tuple(out)
 
 
-def left_pentagon_failures(tables: ModuleTables) -> tuple:
+def left_pentagon_failures(tables: ModuleCategorySpec) -> tuple:
     """Every ``(X, Y, Z, i)`` where ``left_pentagon_holds`` fails, in ``simples`` order.
 
     On pointed tables (``is_pointed``) this is ``pointed_pentagon_failures``.
@@ -644,9 +547,9 @@ def left_pentagon_failures(tables: ModuleTables) -> tuple:
                  for i in tables.simples if not left_pentagon_holds(tables, X, Y, Z, i))
 
 
-def is_pointed(tables: ModuleTables) -> bool:
+def is_pointed(tables: ModuleCategorySpec) -> bool:
     """Every ``fuse(X, Y)`` and every ``act_set(X, i)`` is one simple, so every
-    F- and L-block is 1 x 1.  Scanned once per tables object, whose fusion and
+    F- and L-block is 1 x 1.  Scanned once per module, whose fusion and
     action maps never change after construction."""
     if tables._pointed is None:
         base = tables.base
@@ -657,7 +560,7 @@ def is_pointed(tables: ModuleTables) -> bool:
     return tables._pointed
 
 
-def _pointed_index(tables: ModuleTables) -> tuple:
+def _pointed_index(tables: ModuleCategorySpec) -> tuple:
     """``(labels, simples, fuse, act)`` of pointed tables, built once and kept
     on them, as ``is_pointed`` keeps its answer: ``labels`` are the base's
     simples and ``simples`` the module's; ``fuse[x][y]`` is the position in
@@ -675,7 +578,7 @@ def _pointed_index(tables: ModuleTables) -> tuple:
     return tables._index
 
 
-def _pointed_entries(tables: ModuleTables) -> list:
+def _pointed_entries(tables: ModuleCategorySpec) -> list:
     """``V[x][y][p] = L(X,Y,i; j,XY,t)``, the one entry of the 1 x 1 block
     ``l_block(X, Y, i, t)`` of pointed tables, read once and kept on them:
     ``j`` is the first row step (``row_steps``), ``t = (XY) act m_i``, and
@@ -683,7 +586,7 @@ def _pointed_entries(tables: ModuleTables) -> list:
     tables' own elements, not copies."""
     if tables._entries is None:
         labels, simples, fuse, act = _pointed_index(tables)
-        L_entry, right = tables._l_entry, tables.right
+        L_entry, right = tables.l_symbol, tables.right
         acted = [[simples[p] for p in row] for row in act]     # the simple X act m_i
         V = tables._entries = []
         for x, X in enumerate(labels):
@@ -696,7 +599,7 @@ def _pointed_entries(tables: ModuleTables) -> list:
     return tables._entries
 
 
-def pointed_path_count_failures(tables: ModuleTables) -> tuple:
+def pointed_path_count_failures(tables: ModuleCategorySpec) -> tuple:
     """``path_count_failures`` on pointed tables, as one flat sweep.
 
     Each ``(X, Y, i)`` has one column path, to ``(XY) act m_i``, and one row
@@ -718,7 +621,7 @@ def pointed_path_count_failures(tables: ModuleTables) -> tuple:
     return tuple(out)
 
 
-def pointed_l_block_failures(tables: ModuleTables) -> tuple:
+def pointed_l_block_failures(tables: ModuleCategorySpec) -> tuple:
     """``l_block_failures`` on pointed tables, as one flat sweep that keeps
     no inverse.
 
@@ -751,34 +654,34 @@ def pointed_l_block_failures(tables: ModuleTables) -> tuple:
     return tuple(out)
 
 
-def pointed_pentagon_failures(tables: ModuleTables) -> tuple:
+def pointed_pentagon_failures(tables: ModuleCategorySpec) -> tuple:
     """``left_pentagon_failures`` on pointed left tables, as one flat sweep.
 
     With one path on each side, the mixed pentagon at ``(X, Y, Z, m_i)`` is
     the scalar equation
     ``L(X,Y,Z act i) L(XY,Z,i) = L(Y,Z,i) L(X,YZ,i) F(X,Y,Z)``, where
     ``L(X,Y,i)`` is the one entry of ``l_block(X, Y, i, X act (Y act i))`` and
-    ``F(X,Y,Z)`` that of ``f_block(X, Y, Z, (XY)Z)``; on the regular tables
+    ``F(X,Y,Z)`` that of ``f_block(X, Y, Z, (XY)Z)``; on the regular module
     it is the 3-cocycle identity.  Like ``l_block_failures``, the sweep
     expects the path counts to agree (``path_count_failures``), which both
     validators check first: then ``X act (Y act i) = (XY) act i``, so the
     L-values are the kept entries ``V`` (``_pointed_entries``), and every
     symbol the general sweep reads is one of these entries, or an F-symbol
     read as 0 where ``(XY)Z != X(YZ)`` that zeroes its product here.  On the
-    regular tables, whose L-symbols are the F-symbols re-keyed, the F-values
-    are ``V`` itself; other tables read each ``F`` once into a list of the
-    same shape.  Each ``F`` is split into a pair ``(den, num)`` multiplied
+    regular module, whose L-symbols are the F-symbols re-keyed (it shares its
+    category's F-inverse cache), the F-values are ``V`` itself; other modules
+    read each ``F`` once into a list of the same shape.  Each ``F`` is split into a pair ``(den, num)`` multiplied
     across.  Over Q the L-values are integers over one common denominator,
     which cancels from the two sides, and the pairs are integers; over a
     larger field both are field elements, with ``den = 1``.
     """
     labels, simples, fuse, act = _pointed_index(tables)
     V = _pointed_entries(tables)
-    if isinstance(tables, RegularTables):
+    if tables._linv_cache is tables.base._finv_cache:     # the regular module
         F = V
     else:
         xy = [[labels[p] for p in row] for row in fuse]     # the simple X x Y
-        F_entry = tables.base._f_entry
+        F_entry = tables.base.f_symbol
         F = [[[F_entry(X, Y, Z, xy[fuse[x][y]][z], xy[x][y], xy[y][z])
                for z, Z in enumerate(labels)] for y, Y in enumerate(labels)]
              for x, X in enumerate(labels)]
@@ -802,7 +705,7 @@ def pointed_pentagon_failures(tables: ModuleTables) -> tuple:
     return tuple(out)
 
 
-def left_pentagon_holds(tables: ModuleTables, X: str, Y: str, Z: str, i: str) -> bool:
+def left_pentagon_holds(tables: ModuleCategorySpec, X: str, Y: str, Z: str, i: str) -> bool:
     """Mixed pentagon at ``(X, Y, Z, m_i)``.
 
     Source paths ``u in X x Y, w in u x Z`` and target paths ``k in Z act m_i,
@@ -810,7 +713,7 @@ def left_pentagon_holds(tables: ModuleTables, X: str, Y: str, Z: str, i: str) ->
     ``L(X,Y,k; l,u,t) L(u,Z,i; k,w,t) = sum_v L(Y,Z,i; k,v,l) L(X,v,i; l,w,t) F(X,Y,Z; w; u,v)``.
     """
     base = tables.base
-    L, F, zero = tables._l_entry, base._f_entry, tables.field.zero
+    L, F, zero = tables.l_symbol, base.f_symbol, tables.field.zero
     yz = base.fuse(Y, Z)
     for u in base.fuse(X, Y):
         for w in base.fuse(u, Z):
@@ -829,17 +732,17 @@ def left_pentagon_holds(tables: ModuleTables, X: str, Y: str, Z: str, i: str) ->
     return True
 
 
-def unit_holds(tables: ModuleTables, X: str, i: str) -> bool:
+def unit_holds(tables: ModuleCategorySpec, X: str, i: str) -> bool:
     """Unit coherence at ``X`` and ``m_i``: ``L(X,1,i; i,X,t) * lambda_i = 1``
     on a left module, ``L(1,X,i; i,X,t) * lambda_i = 1`` on a right one."""
     unit, one = tables.base.unit, tables.field.one
     scalar = tables.unit_scalar(i)
     first, second = (unit, X) if tables.right else (X, unit)
-    return all(tables._l_entry(first, second, i, i, X, t) * scalar == one
+    return all(tables.l_symbol(first, second, i, i, X, t) * scalar == one
                for t in tables.act_set(X, i))
 
 
-def right_pentagon_holds(tables: ModuleTables, i: str, X: str, Y: str, Z: str) -> bool:
+def right_pentagon_holds(tables: ModuleCategorySpec, i: str, X: str, Y: str, Z: str) -> bool:
     """Mixed pentagon of a right module at ``(m_i, X, Y, Z)``.
 
     Source paths ``u in X x Y, w in u x Z`` and target paths ``j in m_i ract X,
@@ -847,7 +750,7 @@ def right_pentagon_holds(tables: ModuleTables, i: str, X: str, Y: str, Z: str) -
     ``L(X,Y,i; j,u,k) L(u,Z,i; k,w,t) = sum_v L(Y,Z,j; k,v,t) L(X,v,i; j,w,t) F(X,Y,Z; w; u,v)``.
     """
     base = tables.base
-    L, F, zero = tables._l_entry, base._f_entry, tables.field.zero
+    L, F, zero = tables.l_symbol, base.f_symbol, tables.field.zero
     yz = base.fuse(Y, Z)
     for u in base.fuse(X, Y):
         for w in base.fuse(u, Z):
@@ -866,7 +769,7 @@ def right_pentagon_holds(tables: ModuleTables, i: str, X: str, Y: str, Z: str) -
     return True
 
 
-def _c_entries(ft: FunctorTables, X: str, i: str) -> dict:
+def _c_entries(ft: ModuleFunctorSpec, X: str, i: str) -> dict:
     """Nonzero entries of ``c_{X, m_i}``, keyed by row + column triple.
 
     A row is ``(k, copy, t)`` and a column ``(t_src, k, copy)``, as in
@@ -885,7 +788,7 @@ def _c_entries(ft: FunctorTables, X: str, i: str) -> dict:
     return out
 
 
-def functor_unit_holds(ft: FunctorTables, i: str) -> bool:
+def functor_unit_holds(ft: ModuleFunctorSpec, i: str) -> bool:
     """Unit coherence of a module functor at ``m_i``.
 
     For copies ``a, b`` of ``m_k`` in ``F(m_i)``:
@@ -903,7 +806,7 @@ def functor_unit_holds(ft: FunctorTables, i: str) -> bool:
     return True
 
 
-def functor_coherence_holds(ft: FunctorTables, X: str, Y: str, i: str) -> bool:
+def functor_coherence_holds(ft: ModuleFunctorSpec, X: str, Y: str, i: str) -> bool:
     """Coherence of ``c`` at ``(X, Y, m_i)``, for c-blocks that obey Schur.
 
     Source paths ``z in X x Y, s in z act m_i`` with copy ``b`` of ``m_t`` in
@@ -914,8 +817,8 @@ def functor_coherence_holds(ft: FunctorTables, X: str, Y: str, i: str) -> bool:
     and copies ``e`` of ``m_l`` in ``F(m_j)``; ``L`` and ``L'`` are the source
     and target L-symbols.  Only admissible paths are walked.
     """
-    src, dst, mult = ft.src, ft.dst, ft._mult
-    Ls, Ld, zero = src._l_entry, dst._l_entry, ft.field.zero
+    src, dst, mult = ft.src, ft.dst, ft.on_simples
+    Ls, Ld, zero = src.l_symbol, dst.l_symbol, ft.field.zero
     targets = [(k, a, l) for k, n in ft.images[i] for a in range(n)
                for l in dst.act_set(Y, k)]
     if not targets:

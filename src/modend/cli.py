@@ -79,8 +79,8 @@ class InstanceBundle:
         def record(kind, name, spec, rep):
             rep.subject = f"{kind} {name}"
             reports.append(rep)
-            if not rep.ok:
-                invalid[id(spec)] = (kind, name)
+            if not rep.ok:      # a spec under two keys is named by the first
+                invalid.setdefault(id(spec), (kind, name))
 
         def gated(validate, spec, *needs):
             broken = [invalid[id(d)] for d in needs if id(d) in invalid]
@@ -241,7 +241,8 @@ def _load_module(name: str, data: dict, bundle: InstanceBundle) -> ModuleCategor
     mod = regular_module(base) if data.get("type") == "regular" else ModuleCategorySpec(
         base, v["simples"], v["action"], v.get("l_symbols", {}), v.get("unit_scalars"),
         v.get("orientation", "left"))
-    mod.name = name
+    if mod not in bundle.modules.values():     # a regular module keeps its first key's name
+        mod.name = name
     return mod
 
 
@@ -254,7 +255,7 @@ def _load_functor(name: str, data: dict, bundle: InstanceBundle) -> ModuleFuncto
         cat, reg_name = bundle.category(v["category"]), f"{v['category']}_regular"
         reg = bundle.modules.get(reg_name)
         # L(X, i, y; k, z, t) is a c-block entry of - x y only on the regular module
-        if reg is None or reg.tables is not cat.tables.regular():
+        if reg is None or reg is not regular_module(cat):
             raise ParseError(f"functor {name!r}: act_right needs " + (
                 f"the module {reg_name!r}" if reg is None else
                 f"{reg_name!r} to be the regular module of {v['category']!r}"))
@@ -521,7 +522,7 @@ def run_suite(bundle: InstanceBundle):
         for a in cat.simples:
             for b in cat.simples:
                 record(f"ev-tensor-prod::{cname}::({a},{b})",
-                       blocks.lev_tensor_holds(cat.tables, a, b))
+                       blocks.lev_tensor_holds(cat, a, b))
     for name, mod in bundle.modules.items():
         rep = theorems.hom_lemma_suite(mod)
         record(f"homsuite::{name}", rep.ok)

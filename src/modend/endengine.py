@@ -26,7 +26,7 @@ the reduction never shrinks the solution space.
 
 Every builder writes each condition entry by entry and composes no
 morphisms: an entry is a sum, over intermediate labels, of products of F-,
-L- and c-symbols, entries of inverse F- and L-blocks (kept on the tables)
+L- and c-symbols, entries of inverse F- and L-blocks (kept on the specs)
 and duality scalars, in the closed form its docstring gives.  The
 ``Hom(F(-), G(-))`` family has a carrier coordinate per pair of copies of
 one simple in ``F(m_i)`` and ``G(m_i)``.
@@ -48,7 +48,7 @@ from . import blocks
 from .blocks import _memoized
 from .common import SourceTargetMismatch
 from .fusioncat import tensor_generators, tensor_subcategory
-from .modcat import ModuleCategorySpec
+from .modcat import ModuleCategorySpec, regular_module
 from .modfunct import ModuleFunctorSpec
 from .scalarfield import FieldSpec, Matrix
 
@@ -179,7 +179,7 @@ def _zero_condition(field, rows: int, column: dict) -> Matrix:
 
 def _copies(h: ModuleFunctorSpec) -> dict:
     """``i -> [(k, a), ...]``: the copies of simples in ``H(m_i)``, in ``f_obj`` order."""
-    return {i: [(k, a) for k, n in h.tables.images[i] for a in range(n)] for i in h.src.simples}
+    return {i: [(k, a) for k, n in h.images[i] for a in range(n)] for i in h.src.simples}
 
 
 def _check_simples(base, labels) -> None:
@@ -190,12 +190,12 @@ def _check_simples(base, labels) -> None:
 
 
 @_memoized
-def _evaluation(tables, X: str, p: str) -> dict:
+def _evaluation(m, X: str, p: str) -> dict:
     """``eps(X, p)``: the evaluation ``X* act (X act m_p) -> m_p`` on its summand
     through ``s in X act m_p``, ``lambda_p ev[X] Linv(X*,X,p; p)[1, s]``."""
-    base = tables.base
-    inv, scale = tables.l_inverse(base.dual[X], X, p, p), tables.unit_scalar(p) * base.ev[X]
-    return {s: scale * inv.get((base.unit, s), tables.field.zero) for s in tables.act_set(X, p)}
+    base = m.base
+    inv, scale = m.l_inverse(base.dual[X], X, p, p), m.unit_scalar(p) * base.ev[X]
+    return {s: scale * inv.get((base.unit, s), m.field.zero) for s in m.act_set(X, p)}
 
 
 def _assemble(base, carrier, column: dict, at, condition, kind: str, recipe: str,
@@ -244,7 +244,7 @@ def _balancing(f: ModuleFunctorSpec, g: ModuleFunctorSpec, column: dict, copies,
 
     It equates ``theta_{m_i} F(epsW)`` with ``epsW' (id_{W*} act (c_G
     theta_{W act m_i})) c_F`` on ``F(W* act (W act m_i))``.  ``pairs`` are the
-    summands ``(w, z)``, ``w in W*`` and ``z in W``, ``evaluation(tables, p)``
+    summands ``(w, z)``, ``w in W*`` and ``z in W``, ``evaluation(m, p)``
     is ``epsW(p)`` keyed ``(w, z, s)`` for ``s in z act m_p``, and ``copies``
     the ``_copies`` of ``f`` and ``g``.  The rows run over copies ``(l,b)`` in
     ``G(m_i)``, then ``(w, z)``, ``s in z act m_i``, ``t in w act m_s`` and
@@ -254,18 +254,18 @@ def _balancing(f: ModuleFunctorSpec, g: ModuleFunctorSpec, column: dict, copies,
     (t,k',a')] cG(z,i)[(l,b,k), (s,k,b')] epsW'(l)[w,z,k]``, with ``epsW'``
     the evaluation of the target module.
     """
-    (f_copies, g_copies), src_t, zero = copies, f.src.tables, f.field.zero
-    cols = [(w, z, s, t, k, a) for w, z in pairs for s in src_t.act_set(z, i)
-            for t in src_t.act_set(w, s) for k, a in f_copies[t]]
-    eps = evaluation(src_t, i)
+    (f_copies, g_copies), src, zero = copies, f.src, f.field.zero
+    cols = [(w, z, s, t, k, a) for w, z in pairs for s in src.act_set(z, i)
+            for t in src.act_set(w, s) for k, a in f_copies[t]]
+    eps = evaluation(src, i)
     mat = _zero_condition(f.field, len(g_copies[i]) * len(cols), column)
     for r, (l, b) in enumerate(g_copies[i]):
-        eps_l = evaluation(f.dst.tables, l)
+        eps_l = evaluation(f.dst, l)
         for c, (w, z, s, t, k2, a2) in enumerate(cols):
             start = (r * len(cols) + c) * len(column)
             if t == i and k2 == l:
                 mat.entries[start + column[i, l, a2, b]] += eps.get((w, z, s), zero)
-            c_f, c_g = blocks._c_entries(f.tables, w, s), blocks._c_entries(g.tables, z, i)
+            c_f, c_g = blocks._c_entries(f, w, s), blocks._c_entries(g, z, i)
             for k, a in f_copies[s]:
                 cf = c_f.get((k, a, l, t, k2, a2))
                 for b2 in range(g.mult(s, k)) if cf else ():
@@ -288,8 +288,8 @@ def build_nat_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     copies = _copies(f), _copies(g)
 
     def balancing(column, X, block):
-        return _balancing(f, g, column, copies, [(dual[X], X)], lambda tables, p: {
-            (dual[X], X, s): e for s, e in _evaluation(tables, X, p).items()}, block.simple)
+        return _balancing(f, g, column, copies, [(dual[X], X)], lambda m, p: {
+            (dual[X], X, s): e for s, e in _evaluation(m, X, p).items()}, block.simple)
 
     return _hom_system(f, g, "end", "hom-end", balancing, at)
 
@@ -308,14 +308,13 @@ def nat_oracle_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     ``(k,a,b')`` of block ``s``, the right-hand side
     ``cF(X,i)[(l,a',u), (s,k,a)]`` at ``(l,a',b)`` of block ``i``.
     """
-    src_t, dst_t, ft, gt = f.src.tables, f.dst.tables, f.tables, g.tables
     f_copies, g_copies = _copies(f), _copies(g)
 
     def naturality(column, X, block):
         i = block.simple
-        rows = [(l, b, u) for l, b in g_copies[i] for u in dst_t.act_set(X, l)]
-        cols = [(s, k, a) for s in src_t.act_set(X, i) for k, a in f_copies[s]]
-        c_f, c_g = blocks._c_entries(ft, X, i), blocks._c_entries(gt, X, i)
+        rows = [(l, b, u) for l, b in g_copies[i] for u in f.dst.act_set(X, l)]
+        cols = [(s, k, a) for s in f.src.act_set(X, i) for k, a in f_copies[s]]
+        c_f, c_g = blocks._c_entries(f, X, i), blocks._c_entries(g, X, i)
         mat = _zero_condition(f.field, len(rows) * len(cols), column)
         for r, (l, b, u) in enumerate(rows):
             for c, (s, k, a) in enumerate(cols):
@@ -350,15 +349,15 @@ def composite_nat_conditions(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     base, zero = f.src.base, f.field.zero
     _check_simples(base, (X, Y))
     Xd, Yd = base.dual[X], base.dual[Y]
-    ws, zs = base.tables.fuse(Yd, Xd), base.tables.fuse(X, Y)
+    ws, zs = base.fuse(Yd, Xd), base.fuse(X, Y)
     copies = _copies(f), _copies(g)
 
-    def nested_eps(tables, p):
-        L, eps_w = tables._l_entry, {}
-        eps_y = _evaluation(tables, Y, p)
-        for r in tables.act_set(Y, p):
-            eps_x = _evaluation(tables, X, r)
-            for s in tables.act_set(X, r):
+    def nested_eps(m, p):
+        L, eps_w = m.l_symbol, {}
+        eps_y = _evaluation(m, Y, p)
+        for r in m.act_set(Y, p):
+            eps_x = _evaluation(m, X, r)
+            for s in m.act_set(X, r):
                 for z in zs:
                     lz = L(X, Y, p, r, z, s)
                     for w in ws if lz else ():
@@ -392,27 +391,27 @@ def build_hom_coend_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec,
     ``cF(X*,i)[(k,a,k'), (j,k',a')] g0[j] cG(X,j)[(k',b',k), (i,k,b)] eps'(X,k')[k]``.
     """
     base = f.src.base
-    src_t, dst_t, ft, gt = f.src.tables, f.dst.tables, f.tables, g.tables
+    src = f.src
     f_copies = _copies(f)
 
     def relations(column, X, block):
         i, Xd = block.simple, base.dual[X]
-        scale = base.tables.coev[X] / src_t.unit_scalar(i)
-        g0 = {j: src_t._l_entry(X, Xd, i, j, base.unit, i) * scale
-              for j in src_t.act_set(Xd, i)}
-        c_f, n = blocks._c_entries(ft, Xd, i), len(block.basis)
+        scale = base.coev[X] / src.unit_scalar(i)
+        g0 = {j: src.l_symbol(X, Xd, i, j, base.unit, i) * scale
+              for j in src.act_set(Xd, i)}
+        c_f, n = blocks._c_entries(f, Xd, i), len(block.basis)
         mat = Matrix.zeros(f.field, len(column), n)
         for c, (k, a, b) in enumerate(block.basis):
             mat.entries[column[i, k, a, b] * n + c] += f.field.one
             for j, g0_j in g0.items():
-                c_g = blocks._c_entries(gt, X, j)
+                c_g = blocks._c_entries(g, X, j)
                 for k2, a2 in f_copies[j]:
                     cf = c_f.get((k, a, k2, j, k2, a2))
                     for b2 in range(g.mult(j, k2)) if cf and g0_j else ():
                         cg = c_g.get((k2, b2, k, i, k, b))
                         if cg:
                             mat.entries[column[j, k2, a2, b2] * n + c] -= \
-                                cf * g0_j * cg * _evaluation(dst_t, X, k2)[k]
+                                cf * g0_j * cg * _evaluation(f.dst, X, k2)[k]
         return mat
 
     return _hom_system(f, g, "coend", "hom-coend", relations, at)
@@ -465,40 +464,39 @@ def build_character_probe_system(f: ModuleFunctorSpec, g: ModuleFunctorSpec) -> 
     if f.src is not g.src:
         raise SourceTargetMismatch("functors must share their source")
     base = f.src.base
-    bt = base.tables
     for h in (f, g):
-        if h.dst.tables is not bt.regular():
+        if h.dst is not regular_module(base):
             raise SourceTargetMismatch(
                 f"functor {h.name!r} must land in the regular module of the base")
-    mt, ftab, gtab = f.src.tables, f.tables, g.tables
+    m = f.src
     field, dual, zero = f.field, base.dual, f.field.zero
     f_copies, g_copies = _copies(f), _copies(g)
 
     def balancing(column, X, block):
         i, Xd, dim = block.simple, dual[X], len(column)
-        c_g, eps = blocks._c_entries(gtab, X, i), _evaluation(mt, X, i)
-        rows = [(s, w, k, a, l, b, p) for s in mt.act_set(X, i) for w in mt.act_set(Xd, s)
-                for k, a in f_copies[w] for l, b in g_copies[i] for p in bt.fuse(dual[k], l)]
+        c_g, eps = blocks._c_entries(g, X, i), _evaluation(m, X, i)
+        rows = [(s, w, k, a, l, b, p) for s in m.act_set(X, i) for w in m.act_set(Xd, s)
+                for k, a in f_copies[w] for l, b in g_copies[i] for p in base.fuse(dual[k], l)]
         mat = Matrix.zeros(field, len(rows), dim)
         for r, (s, w, k, a, l, b, p) in enumerate(rows):
             at = r * dim
             if w == i:
                 mat.entries[at + column[i, (k, a, l, b, p)]] += eps[s]
-            c_f = blocks._c_entries(ftab, Xd, s)
+            c_f = blocks._c_entries(f, Xd, s)
             for k2, a2 in f_copies[s]:
                 cf = c_f.get((k2, a2, k, w, k, a))
                 if not cf:
                     continue
-                cf = cf / blocks.phi_l_scalar(bt, Xd, k2, k)
+                cf = cf / blocks.phi_l_scalar(base, Xd, k2, k)
                 for l2, b2 in g_copies[s]:
                     cg = c_g.get((l, b, l2, s, l2, b2))
                     if cg and (s, (k2, a2, l2, b2, p)) in column:
                         mat.entries[at + column[s, (k2, a2, l2, b2, p)]] -= \
-                            cg * bt.f_inverse(dual[k2], X, l, p).get((dual[k], l2), zero) * cf
+                            cg * base.f_inverse(dual[k2], X, l, p).get((dual[k], l2), zero) * cf
         return mat
 
     return _probe_system(base, {i: [(k, a, l, b, p) for k, a in f_copies[i] for l, b in g_copies[i]
-                                    for p in bt.fuse(dual[k], l)] for i in f.src.simples},
+                                    for p in base.fuse(dual[k], l)] for i in f.src.simples},
                          "character-probe", balancing)
 
 
@@ -527,46 +525,45 @@ def build_serre_probe_system(m: ModuleCategorySpec, i: str) -> DinaturalSystem:
     if i not in m.simples:
         raise SourceTargetMismatch(f"{i!r} is not a simple of {m.name!r}")
     base = m.base
-    bt, mt = base.tables, m.tables
     field, dual, unit, zero = m.field, base.dual, base.unit, m.field.zero
-    L = mt._l_entry
-    us = {j: [Y for Y in base.simples if mt.n(Y, i, j)] for j in m.simples}
+    L = m.l_symbol
+    us = {j: [Y for Y in base.simples if m.n(Y, i, j)] for j in m.simples}
     m_inv = {}
 
     def action_iso_inverse(X, u, Z, Y, q):
         """``M_Z^-1[Y, q]`` of ``(X, m_u)``, with ``M_Z`` inverted once per build."""
         if (X, u, Z) not in m_inv:
-            rows = [r for r in mt.act_set(X, u) if Z in us[r]]
-            cols = [c for c in us[u] if bt.n(X, c, Z)]
+            rows = [r for r in m.act_set(X, u) if Z in us[r]]
+            cols = [c for c in us[u] if base.n(X, c, Z)]
             m_inv[X, u, Z] = blocks.inverse_entries(rows, cols, Matrix(
                 field, len(rows), len(cols), [L(X, c, i, u, Z, r) for r in rows for c in cols]))
         return m_inv[X, u, Z].get((Y, q), zero)
 
     def balancing(column, X, block):
         u, Xd, dim = block.simple, dual[X], len(column)
-        lhs = bt.lcoev[X] * mt.unit_scalar(u)
-        rows = [(Y, z, s, t) for Y in us[u] for z in bt.fuse(Xd, X)
-                for s in mt.act_set(dual[z], u) for t in mt.act_set(dual[Y], s)]
+        lhs = base.lcoev[X] * m.unit_scalar(u)
+        rows = [(Y, z, s, t) for Y in us[u] for z in base.fuse(Xd, X)
+                for s in m.act_set(dual[z], u) for t in m.act_set(dual[Y], s)]
         mat = Matrix.zeros(field, len(rows), dim)
         for r, (Y, z, s, t) in enumerate(rows):
             at = r * dim
             if z == unit:
                 mat.entries[at + column[u, (Y, t)]] += lhs
-            phi = blocks.phi_r_scalar(bt, Xd, X, z)
-            for q in mt.act_set(X, u):
+            phi = blocks.phi_r_scalar(base, Xd, X, z)
+            for q in m.act_set(X, u):
                 lval = L(Xd, X, u, q, dual[z], s)
                 if not lval:
                     continue
                 for Z in us[q]:
-                    if (q, (Z, t)) not in column or not bt.n(X, Y, Z):
+                    if (q, (Z, t)) not in column or not base.n(X, Y, Z):
                         continue
                     mat.entries[at + column[q, (Z, t)]] -= (
-                        phi * lval * mt.l_inverse(dual[Y], Xd, q, t).get((dual[Z], s), zero)
+                        phi * lval * m.l_inverse(dual[Y], Xd, q, t).get((dual[Z], s), zero)
                         * action_iso_inverse(X, u, Z, Y, q)
-                        / blocks.phi_r_scalar(bt, X, Y, Z))
+                        / blocks.phi_r_scalar(base, X, Y, Z))
         return mat
 
-    return _probe_system(base, {u: [(Y, t) for Y in us[u] for t in mt.act_set(dual[Y], u)]
+    return _probe_system(base, {u: [(Y, t) for Y in us[u] for t in m.act_set(dual[Y], u)]
                                 for u in m.simples}, "serre-coend-probe", balancing, input=i)
 
 
@@ -587,30 +584,29 @@ def build_upsilon_probe_system(reg_module: ModuleCategorySpec, x: str) -> Dinatu
     ``Finv(x,m,Y; q'; q,n) Finv(Z,n,Y*; q; q',w) F(q,Y,Y*; q; q',1) lev[Y]``.
     """
     base = reg_module.base
-    bt = base.tables
-    if reg_module.tables is not bt.regular():
+    if reg_module is not regular_module(base):
         raise SourceTargetMismatch(f"{reg_module.name!r} is not the regular module of the base")
     _check_simples(base, [x])
     field, dual, unit = reg_module.field, base.dual, base.unit
-    F, zero = bt._f_entry, field.zero
+    F, zero = base.f_symbol, field.zero
 
     def balancing(column, Y, block):
         m, Yd, dim = block.simple, dual[Y], len(column)
-        rows = [(n, w, q, Z) for n in bt.fuse(m, Y) for w in bt.fuse(n, Yd)
-                for q in bt.fuse(x, m) for Z in base.simples if bt.n(Z, w, q)]
+        rows = [(n, w, q, Z) for n in base.fuse(m, Y) for w in base.fuse(n, Yd)
+                for q in base.fuse(x, m) for Z in base.simples if base.n(Z, w, q)]
         mat = Matrix.zeros(field, len(rows), dim)
         for r, (n, w, q, Z) in enumerate(rows):
             at = r * dim
             if w == m:
-                mat.entries[at + column[m, (q, Z)]] += F(m, Y, Yd, m, n, unit) * bt.lev[Y]
-            for q2 in bt.fuse(x, n):
-                if bt.n(Z, n, q2) and bt.n(q, Y, q2):
+                mat.entries[at + column[m, (q, Z)]] += F(m, Y, Yd, m, n, unit) * base.lev[Y]
+            for q2 in base.fuse(x, n):
+                if base.n(Z, n, q2) and base.n(q, Y, q2):
                     mat.entries[at + column[n, (q2, Z)]] -= (
-                        bt.f_inverse(x, m, Y, q2).get((q, n), zero)
-                        * bt.f_inverse(Z, n, Yd, q).get((q2, w), zero)
-                        * F(q, Y, Yd, q, q2, unit) * bt.lev[Y])
+                        base.f_inverse(x, m, Y, q2).get((q, n), zero)
+                        * base.f_inverse(Z, n, Yd, q).get((q2, w), zero)
+                        * F(q, Y, Yd, q, q2, unit) * base.lev[Y])
         return mat
 
-    return _probe_system(base, {m: [(q, Z) for q in bt.fuse(x, m) for Z in base.simples
-                                    if bt.n(Z, m, q)] for m in base.simples},
+    return _probe_system(base, {m: [(q, Z) for q in base.fuse(x, m) for Z in base.simples
+                                    if base.n(Z, m, q)] for m in base.simples},
                          "upsilon-probe", balancing, x=x)

@@ -56,13 +56,15 @@ def triple_map(triples, firsts: Sequence[str], seconds: Sequence[str],
     return {key: tuple(sorted(cs, key=pos.__getitem__)) for key, cs in out.items()}
 
 
-class FusionCategorySpec:
-    """Immutable skeletal data of a multiplicity-free fusion category."""
+class FusionCategorySpec(BaseTables):
+    """Immutable skeletal data of a multiplicity-free fusion category, which
+    keeps its own F-blocks, their inverses and its duality scalars."""
 
     def __init__(self, field: FieldSpec, simples: Sequence[str], unit: str,
                  dual: Mapping[str, str], fusion: Iterable[tuple],
                  f_symbols: Mapping[tuple, FieldElement] | None = None,
                  name: str = ""):
+        super().__init__()
         self.name = name
         self.field = field
         self.simples = tuple(simples)
@@ -84,32 +86,16 @@ class FusionCategorySpec:
         self._f = {(a, b, c, d, e, f): raw.get((a, b, c, d, e, f), one)
                    for (a, b), ab in fm.items() for c in self.simples
                    for e in ab for d in fm[e, c] for f in fm[b, c] if d in fm[a, f]}
-        self._tables = None
         self._dual_ok = False
         self._generators = None
         self._regular = None    # ``modcat.regular_module``'s, kept on first call
         self._report = None     # the gate's, kept by ``cli.InstanceBundle.validate_all``
 
-    def fuse(self, a: str, b: str) -> tuple:
-        if a not in self.simples or b not in self.simples:
-            raise UnknownLabel(f"{a!r} or {b!r}")
-        return self._fuse_map[(a, b)]
-
     def f_symbol(self, a, b, c, d, e, f) -> FieldElement:
         return self._f.get((a, b, c, d, e, f), self.field.zero)
 
-    @property
-    def tables(self) -> BaseTables:
-        if self._tables is None:
-            self._tables = BaseTables(
-                field=self.field, simples=self.simples, unit=self.unit,
-                dual=self.dual, fuse_map=self._fuse_map,
-                f_entry=self.f_symbol,
-            )
-        return self._tables
-
     def duality(self) -> None:
-        """Install the duality scalars on ``tables`` once (``compute_duality``)."""
+        """Install the duality scalars once (``compute_duality``)."""
         if not self._dual_ok:
             compute_duality(self)
             self._dual_ok = True
@@ -147,8 +133,10 @@ def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
                 if spec.dual[c] not in spec._fuse_map[(spec.dual[b], spec.dual[a])]:
                     report.add("dual-symmetry", (a, b, c),
                                "N_{ab}^c must equal N_{b*a*}^{c*}")
+    from .modcat import regular_module      # modcat imports this module
+    reg = regular_module(spec)
     # associativity of the fusion table itself
-    for loc, left, right in blocks.path_count_failures(spec.tables.regular()):
+    for loc, left, right in blocks.path_count_failures(reg):
         report.add("fusion-associativity", loc, f"path counts {left} != {right}")
     if not report.ok:
         return report
@@ -161,9 +149,8 @@ def validate_fusion(spec: FusionCategorySpec) -> ValidationReport:
         a, b, c, d, e, f = key
         if spec.unit in (a, b, c) and val != spec.field.one:
             report.add("unit-leg-f", key, "unit-leg F-symbols must be 1")
-    # F-blocks and pentagon, swept on the regular module's tables, whose
-    # L-blocks are the F-blocks
-    reg = spec.tables.regular()
+    # F-blocks and pentagon, swept on the regular module, whose L-blocks are
+    # the F-blocks
     for kind, loc in blocks.l_block_failures(reg):
         report.add(f"f-block-{kind}", loc)
     if not report.ok:
@@ -190,19 +177,19 @@ def compute_duality(spec: FusionCategorySpec) -> None:
     one at ``a*``, so the left check alone fails only at a simple that is not
     self-dual and whose block ``F[a,a*,a; a]`` is larger than 1 x 1.
     """
-    base, unit, dual, one = spec.tables, spec.unit, spec.dual, spec.field.one
-    F, Finv = base._f_entry, functools.partial(blocks.f_inverse_entry, base)
+    unit, dual, one = spec.unit, spec.dual, spec.field.one
+    F, Finv = spec.f_symbol, functools.partial(blocks.f_inverse_entry, spec)
     ev = {a: _inverse_at(F(a, dual[a], a, a, unit, unit), a) for a in spec.simples}
     lev = {a: _inverse_at(Finv(a, dual[a], a, a, unit, unit), a) for a in spec.simples}
-    base.ev, base.lev = MappingProxyType(ev), MappingProxyType(lev)
-    base.coev = base.lcoev = MappingProxyType(dict.fromkeys(spec.simples, one))
+    spec.ev, spec.lev = MappingProxyType(ev), MappingProxyType(lev)
+    spec.coev = spec.lcoev = MappingProxyType(dict.fromkeys(spec.simples, one))
     for a in spec.simples:
         d = dual[a]
-        if (base.coev[a] * F(a, d, a, a, unit, unit) * ev[a] != one
-                or base.coev[a] * Finv(d, a, d, d, unit, unit) * ev[a] != one):
+        if (spec.coev[a] * F(a, d, a, a, unit, unit) * ev[a] != one
+                or spec.coev[a] * Finv(d, a, d, d, unit, unit) * ev[a] != one):
             raise InconsistentRigidity(f"right zig-zags disagree at {a}")
-        if (base.lcoev[a] * Finv(a, d, a, a, unit, unit) * lev[a] != one
-                or base.lcoev[a] * F(d, a, d, d, unit, unit) * lev[a] != one):
+        if (spec.lcoev[a] * Finv(a, d, a, a, unit, unit) * lev[a] != one
+                or spec.lcoev[a] * F(d, a, d, d, unit, unit) * lev[a] != one):
             raise InconsistentRigidity(f"left zig-zags disagree at {a}")
 
 

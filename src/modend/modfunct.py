@@ -10,11 +10,11 @@ canonical bases: rows run over ``(k, copy, t)`` as produced by
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 from typing import Callable, Mapping
 
 from . import blocks
-from .blocks import FunctorTables
 from .common import SourceTargetMismatch, ValidationReport
 from .fusioncat import FusionCategorySpec
 from .modcat import ModuleCategorySpec, regular_module
@@ -22,12 +22,13 @@ from .scalarfield import Matrix
 
 
 class ModuleFunctorSpec:
-    """A module functor ``(F, c)`` between left modules over the same base.
+    """A module functor ``(F, c)`` between left modules over the same base,
+    which keeps its own caches of c-entries and structure morphisms.
 
     A ``derived`` functor (an identity, or a right multiplication on a regular
     module) is valid whenever its modules are.  ``c_symbols`` may be given as
-    a function that returns them: it runs the first time ``c_symbols`` or
-    ``tables`` is read, so a derived functor no command reads costs nothing.
+    a function that returns them: it runs the first time ``c_symbols`` is
+    read, so a derived functor no command reads costs nothing.
     """
 
     def __init__(self, src: ModuleCategorySpec, dst: ModuleCategorySpec,
@@ -45,24 +46,25 @@ class ModuleFunctorSpec:
         self.on_raw = dict(on_simples)
         self.on_simples = {k: int(v) for k, v in on_simples.items() if v}
         self._c_symbols = c_symbols if callable(c_symbols) else dict(c_symbols)
-        self._tables = None
+        self._cache, self._memo, self._c_entries = {}, {}, {}
         self._report = None     # the gate's, kept by ``cli.InstanceBundle.validate_all``
 
     @property
     def c_symbols(self) -> dict:
+        """``(X, i)`` -> the matrix of ``c_{X, m_i}`` in the canonical row/column orders."""
         if callable(self._c_symbols):
             self._c_symbols = dict(self._c_symbols())
         return self._c_symbols
 
+    @functools.cached_property
+    def images(self) -> dict:
+        """Source simple -> ``((target simple, multiplicity), ...)`` in ``dst.simples`` order."""
+        mult = self.on_simples
+        return {i: tuple((k, mult[i, k]) for k in self.dst.simples if (i, k) in mult)
+                for i in self.src.simples}
+
     def mult(self, i: str, k: str) -> int:
         return self.on_simples.get((i, k), 0)
-
-    @property
-    def tables(self) -> FunctorTables:
-        if self._tables is None:
-            self._tables = FunctorTables(src=self.src.tables, dst=self.dst.tables,
-                                         mult=dict(self.on_simples), c_symbols=self.c_symbols)
-        return self._tables
 
     def __repr__(self):
         return f"ModuleFunctorSpec({self.name or id(self)})"
@@ -72,7 +74,6 @@ def validate_functor(f: ModuleFunctorSpec) -> ValidationReport:
     """Exhaustive coherence check of ``(F, c)``; empty report iff valid."""
     report = ValidationReport(subject=f.name or "module functor")
     base = f.src.base
-    ft = f.tables
     for check, keys, known in (
             ("unknown-on-simples-key", f.on_raw, set(product(f.src.simples, f.dst.simples))),
             ("unknown-c-key", f.c_symbols, set(product(base.simples, f.src.simples)))):
@@ -81,8 +82,8 @@ def validate_functor(f: ModuleFunctorSpec) -> ValidationReport:
                 report.add(check, key)
     for X in base.simples:
         for i in f.src.simples:
-            rows = blocks.c_rows(ft, X, i)
-            cols = blocks.c_cols(ft, X, i)
+            rows = blocks.c_rows(f, X, i)
+            cols = blocks.c_cols(f, X, i)
             blk = f.c_symbols.get((X, i))
             if blk is None:
                 report.add("missing-c-block", (X, i))
@@ -102,12 +103,12 @@ def validate_functor(f: ModuleFunctorSpec) -> ValidationReport:
     if not report.ok:
         return report
     for i in f.src.simples:
-        if not blocks.functor_unit_holds(ft, i):
+        if not blocks.functor_unit_holds(f, i):
             report.add("unit-coherence", (i,))
     for X in base.simples:
         for Y in base.simples:
             for i in f.src.simples:
-                if not blocks.functor_coherence_holds(ft, X, Y, i):
+                if not blocks.functor_coherence_holds(f, X, Y, i):
                     report.add("coherence", (X, Y, i))
     return report
 
@@ -148,7 +149,7 @@ def act_right_functor(c: FusionCategorySpec, y: str,
                     for k, t in rows for z, s in cols])
         return out
     return ModuleFunctorSpec(reg, reg, on_simples, c_symbols, name=f"rmul_{c.name}_{y}",
-                             derived=reg.derived and reg.base is c)
+                             derived=reg is regular_module(c))
 
 
 def compose_functors(g: ModuleFunctorSpec, f: ModuleFunctorSpec) -> ModuleFunctorSpec:
@@ -166,7 +167,6 @@ def compose_functors(g: ModuleFunctorSpec, f: ModuleFunctorSpec) -> ModuleFuncto
 
     on_simples = {(i, k2): n for i in f.src.simples for k2 in dst.simples
                   if (n := len(copies(i, k2)))}
-    ftab, gtab = f.tables, g.tables
     c_symbols = {}
     for X in f.src.base.simples:
         for i in f.src.simples:
@@ -174,10 +174,10 @@ def compose_functors(g: ModuleFunctorSpec, f: ModuleFunctorSpec) -> ModuleFuncto
                     for t in dst.act_set(X, k2)]
             cols = [(s, k2, kab) for s in f.src.act_set(X, i) for k2 in dst.simples
                     for kab in copies(s, k2)]
-            c_f = blocks._c_entries(ftab, X, i)
+            c_f = blocks._c_entries(f, X, i)
             mat = Matrix.zeros(f.field, len(rows), len(cols))
             for r, (k2, (k, a, b), t) in enumerate(rows):
-                c_g = blocks._c_entries(gtab, X, k)
+                c_g = blocks._c_entries(g, X, k)
                 for c, (s, k2_, (k_, a_, b_)) in enumerate(cols):
                     vf = c_f.get((k, a, k_, s, k_, a_))
                     vg = c_g.get((k2, b, t, k_, k2_, b_)) if vf else None

@@ -553,13 +553,13 @@ def rassoc(tables, N: Obj, A: Obj, B: Obj) -> Mor:
 @blocks._memoized
 def c_assoc(base, A: Obj, B: Obj, C: Obj) -> Mor:
     """``(A x B) x C -> A x (B x C)``: the regular module's associator."""
-    return blocks.assoc(base.regular(), A, B, C)
+    return blocks.assoc(regular_module(base), A, B, C)
 
 
 def act_right_composite(c: FusionCategorySpec, y: str, reg: ModuleCategorySpec) -> dict:
     """``modfunct.act_right_functor``'s c-blocks as associator composites: the
     block at ``(X, i)`` is the matrix of ``assoc(reg, X, i, y)``."""
-    tables = reg.tables
+    tables = reg
     bt = tables.base
     return {(X, i): blocks.assoc(tables, blocks._simple(bt, X), blocks._simple(bt, i),
                                  blocks._simple(bt, y)).mat
@@ -574,7 +574,7 @@ def nested_lev(bt, a: str, b: str) -> Mor:
     Its one nonzero entry per ``z in a x b`` is the closed form
     ``blocks.nested_lev_scalar``.
     """
-    reg = bt.regular()
+    reg = regular_module(bt)
     sa, sb = blocks._simple(bt, a), blocks._simple(bt, b)
     V = blocks.ctensor(bt, sa, sb)
     Lb = blocks.ctensor(bt, ldual_flat(bt, sb), ldual_flat(bt, sa))
@@ -607,18 +607,18 @@ def opposite_module_composite(m: ModuleCategorySpec) -> ModuleCategorySpec:
     Each opposite L-symbol is read off ``(phi_r^-1 act id) m^-1`` for a left
     module, or ``(id ract phi_r^-1) rassoc^-1`` for a right one.
     """
-    base, btab, tables = m.base, m.base.tables, m.tables
+    base, tables = m.base, m
     base.duality()
     dual = base.dual
     left = m.orientation == "left"
     l_symbols = {}
     for X in base.simples:
         for Y in base.simples:
-            sxd, syd = blocks._simple(btab, dual[X]), blocks._simple(btab, dual[Y])
-            ct = blocks.ctensor(btab, blocks._simple(btab, X), blocks._simple(btab, Y))
-            phir_inv = phi_r(btab, blocks._simple(btab, X), blocks._simple(btab, Y)).inverse()
+            sxd, syd = blocks._simple(base, dual[X]), blocks._simple(base, dual[Y])
+            ct = blocks.ctensor(base, blocks._simple(base, X), blocks._simple(base, Y))
+            phir_inv = phi_r(base, blocks._simple(base, X), blocks._simple(base, Y)).inverse()
             for i in m.simples:
-                mi = blocks._simple(btab, i)
+                mi = blocks._simple(base, i)
                 if left:
                     mu = act_mor(tables, phir_inv, mi) \
                         * blocks.assoc_inv(tables, syd, sxd, mi)
@@ -659,8 +659,8 @@ def theta_ext_mor(f, g, i: str, k: str, a: int, b: int, N: Obj) -> Mor:
 
     It is zero on every summand of ``N`` other than ``m_i``.
     """
-    src = blocks.f_obj(f.tables, N)
-    dst = blocks.f_obj(g.tables, N)
+    src = blocks.f_obj(f, N)
+    dst = blocks.f_obj(g, N)
     mat = Matrix.zeros(f.field, len(dst), len(src))
     for ip, lab in enumerate(N.labels):
         if lab == i:
@@ -675,8 +675,8 @@ def carrier_coords(f, g, carrier, N: Obj, beta: Mor) -> list:
     sums the entries of ``beta`` from copy ``a`` to copy ``b`` of ``k`` over
     the summands ``m_i`` of ``N``.
     """
-    src = blocks.f_obj(f.tables, N)
-    dst = blocks.f_obj(g.tables, N)
+    src = blocks.f_obj(f, N)
+    dst = blocks.f_obj(g, N)
     coords = []
     for block in carrier:
         summands = [ip for ip, lab in enumerate(N.labels) if lab == block.simple]
@@ -715,16 +715,16 @@ def _hom_composite(f, g, kind: str, recipe: str, condition):
 def nat_composite(f, g):
     """``endengine.build_nat_system`` as whole-object composites."""
     base = f.src.base
-    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+    bt, src_t, dst_t = base, f.src, f.dst
 
     def balancing(carrier, X, block):
         mi = blocks._simple(bt, block.simple)
         sx, sxd = blocks._simple(bt, X), blocks._simple(bt, base.dual[X])
         A = blocks.act_c(src_t, sx, mi)                         # X act m_i
-        f_eps = f_mor(f.tables, eps_flat(src_t, sx, mi))
-        c1 = blocks.c_mor(f.tables, sxd, A)                     # F(X* act A) -> X* act F(A)
-        d = blocks.c_mor(g.tables, sx, mi)                      # G(A) -> X act G(m_i)
-        eps_dst = eps_flat(dst_t, sx, blocks.f_obj(g.tables, mi))
+        f_eps = f_mor(f, eps_flat(src_t, sx, mi))
+        c1 = blocks.c_mor(f, sxd, A)                            # F(X* act A) -> X* act F(A)
+        d = blocks.c_mor(g, sx, mi)                             # G(A) -> X act G(m_i)
+        eps_dst = eps_flat(dst_t, sx, blocks.f_obj(g, mi))
         return theta_condition(f, g, carrier, lambda theta: theta(mi) * f_eps
                                - eps_dst * whisker_c(dst_t, sxd, d * theta(A)) * c1)
 
@@ -734,13 +734,13 @@ def nat_composite(f, g):
 def nat_oracle_composite(f, g):
     """``endengine.nat_oracle_system`` as whole-object composites:
     d theta_{X act m} = (id_X act theta_m) c."""
-    bt, dst_t = f.src.base.tables, f.dst.tables
+    bt, dst_t = f.src.base, f.dst
 
     def naturality(carrier, X, block):
         sx, mi = blocks._simple(bt, X), blocks._simple(bt, block.simple)
-        A = blocks.act_c(f.src.tables, sx, mi)
-        c = blocks.c_mor(f.tables, sx, mi)
-        d = blocks.c_mor(g.tables, sx, mi)
+        A = blocks.act_c(f.src, sx, mi)
+        c = blocks.c_mor(f, sx, mi)
+        d = blocks.c_mor(g, sx, mi)
         return theta_condition(f, g, carrier, lambda theta: d * theta(A)
                                - whisker_c(dst_t, sx, theta(mi)) * c)
 
@@ -751,8 +751,7 @@ def composite_conditions_composite(f, g, carrier, X: str, Y: str) -> list:
     """``endengine.composite_nat_conditions`` as whole-object composites: the
     evaluation of ``X x Y`` nested from those of ``X`` and ``Y``."""
     base = f.src.base
-    ft, gt = f.tables, g.tables
-    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+    bt, src_t, dst_t = base, f.src, f.dst
     sx, sy = blocks._simple(bt, X), blocks._simple(bt, Y)
     sxd, syd = blocks._simple(bt, base.dual[X]), blocks._simple(bt, base.dual[Y])
     W = blocks.ctensor(bt, sx, sy)
@@ -772,10 +771,10 @@ def composite_conditions_composite(f, g, carrier, X: str, Y: str) -> list:
     for i in f.src.simples:
         mi = blocks._simple(bt, i)
         WM = blocks.act_c(src_t, W, mi)
-        f_eps = f_mor(ft, nested_eps(src_t, mi))
-        cW = blocks.c_mor(ft, Wd, WM)
-        dW = blocks.c_mor(gt, W, mi)
-        eps_dst = nested_eps(dst_t, blocks.f_obj(gt, mi))
+        f_eps = f_mor(f, nested_eps(src_t, mi))
+        cW = blocks.c_mor(f, Wd, WM)
+        dW = blocks.c_mor(g, W, mi)
+        eps_dst = nested_eps(dst_t, blocks.f_obj(g, mi))
         mat = theta_condition(f, g, carrier, lambda theta: theta(mi) * f_eps
                               - eps_dst * whisker_c(dst_t, Wd, dW * theta(WM)) * cW)
         out.append(endengine.Condition(generator=(f"{X}*{Y}", i), matrix=mat))
@@ -785,7 +784,7 @@ def composite_conditions_composite(f, g, carrier, X: str, Y: str) -> list:
 def hom_coend_composite(f, g):
     """``endengine.build_hom_coend_system`` as whole-object composites."""
     base = f.src.base
-    bt, src_t, dst_t = base.tables, f.src.tables, f.dst.tables
+    bt, src_t, dst_t = base, f.src, f.dst
 
     def relations(carrier, X, block):
         sx, sxd = blocks._simple(bt, X), blocks._simple(bt, base.dual[X])
@@ -795,9 +794,9 @@ def hom_coend_composite(f, g):
         g0 = blocks.assoc(src_t, sx, sxd, mi) \
             * act_mor(src_t, coev_flat(bt, sx), mi) \
             * unit_l_inv(src_t, mi)
-        d_g0 = blocks.c_mor(g.tables, sx, A) * f_mor(g.tables, g0)  # G(m_i) -> X act G(A)
-        cA = blocks.c_mor(f.tables, sxd, mi)                    # F(X* act m_i) -> X* act F(m_i)
-        eps_dst = eps_flat(dst_t, sx, blocks.f_obj(g.tables, A))
+        d_g0 = blocks.c_mor(g, sx, A) * f_mor(g, g0)            # G(m_i) -> X act G(A)
+        cA = blocks.c_mor(f, sxd, mi)                           # F(X* act m_i) -> X* act F(m_i)
+        eps_dst = eps_flat(dst_t, sx, blocks.f_obj(g, A))
         cols = []
         for (k, a, b) in block.basis:
             # the relation e_i(v) - sum_j e_j(S(iota_j, p_j) beta), beta: F(A) -> G(A);
@@ -813,7 +812,7 @@ def hom_coend_composite(f, g):
 
 def plain_dinaturality_condition(f, g, carrier, h: Mor) -> Matrix:
     """Ordinary dinaturality along ``h: A -> B``: G(h) theta_A = theta_B F(h)."""
-    fh, gh = f_mor(f.tables, h), f_mor(g.tables, h)
+    fh, gh = f_mor(f, h), f_mor(g, h)
     return theta_condition(f, g, carrier, lambda theta: gh * theta(h.src) - theta(h.dst) * fh)
 
 
@@ -916,7 +915,7 @@ def uhom_left_tensor_iso(tables, X: str, A: Obj, B: Obj) -> Mor:
 @blocks._memoized
 def runit_reg(base, A: Obj) -> Mor:
     """``A x 1 -> A`` in the regular module (canonical projections)."""
-    src = blocks.act_c(base.regular(), A, cunit(base))
+    src = blocks.act_c(regular_module(base), A, cunit(base))
     mat = Matrix.zeros(base.field, len(A), len(src))
     for ia, a in enumerate(A.labels):
         mat[ia, src.index[(ia, 0, a)]] = base.field.one
@@ -925,7 +924,7 @@ def runit_reg(base, A: Obj) -> Mor:
 
 @blocks._memoized
 def runit_reg_inv(base, A: Obj) -> Mor:
-    src = blocks.act_c(base.regular(), A, cunit(base))
+    src = blocks.act_c(regular_module(base), A, cunit(base))
     mat = Matrix.zeros(base.field, len(src), len(A))
     for ia, a in enumerate(A.labels):
         mat[src.index[(ia, 0, a)], ia] = base.field.one
@@ -986,7 +985,7 @@ def phi_l(base, A1: Obj, A2: Obj) -> Mor:
 
 def ctensor_mor(base, g: Mor, h: Mor) -> Mor:
     """``g x h``, that is ``(g act id) after (id act h)`` in the regular module."""
-    reg = base.regular()
+    reg = regular_module(base)
     return act_mor(reg, g, h.dst) * whisker_c(reg, g.src, h)
 
 
@@ -1044,17 +1043,16 @@ def character_probe_composite(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
     pre-balancing is assembled from the functor coherences, ``phi_l`` and the
     dual transpose of ``c``."""
     base = f.src.base
-    bt = base.tables
-    reg = bt.regular()
+    bt = base
+    reg = regular_module(bt)
     base.duality()
-    mt = f.src.tables
-    ftab, gtab = f.tables, g.tables
+    mt = f.src
 
     def fobj(N: Obj) -> Obj:
-        return blocks.f_obj(ftab, N)
+        return blocks.f_obj(f, N)
 
     def gobj(N: Obj) -> Obj:
-        return blocks.f_obj(gtab, N)
+        return blocks.f_obj(g, N)
 
     def s_obj(A: Obj, B: Obj) -> Obj:
         return blocks.ctensor(bt, ldual_flat(bt, fobj(A)), gobj(B))
@@ -1073,17 +1071,17 @@ def character_probe_composite(f: ModuleFunctorSpec, g: ModuleFunctorSpec):
             lfa = ldual_flat(bt, fa)
             # LHS: S(eps, id) on the diagonal block at i
             eps = eps_flat(mt, sx, mi)
-            l1 = act_mor(reg, ldual_mor(bt, f_mor(ftab, eps)), gmi)
+            l1 = act_mor(reg, ldual_mor(bt, f_mor(f, eps)), gmi)
             # RHS: the pre-balancing (a fixed post-composition) after extension
-            d = blocks.c_mor(gtab, sx, mi)                 # G(A) -> X x G(m_i)
+            d = blocks.c_mor(g, sx, mi)                 # G(A) -> X x G(m_i)
             st1 = whisker_c(reg, lfa, d)
             regroup = blocks.assoc_inv(reg, lfa, sx, gmi)
             tau = act_mor(reg, phi_l(bt, sxd, fa).inverse(), gmi)
-            cf = blocks.c_mor(ftab, sxd, A)                # F(X* act A) -> X* x F(A)
+            cf = blocks.c_mor(f, sxd, A)                # F(X* act A) -> X* x F(A)
             st4 = act_mor(reg, ldual_mor(bt, cf), gmi)
             beta_chain = st4 * tau * regroup * st1
             rhs = decomposition_sum(bt, A, lambda q, p_q, i_q: beta_chain * ctensor_mor(
-                bt, ldual_mor(bt, f_mor(ftab, p_q)), f_mor(gtab, i_q)))
+                bt, ldual_mor(bt, f_mor(f, p_q)), f_mor(g, i_q)))
             cond = balancing_matrix(f.field, carrier, i, l1.mat, rhs)
             conditions.append(endengine.Condition(generator=(X, i), matrix=cond))
     return endengine.DinaturalSystem(field=f.field, blocks=carrier, conditions=conditions,
@@ -1096,8 +1094,8 @@ def serre_probe_composite(m: ModuleCategorySpec, i: str):
     of ``uhom(m_i, -)* act -`` over the opposite module, probed with ``Hom(-, m_p)``."""
     base = m.base
     base.duality()
-    bt = base.tables
-    mt = m.tables
+    bt = base
+    mt = m
     field = m.field
     mi = blocks._simple(bt, i)
 
@@ -1147,8 +1145,8 @@ def upsilon_probe_composite(reg_module: ModuleCategorySpec, x: str):
     pre-balancing is assembled from the internal-hom adjunction shift along ``- x Y``."""
     base = reg_module.base
     base.duality()
-    bt = base.tables
-    rt = reg_module.tables
+    bt = base
+    rt = reg_module
     field = reg_module.field
     sx = blocks._simple(bt, x)
     one = blocks._simple(bt, base.unit)

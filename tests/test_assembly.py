@@ -51,7 +51,7 @@ from modend.scalarfield import Matrix
 
 def ref_rdual_mor(base, g: Mor) -> Mor:
     """``g*: B* -> A*`` through ``coev_A``, ``g`` and ``ev_B``."""
-    reg = base.regular()
+    reg = regular_module(base)
     A, B = g.src, g.dst
     da, db = rdual_flat(base, A), rdual_flat(base, B)
     n0 = blocks.act_c(reg, da, cunit(base))
@@ -64,7 +64,7 @@ def ref_rdual_mor(base, g: Mor) -> Mor:
 
 def ref_ldual_mor(base, g: Mor) -> Mor:
     """``*g: *B -> *A`` through ``lcoev_A``, ``g`` and ``lev_B``."""
-    reg = base.regular()
+    reg = regular_module(base)
     A, B = g.src, g.dst
     da, db = ldual_flat(base, A), ldual_flat(base, B)
     chain = lcoev_insert(reg, A, db)
@@ -77,7 +77,7 @@ def ref_ldual_mor(base, g: Mor) -> Mor:
 
 def ref_phi_r(base, A1: Obj, A2: Obj) -> Mor:
     """``(A1 x A2)* -> A2* x A1*`` through nested coevaluations and ``ev``."""
-    reg = base.regular()
+    reg = regular_module(base)
     V = blocks.ctensor(base, A1, A2)
     d1, d2 = rdual_flat(base, A1), rdual_flat(base, A2)
     Da = rdual_flat(base, V)
@@ -95,7 +95,7 @@ def ref_phi_r(base, A1: Obj, A2: Obj) -> Mor:
 
 def ref_phi_l(base, A1: Obj, A2: Obj) -> Mor:
     """``*(A1 x A2) -> *A2 x *A1`` through nested left coevaluations and ``lev``."""
-    reg = base.regular()
+    reg = regular_module(base)
     V = blocks.ctensor(base, A1, A2)
     d1, d2 = ldual_flat(base, A1), ldual_flat(base, A2)
     La = ldual_flat(base, V)
@@ -113,7 +113,7 @@ def ref_phi_l(base, A1: Obj, A2: Obj) -> Mor:
 
 def ref_nu_left(base, X: str) -> Mor:
     """``X -> *(X*)``: pair ``X*`` off by ``ev`` inside the left coevaluation of ``X*``."""
-    reg = base.regular()
+    reg = regular_module(base)
     sx, sxd = _simple(base, X), _simple(base, base.dual[X])
     one = cunit(base)
     pair1 = eps_flat(reg, sx, one) * whisker_c(reg, sxd, runit_reg_inv(base, sx))
@@ -177,7 +177,7 @@ def _dual_tensor_entries(iso: Mor, bt, a: str, b: str) -> list:
 @pytest.mark.parametrize("name", NAMES)
 def test_tensor_duality_isos_match_the_composites_on_simple_pairs(name):
     spec = CATEGORIES[name]
-    bt = spec.tables
+    bt = spec
     for a in spec.simples:
         for b in spec.simples:
             sa, sb = _simple(bt, a), _simple(bt, b)
@@ -191,7 +191,7 @@ def test_tensor_duality_isos_match_the_composites_on_flat_sums(name):
     """``helpers.phi_r``/``phi_l``, the monomial isos the references and the
     gate's composites assemble from the scalars, on sums of simples."""
     spec = CATEGORIES[name]
-    bt = spec.tables
+    bt = spec
     rng = random.Random(zlib.crc32(f"flat-sums {name}".encode()))
     for _ in range(10):
         A1, A2 = _flat_sum(spec, rng), _flat_sum(spec, rng)
@@ -202,7 +202,7 @@ def test_tensor_duality_isos_match_the_composites_on_flat_sums(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_dual_transposes_match_the_composites(name):
     spec = CATEGORIES[name]
-    bt = spec.tables
+    bt = spec
     rng = random.Random(zlib.crc32(f"schur {name}".encode()))
     for _ in range(8):
         g = _schur_mor(spec, rng)
@@ -213,7 +213,7 @@ def test_dual_transposes_match_the_composites(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_reference_nu_left_is_the_identity(name):
     spec = CATEGORIES[name]
-    bt = spec.tables
+    bt = spec
     for X in spec.simples:
         nu = ref_nu_left(bt, X)
         assert nu.src == nu.dst == _simple(bt, X), X
@@ -275,11 +275,11 @@ def _at_generators(sys_) -> endengine.DinaturalSystem:
 def _assembled(module, pairs, serre, character, upsilon, opposite, lev_entries) -> dict:
     """The probe systems (as built), the nested left evaluations and the opposite modules."""
     base = module.base
-    bt = base.tables
+    bt = base
     out = {f"serre {i}": serre(module, i) for i in module.simples}
     for f, g in pairs:
         out[f"character {f.name}, {g.name}"] = character(f, g)
-    if module.tables is bt.regular():
+    if module is regular_module(bt):
         for x in base.simples:
             out[f"upsilon {x}"] = upsilon(module, x)
         out["nested lev"] = [lev_entries(bt, a, b) for a in base.simples for b in base.simples]

@@ -549,6 +549,22 @@ def test_subjects_over_an_invalid_subject_are_not_checked(tmp_path):
             "invalid-dependency at (vec_z2_omega_regular): invalid module"]
 
 
+def test_a_second_key_of_the_regular_module_keeps_the_first_name(tmp_path):
+    """A second ``regular`` entry over one category is the same module: it keeps
+    the name of its first key, and a functor over it names that key."""
+    doc = json.loads(Path(_bundled_path("fib.json")).read_text())
+    doc["categories"]["fib"]["unit"] = "tau"
+    doc["modules"]["R2"] = {"type": "regular", "category": "fib"}
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps(doc))
+    bundle = cli.load([str(path)])
+    assert bundle.module("R2") is bundle.module("fib_regular")
+    assert bundle.module("R2").name == "fib_regular"
+    result = cli.run(["validate"], bundle).payload["result"]
+    for name in ("id_fib_regular", "rmul_fib_1", "rmul_fib_tau"):
+        assert result[f"functor {name}"] == ["invalid-dependency at (fib_regular): invalid module"]
+
+
 def test_nat_both_report(bundle):
     rep = cli.run(["nat", "id_vec_z2_triv_regular", "id_vec_z2_triv_regular",
                    "--both"], bundle)

@@ -240,7 +240,7 @@ def test_plain_dinaturality_never_shrinks(name):
     for f1, f2 in ((idf, idf), (g, g)):
         sys = ee.build_nat_system(f1, f2)
         base_res = ee.solve_end(sys)
-        mt = reg.tables
+        mt = reg
         for _ in range(8):
             X = rng.choice(spec.simples)
             Y = rng.choice(spec.simples)
@@ -428,7 +428,7 @@ def _probe_systems(module, pairs) -> list:
     base = module.base
     out = [(ee.build_serre_probe_system(module, i), module.simples) for i in module.simples]
     out += [(ee.build_character_probe_system(f, g), base.simples) for f, g in pairs]
-    if module.tables is base.tables.regular():
+    if module is regular_module(base):
         out += [(ee.build_upsilon_probe_system(module, x), base.simples) for x in base.simples]
     return out
 
@@ -448,7 +448,7 @@ def _mutant_probe_systems(name, module, pairs) -> list:
                                 for side, h in (("f", f), ("g", g)))
         for pair in ((mutated(f, f_site, 2), g), (f, mutated(g, g_site, 2))):
             out.append((ee.build_character_probe_system(*pair), base.simples))
-    if module.tables is base.tables.regular():
+    if module is regular_module(base):
         for site in sampled_sites(name, base):
             mutant = mutated(base, site, 2)
             try:

@@ -11,10 +11,10 @@ from helpers import (all_categories, bench_gen, coev_insert, ctensor_mor, cunit,
                      one_simple_category, runit_reg, runit_reg_inv, vec_z2_omega, vec_z2_triv,
                      vec_z4, whisker_c, zeta_flat)
 from modend import blocks, cli
-from modend.blocks import BaseTables
 from modend.common import InconsistentRigidity, NotATensorSubcategory, UnknownLabel
 from modend.fusioncat import (FusionCategorySpec, compute_duality, tensor_generators,
                               tensor_subcategory, validate_fusion)
+from modend.modcat import regular_module
 
 CATS = all_categories()
 
@@ -87,17 +87,17 @@ def test_negated_fib_entry_reported_at_tau_tuple():
 def test_duality_values():
     triv = vec_z2_triv()
     compute_duality(triv)
-    assert all(v == triv.field.one for v in triv.tables.ev.values())
+    assert all(v == triv.field.one for v in triv.ev.values())
     om = vec_z2_omega()
     compute_duality(om)
     # solved from the 1-dimensional zig-zag equation
-    assert om.tables.ev["s"] == om.field.rational(-1)
+    assert om.ev["s"] == om.field.rational(-1)
     fb = fib()
     compute_duality(fb)
     # inverse of the F-symbol entry F[tau,tau,tau;tau]_{1,1}
     entry = fb.f_symbol("tau", "tau", "tau", "tau", "1", "1")
-    assert fb.tables.ev["tau"] == entry.inverse()
-    assert fb.tables.coev["tau"] == fb.field.one
+    assert fb.ev["tau"] == entry.inverse()
+    assert fb.coev["tau"] == fb.field.one
 
 
 def test_inconsistent_rigidity_detected():
@@ -122,8 +122,12 @@ def test_tensor_decompose():
     for name, spec in CATS.items():
         for a in spec.simples:
             assert spec.fuse(spec.unit, a) == (a,)
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(UnknownLabel, match="'tau' or 'nope'"):
         fb.fuse("tau", "nope")
+    reg = regular_module(fb)
+    assert reg.act_set("tau", "tau") == ("1", "tau")
+    with pytest.raises(UnknownLabel, match="'nope' or 'tau'"):
+        reg.act_set("nope", "tau")
 
 
 def test_dual_involution_everywhere():
@@ -136,8 +140,8 @@ def test_coev_tensor_prod_identity():
     """The coevaluation side of the composite-duality identity."""
     for spec in CATS.values():
         spec.duality()
-        bt = spec.tables
-        reg = bt.regular()
+        bt = spec
+        reg = regular_module(bt)
         one = blocks.simple_obj(spec.unit)
         for a in spec.simples:
             for b in spec.simples:
@@ -169,16 +173,17 @@ def solve_zigzag_scalars(spec: FusionCategorySpec, left: bool) -> dict:
 
     With coev = 1 and a placeholder ev = 1 the zig-zag composite at ``a`` is
     ``s * id``, so ``ev[a] = 1/s``.  The scalars live in plain dicts of a
-    scratch copy of the base tables.  Only the composite at ``a`` reads the
-    scalar of ``a``, so the placeholder pairing it memoizes is never read
-    again.
+    scratch copy of ``spec``, a fresh spec, so no placeholder reaches
+    ``spec``.  Only the composite at ``a`` reads the scalar of ``a``, so the
+    placeholder pairing it memoizes is never read again.
     """
-    base = BaseTables(field=spec.field, simples=spec.simples, unit=spec.unit,
-                      dual=spec.dual, fuse_map=spec._fuse_map, f_entry=spec.f_symbol)
+    base = FusionCategorySpec(field=spec.field, simples=spec.simples, unit=spec.unit,
+                              dual=spec.dual, fusion=spec.fusion, f_symbols=spec.f_raw,
+                              name=spec.name)
     one = spec.field.one
     base.ev, base.lev = {}, {}
     base.coev = base.lcoev = {a: one for a in spec.simples}
-    reg = base.regular()
+    reg = regular_module(base)
     one_obj = cunit(base)
     out = {}
     for a in spec.simples:
@@ -222,7 +227,7 @@ def _closed_form_scalars(spec):
     except InconsistentRigidity as exc:
         if "degenerate" in str(exc):
             return str(exc)
-    return dict(spec.tables.ev), dict(spec.tables.lev)
+    return dict(spec.ev), dict(spec.lev)
 
 
 def _with_f(spec, f_symbols, name):
@@ -262,7 +267,7 @@ def test_closed_form_duality_matches_zigzag_oracle():
     for name, spec in _oracle_subjects().items():
         assert validate_fusion(spec).ok, name
         compute_duality(spec)  # both zig-zags hold on valid data
-        assert (dict(spec.tables.ev), dict(spec.tables.lev)) == _oracle_scalars(spec), name
+        assert (dict(spec.ev), dict(spec.lev)) == _oracle_scalars(spec), name
 
 
 FACTORS = ("2", "-3", "1/5")
@@ -318,8 +323,8 @@ def _composite_duality_outcome(spec):
     outcome = _duality_outcome(spec)
     if outcome is not None and "degenerate" in outcome:
         return outcome
-    base = spec.tables
-    reg = base.regular()
+    base = spec
+    reg = regular_module(base)
     one_obj = cunit(base)
     for a in spec.simples:
         sa = blocks._simple(base, a)
@@ -374,7 +379,7 @@ def test_ev_tensor_prod_identity():
     for spec in _subjects_and_mutants():
         if "degenerate" in str(_duality_outcome(spec)):
             continue
-        bt = spec.tables
+        bt = spec
         for a in spec.simples:
             for b in spec.simples:
                 closed = [blocks.nested_lev_scalar(bt, a, b, z) for z in bt.fuse(a, b)]
@@ -391,7 +396,7 @@ def test_zero_evaluation_entry_with_invertible_block_is_degenerate():
     base = fib()
     key = ("tau", "tau", "tau", "tau", "1", "1")
     spec = _with_f(base, {**base._f, key: base.field.zero}, "fib_zero_entry")
-    spec.tables.f_block("tau", "tau", "tau", "tau")[2].inverse()  # still invertible
+    spec.f_block("tau", "tau", "tau", "tau")[2].inverse()  # still invertible
     with pytest.raises(InconsistentRigidity, match="degenerate zig-zag at tau"):
         compute_duality(spec)
     assert _oracle_scalars(spec) == "degenerate zig-zag at tau"

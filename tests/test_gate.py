@@ -244,8 +244,8 @@ def test_l_block_sweep_matches_the_unpruned_sweep(name):
     kinds = set()
     for spec in [module] + [mutated(module, site, 0) for site in mutation_sites(module)
                             if site[0] == "l"]:
-        failures = blocks.l_block_failures(spec.tables)
-        assert failures == _unpruned_l_block_failures(spec.tables), (name, spec.l_raw)
+        failures = blocks.l_block_failures(spec)
+        assert failures == _unpruned_l_block_failures(spec), (name, spec.l_raw)
         kinds.update(kind for kind, _ in failures)
     assert "singular" in kinds
 
@@ -372,7 +372,7 @@ def _general_pentagon_failures(tables):
 
 def _pentagon_tables(spec):
     """The tables a validator sweeps the pentagon of ``spec`` on."""
-    return spec.tables.regular() if isinstance(spec, FusionCategorySpec) else spec.tables
+    return regular_module(spec) if isinstance(spec, FusionCategorySpec) else spec
 
 
 def _pointed_subjects():

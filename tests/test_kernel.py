@@ -10,8 +10,9 @@ from helpers import (bench_gen, ev_flat, matrix_inverse_entries, mutated, mutati
                      runit_reg, uhom_obj, unit_l)
 from modend import blocks, cli, endengine, scalarfield, theorems
 from modend.fusioncat import FusionCategorySpec, validate_fusion
-from modend.modcat import ModuleCategorySpec, opposite_module, regular_module, validate_module
-from modend.modfunct import compose_functors
+from modend.modcat import (ModuleCategorySpec, RegularModule, opposite_module, regular_module,
+                           validate_module)
+from modend.modfunct import ModuleFunctorSpec, compose_functors
 from modend.scalarfield import DimensionMismatch, FieldSpec, Matrix
 
 Q = FieldSpec([0, 1])          # Q[x]/(x): plain rationals
@@ -68,7 +69,7 @@ def test_matrix_product_matches_naive_reference(field):
 
 def _tables(bundle):
     cat = bundle.category("fib")
-    return cat.tables, bundle.module("fib_regular").tables, bundle.functor("rmul_fib_tau").tables
+    return cat, bundle.module("fib_regular"), bundle.functor("rmul_fib_tau")
 
 
 def test_object_constructors_are_hash_consed():
@@ -79,7 +80,7 @@ def test_object_constructors_are_hash_consed():
     assert blocks.act_c(mod, tt, tau) is blocks.act_c(mod, tt, blocks.simple_obj("tau"))
     assert uhom_obj(mod, tau, tt) is uhom_obj(mod, tau, tt)
     assert blocks.f_obj(fun, tt) is blocks.f_obj(fun, tt)
-    reg = base.regular()
+    reg = regular_module(base)
     assert blocks.assoc(reg, tau, tau, tau) is blocks.assoc(reg, tau, tau, tau)
     assert unit_l(mod, tt) is unit_l(mod, tt)
     assert runit_reg(base, tt) is runit_reg(base, tt)
@@ -91,7 +92,7 @@ def test_object_constructors_are_hash_consed():
 
 def test_duality_scalars_are_installed_read_only():
     cat = cli.load(cli.bundled_instance_paths()).category("fib")
-    base = cat.tables
+    base = cat
     cat.duality()
     installed = (base.ev, base.coev, base.lev, base.lcoev)
     cat.duality()  # installs once per category
@@ -107,15 +108,24 @@ def test_duality_scalars_are_installed_read_only():
     assert ev_flat(base, tau) is pairing
 
 
-def test_regular_module_shares_the_base_regular_tables():
+def test_the_regular_module_is_one_object_the_gate_sweeps(tmp_path):
+    """A loaded regular module is its category's ``regular_module``, and the
+    gate's sweeps of the category keep their state on that object."""
     bundle = cli.load(cli.bundled_instance_paths())
+    assert bundle.module("fib_regular") is regular_module(bundle.category("fib"))
     for name, cat in bundle.categories.items():
-        assert bundle.module(f"{name}_regular").tables is cat.tables.regular()
+        assert bundle.module(f"{name}_regular") is regular_module(cat)
+    zn4 = _zn4(tmp_path)
+    reg = zn4.module("zn4_regular")
+    assert reg is regular_module(zn4.category("zn4"))
+    assert reg._pointed is None and reg._index is None
+    assert cli.run(["validate"], zn4).payload["status"] == "ok"
+    assert reg._pointed is True and reg._index is not None
 
 
-CACHES = {blocks.BaseTables: ("_fblock_cache", "_finv_cache"),
-          blocks.RegularTables: ("_memo",),
-          blocks.FunctorTables: ("_c_entries",)}
+CACHES = {FusionCategorySpec: ("_fblock_cache", "_finv_cache"),
+          RegularModule: ("_memo",),
+          ModuleFunctorSpec: ("_c_entries",)}
 
 
 def _cached_values(bundle):
@@ -227,8 +237,8 @@ def test_blocks_are_inverted_once_per_load(monkeypatch):
     assert all(rep.ok for rep in bundle.validate_all())
     swept = len(inverted)
     assert swept
-    fib = bundle.category("fib").tables
-    assert bundle.module("fib_regular").tables.l_inverse("tau", "tau", "tau", "1") \
+    fib = bundle.category("fib")
+    assert bundle.module("fib_regular").l_inverse("tau", "tau", "tau", "1") \
         is fib.f_inverse("tau", "tau", "tau", "1")
     funs = bundle.functors.values()
     for f in funs:
@@ -237,7 +247,7 @@ def test_blocks_are_inverted_once_per_load(monkeypatch):
                 assert theorems.nat_m_dim(f, g, "both").oracle_agrees
                 assert endengine.build_hom_coend_system(f, g).conditions
     assert all(opposite_module(m) for m in bundle.modules.values())
-    assert all(blocks.lev_tensor_holds(c.tables, a, b) for c in bundle.categories.values()
+    assert all(blocks.lev_tensor_holds(c, a, b) for c in bundle.categories.values()
                for a in c.simples for b in c.simples)
     assert len(inverted) == swept
 
@@ -253,7 +263,7 @@ def test_pointed_gate_inverts_no_matrix_and_builds_no_block(tmp_path, monkeypatc
     monkeypatch.setattr(Matrix, "inverse", lambda mat: calls.append("inverse") or inverse(mat))
     assert all(rep.ok for rep in _zn4(tmp_path).validate_all())
     assert calls == []
-    for owner, name in ((blocks.BaseTables, "f_block"), (blocks.ModuleTables, "l_block")):
+    for owner, name in ((blocks.BaseTables, "f_block"), (ModuleCategorySpec, "l_block")):
         def counting(tables, *key, _fn=getattr(owner, name), _name=name):
             calls.append(_name)
             return _fn(tables, *key)
@@ -261,9 +271,9 @@ def test_pointed_gate_inverts_no_matrix_and_builds_no_block(tmp_path, monkeypatc
     bundle = _zn4(tmp_path)
     cat = bundle.category("zn4")
     assert validate_fusion(cat).ok
-    assert cat.tables._finv_cache == {}
-    assert validate_module(bundle.module("zn4_regular")).ok   # the same regular tables
-    assert cat.tables._finv_cache == {}
+    assert cat._finv_cache == {}
+    assert validate_module(bundle.module("zn4_regular")).ok   # the category's F-blocks
+    assert cat._finv_cache == {}
     assert calls == []
 
 
@@ -308,14 +318,14 @@ def test_pointed_blocks_are_inverted_when_first_read(tmp_path, monkeypatch):
     monkeypatch.setattr(Matrix, "inverse", lambda mat: calls.append(mat) or inverse(mat))
     assert all(rep.ok for rep in bundle.validate_all())
     cat = bundle.category("zn8")
-    kept = cat.tables._finv_cache
+    kept = cat._finv_cache
     assert set(kept) == {(a, cat.dual[a], a, a) for a in cat.simples}
     gated = set(kept)
     assert cli.run(["serre", "zn8_regular"], bundle).payload["status"] == "ok"
     assert calls == []
     added = set(kept) - gated
     assert 0 < len(added) <= 2 * n ** 2 < n ** 3
-    fresh = cli.load([str(path)]).category("zn8").tables
+    fresh = cli.load([str(path)]).category("zn8")
     for key in gated | added:
         assert kept[key] == matrix_inverse_entries(*fresh.f_block(*key)), key
 
@@ -332,7 +342,7 @@ def test_serre_on_pointed_tables_inverts_no_matrix(tmp_path, monkeypatch, name, 
     bundle = _zn4(tmp_path) if name.startswith("zn4") else cli.load(cli.bundled_instance_paths())
     assert all(rep.ok for rep in bundle.validate_all())
     module = bundle.module(name)
-    assert blocks.is_pointed(module.tables) == pointed
+    assert blocks.is_pointed(module) == pointed
     calls, inverse = [], Matrix.inverse
     monkeypatch.setattr(Matrix, "inverse", lambda mat: calls.append(mat) or inverse(mat))
     assert theorems.serre_functor(module).certificates
@@ -343,10 +353,10 @@ def test_is_pointed_scans_each_tables_object_once(tmp_path, monkeypatch):
     """The gate's three sweeps ask ``is_pointed`` of the same tables; only the
     first question reads the action sets."""
     bundle = _zn4(tmp_path)
-    reads, act_set = [], blocks.ModuleTables.act_set
-    monkeypatch.setattr(blocks.ModuleTables, "act_set",
+    reads, act_set = [], ModuleCategorySpec.act_set
+    monkeypatch.setattr(ModuleCategorySpec, "act_set",
                         lambda tables, *key: reads.append(key) or act_set(tables, *key))
-    tables = bundle.module("zn4_regular").tables
+    tables = bundle.module("zn4_regular")
     assert blocks.is_pointed(tables) and len(reads) == 4 * 4
     reads.clear()
     assert blocks.is_pointed(tables) and reads == []
@@ -360,11 +370,11 @@ def test_pointed_gate_reads_each_l_symbol_once(tmp_path, monkeypatch):
     scan of ``is_pointed``, only ``_pointed_index``'s first build reads the
     action sets, and sweeping the same tables again reads neither."""
     bundle = _zn4(tmp_path)
-    tables = bundle.category("zn4").tables.regular()
-    entries, l_entry = [], tables._l_entry
-    tables._l_entry = lambda *key: entries.append(key) or l_entry(*key)
-    reads, act_set = Counter(), blocks.ModuleTables.act_set
-    monkeypatch.setattr(blocks.ModuleTables, "act_set",
+    tables = regular_module(bundle.category("zn4"))
+    entries, l_symbol = [], tables.l_symbol
+    tables.l_symbol = lambda *key: entries.append(key) or l_symbol(*key)
+    reads, act_set = Counter(), ModuleCategorySpec.act_set
+    monkeypatch.setattr(ModuleCategorySpec, "act_set",
                         lambda tables, *key: reads.update([id(tables)]) or act_set(tables, *key))
     assert all(rep.ok for rep in bundle.validate_all())
     assert len(entries) == len(set(entries)) == 4 ** 3
@@ -438,7 +448,7 @@ def test_memoized_duality_isos_equal_their_closed_forms():
     assert all(rep.ok for rep in bundle.validate_all())
     closed = {fn.__name__: fn.__wrapped__ for fn in (blocks.phi_r_scalar, blocks.phi_l_scalar)}
     for name, cat in bundle.categories.items():
-        base = cat.tables
+        base = cat
         theorems.serre_functor(bundle.module(f"{name}_regular"))
         kept = [(key, val) for key, val in base._memo.items() if key[0] in closed]
         assert kept, name
@@ -536,7 +546,7 @@ def test_symbol_level_constructions_build_no_morphisms(monkeypatch):
         "hom_lemma_suite": lambda: all(theorems.hom_lemma_suite(m).ok
                                        for m in bundle.modules.values()),
         "compose_functors": lambda: compose_functors(tau, tau).mult("tau", "tau") == 2,
-        "lev_tensor_holds": lambda: all(blocks.lev_tensor_holds(c.tables, a, b)
+        "lev_tensor_holds": lambda: all(blocks.lev_tensor_holds(c, a, b)
                                         for c in cats for a in c.simples for b in c.simples),
         "serre_functor": lambda: all(theorems.serre_functor(m).certificates
                                      for m in bundle.modules.values()),

@@ -192,25 +192,24 @@ def compose_functors_composite(g, f):
     canonical row and column orders of ``compose_functors``.
     """
     mid = f.dst
-    ftab, gtab = f.tables, g.tables
 
     def copy_order(i, k2):
         return [(k, alpha, beta) for k in mid.simples for alpha in range(f.mult(i, k))
                 for beta in range(g.mult(k, k2))]
 
     c_symbols = {}
-    bt = f.src.base.tables
+    bt = f.src.base
     for X in f.src.base.simples:
         sx = blocks._simple(bt, X)
         for i in f.src.simples:
             mi = blocks._simple(bt, i)
-            fmi = blocks.f_obj(ftab, mi)
-            e = blocks.c_mor(gtab, sx, fmi) * f_mor(gtab, blocks.c_mor(ftab, sx, mi))
-            src_inner = blocks.act_c(f.src.tables, sx, mi)      # X act m_i
-            f_of_src = blocks.f_obj(ftab, src_inner)
-            nested_src = blocks.f_obj(gtab, f_of_src)           # e.src
-            gfm = blocks.f_obj(gtab, fmi)
-            nested_dst = blocks.act_c(g.dst.tables, sx, gfm)
+            fmi = blocks.f_obj(f, mi)
+            e = blocks.c_mor(g, sx, fmi) * f_mor(g, blocks.c_mor(f, sx, mi))
+            src_inner = blocks.act_c(f.src, sx, mi)             # X act m_i
+            f_of_src = blocks.f_obj(f, src_inner)
+            nested_src = blocks.f_obj(g, f_of_src)              # e.src
+            gfm = blocks.f_obj(g, fmi)
+            nested_dst = blocks.act_c(g.dst, sx, gfm)
             col_map = []                                        # (t_src, k2, copy)
             for ip, t_src in enumerate(src_inner.labels):
                 for k2 in g.dst.simples:

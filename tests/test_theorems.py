@@ -426,8 +426,8 @@ def test_coset_module_theorems():
     c_symbols = {}
     for X in c.simples:
         for i in mod.simples:
-            rows = blocks.c_rows(probe.tables, X, i)
-            cols = blocks.c_cols(probe.tables, X, i)
+            rows = blocks.c_rows(probe, X, i)
+            cols = blocks.c_cols(probe, X, i)
             m = Matrix.zeros(c.field, len(rows), len(cols))
             for r, (k, cnt, t) in enumerate(rows):
                 for s, (tsrc, k2, cnt2) in enumerate(cols):
